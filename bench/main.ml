@@ -153,74 +153,6 @@ module Simbench = struct
     for _ = 1 to 2_000 do w.w_cycle 0 done;
     min_of_blocks ~blocks:5 ~per_block:8_000 (fun () -> w.w_cycle 0)
 
-  (* The lane engine on the same DUT: one SoA instance stepping [lanes_k]
-     independent simulations per cycle.  Reported per lane-cycle next to
-     the scalar ir/sim-cycle number; CI gates the speedup at >= 2x — the
-     point of the layout is that one opcode dispatch amortizes over K
-     lanes of unsafe-indexed word ops. *)
-  let lanes_k = 8
-
-  let lanes_report scalar_ns =
-    let d = build () in
-    let lanes = Sim.Lanes.create ~opt:true ~k:lanes_k d.d_nl in
-    let i = ref 0 in
-    let drive () =
-      incr i;
-      let n = !i in
-      Sim.Lanes.set_input_all lanes d.d_enq_valid 1;
-      Sim.Lanes.set_input_all lanes d.d_enq_uopc (n land 0xFF);
-      Sim.Lanes.set_input_all lanes d.d_rollback (if n land 31 = 0 then 1 else 0);
-      Sim.Lanes.set_input_all lanes d.d_rollback_idx (n land 63);
-      Sim.Lanes.set_input_all lanes d.d_wen 1;
-      (* per-lane divergence so no lane degenerates into another *)
-      for l = 0 to lanes_k - 1 do
-        Sim.Lanes.set_input lanes ~lane:l d.d_waddr ((n + (l * 17)) land 127);
-        Sim.Lanes.set_input lanes ~lane:l d.d_wdata ((n * (l + 3)) land 0xFFFF)
-      done;
-      Sim.Lanes.set_input_all lanes d.d_raddr ((n * 7) land 127);
-      Sim.Lanes.cycle lanes
-    in
-    for _ = 1 to 2_000 do drive () done;
-    let batch_ns = min_of_blocks ~blocks:5 ~per_block:8_000 drive in
-    let per_lane_ns = batch_ns /. float_of_int lanes_k in
-    Dvz_obs.Json.Obj
-      [ ("name", Dvz_obs.Json.Str "ir/sim-cycle-lanes");
-        ("k", Dvz_obs.Json.Int lanes_k);
-        ("ns_per_batch_cycle", Dvz_obs.Json.Float batch_ns);
-        ("ns_per_lane_cycle", Dvz_obs.Json.Float per_lane_ns);
-        ("scalar_ns_per_cycle", Dvz_obs.Json.Float scalar_ns);
-        ("speedup",
-         Dvz_obs.Json.Float (scalar_ns /. Float.max 1e-9 per_lane_ns)) ]
-
-  (* Batched phase-1 trigger evaluation: a scheduler batch of candidates
-     through [Trigger_opt.evaluate_batch] (pooled, per-candidate warm
-     testbenches) vs the scalar evaluate loop over the same array.
-     Recorded, not gated — the batch pool's win is pool-hit dependent. *)
-  let phase1_lanes_report () =
-    let boom = Cfg.boom_small in
-    let rng = Dvz_util.Rng.create 31 in
-    let tcs =
-      Array.init 8 (fun _ ->
-          Dejavuzz.Trigger_gen.generate ~force_training:true boom
-            (Dejavuzz.Seed.random rng))
-    in
-    let batched () = ignore (Dejavuzz.Trigger_opt.evaluate_batch boom tcs) in
-    let scalar () =
-      Array.iter (fun tc -> ignore (Dejavuzz.Trigger_opt.evaluate boom tc)) tcs
-    in
-    Dejavuzz.Simpool.clear ();
-    for _ = 1 to 20 do batched () done;
-    let batched_ns = min_of_blocks ~blocks:4 ~per_block:50 batched in
-    for _ = 1 to 20 do scalar () done;
-    let scalar_ns = min_of_blocks ~blocks:4 ~per_block:50 scalar in
-    Dvz_obs.Json.Obj
-      [ ("name", Dvz_obs.Json.Str "campaign/phase1-lanes");
-        ("batch", Dvz_obs.Json.Int (Array.length tcs));
-        ("batched_ns", Dvz_obs.Json.Float batched_ns);
-        ("scalar_ns", Dvz_obs.Json.Float scalar_ns);
-        ("speedup",
-         Dvz_obs.Json.Float (scalar_ns /. Float.max 1.0 batched_ns)) ]
-
   (* End-to-end dual-DUT runs through the abstract core model, one entry
      per IFT mode.  These are the workloads the provenance option must not
      slow down while disarmed; CI gates them against the committed
@@ -432,21 +364,15 @@ module Simbench = struct
         [ "fig6/cellift-simulation"; "table4/diffift-simulation";
           "ir/sim-cycle" ]
     in
-    let scalar_sim_ns =
-      match find "ir/sim-cycle" "compiled" with
-      | Some (_, ns) -> ns
-      | None -> nan
-    in
     Dvz_obs.Json.Obj
       [ ("schema", Dvz_obs.Json.Str "dvz-bench-sim/7");
         ("benches", Dvz_obs.Json.Arr bench_objs);
         ("speedups", Dvz_obs.Json.Arr speedups);
-        ("lanes", Dvz_obs.Json.Arr [ lanes_report scalar_sim_ns ]);
         ("e2e", Dvz_obs.Json.Arr (e2e_report ()));
         ("campaign",
          Dvz_obs.Json.Arr
            [ campaign_report (); parallel_overhead_report ();
-             pooled_vs_fresh_report (); phase1_lanes_report () ]);
+             pooled_vs_fresh_report () ]);
         ("fleet", Dvz_obs.Json.Arr [ telemetry_report () ]) ]
 
   let write_json path =
@@ -472,26 +398,6 @@ module Simbench = struct
                     | _ -> ())
                 | _ -> ())
               sps
-        | _ -> ());
-        (match List.assoc_opt "lanes" fields with
-        | Some (Dvz_obs.Json.Arr ls) ->
-            List.iter
-              (fun l ->
-                match l with
-                | Dvz_obs.Json.Obj f -> (
-                    match
-                      ( List.assoc_opt "name" f,
-                        List.assoc_opt "k" f,
-                        List.assoc_opt "speedup" f )
-                    with
-                    | ( Some (Dvz_obs.Json.Str n),
-                        Some (Dvz_obs.Json.Int k),
-                        Some (Dvz_obs.Json.Float s) ) ->
-                        Printf.printf "%-32s %.1fx lanes (k=%d) over scalar\n"
-                          n s k
-                    | _ -> ())
-                | _ -> ())
-              ls
         | _ -> ());
         (match List.assoc_opt "campaign" fields with
         | Some (Dvz_obs.Json.Arr cs) ->
@@ -521,12 +427,8 @@ module Simbench = struct
                     | Some (Dvz_obs.Json.Str n), None, None, None -> (
                         match List.assoc_opt "speedup" f with
                         | Some (Dvz_obs.Json.Float s) ->
-                            let what =
-                              if n = "campaign/phase1-lanes" then
-                                "batched over scalar evaluation"
-                              else "pooled over fresh construction"
-                            in
-                            Printf.printf "%-32s %.2fx %s\n" n s what
+                            Printf.printf
+                              "%-32s %.2fx pooled over fresh construction\n" n s
                         | _ -> ())
                     | _ -> ())
                 | _ -> ())

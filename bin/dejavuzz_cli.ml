@@ -470,20 +470,9 @@ let handle_faults k =
       Printf.eprintf "dejavuzz: %s\n" msg;
       exit 1
 
-let no_ir_opt_t =
-  Arg.(value & flag
-       & info [ "no-ir-opt" ]
-           ~doc:"Escape hatch: disable the netlist optimization pass \
-                 pipeline for every netlist-backed simulation in this run \
-                 (VCD dumps, provenance replays, lane engines).  Output is \
-                 byte-identical either way; this only trades speed for a \
-                 bypass when debugging the passes themselves.")
-
 let fuzz_cmd =
   let run cfg iterations rng_seed random_training no_coverage telemetry_file
-      progress progress_every metrics resilience explain_dir jobs batch obs
-      no_ir_opt =
-    if no_ir_opt then Dvz_ir.Passes.set_enabled false;
+      progress progress_every metrics resilience explain_dir jobs batch obs =
     handle_faults (fun () ->
         let options =
           { Campaign.default_options with
@@ -518,7 +507,7 @@ let fuzz_cmd =
     Term.(const run $ core_t $ iterations_t 500 $ seed_t $ random_training
           $ no_coverage $ telemetry_t $ progress_t $ progress_every_t
           $ metrics_t $ resilience_t $ explain_dir_t $ jobs_t $ batch_t
-          $ obs_t $ no_ir_opt_t)
+          $ obs_t)
 
 (* --- fleet mode ------------------------------------------------------------ *)
 
@@ -803,10 +792,7 @@ let attack_vcd cfg attack file =
   let rob = Dvz_ir.Circuits.rob ~entries ~uopc_width:7 in
   let cycles = min (Array.length slots) 4096 in
   let vcd =
-    (* Optimization on by default: the passes preserve every named signal,
-       so the waveform is byte-identical (regression-tested); --no-ir-opt
-       clears the global gate if a pass is ever under suspicion. *)
-    Dvz_ir.Vcd.dump_simulation ~opt:true rob.Dvz_ir.Circuits.rob_nl ~cycles
+    Dvz_ir.Vcd.dump_simulation rob.Dvz_ir.Circuits.rob_nl ~cycles
       ~drive:(fun sim c ->
         let s = slots.(c) in
         let module Ef = Dvz_uarch.Effect in
@@ -822,8 +808,7 @@ let attack_vcd cfg attack file =
   Printf.eprintf "wrote %s (%d cycles)\n" file cycles
 
 let trace_cmd =
-  let run cfg attack vcd_file no_ir_opt =
-    if no_ir_opt then Dvz_ir.Passes.set_enabled false;
+  let run cfg attack vcd_file =
     let tc = E.Attacks.build cfg attack in
     let stim = Dejavuzz.Packet.stimulus ~secret:E.Attacks.secret tc in
     let dc = Dvz_uarch.Dualcore.create cfg stim in
@@ -844,7 +829,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run one curated attack and print the dual-DUT report.")
-    Term.(const run $ core_t $ attack $ vcd $ no_ir_opt_t)
+    Term.(const run $ core_t $ attack $ vcd)
 
 let migrate_cmd =
   let run cfg rng_seed =
@@ -968,43 +953,6 @@ let explain_cmd =
              print its cycle-accurate secret-to-sink slices.")
     Term.(const run $ core_t $ file $ dot $ json $ max_slots_t)
 
-let ir_stats_cmd =
-  let run passes =
-    let module N = Dvz_ir.Netlist in
-    (* Same DUT the ir/sim-cycle benchmarks lower: the Figure 2 RoB plus a
-       physical register file whose unused read port is the canonical dead
-       cell the DCE pass must retire. *)
-    let rob = Dvz_ir.Circuits.rob ~entries:64 ~uopc_width:8 in
-    let nl = rob.Dvz_ir.Circuits.rob_nl in
-    N.scoped nl "prf" (fun () ->
-        let m = N.mem nl ~name:"regfile" ~width:32 ~depth:128 () in
-        let waddr = N.input nl ~name:"waddr" 10 in
-        let wdata = N.input nl ~name:"wdata" 32 in
-        let wen = N.input nl ~name:"wen" 1 in
-        N.mem_write nl m ~wen ~addr:waddr ~data:wdata;
-        let raddr = N.input nl ~name:"raddr" 10 in
-        ignore (N.mem_read nl m raddr));
-    match Dvz_ir.Passes.run ?passes nl with
-    | _, st ->
-        print_string "DUT: rob(entries=64,uopc=8) + prf.regfile (bench DUT)\n";
-        Format.printf "@[<v>%a@]@?" Dvz_ir.Passes.pp_stats st
-    | exception Invalid_argument msg ->
-        Printf.eprintf "ir-stats: %s\n" msg;
-        exit 1
-  in
-  let passes =
-    Arg.(value
-         & opt (some (list string)) None
-         & info [ "passes" ] ~docv:"P1,P2"
-             ~doc:"Comma-separated pass subset to run (default: \
-                   const-fold,alias,fuse,dce).")
-  in
-  Cmd.v
-    (Cmd.info "ir-stats"
-       ~doc:"Run the netlist optimization passes on the shipped benchmark \
-             DUT and print per-pass combinational cell counts.")
-    Term.(const run $ passes)
-
 let replay_log_cmd =
   let run file =
     match Dejavuzz.Replay.of_file file with
@@ -1028,6 +976,6 @@ let main =
   Cmd.group (Cmd.info "dejavuzz" ~doc)
     [ fuzz_cmd; fleet_cmd; worker_cmd; table2_cmd; table3_cmd; table4_cmd;
       table5_cmd; fig6_cmd; fig7_cmd; liveness_cmd; trace_cmd; migrate_cmd;
-      bugs_cmd; ablation_cmd; replay_log_cmd; explain_cmd; ir_stats_cmd ]
+      bugs_cmd; ablation_cmd; replay_log_cmd; explain_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -753,10 +753,12 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
         in
         (* [jobs] counts total lanes (orchestrator included) and
            [Parallel.map ~domains] now shares that meaning, pre-clamped to
-           the hardware above; effective jobs = 1 stays on this domain
-           with no spawn overhead.  A [Fault.Killed] raised by any
-           executor is re-raised here by [Parallel.map] — lowest iteration
-           first — exactly as the sequential loop propagates it.  A
+           the hardware above; effective jobs = 1 (or a one-plan batch)
+           stays on this domain with no spawn overhead, in worker slot 0
+           even when this campaign runs inside an outer map.  A
+           [Fault.Killed] raised by any executor is re-raised here by
+           [Parallel.map] — lowest iteration first — exactly as the
+           sequential loop propagates it.  A
            [dispatch] override (the fleet coordinator) replaces execution
            entirely; as long as it returns one outcome per plan in
            plan-index order, the fold — and therefore every observable
@@ -765,11 +767,8 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
           match dispatch with
           | Some d -> d ctx plans
           | None ->
-              if jobs_effective <= 1 || count <= 1 then
-                List.map (Executor.execute ctx) plans
-              else
-                Dvz_util.Parallel.map ~domains:jobs_effective
-                  (Executor.execute ctx) plans
+              Dvz_util.Parallel.map ~domains:jobs_effective
+                (Executor.execute ctx) plans
         in
         List.iter fold_outcome outcomes);
        let b1 = !b + count in

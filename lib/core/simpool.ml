@@ -76,59 +76,9 @@ let acquire_core cfg stim =
       Metrics.incr m_core_misses;
       t
 
-(* Batched variant of the core pool: phase-1 batch evaluation re-arms N
-   cores at once (one per candidate stimulus), so the pool is an array that
-   grows to the largest batch seen on this domain.  Reusing [i < n] slots
-   and keeping the widest array means steady-state batches of the same size
-   allocate nothing but the returned sub-view. *)
-
-let m_core_batch_hits =
-  Metrics.counter Metrics.default
-    ~help:"Pooled batch-Core instances re-armed in place of a fresh create"
-    "dvz_simpool_core_batch_hits_total"
-
-let m_core_batch_misses =
-  Metrics.counter Metrics.default
-    ~help:"Batch-Core instances built because the pool was too small or stale"
-    "dvz_simpool_core_batch_misses_total"
-
-type core_batch_slot = {
-  mutable batch_entry : (Config.t * Core.t array) option;
-}
-
-let core_batch_key = Domain.DLS.new_key (fun () -> { batch_entry = None })
-
-let acquire_core_batch cfg stims =
-  let n = Array.length stims in
-  let slot = Domain.DLS.get core_batch_key in
-  let pool =
-    match slot.batch_entry with
-    | Some (k, arr) when k = cfg -> arr
-    | _ -> [||]
-  in
-  let cores =
-    Array.init n (fun i ->
-        if i < Array.length pool then begin
-          Core.reset pool.(i) stims.(i);
-          Metrics.incr m_core_batch_hits;
-          pool.(i)
-        end
-        else begin
-          Metrics.incr m_core_batch_misses;
-          Core.create cfg stims.(i)
-        end)
-  in
-  (* [cores] shares its first [min n (length pool)] elements with [pool],
-     so keeping the wider of the two retains every instance built so far. *)
-  (match slot.batch_entry with
-  | Some (k, arr) when k = cfg && Array.length arr >= n -> ()
-  | _ -> if n > 0 then slot.batch_entry <- Some (cfg, cores));
-  cores
-
 let clear () =
   (Domain.DLS.get slot_key).entry <- None;
-  (Domain.DLS.get core_slot_key).core_entry <- None;
-  (Domain.DLS.get core_batch_key).batch_entry <- None
+  (Domain.DLS.get core_slot_key).core_entry <- None
 
 let cached () =
   match (Domain.DLS.get slot_key).entry with

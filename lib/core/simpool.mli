@@ -37,16 +37,6 @@ val acquire_core :
     in its own slot keyed on [cfg] alone.  Valid until the calling
     domain's next [acquire_core]. *)
 
-val acquire_core_batch :
-  Dvz_uarch.Config.t -> Dvz_uarch.Core.stimulus array -> Dvz_uarch.Core.t array
-(** [acquire_core_batch cfg stims] returns [Array.length stims] distinct
-    armed testbenches, element [i] behaviourally identical to
-    [Core.create cfg stims.(i)] — the batched twin of {!acquire_core} used
-    by phase-1 batch candidate evaluation
-    ({!Trigger_opt.evaluate_batch}).  The pool grows to the largest batch
-    seen on the calling domain and is keyed on [cfg]; every returned
-    instance is valid until the domain's next [acquire_core_batch]. *)
-
 val clear : unit -> unit
 (** Drop the calling domain's cached instances (tests, memory pressure). *)
 

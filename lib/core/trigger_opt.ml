@@ -11,20 +11,6 @@ let evaluate cfg tc =
   ignore (Core.run core);
   Trigger_gen.triggered tc (Core.windows core)
 
-let evaluate_batch cfg tcs =
-  (* Batched twin of [evaluate]: one pooled testbench per candidate, drawn
-     in a single [Simpool] acquisition.  A scheduler batch of independent
-     candidates evaluates through distinct cores, so results are
-     element-wise identical to calling [evaluate] on each candidate
-     (pinned by test_fuzz.ml). *)
-  let stims = Array.map (fun tc -> Packet.stimulus ~secret:eval_secret tc) tcs in
-  let cores = Simpool.acquire_core_batch cfg stims in
-  Array.mapi
-    (fun i core ->
-      ignore (Core.run core);
-      Trigger_gen.triggered tcs.(i) (Core.windows core))
-    cores
-
 let reduce cfg tc =
   if not (evaluate cfg tc) then (tc, 0)
   else begin

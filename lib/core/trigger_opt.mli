@@ -17,14 +17,6 @@ val eval_secret : int array
 val evaluate : Dvz_uarch.Config.t -> Packet.testcase -> bool
 (** Whether the intended transient window triggers. *)
 
-val evaluate_batch :
-  Dvz_uarch.Config.t -> Packet.testcase array -> bool array
-(** [evaluate_batch cfg tcs] evaluates a scheduler batch of independent
-    candidates in one pooled acquisition ({!Simpool.acquire_core_batch});
-    element [i] equals [evaluate cfg tcs.(i)] (differentially pinned).
-    Amortizes pool lookup and keeps every candidate's testbench warm
-    instead of thrashing the single-core slot. *)
-
 val reduce : Dvz_uarch.Config.t -> Packet.testcase -> Packet.testcase * int
 (** [(reduced, removed)] — the test case with ineffective trigger training
     packets discarded, and how many were dropped.  The input must already

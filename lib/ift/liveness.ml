@@ -1,64 +1,28 @@
-open Dvz_ir
-module N = Netlist
-
-type binding =
-  | Mem of N.mem * N.signal array
-  | Regs of N.signal array * N.signal array
-
-type t = { shadow : Shadow.t; mutable bindings : binding list }
+type t = {
+  shadow : Shadow.t;
+  mutable bindings : (Dvz_ir.Netlist.signal array * Dvz_ir.Netlist.signal array) list;
+}
 
 let create shadow = { shadow; bindings = [] }
-
-let bind_mem t m ~valid =
-  if Array.length valid <> N.mem_depth m then
-    invalid_arg "Liveness.bind_mem: one liveness signal per word required";
-  t.bindings <- Mem (m, valid) :: t.bindings
 
 let bind_regs t ~sinks ~valid =
   if Array.length valid <> Array.length sinks then
     invalid_arg "Liveness.bind_regs: arity mismatch";
-  t.bindings <- Regs (sinks, valid) :: t.bindings
+  t.bindings <- (sinks, valid) :: t.bindings
 
-(* Fold over annotated slots: [f acc name tainted live]. *)
-let fold t f init =
+(* Count the tainted annotated slots whose liveness bit equals [live]. *)
+let count_tainted t ~live =
   let sh = t.shadow in
   List.fold_left
-    (fun acc b ->
-      match b with
-      | Mem (m, valid) ->
-          let acc = ref acc in
-          for i = 0 to N.mem_depth m - 1 do
-            let tainted = Shadow.mem_taint sh m i <> 0 in
-            let live = Shadow.peek_a sh valid.(i) = 1 in
-            acc :=
-              f !acc (Printf.sprintf "%s[%d]" (N.mem_name m) i) tainted live
-          done;
-          !acc
-      | Regs (sinks, valid) ->
-          let acc = ref acc in
-          Array.iteri
-            (fun i q ->
-              let tainted = Shadow.taint_of sh q <> 0 in
-              let live = Shadow.peek_a sh valid.(i) = 1 in
-              let nl = Shadow.netlist sh in
-              acc := f !acc (N.module_of nl q ^ "." ^ N.name_of nl q) tainted live)
-            sinks;
-          !acc)
-    init (List.rev t.bindings)
+    (fun acc (sinks, valid) ->
+      let acc = ref acc in
+      Array.iteri
+        (fun i q ->
+          if Shadow.taint_of sh q <> 0 && (Shadow.peek_a sh valid.(i) = 1) = live
+          then incr acc)
+        sinks;
+      !acc)
+    0 t.bindings
 
-let live_tainted t =
-  fold t (fun acc _ tainted live -> if tainted && live then acc + 1 else acc) 0
-
-let dead_tainted t =
-  fold t
-    (fun acc _ tainted live -> if tainted && not live then acc + 1 else acc)
-    0
-
-let live_sinks t =
-  List.rev
-    (fold t
-       (fun acc name tainted live -> if tainted && live then name :: acc else acc)
-       [])
-
-let annotation_count t =
-  fold t (fun acc _ _ _ -> acc + 1) 0
+let live_tainted t = count_tainted t ~live:true
+let dead_tainted t = count_tainted t ~live:false

@@ -3,27 +3,22 @@
     Buffers in a microarchitecture keep stale data after their managing
     state machine has invalidated them (the LFB/MSHR example of §3.1).
     A taint sitting in such a slot is unexploitable.  Developers bind the
-    taint state of a sink (a memory or a register array) to per-slot
-    liveness signals — the generic-vector interface of the paper's
-    [liveness_mask] attribute — and the oracle then counts only taints whose
-    liveness bit is high. *)
+    taint state of a register array to per-slot liveness signals — the
+    generic-vector interface of the paper's [liveness_mask] attribute — and
+    the oracle then counts only taints whose liveness bit is high. *)
 
 type t
 
 val create : Shadow.t -> t
-
-val bind_mem :
-  t -> Dvz_ir.Netlist.mem -> valid:Dvz_ir.Netlist.signal array -> unit
-(** [bind_mem t m ~valid] declares that memory word [i] of [m] is live only
-    while [valid.(i)] evaluates to 1 (in instance A).  [valid] must have one
-    signal per memory word. *)
 
 val bind_regs :
   t ->
   sinks:Dvz_ir.Netlist.signal array ->
   valid:Dvz_ir.Netlist.signal array ->
   unit
-(** Same for a register array: [sinks.(i)] is live while [valid.(i)] is 1. *)
+(** [bind_regs t ~sinks ~valid] declares that register [sinks.(i)] is live
+    only while [valid.(i)] evaluates to 1 (in instance A).  Raises
+    [Invalid_argument] unless both arrays have the same length. *)
 
 val live_tainted : t -> int
 (** Number of tainted annotated slots whose liveness signal is high. *)
@@ -32,9 +27,3 @@ val dead_tainted : t -> int
 (** Number of tainted annotated slots whose liveness signal is low —
     residual, unexploitable taints that a liveness-unaware oracle would
     misreport. *)
-
-val live_sinks : t -> string list
-(** Names of the live tainted sinks, for bug reports. *)
-
-val annotation_count : t -> int
-(** Number of annotated slots (the paper's "Annotation LoC" analogue). *)

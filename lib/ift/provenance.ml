@@ -122,15 +122,6 @@ let render_edge e =
     e.e_dst (kind_name e.e_kind)
     (match e.e_srcs with [] -> "(origin)" | l -> String.concat " " l)
 
-let render_slice ?(header = true) t ~sink =
-  let s = slice t ~sink in
-  let buf = Buffer.create 256 in
-  if header then
-    Buffer.add_string buf
-      (Printf.sprintf "slice for sink %s (%d edges):\n" sink (List.length s));
-  List.iter (fun e -> Buffer.add_string buf (render_edge e ^ "\n")) s;
-  Buffer.contents buf
-
 let dot_escape s =
   let buf = Buffer.create (String.length s) in
   String.iter

@@ -73,9 +73,6 @@ val render_edge : edge -> string
 (** One fixed-width timeline line: time, window marker, destination, kind,
     sources. *)
 
-val render_slice : ?header:bool -> t -> sink:string -> string
-(** The text timeline of {!slice}, one {!render_edge} line per edge. *)
-
 val dot_of_slices : t -> sinks:string list -> string
 (** A Graphviz digraph of the union of the sinks' backward slices:
     sources are boxes, sinks double octagons, edges labelled with time and

@@ -184,13 +184,7 @@ let compile_commit nl arr_a arr_b arr_t =
     ports;
   c
 
-let create ?provenance ?(engine : engine = `Compiled) ?(opt = false) mode nl =
-  (* Provenance replay walks every cell, named or not; optimizing under an
-     armed recorder would change the intermediate hops a slice reports, so
-     [opt] is ignored when a recorder is attached (the correctness guard
-     for `dejavuzz explain`). *)
-  let opt = opt && provenance = None && Passes.enabled () in
-  let nl = if opt then Passes.optimize nl else nl in
+let create ?provenance ?(engine : engine = `Compiled) mode nl =
   N.validate nl;
   let order = N.topo_order nl in
   let n = N.num_signals nl in
@@ -224,37 +218,7 @@ let create ?provenance ?(engine : engine = `Compiled) ?(opt = false) mode nl =
     commit = compile_commit nl arr_a arr_b arr_t;
     prov = provenance; ticks = 0 }
 
-(* Re-arm a built co-simulator without re-lowering the netlist: both value
-   planes back to register-init/const state, the taint plane and all three
-   memory planes zeroed, tick counter cleared.  Bit-identical to a fresh
-   [create ?provenance ~engine mode nl]. *)
-let reset t =
-  let n = N.num_signals t.nl in
-  for i = 0 to n - 1 do
-    let s = N.signal_of_int t.nl i in
-    (match N.cell_of t.nl s with
-    | N.Reg r ->
-        t.va.(i) <- r.N.init;
-        t.vb.(i) <- r.N.init
-    | N.Const v ->
-        t.va.(i) <- v;
-        t.vb.(i) <- v
-    | _ ->
-        t.va.(i) <- 0;
-        t.vb.(i) <- 0);
-    t.ta.(i) <- 0
-  done;
-  let zero tbl =
-    Hashtbl.iter (fun _ arr -> Array.fill arr 0 (Array.length arr) 0) tbl
-  in
-  zero t.mem_a;
-  zero t.mem_b;
-  zero t.mem_t;
-  t.ticks <- 0
-
-let mode t = t.mode
 let engine t = t.engine
-let netlist t = t.nl
 let ticks t = t.ticks
 
 (* Provenance node labels.  [Netlist.name_of] defaults to "", so unnamed
@@ -817,496 +781,3 @@ let clear_taints t =
       let arr = marr t.mem_t m in
       Array.fill arr 0 (Array.length arr) 0)
     (N.mems t.nl)
-
-(* --- lane-parallel compiled engine -------------------------------------
-
-   Same structure-of-arrays layout as {!Dvz_ir.Sim.Lanes}, over the three
-   shadow planes: value A, value B and taint of signal [s], lane [l] live
-   at [s*k + l] of [va]/[vb]/[ta]; memory word [i], lane [l] at [i*k + l]
-   of each of the three memory planes.  One opcode dispatch (and one load
-   of the per-cell width/mask) is amortized over K independent co-simulated
-   stimuli; the Policy calls remain int-in/int-out, so the lane loop does
-   not allocate.  Pinned bit-identical per lane to the scalar engine
-   (values, taints, memories, both Policy modes) by test_ift.ml. *)
-
-module Lanes = struct
-  type lanes = {
-    mode : Policy.mode;
-    nl : N.t;
-    k : int;
-    va : int array;
-    vb : int array;
-    ta : int array;
-    mem_a : (string, int array) Hashtbl.t;
-    mem_b : (string, int array) Hashtbl.t;
-    mem_t : (string, int array) Hashtbl.t;
-    prog : prog;         (* dst/a/c (and signal b's) pre-multiplied by k;
-                            for Mem_read, p_b holds the memory depth *)
-    latch : latch_plan;  (* q/d/en pre-multiplied; staging planes nregs*k *)
-    commit : commit_plan;
-    mutable ticks : int;
-  }
-
-  type t = lanes
-
-  let lower nl k arr_a arr_b arr_t order =
-    let p = compile_prog nl order arr_a arr_b arr_t in
-    for i = 0 to Array.length p.p_op - 1 do
-      p.p_dst.(i) <- p.p_dst.(i) * k;
-      p.p_a.(i) <- p.p_a.(i) * k;
-      p.p_c.(i) <- p.p_c.(i) * k;
-      (match p.p_op.(i) with
-      | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 11 -> p.p_b.(i) <- p.p_b.(i) * k
-      | 12 -> p.p_b.(i) <- Array.length p.p_arr_a.(i) / k
-      | _ -> ())
-    done;
-    let l = compile_latch nl in
-    let nregs = Array.length l.l_q in
-    for i = 0 to nregs - 1 do
-      l.l_q.(i) <- l.l_q.(i) * k;
-      l.l_d.(i) <- l.l_d.(i) * k;
-      if l.l_en.(i) >= 0 then l.l_en.(i) <- l.l_en.(i) * k
-    done;
-    let l =
-      { l with
-        l_na = Array.make (nregs * k) 0;
-        l_nb = Array.make (nregs * k) 0;
-        l_nt = Array.make (nregs * k) 0 }
-    in
-    let c = compile_commit nl arr_a arr_b arr_t in
-    for i = 0 to Array.length c.c_wen - 1 do
-      c.c_wen.(i) <- c.c_wen.(i) * k;
-      c.c_addr.(i) <- c.c_addr.(i) * k;
-      c.c_data.(i) <- c.c_data.(i) * k
-    done;
-    (p, l, c)
-
-  let init_values t =
-    Array.fill t.va 0 (Array.length t.va) 0;
-    Array.fill t.vb 0 (Array.length t.vb) 0;
-    Array.fill t.ta 0 (Array.length t.ta) 0;
-    for i = 0 to N.num_signals t.nl - 1 do
-      let s = N.signal_of_int t.nl i in
-      match N.cell_of t.nl s with
-      | N.Reg r ->
-          Array.fill t.va (i * t.k) t.k r.N.init;
-          Array.fill t.vb (i * t.k) t.k r.N.init
-      | N.Const v ->
-          Array.fill t.va (i * t.k) t.k v;
-          Array.fill t.vb (i * t.k) t.k v
-      | _ -> ()
-    done
-
-  let create ?(opt = false) ~k mode nl =
-    if k <= 0 then invalid_arg "Shadow.Lanes.create: k must be positive";
-    let nl = if opt && Passes.enabled () then Passes.optimize nl else nl in
-    N.validate nl;
-    let order = N.topo_order nl in
-    let n = N.num_signals nl in
-    let mk () = Hashtbl.create 8 in
-    let mem_a = mk () and mem_b = mk () and mem_t = mk () in
-    List.iter
-      (fun m ->
-        let d = N.mem_depth m * k in
-        Hashtbl.replace mem_a (N.mem_name m) (Array.make d 0);
-        Hashtbl.replace mem_b (N.mem_name m) (Array.make d 0);
-        Hashtbl.replace mem_t (N.mem_name m) (Array.make d 0))
-      (N.mems nl);
-    let arr_a m = Hashtbl.find mem_a (N.mem_name m) in
-    let arr_b m = Hashtbl.find mem_b (N.mem_name m) in
-    let arr_t m = Hashtbl.find mem_t (N.mem_name m) in
-    let prog, latch, commit = lower nl k arr_a arr_b arr_t order in
-    let t =
-      { mode; nl; k;
-        va = Array.make (n * k) 0;
-        vb = Array.make (n * k) 0;
-        ta = Array.make (n * k) 0;
-        mem_a; mem_b; mem_t; prog; latch; commit; ticks = 0 }
-    in
-    init_values t;
-    t
-
-  let reset t =
-    init_values t;
-    let zero tbl =
-      Hashtbl.iter (fun _ arr -> Array.fill arr 0 (Array.length arr) 0) tbl
-    in
-    zero t.mem_a;
-    zero t.mem_b;
-    zero t.mem_t;
-    t.ticks <- 0
-
-  let k t = t.k
-  let mode t = t.mode
-  let netlist t = t.nl
-  let ticks t = t.ticks
-
-  let check_lane t lane =
-    if lane < 0 || lane >= t.k then
-      invalid_arg "Shadow.Lanes: lane out of range"
-
-  let slot t s lane = (idx s * t.k) + lane
-
-  let set_input t ~lane s v =
-    check_lane t lane;
-    let v = Bits.trunc (N.width_of t.nl s) v in
-    let i = slot t s lane in
-    t.va.(i) <- v;
-    t.vb.(i) <- v;
-    t.ta.(i) <- 0
-
-  let set_input_all t s v =
-    let v = Bits.trunc (N.width_of t.nl s) v in
-    let base = idx s * t.k in
-    Array.fill t.va base t.k v;
-    Array.fill t.vb base t.k v;
-    Array.fill t.ta base t.k 0
-
-  let set_input_pair t ~lane s va vb =
-    check_lane t lane;
-    let w = N.width_of t.nl s in
-    let i = slot t s lane in
-    t.va.(i) <- Bits.trunc w va;
-    t.vb.(i) <- Bits.trunc w vb;
-    t.ta.(i) <- Bits.mask w
-
-  let set_input_taint t ~lane s m =
-    check_lane t lane;
-    t.ta.(slot t s lane) <- Bits.trunc (N.width_of t.nl s) m
-
-  let peek_a t ~lane s = check_lane t lane; t.va.(slot t s lane)
-  let peek_b t ~lane s = check_lane t lane; t.vb.(slot t s lane)
-  let taint_of t ~lane s = check_lane t lane; t.ta.(slot t s lane)
-
-  let lmarr tbl m = Hashtbl.find tbl (N.mem_name m)
-
-  let poke_mem_pair t ~lane m i va vb =
-    check_lane t lane;
-    let w = N.mem_width m in
-    let j = (i * t.k) + lane in
-    (lmarr t.mem_a m).(j) <- Bits.trunc w va;
-    (lmarr t.mem_b m).(j) <- Bits.trunc w vb;
-    (lmarr t.mem_t m).(j) <- (if va <> vb then Bits.mask w else 0)
-
-  let mem_taint t ~lane m i =
-    check_lane t lane;
-    (lmarr t.mem_t m).((i * t.k) + lane)
-
-  (* Mirrors the scalar [exec_prog] arm for arm; any change there must land
-     here too (the per-lane differential property in test_ift.ml enforces
-     this). *)
-  let eval_impl t =
-    let p = t.prog and k = t.k in
-    let mode = t.mode in
-    let va = t.va and vb = t.vb and ta = t.ta in
-    let n = Array.length p.p_op in
-    for i = 0 to n - 1 do
-      let dst = Array.unsafe_get p.p_dst i in
-      let a = Array.unsafe_get p.p_a i in
-      let b = Array.unsafe_get p.p_b i in
-      let mask = Array.unsafe_get p.p_mask i in
-      match Array.unsafe_get p.p_op i with
-      | 0 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              (lnot (Array.unsafe_get va (a + l)) land mask);
-            Array.unsafe_set vb (dst + l)
-              (lnot (Array.unsafe_get vb (a + l)) land mask);
-            Array.unsafe_set ta (dst + l) (Array.unsafe_get ta (a + l))
-          done
-      | 1 ->
-          for l = 0 to k - 1 do
-            let xa = Array.unsafe_get va (a + l) in
-            let ya = Array.unsafe_get va (b + l) in
-            let xb = Array.unsafe_get vb (a + l) in
-            let yb = Array.unsafe_get vb (b + l) in
-            let xt = Array.unsafe_get ta (a + l) in
-            let yt = Array.unsafe_get ta (b + l) in
-            Array.unsafe_set va (dst + l) (xa land ya);
-            Array.unsafe_set vb (dst + l) (xb land yb);
-            Array.unsafe_set ta (dst + l)
-              ((Policy.and_taint ~a:xa ~b:ya ~at:xt ~bt:yt
-               lor Policy.and_taint ~a:xb ~b:yb ~at:xt ~bt:yt)
-              land mask)
-          done
-      | 2 ->
-          for l = 0 to k - 1 do
-            let xa = Array.unsafe_get va (a + l) in
-            let ya = Array.unsafe_get va (b + l) in
-            let xb = Array.unsafe_get vb (a + l) in
-            let yb = Array.unsafe_get vb (b + l) in
-            let xt = Array.unsafe_get ta (a + l) in
-            let yt = Array.unsafe_get ta (b + l) in
-            Array.unsafe_set va (dst + l) (xa lor ya);
-            Array.unsafe_set vb (dst + l) (xb lor yb);
-            Array.unsafe_set ta (dst + l)
-              ((Policy.or_taint ~a:xa ~b:ya ~at:xt ~bt:yt
-               lor Policy.or_taint ~a:xb ~b:yb ~at:xt ~bt:yt)
-              land mask)
-          done
-      | 3 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              (Array.unsafe_get va (a + l) lxor Array.unsafe_get va (b + l));
-            Array.unsafe_set vb (dst + l)
-              (Array.unsafe_get vb (a + l) lxor Array.unsafe_get vb (b + l));
-            Array.unsafe_set ta (dst + l)
-              ((Array.unsafe_get ta (a + l) lor Array.unsafe_get ta (b + l))
-              land mask)
-          done
-      | 4 ->
-          let w = Array.unsafe_get p.p_w i in
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              ((Array.unsafe_get va (a + l) + Array.unsafe_get va (b + l))
-              land mask);
-            Array.unsafe_set vb (dst + l)
-              ((Array.unsafe_get vb (a + l) + Array.unsafe_get vb (b + l))
-              land mask);
-            Array.unsafe_set ta (dst + l)
-              (Policy.arith_taint ~width:w ~at:(Array.unsafe_get ta (a + l))
-                 ~bt:(Array.unsafe_get ta (b + l)))
-          done
-      | 5 ->
-          let w = Array.unsafe_get p.p_w i in
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              ((Array.unsafe_get va (a + l) - Array.unsafe_get va (b + l))
-              land mask);
-            Array.unsafe_set vb (dst + l)
-              ((Array.unsafe_get vb (a + l) - Array.unsafe_get vb (b + l))
-              land mask);
-            Array.unsafe_set ta (dst + l)
-              (Policy.arith_taint ~width:w ~at:(Array.unsafe_get ta (a + l))
-                 ~bt:(Array.unsafe_get ta (b + l)))
-          done
-      | 6 ->
-          for l = 0 to k - 1 do
-            let ra =
-              if Array.unsafe_get va (a + l) = Array.unsafe_get va (b + l)
-              then 1 else 0
-            in
-            let rb =
-              if Array.unsafe_get vb (a + l) = Array.unsafe_get vb (b + l)
-              then 1 else 0
-            in
-            Array.unsafe_set va (dst + l) ra;
-            Array.unsafe_set vb (dst + l) rb;
-            Array.unsafe_set ta (dst + l)
-              (Policy.cmp_taint mode ~o_diff:(ra <> rb)
-                 ~at:(Array.unsafe_get ta (a + l))
-                 ~bt:(Array.unsafe_get ta (b + l)))
-          done
-      | 7 ->
-          for l = 0 to k - 1 do
-            let ra =
-              if Array.unsafe_get va (a + l) < Array.unsafe_get va (b + l)
-              then 1 else 0
-            in
-            let rb =
-              if Array.unsafe_get vb (a + l) < Array.unsafe_get vb (b + l)
-              then 1 else 0
-            in
-            Array.unsafe_set va (dst + l) ra;
-            Array.unsafe_set vb (dst + l) rb;
-            Array.unsafe_set ta (dst + l)
-              (Policy.cmp_taint mode ~o_diff:(ra <> rb)
-                 ~at:(Array.unsafe_get ta (a + l))
-                 ~bt:(Array.unsafe_get ta (b + l)))
-          done
-      | 8 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              (Array.unsafe_get va (a + l) lsl b land mask);
-            Array.unsafe_set vb (dst + l)
-              (Array.unsafe_get vb (a + l) lsl b land mask);
-            Array.unsafe_set ta (dst + l)
-              (Array.unsafe_get ta (a + l) lsl b land mask)
-          done
-      | 9 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              (Array.unsafe_get va (a + l) lsr b land mask);
-            Array.unsafe_set vb (dst + l)
-              (Array.unsafe_get vb (a + l) lsr b land mask);
-            Array.unsafe_set ta (dst + l)
-              (Array.unsafe_get ta (a + l) lsr b land mask)
-          done
-      | 10 ->
-          let c = Array.unsafe_get p.p_c i in
-          for l = 0 to k - 1 do
-            Array.unsafe_set va (dst + l)
-              ((Array.unsafe_get va (a + l) lsl b
-               lor Array.unsafe_get va (c + l))
-              land mask);
-            Array.unsafe_set vb (dst + l)
-              ((Array.unsafe_get vb (a + l) lsl b
-               lor Array.unsafe_get vb (c + l))
-              land mask);
-            Array.unsafe_set ta (dst + l)
-              ((Array.unsafe_get ta (a + l) lsl b
-               lor Array.unsafe_get ta (c + l))
-              land mask)
-          done
-      | 11 ->
-          let y = Array.unsafe_get p.p_c i in
-          let w = Array.unsafe_get p.p_w i in
-          for l = 0 to k - 1 do
-            let sa = Array.unsafe_get va (a + l) in
-            let sb = Array.unsafe_get vb (a + l) in
-            let xa = Array.unsafe_get va (b + l) in
-            let ya = Array.unsafe_get va (y + l) in
-            let xb = Array.unsafe_get vb (b + l) in
-            let yb = Array.unsafe_get vb (y + l) in
-            let ra = if sa <> 0 then ya else xa in
-            let rb = if sb <> 0 then yb else xb in
-            let ab_xor = xa lxor ya lor (xb lxor yb) in
-            Array.unsafe_set va (dst + l) ra;
-            Array.unsafe_set vb (dst + l) rb;
-            Array.unsafe_set ta (dst + l)
-              (Policy.mux_taint mode ~width:w ~s:sa ~s_diff:(sa <> sb) ~a:xa
-                 ~b:ya ~st:(Array.unsafe_get ta (a + l))
-                 ~at:(Array.unsafe_get ta (b + l))
-                 ~bt:(Array.unsafe_get ta (y + l)) ~ab_xor
-              land mask)
-          done
-      | _ ->
-          let arr_a = Array.unsafe_get p.p_arr_a i in
-          let arr_b = Array.unsafe_get p.p_arr_b i in
-          let arr_t = Array.unsafe_get p.p_arr_t i in
-          let w = Array.unsafe_get p.p_w i in
-          for l = 0 to k - 1 do
-            let aa = Array.unsafe_get va (a + l) in
-            let ab = Array.unsafe_get vb (a + l) in
-            let da =
-              if aa < b then Array.unsafe_get arr_a ((aa * k) + l) else 0
-            in
-            let db =
-              if ab < b then Array.unsafe_get arr_b ((ab * k) + l) else 0
-            in
-            let dt =
-              (if aa < b then Array.unsafe_get arr_t ((aa * k) + l) else 0)
-              lor
-              if ab < b then Array.unsafe_get arr_t ((ab * k) + l) else 0
-            in
-            let ctrl =
-              Policy.mem_read_ctrl mode ~width:w
-                ~addrt:(Array.unsafe_get ta (a + l)) ~addr_diff:(aa <> ab)
-            in
-            Array.unsafe_set va (dst + l) da;
-            Array.unsafe_set vb (dst + l) db;
-            Array.unsafe_set ta (dst + l) ((dt lor ctrl) land mask)
-          done
-    done
-
-  let eval t =
-    if Dvz_obs.Profile.armed () then
-      Dvz_obs.Profile.wrap "shadow/eval-lanes" (fun () -> eval_impl t)
-    else eval_impl t
-
-  let step t =
-    let va = t.va and vb = t.vb and ta = t.ta in
-    let l = t.latch and k = t.k in
-    let mode = t.mode in
-    let n = Array.length l.l_q in
-    for i = 0 to n - 1 do
-      let q = Array.unsafe_get l.l_q i in
-      let d = Array.unsafe_get l.l_d i in
-      let en = Array.unsafe_get l.l_en i in
-      let w = Array.unsafe_get l.l_w i in
-      let base = i * k in
-      for lane = 0 to k - 1 do
-        let en_a, en_b, ent =
-          if en < 0 then (true, true, 0)
-          else
-            ( Array.unsafe_get va (en + lane) <> 0,
-              Array.unsafe_get vb (en + lane) <> 0,
-              Array.unsafe_get ta (en + lane) )
-        in
-        let da = Array.unsafe_get va (d + lane) in
-        let qa = Array.unsafe_get va (q + lane) in
-        let db = Array.unsafe_get vb (d + lane) in
-        let qb = Array.unsafe_get vb (q + lane) in
-        Array.unsafe_set l.l_na (base + lane) (if en_a then da else qa);
-        Array.unsafe_set l.l_nb (base + lane) (if en_b then db else qb);
-        let dq_xor = da lxor qa lor (db lxor qb) in
-        Array.unsafe_set l.l_nt (base + lane)
-          (Policy.reg_en_taint mode ~width:w ~en:en_a ~en_diff:(en_a <> en_b)
-             ~ent ~dt:(Array.unsafe_get ta (d + lane))
-             ~qt:(Array.unsafe_get ta (q + lane)) ~dq_xor)
-      done
-    done;
-    for i = 0 to n - 1 do
-      let q = Array.unsafe_get l.l_q i in
-      let base = i * k in
-      for lane = 0 to k - 1 do
-        Array.unsafe_set va (q + lane) (Array.unsafe_get l.l_na (base + lane));
-        Array.unsafe_set vb (q + lane) (Array.unsafe_get l.l_nb (base + lane));
-        Array.unsafe_set ta (q + lane) (Array.unsafe_get l.l_nt (base + lane))
-      done
-    done;
-    let c = t.commit in
-    let m = Array.length c.c_wen in
-    for i = 0 to m - 1 do
-      let wen = Array.unsafe_get c.c_wen i in
-      let addr = Array.unsafe_get c.c_addr i in
-      let data = Array.unsafe_get c.c_data i in
-      let w = Array.unsafe_get c.c_w i in
-      let mask = Array.unsafe_get c.c_mask i in
-      let arr_a = Array.unsafe_get c.c_arr_a i in
-      let arr_b = Array.unsafe_get c.c_arr_b i in
-      let arr_t = Array.unsafe_get c.c_arr_t i in
-      let depth = Array.length arr_t / k in
-      for lane = 0 to k - 1 do
-        let wen_a = Array.unsafe_get va (wen + lane) <> 0 in
-        let wen_b = Array.unsafe_get vb (wen + lane) <> 0 in
-        let aa = Array.unsafe_get va (addr + lane) in
-        let ab = Array.unsafe_get vb (addr + lane) in
-        let ctrl =
-          Policy.mem_write_ctrl mode ~width:w ~wen:(wen_a || wen_b)
-            ~went:(Array.unsafe_get ta (wen + lane))
-            ~wen_diff:(wen_a <> wen_b)
-            ~addrt:(Array.unsafe_get ta (addr + lane)) ~addr_diff:(aa <> ab)
-        in
-        if ctrl <> 0 then begin
-          if aa < depth then begin
-            let j = (aa * k) + lane in
-            Array.unsafe_set arr_t j (Array.unsafe_get arr_t j lor ctrl)
-          end;
-          if ab < depth then begin
-            let j = (ab * k) + lane in
-            Array.unsafe_set arr_t j (Array.unsafe_get arr_t j lor ctrl)
-          end
-        end;
-        if wen_a && aa < depth then begin
-          let j = (aa * k) + lane in
-          Array.unsafe_set arr_a j
-            (Array.unsafe_get va (data + lane) land mask);
-          Array.unsafe_set arr_t j
-            (Array.unsafe_get arr_t j
-            lor Array.unsafe_get ta (data + lane)
-            lor ctrl)
-        end;
-        if wen_b && ab < depth then begin
-          let j = (ab * k) + lane in
-          Array.unsafe_set arr_b j
-            (Array.unsafe_get vb (data + lane) land mask);
-          Array.unsafe_set arr_t j
-            (Array.unsafe_get arr_t j
-            lor Array.unsafe_get ta (data + lane)
-            lor ctrl)
-        end
-      done
-    done;
-    t.ticks <- t.ticks + 1
-
-  let cycle t =
-    eval t;
-    step t
-
-  let clear_taints t =
-    Array.fill t.ta 0 (Array.length t.ta) 0;
-    Hashtbl.iter
-      (fun _ arr -> Array.fill arr 0 (Array.length arr) 0)
-      t.mem_t
-end

@@ -18,18 +18,11 @@ type engine = Dvz_ir.Sim.engine
     tested against. *)
 
 val create :
-  ?provenance:Provenance.t -> ?engine:engine -> ?opt:bool -> Policy.mode ->
+  ?provenance:Provenance.t -> ?engine:engine -> Policy.mode ->
   Dvz_ir.Netlist.t -> t
 (** Builds a shadow co-simulator with all taints clear.  [engine] defaults
     to [`Compiled].  Raises {!Dvz_ir.Netlist.Width_error} if a mux
     selector, register enable or memory write enable is not 1 bit wide.
-
-    [opt] (default [false]) runs the {!Dvz_ir.Passes} pipeline on a copy of
-    the netlist first, exactly as in {!Dvz_ir.Sim.create} — every admitted
-    rewrite preserves taints as well as values, in both {!Policy} modes.
-    [opt] is ignored when [provenance] is attached: the replay pass reports
-    per-cell flow edges through unnamed intermediates, which optimization
-    would legitimately restructure.
 
     When [provenance] is given the co-simulator is {e armed}: tainted
     inputs and differing memory pokes are recorded as taint sources, and
@@ -39,18 +32,8 @@ val create :
     engine by the differential tests); without [provenance] the selected
     engine runs unchanged, with no per-cell overhead. *)
 
-val reset : t -> unit
-(** Re-arms a built co-simulator without re-lowering the netlist: both
-    value planes back to register-init/const state (inputs and
-    combinational nets to 0), the taint plane and all three memory planes
-    zeroed, tick counter cleared.  Bit-identical to a fresh [create]. *)
-
-val mode : t -> Policy.mode
-
 val engine : t -> engine
 (** The engine this co-simulator was created with. *)
-
-val netlist : t -> Dvz_ir.Netlist.t
 
 val set_input : t -> Dvz_ir.Netlist.signal -> int -> unit
 (** Drives both instances with the same value; input taint is cleared. *)
@@ -65,10 +48,8 @@ val set_input_taint : t -> Dvz_ir.Netlist.signal -> int -> unit
 val eval : t -> unit
 (** Settles combinational values of both instances and all shadow taints. *)
 
-val step : t -> unit
-(** Clock edge for both instances and the shadow state. *)
-
 val cycle : t -> unit
+(** {!eval}, then the clock edge for both instances and the shadow state. *)
 
 val ticks : t -> int
 (** Clock edges stepped so far — the timestamp stamped on armed-mode
@@ -99,62 +80,3 @@ val tainted_by_module : t -> (string * int) list
 
 val clear_taints : t -> unit
 (** Clears every shadow taint (registers, memories, inputs). *)
-
-(** Lane-parallel shadow co-simulation: K independent dual-instance
-    co-simulations of the same netlist advance in lockstep through one
-    compiled program, in the same structure-of-arrays layout as
-    {!Dvz_ir.Sim.Lanes} — over three planes (value A, value B, taint) plus
-    three memory planes.  One opcode dispatch per cell is amortized over K
-    lanes; each lane can carry its own stimulus, secret pair and taint
-    state, which is what makes batched phase-1 candidate evaluation cheap.
-
-    Lanes never interact and are pinned bit-identical per lane to a scalar
-    {!t} driven with the same stimulus (values, taints, memories, tick
-    counts, both {!Policy} modes) by differential property tests.  There is
-    no provenance or [`Interp] variant here; the scalar engine remains the
-    observability device. *)
-module Lanes : sig
-  type t
-
-  val create : ?opt:bool -> k:int -> Policy.mode -> Dvz_ir.Netlist.t -> t
-  (** [create ~k mode nl] builds a [k]-lane co-simulator.  [opt] as in
-      {!Shadow.create} (no provenance here, so it is always honored).
-      Raises [Invalid_argument] if [k <= 0]. *)
-
-  val k : t -> int
-  val mode : t -> Policy.mode
-  val netlist : t -> Dvz_ir.Netlist.t
-
-  val reset : t -> unit
-  (** All lanes back to the post-[create] state. *)
-
-  val set_input : t -> lane:int -> Dvz_ir.Netlist.signal -> int -> unit
-  (** Drives both instances of one lane with the same value; clears the
-      input's taint in that lane. *)
-
-  val set_input_all : t -> Dvz_ir.Netlist.signal -> int -> unit
-  (** {!set_input} for every lane at once. *)
-
-  val set_input_pair : t -> lane:int -> Dvz_ir.Netlist.signal -> int -> int -> unit
-  (** Per-lane secret: drives the two instances of [lane] with different
-      values and marks the input fully tainted in that lane. *)
-
-  val set_input_taint : t -> lane:int -> Dvz_ir.Netlist.signal -> int -> unit
-
-  val eval : t -> unit
-  val step : t -> unit
-  val cycle : t -> unit
-  val ticks : t -> int
-
-  val peek_a : t -> lane:int -> Dvz_ir.Netlist.signal -> int
-  val peek_b : t -> lane:int -> Dvz_ir.Netlist.signal -> int
-  val taint_of : t -> lane:int -> Dvz_ir.Netlist.signal -> int
-
-  val poke_mem_pair :
-    t -> lane:int -> Dvz_ir.Netlist.mem -> int -> int -> int -> unit
-
-  val mem_taint : t -> lane:int -> Dvz_ir.Netlist.mem -> int -> int
-
-  val clear_taints : t -> unit
-  (** Clears the taint plane and taint memories of every lane. *)
-end

@@ -8,8 +8,6 @@ let trunc w v = v land mask w
 
 let bit v i = (v lsr i) land 1
 
-let replicate w b = if b land 1 = 1 then mask w else 0
-
 (* SWAR popcount.  This sits under {!Shadow.taint_bit_sum}, which the taint
    log recomputes over every register and memory word each logged cycle, so
    the naive bit-at-a-time loop was a measurable fraction of IFT simulation

@@ -16,9 +16,6 @@ val trunc : int -> int -> int
 val bit : int -> int -> int
 (** [bit v i] is bit [i] of [v] (0 or 1). *)
 
-val replicate : int -> int -> int
-(** [replicate w b] is [w] copies of the single bit [b] (0 or 1). *)
-
 val popcount : int -> int
 (** Number of set bits (SWAR, constant time over the 63-bit word; total on
     any [int], including negatives, counting the two's-complement bits). *)

@@ -1,7 +1,5 @@
 module N = Netlist
 
-let cell_count nl = N.num_signals nl
-
 let flatten_with_map old =
   let nu = N.create () in
   let n = N.num_signals old in

@@ -18,6 +18,3 @@ val flatten_with_map :
   Netlist.t -> Netlist.t * (Netlist.signal -> Netlist.signal)
 (** Like {!flatten} but also returns the old-signal → new-signal mapping
     for inputs, registers and all combinational outputs. *)
-
-val cell_count : Netlist.t -> int
-(** Number of cells — the size metric flattening inflates. *)

@@ -191,13 +191,6 @@ let registers t =
   done;
   !acc
 
-let inputs t =
-  let acc = ref [] in
-  for i = t.count - 1 downto 0 do
-    match t.nodes.(i).cell with Input -> acc := i :: !acc | _ -> ()
-  done;
-  !acc
-
 let deps = function
   | Input | Const _ | Reg _ -> []
   | Not a | Shl (a, _) | Shr (a, _) | Slice (a, _) -> [ a ]
@@ -245,34 +238,6 @@ let validate t =
           require_1bit t wen ~ctx:"Netlist.validate" ~role:"memory write enable")
         m.m_writes)
     t.memories
-
-(* Deep copy for the optimization passes: signal indices are preserved so
-   handles minted against the original keep working against the copy, but
-   every mutable record (nodes array, register d/en slots, memory write-port
-   lists) is duplicated so rewrites cannot leak back into the source. *)
-let copy t =
-  let mem_map = Hashtbl.create 8 in
-  let memories =
-    List.map
-      (fun m ->
-        let m' = { m with m_writes = m.m_writes } in
-        Hashtbl.replace mem_map m.m_id m';
-        m')
-      t.memories
-  in
-  let copy_cell = function
-    | Reg r -> Reg { d = r.d; en = r.en; init = r.init }
-    | Mem_read (m, a) -> Mem_read (Hashtbl.find mem_map m.m_id, a)
-    | c -> c
-  in
-  let nodes = Array.map (fun n -> { n with cell = copy_cell n.cell }) t.nodes in
-  { nodes; count = t.count; scope = t.scope; memories; next_mem = t.next_mem }
-
-let set_cell t s cell =
-  let n = t.nodes.(s) in
-  t.nodes.(s) <- { n with cell }
-
-let set_mem_writes m writes = m.m_writes <- List.rev writes
 
 let modules t =
   let tbl = Hashtbl.create 16 in

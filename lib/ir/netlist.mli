@@ -122,19 +122,12 @@ val signal_of_int : t -> int -> signal
 val registers : t -> signal list
 (** All register output signals, in creation order. *)
 
-val inputs : t -> signal list
-
 val mems : t -> mem list
 val mem_width : mem -> int
 val mem_depth : mem -> int
 val mem_name : mem -> string
 val mem_writes : mem -> (signal * signal * signal) list
 (** Write ports as [(wen, addr, data)] triples. *)
-
-val deps : cell -> signal list
-(** Combinational operand signals of a cell.  [Input], [Const] and [Reg]
-    have none (a register's [d]/[en] feed the {e next} cycle, not the
-    combinational cone of its output). *)
 
 val topo_order : t -> signal array
 (** Combinational cells (everything except [Input], [Const], [Reg]) in
@@ -148,22 +141,3 @@ val validate : t -> unit
 
 val modules : t -> string list
 (** All distinct module tags, sorted. *)
-
-(* Rewriting hooks used by the optimization pass pipeline ({!Passes}). *)
-
-val copy : t -> t
-(** [copy t] is a deep copy of the netlist: signal indices, widths, names
-    and memory names are preserved (handles minted against [t] remain valid
-    against the copy), but the node table, register records and memory
-    write-port lists are duplicated so in-place rewrites of the copy never
-    alter the original. *)
-
-val set_cell : t -> signal -> cell -> unit
-(** [set_cell t s c] replaces the cell behind [s], keeping its width, name
-    and module tag.  This bypasses the builder-level width checks; it is
-    meant for {!Passes}, which only installs rewrites whose operand widths
-    match and which re-runs {!validate} afterwards. *)
-
-val set_mem_writes : mem -> (signal * signal * signal) list -> unit
-(** [set_mem_writes m ports] replaces the write-port list of [m] with
-    [ports], given in the same order {!mem_writes} reports. *)

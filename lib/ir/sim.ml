@@ -38,7 +38,7 @@ type prog = {
    register's Q: combinational values never change during [step], so a
    register fed purely by combinational signals can be written in place.
    [compile_latch] orders such "direct" registers first and records the
-   split point in [l_direct]; the executors stage only the [l_direct ..]
+   split point in [l_direct]; [step_compiled] stages only the [l_direct ..]
    tail (reading old Q values before anything is overwritten), then write
    the direct prefix in place, then write the staged tail back. *)
 type latch_plan = {
@@ -191,20 +191,16 @@ let compile_commit nl mem_arr =
     ports;
   c
 
-let check_registers nl =
+let create ?(engine : engine = `Compiled) nl =
+  N.validate nl;
+  let order = N.topo_order nl in
   List.iter
     (fun q ->
       match N.cell_of nl q with
       | N.Reg { d = None; _ } ->
           failwith ("Sim.create: unconnected register " ^ N.name_of nl q)
       | _ -> ())
-    (N.registers nl)
-
-let create ?(engine : engine = `Compiled) ?(opt = false) nl =
-  let nl = if opt && Passes.enabled () then Passes.optimize nl else nl in
-  N.validate nl;
-  let order = N.topo_order nl in
-  check_registers nl;
+    (N.registers nl);
   let values = Array.make (N.num_signals nl) 0 in
   (* Registers start at their init value; constants are fixed. *)
   for i = 0 to N.num_signals nl - 1 do
@@ -225,25 +221,6 @@ let create ?(engine : engine = `Compiled) ?(opt = false) nl =
     commit = compile_commit nl mem_arr;
     ticks = 0; hooks_rev = []; hook_arr = [||] }
 
-(* Re-arm a built simulator without re-validating, re-ordering or
-   re-lowering the netlist: values back to register-init/const state,
-   memories zeroed, tick counter and hooks cleared.  Bit-identical to a
-   fresh [create ~engine nl] (the compiled program, latch and commit plans
-   are pure functions of the netlist and stay valid). *)
-let reset t =
-  for i = 0 to N.num_signals t.nl - 1 do
-    let s = N.signal_of_int t.nl i in
-    match N.cell_of t.nl s with
-    | N.Reg r -> t.values.(i) <- r.N.init
-    | N.Const v -> t.values.(i) <- v
-    | _ -> t.values.(i) <- 0
-  done;
-  Hashtbl.iter (fun _ arr -> Array.fill arr 0 (Array.length arr) 0) t.mem_data;
-  t.ticks <- 0;
-  t.hooks_rev <- [];
-  t.hook_arr <- [||]
-
-let netlist t = t.nl
 let engine t = t.engine
 
 (* A coarse classification used only to make misuse errors self-explaining. *)
@@ -267,7 +244,6 @@ let peek t (s : N.signal) = t.values.((s :> int))
 let mem_array t m = Hashtbl.find t.mem_data (mem_key m)
 
 let peek_mem t m i = (mem_array t m).(i)
-let poke_mem t m i v = (mem_array t m).(i) <- Bits.trunc (N.mem_width m) v
 
 let poke_reg t s v =
   match N.cell_of t.nl s with
@@ -448,534 +424,3 @@ let on_cycle t h =
      quadratic in hook count and allocated on every registration). *)
   t.hooks_rev <- h :: t.hooks_rev;
   t.hook_arr <- Array.of_list (List.rev t.hooks_rev)
-
-(* --- lane-parallel compiled engine -------------------------------------
-
-   Stage 2 of the lowering refactor: the same compiled program, but every
-   storage array holds K independent simulations in structure-of-arrays
-   layout — signal [s] of lane [l] lives at [s*k + l], memory word [i] of
-   lane [l] at [i*k + l].  Signal-index operands are pre-multiplied by K at
-   lowering time, so the executor pays one opcode dispatch per cell and
-   then runs a tight K-iteration loop over adjacent words: amortized
-   dispatch, sequential access, no allocation.
-
-   The scalar engine remains the executable specification; [Lanes] is
-   pinned bit-identical to it per lane (values, memories, tick counts) by
-   the differential properties in test_ir.ml. *)
-
-module Lanes = struct
-  type lanes = {
-    nl : N.t;
-    k : int;
-    values : int array;  (* num_signals * k *)
-    mem_data : (string, int array) Hashtbl.t;  (* depth * k each *)
-    prog : prog;         (* dst/a/c (and signal b's) pre-multiplied by k;
-                            for Mem_read, p_b holds the memory depth *)
-    latch : latch_plan;  (* q/d/en pre-multiplied; l_next is nregs * k *)
-    commit : commit_plan;
-    mutable ticks : int;
-  }
-
-  type t = lanes
-
-  let lower nl k mem_arr order =
-    let p = compile_prog nl order mem_arr in
-    (* Constant-operand specialization: one-hot decoders ([tail == i]) and
-       mask gates ([x & 0b1111]) compare/and every lane against the same
-       literal, so the lane loop needs one load, not two.  Opcodes 13/14
-       are lane-engine-only: [p_b] holds the constant's value, not a
-       signal index.  (Commutative, so a constant on either side moves to
-       the immediate slot.) *)
-    let const_val s =
-      match N.cell_of nl s with N.Const v -> Some v | _ -> None
-    in
-    Array.iteri
-      (fun i s ->
-        let imm op x y =
-          match const_val y with
-          | Some cv ->
-              p.p_op.(i) <- op;
-              p.p_a.(i) <- ((x : N.signal) :> int);
-              p.p_b.(i) <- cv
-          | None -> (
-              match const_val x with
-              | Some cv ->
-                  p.p_op.(i) <- op;
-                  p.p_a.(i) <- ((y : N.signal) :> int);
-                  p.p_b.(i) <- cv
-              | None -> ())
-        in
-        match N.cell_of nl s with
-        | N.Eq (x, y) -> imm 13 x y
-        | N.And (x, y) -> imm 14 x y
-        | _ -> ())
-      order;
-    for i = 0 to Array.length p.p_op - 1 do
-      p.p_dst.(i) <- p.p_dst.(i) * k;
-      p.p_a.(i) <- p.p_a.(i) * k;
-      p.p_c.(i) <- p.p_c.(i) * k;
-      (match p.p_op.(i) with
-      | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 11 -> p.p_b.(i) <- p.p_b.(i) * k
-      | 12 -> p.p_b.(i) <- Array.length p.p_arr.(i) / k
-      | _ -> ())
-    done;
-    let l = compile_latch nl in
-    let nregs = Array.length l.l_q in
-    for i = 0 to nregs - 1 do
-      l.l_q.(i) <- l.l_q.(i) * k;
-      l.l_d.(i) <- l.l_d.(i) * k;
-      if l.l_en.(i) >= 0 then l.l_en.(i) <- l.l_en.(i) * k
-    done;
-    let l = { l with l_next = Array.make (nregs * k) 0 } in
-    let c = compile_commit nl mem_arr in
-    for i = 0 to Array.length c.c_wen - 1 do
-      c.c_wen.(i) <- c.c_wen.(i) * k;
-      c.c_addr.(i) <- c.c_addr.(i) * k;
-      c.c_data.(i) <- c.c_data.(i) * k
-    done;
-    (p, l, c)
-
-  let init_values t =
-    Array.fill t.values 0 (Array.length t.values) 0;
-    for i = 0 to N.num_signals t.nl - 1 do
-      let s = N.signal_of_int t.nl i in
-      match N.cell_of t.nl s with
-      | N.Reg r -> Array.fill t.values (i * t.k) t.k r.N.init
-      | N.Const v -> Array.fill t.values (i * t.k) t.k v
-      | _ -> ()
-    done
-
-  let create ?(opt = false) ~k nl =
-    if k <= 0 then invalid_arg "Sim.Lanes.create: k must be positive";
-    let nl = if opt && Passes.enabled () then Passes.optimize nl else nl in
-    N.validate nl;
-    let order = N.topo_order nl in
-    check_registers nl;
-    let mem_data = Hashtbl.create 8 in
-    List.iter
-      (fun m ->
-        Hashtbl.replace mem_data (mem_key m) (Array.make (N.mem_depth m * k) 0))
-      (N.mems nl);
-    let mem_arr m = Hashtbl.find mem_data (mem_key m) in
-    let prog, latch, commit = lower nl k mem_arr order in
-    let t =
-      { nl; k; values = Array.make (N.num_signals nl * k) 0; mem_data;
-        prog; latch; commit; ticks = 0 }
-    in
-    init_values t;
-    t
-
-  let reset t =
-    init_values t;
-    Hashtbl.iter (fun _ a -> Array.fill a 0 (Array.length a) 0) t.mem_data;
-    t.ticks <- 0
-
-  let k t = t.k
-  let netlist t = t.nl
-
-  let check_lane t lane =
-    if lane < 0 || lane >= t.k then invalid_arg "Sim.Lanes: lane out of range"
-
-  let set_input t ~lane s v =
-    check_lane t lane;
-    match N.cell_of t.nl s with
-    | N.Input ->
-        t.values.((((s : N.signal) :> int) * t.k) + lane) <-
-          Bits.trunc (N.width_of t.nl s) v
-    | c ->
-        invalid_arg
-          (Printf.sprintf
-             "Sim.Lanes.set_input: signal %s is not an input (it is %s)"
-             (N.name_of t.nl s) (cell_kind c))
-
-  let set_input_all t s v =
-    match N.cell_of t.nl s with
-    | N.Input ->
-        Array.fill t.values (((s : N.signal) :> int) * t.k) t.k
-          (Bits.trunc (N.width_of t.nl s) v)
-    | c ->
-        invalid_arg
-          (Printf.sprintf
-             "Sim.Lanes.set_input_all: signal %s is not an input (it is %s)"
-             (N.name_of t.nl s) (cell_kind c))
-
-  let peek t ~lane (s : N.signal) =
-    check_lane t lane;
-    t.values.(((s :> int) * t.k) + lane)
-
-  let mem_array t m = Hashtbl.find t.mem_data (mem_key m)
-
-  let peek_mem t ~lane m i =
-    check_lane t lane;
-    (mem_array t m).((i * t.k) + lane)
-
-  let poke_mem t ~lane m i v =
-    check_lane t lane;
-    (mem_array t m).((i * t.k) + lane) <- Bits.trunc (N.mem_width m) v
-
-  let poke_reg t ~lane s v =
-    check_lane t lane;
-    match N.cell_of t.nl s with
-    | N.Reg _ ->
-        t.values.((((s : N.signal) :> int) * t.k) + lane) <-
-          Bits.trunc (N.width_of t.nl s) v
-    | c ->
-        invalid_arg
-          (Printf.sprintf
-             "Sim.Lanes.poke_reg: signal %s is not a register (it is %s)"
-             (N.name_of t.nl s) (cell_kind c))
-
-  (* One opcode dispatch per cell, then a tight lane loop over adjacent
-     words.  Mirrors [exec_prog] exactly — any change there must land here
-     too (the differential property in test_ir.ml enforces this).
-
-     The binary/compare/mux lane loops are unrolled four-wide (a chunk
-     loop over [k/4] plus a scalar tail): the per-lane work is two L1
-     loads, one op and one store, so the loop increment/compare/branch
-     is a large fraction of the iteration and amortizing it is where the
-     remaining lane speedup lives.  Chunked [for] loops keep the whole
-     executor allocation-free (no refs), which the Gc.minor_words gate in
-     test_ir.ml checks. *)
-  let eval_impl t =
-    let p = t.prog and v = t.values and k = t.k in
-    let chunks = k lsr 2 in
-    let tail = chunks lsl 2 in
-    let n = Array.length p.p_op in
-    for i = 0 to n - 1 do
-      let dst = Array.unsafe_get p.p_dst i in
-      let a = Array.unsafe_get p.p_a i in
-      let b = Array.unsafe_get p.p_b i in
-      let mask = Array.unsafe_get p.p_mask i in
-      match Array.unsafe_get p.p_op i with
-      | 0 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (lnot (Array.unsafe_get v (a + l)) land mask)
-          done
-      | 1 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              (Array.unsafe_get v (a + l) land Array.unsafe_get v (b + l)
-              land mask);
-            Array.unsafe_set v (dst + l + 1)
-              (Array.unsafe_get v (a + l + 1)
-              land Array.unsafe_get v (b + l + 1)
-              land mask);
-            Array.unsafe_set v (dst + l + 2)
-              (Array.unsafe_get v (a + l + 2)
-              land Array.unsafe_get v (b + l + 2)
-              land mask);
-            Array.unsafe_set v (dst + l + 3)
-              (Array.unsafe_get v (a + l + 3)
-              land Array.unsafe_get v (b + l + 3)
-              land mask)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (Array.unsafe_get v (a + l) land Array.unsafe_get v (b + l)
-              land mask)
-          done
-      | 2 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) lor Array.unsafe_get v (b + l))
-              land mask);
-            Array.unsafe_set v (dst + l + 1)
-              ((Array.unsafe_get v (a + l + 1)
-               lor Array.unsafe_get v (b + l + 1))
-              land mask);
-            Array.unsafe_set v (dst + l + 2)
-              ((Array.unsafe_get v (a + l + 2)
-               lor Array.unsafe_get v (b + l + 2))
-              land mask);
-            Array.unsafe_set v (dst + l + 3)
-              ((Array.unsafe_get v (a + l + 3)
-               lor Array.unsafe_get v (b + l + 3))
-              land mask)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) lor Array.unsafe_get v (b + l))
-              land mask)
-          done
-      | 3 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) lxor Array.unsafe_get v (b + l))
-              land mask);
-            Array.unsafe_set v (dst + l + 1)
-              ((Array.unsafe_get v (a + l + 1)
-               lxor Array.unsafe_get v (b + l + 1))
-              land mask);
-            Array.unsafe_set v (dst + l + 2)
-              ((Array.unsafe_get v (a + l + 2)
-               lxor Array.unsafe_get v (b + l + 2))
-              land mask);
-            Array.unsafe_set v (dst + l + 3)
-              ((Array.unsafe_get v (a + l + 3)
-               lxor Array.unsafe_get v (b + l + 3))
-              land mask)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) lxor Array.unsafe_get v (b + l))
-              land mask)
-          done
-      | 4 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) + Array.unsafe_get v (b + l))
-              land mask);
-            Array.unsafe_set v (dst + l + 1)
-              ((Array.unsafe_get v (a + l + 1)
-               + Array.unsafe_get v (b + l + 1))
-              land mask);
-            Array.unsafe_set v (dst + l + 2)
-              ((Array.unsafe_get v (a + l + 2)
-               + Array.unsafe_get v (b + l + 2))
-              land mask);
-            Array.unsafe_set v (dst + l + 3)
-              ((Array.unsafe_get v (a + l + 3)
-               + Array.unsafe_get v (b + l + 3))
-              land mask)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) + Array.unsafe_get v (b + l))
-              land mask)
-          done
-      | 5 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) - Array.unsafe_get v (b + l))
-              land mask);
-            Array.unsafe_set v (dst + l + 1)
-              ((Array.unsafe_get v (a + l + 1)
-               - Array.unsafe_get v (b + l + 1))
-              land mask);
-            Array.unsafe_set v (dst + l + 2)
-              ((Array.unsafe_get v (a + l + 2)
-               - Array.unsafe_get v (b + l + 2))
-              land mask);
-            Array.unsafe_set v (dst + l + 3)
-              ((Array.unsafe_get v (a + l + 3)
-               - Array.unsafe_get v (b + l + 3))
-              land mask)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) - Array.unsafe_get v (b + l))
-              land mask)
-          done
-      | 6 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) = Array.unsafe_get v (b + l)
-               then 1 else 0);
-            Array.unsafe_set v (dst + l + 1)
-              (if
-                 Array.unsafe_get v (a + l + 1)
-                 = Array.unsafe_get v (b + l + 1)
-               then 1 else 0);
-            Array.unsafe_set v (dst + l + 2)
-              (if
-                 Array.unsafe_get v (a + l + 2)
-                 = Array.unsafe_get v (b + l + 2)
-               then 1 else 0);
-            Array.unsafe_set v (dst + l + 3)
-              (if
-                 Array.unsafe_get v (a + l + 3)
-                 = Array.unsafe_get v (b + l + 3)
-               then 1 else 0)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) = Array.unsafe_get v (b + l)
-               then 1 else 0)
-          done
-      | 7 ->
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) < Array.unsafe_get v (b + l)
-               then 1 else 0);
-            Array.unsafe_set v (dst + l + 1)
-              (if
-                 Array.unsafe_get v (a + l + 1)
-                 < Array.unsafe_get v (b + l + 1)
-               then 1 else 0);
-            Array.unsafe_set v (dst + l + 2)
-              (if
-                 Array.unsafe_get v (a + l + 2)
-                 < Array.unsafe_get v (b + l + 2)
-               then 1 else 0);
-            Array.unsafe_set v (dst + l + 3)
-              (if
-                 Array.unsafe_get v (a + l + 3)
-                 < Array.unsafe_get v (b + l + 3)
-               then 1 else 0)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) < Array.unsafe_get v (b + l)
-               then 1 else 0)
-          done
-      | 8 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (Array.unsafe_get v (a + l) lsl b land mask)
-          done
-      | 9 ->
-          for l = 0 to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (Array.unsafe_get v (a + l) lsr b land mask)
-          done
-      | 10 ->
-          let c = Array.unsafe_get p.p_c i in
-          for l = 0 to k - 1 do
-            Array.unsafe_set v (dst + l)
-              ((Array.unsafe_get v (a + l) lsl b
-               lor Array.unsafe_get v (c + l))
-              land mask)
-          done
-      | 11 ->
-          let c = Array.unsafe_get p.p_c i in
-          for l = 0 to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) <> 0 then
-                 Array.unsafe_get v (c + l)
-               else Array.unsafe_get v (b + l))
-          done
-      | 13 ->
-          (* Eq against an immediate: [b] is the constant's value *)
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) = b then 1 else 0);
-            Array.unsafe_set v (dst + l + 1)
-              (if Array.unsafe_get v (a + l + 1) = b then 1 else 0);
-            Array.unsafe_set v (dst + l + 2)
-              (if Array.unsafe_get v (a + l + 2) = b then 1 else 0);
-            Array.unsafe_set v (dst + l + 3)
-              (if Array.unsafe_get v (a + l + 3) = b then 1 else 0)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l)
-              (if Array.unsafe_get v (a + l) = b then 1 else 0)
-          done
-      | 14 ->
-          (* And with an immediate: fold the width mask into it *)
-          let b = b land mask in
-          for c = 0 to chunks - 1 do
-            let l = c lsl 2 in
-            Array.unsafe_set v (dst + l) (Array.unsafe_get v (a + l) land b);
-            Array.unsafe_set v (dst + l + 1)
-              (Array.unsafe_get v (a + l + 1) land b);
-            Array.unsafe_set v (dst + l + 2)
-              (Array.unsafe_get v (a + l + 2) land b);
-            Array.unsafe_set v (dst + l + 3)
-              (Array.unsafe_get v (a + l + 3) land b)
-          done;
-          for l = tail to k - 1 do
-            Array.unsafe_set v (dst + l) (Array.unsafe_get v (a + l) land b)
-          done
-      | _ ->
-          let arr = Array.unsafe_get p.p_arr i in
-          for l = 0 to k - 1 do
-            let ad = Array.unsafe_get v (a + l) in
-            Array.unsafe_set v (dst + l)
-              (if ad < b then Array.unsafe_get arr ((ad * k) + l) else 0)
-          done
-    done
-
-  let eval t =
-    if Dvz_obs.Profile.armed () then
-      Dvz_obs.Profile.wrap "sim/eval-lanes" (fun () -> eval_impl t)
-    else eval_impl t
-
-  let step t =
-    let v = t.values and l = t.latch and k = t.k in
-    let n = Array.length l.l_q in
-    (* stage the reg-to-reg tail first, while every Q is still old *)
-    for i = l.l_direct to n - 1 do
-      let q = Array.unsafe_get l.l_q i in
-      let d = Array.unsafe_get l.l_d i in
-      let en = Array.unsafe_get l.l_en i in
-      let base = i * k in
-      for lane = 0 to k - 1 do
-        let src =
-          if en < 0 || Array.unsafe_get v (en + lane) <> 0 then d + lane
-          else q + lane
-        in
-        Array.unsafe_set l.l_next (base + lane) (Array.unsafe_get v src)
-      done
-    done;
-    (* direct registers read only combinational signals: write in place,
-       with the always-enabled case a straight K-word block copy *)
-    let chunks = k lsr 2 in
-    let tail = chunks lsl 2 in
-    for i = 0 to l.l_direct - 1 do
-      let q = Array.unsafe_get l.l_q i in
-      let d = Array.unsafe_get l.l_d i in
-      let en = Array.unsafe_get l.l_en i in
-      if en < 0 then Array.blit v d v q k
-      else begin
-        for c = 0 to chunks - 1 do
-          let lane = c lsl 2 in
-          if Array.unsafe_get v (en + lane) <> 0 then
-            Array.unsafe_set v (q + lane) (Array.unsafe_get v (d + lane));
-          if Array.unsafe_get v (en + lane + 1) <> 0 then
-            Array.unsafe_set v (q + lane + 1)
-              (Array.unsafe_get v (d + lane + 1));
-          if Array.unsafe_get v (en + lane + 2) <> 0 then
-            Array.unsafe_set v (q + lane + 2)
-              (Array.unsafe_get v (d + lane + 2));
-          if Array.unsafe_get v (en + lane + 3) <> 0 then
-            Array.unsafe_set v (q + lane + 3)
-              (Array.unsafe_get v (d + lane + 3))
-        done;
-        for lane = tail to k - 1 do
-          if Array.unsafe_get v (en + lane) <> 0 then
-            Array.unsafe_set v (q + lane) (Array.unsafe_get v (d + lane))
-        done
-      end
-    done;
-    for i = l.l_direct to n - 1 do
-      let q = Array.unsafe_get l.l_q i in
-      let base = i * k in
-      for lane = 0 to k - 1 do
-        Array.unsafe_set v (q + lane) (Array.unsafe_get l.l_next (base + lane))
-      done
-    done;
-    let c = t.commit in
-    let m = Array.length c.c_wen in
-    for i = 0 to m - 1 do
-      let wen = Array.unsafe_get c.c_wen i in
-      let addr = Array.unsafe_get c.c_addr i in
-      let data = Array.unsafe_get c.c_data i in
-      let mask = Array.unsafe_get c.c_mask i in
-      let arr = Array.unsafe_get c.c_arr i in
-      let depth = Array.length arr / k in
-      for lane = 0 to k - 1 do
-        if Array.unsafe_get v (wen + lane) <> 0 then begin
-          let a = Array.unsafe_get v (addr + lane) in
-          if a < depth then
-            Array.unsafe_set arr ((a * k) + lane)
-              (Array.unsafe_get v (data + lane) land mask)
-        end
-      done
-    done
-
-  let cycle t =
-    eval t;
-    step t;
-    t.ticks <- t.ticks + 1
-
-  let cycles t = t.ticks
-end

@@ -21,26 +21,12 @@ type engine = [ `Interp | `Compiled ]
     identical (values, memories, tick counts); [`Compiled] is the fast
     default, [`Interp] the reference interpreter. *)
 
-val create : ?engine:engine -> ?opt:bool -> Netlist.t -> t
+val create : ?engine:engine -> Netlist.t -> t
 (** Builds a simulator; registers take their [init] values and memories are
     zero-filled.  [engine] defaults to [`Compiled].  Raises [Failure] if the
     netlist has a combinational cycle or an unconnected register, and
     {!Netlist.Width_error} if a mux selector, register enable or memory
-    write enable is not 1 bit wide ({!Netlist.validate} runs first).
-
-    [opt] (default [false]) first runs the {!Passes} optimization pipeline
-    on a copy of the netlist and simulates the copy.  Signal handles stay
-    valid (indices are preserved); named signals, inputs, registers and
-    memories behave identically, but peeking an {e unnamed} combinational
-    cell that was eliminated reads 0 — see {!Passes}. *)
-
-val reset : t -> unit
-(** Re-arms a built simulator without re-lowering the netlist: all signal
-    values back to register-init/const state (inputs and combinational
-    nets to 0), memories zero-filled, tick counter and {!on_cycle} hooks
-    cleared.  Bit-identical to a fresh [create ~engine nl]. *)
-
-val netlist : t -> Netlist.t
+    write enable is not 1 bit wide ({!Netlist.validate} runs first). *)
 
 val engine : t -> engine
 (** The engine this simulator was created with. *)
@@ -77,55 +63,5 @@ val peek : t -> Netlist.signal -> int
 val peek_mem : t -> Netlist.mem -> int -> int
 (** [peek_mem t m i] reads memory word [i] directly. *)
 
-val poke_mem : t -> Netlist.mem -> int -> int -> unit
-(** [poke_mem t m i v] backdoor-writes memory word [i]. *)
-
 val poke_reg : t -> Netlist.signal -> int -> unit
 (** Backdoor-writes a register's current output value. *)
-
-(** Lane-parallel compiled engine: K independent simulations of the same
-    netlist advance in lockstep through one compiled program.
-
-    Storage is structure-of-arrays — signal [s] of lane [l] lives at
-    [s*k + l] — so each cell op performs one opcode dispatch and then a
-    tight loop over K adjacent words.  This amortizes the per-cell dispatch
-    and index arithmetic that dominates the scalar engine on small DUTs,
-    which is what makes batched phase-1 stimulus evaluation cheap: one
-    lane-parallel instance replaces K scalar instances.
-
-    Lanes never interact: each has its own input values, register state and
-    memory image, and is pinned bit-identical to a scalar {!Sim.t} driven
-    with the same stimulus (values, memories, tick counts) by differential
-    property tests.  The lane engine has no [`Interp] variant and no
-    per-cycle hooks; it is a throughput device, not an observability one. *)
-module Lanes : sig
-  type t
-
-  val create : ?opt:bool -> k:int -> Netlist.t -> t
-  (** [create ~k nl] builds a [k]-lane simulator.  [opt] as in {!Sim.create}.
-      Raises [Invalid_argument] if [k <= 0]; same netlist checks as
-      {!Sim.create}. *)
-
-  val k : t -> int
-  val netlist : t -> Netlist.t
-
-  val reset : t -> unit
-  (** All lanes back to the post-[create] state. *)
-
-  val set_input : t -> lane:int -> Netlist.signal -> int -> unit
-  val set_input_all : t -> Netlist.signal -> int -> unit
-  (** Drives one lane's input / the same value into every lane. *)
-
-  val eval : t -> unit
-  val step : t -> unit
-
-  val cycle : t -> unit
-  (** [eval] then [step] for all lanes; no hooks. *)
-
-  val cycles : t -> int
-
-  val peek : t -> lane:int -> Netlist.signal -> int
-  val peek_mem : t -> lane:int -> Netlist.mem -> int -> int
-  val poke_mem : t -> lane:int -> Netlist.mem -> int -> int -> unit
-  val poke_reg : t -> lane:int -> Netlist.signal -> int -> unit
-end

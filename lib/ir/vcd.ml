@@ -31,13 +31,12 @@ let named_signals nl =
   done;
   !acc
 
-let create ?signals ~out nl =
-  let sigs = match signals with Some l -> l | None -> named_signals nl in
+let create ~out nl =
   let watched =
     List.mapi
       (fun i s ->
         { w_sig = s; w_id = ident i; w_width = N.width_of nl s; w_last = None })
-      sigs
+      (named_signals nl)
   in
   Buffer.add_string out "$date today $end\n";
   Buffer.add_string out "$version dvz_ir VCD writer $end\n";
@@ -93,13 +92,10 @@ let sample t read =
 
 let finish t = Buffer.add_string t.out (Printf.sprintf "#%d\n" t.time)
 
-let dump_simulation ?engine ?opt nl ~cycles ~drive =
+let dump_simulation ?engine nl ~cycles ~drive =
   let out = Buffer.create 1024 in
-  (* The writer enumerates named signals of the *source* netlist; the
-     passes preserve named cells, so an optimized simulation produces the
-     same signal list and identical waveforms (regression-tested). *)
   let t = create ~out nl in
-  let sim = Sim.create ?engine ?opt nl in
+  let sim = Sim.create ?engine nl in
   for c = 0 to cycles - 1 do
     drive sim c;
     Sim.eval sim;

@@ -41,6 +41,11 @@ let domain_counter idx =
 let worker_key = Domain.DLS.new_key (fun () -> 0)
 let worker_index () = Domain.DLS.get worker_key
 
+let in_slot idx f =
+  let saved = Domain.DLS.get worker_key in
+  Domain.DLS.set worker_key idx;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set worker_key saved) f
+
 let available () = Domain.recommended_domain_count ()
 
 (* Requested lanes → lanes actually used: at least 1, never more than the
@@ -118,13 +123,16 @@ let map ?domains ?retry:policy f xs =
     | None -> effective_lanes (available ())
   in
   if lanes < 2 || n <= 1 then begin
+    (* A sequential map is its own single lane: slot 0, even when it runs
+       inside an outer map's worker (a campaign nested in a trial list). *)
     let m_dom = domain_counter 0 in
-    List.map
-      (fun x ->
-        Metrics.incr m_tasks;
-        Metrics.incr m_dom;
-        run_task policy f x)
-      xs
+    in_slot 0 (fun () ->
+        List.map
+          (fun x ->
+            Metrics.incr m_tasks;
+            Metrics.incr m_dom;
+            run_task policy f x)
+          xs)
   end
   else begin
     let lanes = min lanes n in
@@ -139,38 +147,35 @@ let map ?domains ?retry:policy f xs =
        other lanes idle behind a static partition. *)
     let chunk = max 1 (n / (lanes * 4)) in
     let worker idx () =
-      let saved = Domain.DLS.get worker_key in
-      Domain.DLS.set worker_key idx;
-      (* Mirror the worker slot into the profiler's track id so region
-         events from this domain land on a per-worker trace track. *)
-      let saved_tid = Profile.tid () in
-      Profile.set_tid idx;
-      Fun.protect
-        ~finally:(fun () ->
-          Profile.set_tid saved_tid;
-          Domain.DLS.set worker_key saved)
-        (fun () ->
-          let m_dom = domain_counter idx in
-          let rec go () =
-            let lo = Atomic.fetch_and_add next chunk in
-            if lo < n then begin
-              let hi = min n (lo + chunk) - 1 in
-              for i = lo to hi do
-                Metrics.incr m_tasks;
-                Metrics.incr m_dom;
-                match run_task policy f arr.(i) with
-                | v -> results.(i) <- Some v
-                | exception e ->
-                    (* Record instead of dying: the domain keeps draining
-                       tasks so Domain.join never deadlocks, and the caller
-                       re-raises the first failure with its real
-                       backtrace. *)
-                    errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-              done;
-              go ()
-            end
-          in
-          go ())
+      in_slot idx (fun () ->
+          (* Mirror the worker slot into the profiler's track id so region
+             events from this domain land on a per-worker trace track. *)
+          let saved_tid = Profile.tid () in
+          Profile.set_tid idx;
+          Fun.protect
+            ~finally:(fun () -> Profile.set_tid saved_tid)
+            (fun () ->
+              let m_dom = domain_counter idx in
+              let rec go () =
+                let lo = Atomic.fetch_and_add next chunk in
+                if lo < n then begin
+                  let hi = min n (lo + chunk) - 1 in
+                  for i = lo to hi do
+                    Metrics.incr m_tasks;
+                    Metrics.incr m_dom;
+                    match run_task policy f arr.(i) with
+                    | v -> results.(i) <- Some v
+                    | exception e ->
+                        (* Record instead of dying: the domain keeps draining
+                           tasks so Domain.join never deadlocks, and the caller
+                           re-raises the first failure with its real
+                           backtrace. *)
+                        errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
+                  done;
+                  go ()
+                end
+              in
+              go ()))
     in
     let spawned =
       if Profile.armed () then

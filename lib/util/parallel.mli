@@ -49,8 +49,9 @@ val map : ?domains:int -> ?retry:retry -> ('a -> 'b) -> 'a list -> 'b list
 
 val worker_index : unit -> int
 (** The worker slot the calling domain occupies inside the innermost
-    active {!map} on this domain: 0 for the caller,
-    [1..effective lanes - 1] for spawned workers, and 0 outside any map.
+    active {!map} on this domain: 0 for the caller (which runs every task
+    of a sequential map), [1..effective lanes - 1] for spawned workers,
+    and 0 outside any map.
     Lets per-task code (e.g. the campaign executor) attribute work to
     per-domain counters without threading an index through every
     callback. *)

@@ -196,30 +196,6 @@ let test_reduction_noop_when_untriggered () =
   Alcotest.(check int) "no removal" 0 removed;
   Alcotest.(check bool) "unchanged" true (reduced == tc)
 
-(* The batched phase-1 evaluator is differentially pinned to the scalar
-   one: element [i] of [evaluate_batch cfg tcs] must equal
-   [evaluate cfg tcs.(i)].  Two rounds, so the second exercises the warm
-   per-domain batch pool (in-place reset instead of fresh cores). *)
-let test_evaluate_batch_matches_scalar () =
-  let rng = Rng.create 4711 in
-  for round = 1 to 2 do
-    let tcs =
-      Array.init 6 (fun i ->
-          let kind = Seed.all_kinds.(i mod Array.length Seed.all_kinds) in
-          let seed = Seed.random_of_kind rng kind in
-          let force_training = i mod 2 = 0 in
-          Trigger_gen.generate ~force_training boom seed)
-    in
-    let batched = Trigger_opt.evaluate_batch boom tcs in
-    Array.iteri
-      (fun i tc ->
-        Alcotest.(check bool)
-          (Printf.sprintf "round %d candidate %d" round i)
-          (Trigger_opt.evaluate boom tc)
-          batched.(i))
-      tcs
-  done
-
 let test_expected_window_matcher () =
   Alcotest.(check bool) "access fault matches" true
     (Trigger_gen.expected_window
@@ -1025,8 +1001,6 @@ let () =
             test_reduction_zero_for_exceptions;
           Alcotest.test_case "reduction noop untriggered" `Quick
             test_reduction_noop_when_untriggered;
-          Alcotest.test_case "batched evaluation matches scalar" `Quick
-            test_evaluate_batch_matches_scalar;
           Alcotest.test_case "window matcher" `Quick test_expected_window_matcher;
           QCheck_alcotest.to_alcotest prop_generate_never_raises ] );
       ( "phase2",

@@ -18,10 +18,6 @@ let test_bits_bit () =
   Alcotest.(check int) "bit 0" 1 (Bits.bit 0b101 0);
   Alcotest.(check int) "bit 1" 0 (Bits.bit 0b101 1)
 
-let test_bits_replicate () =
-  Alcotest.(check int) "rep 1" 0xF (Bits.replicate 4 1);
-  Alcotest.(check int) "rep 0" 0 (Bits.replicate 4 0)
-
 let test_bits_popcount () =
   Alcotest.(check int) "popcount" 3 (Bits.popcount 0b1011);
   Alcotest.(check int) "zero" 0 (Bits.popcount 0);
@@ -283,7 +279,7 @@ let test_flatten_grows_cells () =
   ignore (N.mem_read nl m waddr);
   let flat = Flatten.flatten nl in
   Alcotest.(check bool) "flattening inflates the cell count" true
-    (Flatten.cell_count flat > 4 * Flatten.cell_count nl)
+    (N.num_signals flat > 4 * N.num_signals nl)
 
 (* Random straight-line circuit programs for property testing. *)
 let random_netlist seed =
@@ -421,292 +417,6 @@ let prop_engines_equivalent =
       done;
       !ok && Sim.cycles c = Sim.cycles i)
 
-(* --- optimization passes -------------------------------------------------- *)
-
-(* Rewrite-biased random sequential circuit: duplicated operands, constants
-   (with 0 and all-ones over-represented), const-selector muxes, nested
-   slices and shifts — the patterns the passes target.  Everything flows
-   into named registers or the memory, so comparing named state between the
-   optimized and unoptimized engines exercises the rewritten cones. *)
-let random_opt_netlist seed =
-  let rng = Dvz_util.Rng.create seed in
-  let nl = N.create () in
-  let inputs8 =
-    Array.init 3 (fun i -> N.input nl ~name:(Printf.sprintf "in%d" i) 8)
-  in
-  let sel_in = N.input nl ~name:"sel" 1 in
-  let regs =
-    Array.init 3 (fun i -> N.reg nl ~name:(Printf.sprintf "r%d" i) ~init:i 8)
-  in
-  let pool8 = ref (Array.to_list inputs8 @ Array.to_list regs) in
-  let pool1 = ref [ sel_in ] in
-  let const8 () =
-    match Dvz_util.Rng.int rng 4 with
-    | 0 -> N.const nl 8 0
-    | 1 -> N.const nl 8 0xFF
-    | _ -> N.const nl 8 (Dvz_util.Rng.int rng 256)
-  in
-  let pick8 () =
-    if Dvz_util.Rng.int rng 5 = 0 then const8 ()
-    else Dvz_util.Rng.choose_list rng !pool8
-  in
-  (* one-in-three chance of [x op x] *)
-  let pick8b a = if Dvz_util.Rng.int rng 3 = 0 then a else pick8 () in
-  let pick1 () =
-    if Dvz_util.Rng.int rng 5 = 0 then N.const nl 1 (Dvz_util.Rng.int rng 2)
-    else Dvz_util.Rng.choose_list rng !pool1
-  in
-  let m = N.mem nl ~name:"m" ~width:8 ~depth:8 () in
-  for _ = 1 to 40 do
-    let a = pick8 () in
-    let b = pick8b a in
-    match Dvz_util.Rng.int rng 13 with
-    | 0 -> pool8 := N.and_ nl a b :: !pool8
-    | 1 -> pool8 := N.or_ nl a b :: !pool8
-    | 2 -> pool8 := N.xor_ nl a b :: !pool8
-    | 3 -> pool8 := N.add nl a b :: !pool8
-    | 4 -> pool8 := N.sub nl a b :: !pool8
-    | 5 -> pool8 := N.not_ nl (N.not_ nl a) :: !pool8
-    | 6 -> pool8 := N.mux nl (pick1 ()) a b :: !pool8
-    | 7 -> pool1 := N.eq nl a b :: !pool1
-    | 8 -> pool1 := N.lt nl a b :: !pool1
-    | 9 ->
-        let k1 = Dvz_util.Rng.int rng 4 and k2 = Dvz_util.Rng.int rng 4 in
-        pool8 := N.shl nl (N.shl nl a k1) k2 :: !pool8;
-        pool8 := N.shr nl (N.shr nl b k1) k2 :: !pool8
-    | 10 ->
-        let inner = N.slice nl a ~lo:Dvz_util.Rng.(int rng 4) ~width:4 in
-        let outer = N.slice nl inner ~lo:1 ~width:2 in
-        pool8 := N.concat nl outer (N.slice nl b ~lo:0 ~width:6) :: !pool8
-    | 11 -> pool8 := N.slice nl a ~lo:0 ~width:8 :: !pool8
-    | _ -> pool8 := N.mem_read nl m a :: !pool8
-  done;
-  N.mem_write nl m ~wen:(pick1 ()) ~addr:(pick8 ()) ~data:(pick8 ());
-  Array.iter
-    (fun q ->
-      let en = if Dvz_util.Rng.int rng 2 = 0 then Some (pick1 ()) else None in
-      N.reg_connect nl q ~d:(pick8 ()) ?en ())
-    regs;
-  (nl, inputs8, sel_in, regs, m)
-
-(* The optimization contract: bit-identical named signals, registers and
-   memory contents on every cycle.  (Dead unnamed cells read 0 in the
-   optimized engine by design, so only observable state is compared.) *)
-let prop_opt_preserves_named_state =
-  QCheck.Test.make
-    ~name:"optimized netlist is bit-identical on named signals/regs/mems"
-    ~count:40 QCheck.small_int (fun seed ->
-      let nl, inputs8, sel_in, regs, m = random_opt_netlist seed in
-      let plain = Sim.create nl in
-      let opt = Sim.create ~opt:true nl in
-      let rng = Dvz_util.Rng.create (seed + 3000) in
-      let ok = ref true in
-      for _ = 1 to 30 do
-        Array.iter
-          (fun s ->
-            let v = Dvz_util.Rng.int rng 256 in
-            Sim.set_input plain s v;
-            Sim.set_input opt s v)
-          inputs8;
-        let sv = Dvz_util.Rng.int rng 2 in
-        Sim.set_input plain sel_in sv;
-        Sim.set_input opt sel_in sv;
-        Sim.cycle plain;
-        Sim.cycle opt;
-        for i = 0 to N.num_signals nl - 1 do
-          let s = N.signal_of_int nl i in
-          if N.name_of nl s <> "" && Sim.peek plain s <> Sim.peek opt s then
-            ok := false
-        done;
-        Array.iter
-          (fun q -> if Sim.peek plain q <> Sim.peek opt q then ok := false)
-          regs;
-        for w = 0 to N.mem_depth m - 1 do
-          if Sim.peek_mem plain m w <> Sim.peek_mem opt m w then ok := false
-        done
-      done;
-      !ok && Sim.cycles plain = Sim.cycles opt)
-
-(* Deterministic pass-by-pass accounting on a circuit built from one of
-   each rewrite pattern. *)
-let test_passes_stats () =
-  let nl = N.create () in
-  let a = N.input nl ~name:"a" 8 in
-  let c1 = N.const nl 8 5 and c2 = N.const nl 8 3 in
-  let folded = N.add nl c1 c2 in
-  let aliased = N.and_ nl a a in
-  let s1 = N.slice nl a ~lo:2 ~width:4 in
-  let s2 = N.slice nl s1 ~lo:1 ~width:2 in
-  ignore (N.xor_ nl a (N.not_ nl a));
-  (* dead cone *)
-  let q = N.reg nl ~name:"q" 8 in
-  let d =
-    N.concat nl
-      (N.concat nl s2 (N.slice nl folded ~lo:0 ~width:4))
-      (N.slice nl aliased ~lo:0 ~width:2)
-  in
-  N.reg_connect nl q ~d ();
-  let onl, st = Passes.run nl in
-  N.validate onl;
-  Alcotest.(check bool) "cells eliminated" true
-    (st.Passes.st_cells_after < st.Passes.st_cells_before);
-  let rewrites name =
-    List.fold_left
-      (fun acc p ->
-        if p.Passes.ps_name = name then acc + p.Passes.ps_rewrites else acc)
-      0 st.Passes.st_passes
-  in
-  Alcotest.(check bool) "const-fold fired" true (rewrites "const-fold" > 0);
-  Alcotest.(check bool) "alias fired" true (rewrites "alias" > 0);
-  Alcotest.(check bool) "fuse fired" true (rewrites "fuse" > 0);
-  Alcotest.(check bool) "dce fired" true (rewrites "dce" > 0);
-  (* functional spot-check on the surviving named state *)
-  let plain = Sim.create nl and opt = Sim.create onl in
-  Sim.set_input plain a 0xA7;
-  Sim.set_input opt a 0xA7;
-  Sim.cycle plain;
-  Sim.cycle opt;
-  Alcotest.(check int) "q agrees" (Sim.peek plain q) (Sim.peek opt q)
-
-let test_passes_unknown_name_rejected () =
-  let nl = N.create () in
-  ignore (N.input nl 1);
-  Alcotest.check_raises "unknown pass"
-    (Invalid_argument "Passes.run: unknown pass bogus") (fun () ->
-      ignore (Passes.run ~passes:[ "bogus" ] nl))
-
-(* The [--no-ir-opt] gate: with [set_enabled false], [?opt:true] engines run
-   the unoptimized netlist (observable through a dead cell, which the
-   optimized engine reads as 0). *)
-let test_set_enabled_vetoes_opt () =
-  let nl = N.create () in
-  let a = N.input nl ~name:"a" 8 and b = N.input nl ~name:"b" 8 in
-  let dead = N.xor_ nl a b in
-  let q = N.reg nl ~name:"q" 8 in
-  N.reg_connect nl q ~d:a ();
-  let run () =
-    let sim = Sim.create ~opt:true nl in
-    Sim.set_input sim a 0xF0;
-    Sim.set_input sim b 0x0F;
-    Sim.eval sim;
-    Sim.peek sim dead
-  in
-  Alcotest.(check int) "dead cell reads 0 when optimized" 0 (run ());
-  Passes.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Passes.set_enabled true)
-    (fun () ->
-      Alcotest.(check int) "gate down: unoptimized semantics" 0xFF (run ()))
-
-(* --- lane engine ---------------------------------------------------------- *)
-
-(* Lanes are pinned to the scalar engine: every lane must match an
-   independent scalar simulation driven with the same stimulus — every
-   signal, every memory word, every tick. *)
-let prop_lanes_match_scalar =
-  QCheck.Test.make ~name:"lane engine is bit-identical to scalar per lane"
-    ~count:15 QCheck.small_int (fun seed ->
-      let nl, inputs8, sel_in, m = random_seq_netlist seed in
-      let k = 4 in
-      let lanes = Sim.Lanes.create ~k nl in
-      let scalars = Array.init k (fun _ -> Sim.create nl) in
-      let rng = Dvz_util.Rng.create (seed + 2000) in
-      let ok = ref (Sim.Lanes.k lanes = k) in
-      for _ = 1 to 20 do
-        for l = 0 to k - 1 do
-          Array.iter
-            (fun s ->
-              let v = Dvz_util.Rng.int rng 256 in
-              Sim.Lanes.set_input lanes ~lane:l s v;
-              Sim.set_input scalars.(l) s v)
-            inputs8;
-          let sv = Dvz_util.Rng.int rng 2 in
-          Sim.Lanes.set_input lanes ~lane:l sel_in sv;
-          Sim.set_input scalars.(l) sel_in sv
-        done;
-        Sim.Lanes.cycle lanes;
-        Array.iter Sim.cycle scalars;
-        for l = 0 to k - 1 do
-          for i = 0 to N.num_signals nl - 1 do
-            let s = N.signal_of_int nl i in
-            if Sim.Lanes.peek lanes ~lane:l s <> Sim.peek scalars.(l) s then
-              ok := false
-          done;
-          for w = 0 to N.mem_depth m - 1 do
-            if
-              Sim.Lanes.peek_mem lanes ~lane:l m w
-              <> Sim.peek_mem scalars.(l) m w
-            then ok := false
-          done
-        done
-      done;
-      !ok && Sim.Lanes.cycles lanes = Sim.cycles scalars.(0))
-
-(* Lanes with optimization on still match unoptimized scalars on named
-   state. *)
-let prop_opt_lanes_match_scalar =
-  QCheck.Test.make
-    ~name:"optimized lanes match unoptimized scalars on named state"
-    ~count:10 QCheck.small_int (fun seed ->
-      let nl, inputs8, sel_in, regs, m = random_opt_netlist seed in
-      let k = 3 in
-      let lanes = Sim.Lanes.create ~opt:true ~k nl in
-      let scalars = Array.init k (fun _ -> Sim.create nl) in
-      let rng = Dvz_util.Rng.create (seed + 4000) in
-      let ok = ref true in
-      for _ = 1 to 15 do
-        for l = 0 to k - 1 do
-          Array.iter
-            (fun s ->
-              let v = Dvz_util.Rng.int rng 256 in
-              Sim.Lanes.set_input lanes ~lane:l s v;
-              Sim.set_input scalars.(l) s v)
-            inputs8;
-          let sv = Dvz_util.Rng.int rng 2 in
-          Sim.Lanes.set_input lanes ~lane:l sel_in sv;
-          Sim.set_input scalars.(l) sel_in sv
-        done;
-        Sim.Lanes.cycle lanes;
-        Array.iter Sim.cycle scalars;
-        for l = 0 to k - 1 do
-          Array.iter
-            (fun q ->
-              if Sim.Lanes.peek lanes ~lane:l q <> Sim.peek scalars.(l) q then
-                ok := false)
-            regs;
-          for w = 0 to N.mem_depth m - 1 do
-            if
-              Sim.Lanes.peek_mem lanes ~lane:l m w
-              <> Sim.peek_mem scalars.(l) m w
-            then ok := false
-          done
-        done
-      done;
-      !ok)
-
-(* The steady-state lane cycle must not allocate either — the whole point
-   of the SoA layout is tight loops over preallocated planes. *)
-let test_lanes_cycle_allocation_free () =
-  let rob = Circuits.rob ~entries:16 ~uopc_width:8 in
-  let lanes = Sim.Lanes.create ~k:8 rob.Circuits.rob_nl in
-  Sim.Lanes.set_input_all lanes rob.Circuits.enq_valid 1;
-  Sim.Lanes.set_input_all lanes rob.Circuits.enq_uopc 0x2A;
-  Sim.Lanes.set_input_all lanes rob.Circuits.rollback 0;
-  Sim.Lanes.set_input_all lanes rob.Circuits.rollback_idx 0;
-  for _ = 1 to 100 do Sim.Lanes.cycle lanes done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do Sim.Lanes.cycle lanes done;
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "1000 lane cycles (k=8) allocated %.0f minor words" delta)
-    true (delta < 64.0)
-
-let test_lanes_bad_k_rejected () =
-  let c = Circuits.counter ~width:8 in
-  Alcotest.check_raises "k = 0"
-    (Invalid_argument "Sim.Lanes.create: k must be positive") (fun () ->
-      ignore (Sim.Lanes.create ~k:0 c.Circuits.cnt_nl))
-
 (* The steady-state compiled cycle must not allocate: Gc.minor_words moves
    only by the float boxes of the probe calls themselves. *)
 let test_compiled_cycle_allocation_free () =
@@ -800,31 +510,12 @@ let test_vcd_engines_agree () =
   Alcotest.(check string) "identical waveforms from both engines" compiled
     interp
 
-(* Correctness-guard regression: optimization must not change what a VCD
-   dump records — the passes preserve every named signal, and the writer
-   enumerates the source netlist, so the bytes are identical. *)
-let test_vcd_identical_with_opt () =
-  let rob = Circuits.rob ~entries:8 ~uopc_width:7 in
-  let drive sim i =
-    Sim.set_input sim rob.Circuits.enq_valid (i land 1);
-    Sim.set_input sim rob.Circuits.enq_uopc ((i * 13) land 0x7F);
-    Sim.set_input sim rob.Circuits.rollback (if i = 7 then 1 else 0);
-    Sim.set_input sim rob.Circuits.rollback_idx 0
-  in
-  let plain = Vcd.dump_simulation rob.Circuits.rob_nl ~cycles:12 ~drive in
-  let opt =
-    Vcd.dump_simulation ~opt:true rob.Circuits.rob_nl ~cycles:12 ~drive
-  in
-  Alcotest.(check string) "byte-identical waveform with optimization" plain
-    opt
-
 let () =
   Alcotest.run "dvz_ir"
     [ ( "bits",
         [ Alcotest.test_case "mask" `Quick test_bits_mask;
           Alcotest.test_case "trunc" `Quick test_bits_trunc;
           Alcotest.test_case "bit" `Quick test_bits_bit;
-          Alcotest.test_case "replicate" `Quick test_bits_replicate;
           Alcotest.test_case "popcount" `Quick test_bits_popcount;
           QCheck_alcotest.to_alcotest prop_popcount_matches_naive;
           Alcotest.test_case "spread_up" `Quick test_bits_spread_up ] );
@@ -855,20 +546,6 @@ let () =
           Alcotest.test_case "hook order" `Quick
             test_hooks_run_in_registration_order;
           Alcotest.test_case "many hooks" `Quick test_many_hooks ] );
-      ( "passes",
-        [ QCheck_alcotest.to_alcotest prop_opt_preserves_named_state;
-          Alcotest.test_case "per-pass stats" `Quick test_passes_stats;
-          Alcotest.test_case "unknown pass rejected" `Quick
-            test_passes_unknown_name_rejected;
-          Alcotest.test_case "set_enabled veto" `Quick
-            test_set_enabled_vetoes_opt ] );
-      ( "lanes",
-        [ QCheck_alcotest.to_alcotest prop_lanes_match_scalar;
-          QCheck_alcotest.to_alcotest prop_opt_lanes_match_scalar;
-          Alcotest.test_case "lane cycle allocation-free" `Quick
-            test_lanes_cycle_allocation_free;
-          Alcotest.test_case "bad k rejected" `Quick
-            test_lanes_bad_k_rejected ] );
       ( "circuits",
         [ Alcotest.test_case "rob update" `Quick test_rob_circuit_update;
           Alcotest.test_case "rob rollback" `Quick test_rob_rollback;
@@ -877,9 +554,7 @@ let () =
         [ Alcotest.test_case "header and changes" `Quick test_vcd_header_and_changes;
           Alcotest.test_case "change-only dumping" `Quick
             test_vcd_only_changes_dumped;
-          Alcotest.test_case "engines agree" `Quick test_vcd_engines_agree;
-          Alcotest.test_case "identical with optimization" `Quick
-            test_vcd_identical_with_opt ] );
+          Alcotest.test_case "engines agree" `Quick test_vcd_engines_agree ] );
       ( "flatten",
         [ Alcotest.test_case "memory equivalence" `Quick test_flatten_equivalent;
           Alcotest.test_case "cell inflation" `Quick test_flatten_grows_cells;

@@ -202,6 +202,42 @@ let test_parallel_total_lanes () =
         (List.for_all (fun i -> i >= 0 && i < domains) idxs))
     [ 1; 2; 3; 4 ]
 
+(* Regression for the nested-campaign abort: a sequential inner map run
+   from an outer map's worker is its own single lane, so its tasks see slot
+   0 (a campaign sizes its per-lane counters from its own lane count), and
+   the outer slot is back in place once the inner map returns.  Each outer
+   task waits until every lane has claimed one, so on a host with 2 or more
+   domains the second task always runs in worker slot 1. *)
+let test_parallel_nested_sequential_slot () =
+  let lanes = min 2 (Dvz_util.Parallel.available ()) in
+  let started = Atomic.make 0 in
+  let outer =
+    Dvz_util.Parallel.map ~domains:lanes
+      (fun _ ->
+        Atomic.incr started;
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while Atomic.get started < lanes && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        let before = Dvz_util.Parallel.worker_index () in
+        let inner =
+          Dvz_util.Parallel.map ~domains:1
+            (fun _ -> Dvz_util.Parallel.worker_index ())
+            [ 1; 2; 3 ]
+        in
+        (before, inner, Dvz_util.Parallel.worker_index ()))
+      [ 0; 1 ]
+  in
+  Alcotest.(check (list int)) "outer tasks ran on every lane"
+    (List.init lanes Fun.id)
+    (List.sort_uniq compare (List.map (fun (b, _, _) -> b) outer));
+  List.iter
+    (fun (before, inner, after) ->
+      Alcotest.(check (list int)) "inner sequential map runs in slot 0"
+        [ 0; 0; 0 ] inner;
+      Alcotest.(check int) "outer slot restored" before after)
+    outer
+
 let test_parallel_effective_lanes () =
   let avail = Dvz_util.Parallel.available () in
   Alcotest.(check int) "0 clamps up to 1" 1
@@ -273,6 +309,8 @@ let () =
             test_parallel_total_lanes;
           Alcotest.test_case "effective lanes clamp" `Quick
             test_parallel_effective_lanes;
+          Alcotest.test_case "nested sequential map uses slot 0" `Quick
+            test_parallel_nested_sequential_slot;
           QCheck_alcotest.to_alcotest prop_parallel_map_equals_list_map ] );
       ( "tablefmt",
         [ Alcotest.test_case "render" `Quick test_table_render;
