@@ -17,6 +17,30 @@ let m_encode_leaks =
     ~help:"Taint-encoding oracle violations (encode leaks) reported"
     "dvz_oracle_encode_leaks_total"
 
+let m_resumed =
+  Metrics.counter Metrics.default
+    ~help:"Sanitize runs resumed from a copy of the main run at its first \
+           differing fetch"
+    "dvz_oracle_sanitize_resumed_total"
+
+let m_reused =
+  Metrics.counter Metrics.default
+    ~help:"Sanitize runs that reused the main run's result (no differing \
+           word was ever read)"
+    "dvz_oracle_sanitize_reused_total"
+
+let m_replayed =
+  Metrics.counter Metrics.default
+    ~help:"Sanitize runs simulated from scratch (a differing word was read \
+           before its fetch, or a fault plan was armed)"
+    "dvz_oracle_sanitize_replayed_total"
+
+let m_shared_slots =
+  Metrics.counter Metrics.default
+    ~help:"Sanitize-run slots taken over from the main run instead of \
+           simulated"
+    "dvz_oracle_sanitize_shared_slots_total"
+
 type component = string
 
 type leak =
@@ -87,18 +111,80 @@ let attack_of_result result =
       if List.exists (fun w -> w.Core.wr_secret_fault) ws then Some `Meltdown
       else Some `Spectre
 
+type replay_path = Resumed | Reused | Replayed
+
+type sanitized = {
+  s_result : Dualcore.result;
+  s_path : replay_path;
+  s_dut : Dualcore.t option;
+}
+
+(* Indices of the transient-packet words the two test cases disagree on,
+   or [None] when they differ in length. *)
+let differing_words a b =
+  let rec go i acc xs ys =
+    match (xs, ys) with
+    | [], [] -> Some (List.rev acc)
+    | x :: xs, y :: ys ->
+        let acc =
+          if x == y || Dvz_isa.Encode.encode x = Dvz_isa.Encode.encode y then acc
+          else i :: acc
+        in
+        go (i + 1) acc xs ys
+    | _ -> None
+  in
+  go 0 [] a.Packet.transient.Packet.insns b.Packet.transient.Packet.insns
+
+let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
+    tc =
+  (* Both testbenches come from the per-domain pool: construction costs
+     ~5x the simulation itself, and collected results never alias pooled
+     state.  The sanitized test case differs from [tc] only in some words
+     of the transient packet, so the main run is watched for them. *)
+  let clean = Window_gen.sanitize cfg tc in
+  let main = Simpool.acquire ?log_bound ~mode cfg (Packet.stimulus ~secret tc) in
+  let words =
+    (* [Fault.tick] must see every slot of both runs. *)
+    if Dvz_resilience.Fault.armed () then None else differing_words tc clean
+  in
+  let forked = ref None in
+  let result =
+    match words with
+    | Some (_ :: _ as ws) ->
+        let on_fork t = forked := Some (Simpool.fork ?log_bound ~mode cfg t) in
+        Dualcore.run ?budget ~fork:(ws, on_fork) main
+    | Some [] | None -> Dualcore.run ?budget main
+  in
+  let reused = words <> None && not (Dualcore.watch_hit main) in
+  let sanitized () =
+    match !forked with
+    | Some copy ->
+        (* Resumed: both instances switch to the sanitized blobs where
+           each stands in its schedule. *)
+        Metrics.incr m_resumed;
+        Metrics.incr ~by:(Dualcore.slots copy) m_shared_slots;
+        Dualcore.rebase copy (Packet.stimulus ~secret clean).Core.st_swapmem;
+        { s_result = Dualcore.run ?budget copy; s_path = Resumed;
+          s_dut = Some copy }
+    | None when reused ->
+        (* No instance ever read a differing word: the sanitized run is
+           the main run. *)
+        Metrics.incr m_reused;
+        Metrics.incr ~by:result.Dualcore.r_slots m_shared_slots;
+        Dualcore.count_run result;
+        { s_result = result; s_path = Reused; s_dut = None }
+    | None ->
+        Metrics.incr m_replayed;
+        let t =
+          Simpool.acquire ?log_bound ~mode cfg (Packet.stimulus ~secret clean)
+        in
+        { s_result = Dualcore.run ?budget t; s_path = Replayed; s_dut = Some t }
+  in
+  (result, sanitized)
+
 let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
     ?budget cfg ~secret tc =
-  (* Draw from the per-domain pool instead of building a fresh testbench
-     per run: construction dominates per-iteration cost (~5x the
-     simulation itself).  Both runs of one analysis are strictly
-     sequential in this domain, and [Dualcore.run]'s collected result
-     never aliases pooled state, so re-arming between them is safe. *)
-  let run tcase =
-    Dualcore.run ?budget
-      (Simpool.acquire ?log_bound ~mode cfg (Packet.stimulus ~secret tcase))
-  in
-  let result = run tc in
+  let result, sanitized_run = simulate ?log_bound ~mode ?budget cfg ~secret tc in
   if result.Dualcore.r_timed_out then begin
     (* Watchdog verdict: the run was aborted mid-flight, so none of the
        partial evidence is trustworthy — report a clean timeout. *)
@@ -128,7 +214,7 @@ let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
     let candidates = if use_liveness then live_sinks else all_sinks in
     let sanitized_timed_out = ref false in
     (if candidates <> [] || budget <> None then begin
-       let sanitized = run (Window_gen.sanitize cfg tc) in
+       let sanitized = (sanitized_run ()).s_result in
        sanitized_timed_out := sanitized.Dualcore.r_timed_out;
        if not sanitized.Dualcore.r_timed_out then begin
          let baseline =

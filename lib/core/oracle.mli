@@ -44,6 +44,41 @@ val microarch_sink : Dvz_uarch.Elem.t -> bool
     everything except architectural state (ARF, memory, the pc).  Exposed
     so the provenance explain pass filters live sinks identically. *)
 
+(** How the sanitize run of an analysis was obtained. *)
+type replay_path =
+  | Resumed
+      (** from a copy of the main run taken just before its first fetch
+          of a word the sanitized packet changes *)
+  | Reused
+      (** the main run never read such a word, so its result is the
+          sanitized run's *)
+  | Replayed
+      (** simulated from scratch: a changed word was read before it was
+          fetched, or a fault plan is armed *)
+
+type sanitized = {
+  s_result : Dvz_uarch.Dualcore.result;
+  s_path : replay_path;
+  s_dut : Dvz_uarch.Dualcore.t option;
+      (** the pooled testbench the run finished in; [None] when reused *)
+}
+
+val simulate :
+  ?log_bound:Dvz_ift.Taintlog.bound ->
+  ?mode:Dvz_ift.Policy.mode ->
+  ?budget:Dvz_uarch.Dualcore.budget ->
+  Dvz_uarch.Config.t ->
+  secret:int array ->
+  Packet.testcase ->
+  Dvz_uarch.Dualcore.result * (unit -> sanitized)
+(** The two testbench runs behind {!analyze}: the main run of the test
+    case, and a thunk for the run of its {!Window_gen.sanitize}d twin.
+    Every path yields the result a from-scratch run of the twin would;
+    each counts in [dvz_oracle_sanitize_{resumed,reused,replayed}_total]
+    and, like a real run, once in [dvz_sim_runs_total] and
+    [dvz_sim_cycles_total].  Call the thunk at most once, before the
+    calling domain's next pooled acquire. *)
+
 val analyze :
   ?use_liveness:bool ->
   ?mode:Dvz_ift.Policy.mode ->

@@ -44,7 +44,38 @@ let acquire ?(log_bound = Dvz_ift.Taintlog.Unbounded)
       Metrics.incr m_misses;
       t
 
-(* A second, independent slot pools a bare single-[Core] testbench for
+(* The fork slot holds the target of the oracle's state copy: the
+   sanitize run resumes in it from a copy of the main run, which is still
+   in [slot_key]'s instance.  Same key as [acquire]. *)
+
+let m_fork_hits =
+  Metrics.counter Metrics.default
+    ~help:"Pooled fork targets overwritten in place by a testbench copy"
+    "dvz_simpool_fork_hits_total"
+
+let m_fork_misses =
+  Metrics.counter Metrics.default
+    ~help:"Fork targets allocated because no pooled instance matched"
+    "dvz_simpool_fork_misses_total"
+
+let fork_slot_key = Domain.DLS.new_key (fun () -> { entry = None })
+
+let fork ?(log_bound = Dvz_ift.Taintlog.Unbounded)
+    ?(mode = Dvz_ift.Policy.Diffift) cfg src =
+  let slot = Domain.DLS.get fork_slot_key in
+  let key = (cfg, mode, log_bound) in
+  match slot.entry with
+  | Some (k, t) when k = key ->
+      Dualcore.blit ~src ~dst:t;
+      Metrics.incr m_fork_hits;
+      t
+  | _ ->
+      let t = Dualcore.copy src in
+      slot.entry <- Some (key, t);
+      Metrics.incr m_fork_misses;
+      t
+
+(* A third, independent slot pools a bare single-[Core] testbench for
    the phase-1 trigger evaluator, which runs one core (no shadow pair, no
    taint tracking) many times per iteration during reduction.  Its only
    create-time parameter is the configuration, so that is the whole key. *)
@@ -78,6 +109,7 @@ let acquire_core cfg stim =
 
 let clear () =
   (Domain.DLS.get slot_key).entry <- None;
+  (Domain.DLS.get fork_slot_key).entry <- None;
   (Domain.DLS.get core_slot_key).core_entry <- None
 
 let cached () =

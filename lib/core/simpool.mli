@@ -29,6 +29,19 @@ val acquire :
     collected {!Dvz_uarch.Dualcore.result} values stay valid forever (they
     never alias pooled state). *)
 
+val fork :
+  ?log_bound:Dvz_ift.Taintlog.bound ->
+  ?mode:Dvz_ift.Policy.mode ->
+  Dvz_uarch.Config.t ->
+  Dvz_uarch.Dualcore.t ->
+  Dvz_uarch.Dualcore.t
+(** [fork ~log_bound ~mode cfg src] copies [src] (an instance built with
+    that key) into the calling domain's second pooled instance and
+    returns it: {!Dvz_uarch.Dualcore.blit} on a hit, a fresh
+    {!Dvz_uarch.Dualcore.copy} on a miss.  It is a separate slot from
+    {!acquire}'s, so [src] can keep running beside its copy.  Valid until
+    the calling domain's next [fork]. *)
+
 val acquire_core :
   Dvz_uarch.Config.t -> Dvz_uarch.Core.stimulus -> Dvz_uarch.Core.t
 (** [acquire_core cfg stim] is the single-[Core] twin of {!acquire} for
@@ -38,7 +51,8 @@ val acquire_core :
     domain's next [acquire_core]. *)
 
 val clear : unit -> unit
-(** Drop the calling domain's cached instances (tests, memory pressure). *)
+(** Drop the calling domain's cached instances, fork target included
+    (tests, memory pressure). *)
 
 val cached :
   unit ->

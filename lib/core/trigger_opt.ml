@@ -12,19 +12,18 @@ let evaluate cfg tc =
   Trigger_gen.triggered tc (Core.windows core)
 
 let reduce cfg tc =
-  if not (evaluate cfg tc) then (tc, 0)
-  else begin
-    (* Walk the trigger training packets in schedule order; drop each whose
-       removal leaves the window triggering. *)
-    let rec go kept removed = function
-      | [] -> (List.rev kept, removed)
-      | p :: rest ->
-          let candidate =
-            Packet.with_trigger_trainings tc (List.rev_append kept rest)
-          in
-          if evaluate cfg candidate then go kept (removed + 1) rest
-          else go (p :: kept) removed rest
-    in
-    let kept, removed = go [] 0 tc.Packet.trigger_trainings in
-    (Packet.with_trigger_trainings tc kept, removed)
-  end
+  (* Walk the trigger training packets in schedule order; drop each whose
+     removal leaves the window triggering.  [tc] itself is known to
+     trigger: every caller has just evaluated it. *)
+  let rec go kept removed = function
+    | [] -> (List.rev kept, removed)
+    | p :: rest ->
+        let candidate =
+          Packet.with_trigger_trainings tc (List.rev_append kept rest)
+        in
+        if evaluate cfg candidate then go kept (removed + 1) rest
+        else go (p :: kept) removed rest
+  in
+  match go [] 0 tc.Packet.trigger_trainings with
+  | _, 0 -> (tc, 0)
+  | kept, removed -> (Packet.with_trigger_trainings tc kept, removed)

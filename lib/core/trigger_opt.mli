@@ -19,5 +19,8 @@ val evaluate : Dvz_uarch.Config.t -> Packet.testcase -> bool
 
 val reduce : Dvz_uarch.Config.t -> Packet.testcase -> Packet.testcase * int
 (** [(reduced, removed)] — the test case with ineffective trigger training
-    packets discarded, and how many were dropped.  The input must already
-    evaluate to [true]; otherwise it is returned unchanged with 0. *)
+    packets discarded, and how many were dropped; [tc] itself when none
+    was.  Precondition: [evaluate cfg tc] holds.  [reduce] does not check
+    it (every caller has just evaluated [tc], and a second evaluation
+    doubled the cost of reducing a packet-less test case); on a test case
+    that does not trigger, the result is unspecified. *)

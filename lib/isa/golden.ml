@@ -48,6 +48,17 @@ let set_mtvec t v = t.mtvec <- v
 
 let copy t = { t with regs = Array.copy t.regs }
 
+let blit ~src ~dst =
+  Array.blit src.regs 0 dst.regs 0 32;
+  dst.pc <- src.pc;
+  dst.priv <- src.priv;
+  dst.mepc <- src.mepc;
+  dst.mcause <- src.mcause;
+  dst.mtval <- src.mtval;
+  dst.mtvec <- src.mtvec;
+  dst.mscratch <- src.mscratch;
+  dst.mpp <- src.mpp
+
 type step = {
   s_pc : int;
   s_insn : Insn.t;

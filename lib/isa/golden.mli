@@ -42,6 +42,10 @@ val set_mtvec : t -> int -> unit
 val copy : t -> t
 (** Snapshot of the architectural state sharing the same memory. *)
 
+val blit : src:t -> dst:t -> unit
+(** Copies [src]'s registers, pc, privilege and CSRs into [dst]; [dst]
+    keeps its own memory closures. *)
+
 (** What one instruction did, as observed architecturally. *)
 type step = {
   s_pc : int;                    (** address of the executed instruction *)

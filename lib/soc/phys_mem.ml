@@ -1,18 +1,80 @@
 open Dvz_isa
 
-type t = { data : Bytes.t; perms : Perm.t array }
+(* The read watch: a bitmap over the swappable region's words (bit [i]
+   is the word at [Layout.swap_base + 4 * i]).  While [watching], any
+   read overlapping a set word latches [watch_hit]. *)
+type t = {
+  data : Bytes.t;
+  perms : Perm.t array;
+  mutable watch : Bytes.t;
+  mutable watching : bool;
+  mutable watch_hit : bool;
+}
+
+let no_watch = Bytes.empty
 
 let page_of addr = addr / Layout.page_size
 
 let create () =
   { data = Bytes.make Layout.mem_size '\000';
-    perms = Array.make (Layout.mem_size / Layout.page_size) Perm.rwx }
+    perms = Array.make (Layout.mem_size / Layout.page_size) Perm.rwx;
+    watch = no_watch; watching = false; watch_hit = false }
 
-let copy t = { data = Bytes.copy t.data; perms = Array.copy t.perms }
+let unwatch t =
+  t.watch <- no_watch;
+  t.watching <- false;
+  t.watch_hit <- false
+
+let copy t =
+  { data = Bytes.copy t.data; perms = Array.copy t.perms;
+    watch = no_watch; watching = false; watch_hit = false }
+
+let blit ~src ~dst =
+  Bytes.blit src.data 0 dst.data 0 (Bytes.length src.data);
+  Array.blit src.perms 0 dst.perms 0 (Array.length src.perms);
+  unwatch dst
 
 let clear t =
   Bytes.fill t.data 0 (Bytes.length t.data) '\000';
-  Array.fill t.perms 0 (Array.length t.perms) Perm.rwx
+  Array.fill t.perms 0 (Array.length t.perms) Perm.rwx;
+  unwatch t
+
+let watch_words = Layout.swap_size / 4
+
+let watch_bitmap words =
+  let b = Bytes.make (watch_words / 8) '\000' in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= watch_words then
+        invalid_arg "Phys_mem.watch_bitmap: word index out of range";
+      let byte = Char.code (Bytes.get b (i lsr 3)) in
+      Bytes.set b (i lsr 3) (Char.unsafe_chr (byte lor (1 lsl (i land 7)))))
+    words;
+  b
+
+let set_watch t bitmap =
+  if Bytes.length bitmap <> watch_words / 8 then
+    invalid_arg "Phys_mem.set_watch: not a swap-region bitmap";
+  t.watch <- bitmap;
+  t.watching <- false;
+  t.watch_hit <- false
+
+let arm_watch t = if t.watch != no_watch then t.watching <- true
+
+let watch_hit t = t.watch_hit
+
+let rec any_watched t w last =
+  w <= last
+  && (Char.code (Bytes.get t.watch (w lsr 3)) land (1 lsl (w land 7)) <> 0
+     || any_watched t (w + 1) last)
+
+let overlaps_watch t ~addr ~size =
+  let lo = max addr Layout.swap_base
+  and hi = min (addr + size) (Layout.swap_base + Layout.swap_size) in
+  lo < hi
+  && any_watched t ((lo - Layout.swap_base) / 4) ((hi - 1 - Layout.swap_base) / 4)
+
+let watched t ~addr ~size = t.watching && overlaps_watch t ~addr ~size
 
 let in_range t addr = addr >= 0 && addr < Bytes.length t.data
 
@@ -43,6 +105,7 @@ let read_slow t ~addr ~size =
   go 0 0
 
 let read t ~addr ~size =
+  if watched t ~addr ~size then t.watch_hit <- true;
   if addr >= 0 && size > 0 && addr + size <= Bytes.length t.data then
     match size with
     | 8 -> Int64.to_int (Bytes.get_int64_le t.data addr)
@@ -73,6 +136,8 @@ let write t ~addr ~size v =
 
 let write_words t addr ws =
   Array.iteri (fun i w -> write t ~addr:(addr + (4 * i)) ~size:4 w) ws
+
+let blit_bytes t ~addr src ~off ~len = Bytes.blit src off t.data addr len
 
 let check t ~priv ~addr ~size ~(kind : [ `Load | `Store | `Fetch ]) =
   let fault =

@@ -13,6 +13,11 @@ val create : unit -> t
 (** A zeroed memory of {!Layout.mem_size} bytes, all pages [Perm.rwx]. *)
 
 val copy : t -> t
+(** An independent copy of the bytes and page permissions (unwatched). *)
+
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] copies [src]'s bytes and page permissions into
+    [dst] in place; [dst] is left unwatched. *)
 
 val clear : t -> unit
 (** Return the memory to its {!create} state in place: all bytes zero, all
@@ -32,7 +37,38 @@ val write_byte : t -> int -> int -> unit
 (** Backdoor write; out-of-range writes are ignored. *)
 
 val read : t -> addr:int -> size:int -> int
-(** Backdoor little-endian read of [size] (≤ 7) bytes. *)
+(** Backdoor little-endian read of [size] (≤ 7) bytes.  Every read —
+    checked loads and fetches included — goes through here, so this is
+    where an armed read watch looks. *)
+
+(** {2 Read watch}
+
+    A memory can watch reads of chosen words of the swappable region
+    ({!Layout.swap_base}, {!Layout.swap_size}): once armed, any {!read}
+    that overlaps a watched word latches {!watch_hit}.  The oracle uses it
+    to prove that a run never observed the words in which two stimuli
+    differ.  Disarmed, the cost is one field test per read. *)
+
+val watch_bitmap : int list -> Bytes.t
+(** [watch_bitmap ws] is the 128-byte bitmap of swap-region word indices
+    [ws] (word [i] is at [Layout.swap_base + 4 * i]). *)
+
+val set_watch : t -> Bytes.t -> unit
+(** Installs a {!watch_bitmap}, disarmed and with the hit latch clear. *)
+
+val arm_watch : t -> unit
+(** Starts watching (no-op without an installed bitmap). *)
+
+val unwatch : t -> unit
+(** Stops watching and forgets the bitmap and the latch.  {!clear} and
+    {!blit} (on its destination) do the same. *)
+
+val watch_hit : t -> bool
+(** Whether an armed watch has seen a read of a watched word. *)
+
+val watched : t -> addr:int -> size:int -> bool
+(** Whether the watch is armed and [[addr, addr + size)] overlaps a
+    watched word. *)
 
 val write : t -> addr:int -> size:int -> int -> unit
 (** Backdoor little-endian write. *)
@@ -40,6 +76,11 @@ val write : t -> addr:int -> size:int -> int -> unit
 val write_words : t -> int -> int array -> unit
 (** [write_words t addr ws] stores 32-bit words consecutively from [addr];
     the common way of loading assembled code. *)
+
+val blit_bytes : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit
+(** [blit_bytes t ~addr src ~off ~len] copies [len] bytes of [src] from
+    [off] to [addr] (a backdoor write).  Raises [Invalid_argument] when
+    either range is out of bounds. *)
 
 val checked_load :
   t -> priv:Dvz_isa.Golden.priv -> addr:int -> size:int ->

@@ -12,6 +12,15 @@ let ebreak_word = Dvz_isa.Encode.encode Dvz_isa.Insn.Ebreak
 
 let max_words = Layout.swap_size / 4
 
+(* A whole region of ebreak words: a blob's padding is one blit of its
+   tail, not a write per word. *)
+let padding =
+  let b = Bytes.create Layout.swap_size in
+  for i = 0 to max_words - 1 do
+    Bytes.set_int32_le b (4 * i) (Int32.of_int ebreak_word)
+  done;
+  b
+
 let create ~blobs ~schedule =
   let all = Array.of_list blobs in
   List.iter
@@ -39,14 +48,18 @@ let load_next t mem =
   else begin
     let b = t.all.(t.sched.(t.pos)) in
     t.pos <- t.pos + 1;
+    let n = 4 * Array.length b.words in
     Phys_mem.write_words mem Layout.swap_base b.words;
-    for i = Array.length b.words to max_words - 1 do
-      Phys_mem.write mem ~addr:(Layout.swap_base + (4 * i)) ~size:4 ebreak_word
-    done;
+    Phys_mem.blit_bytes mem ~addr:(Layout.swap_base + n) padding ~off:n
+      ~len:(Layout.swap_size - n);
     Some b
   end
 
 let remaining t = Array.length t.sched - t.pos
+
+let copy ?pos t = { t with pos = Option.value pos ~default:t.pos }
+
+let position t = t.pos
 
 let with_schedule t schedule =
   create ~blobs:(Array.to_list t.all) ~schedule

@@ -43,6 +43,14 @@ val load_next : t -> Phys_mem.t -> blob option
 val remaining : t -> int
 (** Number of blobs not yet loaded. *)
 
+val position : t -> int
+(** Number of blobs loaded so far (the schedule cursor). *)
+
+val copy : ?pos:int -> t -> t
+(** An independent cursor over the same blobs and schedule, at [pos]
+    (default: [t]'s position).  Blobs are immutable, so only the cursor
+    is copied. *)
+
 val with_schedule : t -> int list -> t
 (** A fresh swapMem over the same blobs with a different schedule — how the
     training reduction strategy re-simulates with a packet removed. *)

@@ -33,6 +33,14 @@ let reset t =
       l.tag <- 0)
     t.lines
 
+let blit ~src ~dst =
+  Array.iteri
+    (fun i l ->
+      let s = src.lines.(i) in
+      l.valid <- s.valid;
+      l.tag <- s.tag)
+    dst.lines
+
 let valid t i = t.lines.(i).valid
 
 let line_addr t i = t.lines.(i).tag * t.line_bytes
@@ -55,6 +63,15 @@ module Lfb = struct
         s.mshr_valid <- false)
       t.slots;
     t.next <- 0
+
+  let blit ~src ~dst =
+    Array.iteri
+      (fun i d ->
+        let s = src.slots.(i) in
+        d.data <- s.data;
+        d.mshr_valid <- s.mshr_valid)
+      dst.slots;
+    dst.next <- src.next
 
   let refill t ~data =
     let i = t.next in

@@ -30,6 +30,9 @@ val reset : t -> unit
     (unlike [invalidate_all], which leaves stale tags — invisible to
     lookups but hashed by [Core.state_hash]). *)
 
+val blit : src:t -> dst:t -> unit
+(** Copies [src]'s state into [dst] (same geometry). *)
+
 val valid : t -> int -> bool
 
 val line_addr : t -> int -> int
@@ -46,6 +49,9 @@ module Lfb : sig
   val reset : t -> unit
   (** Back to the [create] state: data zeroed (it is hashed even in dead
       slots), MSHR valid bits clear, allocation cursor at slot 0. *)
+
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
 
   val refill : t -> data:int -> int
   (** A refill passes through the LFB: allocates the next slot round-robin,

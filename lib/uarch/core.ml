@@ -81,6 +81,7 @@ let swap_in t =
       t.done_ <- true;
       false
   | Some blob ->
+      if blob.Swapmem.is_transient then Phys_mem.arm_watch t.mem;
       if blob.Swapmem.is_transient && t.stim.st_tighten_secret
          && not t.secret_tightened
       then begin
@@ -94,46 +95,35 @@ let swap_in t =
       Golden.set_priv t.arch Golden.User;
       true
 
-let create cfg stim =
+(* Every stateful layer allocated in its zero state, nothing loaded:
+   [create] arms the result with [reset], [copy] with [blit]. *)
+let alloc cfg stim =
   let mem = Phys_mem.create () in
-  Swapmem.reset stim.st_swapmem;
-  Array.iteri
-    (fun i v ->
-      Phys_mem.write mem ~addr:(Layout.secret_base + (8 * i)) ~size:8 v)
-    stim.st_secret;
-  List.iter
-    (fun (addr, v) -> Phys_mem.write mem ~addr ~size:8 v)
-    stim.st_data;
-  List.iter (fun (addr, p) -> Phys_mem.set_perm mem addr p) stim.st_perms;
   let arch =
     Golden.create ~pc:Layout.swap_entry ~priv:Golden.User ~mtvec:Layout.mtvec
       (Phys_mem.golden_memory mem)
   in
-  let t =
-    { cfg; stim; mem; arch;
-      bht = P.Bht.create ~entries:cfg.Config.bht_entries;
-      btb = P.Btb.create ~tagged:cfg.Config.btb_tagged ~entries:cfg.Config.btb_entries ();
-      ras = P.Ras.create ~entries:cfg.Config.ras_entries;
-      loop = P.Loop.create ~entries:cfg.Config.loop_entries;
-      mdp = P.Mdp.create ~entries:cfg.Config.bht_entries;
-      icache = Cache.create ~lines:cfg.Config.icache_lines
-                 ~line_bytes:cfg.Config.line_bytes;
-      dcache = Cache.create ~lines:cfg.Config.dcache_lines
-                 ~line_bytes:cfg.Config.line_bytes;
-      lfb = Cache.Lfb.create ~entries:cfg.Config.lfb_entries;
-      tlb = Tlb.create ~entries:cfg.Config.tlb_entries
+  { cfg; stim; mem; arch;
+    bht = P.Bht.create ~entries:cfg.Config.bht_entries;
+    btb = P.Btb.create ~tagged:cfg.Config.btb_tagged ~entries:cfg.Config.btb_entries ();
+    ras = P.Ras.create ~entries:cfg.Config.ras_entries;
+    loop = P.Loop.create ~entries:cfg.Config.loop_entries;
+    mdp = P.Mdp.create ~entries:cfg.Config.bht_entries;
+    icache = Cache.create ~lines:cfg.Config.icache_lines
+               ~line_bytes:cfg.Config.line_bytes;
+    dcache = Cache.create ~lines:cfg.Config.dcache_lines
+               ~line_bytes:cfg.Config.line_bytes;
+    lfb = Cache.Lfb.create ~entries:cfg.Config.lfb_entries;
+    tlb = Tlb.create ~entries:cfg.Config.tlb_entries
+            ~page_bytes:Layout.page_size;
+    l2tlb = Tlb.create ~entries:cfg.Config.l2tlb_entries
               ~page_bytes:Layout.page_size;
-      l2tlb = Tlb.create ~entries:cfg.Config.l2tlb_entries
-                ~page_bytes:Layout.page_size;
-      stq = Lsu.Stq.create ~entries:cfg.Config.stq_entries;
-      ldq = Lsu.Ldq.create ~entries:cfg.Config.ldq_entries;
-      cycles = 0; slot = 0; committed = 0;
-      fetch_busy_until = 0; fdiv_busy_until = 0; load_wb_busy_until = 0;
-      lsu_busy_until = 0;
-      window = None; windows = []; done_ = false; secret_tightened = false }
-  in
-  ignore (swap_in t);
-  t
+    stq = Lsu.Stq.create ~entries:cfg.Config.stq_entries;
+    ldq = Lsu.Ldq.create ~entries:cfg.Config.ldq_entries;
+    cycles = 0; slot = 0; committed = 0;
+    fetch_busy_until = 0; fdiv_busy_until = 0; load_wb_busy_until = 0;
+    lsu_busy_until = 0;
+    window = None; windows = []; done_ = false; secret_tightened = false }
 
 (* Re-arm an existing core for a new stimulus without reallocating any of
    its state.  Must leave [t] bit-identical (under [state_hash] and every
@@ -177,6 +167,80 @@ let reset t stim =
   t.done_ <- false;
   t.secret_tightened <- false;
   ignore (swap_in t)
+
+let create cfg stim =
+  let t = alloc cfg stim in
+  reset t stim;
+  t
+
+(* Copy every stateful layer in place.  The stimulus gets its own swap
+   cursor (blobs are immutable and shared); an open window gets its own
+   speculative registers (its checkpoints are never mutated, so they are
+   shared). *)
+let blit ~src ~dst =
+  if src.cfg != dst.cfg && src.cfg <> dst.cfg then
+    invalid_arg "Core.blit: configuration mismatch";
+  dst.stim <- { src.stim with st_swapmem = Swapmem.copy src.stim.st_swapmem };
+  Phys_mem.blit ~src:src.mem ~dst:dst.mem;
+  Golden.blit ~src:src.arch ~dst:dst.arch;
+  P.Bht.blit ~src:src.bht ~dst:dst.bht;
+  P.Btb.blit ~src:src.btb ~dst:dst.btb;
+  P.Ras.blit ~src:src.ras ~dst:dst.ras;
+  P.Loop.blit ~src:src.loop ~dst:dst.loop;
+  P.Mdp.blit ~src:src.mdp ~dst:dst.mdp;
+  Cache.blit ~src:src.icache ~dst:dst.icache;
+  Cache.blit ~src:src.dcache ~dst:dst.dcache;
+  Cache.Lfb.blit ~src:src.lfb ~dst:dst.lfb;
+  Tlb.blit ~src:src.tlb ~dst:dst.tlb;
+  Tlb.blit ~src:src.l2tlb ~dst:dst.l2tlb;
+  Lsu.Stq.blit ~src:src.stq ~dst:dst.stq;
+  Lsu.Ldq.blit ~src:src.ldq ~dst:dst.ldq;
+  dst.cycles <- src.cycles;
+  dst.slot <- src.slot;
+  dst.committed <- src.committed;
+  dst.fetch_busy_until <- src.fetch_busy_until;
+  dst.fdiv_busy_until <- src.fdiv_busy_until;
+  dst.load_wb_busy_until <- src.load_wb_busy_until;
+  dst.lsu_busy_until <- src.lsu_busy_until;
+  dst.window <-
+    Option.map (fun w -> { w with w_sregs = Array.copy w.w_sregs }) src.window;
+  dst.windows <- src.windows;
+  dst.done_ <- src.done_;
+  dst.secret_tightened <- src.secret_tightened
+
+let copy t =
+  let dst = alloc t.cfg t.stim in
+  blit ~src:t ~dst;
+  dst
+
+let transient_loaded t =
+  match Swapmem.current t.stim.st_swapmem with
+  | Some b -> b.Swapmem.is_transient
+  | None -> false
+
+let rebase t swap =
+  let old = t.stim.st_swapmem in
+  let swap = Swapmem.copy ~pos:(Swapmem.position old) swap in
+  (match (Swapmem.current old, Swapmem.current swap) with
+  | Some ob, Some nb ->
+      let ow = ob.Swapmem.words and nw = nb.Swapmem.words in
+      if Array.length ow <> Array.length nw then
+        invalid_arg "Core.rebase: loaded blob changes length";
+      Array.iteri
+        (fun i w ->
+          if w <> ow.(i) then
+            Phys_mem.write t.mem ~addr:(Layout.swap_base + (4 * i)) ~size:4 w)
+        nw
+  | None, None -> ()
+  | _ -> invalid_arg "Core.rebase: schedule mismatch");
+  t.stim <- { t.stim with st_swapmem = swap }
+
+let watch t words =
+  Phys_mem.set_watch t.mem words;
+  if transient_loaded t then Phys_mem.arm_watch t.mem
+
+let unwatch t = Phys_mem.unwatch t.mem
+let watch_hit t = Phys_mem.watch_hit t.mem
 
 let config t = t.cfg
 let arch_reg t r = Golden.reg t.arch r
@@ -868,6 +932,16 @@ let step t =
     t.slot <- t.slot + 1;
     Some slot_info
   end
+
+(* The word [step] fetches next, if any: the commit pc outside a window,
+   the speculative pc inside one until its frontend stalls. *)
+let fetch_watched t =
+  (not t.done_)
+  &&
+  match t.window with
+  | None -> Phys_mem.watched t.mem ~addr:(Golden.pc t.arch) ~size:4
+  | Some w ->
+      (not w.w_stalled) && Phys_mem.watched t.mem ~addr:w.w_spec_pc ~size:4
 
 let live t elem =
   match elem with

@@ -52,6 +52,39 @@ val reset : t -> stimulus -> unit
     cycle counts, every observable) to [create (config t) stim].  The
     pooling fast path behind {!Dejavuzz.Simpool}. *)
 
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] copies every stateful layer of [src] into [dst] (same
+    configuration): memory bytes and page permissions, the golden
+    registers and CSRs, the predictors, caches, LFB, TLBs, store and load
+    queues, the counters and the open window.  Afterwards stepping [dst]
+    is bit-identical to stepping [src]; [dst] gets its own swap cursor and
+    speculative registers, so the two evolve independently.  [dst] is
+    left unwatched. *)
+
+val copy : t -> t
+(** A freshly allocated {!blit} of [t]. *)
+
+val rebase : t -> Dvz_soc.Swapmem.t -> unit
+(** [rebase t swap] switches [t] to the blobs of [swap] at [t]'s own
+    schedule position, rewriting the words of the currently loaded blob
+    that differ in [swap].  [swap] must have the same schedule and blob
+    sizes.  Sound only if [t] never read those words (see {!watch}). *)
+
+(** {2 Read watch}  Used to prove a run never looked at the words in
+    which two stimuli differ (see {!Dvz_soc.Phys_mem.set_watch}). *)
+
+val watch : t -> Bytes.t -> unit
+(** [watch t bitmap] installs a swap-region read watch that arms once the
+    core has the transient blob loaded (immediately if it already has). *)
+
+val unwatch : t -> unit
+val watch_hit : t -> bool
+
+val fetch_watched : t -> bool
+(** Whether the next {!step} will fetch a watched word: the commit pc
+    outside a window, the speculative pc inside one that has not
+    stalled. *)
+
 val config : t -> Config.t
 val mem : t -> Dvz_soc.Phys_mem.t
 

@@ -168,9 +168,48 @@ let reset ?secret_b t stim =
   t.corrupted <- false;
   t.timed_out <- false
 
+let blit ~src ~dst =
+  if src.prov <> None || dst.prov <> None then
+    invalid_arg "Dualcore.blit: provenance-armed testbenches are not copied";
+  if src.log_bound <> dst.log_bound then
+    invalid_arg "Dualcore.blit: log bound mismatch";
+  Core.blit ~src:src.core_a ~dst:dst.core_a;
+  Core.blit ~src:src.core_b ~dst:dst.core_b;
+  Taintstate.blit ~src:src.taint ~dst:dst.taint;
+  dst.log <- src.log;
+  dst.log_len <- src.log_len;
+  dst.slots <- src.slots;
+  dst.taint_hwm <- src.taint_hwm;
+  dst.hung <- src.hung;
+  dst.corrupted <- src.corrupted;
+  dst.timed_out <- src.timed_out
+
+let copy t =
+  if t.prov <> None then
+    invalid_arg "Dualcore.copy: provenance-armed testbenches are not copied";
+  let taint = Taintstate.create (Taintstate.mode t.taint) in
+  Taintstate.blit ~src:t.taint ~dst:taint;
+  { t with core_a = Core.copy t.core_a; core_b = Core.copy t.core_b; taint }
+
+let rebase t swap =
+  Core.rebase t.core_a swap;
+  Core.rebase t.core_b swap
+
 let core_a t = t.core_a
 let core_b t = t.core_b
 let taint t = t.taint
+let slots t = t.slots
+
+let watch t words =
+  let bitmap = Phys_mem.watch_bitmap words in
+  Core.watch t.core_a bitmap;
+  Core.watch t.core_b bitmap
+
+let unwatch t =
+  Core.unwatch t.core_a;
+  Core.unwatch t.core_b
+
+let watch_hit t = Core.watch_hit t.core_a || Core.watch_hit t.core_b
 
 (* Per-slot log push under the configured bound.  [t.log] is newest-first;
    [Keep_last] trims amortised (only once the list doubles) so the hot
@@ -283,28 +322,49 @@ let over_budget b t start =
          Dvz_obs.Clock.now b.b_clock -. start > m
      | _ -> false)
 
-let run ?budget t =
-  (match budget with
-  | None ->
-      while step t do
-        ()
-      done
-  | Some b ->
-      let start =
-        match b.b_max_wall_s with
-        | Some _ -> Dvz_obs.Clock.now b.b_clock
-        | None -> 0.0
-      in
-      let continue_ = ref true in
-      while !continue_ do
-        if over_budget b t start then begin
-          t.timed_out <- true;
-          Metrics.incr m_timeouts;
-          continue_ := false
-        end
-        else continue_ := step t
-      done);
+let run ?budget ?fork t =
+  let start =
+    match budget with
+    | Some { b_max_wall_s = Some _; b_clock; _ } -> Dvz_obs.Clock.now b_clock
+    | _ -> 0.0
+  in
+  let advance () =
+    match budget with
+    | Some b when over_budget b t start ->
+        t.timed_out <- true;
+        Metrics.incr m_timeouts;
+        false
+    | _ -> step t
+  in
+  let live =
+    match fork with
+    | None -> true
+    | Some (words, on_fork) ->
+        watch t words;
+        (* Watched prefix: stop looking once a watched word has been read
+           (no fork is sound any more; the latch stays set for the caller)
+           or just before the first fetch of one. *)
+        let rec prefix () =
+          if watch_hit t then true
+          else if Core.fetch_watched t.core_a || Core.fetch_watched t.core_b
+          then begin
+            on_fork t;
+            unwatch t;
+            true
+          end
+          else advance () && prefix ()
+        in
+        prefix ()
+  in
+  if live then
+    while advance () do
+      ()
+    done;
   collect t
+
+let count_run r =
+  Metrics.incr m_runs;
+  Metrics.incr ~by:(r.r_cycles_a + r.r_cycles_b) m_cycles
 
 let window_timing_diffs result =
   let rec go i wa wb acc =

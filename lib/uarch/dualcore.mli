@@ -76,9 +76,31 @@ val reset : ?secret_b:int array -> t -> Core.stimulus -> unit
     {!Dejavuzz.Simpool}; the pooled-vs-fresh property tests in
     [test_fuzz.ml] pin the equivalence. *)
 
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] copies [src]'s whole state into [dst]: both cores
+    ({!Core.blit}), the taint tables and saved checkpoint, the taint log,
+    the slot count, the taint high-water mark and the hung / corrupted /
+    timed-out flags.  [dst] must have been built with the same
+    configuration, mode and log bound; neither may carry a provenance
+    recorder.  Stepping [dst] afterwards is bit-identical to stepping
+    [src]. *)
+
+val copy : t -> t
+(** A freshly allocated {!blit} of [t] (no provenance recorder). *)
+
+val rebase : t -> Dvz_soc.Swapmem.t -> unit
+(** {!Core.rebase} on both instances, each at its own schedule
+    position. *)
+
 val core_a : t -> Core.t
 val core_b : t -> Core.t
 val taint : t -> Taintstate.t
+
+val slots : t -> int
+(** Slots stepped so far. *)
+
+val watch_hit : t -> bool
+(** Whether either instance read a word watched by {!run}'s [fork]. *)
 
 val step : t -> bool
 (** Advances both instances one slot and updates the taint shadow; false
@@ -88,10 +110,25 @@ val step : t -> bool
     never returns false — only a {!budget} ends the run), an armed
     [Corrupt] fault skews instance B's collected timing. *)
 
-val run : ?budget:budget -> t -> result
+val run : ?budget:budget -> ?fork:int list * (t -> unit) -> t -> result
 (** Steps to completion and collects the result.  With a [budget], a run
     that exceeds it is aborted and collected with [r_timed_out = true]
-    (counted in [dvz_watchdog_timeouts_total]). *)
+    (counted in [dvz_watchdog_timeouts_total]).
+
+    [fork = (words, f)] watches the swap-region words [words] (indices
+    from {!Dvz_soc.Layout.swap_base}, 4 bytes each) in each instance from
+    the moment it loads the transient blob, and calls [f t] once, just
+    before the first slot in which an instance is about to fetch one of
+    them.  A read of a watched word before that point (a load, a store's
+    old-data read, an LFB refill) cancels the fork: [f] is never called
+    and {!watch_hit} holds after the run.  If neither happens, the run
+    never observed the words at all.  Watching does not change the
+    run. *)
+
+val count_run : result -> unit
+(** Counts [r] once more in [dvz_sim_runs_total] and
+    [dvz_sim_cycles_total]: for a logical run whose result is reused
+    instead of simulated again. *)
 
 val window_timing_diffs : result -> (int * int * int) list
 (** Per paired window: [(index, cycles_a, cycles_b)] where the two

@@ -36,6 +36,21 @@ module Stq = struct
     t.next <- 0;
     t.seq <- 0
 
+  let blit ~src ~dst =
+    Array.iteri
+      (fun i e ->
+        let s = src.slots.(i) in
+        e.valid <- s.valid;
+        e.addr <- s.addr;
+        e.size <- s.size;
+        e.data <- s.data;
+        e.old_data <- s.old_data;
+        e.resolve_at <- s.resolve_at;
+        e.seq <- s.seq)
+      dst.slots;
+    dst.next <- src.next;
+    dst.seq <- src.seq
+
   let alloc t ~addr ~size ~data ?(old_data = 0) ~resolve_at () =
     let i = t.next in
     t.next <- (t.next + 1) mod Array.length t.slots;
@@ -112,6 +127,15 @@ module Ldq = struct
         e.addr <- 0)
       t.slots;
     t.next <- 0
+
+  let blit ~src ~dst =
+    Array.iteri
+      (fun i e ->
+        let s = src.slots.(i) in
+        e.valid <- s.valid;
+        e.addr <- s.addr)
+      dst.slots;
+    dst.next <- src.next
 
   let alloc t ~addr =
     let i = t.next in

@@ -21,6 +21,9 @@ module Stq : sig
   (** Back to the [create] state: all slots invalid and zeroed, allocation
       and sequence cursors at 0. *)
 
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
+
   val alloc :
     t -> addr:int -> size:int -> data:int -> ?old_data:int ->
     resolve_at:int -> unit -> int
@@ -53,6 +56,9 @@ module Ldq : sig
 
   val reset : t -> unit
   (** Back to the [create] state: all slots invalid and zeroed, cursor 0. *)
+
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
 
   val alloc : t -> addr:int -> int
   val valid : t -> int -> bool

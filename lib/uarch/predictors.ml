@@ -5,6 +5,9 @@ module Bht = struct
 
   let reset t = Array.fill t.counters 0 (Array.length t.counters) 1
 
+  let blit ~src ~dst =
+    Array.blit src.counters 0 dst.counters 0 (Array.length src.counters)
+
   let index t ~pc = (pc lsr 2) land (Array.length t.counters - 1)
 
   let predict_taken t ~pc = t.counters.(index t ~pc) >= 2
@@ -43,6 +46,16 @@ module Btb = struct
         e.target <- 0)
       t.entries
 
+  let blit ~src ~dst =
+    Array.iteri
+      (fun i e ->
+        let s = src.entries.(i) in
+        e.valid <- s.valid;
+        e.tag <- s.tag;
+        e.word <- s.word;
+        e.target <- s.target)
+      dst.entries
+
   let index t ~pc = (pc lsr 2) land (Array.length t.entries - 1)
 
   let lookup ?(word = 0) t ~pc =
@@ -78,6 +91,11 @@ module Ras = struct
     Array.fill t.stack 0 (Array.length t.stack) 0;
     t.tos <- 0;
     t.depth <- 0
+
+  let blit ~src ~dst =
+    Array.blit src.stack 0 dst.stack 0 (Array.length src.stack);
+    dst.tos <- src.tos;
+    dst.depth <- src.depth
 
   let size t = Array.length t.stack
 
@@ -141,6 +159,15 @@ module Loop = struct
         e.streak <- 0)
       t.entries
 
+  let blit ~src ~dst =
+    Array.iteri
+      (fun i e ->
+        let s = src.entries.(i) in
+        e.valid <- s.valid;
+        e.tag <- s.tag;
+        e.streak <- s.streak)
+      dst.entries
+
   let enabled t = Array.length t.entries > 0
 
   let index t ~pc =
@@ -171,6 +198,8 @@ module Mdp = struct
   let create ~entries = { alias = Array.make entries false }
 
   let reset t = Array.fill t.alias 0 (Array.length t.alias) false
+
+  let blit ~src ~dst = Array.blit src.alias 0 dst.alias 0 (Array.length src.alias)
 
   let index t ~pc = (pc lsr 2) land (Array.length t.alias - 1)
 

@@ -17,6 +17,9 @@ module Bht : sig
   val reset : t -> unit
   (** All counters back to the weakly-not-taken [create] state. *)
 
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
+
   val index : t -> pc:int -> int
   val predict_taken : t -> pc:int -> bool
   val update : t -> pc:int -> taken:bool -> int
@@ -35,6 +38,9 @@ module Btb : sig
 
   val reset : t -> unit
   (** Invalidate and zero every entry (back to the [create] state). *)
+
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
 
   val index : t -> pc:int -> int
 
@@ -59,6 +65,9 @@ module Ras : sig
 
   val reset : t -> unit
   (** Empty the stack and zero every slot (back to the [create] state). *)
+
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
 
   val push : t -> int -> int
   (** Pushes a return address; returns the written slot. *)
@@ -93,6 +102,9 @@ module Loop : sig
   val reset : t -> unit
   (** Invalidate and zero every entry (back to the [create] state). *)
 
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
+
   val enabled : t -> bool
   val index : t -> pc:int -> int option
   val update : t -> pc:int -> taken:bool -> int option
@@ -109,6 +121,9 @@ module Mdp : sig
   val create : entries:int -> t
   val reset : t -> unit
   (** Forget every trained alias (back to the [create] state). *)
+
+  val blit : src:t -> dst:t -> unit
+  (** Copies [src]'s state into [dst] (same geometry). *)
 
   val index : t -> pc:int -> int
   val predicts_alias : t -> pc:int -> bool

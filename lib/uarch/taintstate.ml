@@ -35,6 +35,17 @@ let reset t =
   Hashtbl.reset t.by_module;
   t.bymod_cache <- None
 
+let copy_into src dst =
+  Hashtbl.clear dst;
+  Hashtbl.iter (Hashtbl.replace dst) src
+
+let blit ~src ~dst =
+  if src.mode <> dst.mode then invalid_arg "Taintstate.blit: mode mismatch";
+  copy_into src.taints dst.taints;
+  copy_into src.saved dst.saved;
+  copy_into src.by_module dst.by_module;
+  dst.bymod_cache <- src.bymod_cache
+
 let set_tainted t e =
   if not (Hashtbl.mem t.taints e) then begin
     Hashtbl.replace t.taints e ();

@@ -34,6 +34,10 @@ val reset : t -> unit
 (** Drop every taint, saved checkpoint and per-module count — back to the
     [create] state (the provenance recorder, if any, is kept as-is). *)
 
+val blit : src:t -> dst:t -> unit
+(** Copies [src]'s taints, saved checkpoint and per-module counts into
+    [dst] (same policy mode; neither provenance recorder is touched). *)
+
 val set_tainted : t -> Elem.t -> unit
 (** Marks a taint source (e.g. the secret region's memory words). *)
 

@@ -34,3 +34,11 @@ let reset t =
       e.valid <- false;
       e.tag <- 0)
     t.entries
+
+let blit ~src ~dst =
+  Array.iteri
+    (fun i e ->
+      let s = src.entries.(i) in
+      e.valid <- s.valid;
+      e.tag <- s.tag)
+    dst.entries

@@ -20,3 +20,6 @@ val invalidate_all : t -> unit
 
 val reset : t -> unit
 (** Back to the [create] state: entries invalid and tags zeroed. *)
+
+val blit : src:t -> dst:t -> unit
+(** Copies [src]'s state into [dst] (same geometry). *)

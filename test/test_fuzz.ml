@@ -975,6 +975,172 @@ let test_dualcore_reset_alloc_bound () =
     (Printf.sprintf "reset allocates < 4096 words (got %.0f)" delta)
     true (delta < 4096.0)
 
+(* --- state copy and the forked sanitize run ---------------------------- *)
+
+let random_tc ?(style = `Derived) cfg e =
+  let rng = Rng.create e in
+  Window_gen.complete cfg (Trigger_gen.generate ~style cfg (Seed.random rng))
+
+let mode_of diffift =
+  if diffift then Dvz_ift.Policy.Diffift else Dvz_ift.Policy.Cellift
+
+let rec drain_core c acc =
+  match Core.step c with None -> List.rev acc | Some s -> drain_core c (s :: acc)
+
+(* Step a core k slots, copy it into a dirty instance, then run both to the
+   end: every later slot record and the final state must agree. *)
+let prop_core_blit_equivalent =
+  QCheck.Test.make ~name:"core blit at a random slot steps like the source"
+    ~count:60
+    QCheck.(triple small_int bool (int_bound 400))
+    (fun (e, xiangshan, k) ->
+      let cfg = if xiangshan then xs else boom in
+      let src = Core.create cfg (Packet.stimulus ~secret (random_tc cfg e)) in
+      for _ = 1 to k do ignore (Core.step src) done;
+      let dst =
+        Core.create cfg (Packet.stimulus ~secret (random_tc cfg (e + 500)))
+      in
+      ignore (Core.run dst);
+      Core.blit ~src ~dst;
+      let fresh = Core.copy src in
+      let ss = drain_core src [] in
+      ss = drain_core dst [] && ss = drain_core fresh []
+      && Core.state_hash src = Core.state_hash dst
+      && Core.state_hash src = Core.state_hash fresh
+      && Core.windows src = Core.windows dst
+      && Core.cycles src = Core.cycles dst)
+
+let prop_dualcore_blit_equivalent =
+  QCheck.Test.make
+    ~name:"dualcore blit at a random slot runs like the source (both modes)"
+    ~count:60
+    QCheck.(quad small_int bool bool (int_bound 400))
+    (fun (e, xiangshan, diffift, k) ->
+      let cfg = if xiangshan then xs else boom in
+      let mode = mode_of diffift in
+      let log_bound = Dvz_ift.Taintlog.Keep_last 64 in
+      let src =
+        Dualcore.create ~mode ~log_bound cfg
+          (Packet.stimulus ~secret (random_tc cfg e))
+      in
+      let rec go i = i < k && Dualcore.step src && go (i + 1) in
+      ignore (go 0);
+      let dst =
+        Dualcore.create ~mode ~log_bound cfg
+          (Packet.stimulus ~secret (random_tc cfg (e + 500)))
+      in
+      ignore (Dualcore.run dst);
+      Dualcore.blit ~src ~dst;
+      let fresh = Dualcore.copy src in
+      (* [run_result] covers the log, the windows and the tainted set. *)
+      let a = run_result src in
+      a = run_result dst && a = run_result fresh)
+
+let scratch_run ?budget ~mode cfg tc =
+  let dc = Dualcore.create ~mode cfg (Packet.stimulus ~secret tc) in
+  let r = Dualcore.run ?budget dc in
+  (r, Core.state_hash (Dualcore.core_a dc), Core.state_hash (Dualcore.core_b dc))
+
+(* [Oracle.simulate]'s sanitize run against a from-scratch one: full result
+   equality on every path, and both final state hashes where the run ended
+   in a testbench of its own (a reused run leaves the main run's memory in
+   place, whose unread changed words a state hash may still see). *)
+let sanitize_matches ?budget ~mode cfg tc =
+  let main, sanitized = Oracle.simulate ?budget ~mode cfg ~secret tc in
+  let s = sanitized () in
+  let r, ha, hb = scratch_run ?budget ~mode cfg (Window_gen.sanitize cfg tc) in
+  let main_ref, _, _ = scratch_run ?budget ~mode cfg tc in
+  let hashes_ok =
+    match s.Oracle.s_dut with
+    | None -> true
+    | Some d ->
+        Core.state_hash (Dualcore.core_a d) = ha
+        && Core.state_hash (Dualcore.core_b d) = hb
+  in
+  (s.Oracle.s_path, main = main_ref && s.Oracle.s_result = r && hashes_ok)
+
+let prop_sanitize_paths_equal_scratch =
+  QCheck.Test.make
+    ~name:"resumed and reused sanitize runs equal a from-scratch replay"
+    ~count:40
+    QCheck.(quad small_int bool bool (int_bound 3))
+    (fun (e, random_style, diffift, b) ->
+      let style = if random_style then `Random else `Derived in
+      let cfg = if e mod 3 = 0 then xs else boom in
+      let budget =
+        match b with
+        | 0 -> None
+        | 1 -> Some (Dualcore.budget ~max_slots:50_000 ())
+        | _ -> Some (Dualcore.budget ~max_slots:(40 + (e * 7 mod 300)) ())
+      in
+      snd (sanitize_matches ?budget ~mode:(mode_of diffift) cfg
+             (random_tc ~style cfg e)))
+
+let test_sanitize_paths_exercised () =
+  let seen = Hashtbl.create 3 in
+  List.iter
+    (fun style ->
+      for e = 0 to 39 do
+        let path, ok =
+          sanitize_matches ~mode:Dvz_ift.Policy.Diffift boom
+            (random_tc ~style boom e)
+        in
+        Alcotest.(check bool) (Printf.sprintf "seed %d matches" e) true ok;
+        Hashtbl.replace seen path ()
+      done)
+    [ `Derived; `Random ];
+  Alcotest.(check bool) "some run resumed" true (Hashtbl.mem seen Oracle.Resumed);
+  Alcotest.(check bool) "some run reused" true (Hashtbl.mem seen Oracle.Reused)
+
+(* The differing words of a test case and its sanitized twin. *)
+let differing_words tc =
+  let clean = Window_gen.sanitize boom tc in
+  List.concat
+    (List.mapi
+       (fun i (a, b) ->
+         if Dvz_isa.Encode.encode a <> Dvz_isa.Encode.encode b then [ i ] else [])
+       (List.combine tc.Packet.transient.Packet.insns
+          clean.Packet.transient.Packet.insns))
+
+let test_sanitize_read_before_fetch_replays () =
+  let tc = completed_tc 61 in
+  let d = List.hd (differing_words tc) in
+  (* Overwrite the transient packet's first instructions (outside the
+     window, so its twin gets them too) with a load of the dword holding
+     a differing word: the main run reads it long before it could fetch
+     it, so no copy of the run may stand in for the sanitized one. *)
+  let probe =
+    Genlib.li Dvz_isa.Reg.t0 ((Layout.swap_base + (4 * d)) land lnot 7)
+    @ [ Dvz_isa.Insn.Load (Dvz_isa.Insn.D, false, Dvz_isa.Reg.t1,
+                           Dvz_isa.Reg.t0, 0) ]
+  in
+  let n = List.length probe in
+  Alcotest.(check bool) "probe stays before the window" true
+    ((tc.Packet.window_addr - Layout.swap_base) / 4 > n);
+  let insns =
+    probe @ List.filteri (fun i _ -> i >= n) tc.Packet.transient.Packet.insns
+  in
+  let tc =
+    { tc with Packet.transient = { tc.Packet.transient with Packet.insns } }
+  in
+  Alcotest.(check bool) "still differs" true (List.mem d (differing_words tc));
+  let path, ok = sanitize_matches ~mode:Dvz_ift.Policy.Diffift boom tc in
+  Alcotest.(check bool) "replayed" true (path = Oracle.Replayed);
+  Alcotest.(check bool) "matches scratch" true ok
+
+let test_sanitize_fault_plan_replays () =
+  let tc = completed_tc 61 in
+  (* Armed but never firing: the run is unaffected, the path is not. *)
+  Dvz_resilience.Fault.arm ~iteration:0
+    [ { Dvz_resilience.Fault.f_iteration = 0; f_cycle = max_int;
+        f_action = Dvz_resilience.Fault.Corrupt } ];
+  let path, ok =
+    Fun.protect ~finally:Dvz_resilience.Fault.disarm (fun () ->
+        sanitize_matches ~mode:Dvz_ift.Policy.Diffift boom tc)
+  in
+  Alcotest.(check bool) "replayed" true (path = Oracle.Replayed);
+  Alcotest.(check bool) "matches scratch" true ok
+
 let () =
   Alcotest.run "dejavuzz"
     [ ( "seed",
@@ -1072,6 +1238,16 @@ let () =
             test_dualcore_reset_alloc_bound;
           QCheck_alcotest.to_alcotest prop_pooled_reset_equals_fresh;
           QCheck_alcotest.to_alcotest prop_pooled_oracle_analysis_stable ] );
+      ( "fork",
+        [ QCheck_alcotest.to_alcotest prop_core_blit_equivalent;
+          QCheck_alcotest.to_alcotest prop_dualcore_blit_equivalent;
+          QCheck_alcotest.to_alcotest prop_sanitize_paths_equal_scratch;
+          Alcotest.test_case "every path exercised" `Quick
+            test_sanitize_paths_exercised;
+          Alcotest.test_case "read before fetch replays" `Quick
+            test_sanitize_read_before_fetch_replays;
+          Alcotest.test_case "fault plan replays" `Quick
+            test_sanitize_fault_plan_replays ] );
       ( "explain",
         [ Alcotest.test_case "meltdown slice" `Quick test_explain_meltdown;
           Alcotest.test_case "spectre slice" `Quick test_explain_spectre;
