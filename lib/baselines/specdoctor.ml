@@ -186,7 +186,7 @@ let eval_secret = Array.make Layout.secret_dwords 0x5A
 let triggered cfg case =
   let stim = Packet.stimulus ~secret:eval_secret case.sc_testcase in
   let core = Core.create cfg stim in
-  ignore (Core.run core);
+  Core.finish core;
   List.exists
     (fun (w : Core.window_record) ->
       w.Core.wr_trigger_pc = case.sc_testcase.Packet.trigger_addr
@@ -197,7 +197,7 @@ let triggered cfg case =
 
 let run_hash cfg ~secret tc =
   let core = Core.create cfg (Packet.stimulus ~secret tc) in
-  ignore (Core.run core);
+  Core.finish core;
   Core.state_hash core
 
 let hash_differs cfg ~secret case =

@@ -127,7 +127,7 @@ let runs_on_flat_memory cfg ~secret tc =
       st_max_slots = 4000 }
   in
   let core = Core.create cfg stim in
-  ignore (Core.run core);
+  Core.finish core;
   (* The trigger keeps its packet-relative offset; recompute its migrated
      address. *)
   let transient_base = List.assoc tc.Packet.transient.Packet.name layout.lo_bases in

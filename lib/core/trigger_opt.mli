@@ -8,7 +8,12 @@
 
     Reduction removes one trigger training packet at a time, re-simulates
     the remaining schedule, and permanently discards packets whose removal
-    does not affect triggering, in schedule order. *)
+    does not affect triggering, in schedule order.  It encodes the test
+    case's packets once; each candidate reuses those blobs under its own
+    swap schedule ({!Dvz_soc.Swapmem.with_schedule}): the window
+    trainings, the kept and the remaining trigger trainings, then the
+    transient packet.  Neither evaluation nor reduction keeps the slots of
+    a run ({!Dvz_uarch.Core.finish}); only its windows are inspected. *)
 
 val eval_secret : int array
 (** The placeholder secret used during Phase 1 evaluation (Phase 1 does not

@@ -1,66 +1,1 @@
-type entry = {
-  cycle : int;
-  total : int;
-  tainted_regs : int;
-  per_module : (string * int) list;
-}
-
 type bound = Unbounded | Keep_first of int | Keep_last of int | Stride of int
-
-type t = {
-  bound : bound;
-  mutable rev_entries : entry list;
-  mutable kept : int;
-  mutable next_cycle : int;
-}
-
-let create ?(bound = Unbounded) () =
-  (match bound with
-  | Unbounded -> ()
-  | Keep_first n | Keep_last n | Stride n ->
-      if n <= 0 then invalid_arg "Taintlog.create: bound must be positive");
-  { bound; rev_entries = []; kept = 0; next_cycle = 0 }
-
-let keep e t =
-  t.rev_entries <- e :: t.rev_entries;
-  t.kept <- t.kept + 1
-
-let record t shadow =
-  let e =
-    { cycle = t.next_cycle;
-      total = Shadow.taint_bit_sum shadow;
-      tainted_regs = Shadow.tainted_registers shadow;
-      per_module = Shadow.tainted_by_module shadow }
-  in
-  (match t.bound with
-  | Unbounded -> keep e t
-  | Keep_first n -> if t.kept < n then keep e t
-  | Keep_last n ->
-      keep e t;
-      (* Amortised: trim back to [n] only once the kept list doubles, so
-         recording stays O(1) per call. *)
-      if t.kept >= 2 * n then begin
-        t.rev_entries <- List.filteri (fun i _ -> i < n) t.rev_entries;
-        t.kept <- n
-      end
-  | Stride k -> if t.next_cycle mod k = 0 then keep e t);
-  t.next_cycle <- t.next_cycle + 1
-
-(* Under [Keep_last] the amortised trim can leave up to [2n-1] entries in
-   [rev_entries]; the accessors re-trim so observers never see more than
-   the bound. *)
-let rev_kept t =
-  match t.bound with
-  | Keep_last n when t.kept > n -> List.filteri (fun i _ -> i < n) t.rev_entries
-  | _ -> t.rev_entries
-
-let entries t = List.rev (rev_kept t)
-
-let totals t = List.rev_map (fun e -> e.total) (rev_kept t)
-
-let length t = t.next_cycle
-
-let max_total t =
-  List.fold_left (fun acc e -> max acc e.total) 0 (rev_kept t)
-
-let final t = match t.rev_entries with [] -> None | e :: _ -> Some e

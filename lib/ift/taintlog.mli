@@ -1,46 +1,14 @@
-(** Per-cycle taint logs.
+(** Taint-log memory policy.
 
-    The fuzzer consumes the simulation's taint log twice: the total-taint
-    series is the paper's Figure 6 y-axis, and the per-module tainted
-    register counts feed the taint coverage matrix (§4.2.2). *)
-
-type entry = {
-  cycle : int;
-  total : int;  (** tainted bits over registers and memories *)
-  tainted_regs : int;  (** registers with non-zero taint *)
-  per_module : (string * int) list;  (** tainted registers per module tag *)
-}
+    The campaign's per-slot taint log (its total-taint series is the
+    paper's Figure 6 y-axis, its per-module counts feed the taint coverage
+    matrix of §4.2.2) is kept by the dual-core testbench; this module only
+    names how much of it to retain. *)
 
 type bound =
   | Unbounded
   | Keep_first of int  (** keep only the first [n] entries *)
   | Keep_last of int  (** keep a sliding window of the last [n] entries *)
-  | Stride of int  (** keep every [k]-th entry (cycles [0, k, 2k, ...]) *)
+  | Stride of int  (** keep every [k]-th entry (slots [0, k, 2k, ...]) *)
 (** Memory policy for long campaigns: the log otherwise grows without
-    bound, one entry per simulated cycle. *)
-
-type t
-
-val create : ?bound:bound -> unit -> t
-(** Defaults to [Unbounded].  Raises [Invalid_argument] on a non-positive
-    bound parameter. *)
-
-val record : t -> Shadow.t -> unit
-(** Snapshots the shadow state as the next cycle's entry.  The cycle
-    counter always advances; whether the entry is retained is up to the
-    bound policy. *)
-
-val entries : t -> entry list
-(** Retained entries in chronological order. *)
-
-val totals : t -> int list
-(** Total-taint series, one point per retained cycle. *)
-
-val length : t -> int
-(** Cycles recorded (including entries a bound discarded). *)
-
-val max_total : t -> int
-(** Peak of the total-taint series; 0 for an empty log. *)
-
-val final : t -> entry option
-(** The most recent entry. *)
+    bound, one entry per simulated slot. *)

@@ -8,9 +8,9 @@ let trunc w v = v land mask w
 
 let bit v i = (v lsr i) land 1
 
-(* SWAR popcount.  This sits under {!Shadow.taint_bit_sum}, which the taint
-   log recomputes over every register and memory word each logged cycle, so
-   the naive bit-at-a-time loop was a measurable fraction of IFT simulation
+(* SWAR popcount.  This sits under {!Shadow.taint_bit_sum}, which sums over
+   every register and memory word; when a per-cycle taint log called it, the
+   naive bit-at-a-time loop was a measurable fraction of IFT simulation
    time.  OCaml ints are 63-bit: the classic 64-bit masks don't all fit in a
    literal, so the sign bit is counted separately and the masks below cover
    the 62 value bits (every system value is at most {!max_width} wide). *)

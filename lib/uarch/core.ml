@@ -962,6 +962,8 @@ let run t =
   in
   go []
 
+let rec finish t = match step t with None -> () | Some _ -> finish t
+
 let state_hash t =
   let h = ref 0 in
   let mix v = h := (!h * 1000003) lxor v lxor (!h lsr 23) in

@@ -117,6 +117,12 @@ val live : t -> Elem.t -> bool
 val run : t -> Effect.slot list
 (** Steps to completion, returning all slots. *)
 
+val finish : t -> unit
+(** Steps to completion like {!run} but keeps no slot: each
+    {!Effect.slot} dies in the minor heap instead of living until the run
+    ends.  The final state (windows, cycles, state hash) is {!run}'s.  For
+    callers that only look at the state afterwards. *)
+
 val state_hash : t -> int
 (** A hash of the final microarchitectural state — cache tags and cached
     line contents, LFB data, predictor state, queue contents and the cycle

@@ -975,6 +975,156 @@ let test_dualcore_reset_alloc_bound () =
     (Printf.sprintf "reset allocates < 4096 words (got %.0f)" delta)
     true (delta < 4096.0)
 
+(* --- phase-1 evaluation: no slot kept, packets encoded once ------------- *)
+
+(* A phase-1 test case as the campaign builds one (no window trainings),
+   or completed, which attaches window trainings ahead of the trigger
+   trainings in the swap schedule. *)
+let phase1_tc ~style ~complete cfg e =
+  let rng = Rng.create e in
+  let tc = Trigger_gen.generate ~style cfg (Seed.random rng) in
+  if complete then Window_gen.complete cfg tc else tc
+
+(* The reduction walk [Trigger_opt.reduce] replaced, kept as its oracle:
+   every candidate is a test case of its own, encoded afresh by
+   [Packet.stimulus] and run to a slot list on a fresh core. *)
+let reference_run cfg tc =
+  let core =
+    Core.create cfg (Packet.stimulus ~secret:Trigger_opt.eval_secret tc)
+  in
+  ignore (Core.run core);
+  core
+
+let reference_evaluate cfg tc =
+  Trigger_gen.triggered tc (Core.windows (reference_run cfg tc))
+
+(* Also returns the core of the last candidate run, if any. *)
+let reference_reduce cfg tc =
+  let last = ref None in
+  let rec go kept removed = function
+    | [] -> (List.rev kept, removed)
+    | p :: rest ->
+        let candidate =
+          Packet.with_trigger_trainings tc (List.rev_append kept rest)
+        in
+        let core = reference_run cfg candidate in
+        last := Some core;
+        if Trigger_gen.triggered tc (Core.windows core) then
+          go kept (removed + 1) rest
+        else go (p :: kept) removed rest
+  in
+  let reduced =
+    match go [] 0 tc.Packet.trigger_trainings with
+    | _, 0 -> (tc, 0)
+    | kept, removed -> (Packet.with_trigger_trainings tc kept, removed)
+  in
+  (reduced, !last)
+
+(* [reduce]'s result, and whether it equals the reference walk's with the
+   pooled core it evaluated on left in the state of the reference's last
+   candidate run.  The verdicts alone rarely depend on the order of the
+   packets; the final cycle count and state hash do, so this also pins the
+   rescheduled swap order (window trainings, kept and remaining trigger
+   trainings, transient packet). *)
+let reduce_matches_reference cfg tc =
+  let pooled =
+    Simpool.acquire_core cfg (Packet.stimulus ~secret:Trigger_opt.eval_secret tc)
+  in
+  let r = Trigger_opt.reduce cfg tc in
+  let expected, last = reference_reduce cfg tc in
+  ( r,
+    r = expected
+    &&
+    match last with
+    | None -> true
+    | Some core ->
+        Core.state_hash pooled = Core.state_hash core
+        && Core.cycles pooled = Core.cycles core
+        && Core.windows pooled = Core.windows core )
+
+let prop_reduce_matches_reference =
+  QCheck.Test.make
+    ~name:"reduce equals a walk that re-encodes every candidate"
+    ~count:80
+    QCheck.(quad small_int bool bool bool)
+    (fun (e, xiangshan, random_style, complete) ->
+      let cfg = if xiangshan then xs else boom in
+      let style = if random_style then `Random else `Derived in
+      let tc = phase1_tc ~style ~complete cfg e in
+      (* [reduce]'s precondition: the test case triggers. *)
+      (not (reference_evaluate cfg tc))
+      || snd (reduce_matches_reference cfg tc))
+
+(* The property above on fixed seeds, checking that its interesting
+   cases occur: reductions that drop some packets and keep others, under
+   both training styles, with and without window trainings ahead of the
+   trigger trainings in the schedule. *)
+let test_reduce_matches_reference_exercised () =
+  List.iter
+    (fun (style, complete) ->
+      let mixed = ref 0 in
+      for e = 0 to 29 do
+        let tc = phase1_tc ~style ~complete boom e in
+        if reference_evaluate boom tc then begin
+          let (reduced, removed), ok = reduce_matches_reference boom tc in
+          Alcotest.(check bool) (Printf.sprintf "seed %d matches" e) true ok;
+          if complete then
+            Alcotest.(check bool) "window trainings scheduled" true
+              (tc.Packet.window_trainings <> []);
+          if removed > 0 && reduced.Packet.trigger_trainings <> [] then
+            incr mixed
+        end
+      done;
+      Alcotest.(check bool) "some reduction drops and keeps" true (!mixed > 0))
+    [ (`Derived, false); (`Derived, true); (`Random, false); (`Random, true) ]
+
+let prop_core_finish_equals_run =
+  QCheck.Test.make ~name:"a pooled core after finish matches a run"
+    ~count:60
+    QCheck.(triple small_int bool bool)
+    (fun (e, xiangshan, random_style) ->
+      let cfg = if xiangshan then xs else boom in
+      let style = if random_style then `Random else `Derived in
+      let stim k =
+        Packet.stimulus ~secret (phase1_tc ~style ~complete:true cfg k)
+      in
+      let ran = Core.create cfg (stim e) in
+      let slots = Core.run ran in
+      (* Dirty the pooled core with another stimulus first. *)
+      Core.finish (Simpool.acquire_core cfg (stim (e + 500)));
+      let pooled = Simpool.acquire_core cfg (stim e) in
+      Core.finish pooled;
+      Core.state_hash pooled = Core.state_hash ran
+      && Core.windows pooled = Core.windows ran
+      && Core.slot_count pooled = Core.slot_count ran
+      && Core.slot_count ran = List.length slots
+      && Core.cycles pooled = Core.cycles ran)
+
+(* Phase-1 evaluation must keep nothing of a run alive but the core's own
+   state: holding the run's slot list until the run ended promoted about
+   34,000 words to the major heap per evaluation of these random-training
+   test cases (about 740 without it). *)
+let test_evaluate_promotion_bound () =
+  let rng = Rng.create 7 in
+  let cases =
+    List.init 200 (fun _ ->
+        Trigger_gen.generate ~style:`Random boom (Seed.random rng))
+  in
+  (* Warm up the pooled core and any one-time setup. *)
+  List.iteri
+    (fun i tc -> if i < 10 then ignore (Trigger_opt.evaluate boom tc))
+    cases;
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  List.iter (fun tc -> ignore (Trigger_opt.evaluate boom tc)) cases;
+  let per_call =
+    ((Gc.quick_stat ()).Gc.promoted_words -. before)
+    /. float_of_int (List.length cases)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "evaluate promotes < 5000 words per call (got %.0f)"
+       per_call)
+    true (per_call < 5000.0)
+
 (* --- state copy and the forked sanitize run ---------------------------- *)
 
 let random_tc ?(style = `Derived) cfg e =
@@ -1168,7 +1318,13 @@ let () =
           Alcotest.test_case "reduction noop untriggered" `Quick
             test_reduction_noop_when_untriggered;
           Alcotest.test_case "window matcher" `Quick test_expected_window_matcher;
-          QCheck_alcotest.to_alcotest prop_generate_never_raises ] );
+          QCheck_alcotest.to_alcotest prop_generate_never_raises;
+          QCheck_alcotest.to_alcotest prop_reduce_matches_reference;
+          Alcotest.test_case "reduction cases exercised" `Quick
+            test_reduce_matches_reference_exercised;
+          QCheck_alcotest.to_alcotest prop_core_finish_equals_run;
+          Alcotest.test_case "evaluate promotion bound" `Quick
+            test_evaluate_promotion_bound ] );
       ( "phase2",
         [ Alcotest.test_case "completion replaces nops" `Quick
             test_window_completion_replaces_nops;

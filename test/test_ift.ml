@@ -7,6 +7,8 @@ module Policy = Dvz_ift.Policy
 module Shadow = Dvz_ift.Shadow
 module Liveness = Dvz_ift.Liveness
 module Taintlog = Dvz_ift.Taintlog
+module Core = Dvz_uarch.Core
+module Dualcore = Dvz_uarch.Dualcore
 module Provenance = Dvz_ift.Provenance
 
 (* --- policy unit tests --------------------------------------------------- *)
@@ -281,26 +283,6 @@ let test_liveness_arity_check () =
       Liveness.bind_regs lv ~sinks:lfb.Circuits.data
         ~valid:(Array.sub lfb.Circuits.valid 0 2))
 
-(* --- taint log ----------------------------------------------------------- *)
-
-let test_taintlog () =
-  let nl = N.create () in
-  let d = N.input nl 4 in
-  let q = N.reg nl 4 in
-  N.reg_connect nl q ~d ();
-  let sh = Shadow.create Policy.Diffift nl in
-  let log = Taintlog.create () in
-  Taintlog.record log sh;
-  Shadow.set_input_pair sh d 1 2;
-  Shadow.cycle sh;
-  Taintlog.record log sh;
-  Alcotest.(check int) "length" 2 (Taintlog.length log);
-  Alcotest.(check (list int)) "totals" [ 0; 4 ] (Taintlog.totals log);
-  Alcotest.(check int) "max" 4 (Taintlog.max_total log);
-  (match Taintlog.final log with
-  | Some e -> Alcotest.(check int) "final tainted regs" 1 e.Taintlog.tainted_regs
-  | None -> Alcotest.fail "expected final entry")
-
 (* --- provenance ----------------------------------------------------------- *)
 
 let test_provenance_record_and_slice () =
@@ -455,46 +437,91 @@ let test_disarmed_cycle_unchanged_and_allocation_free () =
 
 (* --- taint log bounds ------------------------------------------------------ *)
 
-let bound_cycles bound n =
-  let nl = N.create () in
-  let d = N.input nl 4 in
-  let q = N.reg nl 4 in
-  N.reg_connect nl q ~d ();
-  let sh = Shadow.create Policy.Diffift nl in
-  let log = Taintlog.create ~bound () in
-  for _ = 1 to n do
-    Shadow.set_input_pair sh d 1 2;
-    Shadow.cycle sh;
-    Taintlog.record log sh
-  done;
-  log
+(* The taint log is [Dualcore]'s [r_log]: one entry per slot, thinned by
+   the bound.  The program loads a secret dword (so the log carries taint)
+   and then runs a straight line of dependent adds, long enough for
+   [Keep_last 2] to trim several times. *)
+let log_stim () =
+  let open Dvz_isa in
+  let insns =
+    [ Insn.Lui (Reg.t0, Dvz_soc.Layout.secret_base lsr 12);
+      Insn.Load (Insn.D, false, Reg.t1, Reg.t0, 0) ]
+    @ List.init 10 (fun _ -> Insn.Op (Insn.Add, Reg.t1, Reg.t1, Reg.t1))
+    @ [ Insn.Ebreak ]
+  in
+  let blob =
+    { Dvz_soc.Swapmem.name = "log";
+      words = Array.of_list (List.map Encode.encode insns);
+      is_transient = true }
+  in
+  { Core.st_swapmem = Dvz_soc.Swapmem.create ~blobs:[ blob ] ~schedule:[ 0 ];
+    st_tighten_secret = false;
+    st_secret = Array.make Dvz_soc.Layout.secret_dwords 0x7E57;
+    st_data = []; st_perms = []; st_max_slots = 200 }
 
-let cycles_of log = List.map (fun e -> e.Taintlog.cycle) (Taintlog.entries log)
+let run_log bound =
+  Dualcore.run
+    (Dualcore.create ~log_bound:bound Dvz_uarch.Config.boom_small (log_stim ()))
+
+let slots_of r = List.map (fun e -> e.Dualcore.le_slot) r.Dualcore.r_log
+
+(* A bounded log keeps the unbounded log's entries at the slots it keeps. *)
+let check_subsequence r =
+  let full = run_log Taintlog.Unbounded in
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "slot %d as unbounded" e.Dualcore.le_slot)
+        true
+        (List.mem e full.Dualcore.r_log))
+    r.Dualcore.r_log
+
+let test_taintlog () =
+  let r = run_log Taintlog.Unbounded in
+  let n = r.Dualcore.r_slots in
+  Alcotest.(check (list int)) "one entry per slot" (List.init n Fun.id)
+    (slots_of r);
+  Alcotest.(check bool) "secret words tainted from slot 0" true
+    (List.for_all
+       (fun e -> e.Dualcore.le_total >= Dvz_soc.Layout.secret_dwords)
+       r.Dualcore.r_log);
+  match List.rev r.Dualcore.r_log with
+  | last :: _ ->
+      Alcotest.(check int) "final entry counts the final taint"
+        (List.length r.Dualcore.r_final_tainted)
+        last.Dualcore.le_total;
+      Alcotest.(check bool) "the load spread taint" true
+        (last.Dualcore.le_total > Dvz_soc.Layout.secret_dwords)
+  | [] -> Alcotest.fail "empty log"
 
 let test_taintlog_keep_first () =
-  let log = bound_cycles (Taintlog.Keep_first 2) 5 in
-  Alcotest.(check (list int)) "first two" [ 0; 1 ] (cycles_of log);
-  Alcotest.(check int) "length counts all" 5 (Taintlog.length log)
+  let r = run_log (Taintlog.Keep_first 2) in
+  Alcotest.(check (list int)) "first two" [ 0; 1 ] (slots_of r);
+  Alcotest.(check bool) "slots count all" true (r.Dualcore.r_slots > 4);
+  check_subsequence r
 
 let test_taintlog_keep_last () =
-  let log = bound_cycles (Taintlog.Keep_last 2) 5 in
-  Alcotest.(check (list int)) "last two" [ 3; 4 ] (cycles_of log);
-  Alcotest.(check int) "length counts all" 5 (Taintlog.length log);
-  Alcotest.(check int) "totals trimmed too" 2
-    (List.length (Taintlog.totals log));
-  (match Taintlog.final log with
-  | Some e -> Alcotest.(check int) "final is newest" 4 e.Taintlog.cycle
-  | None -> Alcotest.fail "expected final entry")
+  let r = run_log (Taintlog.Keep_last 2) in
+  let n = r.Dualcore.r_slots in
+  Alcotest.(check bool) "trimmed more than once" true (n > 6);
+  Alcotest.(check (list int)) "last two" [ n - 2; n - 1 ] (slots_of r);
+  check_subsequence r
 
 let test_taintlog_stride () =
-  let log = bound_cycles (Taintlog.Stride 2) 5 in
-  Alcotest.(check (list int)) "every other cycle" [ 0; 2; 4 ] (cycles_of log);
-  Alcotest.(check int) "max_total over retained" 4 (Taintlog.max_total log)
+  let r = run_log (Taintlog.Stride 2) in
+  let n = r.Dualcore.r_slots in
+  Alcotest.(check (list int)) "every other slot"
+    (List.init ((n + 1) / 2) (fun i -> 2 * i))
+    (slots_of r);
+  check_subsequence r
 
 let test_taintlog_bound_validation () =
-  Alcotest.check_raises "non-positive bound"
-    (Invalid_argument "Taintlog.create: bound must be positive") (fun () ->
-      ignore (Taintlog.create ~bound:(Taintlog.Keep_last 0) ()))
+  List.iter
+    (fun bound ->
+      Alcotest.check_raises "non-positive bound"
+        (Invalid_argument "Dualcore.create: log_bound must be positive")
+        (fun () -> ignore (run_log bound)))
+    [ Taintlog.Keep_first 0; Taintlog.Keep_last 0; Taintlog.Stride (-1) ]
 
 (* --- compiled vs interpretive engine -------------------------------------- *)
 
