@@ -10,9 +10,3 @@ val encode : Insn.t -> int
 
 val fits_imm12 : int -> bool
 (** Whether a signed immediate fits the 12-bit I/S-type field. *)
-
-val fits_branch : int -> bool
-(** Whether a byte offset fits the 13-bit B-type field (and is even). *)
-
-val fits_jal : int -> bool
-(** Whether a byte offset fits the 21-bit J-type field (and is even). *)

@@ -34,17 +34,19 @@ let reset ?(pc = 0) ?(priv = Machine) ?(mtvec = 0) t =
   t.mscratch <- 0;
   t.mpp <- User
 
+(* Register-file access on any 32-entry file: x0 reads as 0 and is never
+   written. *)
+let get regs r = if Reg.to_int r = 0 then 0 else regs.(Reg.to_int r)
+
+let set regs r v = if Reg.to_int r <> 0 then regs.(Reg.to_int r) <- v
+
 let pc t = t.pc
 let priv t = t.priv
-let reg t r = if Reg.to_int r = 0 then 0 else t.regs.(Reg.to_int r)
-
-let set_reg t r v = if Reg.to_int r <> 0 then t.regs.(Reg.to_int r) <- v
-
+let reg t r = get t.regs r
 let set_pc t pc = t.pc <- pc
 let set_priv t p = t.priv <- p
 let mepc t = t.mepc
 let mcause t = t.mcause
-let set_mtvec t v = t.mtvec <- v
 
 let copy t = { t with regs = Array.copy t.regs }
 
@@ -70,14 +72,83 @@ type step = {
   s_loaded : int option;
 }
 
-let alu = Exec_alu.alu
-let alui = Exec_alu.alui
-let cond_holds = Exec_alu.cond_holds
-let sign_extend = Exec_alu.sign_extend
+(* Shift amounts use the low 6 bits of the operand, as on RV64. *)
+let shamt v = v land 63
+
+let flip x = x lxor min_int
+
+let alu op a b =
+  match op with
+  | Insn.Add -> a + b
+  | Insn.Sub -> a - b
+  | Insn.And -> a land b
+  | Insn.Or -> a lor b
+  | Insn.Xor -> a lxor b
+  | Insn.Sll -> a lsl shamt b
+  | Insn.Srl -> a lsr shamt b
+  | Insn.Sra -> a asr shamt b
+  | Insn.Slt -> if a < b then 1 else 0
+  | Insn.Sltu -> if flip a < flip b then 1 else 0
+  | Insn.Mul -> a * b
+  | Insn.Div -> if b = 0 then -1 else a / b
+
+let alui op a imm =
+  match op with
+  | Insn.Addi -> a + imm
+  | Insn.Andi -> a land imm
+  | Insn.Ori -> a lor imm
+  | Insn.Xori -> a lxor imm
+  | Insn.Slli -> a lsl shamt imm
+  | Insn.Srli -> a lsr shamt imm
+  | Insn.Srai -> a asr shamt imm
+  | Insn.Slti -> if a < imm then 1 else 0
+  | Insn.Sltiu -> if flip a < flip imm then 1 else 0
+
+let cond_holds c a b =
+  match c with
+  | Insn.Eq -> a = b
+  | Insn.Ne -> a <> b
+  | Insn.Lt -> a < b
+  | Insn.Ge -> a >= b
+  | Insn.Ltu -> flip a < flip b
+  | Insn.Geu -> flip a >= flip b
+
+let sign_extend bits v =
+  let shift = Sys.int_size - bits in
+  (v lsl shift) asr shift
 
 let load_value w unsigned raw =
   let bits = 8 * Insn.bytes w in
   if unsigned || w = Insn.D then raw else sign_extend bits raw
+
+let exec regs ~pc insn =
+  match insn with
+  | Insn.Lui (rd, imm20) ->
+      set regs rd (sign_extend 32 (imm20 lsl 12));
+      pc + 4
+  | Insn.Auipc (rd, imm20) ->
+      set regs rd (pc + sign_extend 32 (imm20 lsl 12));
+      pc + 4
+  | Insn.Op (op, rd, rs1, rs2) ->
+      set regs rd (alu op (get regs rs1) (get regs rs2));
+      pc + 4
+  | Insn.Opi (op, rd, rs1, imm) ->
+      set regs rd (alui op (get regs rs1) imm);
+      pc + 4
+  | Insn.Fdiv (rd, rs1, rs2) ->
+      let b = get regs rs2 in
+      set regs rd (if b = 0 then -1 else get regs rs1 / b);
+      pc + 4
+  | Insn.Jal (rd, off) ->
+      set regs rd (pc + 4);
+      pc + off
+  | Insn.Jalr (rd, rs1, imm) ->
+      let target = (get regs rs1 + imm) land lnot 1 in
+      set regs rd (pc + 4);
+      target
+  | Insn.Load _ | Insn.Store _ | Insn.Branch _ | Insn.Csr _ | Insn.Fence_i
+  | Insn.Ecall | Insn.Ebreak | Insn.Mret | Insn.Illegal _ ->
+      invalid_arg "Golden.exec: not a register-file instruction"
 
 let enter_trap t cause tval =
   if t.priv = Machine && t.mcause <> 0 && t.pc = t.mtvec then
@@ -105,22 +176,12 @@ let step_decoded t ~fetched =
       finish ~trap:(cause, s_pc) (Insn.Illegal 0)
   | Ok (word, insn) -> (
       match insn with
-      | Insn.Lui (rd, imm20) ->
-          set_reg t rd (sign_extend 32 (imm20 lsl 12));
+      | Insn.Lui _ | Insn.Auipc _ | Insn.Op _ | Insn.Opi _ | Insn.Fdiv _ ->
+          ignore (exec t.regs ~pc:s_pc insn);
           finish insn
-      | Insn.Auipc (rd, imm20) ->
-          set_reg t rd (s_pc + sign_extend 32 (imm20 lsl 12));
-          finish insn
-      | Insn.Op (op, rd, rs1, rs2) ->
-          set_reg t rd (alu op (reg t rs1) (reg t rs2));
-          finish insn
-      | Insn.Opi (op, rd, rs1, imm) ->
-          set_reg t rd (alui op (reg t rs1) imm);
-          finish insn
-      | Insn.Fdiv (rd, rs1, rs2) ->
-          let b = reg t rs2 in
-          set_reg t rd (if b = 0 then -1 else reg t rs1 / b);
-          finish insn
+      | Insn.Jal _ | Insn.Jalr _ ->
+          let target = exec t.regs ~pc:s_pc insn in
+          finish ~next:target ~target insn
       | Insn.Load (w, u, rd, rs1, imm) -> (
           let addr = reg t rs1 + imm in
           let size = Insn.bytes w in
@@ -131,7 +192,7 @@ let step_decoded t ~fetched =
             | Error cause -> finish ~trap:(cause, addr) ~mem_addr:addr insn
             | Ok raw ->
                 let v = load_value w u raw in
-                set_reg t rd v;
+                set t.regs rd v;
                 finish ~mem_addr:addr ~loaded:v insn)
       | Insn.Store (w, rs2, rs1, imm) -> (
           let addr = reg t rs1 + imm in
@@ -149,14 +210,6 @@ let step_decoded t ~fetched =
           let target = s_pc + off in
           if taken then finish ~next:target ~taken:true ~target insn
           else finish ~taken:false insn
-      | Insn.Jal (rd, off) ->
-          let target = s_pc + off in
-          set_reg t rd (s_pc + 4);
-          finish ~next:target ~target insn
-      | Insn.Jalr (rd, rs1, imm) ->
-          let target = (reg t rs1 + imm) land lnot 1 in
-          set_reg t rd (s_pc + 4);
-          finish ~next:target ~target insn
       | Insn.Csr (op, rd, csr, rs1) ->
           let read () =
             match csr with
@@ -185,7 +238,7 @@ let step_decoded t ~fetched =
             | Insn.Csrrs -> if Reg.to_int rs1 <> 0 then write (old lor src)
             | Insn.Csrrc ->
                 if Reg.to_int rs1 <> 0 then write (old land lnot src));
-            set_reg t rd old;
+            set t.regs rd old;
             finish insn
           end
       | Insn.Fence_i -> finish insn

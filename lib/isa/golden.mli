@@ -1,4 +1,5 @@
-(** Architectural golden-model simulator.
+(** Architectural golden-model simulator, and the one home of the
+    register-level ISA semantics.
 
     Executes the {!Insn} subset against a caller-supplied memory, modelling
     the architecturally visible machine only: register file, pc, privilege
@@ -6,7 +7,9 @@
     simulator of §4.1.1 — computing the operands a transient window needs,
     predicting architectural control flow, and classifying exceptions —
     and the microarchitectural model uses it as the per-instruction
-    executive.
+    executive: commits step a {!t}, and transient windows run {!exec},
+    {!load_value} and {!cond_holds} on their speculative register copy, so
+    the two paths cannot compute different values.
 
     Values are OCaml native ints (63-bit); the model is faithful for the
     sub-2^62 address space and data ranges the fuzzer generates, which is
@@ -33,18 +36,34 @@ val reset : ?pc:int -> ?priv:priv -> ?mtvec:int -> t -> unit
 val pc : t -> int
 val priv : t -> priv
 val reg : t -> Reg.t -> int
-val set_reg : t -> Reg.t -> int -> unit
 val set_pc : t -> int -> unit
 val set_priv : t -> priv -> unit
 val mepc : t -> int
 val mcause : t -> int
-val set_mtvec : t -> int -> unit
 val copy : t -> t
 (** Snapshot of the architectural state sharing the same memory. *)
 
 val blit : src:t -> dst:t -> unit
 (** Copies [src]'s registers, pc, privilege and CSRs into [dst]; [dst]
     keeps its own memory closures. *)
+
+(** {2 Register-level semantics} *)
+
+val exec : int array -> pc:int -> Insn.t -> int
+(** [exec regs ~pc insn] performs the register-file half of a [Lui],
+    [Auipc], [Op], [Opi], [Fdiv], [Jal] or [Jalr] at [pc] on the 32-entry
+    file [regs] (x0 reads as 0 and is never written) and returns the next
+    pc.  Raises [Invalid_argument] on any other instruction: memory
+    accesses, branches and system instructions need more than a register
+    file. *)
+
+val load_value : Insn.width -> bool -> int -> int
+(** [load_value width unsigned raw] is the register value of a load that
+    read the zero-extended [raw] bytes: sign-extended unless [unsigned] or
+    a doubleword. *)
+
+val cond_holds : Insn.cond -> int -> int -> bool
+(** Whether a branch with this condition is taken on these operands. *)
 
 (** What one instruction did, as observed architecturally. *)
 type step = {

@@ -34,7 +34,6 @@ let nop = Opi (Addi, Reg.zero, Reg.zero, 0)
 let bytes = function B -> 1 | H -> 2 | W -> 4 | D -> 8
 
 let is_branch = function Branch _ -> true | _ -> false
-let is_jal = function Jal _ -> true | _ -> false
 
 let is_call = function
   | Jal (rd, _) | Jalr (rd, _, _) -> Reg.equal rd Reg.ra
@@ -48,9 +47,7 @@ let is_indirect = function Jalr _ -> true | _ -> false
 
 let is_control = function Branch _ | Jal _ | Jalr _ -> true | _ -> false
 
-let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false
-let is_memory i = is_load i || is_store i
 
 let may_fault = function
   | Load _ | Store _ | Illegal _ | Ecall | Ebreak -> true

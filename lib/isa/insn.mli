@@ -51,7 +51,6 @@ val nop : t
 val bytes : width -> int
 
 val is_branch : t -> bool
-val is_jal : t -> bool
 
 val is_call : t -> bool
 (** [jal ra, _] or [jalr ra, _, _]. *)
@@ -65,9 +64,7 @@ val is_indirect : t -> bool
 val is_control : t -> bool
 (** Branch, jal or jalr. *)
 
-val is_load : t -> bool
 val is_store : t -> bool
-val is_memory : t -> bool
 
 val may_fault : t -> bool
 (** Conservatively true for memory accesses and the explicit trap
@@ -79,7 +76,6 @@ val writes : t -> Reg.t option
 val reads : t -> Reg.t list
 (** Source registers (without [x0]). *)
 
-val csr_name : csr -> string
 val csr_addr : csr -> int
 (** Standard machine-mode CSR addresses. *)
 

@@ -9,8 +9,6 @@ let to_int r = r
 let zero = 0
 let ra = 1
 let sp = 2
-let gp = 3
-let tp = 4
 let t0 = 5
 let t1 = 6
 let t2 = 7
@@ -28,5 +26,3 @@ let abi_names =
 let name r = if r < Array.length abi_names then abi_names.(r) else "x" ^ string_of_int r
 
 let equal = Int.equal
-
-let caller_saved = [| t0; t1; t2; a0; a1; a2; a3; x 14; x 15; x 16; x 17 |]

@@ -16,8 +16,6 @@ val to_int : t -> int
 val zero : t
 val ra : t
 val sp : t
-val gp : t
-val tp : t
 val t0 : t
 val t1 : t
 val t2 : t
@@ -32,6 +30,3 @@ val name : t -> string
 (** ABI name, e.g. ["ra"], ["a0"], ["x18"] for the unnamed ones. *)
 
 val equal : t -> t -> bool
-
-val caller_saved : t array
-(** Scratch registers the generators are free to clobber. *)

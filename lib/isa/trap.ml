@@ -37,8 +37,6 @@ let code = function
   | Load_page_fault -> 13
   | Store_page_fault -> 15
 
-let equal a b = code a = code b
-
 let is_memory = function
   | Load_misalign | Load_access_fault | Store_misalign | Store_access_fault
   | Load_page_fault | Store_page_fault -> true

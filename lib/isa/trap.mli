@@ -19,7 +19,5 @@ val name : cause -> string
 val code : cause -> int
 (** RISC-V mcause encoding. *)
 
-val equal : cause -> cause -> bool
-
 val is_memory : cause -> bool
 (** True for the load/store access/page-fault/misalign causes. *)

@@ -10,10 +10,6 @@ let line_index t ~addr = addr / t.line_bytes land (Array.length t.lines - 1)
 
 let tag_of t addr = addr / t.line_bytes
 
-let lookup t ~addr =
-  let l = t.lines.(line_index t ~addr) in
-  l.valid && l.tag = tag_of t addr
-
 let access t ~addr =
   let i = line_index t ~addr in
   let l = t.lines.(i) in
@@ -44,8 +40,6 @@ let blit ~src ~dst =
 let valid t i = t.lines.(i).valid
 
 let line_addr t i = t.lines.(i).tag * t.line_bytes
-
-let num_lines t = Array.length t.lines
 
 module Lfb = struct
   type slot = { mutable data : int; mutable mshr_valid : bool }

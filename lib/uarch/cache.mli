@@ -13,11 +13,6 @@ type t
 
 val create : lines:int -> line_bytes:int -> t
 
-val line_index : t -> addr:int -> int
-
-val lookup : t -> addr:int -> bool
-(** Hit/miss without side effect. *)
-
 val access : t -> addr:int -> [ `Hit of int | `Miss of int ]
 (** Accesses the line containing [addr], filling it on a miss; returns the
     line index either way. *)
@@ -37,8 +32,6 @@ val valid : t -> int -> bool
 
 val line_addr : t -> int -> int
 (** Base byte address of the (valid) line at index [i]. *)
-
-val num_lines : t -> int
 
 (* Line-fill buffer with MSHR valid bits. *)
 module Lfb : sig

@@ -98,8 +98,6 @@ let xiangshan_minimal =
     fetch_contention_bug = true;
     load_wb_contention_bug = true }
 
-let preset_name = function Boom -> "BOOM" | Xiangshan -> "XiangShan"
-
 let annotation_loc c = match c.preset with Boom -> 212 | Xiangshan -> 592
 
 let verilog_loc c =

@@ -51,8 +51,6 @@ type t = {
 val boom_small : t
 val xiangshan_minimal : t
 
-val preset_name : preset -> string
-
 val annotation_loc : t -> int
 (** The manual liveness-annotation effort this configuration models,
     mirroring Table 2's "Annotation LoC" row. *)

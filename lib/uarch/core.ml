@@ -242,7 +242,6 @@ let watch t words =
 let unwatch t = Phys_mem.unwatch t.mem
 let watch_hit t = Phys_mem.watch_hit t.mem
 
-let config t = t.cfg
 let arch_reg t r = Golden.reg t.arch r
 let mem t = t.mem
 let is_done t = t.done_
@@ -250,7 +249,6 @@ let cycles t = t.cycles
 let committed t = t.committed
 let slot_count t = t.slot
 let windows t = List.rev t.windows
-let in_window t = t.window <> None
 
 let rob_elem t = Elem.Rob (t.slot mod t.cfg.Config.rob_entries)
 
@@ -452,13 +450,16 @@ let open_window t ~kind ~trigger_pc ~after ~spec_pc ~sreg_init =
         w_last_jalr = None };
   [ Effect.Copy_regs_to_spec; Effect.Snapshot snap_elems ]
 
-let sreg _t w r = if Reg.to_int r = 0 then 0 else w.w_sregs.(Reg.to_int r)
+let sreg w r = if Reg.to_int r = 0 then 0 else w.w_sregs.(Reg.to_int r)
 
 let set_sreg w r v = if Reg.to_int r <> 0 then w.w_sregs.(Reg.to_int r) <- v
 
 let sreg_elem r = Elem.Sreg (Reg.to_int r)
 
 let sreg_srcs rs = List.map sreg_elem rs
+
+let spec_reg t r =
+  match t.window with Some w -> Some (sreg w r) | None -> None
 
 (* Execute one transient instruction inside the window.  Windows always
    consume [window_insns] slots; once the speculative frontend stalls the
@@ -501,32 +502,14 @@ let step_transient t w =
   let next_pc = ref (pc + 4) in
   (if not !close_now then
      match insn with
-     | Insn.Lui (rd, imm20) ->
-         let v = (imm20 lsl 12 lsl (Sys.int_size - 32)) asr (Sys.int_size - 32) in
-         set_sreg w rd v;
-         emit [ Effect.Write (sreg_elem rd, []); Effect.Write (rob, []) ]
-     | Insn.Auipc (rd, imm20) ->
-         let v = pc + ((imm20 lsl 12 lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)) in
-         set_sreg w rd v;
-         emit [ Effect.Write (sreg_elem rd, []); Effect.Write (rob, []) ]
-     | Insn.Op (op, rd, rs1, rs2) ->
-         let v = Exec_alu.alu op (sreg t w rs1) (sreg t w rs2) in
-         set_sreg w rd v;
-         let srcs = sreg_srcs (Insn.reads insn) in
-         emit [ Effect.Write (sreg_elem rd, srcs); Effect.Write (rob, srcs) ]
-     | Insn.Opi (op, rd, rs1, imm) ->
-         let v = Exec_alu.alui op (sreg t w rs1) imm in
-         set_sreg w rd v;
-         let srcs = sreg_srcs (Insn.reads insn) in
-         emit [ Effect.Write (sreg_elem rd, srcs); Effect.Write (rob, srcs) ]
-     | Insn.Fdiv (rd, rs1, rs2) ->
-         let b = sreg t w rs2 in
-         set_sreg w rd (if b = 0 then -1 else sreg t w rs1 / b);
-         cost := !cost + fdiv_issue t;
+     | Insn.Lui (rd, _) | Insn.Auipc (rd, _) | Insn.Op (_, rd, _, _)
+     | Insn.Opi (_, rd, _, _) | Insn.Fdiv (rd, _, _) ->
+         ignore (Golden.exec w.w_sregs ~pc insn);
+         (match insn with Insn.Fdiv _ -> cost := !cost + fdiv_issue t | _ -> ());
          let srcs = sreg_srcs (Insn.reads insn) in
          emit [ Effect.Write (sreg_elem rd, srcs); Effect.Write (rob, srcs) ]
      | Insn.Load (width, unsigned, rd, rs1, imm) -> (
-         let addr = sreg t w rs1 + imm in
+         let addr = sreg w rs1 + imm in
          let size = Insn.bytes width in
          let addr_srcs = sreg_srcs (Insn.reads insn) in
          if secret_page addr then w.w_secret_accessed <- true;
@@ -542,17 +525,12 @@ let step_transient t w =
              (* Store-queue effects first: forwarding beats the cache. *)
              match Lsu.Stq.forward t.stq ~now:t.slot ~addr ~size with
              | Some (slot', data) ->
-                 set_sreg w rd data;
+                 set_sreg w rd (Golden.load_value width unsigned data);
                  cost := !cost + 1;
                  emit [ Effect.Write (sreg_elem rd, [ Elem.Stq slot' ]);
                         Effect.Write (rob, [ Elem.Stq slot' ]) ]
              | None ->
-                 let v =
-                   let bits = 8 * size in
-                   if unsigned || width = Insn.D then raw
-                   else (raw lsl (Sys.int_size - bits)) asr (Sys.int_size - bits)
-                 in
-                 set_sreg w rd v;
+                 set_sreg w rd (Golden.load_value width unsigned raw);
                  let data_srcs = [ Elem.Mem (addr / 8) ] in
                  let es, c =
                    data_access t ~transient:true ~is_store:false ~addr
@@ -562,11 +540,10 @@ let step_transient t w =
                  cost := !cost + c;
                  emit [ Effect.Write (sreg_elem rd, data_srcs);
                         Effect.Write (rob, data_srcs) ])
-         | Error cause ->
+         | Error _ ->
              (* No nested window: the fault squashes with the outer window;
                but the load unit forwards data meanwhile. *)
              if secret_page addr then w.w_secret_fault <- true;
-             ignore cause;
              let v, data_srcs, sampled = transient_fault_forward t ~addr ~size in
              if sampled then begin
                w.w_secret_accessed <- true;
@@ -576,12 +553,12 @@ let step_transient t w =
              emit [ Effect.Write (sreg_elem rd, data_srcs);
                     Effect.Write (rob, data_srcs) ])
      | Insn.Store (width, rs2, rs1, imm) ->
-         let addr = sreg t w rs1 + imm in
+         let addr = sreg w rs1 + imm in
          let size = Insn.bytes width in
          let addr_srcs = sreg_srcs [ rs1 ] in
          if secret_page addr then w.w_secret_accessed <- true;
          let slot' =
-           Lsu.Stq.alloc t.stq ~addr ~size ~data:(sreg t w rs2)
+           Lsu.Stq.alloc t.stq ~addr ~size ~data:(sreg w rs2)
              ~old_data:(Phys_mem.read t.mem ~addr ~size)
              ~resolve_at:(t.slot + t.cfg.Config.store_resolve_delay) ()
          in
@@ -594,7 +571,7 @@ let step_transient t w =
          emit es;
          cost := !cost + c
      | Insn.Branch (cond, rs1, rs2, off) ->
-         let taken = Exec_alu.cond_holds cond (sreg t w rs1) (sreg t w rs2) in
+         let taken = Golden.cond_holds cond (sreg w rs1) (sreg w rs2) in
          let srcs = sreg_srcs (Insn.reads insn) in
          next_pc := (if taken then pc + off else pc + 4);
          emit [ Effect.Ctrl { kind = Effect.C_branch;
@@ -607,19 +584,17 @@ let step_transient t w =
            | Some i -> emit [ Effect.Write (Elem.Loop i, srcs) ]
            | None -> ());
          w.w_last_jalr <- None
-     | Insn.Jal (rd, off) ->
-         next_pc := pc + off;
-         set_sreg w rd (pc + 4);
+     | Insn.Jal (rd, _) ->
+         next_pc := Golden.exec w.w_sregs ~pc insn;
          if Insn.is_call insn then begin
            let slot' = P.Ras.push t.ras (pc + 4) in
            emit [ Effect.Write (Elem.Ras slot', []) ]
          end;
          emit [ Effect.Write (sreg_elem rd, []); Effect.Write (rob, []) ]
-     | Insn.Jalr (rd, rs1, imm) ->
-         let target = (sreg t w rs1 + imm) land lnot 1 in
+     | Insn.Jalr (rd, rs1, _) ->
+         let target = Golden.exec w.w_sregs ~pc insn in
          let srcs = sreg_srcs [ rs1 ] in
          next_pc := target;
-         set_sreg w rd (pc + 4);
          if Insn.is_return insn then (
            match P.Ras.pop t.ras with
            | Some (_, slot') ->
@@ -721,7 +696,7 @@ let step_committed t =
      capture the stale value a mispredicted load would consume. *)
   let disamb =
     match prefetch with
-    | Some (Insn.Load (width, unsigned, rd, rs1, imm) as i) ->
+    | Some (Insn.Load (width, unsigned, rd, rs1, imm)) ->
         let addr = Golden.reg t.arch rs1 + imm in
         let size = Insn.bytes width in
         if addr mod size <> 0 then None
@@ -731,13 +706,7 @@ let step_committed t =
               (* The aliasing store's address is still unresolved in the
                  pipeline, so the speculative load reads around it and
                  consumes the value memory held before the store. *)
-              let stale =
-                let bits = 8 * size in
-                if unsigned || width = Insn.D then old_raw
-                else (old_raw lsl (Sys.int_size - bits)) asr (Sys.int_size - bits)
-              in
-              ignore i;
-              Some (rd, stale, stq_slot)
+              Some (rd, Golden.load_value width unsigned old_raw, stq_slot)
           | _ -> None)
     | _ -> None
   in
@@ -871,40 +840,23 @@ let step_committed t =
         | Trap.Fetch_access_fault -> false
       in
       if window_worthy && t.window = None then begin
-        let sreg_init =
-          match insn with
-          | Insn.Load (width, _, rd, rs1, imm) when Trap.is_memory cause ->
-              let addr = Golden.reg t.arch rs1 + imm in
-              let v, fsrcs, sampled =
-                transient_fault_forward t ~addr ~size:(Insn.bytes width)
-              in
-              ignore fsrcs;
-              if secret_page addr || sampled then begin
-                (* recorded on the window below *)
-                ()
-              end;
-              [ (rd, v) ]
-          | _ -> []
-        in
-        open_w (Effect.W_exception cause) ~after:`Swap ~spec_pc:(pc + 4)
-          ~sreg_init;
-        (* Taint and secret bookkeeping for the forwarded value. *)
-        (match (insn, t.window) with
-        | Insn.Load (width, _, rd, rs1, imm), Some w when Trap.is_memory cause ->
+        let kind = Effect.W_exception cause in
+        match insn with
+        | Insn.Load (width, _, rd, rs1, imm) when Trap.is_memory cause ->
+            (* The window starts from the value the load unit forwards;
+               taint and secret bookkeeping follow it. *)
             let addr = Golden.reg t.arch rs1 + imm in
-            let _, fsrcs, sampled =
+            let v, fsrcs, sampled =
               transient_fault_forward t ~addr ~size:(Insn.bytes width)
             in
-            if secret_page addr then begin
-              w.w_secret_accessed <- true;
-              w.w_secret_fault <- true
-            end;
-            if sampled then begin
-              w.w_secret_accessed <- true;
-              w.w_secret_fault <- true
-            end;
+            open_w kind ~after:`Swap ~spec_pc:(pc + 4) ~sreg_init:[ (rd, v) ];
+            (match t.window with
+            | Some w when secret_page addr || sampled ->
+                w.w_secret_accessed <- true;
+                w.w_secret_fault <- true
+            | _ -> ());
             emit [ Effect.Write (sreg_elem rd, fsrcs) ]
-        | _ -> ())
+        | _ -> open_w kind ~after:`Swap ~spec_pc:(pc + 4) ~sreg_init:[]
       end
       else begin
         swapped := true;

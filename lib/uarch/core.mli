@@ -10,6 +10,13 @@
     checkpointed structures — modulo the planted recovery bugs — and
     execution resumes.
 
+    Both paths compute values with the same ISA semantics: a transient
+    instruction's register results come from {!Dvz_isa.Golden.exec},
+    {!Dvz_isa.Golden.load_value} and {!Dvz_isa.Golden.cond_holds} run on the
+    speculative register copy.  What stays here is speculation-specific:
+    store-queue forwarding, the values faulting loads forward, transient
+    accesses at user privilege, and the effect and taint events.
+
     Every slot reports its microarchitectural effects as an {!Effect.slot},
     which the dual-instance taint engine consumes; timing is modelled by a
     per-slot cycle cost (cache misses, divider and port contention), which
@@ -49,8 +56,9 @@ val create : Config.t -> stimulus -> t
 val reset : t -> stimulus -> unit
 (** Re-arms an existing core for a new stimulus without reallocating:
     after [reset t stim] the core is bit-identical (state hash, windows,
-    cycle counts, every observable) to [create (config t) stim].  The
-    pooling fast path behind {!Dejavuzz.Simpool}. *)
+    cycle counts, every observable) to [create cfg stim], [cfg] being the
+    configuration [t] was built with.  The pooling fast path behind
+    {!Dejavuzz.Simpool}. *)
 
 val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies every stateful layer of [src] into [dst] (same
@@ -85,7 +93,6 @@ val fetch_watched : t -> bool
     outside a window, the speculative pc inside one that has not
     stalled. *)
 
-val config : t -> Config.t
 val mem : t -> Dvz_soc.Phys_mem.t
 
 val step : t -> Effect.slot option
@@ -94,19 +101,12 @@ val step : t -> Effect.slot option
 
 val is_done : t -> bool
 
-val arch_reg : t -> Dvz_isa.Reg.t -> int
-(** Committed (architectural) register value — speculation must never be
-    visible here; the co-simulation tests check this against the pure
-    golden model. *)
-
 val cycles : t -> int
 val committed : t -> int
 val slot_count : t -> int
 
 val windows : t -> window_record list
 (** Closed windows in chronological order. *)
-
-val in_window : t -> bool
 
 val live : t -> Elem.t -> bool
 (** End-of-run liveness of a state element (§4.3.2): caches/TLB/BTB report
@@ -129,3 +129,14 @@ val state_hash : t -> int
     count.  This is the SpecDoctor-style differential oracle: comparing the
     hashes of the two DUT instances flags {e any} secret-dependent state
     difference, including unexploitable residue (§3.1's C2-2). *)
+
+(** {2 Test observation} *)
+
+val arch_reg : t -> Dvz_isa.Reg.t -> int
+(** Committed (architectural) register value — speculation must never be
+    visible here; the co-simulation tests check this against the pure
+    golden model. *)
+
+val spec_reg : t -> Dvz_isa.Reg.t -> int option
+(** The open window's speculative register value, [None] outside a
+    window; the window tests check it against the golden model. *)

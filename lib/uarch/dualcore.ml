@@ -75,91 +75,68 @@ let default_secret_b secret =
      original to minimise identical-value false negatives. *)
   Array.map (fun v -> v lxor 0xFFFFFFFF) secret
 
+(* Instance B's stimulus: [secret_b] (default: the bit-flipped variant) on
+   a schedule-preserving copy of the swappable memory.  [fn] names the
+   caller in the arity error. *)
+let make_stim_b ~fn ?secret_b stim =
+  let secret_b =
+    match secret_b with
+    | Some s -> s
+    | None -> default_secret_b stim.Core.st_secret
+  in
+  if Array.length secret_b <> Array.length stim.Core.st_secret then
+    invalid_arg
+      (Printf.sprintf
+         "Dualcore.%s: secret arity mismatch: secret_b has %d dwords but \
+          the stimulus secret has %d"
+         fn (Array.length secret_b)
+         (Array.length stim.Core.st_secret));
+  let swap_b =
+    Swapmem.with_schedule stim.Core.st_swapmem
+      (Swapmem.schedule stim.Core.st_swapmem)
+  in
+  { stim with Core.st_secret = secret_b; Core.st_swapmem = swap_b }
+
+(* The planted secret words are the taint origins; stamp them before slot 0
+   so replayed slices bottom out at the secret access. *)
+let stamp_secret_origins taint prov stim =
+  (match prov with
+  | Some p -> Dvz_ift.Provenance.set_context p ~time:(-1) ~in_window:false
+  | None -> ());
+  Array.iteri
+    (fun i _ ->
+      let e = Elem.Mem ((Layout.secret_base / 8) + i) in
+      (match prov with
+      | Some p -> Dvz_ift.Provenance.source p (Elem.to_string e)
+      | None -> ());
+      Taintstate.set_tainted taint e)
+    stim.Core.st_secret
+
 let create ?provenance ?(log_bound = Dvz_ift.Taintlog.Unbounded)
     ?(mode = Dvz_ift.Policy.Diffift) ?secret_b cfg stim =
   (match log_bound with
   | Dvz_ift.Taintlog.Unbounded -> ()
   | Keep_first n | Keep_last n | Stride n ->
       if n <= 0 then invalid_arg "Dualcore.create: log_bound must be positive");
-  let secret_b =
-    match secret_b with
-    | Some s -> s
-    | None -> default_secret_b stim.Core.st_secret
-  in
-  if Array.length secret_b <> Array.length stim.Core.st_secret then
-    invalid_arg
-      (Printf.sprintf
-         "Dualcore.create: secret arity mismatch: secret_b has %d dwords but \
-          the stimulus secret has %d"
-         (Array.length secret_b)
-         (Array.length stim.Core.st_secret));
-  let swap_b =
-    Swapmem.with_schedule stim.Core.st_swapmem
-      (Swapmem.schedule stim.Core.st_swapmem)
-  in
-  let stim_b =
-    { stim with Core.st_secret = secret_b; Core.st_swapmem = swap_b }
-  in
+  let stim_b = make_stim_b ~fn:"create" ?secret_b stim in
   let core_a = Core.create cfg stim in
   let core_b = Core.create cfg stim_b in
   let taint = Taintstate.create ?provenance mode in
-  (* The planted secret words are the taint origins; stamp them before
-     slot 0 so replayed slices bottom out at the secret access. *)
-  (match provenance with
-  | Some p -> Dvz_ift.Provenance.set_context p ~time:(-1) ~in_window:false
-  | None -> ());
-  Array.iteri
-    (fun i _ ->
-      let e = Elem.Mem ((Layout.secret_base / 8) + i) in
-      (match provenance with
-      | Some p -> Dvz_ift.Provenance.source p (Elem.to_string e)
-      | None -> ());
-      Taintstate.set_tainted taint e)
-    stim.Core.st_secret;
+  stamp_secret_origins taint provenance stim;
   { core_a; core_b; taint; prov = provenance; log_bound; log = [];
     log_len = 0; slots = 0; taint_hwm = 0;
     hung = false; corrupted = false; timed_out = false }
 
-(* Re-arm a built instance with a new stimulus.  Mirrors [create]'s setup
-   exactly — same secret-variant derivation, same schedule-preserving copy
-   of the swappable memory for instance B, same taint-origin stamping — but
-   reuses both cores' state (via [Core.reset]) and the taint tables, so no
+(* Re-arm a built instance with a new stimulus: [create]'s setup, but
+   reusing both cores' state (via [Core.reset]) and the taint tables, so no
    netlist-sized allocation happens.  [mode] and [log_bound] stay what they
    were at [create]; the pool keys on them. *)
 let reset ?secret_b t stim =
-  let secret_b =
-    match secret_b with
-    | Some s -> s
-    | None -> default_secret_b stim.Core.st_secret
-  in
-  if Array.length secret_b <> Array.length stim.Core.st_secret then
-    invalid_arg
-      (Printf.sprintf
-         "Dualcore.reset: secret arity mismatch: secret_b has %d dwords but \
-          the stimulus secret has %d"
-         (Array.length secret_b)
-         (Array.length stim.Core.st_secret));
-  let swap_b =
-    Swapmem.with_schedule stim.Core.st_swapmem
-      (Swapmem.schedule stim.Core.st_swapmem)
-  in
-  let stim_b =
-    { stim with Core.st_secret = secret_b; Core.st_swapmem = swap_b }
-  in
+  let stim_b = make_stim_b ~fn:"reset" ?secret_b stim in
   Core.reset t.core_a stim;
   Core.reset t.core_b stim_b;
   Taintstate.reset t.taint;
-  (match t.prov with
-  | Some p -> Dvz_ift.Provenance.set_context p ~time:(-1) ~in_window:false
-  | None -> ());
-  Array.iteri
-    (fun i _ ->
-      let e = Elem.Mem ((Layout.secret_base / 8) + i) in
-      (match t.prov with
-      | Some p -> Dvz_ift.Provenance.source p (Elem.to_string e)
-      | None -> ());
-      Taintstate.set_tainted t.taint e)
-    stim.Core.st_secret;
+  stamp_secret_origins t.taint t.prov stim;
   t.log <- [];
   t.log_len <- 0;
   t.slots <- 0;

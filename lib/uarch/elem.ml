@@ -50,7 +50,6 @@ let to_string e = Printf.sprintf "%s[%d]" (module_of e) (index e)
 
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
-let hash = Hashtbl.hash
 
 let all_modules =
   List.sort compare

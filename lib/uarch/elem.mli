@@ -34,7 +34,6 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val all_modules : string list
 (** Every module tag, sorted — the row space of the coverage matrix. *)

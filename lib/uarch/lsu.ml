@@ -59,7 +59,7 @@ module Stq = struct
     e.valid <- true;
     e.addr <- addr;
     e.size <- size;
-    e.data <- data;
+    e.data <- (if size >= 8 then data else data land ((1 lsl (8 * size)) - 1));
     e.old_data <- old_data;
     e.resolve_at <- resolve_at;
     e.seq <- t.seq;

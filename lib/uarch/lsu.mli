@@ -27,10 +27,12 @@ module Stq : sig
   val alloc :
     t -> addr:int -> size:int -> data:int -> ?old_data:int ->
     resolve_at:int -> unit -> int
-  (** Allocates the next slot round-robin; [resolve_at] is the slot index at
-      which the store's address becomes architecturally resolved;
-      [old_data] is the memory content the store overwrote — what a
-      disambiguation-mispredicted younger load transiently consumes. *)
+  (** Allocates the next slot round-robin; [data] is kept as the [size]
+      bytes the store writes (its low bytes, zero-extended); [resolve_at]
+      is the slot index at which the store's address becomes
+      architecturally resolved; [old_data] is the memory content the store
+      overwrote — what a disambiguation-mispredicted younger load
+      transiently consumes. *)
 
   val pending_alias :
     t -> now:int -> addr:int -> size:int -> (int * int) option
@@ -39,7 +41,8 @@ module Stq : sig
 
   val forward : t -> now:int -> addr:int -> size:int -> (int * int) option
   (** [(slot, data)] of the youngest {e resolved} store covering the access
-      exactly — ordinary store-to-load forwarding. *)
+      exactly — ordinary store-to-load forwarding.  [data] holds the stored
+      bytes zero-extended, as a memory read of them would return. *)
 
   val valid : t -> int -> bool
   val entries : t -> int

@@ -1,12 +1,6 @@
 module Policy = Dvz_ift.Policy
 module Provenance = Dvz_ift.Provenance
 
-module Eset = struct
-  include Hashtbl
-
-  let mem_elem tbl e = Hashtbl.mem tbl e
-end
-
 type t = {
   mode : Policy.mode;
   taints : (Elem.t, unit) Hashtbl.t;
@@ -65,7 +59,8 @@ let clear_tainted t e =
     | Some n -> Hashtbl.replace t.by_module m (n - 1)
     | None -> ()
   end
-let is_tainted t e = Eset.mem_elem t.taints e
+
+let is_tainted t e = Hashtbl.mem t.taints e
 
 let set t e v = if v then set_tainted t e else clear_tainted t e
 
@@ -149,17 +144,6 @@ let restore t elems =
       | None -> ())
     elems
 
-let apply_event t ~diverged = function
-  | Effect.Write (dst, srcs) -> write t ~diverged dst srcs
-  | Effect.Copy_regs_to_spec -> copy_regs_to_spec t
-  | Effect.Snapshot elems -> snapshot t elems
-  | Effect.Restore elems -> restore t elems
-  | Effect.Ctrl { kind; srcs; touched; _ } ->
-      (* Unpaired control decision: the twin did something else entirely,
-         so the decision certainly differs. *)
-      ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t ~diverged
-        ~st:(any_tainted t srcs || diverged) ~diff:true touched
-
 (* An event present in one instance but not the other (e.g. a cache fill on
    a hit/miss divergence): the difference itself is secret-dependent, so
    control decisions count as differing and the touched/written
@@ -167,13 +151,14 @@ let apply_event t ~diverged = function
    secret-derived or the instruction streams have diverged; an incidental
    bookkeeping write (say, a predictor update with clean operands) must not
    taint just because a neighbouring cache fill was asymmetric. *)
-let apply_event_unpaired t ~diverged = function
+let apply_event t ~diverged = function
   | Effect.Write (dst, srcs) -> write t ~diverged dst srcs
+  | Effect.Copy_regs_to_spec -> copy_regs_to_spec t
+  | Effect.Snapshot elems -> snapshot t elems
+  | Effect.Restore elems -> restore t elems
   | Effect.Ctrl { kind; srcs; touched; _ } ->
       ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t ~diverged
         ~st:(any_tainted t srcs || diverged) ~diff:true touched
-  | (Effect.Copy_regs_to_spec | Effect.Snapshot _ | Effect.Restore _) as e ->
-      apply_event t ~diverged e
 
 let apply_event_pair t ~diverged ea eb =
   match (ea, eb) with
@@ -187,14 +172,14 @@ let apply_event_pair t ~diverged ea eb =
   | Effect.Write (da, sa), Effect.Write (db, sb) when Elem.equal da db ->
       write t ~diverged da (sa @ sb)
   | _ ->
-      apply_event_unpaired t ~diverged ea;
-      apply_event_unpaired t ~diverged eb
+      apply_event t ~diverged ea;
+      apply_event t ~diverged eb
 
 let rec apply_events t ~diverged ea eb =
   match (ea, eb) with
   | [], [] -> ()
   | e :: rest, [] | [], e :: rest ->
-      apply_event_unpaired t ~diverged e;
+      apply_event t ~diverged e;
       apply_events t ~diverged rest []
   | a :: ra, b :: rb ->
       apply_event_pair t ~diverged a b;

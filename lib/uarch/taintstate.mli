@@ -41,8 +41,6 @@ val blit : src:t -> dst:t -> unit
 val set_tainted : t -> Elem.t -> unit
 (** Marks a taint source (e.g. the secret region's memory words). *)
 
-val clear_tainted : t -> Elem.t -> unit
-
 val is_tainted : t -> Elem.t -> bool
 
 val apply_pair : t -> Effect.slot option -> Effect.slot option -> unit

@@ -24,10 +24,6 @@ let access t ~addr =
 
 let valid t i = t.entries.(i).valid
 
-let num_entries t = Array.length t.entries
-
-let invalidate_all t = Array.iter (fun e -> e.valid <- false) t.entries
-
 let reset t =
   Array.iter
     (fun e ->

@@ -8,15 +8,9 @@ type t
 val create : entries:int -> page_bytes:int -> t
 (** [entries = 0] builds a disabled TLB that always hits and never fills. *)
 
-val enabled : t -> bool
-
 val access : t -> addr:int -> [ `Hit of int | `Miss of int | `Disabled ]
 
 val valid : t -> int -> bool
-
-val num_entries : t -> int
-
-val invalidate_all : t -> unit
 
 val reset : t -> unit
 (** Back to the [create] state: entries invalid and tags zeroed. *)

@@ -13,8 +13,6 @@ val slot_line : Effect.slot -> string
 
 val render_slots : Effect.slot list -> string
 
-val window_line : Core.window_record -> string
-
 val render_windows : Core.window_record list -> string
 (** The RoB IO event summary: one line per transient window. *)
 

@@ -77,7 +77,7 @@ let test_genlib_cond_operands () =
           Alcotest.(check bool)
             (Printf.sprintf "cond resolves to %b" taken)
             taken
-            (Dvz_isa.Exec_alu.cond_holds cond v0 v1))
+            (Dvz_isa.Golden.cond_holds cond v0 v1))
         [ true; false ])
     [ Dvz_isa.Insn.Eq; Dvz_isa.Insn.Ne; Dvz_isa.Insn.Lt; Dvz_isa.Insn.Ge;
       Dvz_isa.Insn.Ltu; Dvz_isa.Insn.Geu ]

@@ -255,24 +255,41 @@ let prop_parser_roundtrips_disassembly =
 
 (* --- ALU semantics ------------------------------------------------------- *)
 
+(* t0's value after [Golden.exec] runs [insn] at [pc] on a register file
+   holding [a] in a0 and [b] in a1. *)
+let exec_rd ?(pc = 0x1000) ?(a = 0) ?(b = 0) insn =
+  let regs = Array.make 32 0 in
+  regs.(Reg.to_int Reg.a0) <- a;
+  regs.(Reg.to_int Reg.a1) <- b;
+  ignore (Golden.exec regs ~pc insn);
+  regs.(Reg.to_int Reg.t0)
+
+let alu op a b = exec_rd ~a ~b (Insn.Op (op, Reg.t0, Reg.a0, Reg.a1))
+
 let test_alu_basics () =
-  Alcotest.(check int) "add" 7 (Exec_alu.alu Insn.Add 3 4);
-  Alcotest.(check int) "sub" (-1) (Exec_alu.alu Insn.Sub 3 4);
-  Alcotest.(check int) "sll uses low 6 bits" 6 (Exec_alu.alu Insn.Sll 3 65);
-  Alcotest.(check int) "sra sign" (-2) (Exec_alu.alu Insn.Sra (-4) 1);
-  Alcotest.(check int) "slt" 1 (Exec_alu.alu Insn.Slt (-1) 0);
-  Alcotest.(check int) "sltu unsigned" 0 (Exec_alu.alu Insn.Sltu (-1) 0);
-  Alcotest.(check int) "div by zero" (-1) (Exec_alu.alu Insn.Div 5 0)
+  Alcotest.(check int) "add" 7 (alu Insn.Add 3 4);
+  Alcotest.(check int) "sub" (-1) (alu Insn.Sub 3 4);
+  Alcotest.(check int) "sll uses low 6 bits" 6 (alu Insn.Sll 3 65);
+  Alcotest.(check int) "sra sign" (-2) (alu Insn.Sra (-4) 1);
+  Alcotest.(check int) "slt" 1 (alu Insn.Slt (-1) 0);
+  Alcotest.(check int) "sltu unsigned" 0 (alu Insn.Sltu (-1) 0);
+  Alcotest.(check int) "div by zero" (-1) (alu Insn.Div 5 0);
+  Alcotest.(check int) "lui sign-extends bit 31" (-0x80000000)
+    (exec_rd (Insn.Lui (Reg.t0, 0x80000)));
+  Alcotest.(check int) "auipc adds pc" 0x3000
+    (exec_rd ~pc:0x1000 (Insn.Auipc (Reg.t0, 2)))
 
 let test_cond_holds () =
   Alcotest.(check bool) "ltu treats -1 as big" false
-    (Exec_alu.cond_holds Insn.Ltu (-1) 1);
-  Alcotest.(check bool) "geu" true (Exec_alu.cond_holds Insn.Geu (-1) 1);
-  Alcotest.(check bool) "ge signed" false (Exec_alu.cond_holds Insn.Ge (-1) 1)
+    (Golden.cond_holds Insn.Ltu (-1) 1);
+  Alcotest.(check bool) "geu" true (Golden.cond_holds Insn.Geu (-1) 1);
+  Alcotest.(check bool) "ge signed" false (Golden.cond_holds Insn.Ge (-1) 1)
 
 let test_sign_extend () =
-  Alcotest.(check int) "byte" (-1) (Exec_alu.sign_extend 8 0xFF);
-  Alcotest.(check int) "positive" 0x7F (Exec_alu.sign_extend 8 0x7F)
+  Alcotest.(check int) "byte" (-1) (Golden.load_value Insn.B false 0xFF);
+  Alcotest.(check int) "positive" 0x7F (Golden.load_value Insn.B false 0x7F);
+  Alcotest.(check int) "unsigned" 0xFF (Golden.load_value Insn.B true 0xFF);
+  Alcotest.(check int) "word" (-2) (Golden.load_value Insn.W false 0xFFFFFFFE)
 
 (* --- golden model -------------------------------------------------------- *)
 

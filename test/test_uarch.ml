@@ -776,6 +776,169 @@ let prop_cosim_arch_state =
       done;
       !ok)
 
+(* --- transient windows compute what the golden model computes ----------- *)
+
+let presets = [ ("BOOM", Cfg.boom_small); ("XiangShan", Cfg.xiangshan_minimal) ]
+
+(* The speculative registers of the run's first window as they last stood
+   before it closed, or [None] if no window opened. *)
+let window_sregs cfg stim =
+  let core = Core.create cfg stim in
+  let snapshot () =
+    Array.init 32 (fun i -> Option.get (Core.spec_reg core (Reg.x i)))
+  in
+  let rec go last =
+    match Core.step core with
+    | None -> last
+    | Some _ -> (
+        match Core.spec_reg core Reg.zero with
+        | Some _ -> go (Some (snapshot ()))
+        | None -> ( match last with None -> go None | Some _ -> last))
+  in
+  go None
+
+let check_window_regs name cfg stim expected =
+  match window_sregs cfg stim with
+  | None -> Alcotest.failf "%s: no window" name
+  | Some r ->
+      List.iter
+        (fun (what, reg, v) ->
+          Alcotest.(check int) (name ^ " " ^ what) v r.(Reg.to_int reg))
+        expected
+
+let test_core_window_lui_auipc () =
+  (* A faulting load's window runs lui and auipc with the golden model's
+     values: the upper immediate, sign-extended from bit 31. *)
+  let insns =
+    Genlib.li Reg.t0 0xE000
+    @ [ Insn.Load (Insn.D, false, Reg.t1, Reg.t0, 0);
+        Insn.Lui (Reg.t2, 0x12345); Insn.Auipc (Reg.a0, 0x80001); Insn.Ebreak ]
+  in
+  let auipc_pc = Layout.swap_entry + (4 * (List.length insns - 2)) in
+  let stim = stim_of_insns ~perms:[ (0xE000, Perm.absent) ] insns in
+  List.iter
+    (fun (name, cfg) ->
+      check_window_regs name cfg stim
+        [ ("lui", Reg.t2, 0x12345000);
+          ("auipc", Reg.a0, auipc_pc - 0x7FFFF000) ])
+    presets
+
+let test_core_window_stq_forward_width () =
+  (* A transient byte load forwarded from a resolved byte store reads the
+     stored byte, extended as the load says, not the store's register. *)
+  let insns =
+    Genlib.li Reg.t0 Layout.dedicated_base
+    @ [ Insn.Opi (Insn.Addi, Reg.t1, Reg.zero, 0x180);
+        Insn.Store (Insn.B, Reg.t1, Reg.t0, 0) ]
+    @ Genlib.nops 8
+    @ Genlib.li Reg.t2 0xE000
+    @ [ Insn.Load (Insn.D, false, Reg.a0, Reg.t2, 0);
+        Insn.Load (Insn.B, false, Reg.a1, Reg.t0, 0);
+        Insn.Load (Insn.B, true, Reg.a2, Reg.t0, 0); Insn.Ebreak ]
+  in
+  let stim = stim_of_insns ~perms:[ (0xE000, Perm.absent) ] insns in
+  List.iter
+    (fun (name, cfg) ->
+      check_window_regs name cfg stim
+        [ ("lb", Reg.a1, -0x80); ("lbu", Reg.a2, 0x80) ])
+    presets
+
+let window_data = Layout.dedicated_base + 0x100
+
+(* A random straight-line window body of at most [len] instructions: [li]
+   of random 32-bit constants into every register it reads (s1 points at
+   [window_data]), then lui/auipc/op/opi/fdiv, loads of never-stored
+   words, forward branches and jal. *)
+let random_window_body rng ~len =
+  let module R = Dvz_util.Rng in
+  let pool =
+    List.filter
+      (fun r -> not (Reg.equal r Reg.s1))
+      (List.init 31 (fun i -> Reg.x (i + 1)))
+  in
+  let regs = Array.of_list (R.sample rng pool (R.int_in rng 2 4)) in
+  let src () = if R.chance rng 0.1 then Reg.zero else R.choose rng regs in
+  let dst () = R.choose rng regs in
+  let reg_insn () =
+    match R.int rng 5 with
+    | 0 -> Insn.Lui (dst (), R.int rng (1 lsl 20))
+    | 1 -> Insn.Auipc (dst (), R.int rng (1 lsl 20))
+    | 2 ->
+        let op =
+          R.choose rng
+            [| Insn.Add; Insn.Sub; Insn.And; Insn.Or; Insn.Xor; Insn.Sll;
+               Insn.Srl; Insn.Sra; Insn.Slt; Insn.Sltu; Insn.Mul; Insn.Div |]
+        in
+        Insn.Op (op, dst (), src (), src ())
+    | 3 -> (
+        match
+          R.choose rng
+            [| Insn.Addi; Insn.Andi; Insn.Ori; Insn.Xori; Insn.Slli;
+               Insn.Srli; Insn.Srai; Insn.Slti; Insn.Sltiu |]
+        with
+        | (Insn.Slli | Insn.Srli | Insn.Srai) as op ->
+            Insn.Opi (op, dst (), src (), R.int rng 64)
+        | op -> Insn.Opi (op, dst (), src (), R.int_in rng (-2048) 2047))
+    | _ -> Insn.Fdiv (dst (), src (), src ())
+  in
+  let item () =
+    match R.int rng 8 with
+    | 0 | 1 | 2 | 3 -> [ reg_insn () ]
+    | 4 | 5 ->
+        let w = R.choose rng [| Insn.B; Insn.H; Insn.W; Insn.D |] in
+        let n = Insn.bytes w in
+        [ Insn.Load (w, w <> Insn.D && R.bool rng, dst (), Reg.s1,
+                     n * R.int rng (64 / n)) ]
+    | 6 ->
+        let cond =
+          R.choose rng [| Insn.Eq; Insn.Ne; Insn.Lt; Insn.Ge; Insn.Ltu; Insn.Geu |]
+        in
+        [ Insn.Branch (cond, src (), src (), 8); reg_insn () ]
+    | _ -> [ Insn.Jal (R.choose rng [| Reg.zero; Reg.ra; dst () |], 8); reg_insn () ]
+  in
+  let prologue =
+    Genlib.li Reg.s1 window_data
+    @ List.concat_map (fun r -> Genlib.li r (R.int rng 0x7FFFF000))
+        (Array.to_list regs)
+  in
+  let rec fill acc n =
+    let it = item () in
+    if List.length it > n then acc else fill (acc @ it) (n - List.length it)
+  in
+  fill prologue (R.int_in rng 1 len - List.length prologue)
+
+(* A faulting store opens an exception window over a random body; the
+   window's speculative registers must equal a golden run of the same body
+   from the same pc and memory, where the store does not fault. *)
+let prop_window_matches_golden (name, cfg) =
+  QCheck.Test.make ~name:("window matches golden, " ^ name)
+    ~count:150 QCheck.small_int (fun seed_int ->
+      let module R = Dvz_util.Rng in
+      let rng = R.create seed_int in
+      let body = random_window_body rng ~len:(cfg.Cfg.window_insns - 1) in
+      let insns =
+        Genlib.li Reg.t0 0xE000
+        @ [ Insn.Store (Insn.D, Reg.zero, Reg.t0, 0) ]
+        @ body @ [ Insn.Ebreak ]
+      in
+      let data = List.init 8 (fun i -> (window_data + (8 * i), R.next rng)) in
+      let stim = stim_of_insns ~data ~perms:[ (0xE000, Perm.absent) ] insns in
+      let mem = Phys_mem.create () in
+      List.iter (fun (addr, v) -> Phys_mem.write mem ~addr ~size:8 v) data;
+      Phys_mem.write_words mem Layout.swap_base
+        (Array.of_list (List.map Encode.encode insns));
+      let g =
+        Golden.create ~pc:Layout.swap_entry ~priv:Golden.User
+          ~mtvec:Layout.mtvec (Phys_mem.golden_memory mem)
+      in
+      ignore (Golden.run g ~fuel:500 ~stop:(fun g -> Golden.mcause g <> 0) ());
+      match window_sregs cfg stim with
+      | None -> false
+      | Some r ->
+          List.for_all
+            (fun i -> r.(i) = Golden.reg g (Reg.x i))
+            (List.init 32 Fun.id))
+
 (* --- trace rendering ------------------------------------------------------ *)
 
 let test_trace_rendering () =
@@ -851,7 +1014,11 @@ let () =
             test_core_tighten_secret;
           Alcotest.test_case "state hash sensitivity" `Quick
             test_core_state_hash_secret_sensitivity;
-          Alcotest.test_case "liveness views" `Quick test_core_liveness_views ] );
+          Alcotest.test_case "liveness views" `Quick test_core_liveness_views;
+          Alcotest.test_case "window lui/auipc" `Quick
+            test_core_window_lui_auipc;
+          Alcotest.test_case "window STQ forward width" `Quick
+            test_core_window_stq_forward_width ] );
       ( "taint",
         [ Alcotest.test_case "write propagation" `Quick test_taint_write_propagation;
           Alcotest.test_case "cellift monotone" `Quick test_taint_cellift_monotone;
@@ -877,8 +1044,11 @@ let () =
           Alcotest.test_case "dualcore deterministic" `Quick
             test_dualcore_deterministic ] );
       ( "cosim",
-        [ QCheck_alcotest.to_alcotest prop_cosim_arch_state;
-          Alcotest.test_case "trace rendering" `Quick test_trace_rendering ] );
+        QCheck_alcotest.to_alcotest prop_cosim_arch_state
+        :: List.map
+             (fun p -> QCheck_alcotest.to_alcotest (prop_window_matches_golden p))
+             presets
+        @ [ Alcotest.test_case "trace rendering" `Quick test_trace_rendering ] );
       ( "dualcore",
         [ Alcotest.test_case "secret flows" `Quick test_dualcore_secret_flows;
           Alcotest.test_case "no spurious taint" `Quick
