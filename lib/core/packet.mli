@@ -23,8 +23,6 @@ val make :
   Dvz_isa.Insn.t list -> t
 (** Training counts default to 0 (right for transient packets). *)
 
-val to_blob : t -> Dvz_soc.Swapmem.blob
-
 (** A complete test case: the packets plus the memory environment. *)
 type testcase = {
   seed : Seed.t;

@@ -30,16 +30,16 @@ type slot = { mutable entry : (key * Dualcore.t) option }
 let slot_key = Domain.DLS.new_key (fun () -> { entry = None })
 
 let acquire ?(log_bound = Dvz_ift.Taintlog.Unbounded)
-    ?(mode = Dvz_ift.Policy.Diffift) ?secret_b cfg stim =
+    ?(mode = Dvz_ift.Policy.Diffift) cfg stim =
   let slot = Domain.DLS.get slot_key in
   let key = (cfg, mode, log_bound) in
   match slot.entry with
   | Some (k, t) when k = key ->
-      Dualcore.reset ?secret_b t stim;
+      Dualcore.reset t stim;
       Metrics.incr m_hits;
       t
   | _ ->
-      let t = Dualcore.create ~log_bound ~mode ?secret_b cfg stim in
+      let t = Dualcore.create ~log_bound ~mode cfg stim in
       slot.entry <- Some (key, t);
       Metrics.incr m_misses;
       t

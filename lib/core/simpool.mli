@@ -16,7 +16,6 @@
 val acquire :
   ?log_bound:Dvz_ift.Taintlog.bound ->
   ?mode:Dvz_ift.Policy.mode ->
-  ?secret_b:int array ->
   Dvz_uarch.Config.t ->
   Dvz_uarch.Core.stimulus ->
   Dvz_uarch.Dualcore.t

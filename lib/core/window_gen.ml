@@ -3,10 +3,6 @@ open Dvz_soc
 module Rng = Dvz_util.Rng
 module Cfg = Dvz_uarch.Config
 
-let gadget_names =
-  [ "dcache"; "tlb"; "fpu"; "lsu"; "refetch"; "ras"; "flow"; "btb"; "arith";
-    "stq" ]
-
 (* Window registers: s0 holds the secret value, s1 the secret address, a2
    the disambiguation pointer, a3 the probe array base.  t4..t6/x31 are
    window scratch. *)

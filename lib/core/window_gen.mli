@@ -21,9 +21,6 @@ val sanitize : Dvz_uarch.Config.t -> Packet.testcase -> Packet.testcase
     encoding block is replaced by nops.  Deterministic with respect to the
     seed, so the access block matches [complete]'s exactly. *)
 
-val gadget_names : string list
-(** All gadget tags the generator can emit. *)
-
 val splice : Packet.testcase -> Dvz_isa.Insn.t list -> Packet.testcase
 (** [splice tc insns] overwrites the window section with a hand-written
     payload (padded with nops to the window size).  Used by the curated

@@ -64,8 +64,6 @@ val worker_metrics : t -> (int * Dvz_obs.Metrics.snapshot) list
     merged across retired incarnations and with the coordinator-side
     per-slot series (heartbeat intervals, batch/stale counters). *)
 
-val worker_profiles : t -> (int * Dvz_obs.Profile.entry list) list
-
 val merged_profile : t -> Dvz_obs.Profile.entry list
 (** All slots' profiles folded into one (the caller merges in the
     coordinator's own). *)

@@ -8,8 +8,6 @@
     is what lets a campaign be re-executed remotely, or re-assigned
     after a worker death, with byte-identical results. *)
 
-val wire_version : int
-
 (** Everything a worker needs to rebuild an {!Dejavuzz.Executor.ctx}:
     the campaign's immutable inputs plus raw watchdog limits (the opaque
     [Dualcore.budget] is reconstructed worker-side). *)

@@ -1,8 +1,7 @@
 (* Taint provenance recorder: a time-stamped log of taint-introduction
-   edges, generic over string node identifiers so both the cell-level
-   shadow ({!Shadow}) and the element-level layers above can share it.
-   Recording is append-only and deterministic; the DAG and backward
-   slices are derived on demand. *)
+   edges between microarchitectural elements, named by their
+   [Elem.to_string] strings.  Recording is append-only and deterministic;
+   the DAG and backward slices are derived on demand. *)
 
 type kind =
   | Source
@@ -10,7 +9,6 @@ type kind =
   | Ctrl of string
   | Divergence
   | Restore
-  | Cell of string
 
 type edge = {
   e_id : int;
@@ -53,7 +51,6 @@ let source t dst = record t ~dst ~srcs:[] Source
 
 let num_edges t = t.n_edges
 let dropped t = t.dropped
-let edges t = List.rev t.rev_edges
 
 let kind_name = function
   | Source -> "source"
@@ -61,7 +58,6 @@ let kind_name = function
   | Ctrl label -> "ctrl:" ^ label
   | Divergence -> "divergence"
   | Restore -> "restore"
-  | Cell label -> "cell:" ^ label
 
 let kind_of_name s =
   let prefixed p =
@@ -74,9 +70,7 @@ let kind_of_name s =
   | "divergence" -> Some Divergence
   | "restore" -> Some Restore
   | _ ->
-      if prefixed "ctrl:" then Some (Ctrl (suffix "ctrl:"))
-      else if prefixed "cell:" then Some (Cell (suffix "cell:"))
-      else None
+      if prefixed "ctrl:" then Some (Ctrl (suffix "ctrl:")) else None
 
 (* Backward slice: from the sink, follow the most recent taint-introduction
    edge of each node backwards in recording order.  The per-node bound

@@ -3,10 +3,11 @@
     An append-only log of {e taint-introduction edges}: every time a clean
     node becomes tainted, the layer driving the recorder appends one edge
     naming the destination, the already-tainted predecessors that caused
-    it, the propagation kind and the current time/window context.  Nodes
-    are plain strings so the recorder is shared between granularities —
-    the cell-level {!Shadow} hooks use netlist signal labels, the
-    element-level layer above uses [Elem.to_string] identifiers.
+    it, the propagation kind and the current time/window context.
+    Provenance is element-level: the recorder is armed through
+    [Dvz_uarch.Dualcore.create ~provenance], and its nodes are the
+    [Dvz_uarch.Elem.to_string] names of the microarchitectural elements
+    [Dvz_uarch.Taintstate] propagates between.
 
     Recording is two-pass by design: the fuzz loop runs with no recorder
     attached (zero overhead), and a flagged finding is deterministically
@@ -20,7 +21,6 @@ type kind =
   | Ctrl of string  (** control-flow propagation, labelled by decision kind *)
   | Divergence  (** forced by instruction-stream divergence alone *)
   | Restore  (** re-established from a squash checkpoint *)
-  | Cell of string  (** cell-level propagation, labelled by the cell op *)
 
 type edge = {
   e_id : int;  (** global recording order, 0-based *)
@@ -52,9 +52,6 @@ val num_edges : t -> int
 val dropped : t -> int
 (** Edges discarded because the recorder was at capacity. *)
 
-val edges : t -> edge list
-(** All recorded edges, oldest first. *)
-
 val slice : t -> sink:string -> edge list
 (** Backward slice: starting from [sink]'s most recent taint-introduction
     edge, recursively resolve each tainted predecessor to its own most
@@ -63,8 +60,7 @@ val slice : t -> sink:string -> edge list
     when the sink was never recorded. *)
 
 val kind_name : kind -> string
-(** ["source"], ["data"], ["ctrl:<label>"], ["divergence"], ["restore"],
-    ["cell:<label>"]. *)
+(** ["source"], ["data"], ["ctrl:<label>"], ["divergence"], ["restore"]. *)
 
 val kind_of_name : string -> kind option
 (** Inverse of {!kind_name}. *)

@@ -62,8 +62,6 @@ type t = {
   prog : prog;
   latch : latch_plan;
   commit : commit_plan;
-  prov : Provenance.t option;
-  mutable ticks : int;
 }
 
 let idx (s : N.signal) = (s :> int)
@@ -184,7 +182,7 @@ let compile_commit nl arr_a arr_b arr_t =
     ports;
   c
 
-let create ?provenance ?(engine : engine = `Compiled) mode nl =
+let create ?(engine : engine = `Compiled) mode nl =
   N.validate nl;
   let order = N.topo_order nl in
   let n = N.num_signals nl in
@@ -215,20 +213,9 @@ let create ?provenance ?(engine : engine = `Compiled) mode nl =
   { mode; engine; nl; va; vb; ta; mem_a; mem_b; mem_t; order;
     prog = compile_prog nl order arr_a arr_b arr_t;
     latch = compile_latch nl;
-    commit = compile_commit nl arr_a arr_b arr_t;
-    prov = provenance; ticks = 0 }
+    commit = compile_commit nl arr_a arr_b arr_t }
 
 let engine t = t.engine
-let ticks t = t.ticks
-
-(* Provenance node labels.  [Netlist.name_of] defaults to "", so unnamed
-   signals fall back to their index — still injective per netlist. *)
-let sig_label t s =
-  let m = N.module_of t.nl s and n = N.name_of t.nl s in
-  if n = "" then Printf.sprintf "%s#%d" m (idx s)
-  else Printf.sprintf "%s.%s" m n
-
-let mem_label m i = Printf.sprintf "%s[%d]" (N.mem_name m) i
 
 let set_input t s v =
   let v = Bits.trunc (N.width_of t.nl s) v in
@@ -238,20 +225,12 @@ let set_input t s v =
 
 let set_input_pair t s va vb =
   let w = N.width_of t.nl s in
-  (match t.prov with
-  | Some p when t.ta.(idx s) = 0 && Bits.mask w <> 0 ->
-      Provenance.source p (sig_label t s)
-  | _ -> ());
   t.va.(idx s) <- Bits.trunc w va;
   t.vb.(idx s) <- Bits.trunc w vb;
   t.ta.(idx s) <- Bits.mask w
 
 let set_input_taint t s m =
   let m = Bits.trunc (N.width_of t.nl s) m in
-  (match t.prov with
-  | Some p when t.ta.(idx s) = 0 && m <> 0 ->
-      Provenance.source p (sig_label t s)
-  | _ -> ());
   t.ta.(idx s) <- m
 
 let peek_a t s = t.va.(idx s)
@@ -262,10 +241,6 @@ let marr tbl m = Hashtbl.find tbl (N.mem_name m)
 
 let poke_mem_pair t m i va vb =
   let w = N.mem_width m in
-  (match t.prov with
-  | Some p when va <> vb && (marr t.mem_t m).(i) = 0 ->
-      Provenance.source p (mem_label m i)
-  | _ -> ());
   (marr t.mem_a m).(i) <- Bits.trunc w va;
   (marr t.mem_b m).(i) <- Bits.trunc w vb;
   (marr t.mem_t m).(i) <- (if va <> vb then Bits.mask w else 0)
@@ -597,121 +572,10 @@ let step_compiled t =
     end
   done
 
-(* --- traced paths (provenance armed) ------------------------------------ *)
-
-(* Armed evaluation always routes through the interpretive cells: the
-   compiled engine is pinned bit-identical to them by the differential
-   tests, so the replay pass observes the same taints while paying the
-   instrumentation only when a recorder is attached. *)
-
-let cell_op_srcs t s =
-  match N.cell_of t.nl s with
-  | N.Input | N.Const _ | N.Reg _ -> ("", [])
-  | N.Not a -> ("not", [ a ])
-  | N.And (a, b) -> ("and", [ a; b ])
-  | N.Or (a, b) -> ("or", [ a; b ])
-  | N.Xor (a, b) -> ("xor", [ a; b ])
-  | N.Add (a, b) -> ("add", [ a; b ])
-  | N.Sub (a, b) -> ("sub", [ a; b ])
-  | N.Eq (a, b) -> ("eq", [ a; b ])
-  | N.Lt (a, b) -> ("lt", [ a; b ])
-  | N.Shl (a, _) -> ("shl", [ a ])
-  | N.Shr (a, _) -> ("shr", [ a ])
-  | N.Slice (a, _) -> ("slice", [ a ])
-  | N.Concat (hi, lo) -> ("concat", [ hi; lo ])
-  | N.Mux (sel, a, b) -> ("mux", [ sel; a; b ])
-  | N.Mem_read (_, addr) -> ("mem_read", [ addr ])
-
-let tainted_labels t sigs =
-  List.filter_map
-    (fun s -> if t.ta.(idx s) <> 0 then Some (sig_label t s) else None)
-    sigs
-
-let eval_traced t p =
-  Provenance.set_context p ~time:t.ticks ~in_window:false;
-  Array.iter
-    (fun s ->
-      let old = t.ta.(idx s) in
-      eval_cell t s;
-      if old = 0 && t.ta.(idx s) <> 0 then begin
-        let op, operands = cell_op_srcs t s in
-        let srcs = tainted_labels t operands in
-        let srcs =
-          match N.cell_of t.nl s with
-          | N.Mem_read (m, addr) ->
-              let arr_t = marr t.mem_t m in
-              let word i =
-                if i < Array.length arr_t && arr_t.(i) <> 0 then
-                  Some (mem_label m i)
-                else None
-              in
-              let aa = t.va.(idx addr) and ab = t.vb.(idx addr) in
-              let words =
-                match (word aa, word ab) with
-                | Some x, Some y when x = y -> [ x ]
-                | Some x, Some y -> [ x; y ]
-                | Some x, None | None, Some x -> [ x ]
-                | None, None -> []
-              in
-              srcs @ words
-          | _ -> srcs
-        in
-        Provenance.record p ~dst:(sig_label t s) ~srcs (Provenance.Cell op)
-      end)
-    t.order
-
-let step_traced t p =
-  Provenance.set_context p ~time:t.ticks ~in_window:false;
-  let pre = Array.copy t.ta in
-  let pre_mem = Hashtbl.create 8 in
-  List.iter
-    (fun m ->
-      Hashtbl.replace pre_mem (N.mem_name m) (Array.copy (marr t.mem_t m)))
-    (N.mems t.nl);
-  step_interp t;
-  List.iter
-    (fun q ->
-      match N.cell_of t.nl q with
-      | N.Reg { N.d = Some d; en; _ }
-        when pre.(idx q) = 0 && t.ta.(idx q) <> 0 ->
-          let operands = d :: (match en with None -> [] | Some e -> [ e ]) in
-          let srcs =
-            List.filter_map
-              (fun s ->
-                if pre.(idx s) <> 0 then Some (sig_label t s) else None)
-              operands
-          in
-          Provenance.record p ~dst:(sig_label t q) ~srcs (Provenance.Cell "reg")
-      | _ -> ())
-    (N.registers t.nl);
-  List.iter
-    (fun m ->
-      let old = Hashtbl.find pre_mem (N.mem_name m) in
-      let cur = marr t.mem_t m in
-      let port_srcs =
-        List.concat_map
-          (fun (wen, addr, data) ->
-            List.filter_map
-              (fun s ->
-                if pre.(idx s) <> 0 then Some (sig_label t s) else None)
-              [ wen; addr; data ])
-          (N.mem_writes m)
-      in
-      Array.iteri
-        (fun i tv ->
-          if old.(i) = 0 && tv <> 0 then
-            Provenance.record p ~dst:(mem_label m i) ~srcs:port_srcs
-              (Provenance.Cell "mem"))
-        cur)
-    (N.mems t.nl)
-
 let eval_impl t =
-  match t.prov with
-  | Some p -> eval_traced t p
-  | None -> (
-      match t.engine with
-      | `Compiled -> exec_prog t.mode t.prog t.va t.vb t.ta
-      | `Interp -> eval_interp t)
+  match t.engine with
+  | `Compiled -> exec_prog t.mode t.prog t.va t.vb t.ta
+  | `Interp -> eval_interp t
 
 (* Armed-guarded like Sim.eval: disarmed shadow cycles stay
    allocation-free. *)
@@ -721,13 +585,9 @@ let eval t =
   else eval_impl t
 
 let step t =
-  (match t.prov with
-  | Some p -> step_traced t p
-  | None -> (
-      match t.engine with
-      | `Compiled -> step_compiled t
-      | `Interp -> step_interp t));
-  t.ticks <- t.ticks + 1
+  match t.engine with
+  | `Compiled -> step_compiled t
+  | `Interp -> step_interp t
 
 let cycle t =
   eval t;

@@ -5,7 +5,13 @@
     drives with {!set_input_pair} (the secrets).  One shadow taint state is
     maintained alongside, updated per cell by {!Policy} in the selected
     mode.  The paper's diffIFT^FN variant (worst-case false negatives) is
-    obtained simply by driving both instances with the same secret. *)
+    obtained simply by driving both instances with the same secret.
+
+    The campaign's taint engine is element-level ([Dvz_uarch.Taintstate],
+    which applies the same {!Policy} rows to 1-bit element taints); this
+    cell-level engine runs Table 4's netlist measurements, and its
+    [`Interp] engine is the reference that [Taintstate] is checked against
+    on random event pairs lowered to small netlists. *)
 
 type t
 
@@ -17,20 +23,10 @@ type engine = Dvz_ir.Sim.engine
     directly and is the reference the compiled engine is differentially
     tested against. *)
 
-val create :
-  ?provenance:Provenance.t -> ?engine:engine -> Policy.mode ->
-  Dvz_ir.Netlist.t -> t
+val create : ?engine:engine -> Policy.mode -> Dvz_ir.Netlist.t -> t
 (** Builds a shadow co-simulator with all taints clear.  [engine] defaults
     to [`Compiled].  Raises {!Dvz_ir.Netlist.Width_error} if a mux
-    selector, register enable or memory write enable is not 1 bit wide.
-
-    When [provenance] is given the co-simulator is {e armed}: tainted
-    inputs and differing memory pokes are recorded as taint sources, and
-    every 0→tainted transition of a signal or memory word appends a
-    [Cell]-kind edge naming its tainted operands.  Armed evaluation runs
-    on the interpretive cells (pinned bit-identical to the compiled
-    engine by the differential tests); without [provenance] the selected
-    engine runs unchanged, with no per-cell overhead. *)
+    selector, register enable or memory write enable is not 1 bit wide. *)
 
 val engine : t -> engine
 (** The engine this co-simulator was created with. *)
@@ -50,10 +46,6 @@ val eval : t -> unit
 
 val cycle : t -> unit
 (** {!eval}, then the clock edge for both instances and the shadow state. *)
-
-val ticks : t -> int
-(** Clock edges stepped so far — the timestamp stamped on armed-mode
-    provenance edges. *)
 
 val peek_a : t -> Dvz_ir.Netlist.signal -> int
 val peek_b : t -> Dvz_ir.Netlist.signal -> int

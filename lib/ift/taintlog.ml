@@ -1,1 +1,1 @@
-type bound = Unbounded | Keep_first of int | Keep_last of int | Stride of int
+type bound = Unbounded | Keep_last of int

@@ -7,8 +7,6 @@
 
 type bound =
   | Unbounded
-  | Keep_first of int  (** keep only the first [n] entries *)
   | Keep_last of int  (** keep a sliding window of the last [n] entries *)
-  | Stride of int  (** keep every [k]-th entry (slots [0, k, 2k, ...]) *)
 (** Memory policy for long campaigns: the log otherwise grows without
     bound, one entry per simulated slot. *)

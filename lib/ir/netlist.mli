@@ -7,8 +7,9 @@
     feedback loops can be closed after the combinational logic is built.
 
     Every cell carries a [module] tag, mirroring the RTL module hierarchy;
-    the IFT layer aggregates taint counts per tag ({!Dvz_ift.Taintlog}) and
-    the fuzzer's coverage matrix is keyed by it. *)
+    the cell-level IFT shadow counts tainted registers per tag
+    ({!Dvz_ift.Shadow.tainted_by_module}), the netlist analogue of the
+    fuzzer's per-module coverage matrix. *)
 
 type t
 (** A netlist under construction (and, once closed, under simulation). *)

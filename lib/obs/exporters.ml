@@ -49,6 +49,8 @@ let snapshot_json (s : Metrics.snapshot) =
 
 let render_json t = Json.to_string (snapshot_json (Metrics.snapshot t))
 
+(* Maps a metric name into the Prometheus charset [a-zA-Z0-9_:]: other
+   bytes become '_', and a leading digit gains one. *)
 let sanitize_name name =
   let ok c =
     (c >= 'a' && c <= 'z')
@@ -73,6 +75,8 @@ let escape_with specials s =
     s;
   Buffer.contents buf
 
+(* HELP comments escape backslash and newline; label values also escape
+   the double quote. *)
 let escape_help = escape_with [ '\\' ]
 let escape_label = escape_with [ '\\'; '"' ]
 

@@ -16,24 +16,6 @@ val snapshot_json : Metrics.snapshot -> Json.t
 val render_json : Metrics.t -> string
 (** One-line JSON of {!snapshot_json} of the registry. *)
 
-val sanitize_name : string -> string
-(** Maps a metric name into the Prometheus charset
-    [[a-zA-Z0-9_:]] (other bytes become ['_'], a leading digit gains
-    ['_']).  Many-to-one: distinct raw names can sanitize identically —
-    {!prometheus} detects such collisions across its whole namespace and
-    deterministically disambiguates them (sorted order; the first keeps
-    the sanitized name, later ones gain a ["_dupN"] suffix). *)
-
-val escape_help : string -> string
-(** HELP-comment escaping: backslash and newline. *)
-
-val escape_label : string -> string
-(** Label-value escaping: backslash, double quote and newline. *)
-
-val sanitize_label_name : string -> string
-(** Like {!sanitize_name} but for label names, whose charset excludes
-    [':']. *)
-
 val prometheus_groups :
   ((string * string) list * Metrics.snapshot) list -> string
 (** Labelled exposition over label groups.  Each group is a label set

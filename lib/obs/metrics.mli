@@ -69,12 +69,6 @@ val bucket_upper : float -> float
     span, measured on the registry's clock.  Spans nest freely; each
     records only its own start-to-stop interval. *)
 
-type span
-
-val span_start : t -> string -> span
-val span_stop : span -> float
-(** Observes and returns the elapsed seconds. *)
-
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Runs the thunk inside a span; the duration is recorded even if the
     thunk raises. *)

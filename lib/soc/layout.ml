@@ -1,20 +1,17 @@
 let page_size = 0x1000
 
 let shared_base = 0x0000
-let shared_size = page_size
 
 let swap_base = 0x1000
 let swap_size = page_size
 
 let dedicated_base = 0x4000
-let dedicated_size = page_size
 
 let secret_base = 0x5000
 let secret_size = page_size
 let secret_dwords = 16
 
 let probe_base = 0x6000
-let probe_size = 8 * page_size
 
 let mem_size = 0x10000
 

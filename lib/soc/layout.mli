@@ -16,14 +16,10 @@
 
 val page_size : int
 
-val shared_base : int
-val shared_size : int
-
 val swap_base : int
 val swap_size : int
 
 val dedicated_base : int
-val dedicated_size : int
 
 val secret_base : int
 val secret_size : int
@@ -32,7 +28,6 @@ val secret_dwords : int
 (** Number of 64-bit secret words the harness initialises (and taints). *)
 
 val probe_base : int
-val probe_size : int
 
 val mem_size : int
 (** Total modelled physical memory. *)

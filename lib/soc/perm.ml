@@ -9,7 +9,6 @@ type t = {
 let rwx = { read = true; write = true; exec = true; user = true; present = true }
 let rw = { rwx with exec = false }
 let rx = { rwx with write = false }
-let ro = { rwx with write = false; exec = false }
 
 let priv_only t = { t with user = false }
 

@@ -13,7 +13,6 @@ val rwx : t
 
 val rw : t
 val rx : t
-val ro : t
 
 val priv_only : t -> t
 (** Same rights but reserved to machine mode — the paper's "update sensitive

@@ -82,8 +82,6 @@ let set_perm t addr p =
   if not (in_range t addr) then invalid_arg "Phys_mem.set_perm: out of range";
   t.perms.(page_of addr) <- p
 
-let perm_of t addr = if in_range t addr then t.perms.(page_of addr) else Perm.none
-
 let read_byte t addr =
   if in_range t addr then Char.code (Bytes.get t.data addr) else 0
 

@@ -27,9 +27,6 @@ val clear : t -> unit
 val set_perm : t -> int -> Perm.t -> unit
 (** [set_perm t addr p] sets the permission of the page containing [addr]. *)
 
-val perm_of : t -> int -> Perm.t
-(** Permission of the page containing [addr]; {!Perm.none} if out of range. *)
-
 val read_byte : t -> int -> int
 (** Backdoor read (no permission check).  Out-of-range reads return 0. *)
 

@@ -76,21 +76,13 @@ let default_secret_b secret =
   Array.map (fun v -> v lxor 0xFFFFFFFF) secret
 
 (* Instance B's stimulus: [secret_b] (default: the bit-flipped variant) on
-   a schedule-preserving copy of the swappable memory.  [fn] names the
-   caller in the arity error. *)
-let make_stim_b ~fn ?secret_b stim =
+   a schedule-preserving copy of the swappable memory. *)
+let make_stim_b ?secret_b stim =
   let secret_b =
     match secret_b with
     | Some s -> s
     | None -> default_secret_b stim.Core.st_secret
   in
-  if Array.length secret_b <> Array.length stim.Core.st_secret then
-    invalid_arg
-      (Printf.sprintf
-         "Dualcore.%s: secret arity mismatch: secret_b has %d dwords but \
-          the stimulus secret has %d"
-         fn (Array.length secret_b)
-         (Array.length stim.Core.st_secret));
   let swap_b =
     Swapmem.with_schedule stim.Core.st_swapmem
       (Swapmem.schedule stim.Core.st_swapmem)
@@ -116,9 +108,18 @@ let create ?provenance ?(log_bound = Dvz_ift.Taintlog.Unbounded)
     ?(mode = Dvz_ift.Policy.Diffift) ?secret_b cfg stim =
   (match log_bound with
   | Dvz_ift.Taintlog.Unbounded -> ()
-  | Keep_first n | Keep_last n | Stride n ->
+  | Keep_last n ->
       if n <= 0 then invalid_arg "Dualcore.create: log_bound must be positive");
-  let stim_b = make_stim_b ~fn:"create" ?secret_b stim in
+  (match secret_b with
+  | Some s when Array.length s <> Array.length stim.Core.st_secret ->
+      invalid_arg
+        (Printf.sprintf
+           "Dualcore.create: secret arity mismatch: secret_b has %d dwords \
+            but the stimulus secret has %d"
+           (Array.length s)
+           (Array.length stim.Core.st_secret))
+  | _ -> ());
+  let stim_b = make_stim_b ?secret_b stim in
   let core_a = Core.create cfg stim in
   let core_b = Core.create cfg stim_b in
   let taint = Taintstate.create ?provenance mode in
@@ -131,8 +132,8 @@ let create ?provenance ?(log_bound = Dvz_ift.Taintlog.Unbounded)
    reusing both cores' state (via [Core.reset]) and the taint tables, so no
    netlist-sized allocation happens.  [mode] and [log_bound] stay what they
    were at [create]; the pool keys on them. *)
-let reset ?secret_b t stim =
-  let stim_b = make_stim_b ~fn:"reset" ?secret_b stim in
+let reset t stim =
+  let stim_b = make_stim_b stim in
   Core.reset t.core_a stim;
   Core.reset t.core_b stim_b;
   Taintstate.reset t.taint;
@@ -196,10 +197,6 @@ let push_log t e =
   | Dvz_ift.Taintlog.Unbounded ->
       t.log <- e :: t.log;
       t.log_len <- t.log_len + 1
-  | Keep_first n -> if t.log_len < n then begin
-      t.log <- e :: t.log;
-      t.log_len <- t.log_len + 1
-    end
   | Keep_last n ->
       t.log <- e :: t.log;
       t.log_len <- t.log_len + 1;
@@ -207,10 +204,6 @@ let push_log t e =
         t.log <- List.filteri (fun i _ -> i < n) t.log;
         t.log_len <- n
       end
-  | Stride k -> if t.slots mod k = 0 then begin
-      t.log <- e :: t.log;
-      t.log_len <- t.log_len + 1
-    end
 
 let step_impl t =
   (match Dvz_resilience.Fault.tick ~cycle:t.slots with

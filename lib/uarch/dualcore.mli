@@ -55,8 +55,9 @@ val create :
   t
 (** [create cfg stim] builds the testbench.  [secret_b] defaults to the
     bitwise complement of [stim.st_secret] (low 32 bits); pass
-    [stim.st_secret] itself to reproduce the diffIFT^FN worst case.
-    [mode] defaults to [Diffift].
+    [stim.st_secret] itself to reproduce the diffIFT^FN worst case; it
+    must have as many dwords as [stim.st_secret] ([Invalid_argument]
+    otherwise).  [mode] defaults to [Diffift].
 
     [provenance] arms element-granularity taint tracing for a replay
     pass: the planted secret words are recorded as sources (at time -1)
@@ -67,12 +68,12 @@ val create :
     in [r_log] for long campaigns; the taint state, metrics and high-water
     mark are unaffected by discarded entries. *)
 
-val reset : ?secret_b:int array -> t -> Core.stimulus -> unit
+val reset : t -> Core.stimulus -> unit
 (** [reset t stim] re-arms a built testbench for a new stimulus without
     reallocating either core or the taint tables: afterwards [t] behaves
     bit-identically to [create ~mode ~log_bound cfg stim] with the [mode]
-    and [log_bound] it was created with ([secret_b] defaults as in
-    [create]).  This is the pooling fast path used by
+    and [log_bound] it was created with (instance B gets [create]'s
+    default, bit-flipped secret).  This is the pooling fast path used by
     {!Dejavuzz.Simpool}; the pooled-vs-fresh property tests in
     [test_fuzz.ml] pin the equivalence. *)
 

@@ -2,12 +2,11 @@
 
     The core model emits one [slot] record per executed instruction; the
     dual-instance taint engine ({!Taintstate}) consumes the paired records
-    of the two DUTs and applies the {!Dvz_ift.Policy}-equivalent rules at
-    the state-element level: [Write] is data-flow (Policy 1 analogue),
-    [Ctrl] is conditional selection (Policy 2 / Table 1 analogue, with the
-    cross-instance value comparison providing the [diff] signal), and
-    [Snapshot]/[Restore] express squash recovery of checkpointed
-    structures. *)
+    of the two DUTs and applies {!Dvz_ift.Policy}'s Table 1 rows at the
+    state-element level: a [Write] goes through the register-with-enable
+    row, a [Ctrl] through the memory-write row (the cross-instance value
+    comparison providing the [diff] signal), and [Snapshot]/[Restore]
+    express squash recovery of checkpointed structures. *)
 
 type ctrl_kind =
   | C_branch   (** a branch direction decision *)
@@ -20,7 +19,8 @@ val ctrl_kind_name : ctrl_kind -> string
 type event =
   | Write of Elem.t * Elem.t list
       (** [Write (dst, srcs)]: [dst] is overwritten with data derived from
-          [srcs]; its taint becomes the union of the sources' taints. *)
+          [srcs]; {!Taintstate} decides its new taint from the sources'
+          taints, its own, and the mode. *)
   | Ctrl of {
       kind : ctrl_kind;
       value : int;          (** the concrete decision this instance made *)

@@ -40,29 +40,30 @@ let blit ~src ~dst =
   copy_into src.by_module dst.by_module;
   dst.bymod_cache <- src.bymod_cache
 
-let set_tainted t e =
-  if not (Hashtbl.mem t.taints e) then begin
-    Hashtbl.replace t.taints e ();
-    t.bymod_cache <- None;
-    let m = Elem.module_of e in
-    let cur = try Hashtbl.find t.by_module m with Not_found -> 0 in
-    Hashtbl.replace t.by_module m (cur + 1)
-  end
+(* [add] and [remove] are the table side of a transition the caller has
+   already established ([e] clean, resp. tainted). *)
+let add t e =
+  Hashtbl.replace t.taints e ();
+  t.bymod_cache <- None;
+  let m = Elem.module_of e in
+  let cur = try Hashtbl.find t.by_module m with Not_found -> 0 in
+  Hashtbl.replace t.by_module m (cur + 1)
 
-let clear_tainted t e =
-  if Hashtbl.mem t.taints e then begin
-    Hashtbl.remove t.taints e;
-    t.bymod_cache <- None;
-    let m = Elem.module_of e in
-    match Hashtbl.find_opt t.by_module m with
-    | Some n when n <= 1 -> Hashtbl.remove t.by_module m
-    | Some n -> Hashtbl.replace t.by_module m (n - 1)
-    | None -> ()
-  end
+let remove t e =
+  Hashtbl.remove t.taints e;
+  t.bymod_cache <- None;
+  let m = Elem.module_of e in
+  match Hashtbl.find_opt t.by_module m with
+  | Some n when n <= 1 -> Hashtbl.remove t.by_module m
+  | Some n -> Hashtbl.replace t.by_module m (n - 1)
+  | None -> ()
 
 let is_tainted t e = Hashtbl.mem t.taints e
 
-let set t e v = if v then set_tainted t e else clear_tainted t e
+let set_tainted t e = if not (is_tainted t e) then add t e
+
+let set t e v =
+  if v then set_tainted t e else if is_tainted t e then remove t e
 
 let any_tainted t es = List.exists (is_tainted t) es
 
@@ -74,28 +75,44 @@ let tainted_src_labels t srcs =
        (fun e -> if is_tainted t e then Some (Elem.to_string e) else None)
        srcs)
 
+let bit b = if b then 1 else 0
+
+(* Table 1's register-with-enable row on 1-bit taints.  The element model
+   has no enable signal and no data values, so [dst]'s enable counts as
+   tainted and as differing exactly when the streams diverged, and the
+   write changes the stored value exactly when they diverged (the
+   conventions in the .mli). *)
 let write t ~diverged dst srcs =
-  (match t.prov with
-  | None -> ()
-  | Some p ->
-      let labels = tainted_src_labels t srcs in
-      let incoming = labels <> [] || diverged in
-      if incoming && not (is_tainted t dst) then
+  let was = is_tainted t dst in
+  let now =
+    Policy.reg_en_taint t.mode ~width:1 ~en:true ~en_diff:diverged ~ent:1
+      ~dt:(bit (any_tainted t srcs)) ~qt:(bit was) ~dq_xor:(bit diverged)
+    <> 0
+  in
+  if now && not was then begin
+    (match t.prov with
+    | None -> ()
+    | Some p ->
         let kind, labels =
-          if labels <> [] then (Provenance.Data, labels)
-          else (Provenance.Divergence, [])
+          match tainted_src_labels t srcs with
+          | [] -> (Provenance.Divergence, [])
+          | labels -> (Provenance.Data, labels)
         in
         Provenance.record p ~dst:(Elem.to_string dst) ~srcs:labels kind);
-  let incoming = any_tainted t srcs || diverged in
-  match t.mode with
-  | Policy.Cellift -> if incoming then set_tainted t dst
-  | Policy.Diffift -> set t dst incoming
+    add t dst
+  end
+  else if was && not now then remove t dst
 
-let ctrl ?(label = "ctrl") ?(psrcs = []) t ~diverged ~st ~diff touched =
-  let propagate =
-    st && (match t.mode with Policy.Cellift -> true | Policy.Diffift -> diff)
-  in
-  if propagate || (diverged && st) then
+(* Table 1's memory-write row on 1-bit taints: a clean, always-asserted
+   write enable and the decision as the address, which differs across the
+   instances when [diff].  A 1 control-taints every touched element; a 0
+   leaves each touched element's taint as it was. *)
+let ctrl ?(label = "ctrl") ?(psrcs = []) t ~st ~diff touched =
+  if
+    Policy.mem_write_ctrl t.mode ~width:1 ~wen:true ~went:0 ~wen_diff:false
+      ~addrt:(bit st) ~addr_diff:diff
+    <> 0
+  then
     match t.prov with
     | None -> List.iter (set_tainted t) touched
     | Some p ->
@@ -157,7 +174,7 @@ let apply_event t ~diverged = function
   | Effect.Snapshot elems -> snapshot t elems
   | Effect.Restore elems -> restore t elems
   | Effect.Ctrl { kind; srcs; touched; _ } ->
-      ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t ~diverged
+      ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t
         ~st:(any_tainted t srcs || diverged) ~diff:true touched
 
 let apply_event_pair t ~diverged ea eb =
@@ -167,8 +184,8 @@ let apply_event_pair t ~diverged ea eb =
     when ka = kb ->
       let st = any_tainted t (sa @ sb) || diverged in
       let diff = va <> vb || diverged in
-      ctrl ~label:(Effect.ctrl_kind_name ka) ~psrcs:(sa @ sb) t ~diverged ~st
-        ~diff (ta @ tb)
+      ctrl ~label:(Effect.ctrl_kind_name ka) ~psrcs:(sa @ sb) t ~st ~diff
+        (ta @ tb)
   | Effect.Write (da, sa), Effect.Write (db, sb) when Elem.equal da db ->
       write t ~diverged da (sa @ sb)
   | _ ->

@@ -3,19 +3,43 @@
     One taint state serves the two lockstep DUT instances, exactly like the
     shadow circuit of the dual-DUT testbench in §3.3.  Effects are consumed
     in pairs — instance A's and instance B's {!Effect.slot} for the same
-    slot — and the cross-instance comparison of control decisions provides
-    the [diff] gating:
+    slot.  Every taint decision is a call into {!Dvz_ift.Policy} on 1-bit
+    element taints, in the mode given at {!create}:
 
-    - [Write] propagates data taint.  In [Diffift] mode a write with clean
-      sources clears the destination's taint (precise overwrite); in
-      [Cellift] mode taints only accumulate, reproducing the monotone taint
-      growth of §2.2.
-    - [Ctrl] propagates control taint to the touched elements when the
-      decision's sources are tainted and — in [Diffift] mode — the two
-      instances' concrete decisions actually differ.
-    - Slot divergence (the instances executing different pcs) is itself a
-      secret-caused difference: every write in a diverged slot is
-      control-tainted in both modes. *)
+    - [Write (dst, srcs)] is Table 1's register-with-enable row
+      ({!Dvz_ift.Policy.reg_en_taint}), with the sources' taint as the data
+      taint and [dst]'s own as the held taint.  Under diffIFT a write with
+      clean sources clears the destination's taint (precise overwrite);
+      under CellIFT taints only accumulate, the monotone growth of §2.2.
+    - [Ctrl] is the memory-write row ({!Dvz_ift.Policy.mem_write_ctrl})
+      with the decision as the address: the touched elements are
+      control-tainted when the decision's sources are tainted and, under
+      diffIFT, the two instances' decisions differ.  Otherwise each
+      touched element keeps its taint.
+
+    The element model has no data values and no enable signals, so two
+    conventions fix those inputs:
+
+    + An element's write enable counts as tainted, and it differs across
+      the two instances exactly when their instruction streams diverged
+      (the instances execute different pcs in the slot).  Under diffIFT
+      the [en_diff] gate makes this inert on aligned slots; under CellIFT
+      it keeps the taint of a cleanly overwritten element, Figure 6's
+      "never recovers".
+    + A write changes the stored value exactly when the streams diverged
+      ([dq_xor]), and a diverged slot's two control decisions count as
+      differing.  Divergence is itself a secret-caused difference: every
+      write and every decision of a diverged slot taints, in both modes.
+
+    Under these premises the element engine agrees with the cell-level
+    {!Dvz_ift.Shadow} on random event pairs lowered to small netlists (a
+    QCheck property of [test_uarch.ml]).  Without them the two disagree in
+    exactly three classes, each pinned by a test as an element-level
+    abstraction: a CellIFT aligned write of clean data that changes a clean
+    element's value ([Shadow] taints it, this engine does not); a diverged
+    write that leaves the value unchanged, in either mode; and a diffIFT
+    diverged slot whose two decisions are equal (this engine taints, and
+    [Shadow] does not). *)
 
 type t
 

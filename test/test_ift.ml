@@ -347,7 +347,7 @@ let test_provenance_cap () =
 let test_provenance_kind_names () =
   let kinds =
     [ Provenance.Source; Provenance.Data; Provenance.Ctrl "addr";
-      Provenance.Divergence; Provenance.Restore; Provenance.Cell "Mux" ]
+      Provenance.Divergence; Provenance.Restore ]
   in
   List.iter
     (fun k ->
@@ -358,82 +358,6 @@ let test_provenance_kind_names () =
     kinds;
   Alcotest.(check bool) "unknown name" true
     (Provenance.kind_of_name "bogus" = None)
-
-(* Arming a shadow must not change what gets tainted, only record how. *)
-let test_shadow_armed_matches_disarmed () =
-  let build () =
-    let nl = N.create () in
-    N.scoped nl "u" (fun () ->
-        let sec = N.input nl ~name:"sec" 8 in
-        let pub = N.input nl ~name:"pub" 8 in
-        let x = N.xor_ nl sec pub in
-        let q = N.reg nl ~name:"q" 8 in
-        N.reg_connect nl q ~d:x ();
-        (nl, sec, pub, q))
-  in
-  let nl_a, sec_a, pub_a, q_a = build () in
-  let nl_b, sec_b, pub_b, q_b = build () in
-  let p = Provenance.create () in
-  let armed = Shadow.create ~provenance:p Policy.Diffift nl_a in
-  let plain = Shadow.create Policy.Diffift nl_b in
-  let drive sh sec pub =
-    Shadow.set_input_pair sh sec 0xAB 0x54;
-    Shadow.set_input sh pub 0x0F;
-    Shadow.cycle sh;
-    Shadow.eval sh
-  in
-  drive armed sec_a pub_a;
-  drive plain sec_b pub_b;
-  Alcotest.(check int) "taint planes agree" (Shadow.taint_bit_sum plain)
-    (Shadow.taint_bit_sum armed);
-  Alcotest.(check int) "values agree" (Shadow.peek_a plain q_b)
-    (Shadow.peek_a armed q_a);
-  let slice = Provenance.slice p ~sink:"u.q" in
-  Alcotest.(check bool) "slice reaches the secret input" true
-    (List.exists
-       (fun e -> e.Provenance.e_kind = Provenance.Source
-                 && e.Provenance.e_dst = "u.sec")
-       slice);
-  Alcotest.(check bool) "register intro is a cell edge" true
-    (match List.rev slice with
-    | last :: _ -> last.Provenance.e_dst = "u.q"
-    | [] -> false)
-
-let test_shadow_armed_mem_source () =
-  let nl = N.create () in
-  let m = N.mem nl ~name:"m" ~width:8 ~depth:8 () in
-  let addr = N.input nl ~name:"addr" 3 in
-  ignore (N.mem_read nl m addr);
-  let p = Provenance.create () in
-  let sh = Shadow.create ~provenance:p Policy.Diffift nl in
-  Shadow.poke_mem_pair sh m 5 0xAA 0x55;
-  Shadow.set_input sh addr 5;
-  Shadow.eval sh;
-  let label = Printf.sprintf "%s[5]" (N.mem_name m) in
-  Alcotest.(check bool) "poke recorded as source" true
-    (List.exists
-       (fun e -> e.Provenance.e_kind = Provenance.Source
-                 && e.Provenance.e_dst = label)
-       (Provenance.edges p))
-
-(* Disarmed, the provenance option must cost nothing: same engine, same
-   outputs, no allocation in steady state (the armed path is interpretive
-   and allocates; the fuzz loop never arms). *)
-let test_disarmed_cycle_unchanged_and_allocation_free () =
-  let rob = Circuits.rob ~entries:8 ~uopc_width:7 in
-  let sh = Shadow.create Policy.Diffift rob.Circuits.rob_nl in
-  Shadow.set_input sh rob.Circuits.enq_valid 1;
-  Shadow.set_input_pair sh rob.Circuits.enq_uopc 0x11 0x22;
-  Shadow.set_input sh rob.Circuits.rollback 0;
-  Shadow.set_input sh rob.Circuits.rollback_idx 0;
-  for _ = 1 to 100 do Shadow.cycle sh done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do Shadow.cycle sh done;
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "disarmed cycles allocated %.0f minor words" delta)
-    true (delta < 64.0);
-  Alcotest.(check int) "ticks counted" 1100 (Shadow.ticks sh)
 
 (* --- taint log bounds ------------------------------------------------------ *)
 
@@ -494,25 +418,11 @@ let test_taintlog () =
         (last.Dualcore.le_total > Dvz_soc.Layout.secret_dwords)
   | [] -> Alcotest.fail "empty log"
 
-let test_taintlog_keep_first () =
-  let r = run_log (Taintlog.Keep_first 2) in
-  Alcotest.(check (list int)) "first two" [ 0; 1 ] (slots_of r);
-  Alcotest.(check bool) "slots count all" true (r.Dualcore.r_slots > 4);
-  check_subsequence r
-
 let test_taintlog_keep_last () =
   let r = run_log (Taintlog.Keep_last 2) in
   let n = r.Dualcore.r_slots in
   Alcotest.(check bool) "trimmed more than once" true (n > 6);
   Alcotest.(check (list int)) "last two" [ n - 2; n - 1 ] (slots_of r);
-  check_subsequence r
-
-let test_taintlog_stride () =
-  let r = run_log (Taintlog.Stride 2) in
-  let n = r.Dualcore.r_slots in
-  Alcotest.(check (list int)) "every other slot"
-    (List.init ((n + 1) / 2) (fun i -> 2 * i))
-    (slots_of r);
   check_subsequence r
 
 let test_taintlog_bound_validation () =
@@ -521,7 +431,7 @@ let test_taintlog_bound_validation () =
       Alcotest.check_raises "non-positive bound"
         (Invalid_argument "Dualcore.create: log_bound must be positive")
         (fun () -> ignore (run_log bound)))
-    [ Taintlog.Keep_first 0; Taintlog.Keep_last 0; Taintlog.Stride (-1) ]
+    [ Taintlog.Keep_last 0; Taintlog.Keep_last (-1) ]
 
 (* --- compiled vs interpretive engine -------------------------------------- *)
 
@@ -731,9 +641,7 @@ let () =
           Alcotest.test_case "arity check" `Quick test_liveness_arity_check ] );
       ( "taintlog",
         [ Alcotest.test_case "record" `Quick test_taintlog;
-          Alcotest.test_case "keep-first bound" `Quick test_taintlog_keep_first;
           Alcotest.test_case "keep-last bound" `Quick test_taintlog_keep_last;
-          Alcotest.test_case "stride bound" `Quick test_taintlog_stride;
           Alcotest.test_case "bound validation" `Quick
             test_taintlog_bound_validation ] );
       ( "provenance",
@@ -744,10 +652,4 @@ let () =
           Alcotest.test_case "restore terminates" `Quick
             test_provenance_restore_terminates;
           Alcotest.test_case "capacity" `Quick test_provenance_cap;
-          Alcotest.test_case "kind names" `Quick test_provenance_kind_names;
-          Alcotest.test_case "armed matches disarmed" `Quick
-            test_shadow_armed_matches_disarmed;
-          Alcotest.test_case "memory poke source" `Quick
-            test_shadow_armed_mem_source;
-          Alcotest.test_case "disarmed zero overhead" `Quick
-            test_disarmed_cycle_unchanged_and_allocation_free ] ) ]
+          Alcotest.test_case "kind names" `Quick test_provenance_kind_names ] ) ]

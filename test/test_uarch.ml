@@ -14,6 +14,9 @@ module Elem = Dvz_uarch.Elem
 module Eff = Dvz_uarch.Effect
 module Taintstate = Dvz_uarch.Taintstate
 module Dualcore = Dvz_uarch.Dualcore
+module N = Dvz_ir.Netlist
+module Shadow = Dvz_ift.Shadow
+module Policy = Dvz_ift.Policy
 module Packet = Dejavuzz.Packet
 module Genlib = Dejavuzz.Genlib
 
@@ -534,6 +537,242 @@ let test_taint_module_counts () =
   Alcotest.(check bool) "ras count 1" true
     (List.assoc_opt "frontend.ras" counts = Some 1)
 
+(* --- taint engine against the cell-level shadow ------------------------- *)
+
+(* One element-level event pair over four elements, lowered to a small
+   netlist and run on [Shadow]'s interpretive engine beside [Taintstate].
+   [taint] marks the elements tainted beforehand; [va]/[vb] are their
+   values in the two instances.  [Taintstate] sees the same event in both
+   slots, at differing pcs when [diverged]. *)
+type event_case = {
+  ec_taint : bool array;
+  ec_va : int array;
+  ec_vb : int array;
+  ec_dst : int;  (** [Write]'s destination *)
+  ec_srcs : int list;
+  ec_pairs : (int * int) list;  (** [Ctrl]'s touched pairs, [x <> y] *)
+  ec_diverged : bool;
+}
+
+let case_to_string c =
+  let ints a = String.concat "" (Array.to_list (Array.map string_of_int a)) in
+  let taint = Array.map (fun b -> if b then 1 else 0) c.ec_taint in
+  Printf.sprintf "taint=%s a=%s b=%s dst=%d srcs=[%s] pairs=[%s] diverged=%b"
+    (ints taint) (ints c.ec_va) (ints c.ec_vb) c.ec_dst
+    (String.concat ";" (List.map string_of_int c.ec_srcs))
+    (String.concat ";"
+       (List.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) c.ec_pairs))
+    c.ec_diverged
+
+let taint_modes = [ Policy.Cellift; Policy.Diffift ]
+
+let run_taintstate mode c elem ea eb =
+  let t = Taintstate.create mode in
+  Array.iteri
+    (fun i b -> if b then Taintstate.set_tainted t (elem i))
+    c.ec_taint;
+  let pc_b = if c.ec_diverged then 4 else 0 in
+  Taintstate.apply_pair t (Some (slot [ ea ])) (Some (slot ~pc:pc_b [ eb ]));
+  Array.init 4 (fun i -> Taintstate.is_tainted t (elem i))
+
+(* [Write (dst, srcs)] on 1-bit registers.  Cycle 1, with a clean [phase]
+   at 0, loads every register's initial value (tainted ones through
+   [set_input_pair]).  In cycle 2, [dst] latches the XOR of its sources
+   under a tainted enable that is 1 in both instances, or 1 in A and 0 in
+   B when diverged; every other register's enable is a clean 0.  Returns
+   both engines' final taints and whether the write changes [dst]'s value
+   exactly when the streams diverged (the premise of the element model's
+   [dq_xor] convention). *)
+let lower_write mode c =
+  let nl = N.create () in
+  let phase = N.input nl 1 and wen = N.input nl 1 in
+  let zero = N.const nl 1 0 and one = N.const nl 1 1 in
+  let inits = Array.init 4 (fun _ -> N.input nl 1) in
+  let regs = Array.init 4 (fun _ -> N.reg nl 1) in
+  let data =
+    List.fold_left (fun acc j -> N.xor_ nl acc regs.(j)) zero c.ec_srcs
+  in
+  Array.iteri
+    (fun i q ->
+      let d, en = if i = c.ec_dst then (data, wen) else (q, zero) in
+      N.reg_connect nl q ~d:(N.mux nl phase inits.(i) d)
+        ~en:(N.mux nl phase one en) ())
+    regs;
+  let sh = Shadow.create ~engine:`Interp mode nl in
+  Shadow.set_input sh phase 0;
+  Array.iteri
+    (fun i s ->
+      if c.ec_taint.(i) then
+        Shadow.set_input_pair sh s c.ec_va.(i) c.ec_vb.(i)
+      else Shadow.set_input sh s c.ec_va.(i))
+    inits;
+  Shadow.cycle sh;
+  Shadow.set_input sh phase 1;
+  Shadow.set_input_pair sh wen 1 (if c.ec_diverged then 0 else 1);
+  Shadow.eval sh;
+  let q = regs.(c.ec_dst) in
+  let changes =
+    Shadow.peek_a sh data <> Shadow.peek_a sh q
+    || Shadow.peek_b sh data <> Shadow.peek_b sh q
+  in
+  Shadow.cycle sh;
+  let ev =
+    Eff.Write (Elem.Areg c.ec_dst, List.map (fun j -> Elem.Areg j) c.ec_srcs)
+  in
+  ( run_taintstate mode c (fun i -> Elem.Areg i) ev ev,
+    Array.map (fun q -> Shadow.taint_of sh q <> 0) regs,
+    changes = c.ec_diverged )
+
+(* [Ctrl] on the words of a 1-bit memory, poked with differing values
+   exactly where tainted.  The selector [s] is the XOR of the source
+   words' reads and a divergence input (tainted 0/1 when diverged, clean 0
+   otherwise); each touched pair [(x, y)] is a write port with [wen = 1],
+   [addr = mux s x y] and [data = mem_read addr].  On the [Taintstate]
+   side each instance's decision is its selector value and it touches the
+   word its own selector picks.  The premise: a diverged slot's selectors
+   differ. *)
+let lower_ctrl mode c =
+  let nl = N.create () in
+  let m = N.mem nl ~name:"m" ~width:1 ~depth:4 () in
+  let div = N.input nl 1 in
+  let s =
+    List.fold_left
+      (fun acc j -> N.xor_ nl acc (N.mem_read nl m (N.const nl 2 j)))
+      div c.ec_srcs
+  in
+  let one = N.const nl 1 1 in
+  List.iter
+    (fun (x, y) ->
+      let addr = N.mux nl s (N.const nl 2 x) (N.const nl 2 y) in
+      N.mem_write nl m ~wen:one ~addr ~data:(N.mem_read nl m addr))
+    c.ec_pairs;
+  let sh = Shadow.create ~engine:`Interp mode nl in
+  for i = 0 to 3 do Shadow.poke_mem_pair sh m i c.ec_va.(i) c.ec_vb.(i) done;
+  if c.ec_diverged then Shadow.set_input_pair sh div 0 1
+  else Shadow.set_input sh div 0;
+  Shadow.eval sh;
+  let sa = Shadow.peek_a sh s and sb = Shadow.peek_b sh s in
+  Shadow.cycle sh;
+  let ev value =
+    Eff.Ctrl
+      { kind = Eff.C_addr; value;
+        srcs = List.map (fun j -> Elem.Mem j) c.ec_srcs;
+        touched =
+          List.map
+            (fun (x, y) -> Elem.Mem (if value <> 0 then y else x))
+            c.ec_pairs }
+  in
+  ( run_taintstate mode c (fun i -> Elem.Mem i) (ev sa) (ev sb),
+    Array.init 4 (fun i -> Shadow.mem_taint sh m i <> 0),
+    (not c.ec_diverged) || sa <> sb )
+
+(* Random cases: clean elements hold equal values; [~ctrl] makes tainted
+   memory words differ (a poke taints exactly the differing words) and
+   draws one to three touched pairs of distinct words. *)
+let gen_event_case ~ctrl =
+  let open QCheck.Gen in
+  let* taint = array_size (return 4) bool in
+  let* va = array_size (return 4) (int_bound 1) in
+  let* vb = array_size (return 4) (int_bound 1) in
+  let vb =
+    Array.mapi
+      (fun i v ->
+        if not taint.(i) then va.(i) else if ctrl then 1 - va.(i) else v)
+      vb
+  in
+  let* dst = int_bound 3 in
+  let* srcs = list_size (int_bound 3) (int_bound 3) in
+  let* pairs =
+    if ctrl then
+      list_size (int_range 1 3)
+        (let* x = int_bound 3 in
+         let* d = int_range 1 3 in
+         return (x, (x + d) mod 4))
+    else return []
+  in
+  let* diverged = bool in
+  return
+    { ec_taint = taint; ec_va = va; ec_vb = vb; ec_dst = dst; ec_srcs = srcs;
+      ec_pairs = pairs; ec_diverged = diverged }
+
+(* Under the conventions' premises, [Taintstate] (Table 1 through
+   [Policy], on 1-bit taints) and [Shadow] (Table 1 per cell) give every
+   element the same taint, in both modes.  QCheck counts only the cases
+   that meet the premises and fails unless 1,000 of them do. *)
+let prop_taintstate_matches_shadow ~ctrl =
+  let lower = if ctrl then lower_ctrl else lower_write in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "taintstate %s matches shadow"
+         (if ctrl then "ctrl" else "write"))
+    ~count:1000 ~max_gen:10000 ~if_assumptions_fail:(`Fatal, 1.0)
+    (QCheck.make ~print:case_to_string (gen_event_case ~ctrl))
+    (fun c ->
+      let runs = List.map (fun mode -> lower mode c) taint_modes in
+      QCheck.assume (List.for_all (fun (_, _, premise) -> premise) runs);
+      List.for_all (fun (ts, sh, _) -> ts = sh) runs)
+
+(* Without the premises the engines disagree in exactly three classes,
+   each an element-level abstraction: the element model has no data
+   values, so it cannot see whether a write changed its destination, nor
+   whether a diverged slot's two decisions happen to agree.  Each test
+   below pins one class on a one-event netlist. *)
+let clean_case =
+  { ec_taint = Array.make 4 false; ec_va = Array.make 4 0;
+    ec_vb = Array.make 4 0; ec_dst = 0; ec_srcs = [ 1 ]; ec_pairs = [];
+    ec_diverged = false }
+
+(* [ts]/[sh]: element [elem]'s expected taint under [Taintstate]/[Shadow]. *)
+let check_engines what c lower elem ~mode ~ts ~sh =
+  let ts', sh', _ = lower mode c in
+  let name = Policy.mode_name mode in
+  Alcotest.(check bool) (Printf.sprintf "%s: %s, taintstate" name what) ts
+    ts'.(elem);
+  Alcotest.(check bool) (Printf.sprintf "%s: %s, shadow" name what) sh
+    sh'.(elem)
+
+(* CellIFT, an aligned write of clean data that changes a clean element's
+   value: the cell-level enable is tainted and CellIFT does not gate it,
+   so the value change taints the register; the element model assumes an
+   aligned write leaves the value unchanged.  diffIFT's [en_diff] gate
+   makes both engines agree. *)
+let test_taint_abstraction_cellift_value_change () =
+  let c =
+    { clean_case with ec_va = [| 0; 1; 0; 0 |]; ec_vb = [| 0; 1; 0; 0 |] }
+  in
+  check_engines "aligned clean write changes the value" c lower_write 0
+    ~mode:Policy.Cellift ~ts:false ~sh:true;
+  check_engines "aligned clean write changes the value" c lower_write 0
+    ~mode:Policy.Diffift ~ts:false ~sh:false
+
+(* Either mode, a diverged write that leaves the value unchanged: the
+   element model assumes divergence changes the written value, the cell
+   level sees [d = q] in both instances. *)
+let test_taint_abstraction_diverged_same_value () =
+  let c = { clean_case with ec_diverged = true } in
+  List.iter
+    (fun mode ->
+      check_engines "diverged write keeps the value" c lower_write 0 ~mode
+        ~ts:true ~sh:false)
+    taint_modes
+
+(* diffIFT, a diverged slot whose two decisions are equal: the element
+   model counts a diverged slot's decisions as differing, the cell-level
+   [s_diff] sees equal selectors and suppresses the control taint.  Word
+   0 is tainted and XORed with the divergence input, so both selectors are
+   0 and both instances touch word 1.  CellIFT taints it in both
+   engines. *)
+let test_taint_abstraction_diverged_equal_decisions () =
+  let c =
+    { clean_case with ec_taint = [| true; false; false; false |];
+      ec_vb = [| 1; 0; 0; 0 |]; ec_srcs = [ 0 ]; ec_pairs = [ (1, 2) ];
+      ec_diverged = true }
+  in
+  check_engines "diverged slot, equal decisions" c lower_ctrl 1
+    ~mode:Policy.Diffift ~ts:true ~sh:false;
+  check_engines "diverged slot, equal decisions" c lower_ctrl 1
+    ~mode:Policy.Cellift ~ts:true ~sh:true
+
 (* --- dual core ----------------------------------------------------------- *)
 
 let test_dualcore_secret_flows () =
@@ -1028,7 +1267,17 @@ let () =
           Alcotest.test_case "divergence" `Quick test_taint_divergence;
           Alcotest.test_case "copy/snapshot/restore" `Quick
             test_taint_copy_and_restore;
-          Alcotest.test_case "module counts" `Quick test_taint_module_counts ] );
+          Alcotest.test_case "module counts" `Quick test_taint_module_counts;
+          QCheck_alcotest.to_alcotest
+            (prop_taintstate_matches_shadow ~ctrl:false);
+          QCheck_alcotest.to_alcotest
+            (prop_taintstate_matches_shadow ~ctrl:true);
+          Alcotest.test_case "abstraction: CellIFT aligned value change" `Quick
+            test_taint_abstraction_cellift_value_change;
+          Alcotest.test_case "abstraction: diverged write, same value" `Quick
+            test_taint_abstraction_diverged_same_value;
+          Alcotest.test_case "abstraction: diverged, equal decisions" `Quick
+            test_taint_abstraction_diverged_equal_decisions ] );
       ( "timing",
         [ Alcotest.test_case "fpu contention" `Quick test_fpu_contention_timing;
           Alcotest.test_case "constant-time control" `Quick
