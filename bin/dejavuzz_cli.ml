@@ -337,12 +337,12 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
                 "dejavuzz: trace buffer overflowed; %d regions dropped\n"
                 dropped;
             let own_events = Dvz_obs.Profile.events () in
-            (match plane with
-            | None -> Dvz_obs.Trace_event.write_file f own_events
-            | Some p ->
-                Dvz_obs.Trace_event.write_file_multi f
-                  ((1, "dejavuzz coordinator", own_events)
-                  :: Dvz_fleet.Telemetry.trace_groups p))
+            Dvz_obs.Trace_event.write_file_multi f
+              (match plane with
+              | None -> [ (1, "dejavuzz", own_events) ]
+              | Some p ->
+                  (1, "dejavuzz coordinator", own_events)
+                  :: Dvz_fleet.Telemetry.trace_groups p)
         | None -> ());
         Dvz_obs.Profile.disarm ()
       end)
@@ -387,7 +387,8 @@ let max_seconds_t =
   Arg.(value & opt (some float) None
        & info [ "max-sim-seconds" ] ~docv:"S"
            ~doc:"Watchdog: abort any single dual-DUT simulation after S \
-                 wall-clock seconds.")
+                 wall-clock seconds.  S must be positive; omit the flag to \
+                 disable the wall-clock limit.")
 
 let crash_dir_t =
   Arg.(value & opt (some string) None
@@ -414,8 +415,17 @@ let resilience_full_t =
     let budget =
       match (max_slots, max_seconds) with
       | None, None -> None
-      | _ ->
-          Some (Dvz_uarch.Dualcore.budget ?max_slots ?max_wall_s:max_seconds ())
+      | _ -> (
+          match
+            Dvz_uarch.Dualcore.budget ?max_slots ?max_wall_s:max_seconds ()
+          with
+          | b -> Some b
+          | exception Invalid_argument _ ->
+              (* [max_slots] is positive here, so only S can be refused. *)
+              Printf.eprintf
+                "dejavuzz: --max-sim-seconds must be a positive number of \
+                 seconds\n";
+              exit 1)
     in
     ( { Campaign.rz_fault_plan = plan;
         rz_budget = budget;

@@ -7,6 +7,7 @@ module Dualcore = Dvz_uarch.Dualcore
 module Seed = Dejavuzz.Seed
 module Packet = Dejavuzz.Packet
 module Genlib = Dejavuzz.Genlib
+module Simpool = Dejavuzz.Simpool
 
 type case = {
   sc_testcase : Packet.testcase;
@@ -179,24 +180,15 @@ let generate_of_kind rng cfg kind =
   | Seed.T_access_fault | Seed.T_misalign | Seed.T_illegal | Seed.T_return ->
       invalid_arg "Specdoctor.generate_of_kind: unsupported window type"
 
+(* One stimulus of a random supported kind. *)
 let generate rng cfg = generate_of_kind rng cfg (Rng.choose rng supported)
 
-let eval_secret = Array.make Layout.secret_dwords 0x5A
-
-let triggered cfg case =
-  let stim = Packet.stimulus ~secret:eval_secret case.sc_testcase in
-  let core = Core.create cfg stim in
-  Core.finish core;
-  List.exists
-    (fun (w : Core.window_record) ->
-      w.Core.wr_trigger_pc = case.sc_testcase.Packet.trigger_addr
-      && w.Core.wr_enqueued > 0
-      && Dejavuzz.Trigger_gen.expected_window case.sc_testcase.Packet.seed
-           w.Core.wr_kind)
-    (Core.windows core)
+(* Phase 1 is the campaign's own evaluator: a SpecDoctor case is a single
+   transient blob, so its windows always sit in the transient packet. *)
+let triggered cfg case = Dejavuzz.Trigger_opt.evaluate cfg case.sc_testcase
 
 let run_hash cfg ~secret tc =
-  let core = Core.create cfg (Packet.stimulus ~secret tc) in
+  let core = Simpool.acquire_core cfg (Packet.stimulus ~secret tc) in
   Core.finish core;
   Core.state_hash core
 
@@ -222,7 +214,7 @@ let campaign ?(rng_seed = 1) ~iterations cfg =
     (* Replay under diffIFT for a comparable coverage measurement. *)
     let result =
       Dualcore.run
-        (Dualcore.create cfg (Packet.stimulus ~secret case.sc_testcase))
+        (Simpool.acquire cfg (Packet.stimulus ~secret case.sc_testcase))
     in
     ignore (Dejavuzz.Coverage.observe_result coverage result);
     if triggered cfg case && hash_differs cfg ~secret case then

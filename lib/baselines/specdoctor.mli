@@ -23,15 +23,13 @@ type case = {
 val supported : Dejavuzz.Seed.trigger_kind array
 (** The window types SpecDoctor's generation can produce. *)
 
-val generate : Dvz_util.Rng.t -> Dvz_uarch.Config.t -> case
-(** Generates one stimulus (random supported kind). *)
-
 val generate_of_kind :
   Dvz_util.Rng.t -> Dvz_uarch.Config.t -> Dejavuzz.Seed.trigger_kind -> case
 
 val triggered : Dvz_uarch.Config.t -> case -> bool
-(** Whether the intended window fires (RoB-event check, as in §4.1.2 — the
-    measurement harness shared by the Table 3 bench). *)
+(** Whether the intended window fires: {!Dejavuzz.Trigger_opt.evaluate}
+    on the case's test case, the RoB-event check of §4.1.2, so Table 3
+    measures both fuzzers with one phase-1 evaluator. *)
 
 val hash_differs : Dvz_uarch.Config.t -> secret:int array -> case -> bool
 (** SpecDoctor's phase-3 oracle: run the two secret variants and compare

@@ -7,8 +7,6 @@ module Profile = Dvz_obs.Profile
 module Fault = Dvz_resilience.Fault
 module Snapshot = Dvz_resilience.Snapshot
 
-let profiled name f = if Profile.armed () then Profile.wrap name f else f ()
-
 let m_crashes =
   Metrics.counter Metrics.default
     ~help:"Campaign iterations that crashed the harness and were isolated"
@@ -369,6 +367,7 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
       ~help:"Phase 3 (dual-DUT simulation + oracles) seconds"
       "dvz_phase3_seconds"
   in
+  let h_batch = Metrics.histogram tel.t_metrics "dvz_campaign_batch_seconds" in
   (* Lanes the dispatcher will actually use: [jobs] clamped to the
      hardware (with a one-time stderr note when clamped).  The per-domain
      counters are sized from it — the executor asserts its worker index in
@@ -518,7 +517,7 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
     | _ -> ()
   end;
   let ctx =
-    profiled "campaign/ctx-build" (fun () ->
+    Profile.wrap "campaign/ctx-build" (fun () ->
         { Executor.cx_cfg = cfg;
           cx_style = options.style;
           cx_taint_mode = options.taint_mode;
@@ -744,33 +743,37 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
      while !b < options.iterations do
        let count = min options.batch (options.iterations - !b) in
        Metrics.incr m_batches;
-       Metrics.with_span tel.t_metrics "dvz_campaign_batch_seconds" (fun () ->
-        let snap = Corpus.snapshot corpus in
-        let plans =
-          profiled "campaign/schedule" (fun () ->
-              Scheduler.schedule ~fresh_seed_prob:options.fresh_seed_prob
-                ~corpus:snap ~rng ~start:!b ~count)
-        in
-        (* [jobs] counts total lanes (orchestrator included) and
-           [Parallel.map ~domains] now shares that meaning, pre-clamped to
-           the hardware above; effective jobs = 1 (or a one-plan batch)
-           stays on this domain with no spawn overhead, in worker slot 0
-           even when this campaign runs inside an outer map.  A
-           [Fault.Killed] raised by any executor is re-raised here by
-           [Parallel.map] — lowest iteration first — exactly as the
-           sequential loop propagates it.  A
-           [dispatch] override (the fleet coordinator) replaces execution
-           entirely; as long as it returns one outcome per plan in
-           plan-index order, the fold — and therefore every observable
-           result — is identical to in-process execution. *)
-        let outcomes =
-          match dispatch with
-          | Some d -> d ctx plans
-          | None ->
-              Dvz_util.Parallel.map ~domains:jobs_effective
-                (Executor.execute ctx) plans
-        in
-        List.iter fold_outcome outcomes);
+       Profile.wrap "campaign/batch" (fun () ->
+        let t0 = Clock.now clk in
+        Fun.protect
+          ~finally:(fun () -> Metrics.observe h_batch (Clock.now clk -. t0))
+          (fun () ->
+            let snap = Corpus.snapshot corpus in
+            let plans =
+              Profile.wrap "campaign/schedule" (fun () ->
+                  Scheduler.schedule ~fresh_seed_prob:options.fresh_seed_prob
+                    ~corpus:snap ~rng ~start:!b ~count)
+            in
+            (* [jobs] counts total lanes (orchestrator included) and
+               [Parallel.map ~domains] now shares that meaning, pre-clamped to
+               the hardware above; effective jobs = 1 (or a one-plan batch)
+               stays on this domain with no spawn overhead, in worker slot 0
+               even when this campaign runs inside an outer map.  A
+               [Fault.Killed] raised by any executor is re-raised here by
+               [Parallel.map] — lowest iteration first — exactly as the
+               sequential loop propagates it.  A
+               [dispatch] override (the fleet coordinator) replaces execution
+               entirely; as long as it returns one outcome per plan in
+               plan-index order, the fold — and therefore every observable
+               result — is identical to in-process execution. *)
+            let outcomes =
+              match dispatch with
+              | Some d -> d ctx plans
+              | None ->
+                  Dvz_util.Parallel.map ~domains:jobs_effective
+                    (Executor.execute ctx) plans
+            in
+            List.iter fold_outcome outcomes));
        let b1 = !b + count in
        incr batch_no;
        (match rz.rz_checkpoint with
@@ -779,7 +782,7 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
               && b1 / rz.rz_checkpoint_every > !b / rz.rz_checkpoint_every ->
            (* The batch crossed an every-N boundary; at batch = 1 this is
               the old [(it + 1) mod every = 0] cadence. *)
-           profiled "campaign/checkpoint" (fun () ->
+           Profile.wrap "campaign/checkpoint" (fun () ->
                save_checkpoint ~keep_previous:rz.rz_checkpoint_keep ~path
                  (make_checkpoint b1));
            if events_on then

@@ -20,7 +20,6 @@ let create ~cap =
   if cap < 1 then invalid_arg "Corpus.create: cap must be at least 1";
   { cap; items = [||]; alias = None }
 
-let cap t = t.cap
 let size t = Array.length t.items
 let is_empty t = Array.length t.items = 0
 let entries t = Array.to_list t.items
@@ -32,7 +31,7 @@ let by_birth a b = compare a.en_birth b.en_birth
 (* Eviction keeps the [cap] entries with the highest reward, breaking
    ties toward the youngest.  Births are unique, so the priority order is
    total and the surviving set does not depend on sort stability or on
-   the order entries were admitted — the property [merge] relies on. *)
+   the order entries were admitted. *)
 let by_priority a b =
   match compare b.en_reward a.en_reward with
   | 0 -> compare b.en_birth a.en_birth
@@ -66,30 +65,6 @@ let of_entries ~cap es =
   let arr = Array.of_list es in
   Array.sort by_birth arr;
   { cap; items = keep_best cap arr; alias = None }
-
-let merge_impl a b =
-  if a.cap <> b.cap then
-    invalid_arg
-      (Printf.sprintf "Corpus.merge: caps differ (%d vs %d)" a.cap b.cap);
-  let tbl = Hashtbl.create (Array.length a.items + Array.length b.items + 1) in
-  (* Union keyed by birth; on a birth collision the structurally larger
-     entry wins, which is symmetric in the arguments — together with the
-     birth sort and the total-order trim this makes [merge] commutative
-     by construction. *)
-  let add e =
-    match Hashtbl.find_opt tbl e.en_birth with
-    | Some e' when compare e' e >= 0 -> ()
-    | _ -> Hashtbl.replace tbl e.en_birth e
-  in
-  Array.iter add a.items;
-  Array.iter add b.items;
-  let arr = Array.of_list (Hashtbl.fold (fun _ e acc -> e :: acc) tbl []) in
-  Array.sort by_birth arr;
-  { cap = a.cap; items = keep_best a.cap arr; alias = None }
-
-let merge a b =
-  if Profile.armed () then Profile.wrap "corpus/merge" (fun () -> merge_impl a b)
-  else merge_impl a b
 
 (* Vose's alias method: O(n) table build (cached until the next
    mutation), O(1) per draw.  The build walks the small/large worklists

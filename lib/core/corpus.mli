@@ -8,9 +8,7 @@
     the weighted-choice alias table — a pure function of the entry set
     rather than of the admission order.
 
-    [choose] is O(1) via Vose's alias method, weighted by [1 + reward];
-    [merge] is commutative by construction, so folding per-shard
-    corpora in any order yields the same store. *)
+    [choose] is O(1) via Vose's alias method, weighted by [1 + reward]. *)
 
 type entry = {
   en_birth : int;  (** iteration that admitted the testcase; unique *)
@@ -23,8 +21,6 @@ type t
 val create : cap:int -> t
 (** Empty corpus holding at most [cap] entries.  Raises
     [Invalid_argument] when [cap < 1]. *)
-
-val cap : t -> int
 
 val size : t -> int
 
@@ -48,12 +44,6 @@ val snapshot : t -> t
 (** Independent copy; later mutations of either side do not affect the
     other.  The batch scheduler reads from a snapshot so every plan in
     a batch sees the same corpus state. *)
-
-val merge : t -> t -> t
-(** Union keyed by birth, trimmed to the (shared) cap by the eviction
-    priority.  Commutative and associative on entry sets, so shard
-    results can be folded in any order.  Raises [Invalid_argument] when
-    the caps differ. *)
 
 val entries : t -> entry list
 (** Entries sorted by birth ascending — the stable checkpoint form. *)

@@ -4,10 +4,6 @@ module Metrics = Dvz_obs.Metrics
 module Profile = Dvz_obs.Profile
 module Fault = Dvz_resilience.Fault
 
-(* Armed-guarded so the disarmed cost is one atomic load and no closure
-   allocation (same discipline as the provenance hooks). *)
-let profiled name f = if Profile.armed () then Profile.wrap name f else f ()
-
 type crash = {
   cr_iteration : int;
   cr_seed : Seed.t option;
@@ -77,7 +73,7 @@ let execute cx (plan : Scheduler.plan) =
        window, or generate, evaluate and reduce a fresh trigger. *)
     let t0 = Clock.now clk in
     let phase1 =
-      profiled "executor/phase1" (fun () ->
+      Profile.wrap "executor/phase1" (fun () ->
           match plan.Scheduler.pl_pick with
           | Scheduler.Fresh ->
               let seed = Seed.random irng in
@@ -104,7 +100,7 @@ let execute cx (plan : Scheduler.plan) =
         (* Phase 2 — complete the transient window with encoding gadgets. *)
         let t1 = Clock.now clk in
         let comp =
-          profiled "executor/phase2" (fun () ->
+          Profile.wrap "executor/phase2" (fun () ->
               Window_gen.complete cx.cx_cfg tc)
         in
         completed := Some comp;
@@ -112,7 +108,7 @@ let execute cx (plan : Scheduler.plan) =
         (* Phase 3 — dual-DUT simulation, coverage, oracles. *)
         let t2 = Clock.now clk in
         let a =
-          profiled "executor/phase3" (fun () ->
+          Profile.wrap "executor/phase3" (fun () ->
               (* Keep_last 8192 never truncates a real run (stimuli cap
                  at 3000 slots); it only bounds the logs of pathological
                  or hung simulations over a long campaign. *)

@@ -6,16 +6,14 @@
     so saved runs stay inspectable after the fact — the [dejavuzz
     replay-log] subcommand. *)
 
-val summary : Dvz_obs.Json.t list -> (string, string) result
-(** Rebuilds the summary from parsed events.  Requires one
+val of_string : string -> (string, string) result
+(** Parses JSONL text and rebuilds the summary.  Requires one
     [campaign_end] record (the last one wins, so logs holding several
     sequential campaigns replay the final one) and uses every [finding]
     record preceding it.  When the log also holds the campaign's
     [campaign_start] record, the Table-5 classification block the CLI
     prints after the summary is appended as well.  Errors name the
-    missing piece. *)
-
-val of_string : string -> (string, string) result
-(** Parses JSONL text and applies {!summary}. *)
+    missing piece or the unparsable line. *)
 
 val of_file : string -> (string, string) result
+(** {!of_string} on a file's contents. *)

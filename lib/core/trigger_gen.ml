@@ -4,6 +4,7 @@ module Rng = Dvz_util.Rng
 module Cfg = Dvz_uarch.Config
 module Eff = Dvz_uarch.Effect
 
+(* Size of the dummy window section, in instructions. *)
 let window_words = 16
 
 (* Addresses reserved by the fuzzer's memory environment. *)

@@ -14,9 +14,6 @@
     kept but training packets are plain random instruction sequences with
     no alignment or control-flow matching. *)
 
-val window_words : int
-(** Size of the dummy window section, in instructions. *)
-
 val generate :
   ?style:[ `Derived | `Random ] ->
   ?force_training:bool ->

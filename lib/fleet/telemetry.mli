@@ -70,7 +70,7 @@ val merged_profile : t -> Dvz_obs.Profile.entry list
 
 val trace_groups : t -> (int * string * Dvz_obs.Profile.event list) list
 (** Per-slot [(pid, process_name, events)] groups for
-    {!Dvz_obs.Trace_event.to_json_multi}: pid [slot + 2] (pid 1 is the
+    {!Dvz_obs.Trace_event.write_file_multi}: pid [slot + 2] (pid 1 is the
     coordinator), events shifted onto the coordinator's clock and
     start-sorted.  Slots with no trace are omitted. *)
 

@@ -241,8 +241,6 @@ let prometheus_groups groups =
     (collect (fun s -> s.Metrics.sn_histograms));
   Buffer.contents buf
 
-let prometheus t = prometheus_groups [ ([], Metrics.snapshot t) ]
-
 let fleet_json ~coordinator ~workers =
   Json.Obj
     [ ("coordinator", snapshot_json coordinator);

@@ -23,12 +23,9 @@ val prometheus_groups :
     values escaped) plus a snapshot; metrics sharing a name across
     groups share one HELP/TYPE header and emit one sample line per
     group.  Histogram [le] labels are appended after the group's own
-    labels.  [prometheus t] is the single-group unlabelled special
-    case; the fleet [/metrics] endpoint passes the coordinator
-    unlabelled plus one [worker="N"] group per slot. *)
-
-val prometheus : Metrics.t -> string
-(** Full text exposition of the registry's current snapshot. *)
+    labels.  A single registry is the one unlabelled group
+    [[ ([], Metrics.snapshot t) ]]; the fleet [/metrics] endpoint passes
+    the coordinator unlabelled plus one [worker="N"] group per slot. *)
 
 val fleet_json :
   coordinator:Metrics.snapshot ->

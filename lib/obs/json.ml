@@ -7,6 +7,8 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* String-body escaping (no surrounding quotes): backslash, quote and
+   control characters; bytes above 0x7F pass through, so UTF-8 survives. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

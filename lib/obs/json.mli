@@ -19,11 +19,6 @@ val to_string : t -> string
 (** Compact single-line rendering.  Object fields keep their order.
     Non-finite floats encode as [null] (JSON has no representation). *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes): backslash, quote
-    and control characters; input bytes above 0x7F pass through so UTF-8
-    survives untouched. *)
-
 val of_string : string -> (t, string) result
 (** Parses one JSON value; trailing whitespace is allowed, trailing
     garbage is an error.  Numbers with a fraction or exponent decode as

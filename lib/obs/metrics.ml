@@ -111,36 +111,6 @@ let observe h v =
 let histogram_count h = locked h.h_mutex (fun () -> h.h_count)
 let histogram_sum h = locked h.h_mutex (fun () -> h.h_sum)
 
-type span = {
-  sp_hist : histogram;
-  sp_clock : Clock.t;
-  sp_t0 : float;
-  sp_frame : Profile.frame option;
-      (* spans double as profiler regions when the profiler is armed,
-         so batch/phase spans show up in trace exports *)
-}
-
-let span_start t name =
-  let h = histogram t name in
-  let frame = if Profile.armed () then Some (Profile.enter name) else None in
-  { sp_hist = h; sp_clock = t.r_clock; sp_t0 = Clock.now t.r_clock;
-    sp_frame = frame }
-
-let span_stop sp =
-  let d = Clock.now sp.sp_clock -. sp.sp_t0 in
-  observe sp.sp_hist d;
-  (match sp.sp_frame with Some fr -> Profile.leave fr | None -> ());
-  d
-
-let with_span t name f =
-  let sp = span_start t name in
-  Fun.protect ~finally:(fun () -> ignore (span_stop sp)) f
-
-let time t f =
-  let t0 = Clock.now t.r_clock in
-  let r = f () in
-  (r, Clock.now t.r_clock -. t0)
-
 let reset t =
   locked t.r_mutex (fun () ->
       Hashtbl.iter

@@ -1,5 +1,5 @@
 (** Metrics registry: named counters, gauges and log₂-bucketed
-    histograms, plus timer/span helpers.
+    histograms.
 
     The paper's fuzzing manager is an instrumented pipeline (per-phase
     overheads in Tables 3–4, coverage growth in Fig. 7); this registry is
@@ -23,7 +23,9 @@ type gauge
 type histogram
 
 val create : ?clock:Clock.t -> unit -> t
-(** Fresh registry; the clock (default {!Clock.real}) drives spans. *)
+(** Fresh registry.  Its clock (default {!Clock.real}) is the one
+    {!clock} hands to the code that times work into the registry — the
+    campaign's phase and batch histograms read it. *)
 
 val default : t
 (** The process-wide registry that library instrumentation hooks use. *)
@@ -64,17 +66,6 @@ val histogram_sum : histogram -> float
 val bucket_upper : float -> float
 (** The inclusive upper bound of the bucket an observation falls in
     (exposed for boundary tests; [infinity] for the overflow bucket). *)
-
-(** {2 Spans} — durations recorded into a histogram named after the
-    span, measured on the registry's clock.  Spans nest freely; each
-    records only its own start-to-stop interval. *)
-
-val with_span : t -> string -> (unit -> 'a) -> 'a
-(** Runs the thunk inside a span; the duration is recorded even if the
-    thunk raises. *)
-
-val time : t -> (unit -> 'a) -> 'a * float
-(** Plain timer on the registry clock; records nothing. *)
 
 (** {2 Snapshots} — a consistent, name-sorted view for exporters. *)
 

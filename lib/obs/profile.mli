@@ -9,9 +9,6 @@
 
     keeps hot paths allocation-free. *)
 
-type frame
-(** An open region, returned by {!enter} and closed by {!leave}. *)
-
 type entry = {
   pf_path : string;  (** slash-joined path from the region's root *)
   pf_name : string;  (** leaf region name *)
@@ -38,12 +35,9 @@ val disarm : unit -> unit
 val armed : unit -> bool
 
 val reset : unit -> unit
-(** Drop all aggregates and recorded events.  Open frames in any domain
-    are invalidated (their [leave] becomes a no-op against fresh
-    aggregates). *)
-
-val enter : string -> frame
-val leave : frame -> unit
+(** Drop all aggregates and recorded events.  Regions open in any
+    domain are invalidated: closing them adds nothing to the fresh
+    aggregates. *)
 
 val wrap : string -> (unit -> 'a) -> 'a
 (** [wrap name f] runs [f] inside a region when armed, closing it even

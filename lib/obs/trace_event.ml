@@ -63,9 +63,6 @@ let to_json_multi groups =
     [ ("traceEvents", Json.Arr (List.concat_map group_events groups));
       ("displayTimeUnit", Json.Str "ms") ]
 
-let to_json events = to_json_multi [ (1, "dejavuzz", events) ]
-
-let render events = Json.to_string (to_json events)
 let render_multi groups = Json.to_string (to_json_multi groups)
 
 let write_string path s =
@@ -76,5 +73,4 @@ let write_string path s =
       output_string oc s;
       output_char oc '\n')
 
-let write_file path events = write_string path (render events)
 let write_file_multi path groups = write_string path (render_multi groups)

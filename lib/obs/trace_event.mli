@@ -7,22 +7,14 @@
     metadata.  Timestamps are microseconds relative to the earliest
     recorded region.
 
-    The [_multi] forms take [(pid, process_name, events)] groups — one
-    per fleet process, events already shifted onto the coordinator's
-    clock — and share a single time base across groups, so a merged
-    fleet trace renders as one named row group per worker process. *)
+    Both forms take [(pid, process_name, events)] groups — a single
+    process passes one group; a fleet passes one per process, events
+    already shifted onto the coordinator's clock — and share a single
+    time base across groups, so a merged fleet trace renders as one
+    named row group per worker process. *)
 
-val to_json : Profile.event list -> Json.t
-(** Single-process export: [to_json_multi] with one pid-1 group named
-    ["dejavuzz"]. *)
-
-val to_json_multi : (int * string * Profile.event list) list -> Json.t
-
-val render : Profile.event list -> string
 val render_multi : (int * string * Profile.event list) list -> string
-
-val write_file : string -> Profile.event list -> unit
-(** Writes {!render} (plus a trailing newline) to [path]. *)
 
 val write_file_multi :
   string -> (int * string * Profile.event list) list -> unit
+(** Writes {!render_multi} (plus a trailing newline) to [path]. *)

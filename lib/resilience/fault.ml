@@ -91,20 +91,6 @@ let parse s =
       (Ok []) specs
     |> Result.map List.rev
 
-let plan_of_seed ~seed ~iterations ~count =
-  let rng = Dvz_util.Rng.create (seed lxor 0x7e51) in
-  let iterations = max 1 iterations in
-  List.init (max 0 count) (fun i ->
-      let f_iteration = Dvz_util.Rng.int rng iterations in
-      let f_cycle = Dvz_util.Rng.int rng 200 in
-      let f_action =
-        match i mod 3 with
-        | 0 -> Crash "injected crash"
-        | 1 -> Hang
-        | _ -> Corrupt
-      in
-      { f_iteration; f_cycle; f_action })
-
 (* Domain-local ambient state: each worker domain arms its own faults, so
    parallel campaign trials never see each other's plan. *)
 type state = { mutable pending : fault list; mutable fired : fault list }
@@ -152,6 +138,3 @@ let drain_fired () =
   let fired = List.rev st.fired in
   st.fired <- [];
   fired
-
-let raise_at ~cycle ~message c =
-  if c >= cycle then raise (Injected { iteration = -1; cycle = c; message })

@@ -3,14 +3,14 @@
     Long fuzzing campaigns die to harness faults — a simulator exception,
     a runaway run, a corrupted testbench result — far more often than to
     interesting bugs, and recovery code that is never exercised is
-    recovery code that does not work.  This module provides seed-driven
-    *fault plans*: each fault names the campaign iteration and simulator
-    cycle at which it fires and what it does there.  The dual-DUT
-    testbench polls {!tick} once per simulation slot; an armed fault then
-    raises ({!Injected}, {!Killed}), wedges the simulation (so the
-    watchdog budget must convert it into a timeout verdict), or corrupts
-    the collected result (so the differential oracle sees a fake
-    divergence).
+    recovery code that does not work.  This module provides deterministic
+    *fault plans*, parsed from [--fault] specs: each fault names the
+    campaign iteration and simulator cycle at which it fires and what it
+    does there.  The dual-DUT testbench polls {!tick} once per simulation
+    slot; an armed fault then raises ({!Injected}, {!Killed}), wedges the
+    simulation (so the watchdog budget must convert it into a timeout
+    verdict), or corrupts the collected result (so the differential
+    oracle sees a fake divergence).
 
     Arming is domain-local (each parallel campaign trial arms its own
     plan without cross-talk) and the disarmed {!tick} is a single list
@@ -48,11 +48,6 @@ val parse : string -> (plan, string) result
 val to_string : plan -> string
 (** Renders a plan back into the {!parse} syntax. *)
 
-val plan_of_seed : seed:int -> iterations:int -> count:int -> plan
-(** A deterministic pseudo-random plan: [count] faults spread over
-    [iterations] campaign iterations, cycling through crash/hang/corrupt
-    actions.  Same seed, same plan. *)
-
 (** {2 Arming} — domain-local ambient state polled by the testbench. *)
 
 val arm : iteration:int -> plan -> unit
@@ -77,7 +72,3 @@ val drain_fired : unit -> fault list
     [fault_injected] telemetry events. *)
 
 val action_name : action -> string
-
-val raise_at : cycle:int -> message:string -> int -> unit
-(** [raise_at ~cycle ~message] is a hook for {!Dvz_ir.Sim.on_cycle}:
-    raises {!Injected} once the simulator reaches [cycle]. *)

@@ -53,6 +53,10 @@ let budget ?max_slots ?max_wall_s ?(clock = Dvz_obs.Clock.real) () =
   (match max_slots with
   | Some n when n <= 0 -> invalid_arg "Dualcore.budget: max_slots must be positive"
   | _ -> ());
+  (match max_wall_s with
+  | Some s when not (s > 0.0 && Float.is_finite s) ->
+      invalid_arg "Dualcore.budget: max_wall_s must be positive and finite"
+  | _ -> ());
   { b_max_slots = max_slots; b_max_wall_s = max_wall_s; b_clock = clock }
 
 type t = {

@@ -41,7 +41,9 @@ val budget :
 (** [budget ~max_slots ~max_wall_s ()] caps a run at [max_slots]
     simulation slots and/or [max_wall_s] wall-clock seconds (measured on
     [clock], default the real clock; the wall clock is polled every 64
-    slots).  Omitted limits are unlimited. *)
+    slots).  Omitted limits are unlimited.  Raises [Invalid_argument]
+    unless [max_slots] is positive and [max_wall_s] positive and
+    finite. *)
 
 type t
 

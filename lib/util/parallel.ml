@@ -6,11 +6,6 @@ let m_tasks =
     ~help:"Tasks executed by Parallel.map across all domains"
     "dvz_parallel_tasks_total"
 
-let m_retries =
-  Metrics.counter Metrics.default
-    ~help:"Task attempts retried by a Parallel.map retry policy"
-    "dvz_parallel_retries_total"
-
 (* Per-domain task counters, memoised: the registry lookup (name
    formatting + mutex + hashtable probe) happens once per index for the
    process lifetime instead of once per [map] call, keeping it out of
@@ -67,51 +62,14 @@ let effective_lanes requested =
       eff;
   eff
 
-(* Capped exponential backoff: the canonical delay schedule for every
-   "try again after a failure" seam in the tree — [retry] below and the
-   fleet coordinator's worker respawns both draw from it, so tuning the
-   shape happens in one place. *)
+(* Capped exponential backoff: the delay schedule of the fleet
+   coordinator's worker respawns. *)
 let backoff ?(base = 0.05) ?(factor = 2.0) ?(cap = 30.0) k =
   if k < 1 then invalid_arg "Parallel.backoff: attempt index must be >= 1";
   let d = base *. (factor ** float_of_int (k - 1)) in
   Float.min cap d
 
-type retry = {
-  max_attempts : int;
-  backoff_s : int -> float;
-  transient : exn -> bool;
-}
-
-let retry ?(max_attempts = 3)
-    ?(backoff_s = fun k -> backoff ~base:0.05 ~cap:1.0 k)
-    ?(transient = fun _ -> true) () =
-  if max_attempts < 1 then
-    invalid_arg "Parallel.retry: max_attempts must be at least 1";
-  { max_attempts; backoff_s; transient }
-
-(* One task under the (optional) retry policy.  Non-transient exceptions
-   and the final failed attempt propagate with their original backtrace. *)
-let run_task retry f x =
-  match retry with
-  | None -> f x
-  | Some r ->
-      let rec attempt k =
-        match f x with
-        | v -> v
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            if k >= r.max_attempts || not (r.transient e) then
-              Printexc.raise_with_backtrace e bt
-            else begin
-              Metrics.incr m_retries;
-              let delay = r.backoff_s k in
-              if delay > 0.0 then Unix.sleepf delay;
-              attempt (k + 1)
-            end
-      in
-      attempt 1
-
-let map ?domains ?retry:policy f xs =
+let map ?domains f xs =
   let n = List.length xs in
   (* [~domains:N] means N *total* lanes (the caller's domain included), so
      [--jobs 4] executes on exactly 4 lanes — the previous semantics spawned
@@ -131,7 +89,7 @@ let map ?domains ?retry:policy f xs =
           (fun x ->
             Metrics.incr m_tasks;
             Metrics.incr m_dom;
-            run_task policy f x)
+            f x)
           xs)
   end
   else begin
@@ -163,7 +121,7 @@ let map ?domains ?retry:policy f xs =
                   for i = lo to hi do
                     Metrics.incr m_tasks;
                     Metrics.incr m_dom;
-                    match run_task policy f arr.(i) with
+                    match f arr.(i) with
                     | v -> results.(i) <- Some v
                     | exception e ->
                         (* Record instead of dying: the domain keeps draining

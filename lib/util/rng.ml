@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let state t = t.state
 let of_state s = { state = s }
 
@@ -49,17 +47,3 @@ let choose_list t l =
   match l with
   | [] -> invalid_arg "Rng.choose_list: empty list"
   | _ -> List.nth l (int t (List.length l))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let sample t l k =
-  let arr = Array.of_list l in
-  shuffle t arr;
-  let k = min k (Array.length arr) in
-  Array.to_list (Array.sub arr 0 k)

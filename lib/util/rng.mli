@@ -12,9 +12,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves independently. *)
-
 val state : t -> int64
 (** The full internal state, for checkpointing. *)
 
@@ -48,9 +45,3 @@ val choose : t -> 'a array -> 'a
 
 val choose_list : t -> 'a list -> 'a
 (** [choose_list t l] picks a uniform element.  Requires [l] non-empty. *)
-
-val shuffle : t -> 'a array -> unit
-(** [shuffle t arr] permutes [arr] in place uniformly. *)
-
-val sample : t -> 'a list -> int -> 'a list
-(** [sample t l k] draws [min k (length l)] distinct elements of [l]. *)

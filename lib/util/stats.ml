@@ -28,11 +28,6 @@ let median xs =
       let a = Array.of_list s in
       if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-let minmax = function
-  | [] -> invalid_arg "Stats.minmax: empty list"
-  | x :: xs ->
-      List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) xs
-
 let percentile xs p =
   match sorted xs with
   | [] -> 0.0

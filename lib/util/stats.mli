@@ -15,8 +15,5 @@ val ci95 : float list -> float * float
 val median : float list -> float
 (** Median; 0 for the empty list. *)
 
-val minmax : float list -> float * float
-(** Smallest and largest element.  Requires a non-empty list. *)
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0,1\]], nearest-rank method. *)

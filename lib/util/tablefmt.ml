@@ -44,5 +44,3 @@ let render t =
           Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let print t = print_string (render t)

@@ -16,6 +16,3 @@ val add_sep : t -> unit
 
 val render : t -> string
 (** [render t] produces the aligned table as a string (trailing newline). *)
-
-val print : t -> unit
-(** [print t] writes the rendered table to stdout. *)

@@ -369,29 +369,10 @@ let test_corpus_choose_weighted () =
     (Invalid_argument "Corpus.choose: corpus is empty") (fun () ->
       ignore (Corpus.choose (Corpus.create ~cap:4) rng))
 
-let test_corpus_merge_commutative () =
-  let key c =
-    List.map
-      (fun e -> (e.Corpus.en_birth, e.Corpus.en_reward))
-      (Corpus.entries c)
-  in
-  let a = corpus_of ~cap:4 [ (0, 2); (2, 9); (5, 1) ] in
-  let b = corpus_of ~cap:4 [ (1, 4); (3, 9); (4, 0); (6, 2) ] in
-  let ab = Corpus.merge a b and ba = Corpus.merge b a in
-  Alcotest.(check bool) "commutative" true (key ab = key ba);
-  Alcotest.(check int) "trimmed to cap" 4 (Corpus.size ab);
-  (* colliding births resolve identically from either side *)
-  let x = corpus_of ~cap:4 [ (0, 1) ] and y = corpus_of ~cap:4 [ (0, 6) ] in
-  Alcotest.(check bool) "collision symmetric" true
-    (key (Corpus.merge x y) = key (Corpus.merge y x));
-  Alcotest.check_raises "cap mismatch refused"
-    (Invalid_argument "Corpus.merge: caps differ (4 vs 2)") (fun () ->
-      ignore (Corpus.merge a (Corpus.create ~cap:2)))
-
 let test_corpus_entries_roundtrip () =
   let c = corpus_of ~cap:4 [ (3, 2); (7, 9); (11, 1); (12, 0) ] in
   (* of_entries accepts any order and restores the birth sort *)
-  let c' = Corpus.of_entries ~cap:(Corpus.cap c) (List.rev (Corpus.entries c)) in
+  let c' = Corpus.of_entries ~cap:4 (List.rev (Corpus.entries c)) in
   Alcotest.(check bool) "roundtrip preserves entries" true
     (Corpus.entries c = Corpus.entries c');
   let snap = Corpus.snapshot c in
@@ -1344,8 +1325,6 @@ let () =
       ( "corpus",
         [ Alcotest.test_case "cap eviction" `Quick test_corpus_cap_eviction;
           Alcotest.test_case "weighted choose" `Quick test_corpus_choose_weighted;
-          Alcotest.test_case "merge commutative" `Quick
-            test_corpus_merge_commutative;
           Alcotest.test_case "entries roundtrip" `Quick
             test_corpus_entries_roundtrip ] );
       ( "oracle",

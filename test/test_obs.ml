@@ -1,5 +1,5 @@
 (* Tests for the Dvz_obs telemetry subsystem and its campaign wiring:
-   histogram bucket boundaries, fake-clock spans, JSONL event streams,
+   histogram bucket boundaries, JSONL event streams, the profiler,
    exporters, replay, and the no-telemetry-influence regression. *)
 
 module Clock = Dvz_obs.Clock
@@ -14,6 +14,8 @@ module Campaign = Dejavuzz.Campaign
 module Cfg = Dvz_uarch.Config
 
 let boom = Cfg.boom_small
+
+let prometheus r = Exporters.prometheus_groups [ ([], Metrics.snapshot r) ]
 
 let contains haystack needle =
   let hl = String.length haystack and nl = String.length needle in
@@ -70,24 +72,6 @@ let test_histogram_buckets () =
     [ (0.5, 1); (1.0, 1); (2.0, 2); (128.0, 1) ]
     hs.Metrics.hs_buckets
 
-(* --- metrics: spans on a fake clock --------------------------------------- *)
-
-let test_fake_clock_span_nesting () =
-  let r = Metrics.create ~clock:(Clock.fake ()) () in
-  (* Tick clock: every read advances by 1.  outer reads at t=0, inner at
-     t=1 and t=2 (duration 1), outer stop reads t=3 (duration 3). *)
-  Metrics.with_span r "outer" (fun () ->
-      Metrics.with_span r "inner" (fun () -> ()));
-  let inner = Metrics.histogram r "inner" and outer = Metrics.histogram r "outer" in
-  Alcotest.(check (float 0.0)) "inner duration" 1.0 (Metrics.histogram_sum inner);
-  Alcotest.(check (float 0.0)) "outer duration" 3.0 (Metrics.histogram_sum outer);
-  Alcotest.(check int) "one observation each" 1 (Metrics.histogram_count inner);
-  (* spans record on raise too *)
-  (try Metrics.with_span r "raising" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "raise still recorded" 1
-    (Metrics.histogram_count (Metrics.histogram r "raising"))
-
 (* --- json ----------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -138,7 +122,7 @@ let test_prometheus_render_escaping () =
     Metrics.counter r ~help:"line1\nline2 with back\\slash" "weird name-1"
   in
   Metrics.incr c;
-  let text = Exporters.prometheus r in
+  let text = prometheus r in
   Alcotest.(check bool) "name sanitized" true
     (String.length text > 0 && contains text "weird_name_1 1\n");
   Alcotest.(check bool) "help newline escaped" true
@@ -148,7 +132,7 @@ let test_prometheus_histogram_cumulative () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "lat" in
   List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5 ];
-  let text = Exporters.prometheus r in
+  let text = prometheus r in
   Alcotest.(check bool) "cumulative buckets" true
     (contains text "lat_bucket{le=\"1\"} 2"
     && contains text "lat_bucket{le=\"2\"} 3"
@@ -176,7 +160,7 @@ let test_prometheus_collision_disambiguated () =
     Metrics.incr (Metrics.counter r "a.b");
     Metrics.incr ~by:2 (Metrics.counter r "a_b");
     Metrics.set (Metrics.gauge r "a b") 3.0;
-    Exporters.prometheus r
+    prometheus r
   in
   let text = render () in
   Alcotest.(check string) "deterministic" text (render ());
@@ -240,7 +224,7 @@ let prop_prometheus_well_formed =
           Metrics.observe h (float (1 + Dvz_util.Rng.int rng 1000) /. 10.)
         done
       done;
-      let text = Exporters.prometheus r in
+      let text = prometheus r in
       let lines =
         List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
       in
@@ -934,7 +918,9 @@ let test_trace_event_export_valid () =
       let evs = Profile.events () in
       Alcotest.(check int) "three regions recorded" 3 (List.length evs);
       Alcotest.(check int) "nothing dropped" 0 (Profile.events_dropped ());
-      match Json.of_string (Trace_event.render evs) with
+      match
+        Json.of_string (Trace_event.render_multi [ (1, "dejavuzz", evs) ])
+      with
       | Error e -> Alcotest.failf "trace not valid JSON: %s" e
       | Ok j -> (
           match Json.member "traceEvents" j with
@@ -991,6 +977,30 @@ let test_profile_events_from () =
       Alcotest.(check (list string)) "full read still sees everything"
         [ "a"; "b"; "c" ]
         (List.map (fun e -> e.Profile.ev_name) (fst (Profile.events_from 0))))
+
+(* The campaign's profile tree: each batch is a [campaign/batch] region
+   with the executor phases beneath it, region paths carry no metric
+   names, and the batch histogram counts one observation per batch. *)
+let test_campaign_profile_tree () =
+  let tel, _, _ = buffer_telemetry () in
+  let paths =
+    with_profiler (fun () ->
+        ignore (Campaign.run ~telemetry:tel boom (small_options 3 2));
+        List.map (fun e -> e.Profile.pf_path) (Profile.snapshot ()))
+  in
+  List.iter
+    (fun p ->
+      if not (List.mem p paths) then
+        Alcotest.failf "no %s region in [%s]" p (String.concat "; " paths))
+    [ "campaign/batch"; "campaign/batch/executor/phase1";
+      "campaign/batch/executor/phase2"; "campaign/batch/executor/phase3" ];
+  List.iter
+    (fun p ->
+      if contains p "dvz_" then Alcotest.failf "metric name in region %s" p)
+    paths;
+  Alcotest.(check int) "one batch observation per iteration" 3
+    (Metrics.histogram_count
+       (Metrics.histogram tel.Campaign.t_metrics "dvz_campaign_batch_seconds"))
 
 let test_render_table_percent_and_sort () =
   let entry path self =
@@ -1139,7 +1149,7 @@ let test_live_server_endpoints () =
         fun _ ->
           { Server.status = 200;
             content_type = "text/plain; version=0.0.4";
-            body = Exporters.prometheus registry } );
+            body = prometheus registry } );
       ( "/events",
         fun query ->
           match Server.int_param ~default:5 "n" query with
@@ -1324,9 +1334,7 @@ let () =
         [ Alcotest.test_case "counters and gauges" `Quick
             test_counter_gauge_basics;
           Alcotest.test_case "log2 bucket boundaries" `Quick
-            test_histogram_buckets;
-          Alcotest.test_case "fake-clock span nesting" `Quick
-            test_fake_clock_span_nesting ] );
+            test_histogram_buckets ] );
       ( "json",
         [ Alcotest.test_case "roundtrip and escapes" `Quick test_json_roundtrip ] );
       ( "events",
@@ -1348,6 +1356,8 @@ let () =
             test_trace_event_export_valid;
           Alcotest.test_case "incremental event cursor" `Quick
             test_profile_events_from;
+          Alcotest.test_case "campaign region tree" `Quick
+            test_campaign_profile_tree;
           Alcotest.test_case "table percent column and sort" `Quick
             test_render_table_percent_and_sort;
           Alcotest.test_case "multi-process trace export" `Quick

@@ -170,17 +170,6 @@ let test_fault_parse_roundtrip () =
       | Ok _ -> Alcotest.failf "parsed %S" bad)
     [ "explode@1:2"; "crash@1"; "crash"; "crash@-1:5"; "crash@a:b"; "" ]
 
-let test_fault_plan_of_seed_deterministic () =
-  let a = Fault.plan_of_seed ~seed:9 ~iterations:100 ~count:5 in
-  let b = Fault.plan_of_seed ~seed:9 ~iterations:100 ~count:5 in
-  Alcotest.(check string) "same plan" (Fault.to_string a) (Fault.to_string b);
-  Alcotest.(check int) "count" 5 (List.length a);
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "iteration in range" true
-        (f.Fault.f_iteration >= 0 && f.Fault.f_iteration < 100))
-    a
-
 let test_fault_arm_tick_drain () =
   Fault.arm ~iteration:2
     [ { Fault.f_iteration = 2; f_cycle = 5; f_action = Fault.Hang };
@@ -224,7 +213,11 @@ let test_sim_on_cycle_hook () =
     (List.rev !seen);
   Alcotest.(check int) "cycles" 3 (Dvz_ir.Sim.cycles sim);
   (* A raising hook escapes cycle — the fault-injection mechanism. *)
-  Dvz_ir.Sim.on_cycle sim (Fault.raise_at ~cycle:5 ~message:"stop here");
+  Dvz_ir.Sim.on_cycle sim (fun n ->
+      if n >= 5 then
+        raise
+          (Fault.Injected
+             { iteration = -1; cycle = n; message = "stop here" }));
   (match
      for _ = 1 to 10 do
        Dvz_ir.Sim.cycle sim
@@ -264,8 +257,6 @@ let test_dualcore_arity_message () =
 (* --- supervised Parallel.map ---------------------------------------------- *)
 
 exception Boom of int
-exception Flaky
-exception Fatal
 
 let test_parallel_preserves_exception () =
   Alcotest.check_raises "original exception, lowest index" (Boom 3) (fun () ->
@@ -273,61 +264,6 @@ let test_parallel_preserves_exception () =
         (Parallel.map ~domains:4
            (fun x -> if x >= 3 then raise (Boom x) else x)
            [ 0; 1; 2; 3; 4; 5; 6; 7 ]))
-
-let test_parallel_retry_transient () =
-  let attempts = ref 0 in
-  let retry =
-    Parallel.retry ~max_attempts:5 ~backoff_s:(fun _ -> 0.0) ()
-  in
-  let r =
-    Parallel.map ~domains:1 ~retry
-      (fun x ->
-        incr attempts;
-        if !attempts < 3 then raise Flaky else x)
-      [ 42 ]
-  in
-  Alcotest.(check (list int)) "eventually succeeds" [ 42 ] r;
-  Alcotest.(check int) "three attempts" 3 !attempts
-
-let test_parallel_retry_exhaustion_and_fatal () =
-  let retry =
-    Parallel.retry ~max_attempts:3
-      ~backoff_s:(fun _ -> 0.0)
-      ~transient:(fun e -> e = Flaky)
-      ()
-  in
-  let attempts = ref 0 in
-  Alcotest.check_raises "exhausted retries re-raise" Flaky (fun () ->
-      ignore
-        (Parallel.map ~domains:1 ~retry
-           (fun _ ->
-             incr attempts;
-             raise Flaky)
-           [ () ]));
-  Alcotest.(check int) "max attempts" 3 !attempts;
-  attempts := 0;
-  Alcotest.check_raises "non-transient fails fast" Fatal (fun () ->
-      ignore
-        (Parallel.map ~domains:1 ~retry
-           (fun _ ->
-             incr attempts;
-             raise Fatal)
-           [ () ]));
-  Alcotest.(check int) "single attempt" 1 !attempts
-
-let test_parallel_retry_counter () =
-  let c = Metrics.counter Metrics.default "dvz_parallel_retries_total" in
-  let before = Metrics.counter_value c in
-  let attempts = ref 0 in
-  let retry = Parallel.retry ~max_attempts:2 ~backoff_s:(fun _ -> 0.0) () in
-  ignore
-    (Parallel.map ~domains:1 ~retry
-       (fun x ->
-         incr attempts;
-         if !attempts = 1 then raise Flaky else x)
-       [ 1 ]);
-  Alcotest.(check int) "one retry counted" (before + 1)
-    (Metrics.counter_value c)
 
 (* --- watchdog budgets ----------------------------------------------------- *)
 
@@ -350,6 +286,17 @@ let test_watchdog_wall_budget () =
   in
   let r = Dualcore.run ~budget dc in
   Alcotest.(check bool) "timed out" true r.Dualcore.r_timed_out
+
+(* A non-positive or NaN wall budget would time out every run at its
+   first poll; the constructor refuses it, as it refuses [max_slots:0],
+   and an infinite one, which means "no budget". *)
+let test_watchdog_wall_budget_positive () =
+  List.iter
+    (fun s ->
+      match Dualcore.budget ~max_wall_s:s () with
+      | _ -> Alcotest.failf "max_wall_s:%g accepted" s
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let test_hang_fault_needs_watchdog () =
   let tc = completed_tc 63 in
@@ -760,8 +707,6 @@ let () =
             test_snapshot_prev_rotation ] );
       ( "fault",
         [ Alcotest.test_case "parse roundtrip" `Quick test_fault_parse_roundtrip;
-          Alcotest.test_case "seeded plans deterministic" `Quick
-            test_fault_plan_of_seed_deterministic;
           Alcotest.test_case "arm/tick/drain" `Quick test_fault_arm_tick_drain ] );
       ( "hooks",
         [ Alcotest.test_case "sim on_cycle" `Quick test_sim_on_cycle_hook;
@@ -770,14 +715,12 @@ let () =
             test_dualcore_arity_message ] );
       ( "parallel",
         [ Alcotest.test_case "exception propagation" `Quick
-            test_parallel_preserves_exception;
-          Alcotest.test_case "transient retry" `Quick test_parallel_retry_transient;
-          Alcotest.test_case "exhaustion and fatal" `Quick
-            test_parallel_retry_exhaustion_and_fatal;
-          Alcotest.test_case "retry counter" `Quick test_parallel_retry_counter ] );
+            test_parallel_preserves_exception ] );
       ( "watchdog",
         [ Alcotest.test_case "slot budget" `Quick test_watchdog_slot_budget;
           Alcotest.test_case "wall budget" `Quick test_watchdog_wall_budget;
+          Alcotest.test_case "wall budget must be positive" `Quick
+            test_watchdog_wall_budget_positive;
           Alcotest.test_case "hang fault" `Quick test_hang_fault_needs_watchdog;
           Alcotest.test_case "corrupt fault" `Quick
             test_corrupt_fault_skews_instance_b;

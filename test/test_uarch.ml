@@ -1095,7 +1095,19 @@ let random_window_body rng ~len =
       (fun r -> not (Reg.equal r Reg.s1))
       (List.init 31 (fun i -> Reg.x (i + 1)))
   in
-  let regs = Array.of_list (R.sample rng pool (R.int_in rng 2 4)) in
+  (* Two to four distinct registers: the head of a Fisher–Yates shuffle
+     of the pool. *)
+  let regs =
+    let k = R.int_in rng 2 4 in
+    let arr = Array.of_list pool in
+    for i = Array.length arr - 1 downto 1 do
+      let j = R.int rng (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done;
+    Array.sub arr 0 k
+  in
   let src () = if R.chance rng 0.1 then Reg.zero else R.choose rng regs in
   let dst () = R.choose rng regs in
   let reg_insn () =

@@ -16,16 +16,6 @@ let test_rng_seed_sensitivity () =
   let ys = List.init 8 (fun _ -> Rng.next b) in
   Alcotest.(check bool) "different seeds differ" true (xs <> ys)
 
-let test_rng_copy_independent () =
-  let a = Rng.create 7 in
-  ignore (Rng.next a);
-  let b = Rng.copy a in
-  Alcotest.(check int) "copy continues identically" (Rng.next a) (Rng.next b);
-  ignore (Rng.next a);
-  (* advancing one does not advance the other *)
-  let a' = Rng.next a and b' = Rng.next b in
-  Alcotest.(check bool) "streams drift apart" true (a' <> b')
-
 let test_rng_split () =
   let a = Rng.create 9 in
   let child = Rng.split a in
@@ -59,22 +49,6 @@ let test_rng_choose () =
     let v = Rng.choose rng arr in
     Alcotest.(check bool) "element of array" true (Array.exists (( = ) v) arr)
   done
-
-let test_rng_shuffle_permutes () =
-  let rng = Rng.create 8 in
-  let arr = Array.init 20 (fun i -> i) in
-  let orig = Array.copy arr in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same multiset" orig sorted
-
-let test_rng_sample_distinct () =
-  let rng = Rng.create 10 in
-  let l = List.init 10 (fun i -> i) in
-  let s = Rng.sample rng l 4 in
-  Alcotest.(check int) "sample size" 4 (List.length s);
-  Alcotest.(check int) "distinct" 4 (List.length (List.sort_uniq compare s))
 
 let test_rng_float_range () =
   let rng = Rng.create 11 in
@@ -110,11 +84,6 @@ let test_stats_ci95 () =
 let test_stats_median () =
   Alcotest.(check (float 1e-9)) "odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
   Alcotest.(check (float 1e-9)) "even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ])
-
-let test_stats_minmax () =
-  let lo, hi = Stats.minmax [ 3.0; -1.0; 7.0 ] in
-  Alcotest.(check (float 1e-9)) "min" (-1.0) lo;
-  Alcotest.(check (float 1e-9)) "max" 7.0 hi
 
 let test_stats_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
@@ -156,7 +125,8 @@ let prop_mean_bounded =
     QCheck.(list_of_size (Gen.int_range 1 20) (float_range (-100.) 100.))
     (fun xs ->
       let m = Stats.mean xs in
-      let lo, hi = Stats.minmax xs in
+      let lo = List.fold_left Float.min infinity xs
+      and hi = List.fold_left Float.max neg_infinity xs in
       m >= lo -. 1e-9 && m <= hi +. 1e-9)
 
 let test_parallel_map_order () =
@@ -249,29 +219,16 @@ let test_parallel_effective_lanes () =
   Alcotest.(check int) "available itself passes through" avail
     (Dvz_util.Parallel.effective_lanes avail)
 
-exception Transient_glitch
-
 (* map must agree with List.map in order and content for every domain
-   count, including when tasks fail transiently and are retried. *)
+   count.  (The name predates the removal of map's retry policy.) *)
 let prop_parallel_map_equals_list_map =
   QCheck.Test.make ~name:"parallel map equals List.map (with retries)"
     ~count:40
     QCheck.(pair (list_of_size (Gen.int_range 0 12) small_nat) (int_range 0 4))
     (fun (xs, domains) ->
-      let n = List.length xs in
-      let attempts = Array.init (max 1 n) (fun _ -> Atomic.make 0) in
-      let retry =
-        Dvz_util.Parallel.retry ~max_attempts:3 ~backoff_s:(fun _ -> 0.0) ()
-      in
       let indexed = List.mapi (fun i x -> (i, x)) xs in
       let got =
-        Dvz_util.Parallel.map ~domains ~retry
-          (fun (i, x) ->
-            (* every third task throws once before succeeding *)
-            if i mod 3 = 0 && Atomic.fetch_and_add attempts.(i) 1 = 0 then
-              raise Transient_glitch;
-            (x * x) + i)
-          indexed
+        Dvz_util.Parallel.map ~domains (fun (i, x) -> (x * x) + i) indexed
       in
       got = List.map (fun (i, x) -> (x * x) + i) indexed)
 
@@ -280,14 +237,11 @@ let () =
     [ ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in_bounds;
           Alcotest.test_case "int rejects <=0" `Quick test_rng_int_rejects_nonpositive;
           Alcotest.test_case "choose" `Quick test_rng_choose;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
-          Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
           QCheck_alcotest.to_alcotest prop_int_in_range ] );
@@ -296,7 +250,6 @@ let () =
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "ci95" `Quick test_stats_ci95;
           Alcotest.test_case "median" `Quick test_stats_median;
-          Alcotest.test_case "minmax" `Quick test_stats_minmax;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           QCheck_alcotest.to_alcotest prop_mean_bounded ] );
       ( "parallel",
