@@ -8,6 +8,7 @@ module Seed = Dejavuzz.Seed
 module Packet = Dejavuzz.Packet
 module Genlib = Dejavuzz.Genlib
 module Simpool = Dejavuzz.Simpool
+module Profile = Dvz_obs.Profile
 
 type case = {
   sc_testcase : Packet.testcase;
@@ -209,7 +210,7 @@ let campaign ?(rng_seed = 1) ~iterations cfg =
   let coverage = Dejavuzz.Coverage.create () in
   let curve = Array.make iterations 0 in
   let candidates = ref [] in
-  for it = 0 to iterations - 1 do
+  let iteration it =
     let case = generate rng cfg in
     (* Replay under diffIFT for a comparable coverage measurement. *)
     let result =
@@ -220,6 +221,13 @@ let campaign ?(rng_seed = 1) ~iterations cfg =
     if triggered cfg case && hash_differs cfg ~secret case then
       candidates := case :: !candidates;
     curve.(it) <- Dejavuzz.Coverage.points coverage
+  in
+  for it = 0 to iterations - 1 do
+    (* Armed-guarded so the disarmed loop allocates nothing for the
+       probe. *)
+    if Profile.armed () then
+      Profile.wrap "specdoctor/iteration" (fun () -> iteration it)
+    else iteration it
   done;
   { sd_coverage_curve = curve;
     sd_candidates = List.rev !candidates;

@@ -36,8 +36,6 @@ let merge t other =
 
 let points t = Hashtbl.length t.seen
 
-let copy t = { seen = Hashtbl.copy t.seen }
-
 let to_list t =
   Hashtbl.fold (fun k () acc -> k :: acc) t.seen [] |> List.sort compare
 

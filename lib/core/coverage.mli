@@ -28,8 +28,6 @@ val merge : t -> t -> int
 val points : t -> int
 (** Total covered points — the y-axis of Figure 7. *)
 
-val copy : t -> t
-
 val to_list : t -> (string * int) list
 (** The covered points, sorted — a stable form for checkpointing. *)
 

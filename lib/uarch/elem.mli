@@ -28,7 +28,14 @@ type t =
 
 val module_of : t -> string
 (** Module tag, e.g. ["lsu.dcache.bank2"], ["frontend.ras"], ["rob"].
-    Cache and TLB arrays are banked, mirroring the RTL hierarchy. *)
+    Cache and TLB arrays are banked, mirroring the RTL hierarchy: index
+    [i]'s bank is [i land (banks - 1)].  Total: every element, whatever
+    its index (negative or beyond its array), maps into {!all_modules}.
+    A static table lookup, no formatting. *)
+
+val module_index : t -> int
+(** Position of [module_of e] in {!all_modules} — a dense module id for
+    per-module counters ({!Taintstate} keeps one per module). *)
 
 val to_string : t -> string
 

@@ -1,32 +1,89 @@
 module Policy = Dvz_ift.Policy
 module Provenance = Dvz_ift.Provenance
 
+(* Dense numbering of the element space, in [Elem.compare] order: [Pc] is
+   0, then each other constructor in declaration order over a fixed index
+   range — 32 registers per file, every physical-memory dword, and
+   [table_span] entries for each cache, buffer, predictor and queue (the
+   largest table of either preset has 256).  An element outside its range
+   numbers -1 and lives in the side table. *)
+let tables =
+  [| (fun i -> Elem.Dcache i); (fun i -> Elem.Icache i);
+     (fun i -> Elem.Lfb i); (fun i -> Elem.Btb i); (fun i -> Elem.Bht i);
+     (fun i -> Elem.Ras i); (fun i -> Elem.Loop i); (fun i -> Elem.Tlb i);
+     (fun i -> Elem.L2tlb i); (fun i -> Elem.Rob i); (fun i -> Elem.Ldq i);
+     (fun i -> Elem.Stq i) |]
+
+let areg_base = 1
+let sreg_base = areg_base + 32
+let mem_base = sreg_base + 32
+let mem_dwords = Dvz_soc.Layout.mem_size / 8
+let tables_base = mem_base + mem_dwords
+let table_span = 512
+let dense_size = tables_base + (Array.length tables * table_span)
+
+let in_range base span i = if i >= 0 && i < span then base + i else -1
+let table k i = in_range (tables_base + (k * table_span)) table_span i
+
+let number = function
+  | Elem.Pc -> 0
+  | Elem.Areg i -> in_range areg_base 32 i
+  | Elem.Sreg i -> in_range sreg_base 32 i
+  | Elem.Mem i -> in_range mem_base mem_dwords i
+  | Elem.Dcache i -> table 0 i
+  | Elem.Icache i -> table 1 i
+  | Elem.Lfb i -> table 2 i
+  | Elem.Btb i -> table 3 i
+  | Elem.Bht i -> table 4 i
+  | Elem.Ras i -> table 5 i
+  | Elem.Loop i -> table 6 i
+  | Elem.Tlb i -> table 7 i
+  | Elem.L2tlb i -> table 8 i
+  | Elem.Rob i -> table 9 i
+  | Elem.Ldq i -> table 10 i
+  | Elem.Stq i -> table 11 i
+
+let elem_of n =
+  if n = 0 then Elem.Pc
+  else if n < sreg_base then Elem.Areg (n - areg_base)
+  else if n < mem_base then Elem.Sreg (n - sreg_base)
+  else if n < tables_base then Elem.Mem (n - mem_base)
+  else
+    let n = n - tables_base in
+    tables.(n / table_span) (n mod table_span)
+
+let module_names = Array.of_list Elem.all_modules
+
 type t = {
   mode : Policy.mode;
-  taints : (Elem.t, unit) Hashtbl.t;
+  bits : Bytes.t;  (** one taint bit per dense number *)
+  side : (Elem.t, unit) Hashtbl.t;  (** tainted elements numbering -1 *)
+  mutable count : int;  (** tainted elements, dense and side *)
+  by_module : int array;
+      (** tainted elements per {!Elem.module_index}, maintained on every
+          transition *)
   saved : (Elem.t, bool) Hashtbl.t;  (** window-open checkpoint *)
-  by_module : (string, int) Hashtbl.t;
-      (** per-module tainted-element counts, maintained incrementally on
-          taint transitions — [tainted_by_module] is read once per logged
-          slot, and rebuilding it by walking every tainted element (each
-          [Elem.module_of] call formats a bank name) dominated the log *)
   mutable bymod_cache : (string * int) list option;
       (** memoised [tainted_by_module] result, dropped on any taint
           transition: most logged slots see no transition, so the log
-          shares one list instead of folding and sorting per slot *)
+          shares one list instead of rebuilding it per slot *)
   prov : Provenance.t option;
 }
 
 let create ?provenance mode =
-  { mode; taints = Hashtbl.create 256; saved = Hashtbl.create 64;
-    by_module = Hashtbl.create 16; bymod_cache = None; prov = provenance }
+  { mode; bits = Bytes.make ((dense_size + 7) / 8) '\000';
+    side = Hashtbl.create 8; count = 0;
+    by_module = Array.make (Array.length module_names) 0;
+    saved = Hashtbl.create 64; bymod_cache = None; prov = provenance }
 
 let mode t = t.mode
 
 let reset t =
-  Hashtbl.reset t.taints;
+  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
+  Hashtbl.reset t.side;
+  t.count <- 0;
+  Array.fill t.by_module 0 (Array.length t.by_module) 0;
   Hashtbl.reset t.saved;
-  Hashtbl.reset t.by_module;
   t.bymod_cache <- None
 
 let copy_into src dst =
@@ -35,37 +92,53 @@ let copy_into src dst =
 
 let blit ~src ~dst =
   if src.mode <> dst.mode then invalid_arg "Taintstate.blit: mode mismatch";
-  copy_into src.taints dst.taints;
+  Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits);
+  copy_into src.side dst.side;
+  dst.count <- src.count;
+  Array.blit src.by_module 0 dst.by_module 0 (Array.length src.by_module);
   copy_into src.saved dst.saved;
-  copy_into src.by_module dst.by_module;
   dst.bymod_cache <- src.bymod_cache
 
-(* [add] and [remove] are the table side of a transition the caller has
-   already established ([e] clean, resp. tainted). *)
-let add t e =
-  Hashtbl.replace t.taints e ();
-  t.bymod_cache <- None;
-  let m = Elem.module_of e in
-  let cur = try Hashtbl.find t.by_module m with Not_found -> 0 in
-  Hashtbl.replace t.by_module m (cur + 1)
+let dense_tainted t n =
+  Bytes.get_uint8 t.bits (n lsr 3) land (1 lsl (n land 7)) <> 0
 
-let remove t e =
-  Hashtbl.remove t.taints e;
-  t.bymod_cache <- None;
-  let m = Elem.module_of e in
-  match Hashtbl.find_opt t.by_module m with
-  | Some n when n <= 1 -> Hashtbl.remove t.by_module m
-  | Some n -> Hashtbl.replace t.by_module m (n - 1)
-  | None -> ()
+(* [n] is [number e] throughout: callers number an element once. *)
+let tainted_at t n e =
+  if n >= 0 then dense_tainted t n
+  else Hashtbl.length t.side > 0 && Hashtbl.mem t.side e
 
-let is_tainted t e = Hashtbl.mem t.taints e
+(* Flip [e]'s taint, which the caller has established is [not now]. *)
+let transition t n e ~now =
+  if n >= 0 then begin
+    let byte = n lsr 3 in
+    Bytes.set_uint8 t.bits byte
+      (Bytes.get_uint8 t.bits byte lxor (1 lsl (n land 7)))
+  end
+  else if now then Hashtbl.replace t.side e ()
+  else Hashtbl.remove t.side e;
+  let d = if now then 1 else -1 in
+  let m = Elem.module_index e in
+  t.by_module.(m) <- t.by_module.(m) + d;
+  t.count <- t.count + d;
+  t.bymod_cache <- None
 
-let set_tainted t e = if not (is_tainted t e) then add t e
+let is_tainted t e = tainted_at t (number e) e
 
 let set t e v =
-  if v then set_tainted t e else if is_tainted t e then remove t e
+  let n = number e in
+  if tainted_at t n e <> v then transition t n e ~now:v
 
-let any_tainted t es = List.exists (is_tainted t) es
+let set_tainted t e = set t e true
+
+let rec any_tainted t = function
+  | [] -> false
+  | e :: rest -> is_tainted t e || any_tainted t rest
+
+let rec taint_all t = function
+  | [] -> ()
+  | e :: rest ->
+      set_tainted t e;
+      taint_all t rest
 
 (* Provenance labels for tainted predecessors, deduplicated so paired
    slots ([sa @ sb]) don't yield doubled source lists. *)
@@ -77,46 +150,51 @@ let tainted_src_labels t srcs =
 
 let bit b = if b then 1 else 0
 
-(* Table 1's register-with-enable row on 1-bit taints.  The element model
-   has no enable signal and no data values, so [dst]'s enable counts as
-   tainted and as differing exactly when the streams diverged, and the
-   write changes the stored value exactly when they diverged (the
-   conventions in the .mli). *)
-let write t ~diverged dst srcs =
-  let was = is_tainted t dst in
+(* Table 1's register-with-enable row on 1-bit taints, with the sources
+   [sa] and [sb] of the two instances' writes.  The element model has no
+   enable signal and no data values, so [dst]'s enable counts as tainted
+   and as differing exactly when the streams diverged, and the write
+   changes the stored value exactly when they diverged (the conventions in
+   the .mli). *)
+let write t ~diverged dst sa sb =
+  let n = number dst in
+  let was = tainted_at t n dst in
   let now =
     Policy.reg_en_taint t.mode ~width:1 ~en:true ~en_diff:diverged ~ent:1
-      ~dt:(bit (any_tainted t srcs)) ~qt:(bit was) ~dq_xor:(bit diverged)
+      ~dt:(bit (any_tainted t sa || any_tainted t sb))
+      ~qt:(bit was) ~dq_xor:(bit diverged)
     <> 0
   in
-  if now && not was then begin
+  if now <> was then begin
     (match t.prov with
-    | None -> ()
-    | Some p ->
+    | Some p when now ->
         let kind, labels =
-          match tainted_src_labels t srcs with
+          match tainted_src_labels t (sa @ sb) with
           | [] -> (Provenance.Divergence, [])
           | labels -> (Provenance.Data, labels)
         in
-        Provenance.record p ~dst:(Elem.to_string dst) ~srcs:labels kind);
-    add t dst
+        Provenance.record p ~dst:(Elem.to_string dst) ~srcs:labels kind
+    | _ -> ());
+    transition t n dst ~now
   end
-  else if was && not now then remove t dst
 
 (* Table 1's memory-write row on 1-bit taints: a clean, always-asserted
    write enable and the decision as the address, which differs across the
-   instances when [diff].  A 1 control-taints every touched element; a 0
-   leaves each touched element's taint as it was. *)
-let ctrl ?(label = "ctrl") ?(psrcs = []) t ~st ~diff touched =
+   instances when [diff].  A 1 control-taints every touched element ([ta]
+   then [tb]); a 0 leaves each touched element's taint as it was.  [sa]
+   and [sb] are the decision's sources, which only provenance reads. *)
+let ctrl t ~label ~st ~diff sa sb ta tb =
   if
     Policy.mem_write_ctrl t.mode ~width:1 ~wen:true ~went:0 ~wen_diff:false
       ~addrt:(bit st) ~addr_diff:diff
     <> 0
   then
     match t.prov with
-    | None -> List.iter (set_tainted t) touched
+    | None ->
+        taint_all t ta;
+        taint_all t tb
     | Some p ->
-        let labels = tainted_src_labels t psrcs in
+        let labels = tainted_src_labels t (sa @ sb) in
         let kind, labels =
           if labels <> [] then (Provenance.Ctrl label, labels)
           else (Provenance.Divergence, [])
@@ -126,19 +204,21 @@ let ctrl ?(label = "ctrl") ?(psrcs = []) t ~st ~diff touched =
             if not (is_tainted t e) then
               Provenance.record p ~dst:(Elem.to_string e) ~srcs:labels kind;
             set_tainted t e)
-          touched
+          (ta @ tb)
 
 let copy_regs_to_spec t =
   for i = 0 to 31 do
-    let v = is_tainted t (Elem.Areg i) in
-    (match t.prov with
-    | Some p when v && not (is_tainted t (Elem.Sreg i)) ->
-        Provenance.record p
-          ~dst:(Elem.to_string (Elem.Sreg i))
-          ~srcs:[ Elem.to_string (Elem.Areg i) ]
-          Provenance.Data
-    | _ -> ());
-    set t (Elem.Sreg i) v
+    let v = dense_tainted t (areg_base + i) in
+    if dense_tainted t (sreg_base + i) <> v then begin
+      let e = Elem.Sreg i in
+      (match t.prov with
+      | Some p when v ->
+          Provenance.record p ~dst:(Elem.to_string e)
+            ~srcs:[ Elem.to_string (Elem.Areg i) ]
+            Provenance.Data
+      | _ -> ());
+      transition t (sreg_base + i) e ~now:v
+    end
   done
 
 let snapshot t elems =
@@ -169,25 +249,24 @@ let restore t elems =
    bookkeeping write (say, a predictor update with clean operands) must not
    taint just because a neighbouring cache fill was asymmetric. *)
 let apply_event t ~diverged = function
-  | Effect.Write (dst, srcs) -> write t ~diverged dst srcs
+  | Effect.Write (dst, srcs) -> write t ~diverged dst srcs []
   | Effect.Copy_regs_to_spec -> copy_regs_to_spec t
   | Effect.Snapshot elems -> snapshot t elems
   | Effect.Restore elems -> restore t elems
   | Effect.Ctrl { kind; srcs; touched; _ } ->
-      ctrl ~label:(Effect.ctrl_kind_name kind) ~psrcs:srcs t
-        ~st:(any_tainted t srcs || diverged) ~diff:true touched
+      ctrl t ~label:(Effect.ctrl_kind_name kind)
+        ~st:(any_tainted t srcs || diverged) ~diff:true srcs [] touched []
 
 let apply_event_pair t ~diverged ea eb =
   match (ea, eb) with
   | ( Effect.Ctrl { kind = ka; value = va; srcs = sa; touched = ta },
       Effect.Ctrl { kind = kb; value = vb; srcs = sb; touched = tb } )
     when ka = kb ->
-      let st = any_tainted t (sa @ sb) || diverged in
+      let st = any_tainted t sa || any_tainted t sb || diverged in
       let diff = va <> vb || diverged in
-      ctrl ~label:(Effect.ctrl_kind_name ka) ~psrcs:(sa @ sb) t ~st ~diff
-        (ta @ tb)
+      ctrl t ~label:(Effect.ctrl_kind_name ka) ~st ~diff sa sb ta tb
   | Effect.Write (da, sa), Effect.Write (db, sb) when Elem.equal da db ->
-      write t ~diverged da (sa @ sb)
+      write t ~diverged da sa sb
   | _ ->
       apply_event t ~diverged ea;
       apply_event t ~diverged eb
@@ -211,18 +290,32 @@ let apply_pair t sa sb =
       let diverged = a.Effect.sl_pc <> b.Effect.sl_pc in
       apply_events t ~diverged a.Effect.sl_events b.Effect.sl_events
 
-let tainted_count t = Hashtbl.length t.taints
+let tainted_count t = t.count
 
 let tainted_elems t =
-  List.sort Elem.compare (Hashtbl.fold (fun e () acc -> e :: acc) t.taints [])
+  let acc = ref [] in
+  for byte = Bytes.length t.bits - 1 downto 0 do
+    let b = Bytes.get_uint8 t.bits byte in
+    if b <> 0 then
+      for j = 7 downto 0 do
+        if b land (1 lsl j) <> 0 then
+          acc := elem_of ((byte lsl 3) lor j) :: !acc
+      done
+  done;
+  if Hashtbl.length t.side = 0 then !acc
+  else
+    List.merge Elem.compare
+      (List.sort Elem.compare (Hashtbl.fold (fun e () l -> e :: l) t.side []))
+      !acc
 
 let tainted_by_module t =
   match t.bymod_cache with
   | Some l -> l
   | None ->
-      let l =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_module [])
-      in
-      t.bymod_cache <- Some l;
-      l
+      let l = ref [] in
+      for m = Array.length t.by_module - 1 downto 0 do
+        let c = t.by_module.(m) in
+        if c > 0 then l := (module_names.(m), c) :: !l
+      done;
+      t.bymod_cache <- Some !l;
+      !l

@@ -39,7 +39,22 @@
     element's value ([Shadow] taints it, this engine does not); a diverged
     write that leaves the value unchanged, in either mode; and a diffIFT
     diverged slot whose two decisions are equal (this engine taints, and
-    [Shadow] does not). *)
+    [Shadow] does not).
+
+    {b Storage.}  A dense plane: every element is numbered in
+    {!Elem.compare} order — [Pc] first, then each constructor in
+    declaration order over a fixed index range (32 per register file,
+    every physical-memory dword, 512 per cache, buffer, predictor and
+    queue table) — and its taint is one bit of a bitset.  Beside the bits
+    sit the population count and one counter per {!Elem.module_index}, so
+    [tainted_count] is a field read and [tainted_by_module] a walk over
+    the module counters.  An element outside its range (say, the [Mem]
+    index of a transiently forwarded address outside physical memory)
+    lives in a small side table with the same semantics.  Order invariant:
+    [tainted_elems] walks the bits in number order, which is
+    {!Elem.compare} order, and merges in the side table's elements only
+    when it is non-empty.  The window checkpoint stays a hash table, filled
+    once per window. *)
 
 type t
 
@@ -56,11 +71,13 @@ val mode : t -> Dvz_ift.Policy.mode
 
 val reset : t -> unit
 (** Drop every taint, saved checkpoint and per-module count — back to the
-    [create] state (the provenance recorder, if any, is kept as-is). *)
+    [create] state (the provenance recorder, if any, is kept as-is): a
+    fill of the bitset and the counters. *)
 
 val blit : src:t -> dst:t -> unit
-(** Copies [src]'s taints, saved checkpoint and per-module counts into
-    [dst] (same policy mode; neither provenance recorder is touched). *)
+(** Copies [src]'s taints (bitset and side table), saved checkpoint and
+    counts into [dst] (same policy mode; neither provenance recorder is
+    touched). *)
 
 val set_tainted : t -> Elem.t -> unit
 (** Marks a taint source (e.g. the secret region's memory words). *)
@@ -74,6 +91,8 @@ val apply_pair : t -> Effect.slot option -> Effect.slot option -> unit
 val tainted_count : t -> int
 
 val tainted_elems : t -> Elem.t list
+(** Sorted by {!Elem.compare}, without duplicates. *)
 
 val tainted_by_module : t -> (string * int) list
-(** Tainted element count per module tag (only non-zero entries), sorted. *)
+(** Tainted element count per module tag (only non-zero entries), sorted;
+    the same list until the next taint transition. *)

@@ -289,20 +289,6 @@ let test_coverage_position_insensitive () =
            le_per_module = [ ("lsu.dcache", 3) ]; le_in_window = true } ]);
   Alcotest.(check int) "new count = new point" 2 (Coverage.points cov)
 
-let test_coverage_copy () =
-  let cov = Coverage.create () in
-  ignore
-    (Coverage.observe cov
-       [ { Dualcore.le_slot = 0; le_total = 1;
-           le_per_module = [ ("rob", 1) ]; le_in_window = true } ]);
-  let snap = Coverage.copy cov in
-  ignore
-    (Coverage.observe cov
-       [ { Dualcore.le_slot = 0; le_total = 2;
-           le_per_module = [ ("rob", 2) ]; le_in_window = true } ]);
-  Alcotest.(check int) "copy frozen" 1 (Coverage.points snap);
-  Alcotest.(check int) "original grew" 2 (Coverage.points cov)
-
 let test_coverage_merge_equals_sequential () =
   let result e =
     let tc = completed_tc e in
@@ -1319,7 +1305,6 @@ let () =
         [ Alcotest.test_case "accumulates" `Quick test_coverage_accumulates;
           Alcotest.test_case "position insensitive" `Quick
             test_coverage_position_insensitive;
-          Alcotest.test_case "copy" `Quick test_coverage_copy;
           Alcotest.test_case "shard merge = sequential" `Quick
             test_coverage_merge_equals_sequential ] );
       ( "corpus",

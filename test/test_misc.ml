@@ -15,18 +15,32 @@ let contains hay needle =
 (* --- elements -------------------------------------------------------------- *)
 
 let test_elem_modules_stable () =
-  (* every constructor maps into the declared module universe *)
+  (* every constructor maps into the declared module universe, at any
+     index: negative and beyond-the-array ones included *)
+  let kinds =
+    [ (fun i -> Elem.Areg i); (fun i -> Elem.Sreg i); (fun i -> Elem.Mem i);
+      (fun i -> Elem.Dcache i); (fun i -> Elem.Icache i);
+      (fun i -> Elem.Lfb i); (fun i -> Elem.Btb i); (fun i -> Elem.Bht i);
+      (fun i -> Elem.Ras i); (fun i -> Elem.Loop i); (fun i -> Elem.Tlb i);
+      (fun i -> Elem.L2tlb i); (fun i -> Elem.Rob i); (fun i -> Elem.Ldq i);
+      (fun i -> Elem.Stq i) ]
+  in
+  let indices =
+    [ 0; 1; 2; 3; 5; 7; 9; 255; 8192; -1; -2; -3; -4; -5; max_int; min_int ]
+  in
   let samples =
-    [ Elem.Areg 3; Elem.Sreg 3; Elem.Mem 7; Elem.Dcache 5; Elem.Icache 5;
-      Elem.Lfb 1; Elem.Btb 0; Elem.Bht 0; Elem.Ras 2; Elem.Loop 1;
-      Elem.Tlb 3; Elem.L2tlb 3; Elem.Rob 9; Elem.Ldq 0; Elem.Stq 0; Elem.Pc ]
+    Elem.Pc :: List.concat_map (fun k -> List.map k indices) kinds
   in
   List.iter
     (fun e ->
       Alcotest.(check bool)
         (Elem.to_string e ^ " in module universe")
         true
-        (List.mem (Elem.module_of e) Elem.all_modules))
+        (List.mem (Elem.module_of e) Elem.all_modules);
+      Alcotest.(check string)
+        (Elem.to_string e ^ " module index")
+        (Elem.module_of e)
+        (List.nth Elem.all_modules (Elem.module_index e)))
     samples
 
 let test_elem_banking () =

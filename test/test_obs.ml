@@ -1002,6 +1002,22 @@ let test_campaign_profile_tree () =
     (Metrics.histogram_count
        (Metrics.histogram tel.Campaign.t_metrics "dvz_campaign_batch_seconds"))
 
+(* SpecDoctor's coverage replay steps [Dualcore] inside its own region:
+   no [dualcore/step] may surface as a root of the profile. *)
+let test_specdoctor_profile_region () =
+  let paths =
+    with_profiler (fun () ->
+        ignore (Dvz_baselines.Specdoctor.campaign ~iterations:2 boom);
+        List.map (fun e -> e.Profile.pf_path) (Profile.snapshot ()))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "specdoctor/iteration/dualcore/step in [%s]"
+       (String.concat "; " paths))
+    true
+    (List.mem "specdoctor/iteration/dualcore/step" paths);
+  Alcotest.(check bool) "no root-level dualcore/step" false
+    (List.mem "dualcore/step" paths)
+
 let test_render_table_percent_and_sort () =
   let entry path self =
     { Profile.pf_path = path;
@@ -1358,6 +1374,8 @@ let () =
             test_profile_events_from;
           Alcotest.test_case "campaign region tree" `Quick
             test_campaign_profile_tree;
+          Alcotest.test_case "specdoctor region tree" `Quick
+            test_specdoctor_profile_region;
           Alcotest.test_case "table percent column and sort" `Quick
             test_render_table_percent_and_sort;
           Alcotest.test_case "multi-process trace export" `Quick

@@ -537,6 +537,29 @@ let test_taint_module_counts () =
   Alcotest.(check bool) "ras count 1" true
     (List.assoc_opt "frontend.ras" counts = Some 1)
 
+(* A paired event reads both instances' sources: the taint may come from
+   either side alone. *)
+let test_taint_paired_sources () =
+  List.iter
+    (fun (name, ea, eb, probe) ->
+      List.iter
+        (fun (sa, sb) ->
+          let t = Taintstate.create Dvz_ift.Policy.Diffift in
+          Taintstate.set_tainted t (Elem.Mem 1);
+          Taintstate.apply_pair t (Some (slot [ sa ])) (Some (slot [ sb ]));
+          Alcotest.(check bool) name true (Taintstate.is_tainted t probe))
+        [ (ea, eb); (eb, ea) ])
+    [ ( "write",
+        Eff.Write (Elem.Areg 5, [ Elem.Mem 1 ]),
+        Eff.Write (Elem.Areg 5, [ Elem.Mem 2 ]),
+        Elem.Areg 5 );
+      ( "ctrl",
+        Eff.Ctrl { kind = Eff.C_addr; value = 1; srcs = [ Elem.Mem 1 ];
+                   touched = [ Elem.Dcache 3 ] },
+        Eff.Ctrl { kind = Eff.C_addr; value = 2; srcs = [ Elem.Mem 2 ];
+                   touched = [ Elem.Dcache 4 ] },
+        Elem.Dcache 4 ) ]
+
 (* --- taint engine against the cell-level shadow ------------------------- *)
 
 (* One element-level event pair over four elements, lowered to a small
@@ -565,6 +588,16 @@ let case_to_string c =
     c.ec_diverged
 
 let taint_modes = [ Policy.Cellift; Policy.Diffift ]
+
+(* The case's [Write], and its [Ctrl] for one instance's decision
+   [value], over the elements [elem 0] .. [elem 3]. *)
+let write_event c elem = Eff.Write (elem c.ec_dst, List.map elem c.ec_srcs)
+
+let ctrl_event c elem value =
+  Eff.Ctrl
+    { kind = Eff.C_addr; value; srcs = List.map elem c.ec_srcs;
+      touched =
+        List.map (fun (x, y) -> elem (if value <> 0 then y else x)) c.ec_pairs }
 
 let run_taintstate mode c elem ea eb =
   let t = Taintstate.create mode in
@@ -616,9 +649,7 @@ let lower_write mode c =
     || Shadow.peek_b sh data <> Shadow.peek_b sh q
   in
   Shadow.cycle sh;
-  let ev =
-    Eff.Write (Elem.Areg c.ec_dst, List.map (fun j -> Elem.Areg j) c.ec_srcs)
-  in
+  let ev = write_event c (fun i -> Elem.Areg i) in
   ( run_taintstate mode c (fun i -> Elem.Areg i) ev ev,
     Array.map (fun q -> Shadow.taint_of sh q <> 0) regs,
     changes = c.ec_diverged )
@@ -653,15 +684,7 @@ let lower_ctrl mode c =
   Shadow.eval sh;
   let sa = Shadow.peek_a sh s and sb = Shadow.peek_b sh s in
   Shadow.cycle sh;
-  let ev value =
-    Eff.Ctrl
-      { kind = Eff.C_addr; value;
-        srcs = List.map (fun j -> Elem.Mem j) c.ec_srcs;
-        touched =
-          List.map
-            (fun (x, y) -> Elem.Mem (if value <> 0 then y else x))
-            c.ec_pairs }
-  in
+  let ev = ctrl_event c (fun i -> Elem.Mem i) in
   ( run_taintstate mode c (fun i -> Elem.Mem i) (ev sa) (ev sb),
     Array.init 4 (fun i -> Shadow.mem_taint sh m i <> 0),
     (not c.ec_diverged) || sa <> sb )
@@ -772,6 +795,178 @@ let test_taint_abstraction_diverged_equal_decisions () =
     ~mode:Policy.Diffift ~ts:true ~sh:false;
   check_engines "diverged slot, equal decisions" c lower_ctrl 1
     ~mode:Policy.Cellift ~ts:true ~sh:true
+
+(* --- the dense taint plane ------------------------------------------------ *)
+
+let mem_dwords = Layout.mem_size / 8
+
+(* Each random case of the [Shadow] property, rerun with its four elements
+   renamed to ones outside [Taintstate]'s dense plane (its side table):
+   every element must get the same taint.  The decisions are the
+   selectors [lower_ctrl] computes. *)
+let prop_dense_side_agree =
+  QCheck.Test.make ~name:"dense and side elements agree" ~count:1000
+    (QCheck.make
+       ~print:(fun (_, c) -> case_to_string c)
+       QCheck.Gen.(
+         bool >>= fun ctrl -> map (fun c -> (ctrl, c)) (gen_event_case ~ctrl)))
+    (fun (ctrl, c) ->
+      let selector v d =
+        List.fold_left (fun acc j -> acc lxor v.(j)) d c.ec_srcs
+      in
+      let run mode elem =
+        if ctrl then
+          run_taintstate mode c elem
+            (ctrl_event c elem (selector c.ec_va 0))
+            (ctrl_event c elem
+               (selector c.ec_vb (if c.ec_diverged then 1 else 0)))
+        else
+          let ev = write_event c elem in
+          run_taintstate mode c elem ev ev
+      in
+      let dense =
+        if ctrl then fun i -> Elem.Mem i else fun i -> Elem.Areg i
+      in
+      List.for_all
+        (fun mode ->
+          let expected = run mode dense in
+          List.for_all
+            (fun elem -> run mode elem = expected)
+            [ (fun i -> Elem.Mem (mem_dwords + i));
+              (fun i -> Elem.Mem (-1 - i)) ])
+        taint_modes)
+
+(* Every kind at index 0 and at both presets' largest index, plus [Pc] and
+   elements outside the dense plane. *)
+let plane_pool =
+  let presets = [ Cfg.boom_small; Cfg.xiangshan_minimal ] in
+  let kind k size =
+    k 0
+    :: List.filter_map
+         (fun c -> if size c > 0 then Some (k (size c - 1)) else None)
+         presets
+  in
+  List.sort_uniq Elem.compare
+    (List.concat
+       [ [ Elem.Pc ];
+         kind (fun i -> Elem.Areg i) (fun _ -> 32);
+         kind (fun i -> Elem.Sreg i) (fun _ -> 32);
+         kind (fun i -> Elem.Mem i) (fun _ -> mem_dwords);
+         kind (fun i -> Elem.Dcache i) (fun c -> c.Cfg.dcache_lines);
+         kind (fun i -> Elem.Icache i) (fun c -> c.Cfg.icache_lines);
+         kind (fun i -> Elem.Lfb i) (fun c -> c.Cfg.lfb_entries);
+         kind (fun i -> Elem.Btb i) (fun c -> c.Cfg.btb_entries);
+         kind (fun i -> Elem.Bht i) (fun c -> c.Cfg.bht_entries);
+         kind (fun i -> Elem.Ras i) (fun c -> c.Cfg.ras_entries);
+         kind (fun i -> Elem.Loop i) (fun c -> c.Cfg.loop_entries);
+         kind (fun i -> Elem.Tlb i) (fun c -> c.Cfg.tlb_entries);
+         kind (fun i -> Elem.L2tlb i) (fun c -> c.Cfg.l2tlb_entries);
+         kind (fun i -> Elem.Rob i) (fun c -> c.Cfg.rob_entries);
+         kind (fun i -> Elem.Ldq i) (fun c -> c.Cfg.ldq_entries);
+         kind (fun i -> Elem.Stq i) (fun c -> c.Cfg.stq_entries);
+         [ Elem.Mem mem_dwords; Elem.Mem (-1); Elem.Areg 32; Elem.Sreg (-1);
+           Elem.Dcache 4096; Elem.Rob (-1); Elem.Tlb max_int ] ])
+
+(* A random run: the mode, the initially tainted elements, then steps of
+   one slot pair plus the elements that dirty the blit target.  B's events
+   mostly pair with A's (the same event, or a [Ctrl] with the other
+   decision), so both the paired and the unpaired paths run. *)
+let gen_plane_run =
+  let open QCheck.Gen in
+  let elem = oneofl plane_pool in
+  let elems = list_size (int_bound 3) elem in
+  let event =
+    frequency
+      [ (4, map2 (fun d s -> Eff.Write (d, s)) elem elems);
+        ( 4,
+          let* kind =
+            oneofl [ Eff.C_branch; Eff.C_target; Eff.C_addr; Eff.C_squash ]
+          in
+          let* value = int_bound 1 in
+          let* srcs = elems in
+          let* touched = elems in
+          return (Eff.Ctrl { kind; value; srcs; touched }) );
+        (1, return Eff.Copy_regs_to_spec);
+        (1, map (fun es -> Eff.Snapshot es) elems);
+        (1, map (fun es -> Eff.Restore es) elems) ]
+  in
+  let partner = function
+    | Eff.Ctrl c as ea ->
+        oneof
+          [ return ea; return (Eff.Ctrl { c with value = 1 - c.value }); event ]
+    | ea -> frequency [ (2, return ea); (1, event) ]
+  in
+  let step =
+    let* pairs =
+      list_size (int_bound 4)
+        (let* ea = event in
+         let* eb = partner ea in
+         return (ea, eb))
+    in
+    let* extra = list_size (int_bound 1) event in
+    let* pc_b = oneofl [ 0; 0; 4 ] in
+    let* absent = int_bound 9 in
+    let* junk = list_size (int_bound 2) elem in
+    let sa = slot (List.map fst pairs)
+    and sb = slot ~pc:pc_b (List.map snd pairs @ extra) in
+    return
+      ( (if absent = 0 then None else Some sa),
+        (if absent = 1 then None else Some sb),
+        junk )
+  in
+  let* cellift = bool in
+  let* init = list_size (int_bound 6) elem in
+  let* steps = list_size (int_range 1 20) step in
+  return (cellift, init, steps)
+
+let regroup elems =
+  List.fold_left
+    (fun acc e ->
+      let m = Elem.module_of e in
+      (m, 1 + Option.value ~default:0 (List.assoc_opt m acc))
+      :: List.remove_assoc m acc)
+    [] elems
+  |> List.sort compare
+
+let rec strictly_sorted = function
+  | a :: (b :: _ as rest) -> Elem.compare a b < 0 && strictly_sorted rest
+  | _ -> true
+
+let plane_reads t =
+  ( Taintstate.tainted_elems t, Taintstate.tainted_count t,
+    Taintstate.tainted_by_module t,
+    List.map (Taintstate.is_tainted t) plane_pool )
+
+(* After every slot pair, the plane's four reads agree with each other, and
+   a blit into a dirty instance reads the same — also after both apply the
+   next pair, which restores from the copied checkpoint. *)
+let prop_plane_reads_agree =
+  QCheck.Test.make ~name:"plane reads agree after every pair" ~count:200
+    (QCheck.make gen_plane_run)
+    (fun (cellift, init, steps) ->
+      let mode = if cellift then Policy.Cellift else Policy.Diffift in
+      let t = Taintstate.create mode and d = Taintstate.create mode in
+      List.iter (Taintstate.set_tainted t) init;
+      Taintstate.blit ~src:t ~dst:d;
+      List.for_all
+        (fun (sa, sb, junk) ->
+          Taintstate.apply_pair t sa sb;
+          Taintstate.apply_pair d sa sb;
+          let followed = plane_reads d = plane_reads t in
+          let elems = Taintstate.tainted_elems t in
+          let consistent =
+            strictly_sorted elems
+            && Taintstate.tainted_count t = List.length elems
+            && Taintstate.tainted_by_module t = regroup elems
+            && List.for_all
+                 (fun e -> Taintstate.is_tainted t e = List.mem e elems)
+                 (plane_pool @ elems)
+          in
+          List.iter (Taintstate.set_tainted d) junk;
+          Taintstate.apply_pair d (Some (slot [ Eff.Snapshot junk ])) None;
+          Taintstate.blit ~src:t ~dst:d;
+          followed && consistent && plane_reads d = plane_reads t)
+        steps)
 
 (* --- dual core ----------------------------------------------------------- *)
 
@@ -1280,6 +1475,7 @@ let () =
           Alcotest.test_case "copy/snapshot/restore" `Quick
             test_taint_copy_and_restore;
           Alcotest.test_case "module counts" `Quick test_taint_module_counts;
+          Alcotest.test_case "paired sources" `Quick test_taint_paired_sources;
           QCheck_alcotest.to_alcotest
             (prop_taintstate_matches_shadow ~ctrl:false);
           QCheck_alcotest.to_alcotest
@@ -1289,7 +1485,9 @@ let () =
           Alcotest.test_case "abstraction: diverged write, same value" `Quick
             test_taint_abstraction_diverged_same_value;
           Alcotest.test_case "abstraction: diverged, equal decisions" `Quick
-            test_taint_abstraction_diverged_equal_decisions ] );
+            test_taint_abstraction_diverged_equal_decisions;
+          QCheck_alcotest.to_alcotest prop_dense_side_agree;
+          QCheck_alcotest.to_alcotest prop_plane_reads_agree ] );
       ( "timing",
         [ Alcotest.test_case "fpu contention" `Quick test_fpu_contention_timing;
           Alcotest.test_case "constant-time control" `Quick
