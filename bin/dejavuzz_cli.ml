@@ -396,10 +396,7 @@ let crash_dir_t =
            ~doc:"Write one crash-NNNN.json artifact (input seed, \
                  exception, backtrace) per isolated harness crash.")
 
-(* Returns the resilience record plus the raw watchdog limits: the
-   budget value is opaque, but the fleet coordinator must ship the
-   limits to worker processes, which rebuild their own budgets. *)
-let resilience_full_t =
+let resilience_t =
   let build checkpoint every resume faults max_slots max_seconds crash_dir =
     let plan =
       List.concat_map
@@ -427,19 +424,16 @@ let resilience_full_t =
                  seconds\n";
               exit 1)
     in
-    ( { Campaign.rz_fault_plan = plan;
-        rz_budget = budget;
-        rz_checkpoint = checkpoint;
-        rz_checkpoint_every = every;
-        rz_checkpoint_keep = false;
-        rz_resume = resume;
-        rz_crash_dir = crash_dir },
-      (max_slots, max_seconds) )
+    { Campaign.rz_fault_plan = plan;
+      rz_budget = budget;
+      rz_checkpoint = checkpoint;
+      rz_checkpoint_every = every;
+      rz_checkpoint_keep = false;
+      rz_resume = resume;
+      rz_crash_dir = crash_dir }
   in
   Term.(const build $ checkpoint_t $ checkpoint_every_t $ resume_t $ fault_t
         $ max_slots_t $ max_seconds_t $ crash_dir_t)
-
-let resilience_t = Term.(const fst $ resilience_full_t)
 
 (* --- campaign engine parallelism ------------------------------------------ *)
 
@@ -573,7 +567,7 @@ let chaos_kill_t =
 
 let fleet_cmd =
   let run cfg iterations rng_seed random_training no_coverage telemetry_file
-      progress progress_every metrics (resilience, budget_limits) explain_dir
+      progress progress_every metrics resilience explain_dir
       batch obs workers worker_jobs heartbeat_s deadline_s max_respawns chaos =
     handle_faults (fun () ->
         let options =
@@ -609,7 +603,7 @@ let fleet_cmd =
               with_obs ~fleet_board ~plane ~events_ring obs telemetry
                 (fun telemetry ->
                   Dvz_fleet.Coordinator.run ~telemetry ~resilience
-                    ~board:fleet_board ~plane ~budget_limits opts cfg options))
+                    ~board:fleet_board ~plane opts cfg options))
         in
         print_string (Dejavuzz.Report.summary stats);
         print_string
@@ -655,7 +649,7 @@ let fleet_cmd =
                worker count to keep every worker busy." ])
     Term.(const run $ core_t $ iterations_t 500 $ seed_t $ random_training
           $ no_coverage $ telemetry_t $ progress_t $ progress_every_t
-          $ metrics_t $ resilience_full_t $ explain_dir_t $ batch_t $ obs_t
+          $ metrics_t $ resilience_t $ explain_dir_t $ batch_t $ obs_t
           $ workers_t $ worker_jobs_t $ heartbeat_t $ deadline_t
           $ max_respawns_t $ chaos_kill_t)
 

@@ -4,34 +4,22 @@ type t = { seen : (string * int, unit) Hashtbl.t }
 
 let create () = { seen = Hashtbl.create 512 }
 
-let observe t log =
-  (* Only transient-window slots count (§4.2.2: the coverage is measured
-     over the transient execution's taint log). *)
+let add t fresh point =
+  if not (Hashtbl.mem t.seen point) then begin
+    Hashtbl.replace t.seen point ();
+    incr fresh
+  end
+
+let observe t window_counts =
   let fresh = ref 0 in
-  List.iter
-    (fun e ->
-      if e.Dualcore.le_in_window then
-        List.iter
-          (fun (m, count) ->
-            if count > 0 && not (Hashtbl.mem t.seen (m, count)) then begin
-              Hashtbl.replace t.seen (m, count) ();
-              incr fresh
-            end)
-          e.Dualcore.le_per_module)
-    log;
+  List.iter (List.iter (add t fresh)) window_counts;
   !fresh
 
-let observe_result t r = observe t r.Dualcore.r_log
+let observe_result t r = observe t r.Dualcore.r_window_counts
 
 let merge t other =
   let fresh = ref 0 in
-  Hashtbl.iter
-    (fun k () ->
-      if not (Hashtbl.mem t.seen k) then begin
-        Hashtbl.replace t.seen k ();
-        incr fresh
-      end)
-    other.seen;
+  Hashtbl.iter (fun point () -> add t fresh point) other.seen;
   !fresh
 
 let points t = Hashtbl.length t.seen

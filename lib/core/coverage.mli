@@ -1,8 +1,10 @@
 (** The taint coverage matrix (§4.2.2).
 
-    Per simulated slot, the number of tainted state elements within each
-    module is a coverage point [(module, count)]; a point is covered once
-    any slot of any run exhibits it.  The metric is local (per-module) and
+    Per transient-window slot, the number of tainted state elements within
+    each module is a coverage point [(module, count)]; a point is covered
+    once any window slot of any run exhibits it.  {!Dvz_uarch.Dualcore}
+    records those counts as the run goes ([r_window_counts]), so observing
+    a run is a fold over them.  The metric is local (per-module) and
     position-insensitive (two different tainted cache slots with the same
     per-module count map to the same point), exactly the two properties the
     paper calls out. *)
@@ -11,11 +13,13 @@ type t
 
 val create : unit -> t
 
-val observe : t -> Dvz_uarch.Dualcore.log_entry list -> int
-(** Feeds one run's taint log (transient-window slots only, per §4.2.2);
-    returns the number of newly covered points. *)
+val observe : t -> (string * int) list list -> int
+(** Feeds one run's per-module counts, one list per transient-window slot
+    (§4.2.2); every pair is a point.  Returns the number of newly covered
+    points. *)
 
 val observe_result : t -> Dvz_uarch.Dualcore.result -> int
+(** [observe t r.r_window_counts]. *)
 
 val merge : t -> t -> int
 (** [merge t shard] adds every point of [shard] to [t] and returns the

@@ -137,10 +137,11 @@ let differing_words a b =
 
 let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
     tc =
-  (* Both testbenches come from the per-domain pool: construction costs
-     ~5x the simulation itself, and collected results never alias pooled
-     state.  The sanitized test case differs from [tc] only in some words
-     of the transient packet, so the main run is watched for them. *)
+  (* Both testbenches come from the per-domain pool: construction costs a
+     fifth to a third of a run and leaves major-heap garbage, and
+     collected results never alias pooled state.  The sanitized test case
+     differs from [tc] only in some words of the transient packet, so the
+     main run is watched for them. *)
   let clean = Window_gen.sanitize cfg tc in
   let main = Simpool.acquire ?log_bound ~mode cfg (Packet.stimulus ~secret tc) in
   let words =

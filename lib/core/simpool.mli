@@ -1,8 +1,11 @@
 (** Per-domain {!Dvz_uarch.Dualcore} instance pool.
 
-    Building a testbench is ~5x the cost of simulating a stimulus through
-    it (fresh memories, predictor arrays, queues, taint tables for both
-    instances), so the oracle re-arms a cached instance with
+    Building a testbench (fresh memories, predictor arrays, queues, taint
+    tables for both instances) costs about a fifth to a third of
+    simulating a curated attack through it — 17–23 µs for
+    {!Dvz_uarch.Dualcore.create} against 56–122 µs for a pooled acquire
+    plus run, fastest of 200 on a 2-vCPU host — and leaves major-heap
+    garbage behind, so the oracle re-arms a cached instance with
     {!Dvz_uarch.Dualcore.reset} instead of re-creating it per iteration.
     The cache is a single slot per domain, keyed on everything baked in at
     create time — [(cfg, mode, log_bound)] — and held in [Domain.DLS]

@@ -9,9 +9,11 @@
       simulator (Base), flattening + shadow construction (CellIFT), and
       direct shadow construction (diffIFT).
 
-    - {b Simulation}: wall-clock time of the five attack test cases of
-      {!Attacks} under Base (two uninstrumented DUT instances), CellIFT
-      mode and diffIFT mode of the dual-DUT testbench.  CellIFT's taint
+    - {b Simulation}: wall-clock time of one run of each of the five
+      attack test cases of {!Attacks} under Base (two uninstrumented DUT
+      instances), CellIFT mode and diffIFT mode of the dual-DUT testbench:
+      the fastest of [reps] runs on {!Dejavuzz.Simpool}'s pooled
+      testbenches, printed in µs per run.  CellIFT's taint
       explosion makes its per-cycle shadow work grow with the tainted-state
       population, which is the paper's slowdown mechanism. *)
 
@@ -20,7 +22,8 @@ type timing = { base : float; cellift : float; diffift : float }
 type result = {
   core : string;
   compile : timing;
-  sims : (string * timing) list;  (** per attack test case, seconds *)
+  sims : (string * timing) list;
+      (** per attack test case: the fastest single run, seconds *)
 }
 
 val run : ?reps:int -> Dvz_uarch.Config.t -> result

@@ -497,11 +497,14 @@ let fire_chaos st =
     st.st_opts.fl_chaos
 
 (* First batch: freeze the worker spec out of the executor context the
-   campaign built — the single source of truth for what workers run.
-   The watchdog budget is opaque, so its raw limits arrive separately
-   via [budget_limits] (the CLI knows them; defaults to none). *)
-let make_spec (opts : opts) ~budget_limits (ctx : Executor.ctx) =
-  let max_slots, max_wall_s = budget_limits in
+   campaign built — the single source of truth for what workers run,
+   watchdog included. *)
+let make_spec (opts : opts) (ctx : Executor.ctx) =
+  let max_slots, max_wall_s =
+    match ctx.Executor.cx_budget with
+    | Some b -> Dvz_uarch.Dualcore.budget_limits b
+    | None -> (None, None)
+  in
   { Wire.w_cfg = ctx.Executor.cx_cfg;
     w_style = ctx.Executor.cx_style;
     w_taint_mode = ctx.Executor.cx_taint_mode;
@@ -514,11 +517,11 @@ let make_spec (opts : opts) ~budget_limits (ctx : Executor.ctx) =
     w_profile = opts.fl_profile;
     w_trace = opts.fl_trace }
 
-let dispatch_batch st ~budget_limits (ctx : Executor.ctx) plans =
+let dispatch_batch st (ctx : Executor.ctx) plans =
   (match st.st_config_frame with
   | Some _ -> ()
   | None ->
-      let spec = make_spec st.st_opts ~budget_limits ctx in
+      let spec = make_spec st.st_opts ctx in
       st.st_config_frame <-
         Some
           (Proto.encode
@@ -725,7 +728,7 @@ let stats_of st =
     fs_inline_plans = st.st_inline }
 
 let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
-    ?board ?plane ?(budget_limits = (None, None)) opts cfg options =
+    ?board ?plane opts cfg options =
   if opts.fl_workers < 0 then
     invalid_arg "Coordinator.run: fl_workers must be >= 0";
   (* A worker dying mid-write must surface as EPIPE, not kill us. *)
@@ -761,7 +764,7 @@ let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
      the checkpoint file IS the authority, so keep one good generation
      around and fall back to it when the newest is damaged. *)
   let resilience = { resilience with Campaign.rz_checkpoint_keep = true } in
-  let dispatch ctx plans = dispatch_batch st ~budget_limits ctx plans in
+  let dispatch ctx plans = dispatch_batch st ctx plans in
   let on_checkpoint cursor =
     broadcast st (Proto.Checkpoint { k_iteration = cursor })
   in

@@ -92,7 +92,6 @@ val run :
   ?resilience:Dejavuzz.Campaign.resilience ->
   ?board:board ->
   ?plane:Telemetry.t ->
-  ?budget_limits:int option * float option ->
   opts ->
   Dvz_uarch.Config.t ->
   Dejavuzz.Campaign.options ->
@@ -103,10 +102,9 @@ val run :
     a final drain of each pipe after Shutdown so the workers' last
     flushes land before the fds close.  Telemetry is observation-only
     and never feeds the campaign fold, so output stays byte-identical
-    to [--jobs 1] with or without it.  [budget_limits] is the
-    raw [(max_slots, max_wall_s)] pair behind [resilience.rz_budget]
-    (the opaque budget cannot be serialized, so workers rebuild it from
-    these).  Forces [rz_checkpoint_keep] on, and when [rz_resume] names
+    to [--jobs 1] with or without it.  Workers rebuild
+    [resilience.rz_budget] from its {!Dvz_uarch.Dualcore.budget_limits}.
+    Forces [rz_checkpoint_keep] on, and when [rz_resume] names
     a checkpoint that fails validation ({!Dejavuzz.Campaign.Bad_checkpoint})
     but a [.prev] rotation exists, falls back to it once.  Ignores
     [SIGPIPE].  Workers are always shut down (Shutdown frame, then

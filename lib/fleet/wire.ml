@@ -47,12 +47,13 @@ let spec_of_string s : (spec, string) result = unpack "spec" s
 let plans_to_string (ps : Scheduler.plan list) = pack "plans" ps
 let plans_of_string s : (Scheduler.plan list, string) result = unpack "plans" s
 
-(* The taint log and window records of a dual-DUT run dominate an
-   outcome's size and are only consumed executor-side (the oracle has
-   already distilled them into [a_leaks]/[a_attack]); the coordinator's
-   fold reads [r_slots] and the scalar counters.  Strip them before the
-   wire so an assignment's worth of outcomes stays in the tens of
-   kilobytes. *)
+(* The taint log, window counts and window records of a dual-DUT run
+   dominate an outcome's size and are only consumed executor-side (the
+   oracle has already distilled them into [a_leaks]/[a_attack], and the
+   coverage shard [oc_coverage] holds the window counts' points); the
+   coordinator's fold reads [r_slots] and the scalar counters.  Strip them
+   before the wire so an assignment's worth of outcomes stays in the tens
+   of kilobytes. *)
 let slim (o : Executor.outcome) =
   match o.Executor.oc_analysis with
   | None -> o
@@ -65,6 +66,7 @@ let slim (o : Executor.outcome) =
               Dejavuzz.Oracle.a_result =
                 { r with
                   Dvz_uarch.Dualcore.r_log = [];
+                  r_window_counts = [];
                   r_windows_a = [];
                   r_windows_b = [] } } }
 

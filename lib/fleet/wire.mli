@@ -9,8 +9,9 @@
     after a worker death, with byte-identical results. *)
 
 (** Everything a worker needs to rebuild an {!Dejavuzz.Executor.ctx}:
-    the campaign's immutable inputs plus raw watchdog limits (the opaque
-    [Dualcore.budget] is reconstructed worker-side). *)
+    the campaign's immutable inputs plus the watchdog's
+    {!Dvz_uarch.Dualcore.budget_limits}, from which the worker rebuilds
+    the budget. *)
 type spec = {
   w_cfg : Dvz_uarch.Config.t;
   w_style : [ `Derived | `Random ];

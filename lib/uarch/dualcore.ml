@@ -25,7 +25,6 @@ let m_timeouts =
 type log_entry = {
   le_slot : int;
   le_total : int;
-  le_per_module : (string * int) list;
   le_in_window : bool;
 }
 
@@ -33,6 +32,7 @@ type result = {
   r_windows_a : Core.window_record list;
   r_windows_b : Core.window_record list;
   r_log : log_entry list;
+  r_window_counts : (string * int) list list;
   r_slots : int;
   r_cycles_a : int;
   r_cycles_b : int;
@@ -59,6 +59,8 @@ let budget ?max_slots ?max_wall_s ?(clock = Dvz_obs.Clock.real) () =
   | _ -> ());
   { b_max_slots = max_slots; b_max_wall_s = max_wall_s; b_clock = clock }
 
+let budget_limits b = (b.b_max_slots, b.b_max_wall_s)
+
 type t = {
   core_a : Core.t;
   core_b : Core.t;
@@ -67,6 +69,7 @@ type t = {
   log_bound : Dvz_ift.Taintlog.bound;
   mutable log : log_entry list;
   mutable log_len : int;
+  mutable window_counts : (string * int) list list;  (** newest first *)
   mutable slots : int;
   mutable taint_hwm : int;
   mutable hung : bool;
@@ -129,7 +132,7 @@ let create ?provenance ?(log_bound = Dvz_ift.Taintlog.Unbounded)
   let taint = Taintstate.create ?provenance mode in
   stamp_secret_origins taint provenance stim;
   { core_a; core_b; taint; prov = provenance; log_bound; log = [];
-    log_len = 0; slots = 0; taint_hwm = 0;
+    log_len = 0; window_counts = []; slots = 0; taint_hwm = 0;
     hung = false; corrupted = false; timed_out = false }
 
 (* Re-arm a built instance with a new stimulus: [create]'s setup, but
@@ -144,6 +147,7 @@ let reset t stim =
   stamp_secret_origins t.taint t.prov stim;
   t.log <- [];
   t.log_len <- 0;
+  t.window_counts <- [];
   t.slots <- 0;
   t.taint_hwm <- 0;
   t.hung <- false;
@@ -160,6 +164,7 @@ let blit ~src ~dst =
   Taintstate.blit ~src:src.taint ~dst:dst.taint;
   dst.log <- src.log;
   dst.log_len <- src.log_len;
+  dst.window_counts <- src.window_counts;
   dst.slots <- src.slots;
   dst.taint_hwm <- src.taint_hwm;
   dst.hung <- src.hung;
@@ -197,17 +202,24 @@ let watch_hit t = Core.watch_hit t.core_a || Core.watch_hit t.core_b
    [Keep_last] trims amortised (only once the list doubles) so the hot
    path stays O(1) per slot. *)
 let push_log t e =
+  t.log <- e :: t.log;
+  t.log_len <- t.log_len + 1;
   match t.log_bound with
-  | Dvz_ift.Taintlog.Unbounded ->
-      t.log <- e :: t.log;
-      t.log_len <- t.log_len + 1
-  | Keep_last n ->
-      t.log <- e :: t.log;
-      t.log_len <- t.log_len + 1;
-      if t.log_len >= 2 * n then begin
-        t.log <- List.filteri (fun i _ -> i < n) t.log;
-        t.log_len <- n
-      end
+  | Dvz_ift.Taintlog.Keep_last n when t.log_len >= 2 * n ->
+      t.log <- List.filteri (fun i _ -> i < n) t.log;
+      t.log_len <- n
+  | _ -> ()
+
+(* Coverage's input (§4.2.2), after a transient-window slot.  The memoised
+   list stays the same until a taint transition, so a repeat is one
+   pointer compare.  Not log-bounded: at most one vector per slot. *)
+let record_window_counts t =
+  match Taintstate.tainted_by_module t.taint with
+  | [] -> ()
+  | v -> (
+      match t.window_counts with
+      | last :: _ when last == v -> ()
+      | _ -> t.window_counts <- v :: t.window_counts)
 
 let step_impl t =
   (match Dvz_resilience.Fault.tick ~cycle:t.slots with
@@ -237,11 +249,9 @@ let step_impl t =
         Taintstate.apply_pair t.taint sa sb;
         let total = Taintstate.tainted_count t.taint in
         if total > t.taint_hwm then t.taint_hwm <- total;
+        if in_window then record_window_counts t;
         push_log t
-          { le_slot = t.slots;
-            le_total = total;
-            le_per_module = Taintstate.tainted_by_module t.taint;
-            le_in_window = in_window });
+          { le_slot = t.slots; le_total = total; le_in_window = in_window });
     t.slots <- t.slots + 1;
     not (Core.is_done t.core_a && Core.is_done t.core_b)
   end
@@ -278,6 +288,7 @@ let collect t =
   { r_windows_a = Core.windows t.core_a;
     r_windows_b = windows_b;
     r_log = List.rev rev_log;
+    r_window_counts = List.rev t.window_counts;
     r_slots = t.slots;
     r_cycles_a = Core.cycles t.core_a;
     r_cycles_b = cycles_b;

@@ -6,14 +6,15 @@
     mitigation); the shared {!Taintstate} observes both.  The run result
     packages everything the fuzzer's three phases consume: the RoB-derived
     window records of both instances (trigger detection, Phase 1), the
-    per-slot taint log (coverage, Phase 2), window timing of both instances
-    (constant-time analysis, Phase 3) and the final tainted elements
-    partitioned by liveness (tainted-sink analysis, Phase 3). *)
+    per-module taint counts of the transient-window slots (coverage,
+    Phase 2), window timing of both instances (constant-time analysis,
+    Phase 3) and the final tainted elements partitioned by liveness
+    (tainted-sink analysis, Phase 3).  The per-slot taint log keeps only
+    the population and the window flag (Figure 6, {!taints_in_windows}). *)
 
 type log_entry = {
   le_slot : int;
   le_total : int;                    (** tainted elements *)
-  le_per_module : (string * int) list;
   le_in_window : bool;               (** instance A inside a window *)
 }
 
@@ -21,6 +22,12 @@ type result = {
   r_windows_a : Core.window_record list;
   r_windows_b : Core.window_record list;
   r_log : log_entry list;            (** chronological *)
+  r_window_counts : (string * int) list list;
+      (** chronological: {!Taintstate.tainted_by_module} after each slot
+          in which instance A is inside a transient window, the taint
+          coverage matrix's input (§4.2.2).  A vector equal to the
+          previous one with no taint transition between them is recorded
+          once, and an empty one not at all. *)
   r_slots : int;
   r_cycles_a : int;
   r_cycles_b : int;
@@ -45,6 +52,10 @@ val budget :
     unless [max_slots] is positive and [max_wall_s] positive and
     finite. *)
 
+val budget_limits : budget -> int option * float option
+(** [(max_slots, max_wall_s)] of a budget: what a fleet worker rebuilds
+    it from (on the real clock). *)
+
 type t
 
 val create :
@@ -67,8 +78,8 @@ val create :
     slot and window context; the simulation itself is unaffected.
 
     [log_bound] (default [Unbounded]) bounds the per-slot taint log kept
-    in [r_log] for long campaigns; the taint state, metrics and high-water
-    mark are unaffected by discarded entries. *)
+    in [r_log] for long campaigns; the taint state, [r_window_counts],
+    metrics and high-water mark are unaffected by discarded entries. *)
 
 val reset : t -> Core.stimulus -> unit
 (** [reset t stim] re-arms a built testbench for a new stimulus without
@@ -81,12 +92,12 @@ val reset : t -> Core.stimulus -> unit
 
 val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies [src]'s whole state into [dst]: both cores
-    ({!Core.blit}), the taint tables and saved checkpoint, the taint log,
-    the slot count, the taint high-water mark and the hung / corrupted /
-    timed-out flags.  [dst] must have been built with the same
-    configuration, mode and log bound; neither may carry a provenance
-    recorder.  Stepping [dst] afterwards is bit-identical to stepping
-    [src]. *)
+    ({!Core.blit}), the taint tables and saved checkpoint, the taint log
+    and window counts, the slot count, the taint high-water mark and the
+    hung / corrupted / timed-out flags.  [dst] must have been built with
+    the same configuration, mode and log bound; neither may carry a
+    provenance recorder.  Stepping [dst] afterwards is bit-identical to
+    stepping [src]. *)
 
 val copy : t -> t
 (** A freshly allocated {!blit} of [t] (no provenance recorder). *)

@@ -65,8 +65,9 @@ type t = {
   saved : (Elem.t, bool) Hashtbl.t;  (** window-open checkpoint *)
   mutable bymod_cache : (string * int) list option;
       (** memoised [tainted_by_module] result, dropped on any taint
-          transition: most logged slots see no transition, so the log
-          shares one list instead of rebuilding it per slot *)
+          transition: most window slots see no transition, so they share
+          one list instead of rebuilding it per slot, and [Dualcore]
+          drops a repeat with one pointer compare *)
   prov : Provenance.t option;
 }
 

@@ -75,9 +75,9 @@ val reset : t -> unit
     fill of the bitset and the counters. *)
 
 val blit : src:t -> dst:t -> unit
-(** Copies [src]'s taints (bitset and side table), saved checkpoint and
-    counts into [dst] (same policy mode; neither provenance recorder is
-    touched). *)
+(** Copies [src]'s taints (bitset and side table), saved checkpoint,
+    counts and memoised {!tainted_by_module} list into [dst] (same policy
+    mode; neither provenance recorder is touched). *)
 
 val set_tainted : t -> Elem.t -> unit
 (** Marks a taint source (e.g. the secret region's memory words). *)
@@ -95,4 +95,5 @@ val tainted_elems : t -> Elem.t list
 
 val tainted_by_module : t -> (string * int) list
 (** Tainted element count per module tag (only non-zero entries), sorted;
-    the same list until the next taint transition. *)
+    the same (physically equal) list until the next taint transition, so
+    a caller can tell a repeat with [==]. *)

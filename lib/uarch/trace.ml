@@ -35,28 +35,6 @@ let render_windows windows =
   | [] -> "(no transient windows)\n"
   | ws -> String.concat "\n" (List.map window_line ws) ^ "\n"
 
-let render_taint_log ?(every = 1) log =
-  let every = max 1 every in
-  let buf = Buffer.create 512 in
-  let n = List.length log in
-  List.iteri
-    (fun i (e : Dualcore.log_entry) ->
-      (* Sample on the slot number, not the list position, so truncated or
-         resumed logs stay aligned on the same slots; the final entry is
-         always rendered. *)
-      if e.Dualcore.le_slot mod every = 0 || i = n - 1 then begin
-        Buffer.add_string buf
-          (Printf.sprintf "slot %-5d total=%-4d %s %s\n" e.Dualcore.le_slot
-             e.Dualcore.le_total
-             (if e.Dualcore.le_in_window then "W" else " ")
-             (String.concat " "
-                (List.map
-                   (fun (m, c) -> Printf.sprintf "%s=%d" m c)
-                   e.Dualcore.le_per_module)))
-      end)
-    log;
-  Buffer.contents buf
-
 let render_result (r : Dualcore.result) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "--- instance A windows ---\n";

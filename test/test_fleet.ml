@@ -225,12 +225,12 @@ let options =
   { Campaign.default_options with
     Campaign.iterations = 24; rng_seed = 9; batch = 6 }
 
-let baseline_events options =
+let baseline_events ?resilience options =
   let buf = Buffer.create 4096 in
   let telemetry =
     { Campaign.quiet with Campaign.t_events = Dvz_obs.Events.to_buffer buf }
   in
-  let stats = Campaign.run ~telemetry ~jobs:1 boom options in
+  let stats = Campaign.run ~telemetry ?resilience ~jobs:1 boom options in
   (stats, Buffer.contents buf)
 
 let fleet_events ?resilience opts options =
@@ -273,6 +273,22 @@ let test_fleet_matches_single_process () =
   check_matches_baseline "fleet" base (stats, events);
   Alcotest.(check int) "both workers spawned" 2 fstats.Coordinator.fs_spawns;
   Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts
+
+(* A watchdog tight enough to time out most triggered iterations: the
+   workers must run under the campaign's own budget, or they report
+   findings where [--jobs 1] reports timeouts. *)
+let test_fleet_honours_watchdog () =
+  let resilience =
+    { Campaign.no_resilience with
+      Campaign.rz_budget = Some (Dvz_uarch.Dualcore.budget ~max_slots:40 ()) }
+  in
+  let base = baseline_events ~resilience options in
+  Alcotest.(check bool) "the watchdog fires" true
+    ((fst base).Campaign.s_timeouts > 0);
+  let stats, _, events =
+    fleet_events ~resilience (quiet_opts ~workers:2) options
+  in
+  check_matches_baseline "watchdog" base (stats, events)
 
 let test_fleet_survives_sigkill () =
   let base = baseline_events options in
@@ -506,6 +522,8 @@ let () =
       ( "coordinator",
         [ Alcotest.test_case "fleet output equals --jobs 1" `Quick
             test_fleet_matches_single_process;
+          Alcotest.test_case "fleet honours the campaign's watchdog" `Quick
+            test_fleet_honours_watchdog;
           Alcotest.test_case "sigkill mid-campaign survived" `Quick
             test_fleet_survives_sigkill;
           Alcotest.test_case "respawn budget exhausted degrades inline" `Quick

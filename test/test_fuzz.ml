@@ -274,19 +274,12 @@ let test_coverage_accumulates () =
 
 let test_coverage_position_insensitive () =
   let cov = Coverage.create () in
-  (* two log entries with the same per-module counts are the same point *)
-  let entry total =
-    { Dualcore.le_slot = 0; le_total = total;
-      le_per_module = [ ("lsu.dcache", 2) ]; le_in_window = true }
-  in
-  ignore (Coverage.observe cov [ entry 2 ]);
+  (* two window slots with the same per-module counts are the same point *)
+  ignore (Coverage.observe cov [ [ ("lsu.dcache", 2) ] ]);
   Alcotest.(check int) "one point" 1 (Coverage.points cov);
-  ignore (Coverage.observe cov [ entry 2 ]);
+  ignore (Coverage.observe cov [ [ ("lsu.dcache", 2) ] ]);
   Alcotest.(check int) "still one" 1 (Coverage.points cov);
-  ignore
-    (Coverage.observe cov
-       [ { Dualcore.le_slot = 1; le_total = 3;
-           le_per_module = [ ("lsu.dcache", 3) ]; le_in_window = true } ]);
+  ignore (Coverage.observe cov [ [ ("lsu.dcache", 3) ] ]);
   Alcotest.(check int) "new count = new point" 2 (Coverage.points cov)
 
 let test_coverage_merge_equals_sequential () =
@@ -310,6 +303,53 @@ let test_coverage_merge_equals_sequential () =
   Alcotest.(check bool) "same point set" true
     (Coverage.to_list seq = Coverage.to_list merged);
   Alcotest.(check int) "re-merge adds nothing" 0 (Coverage.merge merged s1)
+
+let random_tc ?(style = `Derived) cfg e =
+  let rng = Rng.create e in
+  Window_gen.complete cfg (Trigger_gen.generate ~style cfg (Seed.random rng))
+
+let mode_of diffift =
+  if diffift then Dvz_ift.Policy.Diffift else Dvz_ift.Policy.Cellift
+
+(* §4.2.2's point set derived by hand on a fresh testbench, stepped the
+   way [Dualcore.step] does it: both cores, then the taint pair, and after
+   every slot in which instance A's slot is transient, each non-zero
+   per-module count is a point. *)
+let window_points_by_hand ~mode cfg tc =
+  let dc = Dualcore.create ~mode cfg (Packet.stimulus ~secret tc) in
+  let a = Dualcore.core_a dc and b = Dualcore.core_b dc in
+  let taint = Dualcore.taint dc in
+  let points = ref [] in
+  while not (Core.is_done a && Core.is_done b) do
+    let sa = Core.step a in
+    let sb = Core.step b in
+    if sa <> None || sb <> None then begin
+      Dvz_uarch.Taintstate.apply_pair taint sa sb;
+      match sa with
+      | Some s when s.Dvz_uarch.Effect.sl_transient ->
+          points := Dvz_uarch.Taintstate.tainted_by_module taint @ !points
+      | _ -> ()
+    end
+  done;
+  List.sort_uniq compare !points
+
+let prop_coverage_points_by_hand =
+  QCheck.Test.make
+    ~name:"observed points equal the window slots' per-module counts"
+    ~count:40
+    QCheck.(triple small_int bool bool)
+    (fun (e, xiangshan, diffift) ->
+      let cfg = if xiangshan then xs else boom in
+      let mode = mode_of diffift in
+      let tc = random_tc cfg e in
+      let cov = Coverage.create () in
+      let fresh =
+        Coverage.observe_result cov
+          (Dualcore.run
+             (Dualcore.create ~mode cfg (Packet.stimulus ~secret tc)))
+      in
+      let expected = window_points_by_hand ~mode cfg tc in
+      Coverage.to_list cov = expected && fresh = List.length expected)
 
 (* --- corpus -------------------------------------------------------------- *)
 
@@ -1094,13 +1134,6 @@ let test_evaluate_promotion_bound () =
 
 (* --- state copy and the forked sanitize run ---------------------------- *)
 
-let random_tc ?(style = `Derived) cfg e =
-  let rng = Rng.create e in
-  Window_gen.complete cfg (Trigger_gen.generate ~style cfg (Seed.random rng))
-
-let mode_of diffift =
-  if diffift then Dvz_ift.Policy.Diffift else Dvz_ift.Policy.Cellift
-
 let rec drain_core c acc =
   match Core.step c with None -> List.rev acc | Some s -> drain_core c (s :: acc)
 
@@ -1306,7 +1339,8 @@ let () =
           Alcotest.test_case "position insensitive" `Quick
             test_coverage_position_insensitive;
           Alcotest.test_case "shard merge = sequential" `Quick
-            test_coverage_merge_equals_sequential ] );
+            test_coverage_merge_equals_sequential;
+          QCheck_alcotest.to_alcotest prop_coverage_points_by_hand ] );
       ( "corpus",
         [ Alcotest.test_case "cap eviction" `Quick test_corpus_cap_eviction;
           Alcotest.test_case "weighted choose" `Quick test_corpus_choose_weighted;

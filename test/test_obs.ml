@@ -680,35 +680,6 @@ let test_replay_errors () =
     | Error _ -> true
     | Ok _ -> false)
 
-(* --- trace ?every clamp --------------------------------------------------- *)
-
-let test_taint_log_every_clamped () =
-  let log =
-    List.init 4 (fun i ->
-        { Dvz_uarch.Dualcore.le_slot = i; le_total = i;
-          le_per_module = [ ("rob", i) ]; le_in_window = false })
-  in
-  let all = Dvz_uarch.Trace.render_taint_log ~every:1 log in
-  Alcotest.(check string) "every:0 clamps to 1" all
-    (Dvz_uarch.Trace.render_taint_log ~every:0 log);
-  Alcotest.(check string) "negative clamps to 1" all
-    (Dvz_uarch.Trace.render_taint_log ~every:(-3) log)
-
-let test_taint_log_sampled_by_slot () =
-  (* A bounded Dualcore log holds sparse slot numbers; sampling must key
-     on the slot, not the list position, and always keep the final entry. *)
-  let mk slot =
-    { Dvz_uarch.Dualcore.le_slot = slot; le_total = slot;
-      le_per_module = []; le_in_window = false }
-  in
-  let log = List.map mk [ 0; 3; 10; 11 ] in
-  let out = Dvz_uarch.Trace.render_taint_log ~every:5 log in
-  Alcotest.(check bool) "slot 0 kept" true (contains out "slot 0 ");
-  Alcotest.(check bool) "slot 3 skipped" false (contains out "slot 3 ");
-  Alcotest.(check bool) "slot 10 kept" true (contains out "slot 10");
-  Alcotest.(check bool) "final slot 11 always kept" true
-    (contains out "slot 11")
-
 (* --- events: ring and tee -------------------------------------------------- *)
 
 let test_ring_and_tee () =
@@ -1414,11 +1385,6 @@ let () =
       ( "replay",
         [ Alcotest.test_case "roundtrip" `Quick test_replay_roundtrip;
           Alcotest.test_case "errors" `Quick test_replay_errors ] );
-      ( "trace",
-        [ Alcotest.test_case "taint log every clamp" `Quick
-            test_taint_log_every_clamped;
-          Alcotest.test_case "taint log sampled by slot" `Quick
-            test_taint_log_sampled_by_slot ] );
       ( "parallel",
         [ Alcotest.test_case "task counters" `Quick test_parallel_task_counters;
           Alcotest.test_case "metrics domain safety" `Quick

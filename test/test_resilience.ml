@@ -353,11 +353,7 @@ let test_rng_state_roundtrip () =
 
 let test_coverage_list_roundtrip () =
   let cov = Coverage.create () in
-  ignore
-    (Coverage.observe cov
-       [ { Dualcore.le_slot = 0; le_total = 2;
-           le_per_module = [ ("rob", 2); ("lsu.dcache", 1) ];
-           le_in_window = true } ]);
+  ignore (Coverage.observe cov [ [ ("rob", 2); ("lsu.dcache", 1) ] ]);
   let restored = Coverage.of_list (Coverage.to_list cov) in
   Alcotest.(check int) "points survive" (Coverage.points cov)
     (Coverage.points restored);
