@@ -661,7 +661,7 @@ let worker_cmd =
     match
       Dvz_fleet.Worker.main
         ~log:(fun line -> Printf.eprintf "dejavuzz worker %d: %s\n%!" slot line)
-        ~incarnation ~slot ~in_fd:Unix.stdin ~out_fd:Unix.stdout ()
+        ~incarnation ~in_fd:Unix.stdin ~out_fd:Unix.stdout ()
     with
     | () -> ()
     | exception Dvz_resilience.Fault.Killed { iteration; cycle; _ } ->
@@ -675,7 +675,9 @@ let worker_cmd =
         exit 2
   in
   let slot =
-    Arg.(value & opt int 0 & info [ "slot" ] ~docv:"K" ~doc:"Worker slot index.")
+    Arg.(value & opt int 0
+         & info [ "slot" ] ~docv:"K"
+             ~doc:"Worker slot index; labels this worker's stderr lines.")
   in
   let incarnation =
     Arg.(value & opt int 0

@@ -108,6 +108,11 @@ let quiet =
     t_progress_every = 0; t_progress = ignore; t_explain_dir = None;
     t_board = None }
 
+let label tel ~prefix context =
+  { tel with
+    t_events = Events.with_context tel.t_events context;
+    t_progress = (fun line -> tel.t_progress (prefix ^ " " ^ line)) }
+
 type crash = Executor.crash = {
   cr_iteration : int;
   cr_seed : Seed.t option;
@@ -320,7 +325,7 @@ let finding_event f =
    order, which is why [jobs] changes wall-clock time and nothing
    else. *)
 let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
-    ?dispatch ?on_checkpoint cfg options =
+    ?dispatch cfg options =
   if options.batch < 1 then
     invalid_arg "Campaign.run: options.batch must be at least 1";
   if options.corpus_cap < 1 then
@@ -789,8 +794,7 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
              Events.emit tel.t_events
                [ ("type", Json.Str "checkpoint");
                  ("iteration", Json.Int b1);
-                 ("path", Json.Str path) ];
-           (match on_checkpoint with Some f -> f b1 | None -> ())
+                 ("path", Json.Str path) ]
        | _ -> ());
        b := b1
      done

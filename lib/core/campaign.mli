@@ -118,6 +118,14 @@ type telemetry = {
 
 val quiet : telemetry
 
+val label :
+  telemetry -> prefix:string -> (string * Dvz_obs.Json.t) list -> telemetry
+(** [label tel ~prefix context] is [tel] for one of several campaigns
+    sharing its sink and progress printer (Table 5's cores, Fig. 7's
+    trials, the ablation's modes): every event gains the [context]
+    fields ({!Dvz_obs.Events.with_context}) and every progress line the
+    prefix [prefix ^ " "]. *)
+
 type crash = Executor.crash = {
   cr_iteration : int;
   cr_seed : Seed.t option;  (** the input being processed, when known *)
@@ -193,7 +201,6 @@ val run :
   ?resilience:resilience ->
   ?jobs:int ->
   ?dispatch:(Executor.ctx -> Scheduler.plan list -> Executor.outcome list) ->
-  ?on_checkpoint:(int -> unit) ->
   Dvz_uarch.Config.t ->
   options ->
   stats
@@ -215,9 +222,8 @@ val run :
     execute them anywhere — the fleet coordinator ships them to worker
     processes — and, because all side effects stay in the fold here,
     any faithful dispatcher reproduces in-process results byte for
-    byte.  [on_checkpoint] is called with the iteration cursor right
-    after each checkpoint file is written (the fleet coordinator uses
-    it to run the checkpoint/ack exchange).
+    byte.  Checkpoints are written here too, so a dispatcher never
+    learns about them.
 
     Raises {!Bad_checkpoint} on a corrupt or incompatible [rz_resume]
     file, [Invalid_argument] on an options/core mismatch or non-positive

@@ -33,7 +33,11 @@ type testcase = {
   gadget_tags : string list;
 }
 
-let stimulus ?(max_slots = 3000) ~secret tc =
+(* Every run stops here at the latest, far below the campaign
+   watchdog's 50,000-slot default. *)
+let max_slots = 3000
+
+let stimulus ~secret tc =
   let packets =
     tc.window_trainings @ tc.trigger_trainings @ [ tc.transient ]
   in

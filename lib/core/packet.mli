@@ -38,9 +38,10 @@ type testcase = {
   gadget_tags : string list;    (** window-payload gadget labels (Phase 2) *)
 }
 
-val stimulus : ?max_slots:int -> secret:int array -> testcase -> Dvz_uarch.Core.stimulus
+val stimulus : secret:int array -> testcase -> Dvz_uarch.Core.stimulus
 (** Builds the runnable stimulus: schedule = window trainings, then trigger
-    trainings, then the transient packet (§4.2.1). *)
+    trainings, then the transient packet (§4.2.1), stopping after 3,000
+    slots. *)
 
 val training_overhead : testcase -> int * int
 (** [(total, effective)] training-instruction counts over all training

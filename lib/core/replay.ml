@@ -71,36 +71,22 @@ let summary events =
           match build [] findings with
           | Error e -> Error e
           | Ok findings ->
-              let buf = Buffer.create 256 in
-              Printf.bprintf buf
-                "iterations=%d triggered=%d coverage=%d findings=%d first_bug=%s\n"
-                iterations triggered coverage (List.length findings)
-                (match first_bug with
-                | None -> "none"
-                | Some i -> Printf.sprintf "iter %d" i);
               (* Resilience counters ride in [campaign_end]; logs from
                  builds predating them simply lack the fields, which is
                  also how a run with zero crashes/timeouts prints. *)
-              let crashes = Option.value ~default:0 (int "harness_crashes") in
-              let wd_timeouts =
-                Option.value ~default:0 (int "watchdog_timeouts")
+              let counter key = Option.value ~default:0 (int key) in
+              let text =
+                Report.render_summary ~iterations ~triggered ~coverage
+                  ~first_bug ~crashes:(counter "harness_crashes")
+                  ~timeouts:(counter "watchdog_timeouts") findings
               in
-              if crashes > 0 || wd_timeouts > 0 then
-                Printf.bprintf buf
-                  "harness_crashes=%d watchdog_timeouts=%d\n" crashes
-                  wd_timeouts;
-              List.iter
-                (fun f ->
-                  Buffer.add_string buf (Report.finding_to_string f ^ "\n"))
-                findings;
               (* With a campaign_start in the log we also know the core
                  name, so the Table-5 classification the CLI prints after
                  the summary can be rebuilt too. *)
-              (match core with
-              | Some core_name ->
-                  Buffer.add_string buf (Report.table5 ~core_name findings)
-              | None -> ());
-              Ok (Buffer.contents buf))
+              Ok
+                (match core with
+                | Some core_name -> text ^ Report.table5 ~core_name findings
+                | None -> text))
       | _ -> Error "campaign_end record missing iterations/triggered/coverage")
 
 let of_string text =

@@ -2,9 +2,11 @@
 
     A campaign run with [--telemetry FILE] leaves a complete structured
     record of the run; this module reconstructs the end-of-run human
-    summary ({!Report.summary}-identical text) from the event log alone,
-    so saved runs stay inspectable after the fact — the [dejavuzz
-    replay-log] subcommand. *)
+    summary from the event log alone, so saved runs stay inspectable
+    after the fact — the [dejavuzz replay-log] subcommand.  It only
+    parses: the scalars and findings it reads go to
+    {!Report.render_summary}, the renderer behind {!Report.summary}, so
+    the text is identical by construction. *)
 
 val of_string : string -> (string, string) result
 (** Parses JSONL text and rebuilds the summary.  Requires one

@@ -42,21 +42,25 @@ let table5 ~core_name findings =
     attacks;
   Printf.sprintf "%s\n%s" core_name (Tablefmt.render tbl)
 
-let summary stats =
+let render_summary ~iterations ~triggered ~coverage ~first_bug ~crashes
+    ~timeouts findings =
   let buf = Buffer.create 256 in
   Printf.bprintf buf
     "iterations=%d triggered=%d coverage=%d findings=%d first_bug=%s\n"
-    stats.Campaign.s_options.Campaign.iterations stats.Campaign.s_triggered
-    stats.Campaign.s_final_coverage
-    (List.length stats.Campaign.s_findings)
-    (match stats.Campaign.s_first_bug with
-    | None -> "none"
-    | Some i -> Printf.sprintf "iter %d" i);
-  let crashes = List.length stats.Campaign.s_crashes in
-  if crashes > 0 || stats.Campaign.s_timeouts > 0 then
+    iterations triggered coverage (List.length findings)
+    (match first_bug with None -> "none" | Some i -> Printf.sprintf "iter %d" i);
+  if crashes > 0 || timeouts > 0 then
     Printf.bprintf buf "harness_crashes=%d watchdog_timeouts=%d\n" crashes
-      stats.Campaign.s_timeouts;
+      timeouts;
   List.iter
     (fun f -> Buffer.add_string buf (finding_to_string f ^ "\n"))
-    stats.Campaign.s_findings;
+    findings;
   Buffer.contents buf
+
+let summary stats =
+  render_summary ~iterations:stats.Campaign.s_options.Campaign.iterations
+    ~triggered:stats.Campaign.s_triggered
+    ~coverage:stats.Campaign.s_final_coverage
+    ~first_bug:stats.Campaign.s_first_bug
+    ~crashes:(List.length stats.Campaign.s_crashes)
+    ~timeouts:stats.Campaign.s_timeouts stats.Campaign.s_findings

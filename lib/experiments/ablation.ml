@@ -27,13 +27,12 @@ let mean_taint cfg mode =
 let run ?(telemetry = Campaign.quiet) ?(iterations = 400) ?(rng_seed = 17)
     ?jobs ?(batch = 1) cfg =
   let campaign mode =
-    (* Both mode campaigns share the sink/board; events are labelled so
-       the streams stay separable. *)
+    (* Both mode campaigns share the sink/board; events and progress
+       lines are labelled so the streams stay separable. *)
+    let name = Dvz_ift.Policy.mode_name mode in
     let telemetry =
-      { telemetry with
-        Campaign.t_events =
-          Dvz_obs.Events.with_context telemetry.Campaign.t_events
-            [ ("mode", Dvz_obs.Json.Str (Dvz_ift.Policy.mode_name mode)) ] }
+      Campaign.label telemetry ~prefix:name
+        [ ("mode", Dvz_obs.Json.Str name) ]
     in
     Campaign.run ~telemetry ?jobs cfg
       { Campaign.default_options with

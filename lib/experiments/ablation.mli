@@ -25,6 +25,7 @@ val run :
 (** [jobs]/[batch] (defaults 1/1) feed both campaigns' in-campaign
     parallelism (modes × in-campaign [jobs]); [jobs] never changes
     results.  [telemetry] is shared by both mode campaigns, with a
-    ["mode"] context field distinguishing their event streams. *)
+    ["mode"] context field distinguishing their event streams and the
+    mode name prefixing their progress lines. *)
 
 val render : result -> string

@@ -32,7 +32,8 @@ let one_series cfg name mode mode_name ~fn =
       Array.of_list (List.map (fun e -> e.Dualcore.le_total) result.Dualcore.r_log);
     s_window = window_range result.Dualcore.r_log }
 
-let run ?(cfg = Cfg.boom_small) () =
+let run () =
+  let cfg = Cfg.boom_small in
   List.concat_map
     (fun name ->
       [ one_series cfg name Dvz_ift.Policy.Cellift "CellIFT" ~fn:false;

@@ -15,7 +15,8 @@ type series = {
   s_window : (int * int) option;  (** transient window slot range *)
 }
 
-val run : ?cfg:Dvz_uarch.Config.t -> unit -> series list
+val run : unit -> series list
+(** The fifteen series (five attacks × three modes) on [boom_small]. *)
 
 val render : series list -> string
 (** Prints per test case a downsampled series plus peak/final values. *)

@@ -27,22 +27,16 @@ let aggregate name trials_curves =
   done;
   { cv_fuzzer = name; cv_mean = mean; cv_ci = ci }
 
+(* Trials run on parallel domains into one shared sink: label every
+   event and progress line with its origin. *)
 let telemetry_for telemetry ~fuzzer ~trial =
-  match telemetry with
-  | None -> None
-  | Some tel ->
-      (* Trials run on parallel domains into one shared sink: label every
-         event and progress line with its origin. *)
-      Some
-        { tel with
-          Campaign.t_events =
-            Dvz_obs.Events.with_context tel.Campaign.t_events
-              [ ("fuzzer", Dvz_obs.Json.Str fuzzer);
-                ("trial", Dvz_obs.Json.Int trial) ];
-          t_progress =
-            (fun line ->
-              tel.Campaign.t_progress
-                (Printf.sprintf "%s/trial%d %s" fuzzer trial line)) }
+  Option.map
+    (fun tel ->
+      Campaign.label tel
+        ~prefix:(Printf.sprintf "%s/trial%d" fuzzer trial)
+        [ ("fuzzer", Dvz_obs.Json.Str fuzzer);
+          ("trial", Dvz_obs.Json.Int trial) ])
+    telemetry
 
 let run ?(iterations = 1000) ?(trials = 5) ?(rng_seed = 7) ?telemetry
     ?resilience ?jobs ?(batch = 1) cfg =

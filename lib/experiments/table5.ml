@@ -38,20 +38,13 @@ let run ?(iterations = 1200) ?(rng_seed = 13) ?telemetry ?resilience ?jobs
     Option.map (fun rz -> Campaign.with_suffix rz cfg.Cfg.name) resilience
   in
   let telemetry =
-    match telemetry with
-    | None -> None
-    | Some tel ->
-        (* run_many puts each core on its own domain sharing one sink:
-           label events and progress lines with the core. *)
-        Some
-          { tel with
-            Campaign.t_events =
-              Dvz_obs.Events.with_context tel.Campaign.t_events
-                [ ("core", Dvz_obs.Json.Str cfg.Cfg.name) ];
-            t_progress =
-              (fun line ->
-                tel.Campaign.t_progress
-                  (Printf.sprintf "%s %s" cfg.Cfg.name line)) }
+    (* run_many puts each core on its own domain sharing one sink:
+       label events and progress lines with the core. *)
+    Option.map
+      (fun tel ->
+        Campaign.label tel ~prefix:cfg.Cfg.name
+          [ ("core", Dvz_obs.Json.Str cfg.Cfg.name) ])
+      telemetry
   in
   let stats =
     Campaign.run ?telemetry ?resilience ?jobs cfg

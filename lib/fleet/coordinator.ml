@@ -19,8 +19,7 @@
    - heartbeat silence past the deadline (SIGSTOP, livelock, scheduler
      starvation) → SIGKILL, then declared dead;
    - each death returns the worker's outstanding plans to the unassigned
-     pool and schedules a respawn after capped exponential backoff
-     ({!Dvz_util.Parallel.backoff});
+     pool and schedules a respawn after capped exponential backoff;
    - a slot exceeding its respawn budget is retired — the fleet shrinks
      and its shard is redistributed to the survivors;
    - with every slot retired, the coordinator executes remaining plans
@@ -91,7 +90,6 @@ type worker_row = {
   fw_restarts : int;
   fw_done : int;  (* outcomes produced over all incarnations *)
   fw_last_rx_age_s : float;
-  fw_acked_iteration : int;
 }
 
 type snapshot = {
@@ -121,8 +119,7 @@ let snapshot_json s =
                    ("state", Json.Str w.fw_state);
                    ("restarts", Json.Int w.fw_restarts);
                    ("outcomes", Json.Int w.fw_done);
-                   ("last_rx_age_s", Json.Float w.fw_last_rx_age_s);
-                   ("acked_iteration", Json.Int w.fw_acked_iteration) ])
+                   ("last_rx_age_s", Json.Float w.fw_last_rx_age_s) ])
              s.fb_workers) );
       ("restarts", Json.Int s.fb_restarts);
       ("retired", Json.Int s.fb_retired);
@@ -147,7 +144,6 @@ type worker = {
   mutable w_last_rx : float;
   mutable w_restarts : int;  (* spawns beyond the first *)
   mutable w_done : int;
-  mutable w_acked : int;
   mutable w_assigned : Scheduler.plan list;  (* outstanding, plan order *)
 }
 
@@ -157,7 +153,7 @@ type st = {
   st_board : board;
   st_plane : Telemetry.t option;
   mutable st_epoch : int;
-  mutable st_config_frame : string option;  (* encoded Config, sent on spawn *)
+  mutable st_config : Proto.msg option;  (* sent to every spawned worker *)
   mutable st_spawns : int;
   mutable st_restarts : int;
   mutable st_hb_missed : int;
@@ -169,6 +165,11 @@ let with_plane st f = match st.st_plane with Some p -> f p | None -> ()
 let now () = Unix.gettimeofday ()
 
 let logf st fmt = Printf.ksprintf st.st_opts.fl_log fmt
+
+let retired st =
+  Array.fold_left
+    (fun n w -> if w.w_state = Retired then n + 1 else n)
+    0 st.st_workers
 
 let publish st =
   let t = now () in
@@ -187,18 +188,14 @@ let publish st =
              fw_last_rx_age_s =
                (match w.w_state with
                | Live -> Float.max 0.0 (t -. w.w_last_rx)
-               | _ -> 0.0);
-             fw_acked_iteration = w.w_acked })
+               | _ -> 0.0) })
   in
   Atomic.set st.st_board
     (Some
        { fb_epoch = st.st_epoch;
          fb_workers = rows;
          fb_restarts = st.st_restarts;
-         fb_retired =
-           Array.fold_left
-             (fun n w -> if w.w_state = Retired then n + 1 else n)
-             0 st.st_workers;
+         fb_retired = retired st;
          fb_heartbeats_missed = st.st_hb_missed;
          fb_inline_plans = st.st_inline })
 
@@ -224,24 +221,23 @@ let exec_launch ~slot ~incarnation =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then begin
-      let n = Unix.write_substring fd s off (len - off) in
-      if n <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-      go (off + n)
-    end
-  in
-  go 0
-
-let reap st w =
+(* Reap the worker's process: give it [grace] seconds to exit on its own
+   (Shutdown, pipe EOF), then SIGKILL it and wait. *)
+let reap ~grace w =
   if w.w_pid > 0 then begin
-    (try Unix.kill w.w_pid Sys.sigkill
-     with Unix.Unix_error (Unix.ESRCH, _, _) | Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.w_pid)
-     with Unix.Unix_error _ -> ());
-    ignore st
+    let deadline = now () +. grace in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
+      | 0, _ when now () < deadline ->
+          Unix.sleepf 0.01;
+          wait ()
+      | 0, _ ->
+          (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+          (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    wait ()
   end;
   w.w_pid <- 0
 
@@ -251,7 +247,7 @@ let reap st w =
 let declare_dead st w ~reason =
   close_quietly w.w_in;
   close_quietly w.w_out;
-  reap st w;
+  reap ~grace:0.0 w;
   let orphans = w.w_assigned in
   w.w_assigned <- [];
   w.w_restarts <- w.w_restarts + 1;
@@ -269,8 +265,9 @@ let declare_dead st w ~reason =
   end
   else begin
     let delay =
-      Dvz_util.Parallel.backoff ~base:st.st_opts.fl_backoff_base_s
-        ~cap:st.st_opts.fl_backoff_cap_s w.w_restarts
+      Float.min st.st_opts.fl_backoff_cap_s
+        (st.st_opts.fl_backoff_base_s
+        *. (2.0 ** float_of_int (w.w_restarts - 1)))
     in
     w.w_state <- Down;
     w.w_due <- now () +. delay;
@@ -302,13 +299,13 @@ let spawn st w =
   w.w_state <- Live;
   st.st_spawns <- st.st_spawns + 1;
   (* The replacement needs nothing beyond the config frame: campaign
-     state lives here, and the last durable checkpoint (plus the batch
-     cursor inside it) already covers everything acked — a respawn can
-     never lose an accepted finding. *)
-  (match st.st_config_frame with
-  | Some frame -> (
-      try write_all w.w_in frame
-      with Unix.Unix_error _ -> ignore (declare_dead st w ~reason:"died during config"))
+     state lives here, and findings are accepted only by the fold — a
+     respawn can never lose one. *)
+  (match st.st_config with
+  | Some config -> (
+      try Proto.write w.w_in config
+      with Unix.Unix_error _ ->
+        ignore (declare_dead st w ~reason:"died during config"))
   | None -> ());
   publish st
 
@@ -353,13 +350,11 @@ let distribute st ep =
             | chunk, rest' -> (
                 rest := rest';
                 w.w_assigned <- chunk;
-                let frame =
-                  Proto.encode
+                try
+                  Proto.write w.w_in
                     (Proto.Assign
                        { a_epoch = st.st_epoch;
                          a_payload = Wire.plans_to_string chunk })
-                in
-                try write_all w.w_in frame
                 with Unix.Unix_error _ ->
                   (* Death discovered on write: reclaim the chunk with the
                      rest of the shard. *)
@@ -397,14 +392,14 @@ let record_outcome ep w ~iteration payload =
    condemn a worker, and nothing here feeds the campaign fold. *)
 let observe_msg st w msg =
   match msg with
-  | Proto.Hello { h_pid; h_clock_us; _ } ->
+  | Proto.Hello { h_pid; h_clock_us } ->
       with_plane st (fun p ->
           Telemetry.hello p ~slot:w.w_slot ~incarnation:w.w_restarts
             ~pid:h_pid ~clock_us:h_clock_us)
-  | Proto.Heartbeat { b_done; _ } ->
+  | Proto.Heartbeat { b_done } ->
       with_plane st (fun p ->
           Telemetry.heartbeat p ~slot:w.w_slot ~done_count:b_done)
-  | Proto.Telemetry { t_incarnation; t_payload; _ } ->
+  | Proto.Telemetry { t_incarnation; t_payload } ->
       with_plane st (fun p ->
           match Wire.telemetry_of_string t_payload with
           | Ok batch ->
@@ -425,56 +420,47 @@ let handle_msg st ep w msg =
         logf st "worker %d reports pid %d (spawned as %d)" w.w_slot h_pid
           w.w_pid;
       Ok ()
-  | Proto.Heartbeat { b_done; _ } ->
+  | Proto.Heartbeat { b_done } ->
       w.w_done <- max w.w_done b_done;
       Ok ()
   | Proto.Telemetry _ -> Ok ()
-  | Proto.Outcome { o_iteration; o_payload; _ } ->
+  | Proto.Outcome { o_iteration; o_payload } ->
       record_outcome ep w ~iteration:o_iteration o_payload
-  | Proto.Finding _ ->
-      (* Advisory only — the fold owns dedup.  The board's per-worker
-         outcome counts already move; nothing else to do. *)
-      Ok ()
-  | Proto.Checkpoint_ack { k_iteration; _ } ->
-      w.w_acked <- max w.w_acked k_iteration;
-      Ok ()
-  | Proto.Config _ | Proto.Assign _ | Proto.Checkpoint _ | Proto.Shutdown ->
+  | Proto.Config _ | Proto.Assign _ | Proto.Shutdown ->
       Error
         (Printf.sprintf "unexpected %s frame from worker"
            (Proto.kind_name msg))
 
-(* Drain one readable worker pipe: a single [read], then every complete
-   frame in the reassembly buffer.  Any protocol failure condemns the
-   worker. *)
-let drain st ep w buf =
+(* The one pipe pump: a single [read] of a readable worker pipe, then
+   every complete frame in the reassembly buffer through [on_msg].
+   [Error reason] reports pipe EOF, a corrupt stream, or a frame
+   [on_msg] rejected. *)
+let pump w buf on_msg =
   let n =
     try Unix.read w.w_out buf 0 (Bytes.length buf)
     with Unix.Unix_error _ -> 0
   in
-  if n = 0 then
-    ep.ep_unassigned <-
-      declare_dead st w ~reason:"exited (pipe EOF)" @ ep.ep_unassigned
+  if n = 0 then Error "exited (pipe EOF)"
   else begin
     Proto.feed w.w_reader buf 0 n;
     let rec frames () =
-      if w.w_state = Live then
-        match Proto.next w.w_reader with
-        | Ok None -> ()
-        | Ok (Some msg) -> (
-            match handle_msg st ep w msg with
-            | Ok () -> frames ()
-            | Error e ->
-                ep.ep_unassigned <-
-                  declare_dead st w ~reason:("protocol violation: " ^ e)
-                  @ ep.ep_unassigned)
-        | Error e ->
-            ep.ep_unassigned <-
-              declare_dead st w
-                ~reason:("corrupt stream: " ^ Proto.error_message e)
-              @ ep.ep_unassigned
+      match Proto.next w.w_reader with
+      | Ok None -> Ok ()
+      | Ok (Some msg) -> (
+          match on_msg msg with
+          | Ok () -> frames ()
+          | Error e -> Error ("protocol violation: " ^ e))
+      | Error e -> Error ("corrupt stream: " ^ Proto.error_message e)
     in
     frames ()
   end
+
+(* During a batch any pump failure condemns the worker. *)
+let drain st ep w buf =
+  match pump w buf (handle_msg st ep w) with
+  | Ok () -> ()
+  | Error reason ->
+      ep.ep_unassigned <- declare_dead st w ~reason @ ep.ep_unassigned
 
 let sort_plans plans =
   List.sort
@@ -518,14 +504,11 @@ let make_spec (opts : opts) (ctx : Executor.ctx) =
     w_trace = opts.fl_trace }
 
 let dispatch_batch st (ctx : Executor.ctx) plans =
-  (match st.st_config_frame with
-  | Some _ -> ()
-  | None ->
-      let spec = make_spec st.st_opts ctx in
-      st.st_config_frame <-
-        Some
-          (Proto.encode
-             (Proto.Config { c_payload = Wire.spec_to_string spec })));
+  if st.st_config = None then
+    st.st_config <-
+      Some
+        (Proto.Config
+           { c_payload = Wire.spec_to_string (make_spec st.st_opts ctx) });
   let plans = sort_plans plans in
   let count = List.length plans in
   let ep =
@@ -641,17 +624,9 @@ let dispatch_batch st (ctx : Executor.ctx) plans =
          | None -> assert false (* filled = count *))
   end
 
-let broadcast st msg =
-  let frame = Proto.encode msg in
-  Array.iter
-    (fun w ->
-      if w.w_state = Live then
-        try write_all w.w_in frame with Unix.Unix_error _ -> ())
-    st.st_workers
-
-(* After Shutdown is broadcast each worker sends one last telemetry
-   flush before exiting; read its pipe until EOF (or a short deadline)
-   so that flush lands in the plane instead of dying in the buffer. *)
+(* After Shutdown each worker sends one last telemetry flush before
+   exiting; read its pipe until EOF (or a short deadline) so that flush
+   lands in the plane instead of dying in the buffer. *)
 let drain_final st w =
   let deadline = now () +. 1.0 in
   let buf = Bytes.create 65536 in
@@ -661,28 +636,19 @@ let drain_final st w =
       match Unix.select [ w.w_out ] [] [] remaining with
       | exception Unix.Unix_error _ -> ()
       | [], _, _ -> ()
-      | _ ->
-          let n =
-            try Unix.read w.w_out buf 0 (Bytes.length buf)
-            with Unix.Unix_error _ -> 0
-          in
-          if n > 0 then begin
-            Proto.feed w.w_reader buf 0 n;
-            let rec frames () =
-              match Proto.next w.w_reader with
-              | Ok (Some msg) ->
-                  observe_msg st w msg;
-                  frames ()
-              | Ok None | Error _ -> ()
-            in
-            frames ();
-            go ()
-          end
+      | _ -> (
+          match pump w buf (fun msg -> Ok (observe_msg st w msg)) with
+          | Ok () -> go ()
+          | Error _ -> ())
   in
   go ()
 
 let shutdown st =
-  broadcast st Proto.Shutdown;
+  Array.iter
+    (fun w ->
+      if w.w_state = Live then
+        try Proto.write w.w_in Proto.Shutdown with Unix.Unix_error _ -> ())
+    st.st_workers;
   Array.iter
     (fun w ->
       if w.w_state = Live then begin
@@ -690,27 +656,7 @@ let shutdown st =
         (match st.st_plane with
         | Some _ -> ( try drain_final st w with _ -> ())
         | None -> ());
-        (* Give the worker a moment to exit on Shutdown/EOF, then make
-           sure. *)
-        let deadline = now () +. 1.0 in
-        let rec wait () =
-          match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
-          | 0, _ ->
-              if now () < deadline then begin
-                Unix.sleepf 0.01;
-                wait ()
-              end
-              else begin
-                (try Unix.kill w.w_pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] w.w_pid)
-                 with Unix.Unix_error _ -> ())
-              end
-          | _ -> ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        wait ();
-        w.w_pid <- 0;
+        reap ~grace:1.0 w;
         close_quietly w.w_out;
         w.w_state <- Down
       end)
@@ -720,10 +666,7 @@ let stats_of st =
   { fs_workers = Array.length st.st_workers;
     fs_spawns = st.st_spawns;
     fs_restarts = st.st_restarts;
-    fs_retired =
-      Array.fold_left
-        (fun n w -> if w.w_state = Retired then n + 1 else n)
-        0 st.st_workers;
+    fs_retired = retired st;
     fs_heartbeats_missed = st.st_hb_missed;
     fs_inline_plans = st.st_inline }
 
@@ -749,27 +692,23 @@ let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
               w_last_rx = 0.0;
               w_restarts = 0;  (* deaths, not spawns: first spawn is free *)
               w_done = 0;
-              w_acked = 0;
               w_assigned = [] });
       st_board = board;
       st_plane = plane;
       st_epoch = 0;
-      st_config_frame = None;
+      st_config = None;
       st_spawns = 0;
       st_restarts = 0;
       st_hb_missed = 0;
       st_inline = 0 }
   in
-  (* Respawns resume from the last durably acked state by construction:
-     the checkpoint file IS the authority, so keep one good generation
+  (* The checkpoint file is the only authority on durable state (the
+     fold writes it; workers never see it), so keep one good generation
      around and fall back to it when the newest is damaged. *)
   let resilience = { resilience with Campaign.rz_checkpoint_keep = true } in
   let dispatch ctx plans = dispatch_batch st ctx plans in
-  let on_checkpoint cursor =
-    broadcast st (Proto.Checkpoint { k_iteration = cursor })
-  in
   let run_campaign resilience =
-    Campaign.run ~telemetry ~resilience ~dispatch ~on_checkpoint cfg options
+    Campaign.run ~telemetry ~resilience ~dispatch cfg options
   in
   let stats =
     Fun.protect

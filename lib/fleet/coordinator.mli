@@ -11,7 +11,9 @@
     Outcomes are folded in plan-index order once the batch is complete,
     which makes fleet output byte-identical to a single-process
     [--jobs 1] run regardless of worker deaths: the determinism
-    contract CI gates on.
+    contract CI gates on.  Workers send back only what the fold reads —
+    one [Outcome] per plan, plus [Hello], [Heartbeat] and [Telemetry]
+    for supervision and observation — and never see a checkpoint.
 
     Failure detection is layered: pipe EOF / [EPIPE] / protocol
     corruption condemn a worker immediately; a heartbeat silence past
@@ -26,7 +28,9 @@ type opts = {
   fl_deadline_s : float;
       (** declare a live worker dead after this much silence; [0.] never *)
   fl_max_respawns : int;  (** deaths allowed per slot before retirement *)
-  fl_backoff_base_s : float;  (** respawn backoff: base delay *)
+  fl_backoff_base_s : float;
+      (** respawn backoff: a slot's [k]th death delays its respawn by
+          [min fl_backoff_cap_s (fl_backoff_base_s *. 2 ** (k - 1))] *)
   fl_backoff_cap_s : float;  (** respawn backoff: cap *)
   fl_chaos : (int * int * int) list;
       (** fault-injection hooks for tests/CI: [(epoch, slot, signal)] —
@@ -69,7 +73,6 @@ type worker_row = {
   fw_restarts : int;
   fw_done : int;  (** outcomes produced across all incarnations *)
   fw_last_rx_age_s : float;  (** seconds since the last frame, if live *)
-  fw_acked_iteration : int;  (** newest checkpoint cursor acknowledged *)
 }
 
 type snapshot = {

@@ -18,7 +18,7 @@
    kill and respawn the peer, never to guess). *)
 
 let magic = "DVZF"
-let version = 1
+let version = 2
 let header_len = 14
 
 (* Big enough for any real assignment (plans are a few KB each), small
@@ -32,17 +32,13 @@ let m_frames =
     "dvz_fleet_frames_total"
 
 type msg =
-  | Hello of { h_worker : int; h_pid : int; h_clock_us : int }
+  | Hello of { h_pid : int; h_clock_us : int }
   | Config of { c_payload : string }
   | Assign of { a_epoch : int; a_payload : string }
-  | Heartbeat of { b_worker : int; b_done : int }
-  | Outcome of { o_worker : int; o_epoch : int; o_iteration : int;
-                 o_payload : string }
-  | Finding of { f_worker : int; f_iteration : int; f_classes : int }
-  | Checkpoint of { k_iteration : int }
-  | Checkpoint_ack of { k_worker : int; k_iteration : int }
+  | Heartbeat of { b_done : int }
+  | Outcome of { o_iteration : int; o_payload : string }
   | Shutdown
-  | Telemetry of { t_worker : int; t_incarnation : int; t_payload : string }
+  | Telemetry of { t_incarnation : int; t_payload : string }
 
 let kind_tag = function
   | Hello _ -> 1
@@ -50,25 +46,16 @@ let kind_tag = function
   | Assign _ -> 3
   | Heartbeat _ -> 4
   | Outcome _ -> 5
-  | Finding _ -> 6
-  | Checkpoint _ -> 7
-  | Checkpoint_ack _ -> 8
-  | Shutdown -> 9
-  | Telemetry _ -> 10
+  | Shutdown -> 6
+  | Telemetry _ -> 7
 
-let max_tag = 10
+(* Indexed by tag; [next] accepts exactly the tags 1 .. [max_tag]. *)
+let kind_names =
+  [| ""; "hello"; "config"; "assign"; "heartbeat"; "outcome"; "shutdown";
+     "telemetry" |]
 
-let kind_name = function
-  | Hello _ -> "hello"
-  | Config _ -> "config"
-  | Assign _ -> "assign"
-  | Heartbeat _ -> "heartbeat"
-  | Outcome _ -> "outcome"
-  | Finding _ -> "finding"
-  | Checkpoint _ -> "checkpoint"
-  | Checkpoint_ack _ -> "checkpoint_ack"
-  | Shutdown -> "shutdown"
-  | Telemetry _ -> "telemetry"
+let max_tag = Array.length kind_names - 1
+let kind_name msg = kind_names.(kind_tag msg)
 
 type error =
   | Bad_magic
@@ -123,33 +110,19 @@ let take_str c =
 let payload_of_msg msg =
   let buf = Buffer.create 64 in
   (match msg with
-  | Hello { h_worker; h_pid; h_clock_us } ->
-      put_int buf h_worker;
+  | Hello { h_pid; h_clock_us } ->
       put_int buf h_pid;
       put_int buf h_clock_us
   | Config { c_payload } -> put_str buf c_payload
   | Assign { a_epoch; a_payload } ->
       put_int buf a_epoch;
       put_str buf a_payload
-  | Heartbeat { b_worker; b_done } ->
-      put_int buf b_worker;
-      put_int buf b_done
-  | Outcome { o_worker; o_epoch; o_iteration; o_payload } ->
-      put_int buf o_worker;
-      put_int buf o_epoch;
+  | Heartbeat { b_done } -> put_int buf b_done
+  | Outcome { o_iteration; o_payload } ->
       put_int buf o_iteration;
       put_str buf o_payload
-  | Finding { f_worker; f_iteration; f_classes } ->
-      put_int buf f_worker;
-      put_int buf f_iteration;
-      put_int buf f_classes
-  | Checkpoint { k_iteration } -> put_int buf k_iteration
-  | Checkpoint_ack { k_worker; k_iteration } ->
-      put_int buf k_worker;
-      put_int buf k_iteration
   | Shutdown -> ()
-  | Telemetry { t_worker; t_incarnation; t_payload } ->
-      put_int buf t_worker;
+  | Telemetry { t_incarnation; t_payload } ->
       put_int buf t_incarnation;
       put_str buf t_payload);
   Buffer.contents buf
@@ -171,64 +144,54 @@ let encode msg =
   Bytes.set_int32_be head 10 (Int32.of_int (crc32 payload));
   Bytes.unsafe_to_string head ^ payload
 
+(* The one frame writer both ends use.  A short write of 0 bytes is the
+   peer going away, reported like any other broken pipe. *)
+let write fd msg =
+  let s = encode msg in
+  let len = String.length s in
+  let rec go off =
+    if off < len then begin
+      let n = Unix.write_substring fd s off (len - off) in
+      if n <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
+      go (off + n)
+    end
+  in
+  go 0
+
 (* --- decode --------------------------------------------------------------- *)
 
 let msg_of_payload tag payload =
   let c = { c_data = payload; c_pos = 0 } in
-  let name =
-    match tag with
-    | 1 -> "hello" | 2 -> "config" | 3 -> "assign" | 4 -> "heartbeat"
-    | 5 -> "outcome" | 6 -> "finding" | 7 -> "checkpoint"
-    | 8 -> "checkpoint_ack" | 9 -> "shutdown" | 10 -> "telemetry"
-    | _ -> "?"
-  in
   match
     (match tag with
     | 1 ->
-        let h_worker = take_int c in
         let h_pid = take_int c in
         let h_clock_us = take_int c in
-        Hello { h_worker; h_pid; h_clock_us }
+        Hello { h_pid; h_clock_us }
     | 2 -> Config { c_payload = take_str c }
     | 3 ->
         let a_epoch = take_int c in
         let a_payload = take_str c in
         Assign { a_epoch; a_payload }
-    | 4 ->
-        let b_worker = take_int c in
-        let b_done = take_int c in
-        Heartbeat { b_worker; b_done }
+    | 4 -> Heartbeat { b_done = take_int c }
     | 5 ->
-        let o_worker = take_int c in
-        let o_epoch = take_int c in
         let o_iteration = take_int c in
         let o_payload = take_str c in
-        Outcome { o_worker; o_epoch; o_iteration; o_payload }
-    | 6 ->
-        let f_worker = take_int c in
-        let f_iteration = take_int c in
-        let f_classes = take_int c in
-        Finding { f_worker; f_iteration; f_classes }
-    | 7 -> Checkpoint { k_iteration = take_int c }
-    | 8 ->
-        let k_worker = take_int c in
-        let k_iteration = take_int c in
-        Checkpoint_ack { k_worker; k_iteration }
-    | 9 -> Shutdown
-    | 10 ->
-        let t_worker = take_int c in
+        Outcome { o_iteration; o_payload }
+    | 6 -> Shutdown
+    | 7 ->
         let t_incarnation = take_int c in
         let t_payload = take_str c in
-        Telemetry { t_worker; t_incarnation; t_payload }
+        Telemetry { t_incarnation; t_payload }
     | _ -> assert false)
   with
   | msg ->
       (* Trailing bytes mean the sender and receiver disagree about the
          layout — corruption, not compatibility. *)
       if c.c_pos <> String.length payload then
-        Error (Bad_payload name)
+        Error (Bad_payload kind_names.(tag))
       else Ok msg
-  | exception Short -> Error (Bad_payload name)
+  | exception Short -> Error (Bad_payload kind_names.(tag))
 
 (* Incremental reassembly: [feed] appends whatever the pipe produced —
    one byte or forty frames — and [next] peels complete frames off the

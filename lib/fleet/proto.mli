@@ -12,47 +12,46 @@
     14      len   payload
     v}
 
-    Opaque payloads ([Config]/[Assign]/[Outcome] carry {!Wire}-encoded
-    values) travel as length-prefixed strings inside the frame payload;
-    everything else is 8-byte big-endian integers.  Validation is
-    layered — magic, version, kind, length cap, CRC, then per-kind field
-    decoding — and each layer failing yields a distinct {!error} rather
-    than an exception.  A {!reader} that has reported an error stays
-    poisoned: a corrupt pipe has no trustworthy frame boundaries left,
-    so the supervisor's only correct move is to drop the peer. *)
+    Opaque payloads ([Config]/[Assign]/[Outcome]/[Telemetry] carry
+    {!Wire}-encoded values) travel as length-prefixed strings inside
+    the frame payload; everything else is 8-byte big-endian integers.
+    Validation is layered — magic, version, kind, length cap, CRC, then
+    per-kind field decoding — and each layer failing yields a distinct
+    {!error} rather than an exception.  A {!reader} that has reported an
+    error stays poisoned: a corrupt pipe has no trustworthy frame
+    boundaries left, so the supervisor's only correct move is to drop
+    the peer. *)
 
 val version : int
 val header_len : int
 val max_payload : int
 
+(** The seven message kinds, each carrying only what its receiver reads:
+    campaign decisions (dedup, coverage, checkpoints) are made in the
+    coordinator's fold, so no finding or checkpoint traffic crosses the
+    pipe, and no frame names its sender — the pipe it arrives on does. *)
 type msg =
-  | Hello of { h_worker : int; h_pid : int; h_clock_us : int }
-      (** first frame a worker sends: its slot, OS pid and its wall
-          clock in microseconds at send time — the coordinator aligns
-          the worker's trace timestamps onto its own axis from the
-          offset observed here *)
+  | Hello of { h_pid : int; h_clock_us : int }
+      (** first frame a worker sends: its OS pid and its wall clock in
+          microseconds at send time — the coordinator aligns the
+          worker's trace timestamps onto its own axis from the offset
+          observed here.  The pipe it arrives on names the slot. *)
   | Config of { c_payload : string }
       (** coordinator → worker: {!Wire.spec_to_string} of the campaign
           spec; sent once per worker lifetime, before any assignment *)
   | Assign of { a_epoch : int; a_payload : string }
       (** coordinator → worker: {!Wire.plans_to_string} of a shard of
-          one batch's plans *)
-  | Heartbeat of { b_worker : int; b_done : int }
+          one batch's plans; the worker logs [a_epoch] in its [assign]
+          event line *)
+  | Heartbeat of { b_done : int }
       (** worker → coordinator, periodic: total outcomes produced *)
-  | Outcome of { o_worker : int; o_epoch : int; o_iteration : int;
-                 o_payload : string }
+  | Outcome of { o_iteration : int; o_payload : string }
       (** worker → coordinator: {!Wire.outcome_to_string} of one
-          executed plan — the corpus-delta stream the fold consumes *)
-  | Finding of { f_worker : int; f_iteration : int; f_classes : int }
-      (** worker → coordinator: advisory live-finding signal for the
-          fleet board; the authoritative dedup happens in the fold *)
-  | Checkpoint of { k_iteration : int }
-      (** coordinator → workers: a checkpoint at this cursor was durably
-          written *)
-  | Checkpoint_ack of { k_worker : int; k_iteration : int }
-      (** worker → coordinator: acknowledges the checkpoint cursor *)
+          executed plan — the corpus-delta stream the fold consumes.
+          The coordinator rejects an [o_iteration] outside the batch it
+          is collecting. *)
   | Shutdown  (** coordinator → worker: drain and exit cleanly *)
-  | Telemetry of { t_worker : int; t_incarnation : int; t_payload : string }
+  | Telemetry of { t_incarnation : int; t_payload : string }
       (** worker → coordinator, on the heartbeat cadence and at
           shutdown: {!Wire.telemetry_to_string} of the worker's
           cumulative metrics snapshot, profiler aggregates, trace-event
@@ -76,6 +75,11 @@ val error_message : error -> string
 val encode : msg -> string
 (** The full frame (header + payload) for one message.  Raises
     [Invalid_argument] if the payload exceeds {!max_payload}. *)
+
+val write : Unix.file_descr -> msg -> unit
+(** Encodes one message and writes the whole frame — the only frame
+    writer, used by coordinator and worker alike.  A broken pipe
+    surfaces as [Unix.Unix_error] (a zero-byte write as [EPIPE]). *)
 
 type reader
 (** Incremental frame reassembler for one pipe. *)

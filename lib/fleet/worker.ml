@@ -3,12 +3,12 @@
    Protocol from the worker's seat: say [Hello], receive one [Config]
    (build the executor context, start the heartbeat thread), then loop —
    each [Assign] is a shard of plans to execute, each plan producing one
-   [Outcome] frame (plus an advisory [Finding] frame when the oracle
-   reports leaks); [Checkpoint] is acknowledged, [Shutdown] or pipe EOF
-   ends the loop.  The worker holds no campaign state whatsoever: every
-   plan carries its own pre-split RNG and all corpus/coverage/finding
-   folding happens in the coordinator, which is why killing a worker at
-   any instant loses nothing but wall-clock time.
+   [Outcome] frame; [Shutdown] or pipe EOF ends the loop.  The worker
+   holds no campaign state whatsoever: every plan carries its own
+   pre-split RNG and all corpus/coverage/finding/checkpoint decisions
+   happen in the coordinator's fold, which is why killing a worker at
+   any instant loses nothing but wall-clock time, and why nothing but
+   outcomes flows back.
 
    Telemetry rides the same pipe: on each heartbeat tick, and once more
    at shutdown, the worker flushes a [Telemetry] frame — its cumulative
@@ -18,7 +18,6 @@
    from it. *)
 
 module Executor = Dejavuzz.Executor
-module Oracle = Dejavuzz.Oracle
 module Metrics = Dvz_obs.Metrics
 module Profile = Dvz_obs.Profile
 module Events = Dvz_obs.Events
@@ -28,7 +27,6 @@ exception Hangup
 (** The coordinator went away (EOF or EPIPE) — exit quietly. *)
 
 type t = {
-  k_slot : int;
   k_incarnation : int;
   k_in : Unix.file_descr;
   k_out : Unix.file_descr;
@@ -44,27 +42,13 @@ type t = {
   mutable k_heartbeat : Thread.t option;
 }
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then begin
-      let n =
-        try Unix.write_substring fd s off (len - off)
-        with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-          raise Hangup
-      in
-      if n <= 0 then raise Hangup;
-      go (off + n)
-    end
-  in
-  go 0
-
 let send t msg =
-  let frame = Proto.encode msg in
   Mutex.lock t.k_write_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.k_write_mutex)
-    (fun () -> write_all t.k_out frame)
+    (fun () ->
+      try Proto.write t.k_out msg
+      with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> raise Hangup)
 
 (* Same ["type"] kind key campaign events use, so /events?kind= filters
    both uniformly once these lines replay into the coordinator's ring. *)
@@ -96,8 +80,7 @@ let flush_telemetry t =
       t.k_trace_cursor <- cursor;
       send t
         (Proto.Telemetry
-           { t_worker = t.k_slot;
-             t_incarnation = t.k_incarnation;
+           { t_incarnation = t.k_incarnation;
              t_payload = Wire.telemetry_to_string batch }))
 
 let start_heartbeat t (spec : Wire.spec) =
@@ -112,9 +95,7 @@ let start_heartbeat t (spec : Wire.spec) =
              try
                while true do
                  Unix.sleepf spec.Wire.w_heartbeat_s;
-                 send t
-                   (Proto.Heartbeat
-                      { b_worker = t.k_slot; b_done = Atomic.get t.k_done });
+                 send t (Proto.Heartbeat { b_done = Atomic.get t.k_done });
                  flush_telemetry t
                done
              with _ -> ())
@@ -141,22 +122,12 @@ let build_ctx (spec : Wire.spec) =
             ~help:"Campaign iterations executed by one worker domain"
             (Printf.sprintf "dvz_campaign_iterations_domain_%d" i)) }
 
-let send_outcome t ~epoch (o : Executor.outcome) =
+let send_outcome t (o : Executor.outcome) =
   Atomic.incr t.k_done;
   send t
     (Proto.Outcome
-       { o_worker = t.k_slot;
-         o_epoch = epoch;
-         o_iteration = o.Executor.oc_iteration;
-         o_payload = Wire.outcome_to_string o });
-  match o.Executor.oc_analysis with
-  | Some a when a.Oracle.a_leaks <> [] ->
-      send t
-        (Proto.Finding
-           { f_worker = t.k_slot;
-             f_iteration = o.Executor.oc_iteration;
-             f_classes = List.length a.Oracle.a_leaks })
-  | _ -> ()
+       { o_iteration = o.Executor.oc_iteration;
+         o_payload = Wire.outcome_to_string o })
 
 let handle_assign t ~epoch payload =
   match t.k_ctx with
@@ -177,14 +148,14 @@ let handle_assign t ~epoch payload =
                from any plan propagates and takes the whole process down —
                by design: that is the fault the supervisor exists to
                survive. *)
-            List.iter (send_outcome t ~epoch)
+            List.iter (send_outcome t)
               (Dvz_util.Parallel.map ~domains:jobs (Executor.execute ctx)
                  plans)
           else
             (* Stream incrementally: completed iterations reach the
                coordinator even if a later plan kills this process. *)
             List.iter
-              (fun p -> send_outcome t ~epoch (Executor.execute ctx p))
+              (fun p -> send_outcome t (Executor.execute ctx p))
               plans)
 
 let handle t msg =
@@ -203,22 +174,19 @@ let handle t msg =
           start_heartbeat t spec)
   | Proto.Assign { a_epoch; a_payload } ->
       handle_assign t ~epoch:a_epoch a_payload
-  | Proto.Checkpoint { k_iteration } ->
-      send t
-        (Proto.Checkpoint_ack { k_worker = t.k_slot; k_iteration })
   | Proto.Shutdown ->
       (* The final flush: whatever accumulated since the last heartbeat
          still reaches the coordinator before the pipe closes. *)
       emit_event t "shutdown" [ ("done", Json.Int (Atomic.get t.k_done)) ];
       (try flush_telemetry t with Hangup -> ());
       raise Hangup
-  | Proto.Hello _ | Proto.Heartbeat _ | Proto.Outcome _ | Proto.Finding _
-  | Proto.Checkpoint_ack _ | Proto.Telemetry _ ->
+  | Proto.Hello _ | Proto.Heartbeat _ | Proto.Outcome _ | Proto.Telemetry _
+    ->
       failwith
         (Printf.sprintf "fleet worker: unexpected %s frame from coordinator"
            (Proto.kind_name msg))
 
-let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
+let main ?(log = ignore) ?(incarnation = 0) ~in_fd ~out_fd () =
   (* A worker whose coordinator died mid-write must exit, not crash. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* This process reports its OWN work: a forked worker (the test seam)
@@ -228,8 +196,7 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
   Profile.disarm ();
   Profile.reset ();
   let t =
-    { k_slot = slot;
-      k_incarnation = incarnation;
+    { k_incarnation = incarnation;
       k_in = in_fd;
       k_out = out_fd;
       k_log = log;
@@ -268,10 +235,8 @@ let main ?(log = ignore) ?(incarnation = 0) ~slot ~in_fd ~out_fd () =
   match
     send t
       (Proto.Hello
-         { h_worker = slot;
-           h_pid = Unix.getpid ();
-           h_clock_us =
-             int_of_float (Unix.gettimeofday () *. 1e6) });
+         { h_pid = Unix.getpid ();
+           h_clock_us = int_of_float (Unix.gettimeofday () *. 1e6) });
     loop ()
   with
   | () -> ()

@@ -62,13 +62,6 @@ let effective_lanes requested =
       eff;
   eff
 
-(* Capped exponential backoff: the delay schedule of the fleet
-   coordinator's worker respawns. *)
-let backoff ?(base = 0.05) ?(factor = 2.0) ?(cap = 30.0) k =
-  if k < 1 then invalid_arg "Parallel.backoff: attempt index must be >= 1";
-  let d = base *. (factor ** float_of_int (k - 1)) in
-  Float.min cap d
-
 let map ?domains f xs =
   let n = List.length xs in
   (* [~domains:N] means N *total* lanes (the caller's domain included), so

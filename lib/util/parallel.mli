@@ -10,13 +10,6 @@
     never deadlock), and the first failure — by task index — is re-raised
     in the caller with the original exception and backtrace. *)
 
-val backoff : ?base:float -> ?factor:float -> ?cap:float -> int -> float
-(** [backoff k] is the delay (seconds) before attempt [k + 1]: a capped
-    exponential [min cap (base *. factor ** (k - 1))] with [base = 0.05],
-    [factor = 2.0] and [cap = 30.0] by default — the schedule of the
-    fleet coordinator's worker respawns.  Raises [Invalid_argument] when
-    [k < 1]. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] evaluates [f] on every element across [domains] {e total}
     lanes — the caller's domain plus [domains - 1] spawned ones — so

@@ -48,7 +48,7 @@ let test_meltdown_is_privileged () =
     (List.exists (fun w -> w.Core.wr_secret_fault) r.Dualcore.r_windows_a)
 
 let test_fig6_shape () =
-  let series = E.Fig6.run ~cfg:boom () in
+  let series = E.Fig6.run () in
   Alcotest.(check int) "15 series (5 cases x 3 modes)" 15 (List.length series);
   (* per test case: CellIFT peak strictly above diffIFT peak, and the FN
      variant at or below diffIFT *)

@@ -37,35 +37,19 @@ let arb_msg =
   let blob = string_of_size (Gen.int_bound 512) in
   let g =
     Gen.oneof
-      [ Gen.map3
-          (fun w p c ->
-            Proto.Hello { h_worker = w; h_pid = p; h_clock_us = c })
-          (gen nat) (gen nat) (gen nat);
+      [ Gen.map2 (fun p c -> Proto.Hello { h_pid = p; h_clock_us = c })
+          (gen nat) (gen nat);
         Gen.map (fun s -> Proto.Config { c_payload = s }) (gen blob);
         Gen.map2 (fun e s -> Proto.Assign { a_epoch = e; a_payload = s })
           (gen nat) (gen blob);
-        Gen.map2 (fun w d -> Proto.Heartbeat { b_worker = w; b_done = d })
-          (gen nat) (gen nat);
-        Gen.map3
-          (fun w (e, i) s ->
-            Proto.Outcome
-              { o_worker = w; o_epoch = e; o_iteration = i; o_payload = s })
-          (gen nat)
-          (Gen.pair (gen nat) (gen nat))
-          (gen blob);
-        Gen.map3
-          (fun w i c ->
-            Proto.Finding { f_worker = w; f_iteration = i; f_classes = c })
-          (gen nat) (gen nat) (gen nat);
-        Gen.map (fun i -> Proto.Checkpoint { k_iteration = i }) (gen nat);
+        Gen.map (fun d -> Proto.Heartbeat { b_done = d }) (gen nat);
         Gen.map2
-          (fun w i -> Proto.Checkpoint_ack { k_worker = w; k_iteration = i })
-          (gen nat) (gen nat);
-        Gen.map3
-          (fun w i s ->
-            Proto.Telemetry { t_worker = w; t_incarnation = i; t_payload = s })
-          (gen nat) (gen nat) (gen blob);
-        Gen.return Proto.Shutdown ]
+          (fun i s -> Proto.Outcome { o_iteration = i; o_payload = s })
+          (gen nat) (gen blob);
+        Gen.return Proto.Shutdown;
+        Gen.map2
+          (fun i s -> Proto.Telemetry { t_incarnation = i; t_payload = s })
+          (gen nat) (gen blob) ]
   in
   QCheck.make ~print:Proto.kind_name g
 
@@ -73,18 +57,15 @@ let prop_roundtrip =
   QCheck.Test.make ~count:200 ~name:"every frame kind roundtrips" arb_msg
     (fun msg -> roundtrip msg = msg)
 
+(* One message of every kind, in tag order. *)
 let sample_msgs =
-  [ Proto.Hello { h_worker = 3; h_pid = 4242; h_clock_us = 1_700_000_000 };
+  [ Proto.Hello { h_pid = 4242; h_clock_us = 1_700_000_000 };
     Proto.Config { c_payload = "spec-bytes \x00\xff" };
     Proto.Assign { a_epoch = 7; a_payload = String.make 100 'p' };
-    Proto.Heartbeat { b_worker = 1; b_done = 99 };
-    Proto.Outcome
-      { o_worker = 0; o_epoch = 2; o_iteration = 17; o_payload = "out" };
-    Proto.Finding { f_worker = 1; f_iteration = 30; f_classes = 2 };
-    Proto.Checkpoint { k_iteration = 16 };
-    Proto.Checkpoint_ack { k_worker = 0; k_iteration = 16 };
-    Proto.Telemetry { t_worker = 1; t_incarnation = 2; t_payload = "batch" };
-    Proto.Shutdown ]
+    Proto.Heartbeat { b_done = 99 };
+    Proto.Outcome { o_iteration = 17; o_payload = "out" };
+    Proto.Shutdown;
+    Proto.Telemetry { t_incarnation = 2; t_payload = "batch" } ]
 
 let drain r =
   let rec go acc =
@@ -147,13 +128,23 @@ let test_crc_mismatch_rejected () =
   expect_error "flipped payload byte" Proto.Crc_mismatch r
 
 let test_bad_version_and_kind_rejected () =
-  let frame = Proto.encode (Proto.Heartbeat { b_worker = 0; b_done = 1 }) in
+  let frame = Proto.encode (Proto.Heartbeat { b_done = 1 }) in
   let r = Proto.reader () in
   Proto.feed_string r (patch_byte frame 4 (fun v -> v + 1));
   expect_error "future version" (Proto.Bad_version (Proto.version + 1)) r;
   let r = Proto.reader () in
   Proto.feed_string r (patch_byte frame 5 (fun _ -> 250));
-  expect_error "unknown kind" (Proto.Bad_kind 250) r
+  expect_error "unknown kind" (Proto.Bad_kind 250) r;
+  (* The tags are dense, 1 .. the number of kinds, so the first tag past
+     the last kind is refused at the header, before payload decoding. *)
+  let kinds = List.length sample_msgs in
+  Alcotest.(check (list int)) "tags run 1 .. number of kinds"
+    (List.init kinds (fun i -> i + 1))
+    (List.map (fun m -> Char.code (Proto.encode m).[5]) sample_msgs);
+  let past = kinds + 1 in
+  let r = Proto.reader () in
+  Proto.feed_string r (patch_byte frame 5 (fun _ -> past));
+  expect_error "first tag past the last kind" (Proto.Bad_kind past) r
 
 let test_oversized_rejected () =
   (* A header promising more than [max_payload] must be refused before
@@ -176,7 +167,7 @@ let test_oversized_rejected () =
 let test_trailing_payload_bytes_rejected () =
   (* A structurally valid frame whose payload has extra bytes after the
      last field is a framing bug, not data to ignore. *)
-  let frame = Proto.encode (Proto.Checkpoint { k_iteration = 5 }) in
+  let frame = Proto.encode (Proto.Heartbeat { b_done = 5 }) in
   let payload = String.sub frame Proto.header_len 8 ^ "extra" in
   let b = Bytes.make Proto.header_len '\000' in
   Bytes.blit_string "DVZF" 0 b 0 4;
@@ -187,13 +178,13 @@ let test_trailing_payload_bytes_rejected () =
     (Int32.of_int (Dvz_resilience.Snapshot.crc32 payload));
   let r = Proto.reader () in
   Proto.feed_string r (Bytes.to_string b ^ payload);
-  expect_error "trailing bytes" (Proto.Bad_payload "checkpoint") r
+  expect_error "trailing bytes" (Proto.Bad_payload "heartbeat") r
 
 (* --- supervision --------------------------------------------------------- *)
 
 (* Launch a worker by forking: the child serves [Worker.main] over fresh
    pipes and exits without ever returning to the test harness. *)
-let fork_launch ~slot ~incarnation =
+let fork_launch ~slot:_ ~incarnation =
   let to_w_read, to_w_write = Unix.pipe ~cloexec:false () in
   let from_w_read, from_w_write = Unix.pipe ~cloexec:false () in
   match Unix.fork () with
@@ -201,8 +192,7 @@ let fork_launch ~slot ~incarnation =
       Unix.close to_w_write;
       Unix.close from_w_read;
       (match
-         Worker.main ~incarnation ~slot ~in_fd:to_w_read ~out_fd:from_w_write
-           ()
+         Worker.main ~incarnation ~in_fd:to_w_read ~out_fd:from_w_write ()
        with
       | () -> Unix._exit 0
       | exception _ -> Unix._exit 2)
@@ -368,6 +358,44 @@ let test_fleet_checkpoint_bytes_match () =
       Alcotest.(check bool) "fleet rotated a .prev checkpoint" true
         (Sys.file_exists (Dvz_resilience.Snapshot.previous_path ck_b)))
 
+let counter_value snap name =
+  match
+    List.find_opt (fun (n, _, _) -> n = name) snap.Metrics.sn_counters
+  with
+  | Some (_, _, v) -> v
+  | None -> 0
+
+(* The wire carries nothing the coordinator does not act on.  With
+   heartbeats off, a run without respawns decodes exactly one Hello per
+   worker and one Outcome per plan, plus each worker's final Telemetry
+   flush when a plane is attached (only then is it drained); each worker
+   decodes its Config, one Assign per batch and the Shutdown. *)
+let test_fleet_frames_exact () =
+  let frames = Metrics.counter Metrics.default "dvz_fleet_frames_total" in
+  let opts = { (quiet_opts ~workers:2) with Coordinator.fl_heartbeat_s = 0.0 } in
+  let batches = options.Campaign.iterations / options.Campaign.batch in
+  List.iter
+    (fun with_plane ->
+      let plane = if with_plane then Some (Telemetry.create ()) else None in
+      let before = Metrics.counter_value frames in
+      let _, fstats = Coordinator.run ?plane opts boom options in
+      Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts;
+      Alcotest.(check int)
+        (Printf.sprintf "coordinator frames (plane attached: %b)" with_plane)
+        (2 + options.Campaign.iterations + if with_plane then 2 else 0)
+        (Metrics.counter_value frames - before);
+      Option.iter
+        (fun plane ->
+          List.iter
+            (fun (slot, snap) ->
+              Alcotest.(check int)
+                (Printf.sprintf "worker %d frames" slot)
+                (1 + batches + 1)
+                (counter_value snap "dvz_fleet_frames_total"))
+            (Telemetry.worker_metrics plane))
+        plane)
+    [ false; true ]
+
 (* --- telemetry plane ----------------------------------------------------- *)
 
 let sample_batch ?(seq = 1) ?(counter = ("dvz_test_iters_total", "", 7)) () =
@@ -387,13 +415,6 @@ let sample_batch ?(seq = 1) ?(counter = ("dvz_test_iters_total", "", 7)) () =
     tb_events = [ {|{"event":"assign","epoch":1}|} ];
     tb_events_dropped = 0 }
 
-let counter_value snap name =
-  match
-    List.find_opt (fun (n, _, _) -> n = name) snap.Metrics.sn_counters
-  with
-  | Some (_, _, v) -> v
-  | None -> 0
-
 let test_telemetry_batch_roundtrip () =
   let b = sample_batch () in
   match Wire.telemetry_of_string (Wire.telemetry_to_string b) with
@@ -407,8 +428,7 @@ let test_partial_flush_rejected () =
   let frame =
     Proto.encode
       (Proto.Telemetry
-         { t_worker = 0;
-           t_incarnation = 0;
+         { t_incarnation = 0;
            t_payload = Wire.telemetry_to_string (sample_batch ()) })
   in
   (* Every strict prefix is silently incomplete, not a partial decode. *)
@@ -533,7 +553,9 @@ let () =
           Alcotest.test_case "zero workers runs inline" `Quick
             test_fleet_zero_workers_runs_inline;
           Alcotest.test_case "checkpoint bytes identical" `Quick
-            test_fleet_checkpoint_bytes_match ] );
+            test_fleet_checkpoint_bytes_match;
+          Alcotest.test_case "one frame per outcome, nothing extra" `Quick
+            test_fleet_frames_exact ] );
       ( "telemetry",
         [ Alcotest.test_case "batch codec roundtrips" `Quick
             test_telemetry_batch_roundtrip;

@@ -584,6 +584,51 @@ let test_campaign_kill_flushes_event_log () =
   Sys.remove ck;
   Sys.remove log
 
+(* Resume re-emits the checkpointed findings so that a resumed run's
+   event log stands alone: replaying it must print exactly what an
+   uninterrupted run prints (its summary, then its Table-5 block). *)
+let test_campaign_resumed_log_replays () =
+  let options = base_options 30 3 in
+  let reference, events = run_with_events options in
+  let k = find_quiet_triggered ~min_iter:11 events in
+  Alcotest.(check bool) "a finding precedes the first checkpoint" true
+    (List.exists
+       (fun f -> f.Campaign.fd_iteration < 10)
+       reference.Campaign.s_findings);
+  let ck = temp_path "dvz_replay" in
+  let kill_rz =
+    { Campaign.no_resilience with
+      Campaign.rz_checkpoint = Some ck;
+      rz_checkpoint_every = 10;
+      rz_fault_plan =
+        [ { Fault.f_iteration = k; f_cycle = 0; f_action = Fault.Kill "die" } ] }
+  in
+  (match Campaign.run ~resilience:kill_rz boom options with
+  | _ -> Alcotest.fail "injected kill did not propagate"
+  | exception Fault.Killed _ -> ());
+  let resume_rz =
+    { Campaign.no_resilience with
+      Campaign.rz_checkpoint = Some ck;
+      rz_checkpoint_every = 10;
+      rz_resume = Some ck }
+  in
+  let buf = Buffer.create 4096 in
+  let telemetry =
+    { Campaign.quiet with Campaign.t_events = Events.to_buffer buf }
+  in
+  ignore (Campaign.run ~telemetry ~resilience:resume_rz boom options);
+  Sys.remove ck;
+  let expected =
+    Dejavuzz.Report.summary reference
+    ^ Dejavuzz.Report.table5 ~core_name:boom.Cfg.name
+        reference.Campaign.s_findings
+  in
+  match Dejavuzz.Replay.of_string (Buffer.contents buf) with
+  | Ok text ->
+      Alcotest.(check string) "replayed resumed log = uninterrupted output"
+        expected text
+  | Error e -> Alcotest.failf "resumed log does not replay: %s" e
+
 let test_campaign_resume_missing_file_starts_fresh () =
   let options = base_options 12 4 in
   let reference = Campaign.run boom options in
@@ -736,6 +781,8 @@ let () =
             test_campaign_kill_and_resume_parallel;
           Alcotest.test_case "kill flushes the event log" `Quick
             test_campaign_kill_flushes_event_log;
+          Alcotest.test_case "resumed log replays" `Quick
+            test_campaign_resumed_log_replays;
           Alcotest.test_case "resume missing file" `Quick
             test_campaign_resume_missing_file_starts_fresh;
           Alcotest.test_case "resume rejects mismatch" `Quick
