@@ -149,6 +149,25 @@ module Simbench = struct
     done;
     !best
 
+  (* Two sides of one comparison, each warmed once and then timed in
+     alternating single runs: the best of [blocks] per side.  Timing one
+     side completely before the other lets one slow stretch of a noisy
+     host land on a single side and skew the ratio. *)
+  let min_of_interleaved ~blocks a b =
+    a ();
+    b ();
+    let time f =
+      let t0 = Unix.gettimeofday () in
+      f ();
+      (Unix.gettimeofday () -. t0) *. 1e9
+    in
+    let best_a = ref infinity and best_b = ref infinity in
+    for _ = 1 to blocks do
+      best_a := Float.min !best_a (time a);
+      best_b := Float.min !best_b (time b)
+    done;
+    (!best_a, !best_b)
+
   let measure_ns w =
     for _ = 1 to 2_000 do w.w_cycle 0 done;
     min_of_blocks ~blocks:5 ~per_block:8_000 (fun () -> w.w_cycle 0)
@@ -189,13 +208,8 @@ module Simbench = struct
       { C.default_options with C.iterations = 64; rng_seed = 11; batch = 8 }
     in
     let run jobs () = ignore (C.run ~jobs boom options) in
-    let measure jobs =
-      run jobs ();
-      (* warmed; campaigns are long, so blocks of one run suffice *)
-      min_of_blocks ~blocks:3 ~per_block:1 (run jobs)
-    in
-    let jobs1_ns = measure 1 in
-    let jobs4_ns = measure 4 in
+    (* campaigns are long, so blocks of one run suffice *)
+    let jobs1_ns, jobs4_ns = min_of_interleaved ~blocks:3 (run 1) (run 4) in
     let deterministic = C.run ~jobs:1 boom options = C.run ~jobs:4 boom options in
     Dvz_obs.Json.Obj
       [ ("name", Dvz_obs.Json.Str "campaign/batch-throughput");
@@ -222,13 +236,8 @@ module Simbench = struct
     let options batch =
       { C.default_options with C.iterations = 64; rng_seed = 11; batch }
     in
-    let measure batch =
-      let run () = ignore (C.run ~jobs:1 boom (options batch)) in
-      run ();
-      min_of_blocks ~blocks:3 ~per_block:1 run
-    in
-    let engine_ns = measure 8 in
-    let direct_ns = measure 1 in
+    let run batch () = ignore (C.run ~jobs:1 boom (options batch)) in
+    let engine_ns, direct_ns = min_of_interleaved ~blocks:3 (run 8) (run 1) in
     Dvz_obs.Json.Obj
       [ ("name", Dvz_obs.Json.Str "campaign/parallel-overhead");
         ("iterations", Dvz_obs.Json.Int 64);

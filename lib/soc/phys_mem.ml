@@ -179,6 +179,11 @@ let checked_store t ~priv ~addr ~size ~value =
       write t ~addr ~size value;
       Ok ()
 
+let fetchable t ~priv ~addr =
+  match check t ~priv ~addr ~size:4 ~kind:`Fetch with
+  | Ok () -> true
+  | Error _ -> false
+
 let checked_fetch t ~priv ~addr =
   match check t ~priv ~addr ~size:4 ~kind:`Fetch with
   | Error e -> Error e

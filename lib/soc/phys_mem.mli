@@ -90,5 +90,9 @@ val checked_store :
 val checked_fetch :
   t -> priv:Dvz_isa.Golden.priv -> addr:int -> (int, Dvz_isa.Trap.cause) result
 
+val fetchable : t -> priv:Dvz_isa.Golden.priv -> addr:int -> bool
+(** Whether {!checked_fetch} would succeed, without reading the word (so
+    without touching the read watch). *)
+
 val golden_memory : t -> Dvz_isa.Golden.memory
 (** The checked accessors packaged for {!Dvz_isa.Golden.create}. *)

@@ -10,14 +10,27 @@ let line_index t ~addr = addr / t.line_bytes land (Array.length t.lines - 1)
 
 let tag_of t addr = addr / t.line_bytes
 
+let holds t l addr = l.valid && l.tag = tag_of t addr
+
 let access t ~addr =
   let i = line_index t ~addr in
   let l = t.lines.(i) in
-  if l.valid && l.tag = tag_of t addr then `Hit i
+  if holds t l addr then `Hit i
   else begin
     l.valid <- true;
     l.tag <- tag_of t addr;
     `Miss i
+  end
+
+let hits t ~addr = holds t t.lines.(line_index t ~addr) addr
+
+let fill t ~addr =
+  let l = t.lines.(line_index t ~addr) in
+  (not (holds t l addr))
+  && begin
+    l.valid <- true;
+    l.tag <- tag_of t addr;
+    true
   end
 
 let invalidate_all t = Array.iter (fun l -> l.valid <- false) t.lines

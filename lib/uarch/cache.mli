@@ -17,6 +17,16 @@ val access : t -> addr:int -> [ `Hit of int | `Miss of int ]
 (** Accesses the line containing [addr], filling it on a miss; returns the
     line index either way. *)
 
+val line_index : t -> addr:int -> int
+(** The index of the line [addr] maps to. *)
+
+val hits : t -> addr:int -> bool
+(** Whether an {!access} to [addr] would hit; changes nothing. *)
+
+val fill : t -> addr:int -> bool
+(** {!access} without the result block: fills the line on a miss and
+    says whether it missed. *)
+
 val invalidate_all : t -> unit
 (** Flush (fence.i / swap-time icache flush). *)
 

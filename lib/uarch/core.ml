@@ -1,6 +1,13 @@
 open Dvz_isa
 open Dvz_soc
 module P = Predictors
+module Metrics = Dvz_obs.Metrics
+
+let m_nops_skipped =
+  Metrics.counter Metrics.default
+    ~help:"Committed canonical-nop slots advanced in closed form, summed \
+           over cores"
+    "dvz_core_nop_slots_skipped_total"
 
 type stimulus = {
   st_swapmem : Swapmem.t;
@@ -895,6 +902,88 @@ let fetch_watched t =
   | Some w ->
       (not w.w_stalled) && Phys_mem.watched t.mem ~addr:w.w_spec_pc ~size:4
 
+(* --- committed nop runs in closed form ------------------------------------ *)
+
+(* Derived training pads every packet with nops up to the trigger address,
+   so most committed slots are the canonical nop.  Its [step_committed]
+   slot is the fetch alone: one icache access, the golden pc + 4, a clean
+   RoB write, cost 1 plus the refill latency on a miss (after the B4 stall
+   on [fetch_busy_until], which a committed fetch never raises); no
+   predictor, queue, TLB or dcache effect.  So a run of them advances in
+   closed form.  [Taintstate.committed_nop] mirrors the slot's events. *)
+
+let nop_word = Encode.encode Insn.nop
+
+(* Slots of a run, from [pc] on, that fetch from [pc]'s icache line. *)
+let slots_on_line t pc =
+  let lb = t.cfg.Config.line_bytes in
+  (lb - (pc mod lb) + 3) / 4
+
+let nop_run t limit =
+  if t.done_ || Option.is_some t.window then 0
+  else begin
+    let limit = min limit (t.stim.st_max_slots - t.slot) in
+    let pc0 = Golden.pc t.arch and priv = Golden.priv t.arch in
+    let lb = t.cfg.Config.line_bytes in
+    (* One icache's worth of lines at most, so that no line of the run
+       evicts another and only a line's first fetch can miss. *)
+    let stop_pc = ((pc0 / lb) + t.cfg.Config.icache_lines) * lb in
+    let rec go n =
+      let pc = pc0 + (4 * n) in
+      if n >= limit || pc >= stop_pc
+         (* before the read: reading a watched word latches [watch_hit] *)
+         || Phys_mem.watched t.mem ~addr:pc ~size:4
+         || (not (Phys_mem.fetchable t.mem ~priv ~addr:pc))
+         || Phys_mem.read t.mem ~addr:pc ~size:4 <> nop_word
+      then n
+      else go (n + 1)
+    in
+    go 0
+  end
+
+let nop_run_pair a b limit =
+  let pc0 = Golden.pc a.arch in
+  let n = if pc0 = Golden.pc b.arch then nop_run a limit else 0 in
+  if n = 0 then 0
+  else begin
+    let n = nop_run b n in
+    (* Cut the run at the first line on which the two icaches disagree. *)
+    let rec agree k =
+      if k >= n then n
+      else
+        let pc = pc0 + (4 * k) in
+        if Cache.hits a.icache ~addr:pc <> Cache.hits b.icache ~addr:pc then k
+        else agree (k + slots_on_line a pc)
+    in
+    agree 0
+  end
+
+let skip_nops ?each t n =
+  let pc0 = Golden.pc t.arch and slot0 = t.slot in
+  if t.cfg.Config.fetch_contention_bug then
+    t.cycles <- max t.cycles t.fetch_busy_until;
+  let misses = ref 0 and k = ref 0 in
+  while !k < n do
+    let pc = pc0 + (4 * !k) in
+    let refill = Cache.fill t.icache ~addr:pc in
+    if refill then incr misses;
+    let on_line = min (n - !k) (slots_on_line t pc) in
+    (match each with
+    | None -> ()
+    | Some f ->
+        let line = Cache.line_index t.icache ~addr:pc in
+        for j = 0 to on_line - 1 do
+          f ~line ~refill:(refill && j = 0)
+            ~rob:((slot0 + !k + j) mod t.cfg.Config.rob_entries)
+        done);
+    k := !k + on_line
+  done;
+  Golden.set_pc t.arch (pc0 + (4 * n));
+  t.slot <- slot0 + n;
+  t.committed <- t.committed + n;
+  t.cycles <- t.cycles + n + (!misses * t.cfg.Config.miss_latency);
+  Metrics.incr ~by:n m_nops_skipped
+
 let live t elem =
   match elem with
   | Elem.Areg _ | Elem.Mem _ | Elem.Pc | Elem.Bht _ -> true
@@ -914,7 +1003,10 @@ let run t =
   in
   go []
 
-let rec finish t = match step t with None -> () | Some _ -> finish t
+let rec finish t =
+  let n = nop_run t max_int in
+  if n > 0 then skip_nops t n;
+  match step t with None -> () | Some _ -> finish t
 
 let state_hash t =
   let h = ref 0 in

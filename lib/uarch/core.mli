@@ -97,7 +97,9 @@ val mem : t -> Dvz_soc.Phys_mem.t
 
 val step : t -> Effect.slot option
 (** Executes one instruction slot; [None] once the stimulus has finished
-    (schedule exhausted or slot budget spent). *)
+    (schedule exhausted or slot budget spent).  Always exactly one slot,
+    nop or not: {!run}, [trace] and the waveform example see every
+    slot. *)
 
 val is_done : t -> bool
 
@@ -120,8 +122,40 @@ val run : t -> Effect.slot list
 val finish : t -> unit
 (** Steps to completion like {!run} but keeps no slot: each
     {!Effect.slot} dies in the minor heap instead of living until the run
-    ends.  The final state (windows, cycles, state hash) is {!run}'s.  For
-    callers that only look at the state afterwards. *)
+    ends, and each run of committed canonical nops advances in one
+    closed-form {!skip_nops}.  The final state (windows, cycles, slot and
+    commit counts, registers, state hash) is {!run}'s.  For callers that
+    only look at the state afterwards. *)
+
+(** {2 Committed nop runs}
+
+    A committed canonical nop ([addi zero, zero, 0], word [0x00000013])
+    does nothing but fetch: one icache access, pc + 4, a clean RoB write
+    and a cycle (plus the refill latency on an icache miss).  A run of
+    them advances in closed form: one icache access per line, the pc,
+    slot, commit and cycle counters updated once. *)
+
+val nop_run_pair : t -> t -> int -> int
+(** [nop_run_pair a b limit]: how many of the next slots, at most
+    [limit], both [a] and [b] would spend committing canonical nops at the
+    same pcs with the same icache outcome on every line, so that stepping
+    them in lockstep emits identical events.  0 unless both sit at the
+    same pc outside a window and neither is done.  A run ends at the
+    stimulus' slot cap, at the first word that is not a fetchable
+    canonical nop, just before a word the read watch covers (tested
+    without reading it, so the watch latch stays as it was), at the first
+    icache line on which the two caches disagree, and before it would
+    touch more lines than the icache has. *)
+
+val skip_nops :
+  ?each:(line:int -> refill:bool -> rob:int -> unit) -> t -> int -> unit
+(** [skip_nops t n] commits the next [n] slots of [t], which
+    {!nop_run_pair} must have vouched for, in closed form: afterwards [t]
+    is in the state [n] {!step}s would leave it in.  [each] is called once
+    per slot, in order, with the icache line the slot fetched from,
+    whether that fetch refilled it, and the RoB entry the slot wrote —
+    what {!Taintstate.committed_nop} needs.  Adds [n] to
+    [dvz_core_nop_slots_skipped_total] (once per call). *)
 
 val state_hash : t -> int
 (** A hash of the final microarchitectural state — cache tags and cached

@@ -262,6 +262,42 @@ let step t =
   if Profile.armed () then Profile.wrap "dualcore/step" (fun () -> step_impl t)
   else step_impl t
 
+(* --- committed nop runs ------------------------------------------------- *)
+
+(* One slot of a fast-forward: [step_impl]'s taint decisions, high-water
+   mark, log entry and slot count for a slot in which both instances
+   commit the canonical nop alike. *)
+let nop_slot t ~line ~refill ~rob =
+  Taintstate.committed_nop t.taint ~line ~refill ~rob;
+  let total = Taintstate.tainted_count t.taint in
+  if total > t.taint_hwm then t.taint_hwm <- total;
+  push_log t { le_slot = t.slots; le_total = total; le_in_window = false };
+  t.slots <- t.slots + 1
+
+let skip_nops t n each =
+  Core.skip_nops t.core_b n;
+  Core.skip_nops ~each t.core_a n
+
+(* [run]'s fast path: advance both instances over the run of committed
+   canonical nops ahead, at most [limit] slots, if the run emits the same
+   events in both.  Never with a fault plan armed ([Fault.tick] must see
+   every slot), on a wedged testbench, under a provenance recorder (it
+   stamps every slot) or with a tainted pc.  [each] is [nop_slot t]. *)
+let fast_forward t limit each =
+  (not (Dvz_resilience.Fault.armed ()))
+  && (not t.hung)
+  && Option.is_none t.prov
+  && (not (Taintstate.is_tainted t.taint Elem.Pc))
+  &&
+  let n = Core.nop_run_pair t.core_a t.core_b limit in
+  n > 0
+  && begin
+    if Profile.armed () then
+      Profile.wrap "dualcore/fast_forward" (fun () -> skip_nops t n each)
+    else skip_nops t n each;
+    true
+  end
+
 let collect t =
   let final = Taintstate.tainted_elems t.taint in
   let live, dead = List.partition (Core.live t.core_a) final in
@@ -307,19 +343,32 @@ let over_budget b t start =
          Dvz_obs.Clock.now b.b_clock -. start > m
      | _ -> false)
 
+(* The longest fast-forward after which [over_budget] is due again: up to
+   the slot limit, and under a wall-clock limit up to the next slot count
+   at which the clock is polled. *)
+let skip_limit budget t =
+  match budget with
+  | None -> max_int
+  | Some b -> (
+      let n = match b.b_max_slots with Some m -> m - t.slots | None -> max_int in
+      match b.b_max_wall_s with
+      | Some _ -> min n (64 - (t.slots land 63))
+      | None -> n)
+
 let run ?budget ?fork t =
   let start =
     match budget with
     | Some { b_max_wall_s = Some _; b_clock; _ } -> Dvz_obs.Clock.now b_clock
     | _ -> 0.0
   in
+  let each = nop_slot t in
   let advance () =
     match budget with
     | Some b when over_budget b t start ->
         t.timed_out <- true;
         Metrics.incr m_timeouts;
         false
-    | _ -> step t
+    | _ -> fast_forward t (skip_limit budget t) each || step t
   in
   let live =
     match fork with

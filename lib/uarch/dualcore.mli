@@ -118,7 +118,8 @@ val watch_hit : t -> bool
 
 val step : t -> bool
 (** Advances both instances one slot and updates the taint shadow; false
-    once both instances have finished.  Polls the ambient
+    once both instances have finished.  Always exactly one slot: Figure 6
+    and the coverage property see every slot.  Polls the ambient
     {!Dvz_resilience.Fault} state once per slot: an armed [Hang] fault
     wedges the testbench (slots keep counting, the cores stop, [step]
     never returns false — only a {!budget} ends the run), an armed
@@ -128,6 +129,18 @@ val run : ?budget:budget -> ?fork:int list * (t -> unit) -> t -> result
 (** Steps to completion and collects the result.  With a [budget], a run
     that exceeds it is aborted and collected with [r_timed_out = true]
     (counted in [dvz_watchdog_timeouts_total]).
+
+    Runs of committed canonical nops advance in closed form
+    ({!Core.nop_run_pair}, {!Core.skip_nops}) wherever both instances
+    would emit identical events for the whole run: both at the same pc
+    outside a window, an untainted pc, the same icache outcome on every
+    line, no fault plan armed and no provenance recorder.  Each such
+    slot still gets its taint decisions ({!Taintstate.committed_nop}),
+    high-water mark, taint-log entry and slot count, so the result and
+    both cores' states are {!step}'s to the bit.  A fast-forward ends at
+    the budget's slot limit and, under a wall-clock limit, at the next
+    slot count the clock is polled at, so the budget is checked at the
+    same slots as when stepping.
 
     [fork = (words, f)] watches the swap-region words [words] (indices
     from {!Dvz_soc.Layout.swap_base}, 4 bytes each) in each instance from

@@ -24,6 +24,15 @@ let dense_size = tables_base + (Array.length tables * table_span)
 
 let in_range base span i = if i >= 0 && i < span then base + i else -1
 let table k i = in_range (tables_base + (k * table_span)) table_span i
+let icache_table = 1
+let rob_table = 9
+
+(* [Elem.module_index] of every in-range table entry, so that a transition
+   named by table and index needs no element. *)
+let table_modules =
+  Array.map
+    (fun f -> Array.init table_span (fun i -> Elem.module_index (f i)))
+    tables
 
 let number = function
   | Elem.Pc -> 0
@@ -31,7 +40,7 @@ let number = function
   | Elem.Sreg i -> in_range sreg_base 32 i
   | Elem.Mem i -> in_range mem_base mem_dwords i
   | Elem.Dcache i -> table 0 i
-  | Elem.Icache i -> table 1 i
+  | Elem.Icache i -> table icache_table i
   | Elem.Lfb i -> table 2 i
   | Elem.Btb i -> table 3 i
   | Elem.Bht i -> table 4 i
@@ -39,7 +48,7 @@ let number = function
   | Elem.Loop i -> table 6 i
   | Elem.Tlb i -> table 7 i
   | Elem.L2tlb i -> table 8 i
-  | Elem.Rob i -> table 9 i
+  | Elem.Rob i -> table rob_table i
   | Elem.Ldq i -> table 10 i
   | Elem.Stq i -> table 11 i
 
@@ -108,20 +117,23 @@ let tainted_at t n e =
   if n >= 0 then dense_tainted t n
   else Hashtbl.length t.side > 0 && Hashtbl.mem t.side e
 
-(* Flip [e]'s taint, which the caller has established is [not now]. *)
-let transition t n e ~now =
-  if n >= 0 then begin
-    let byte = n lsr 3 in
-    Bytes.set_uint8 t.bits byte
-      (Bytes.get_uint8 t.bits byte lxor (1 lsl (n land 7)))
-  end
-  else if now then Hashtbl.replace t.side e ()
-  else Hashtbl.remove t.side e;
+let flip_dense t n =
+  let byte = n lsr 3 in
+  Bytes.set_uint8 t.bits byte (Bytes.get_uint8 t.bits byte lxor (1 lsl (n land 7)))
+
+(* The counters' side of a transition of an element of module [m]. *)
+let count t m ~now =
   let d = if now then 1 else -1 in
-  let m = Elem.module_index e in
   t.by_module.(m) <- t.by_module.(m) + d;
   t.count <- t.count + d;
   t.bymod_cache <- None
+
+(* Flip [e]'s taint, which the caller has established is [not now]. *)
+let transition t n e ~now =
+  if n >= 0 then flip_dense t n
+  else if now then Hashtbl.replace t.side e ()
+  else Hashtbl.remove t.side e;
+  count t (Elem.module_index e) ~now
 
 let is_tainted t e = tainted_at t (number e) e
 
@@ -151,20 +163,24 @@ let tainted_src_labels t srcs =
 
 let bit b = if b then 1 else 0
 
-(* Table 1's register-with-enable row on 1-bit taints, with the sources
-   [sa] and [sb] of the two instances' writes.  The element model has no
-   enable signal and no data values, so [dst]'s enable counts as tainted
-   and as differing exactly when the streams diverged, and the write
-   changes the stored value exactly when they diverged (the conventions in
-   the .mli). *)
+(* Table 1's register-with-enable row on 1-bit taints: the taint a write
+   leaves in an element that held [was], when its data's taint is [dt].
+   The element model has no enable signal and no data values, so the
+   enable counts as tainted and as differing exactly when the streams
+   diverged, and the write changes the stored value exactly when they
+   diverged (the conventions in the .mli). *)
+let write_taints t ~diverged ~dt ~was =
+  Policy.reg_en_taint t.mode ~width:1 ~en:true ~en_diff:diverged ~ent:1
+    ~dt:(bit dt) ~qt:(bit was) ~dq_xor:(bit diverged)
+  <> 0
+
+(* The write of [dst] with the sources [sa] and [sb] of the two
+   instances' writes. *)
 let write t ~diverged dst sa sb =
   let n = number dst in
   let was = tainted_at t n dst in
   let now =
-    Policy.reg_en_taint t.mode ~width:1 ~en:true ~en_diff:diverged ~ent:1
-      ~dt:(bit (any_tainted t sa || any_tainted t sb))
-      ~qt:(bit was) ~dq_xor:(bit diverged)
-    <> 0
+    write_taints t ~diverged ~dt:(any_tainted t sa || any_tainted t sb) ~was
   in
   if now <> was then begin
     (match t.prov with
@@ -180,16 +196,19 @@ let write t ~diverged dst sa sb =
   end
 
 (* Table 1's memory-write row on 1-bit taints: a clean, always-asserted
-   write enable and the decision as the address, which differs across the
-   instances when [diff].  A 1 control-taints every touched element ([ta]
-   then [tb]); a 0 leaves each touched element's taint as it was.  [sa]
-   and [sb] are the decision's sources, which only provenance reads. *)
+   write enable and the decision as the address, tainted when [st] and
+   differing across the instances when [diff].  True when the decision
+   control-taints the elements it touches; otherwise each keeps its taint
+   as it was. *)
+let ctrl_taints t ~st ~diff =
+  Policy.mem_write_ctrl t.mode ~width:1 ~wen:true ~went:0 ~wen_diff:false
+    ~addrt:(bit st) ~addr_diff:diff
+  <> 0
+
+(* The decision touching [ta] then [tb].  [sa] and [sb] are its sources,
+   which only provenance reads. *)
 let ctrl t ~label ~st ~diff sa sb ta tb =
-  if
-    Policy.mem_write_ctrl t.mode ~width:1 ~wen:true ~went:0 ~wen_diff:false
-      ~addrt:(bit st) ~addr_diff:diff
-    <> 0
-  then
+  if ctrl_taints t ~st ~diff then
     match t.prov with
     | None ->
         taint_all t ta;
@@ -290,6 +309,41 @@ let apply_pair t sa sb =
   | Some a, Some b ->
       let diverged = a.Effect.sl_pc <> b.Effect.sl_pc in
       apply_events t ~diverged a.Effect.sl_events b.Effect.sl_events
+
+(* Table [k]'s entry [i], building the element only for the side
+   table. *)
+let entry_tainted t k i =
+  let n = table k i in
+  if n < 0 then is_tainted t (tables.(k) i) else dense_tainted t n
+
+let set_entry t k i now =
+  let n = table k i in
+  if n < 0 then set t (tables.(k) i) now
+  else if dense_tainted t n <> now then begin
+    flip_dense t n;
+    count t table_modules.(k).(i) ~now
+  end
+
+(* [write ~diverged:false] of clean data to table [k]'s entry [i]. *)
+let write_clean t k i =
+  set_entry t k i
+    (write_taints t ~diverged:false ~dt:false ~was:(entry_tainted t k i))
+
+(* The events of [Core]'s committed-nop slot, paired with themselves as
+   [apply_events] pairs them: [Write (Icache line, [])] on a refill, the
+   fetch's [Ctrl C_addr] (sources [Pc; Icache line], touching
+   [Icache line], equal values) and [Write (Rob rob, [])]. *)
+let committed_nop t ~line ~refill ~rob =
+  (match t.prov with
+  | Some _ -> invalid_arg "Taintstate.committed_nop: provenance recorder armed"
+  | None -> ());
+  if refill then write_clean t icache_table line;
+  if
+    ctrl_taints t
+      ~st:(is_tainted t Elem.Pc || entry_tainted t icache_table line)
+      ~diff:false
+  then set_entry t icache_table line true;
+  write_clean t rob_table rob
 
 let tainted_count t = t.count
 

@@ -88,6 +88,18 @@ val apply_pair : t -> Effect.slot option -> Effect.slot option -> unit
 (** Processes one slot of both instances ([None] when an instance has
     already finished — treated as full divergence). *)
 
+val committed_nop : t -> line:int -> refill:bool -> rob:int -> unit
+(** [apply_pair] on a slot in which both instances commit the canonical
+    nop at the same pc with the same icache outcome (one slot of
+    {!Core.skip_nops}): an aligned refill write of icache line [line] if
+    [refill], the fetch's [C_addr] decision on it with equal values, then
+    the clean write of RoB entry [rob].  The same {!Dvz_ift.Policy}
+    decisions [apply_pair] makes for those events, on the dense plane and
+    without building them: under diffIFT the refilled line and the RoB
+    entry come out clean, under CellIFT both keep their taint.  Raises
+    [Invalid_argument] on a state with a provenance recorder (a replay
+    records each slot's context, so it steps every slot). *)
+
 val tainted_count : t -> int
 
 val tainted_elems : t -> Elem.t list

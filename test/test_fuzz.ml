@@ -1291,6 +1291,297 @@ let test_sanitize_fault_plan_replays () =
   Alcotest.(check bool) "replayed" true (path = Oracle.Replayed);
   Alcotest.(check bool) "matches scratch" true ok
 
+(* --- committed nop runs: fast-forwarded = slot by slot ------------------- *)
+
+module Fault = Dvz_resilience.Fault
+
+let nops_skipped () =
+  Dvz_obs.Metrics.counter_value
+    (Dvz_obs.Metrics.counter Dvz_obs.Metrics.default
+       "dvz_core_nop_slots_skipped_total")
+
+(* Armed but never firing: [Dualcore.run] then steps every slot
+   ([Fault.tick] must see each one), which makes it the slot-by-slot
+   reference, and the run is otherwise unaffected. *)
+let slot_by_slot f =
+  Fault.arm ~iteration:0
+    [ { Fault.f_iteration = 0; f_cycle = max_int; f_action = Fault.Corrupt } ];
+  Fun.protect ~finally:Fault.disarm f
+
+let core_view c =
+  ( (Core.state_hash c, Core.windows c, Core.cycles c),
+    (Core.committed c, Core.slot_count c),
+    List.init 32 (fun i -> Core.arch_reg c (Dvz_isa.Reg.x i)) )
+
+let core_finished cfg stim =
+  let c = Core.create cfg stim in
+  Core.finish c;
+  core_view c
+
+let core_stepped cfg stim =
+  let c = Core.create cfg stim in
+  while Option.is_some (Core.step c) do () done;
+  core_view c
+
+let dual_view dc r =
+  (r, Core.state_hash (Dualcore.core_a dc), Core.state_hash (Dualcore.core_b dc))
+
+let dual_run ?max_slots ~mode cfg stim =
+  let dc = Dualcore.create ~mode cfg stim in
+  let budget = Option.map (fun m -> Dualcore.budget ~max_slots:m ()) max_slots in
+  dual_view dc (Dualcore.run ?budget dc)
+
+(* The one-slot loop [Dualcore.run] is measured against: [Dualcore.step]
+   until both instances finish or [max_slots] is reached, then
+   [Dualcore.run] on the stepped testbench, which only collects (or times
+   out at once). *)
+let dual_stepped ?max_slots ~mode cfg stim =
+  let dc = Dualcore.create ~mode cfg stim in
+  let rec go () =
+    match max_slots with
+    | Some m when Dualcore.slots dc >= m -> Some (Dualcore.budget ~max_slots:m ())
+    | _ -> if Dualcore.step dc then go () else None
+  in
+  let budget = go () in
+  dual_view dc (Dualcore.run ?budget dc)
+
+(* [Dualcore.run ~fork] watching [words]: the run, whether a watched word
+   was read, and at a fork its slot, the latch then, and the forked copy
+   run to its end. *)
+let fork_run ~mode cfg stim words =
+  let dc = Dualcore.create ~mode cfg stim in
+  let forked = ref None in
+  let on_fork t =
+    forked := Some (Dualcore.slots t, Dualcore.watch_hit t, Dualcore.copy t)
+  in
+  let r = Dualcore.run ~fork:(words, on_fork) dc in
+  ( dual_view dc r,
+    Dualcore.watch_hit dc,
+    Option.map
+      (fun (slot, hit, copy) -> (slot, hit, dual_view copy (Dualcore.run copy)))
+      !forked )
+
+let prop_nop_runs_equal_stepping =
+  QCheck.Test.make ~name:"fast-forwarded nop runs equal slot-by-slot stepping"
+    ~count:60
+    QCheck.(quad small_int (triple bool bool bool) (int_range 1 600) small_nat)
+    (fun (e, (xiangshan, diffift, random_style), m, w) ->
+      let cfg = if xiangshan then xs else boom in
+      let mode = mode_of diffift in
+      let style = if random_style then `Random else `Derived in
+      let tc = random_tc ~style cfg e in
+      let stim () = Packet.stimulus ~secret tc in
+      let words = [ w mod List.length tc.Packet.transient.Packet.insns ] in
+      core_finished cfg (stim ()) = core_stepped cfg (stim ())
+      && dual_run ~mode cfg (stim ()) = dual_stepped ~mode cfg (stim ())
+      && dual_run ~max_slots:m ~mode cfg (stim ())
+         = dual_stepped ~max_slots:m ~mode cfg (stim ())
+      && fork_run ~mode cfg (stim ()) words
+         = slot_by_slot (fun () -> fork_run ~mode cfg (stim ()) words))
+
+(* Hand-written blobs at the swap entry, the last one transient. *)
+let asm_stim ?(data = []) ?(perms = []) ?(max_slots = 3000) srcs =
+  let n = List.length srcs in
+  let blobs =
+    List.mapi
+      (fun i src ->
+        let words, _ =
+          Dvz_isa.Asm_parser.assemble_string ~base:Layout.swap_base src
+        in
+        { Swapmem.name = Printf.sprintf "blob%d" i; words;
+          is_transient = i = n - 1 })
+      srcs
+  in
+  { Core.st_swapmem = Swapmem.create ~blobs ~schedule:(List.init n Fun.id);
+    st_tighten_secret = false; st_secret = Array.make Layout.secret_dwords 0;
+    st_data = data; st_perms = perms; st_max_slots = max_slots }
+
+let nops k = String.concat "\n" (List.init k (fun _ -> "nop"))
+
+let check_same_as_stepping ?max_slots stim =
+  Alcotest.(check bool) "finish = stepping" true
+    (core_finished boom (stim ()) = core_stepped boom (stim ()));
+  List.iter
+    (fun mode ->
+      Alcotest.(check bool) "dual run = stepping" true
+        (dual_run ?max_slots ~mode boom (stim ())
+        = dual_stepped ?max_slots ~mode boom (stim ())))
+    [ Dvz_ift.Policy.Diffift; Dvz_ift.Policy.Cellift ]
+
+let test_nop_run_slot_cap () =
+  let stim () = asm_stim ~max_slots:40 [ nops 100 ^ "\nebreak" ] in
+  let c = Core.create boom (stim ()) in
+  Alcotest.(check int) "the run stops at the slot cap" 40
+    (Core.nop_run_pair c c max_int);
+  check_same_as_stepping stim;
+  (* a budget inside the run, too *)
+  check_same_as_stepping ~max_slots:25 (fun () ->
+      asm_stim [ nops 100 ^ "\nebreak" ])
+
+let test_nop_run_watched_word () =
+  let stim () = asm_stim [ nops 64 ^ "\nebreak" ] in
+  let c = Core.create boom (stim ()) in
+  Core.watch c (Phys_mem.watch_bitmap [ 20 ]);
+  Alcotest.(check int) "the run stops before the watched word" 20
+    (Core.nop_run_pair c c max_int);
+  Alcotest.(check bool) "the scan reads no watched word" false
+    (Core.watch_hit c);
+  Core.finish c;
+  Alcotest.(check bool) "the slot that fetches it does" true (Core.watch_hit c);
+  let fast = fork_run ~mode:Dvz_ift.Policy.Diffift boom (stim ()) [ 20 ] in
+  Alcotest.(check bool) "fork = slot by slot" true
+    (fast
+    = slot_by_slot (fun () ->
+          fork_run ~mode:Dvz_ift.Policy.Diffift boom (stim ()) [ 20 ]));
+  match fast with
+  | _, _, Some (slot, hit, _) ->
+      Alcotest.(check int) "forks just before the fetch" 20 slot;
+      Alcotest.(check bool) "with the latch clear" false hit
+  | _, _, None -> Alcotest.fail "no fork"
+
+(* Spectre-V1 shaped, twice.  In the first window the transient path
+   jumps, by the secret's low bit, into one of two icache lines deep inside
+   the nop sled the committed path runs at the end: instance A (secret 0)
+   prefetches [far]'s line, instance B (the complement) the line two
+   further on.  That window diverges, which taints the pc; the second
+   window's wrong path is the same in both instances, and its squash
+   writes the pc clean again, so the pair may fast-forward the sled. *)
+let sled_program ~index ~train =
+  Printf.sprintf
+    {|
+    addi t0, zero, %d
+    addi t1, zero, 8
+    lui  s1, 0x5
+    la   t2, far
+    bgeu t0, t1, second
+    %s
+    ld   s0, 0(s1)
+    andi t3, s0, 1
+    slli t3, t3, 7
+    add  t2, t2, t3
+    jalr zero, 0(t2)
+second:
+    bgeu t0, t1, sled
+    %s
+%s
+sled:
+%s
+far:
+%s
+    ebreak
+|}
+    index
+    (if train then "j second" else "nop")
+    (if train then "ebreak" else "nop")
+    (nops 30) (nops 64) (nops 192)
+
+let sled_stim () =
+  asm_stim
+    [ sled_program ~index:2 ~train:true; sled_program ~index:3 ~train:true;
+      sled_program ~index:9 ~train:false ]
+
+let test_nop_run_icache_disagreement () =
+  let _, labels =
+    Dvz_isa.Asm_parser.assemble_string ~base:Layout.swap_base
+      (sled_program ~index:9 ~train:false)
+  in
+  let sled = List.assoc "sled" labels and far = List.assoc "far" labels in
+  let line = boom.Cfg.line_bytes in
+  let dc = Dualcore.create boom (sled_stim ()) in
+  let a = Dualcore.core_a dc and b = Dualcore.core_b dc in
+  (* Step to the transient blob's second squash: both instances then sit
+     at [sled]. *)
+  while
+    List.length
+      (List.filter (fun w -> w.Core.wr_in_transient_blob) (Core.windows a))
+    < 2
+  do
+    ignore (Dualcore.step dc)
+  done;
+  let taint = Dualcore.taint dc in
+  Alcotest.(check bool) "the pc is clean" false
+    (Dvz_uarch.Taintstate.is_tainted taint Elem.Pc);
+  Alcotest.(check int) "one instance alone runs the whole sled" 256
+    (Core.nop_run_pair a a max_int);
+  Alcotest.(check int) "the pair stops at the first line they disagree on"
+    (((far / line * line) - sled) / 4)
+    (Core.nop_run_pair a b max_int);
+  Alcotest.(check bool) "that line is tainted, so a wrong summary shows" true
+    (Dvz_uarch.Taintstate.is_tainted taint
+       (Elem.Icache (far / line mod boom.Cfg.icache_lines)));
+  let before = nops_skipped () in
+  ignore (Dualcore.run dc);
+  Alcotest.(check bool) "the pair fast-forwards" true (nops_skipped () > before);
+  check_same_as_stepping sled_stim
+
+let nop_dword = (0x13 lsl 32) lor 0x13
+
+(* The blob jumps to 0x8000; the three pages from there hold nops. *)
+let far_nops_stim perms =
+  asm_stim ~max_slots:5000 ~perms
+    ~data:(List.init 1536 (fun i -> (0x8000 + (8 * i), nop_dword)))
+    [ "lui t0, 0x8\njalr zero, 0(t0)" ]
+
+let run_at_far_nops perms =
+  let c = Core.create boom (far_nops_stim perms) in
+  ignore (Core.step c);
+  ignore (Core.step c);
+  Core.nop_run_pair c c max_int
+
+let test_nop_run_fetch_permission () =
+  let no_exec = [ (0x9000, Perm.rw) ] in
+  Alcotest.(check int) "the run stops at a page without fetch permission"
+    1024 (run_at_far_nops no_exec);
+  Alcotest.(check int) "and touches at most the icache's lines"
+    (boom.Cfg.icache_lines * boom.Cfg.line_bytes / 4)
+    (run_at_far_nops []);
+  check_same_as_stepping (fun () -> far_nops_stim no_exec);
+  check_same_as_stepping (fun () -> far_nops_stim [])
+
+(* B4: the window's transient fetches miss the icache and hold the fetch
+   port past the squash, and a committed nop run follows.  The squash
+   itself already waits for [fetch_busy_until] (so a committed slot never
+   finds it ahead of the cycle count); the run's closed-form cycles must
+   still be what stepping counts. *)
+let test_nop_run_after_b4_stall () =
+  Alcotest.(check bool) "boom has B4" true boom.Cfg.fetch_contention_bug;
+  let before = nops_skipped () in
+  check_same_as_stepping sled_stim;
+  Alcotest.(check bool) "runs were fast-forwarded" true
+    (nops_skipped () > before)
+
+let test_nop_run_wall_budget () =
+  let run around =
+    let clock = Dvz_obs.Clock.fake () in
+    let budget = Dualcore.budget ~max_wall_s:3.5 ~clock () in
+    let dc = Dualcore.create boom (asm_stim [ nops 600 ^ "\nebreak" ]) in
+    let r = around (fun () -> Dualcore.run ~budget dc) in
+    (* A fake clock ticks once per reading: this one counts the polls. *)
+    (dual_view dc r, Dvz_obs.Clock.now clock)
+  in
+  let before = nops_skipped () in
+  let ((r, _, _), polls) as fast = run (fun f -> f ()) in
+  Alcotest.(check bool) "fast-forwarded" true (nops_skipped () > before);
+  Alcotest.(check bool) "= slot by slot" true (fast = run slot_by_slot);
+  (* the start, then slots 0, 64, 128 and 192: the fifth poll reads 4 s *)
+  Alcotest.(check bool) "timed out" true r.Dualcore.r_timed_out;
+  Alcotest.(check int) "at the fourth 64-slot poll" 192 r.Dualcore.r_slots;
+  Alcotest.(check (float 0.)) "polled five times" 5.0 polls
+
+let test_nop_counter () =
+  let tc = completed_tc 61 in
+  let stim () = Packet.stimulus ~secret tc in
+  let c0 = nops_skipped () in
+  Core.finish (Core.create boom (stim ()));
+  let c1 = nops_skipped () in
+  Alcotest.(check bool) "moves on a derived-training finish" true (c1 > c0);
+  ignore (Dualcore.run (Dualcore.create boom (stim ())));
+  let c2 = nops_skipped () in
+  Alcotest.(check bool) "moves on a derived-training dual run" true (c2 > c1);
+  let dc = Dualcore.create boom (stim ()) in
+  slot_by_slot (fun () -> ignore (Dualcore.run dc));
+  Alcotest.(check int) "still while a fault plan is armed" c2 (nops_skipped ())
+
 let () =
   Alcotest.run "dejavuzz"
     [ ( "seed",
@@ -1402,6 +1693,21 @@ let () =
             test_sanitize_read_before_fetch_replays;
           Alcotest.test_case "fault plan replays" `Quick
             test_sanitize_fault_plan_replays ] );
+      ( "nop runs",
+        [ QCheck_alcotest.to_alcotest prop_nop_runs_equal_stepping;
+          Alcotest.test_case "slot cap inside a run" `Quick
+            test_nop_run_slot_cap;
+          Alcotest.test_case "watched word inside a run" `Quick
+            test_nop_run_watched_word;
+          Alcotest.test_case "icaches disagree mid-run" `Quick
+            test_nop_run_icache_disagreement;
+          Alcotest.test_case "page without fetch permission" `Quick
+            test_nop_run_fetch_permission;
+          Alcotest.test_case "run after a B4 stall" `Quick
+            test_nop_run_after_b4_stall;
+          Alcotest.test_case "fake-clock wall budget" `Quick
+            test_nop_run_wall_budget;
+          Alcotest.test_case "skipped-slot counter" `Quick test_nop_counter ] );
       ( "explain",
         [ Alcotest.test_case "meltdown slice" `Quick test_explain_meltdown;
           Alcotest.test_case "spectre slice" `Quick test_explain_spectre;

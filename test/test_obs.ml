@@ -964,7 +964,8 @@ let test_campaign_profile_tree () =
       if not (List.mem p paths) then
         Alcotest.failf "no %s region in [%s]" p (String.concat "; " paths))
     [ "campaign/batch"; "campaign/batch/executor/phase1";
-      "campaign/batch/executor/phase2"; "campaign/batch/executor/phase3" ];
+      "campaign/batch/executor/phase2"; "campaign/batch/executor/phase3";
+      "campaign/batch/executor/phase3/dualcore/fast_forward" ];
   List.iter
     (fun p ->
       if contains p "dvz_" then Alcotest.failf "metric name in region %s" p)

@@ -968,6 +968,51 @@ let prop_plane_reads_agree =
           followed && consistent && plane_reads d = plane_reads t)
         steps)
 
+(* [Taintstate.committed_nop] against [apply_pair] on the slot [Core.step]
+   emits for a committed nop, paired with itself, from every taint of the
+   elements the slot reads and writes: the refill and the hit shape, in
+   both modes.  The match on the events pins what the summary mirrors. *)
+let prop_committed_nop_matches_pair =
+  let core =
+    Core.create Cfg.boom_small
+      (stim_of_insns (List.init 40 (fun _ -> Insn.nop) @ [ Insn.Ebreak ]))
+  in
+  let nop_slots =
+    List.filter
+      (fun s -> s.Eff.sl_committed && s.Eff.sl_insn = Insn.nop)
+      (Core.run core)
+  in
+  let summary s =
+    match s.Eff.sl_events with
+    | [ Eff.Write (Elem.Icache i, []);
+        Eff.Ctrl { kind = Eff.C_addr; srcs = [ Elem.Pc; Elem.Icache _ ];
+                   touched = [ Elem.Icache _ ]; _ };
+        Eff.Write (Elem.Rob r, []) ] -> (i, true, r)
+    | [ Eff.Ctrl { kind = Eff.C_addr; srcs = [ Elem.Pc; Elem.Icache i ];
+                   touched = [ Elem.Icache _ ]; _ };
+        Eff.Write (Elem.Rob r, []) ] -> (i, false, r)
+    | _ -> failwith "not a committed nop's events"
+  in
+  QCheck.Test.make ~name:"committed nop summary matches apply_pair" ~count:300
+    QCheck.(triple bool (int_bound (List.length nop_slots - 1)) (int_bound 7))
+    (fun (cellift, k, bits) ->
+      let mode = if cellift then Policy.Cellift else Policy.Diffift in
+      let s = List.nth nop_slots k in
+      let line, refill, rob = summary s in
+      let init =
+        List.filteri
+          (fun j _ -> bits land (1 lsl j) <> 0)
+          [ Elem.Pc; Elem.Icache line; Elem.Rob rob ]
+      in
+      let paired = Taintstate.create mode and summed = Taintstate.create mode in
+      List.iter (Taintstate.set_tainted paired) init;
+      List.iter (Taintstate.set_tainted summed) init;
+      Taintstate.apply_pair paired (Some s) (Some s);
+      Taintstate.committed_nop summed ~line ~refill ~rob;
+      Taintstate.tainted_elems paired = Taintstate.tainted_elems summed
+      && Taintstate.tainted_by_module paired
+         = Taintstate.tainted_by_module summed)
+
 (* --- dual core ----------------------------------------------------------- *)
 
 let test_dualcore_secret_flows () =
@@ -1485,7 +1530,8 @@ let () =
           Alcotest.test_case "abstraction: diverged, equal decisions" `Quick
             test_taint_abstraction_diverged_equal_decisions;
           QCheck_alcotest.to_alcotest prop_dense_side_agree;
-          QCheck_alcotest.to_alcotest prop_plane_reads_agree ] );
+          QCheck_alcotest.to_alcotest prop_plane_reads_agree;
+          QCheck_alcotest.to_alcotest prop_committed_nop_matches_pair ] );
       ( "timing",
         [ Alcotest.test_case "fpu contention" `Quick test_fpu_contention_timing;
           Alcotest.test_case "constant-time control" `Quick
