@@ -312,8 +312,7 @@ module Simbench = struct
             ev_dur = 0.0005 })
     in
     let batch =
-      { Dvz_fleet.Wire.tb_seq = 7;
-        tb_metrics = snap;
+      { Dvz_fleet.Wire.tb_metrics = snap;
         tb_profile = profile;
         tb_trace = trace;
         tb_trace_dropped = 0;

@@ -181,16 +181,15 @@ let obs_t =
 (* Arms the profiler / status server around [k], rewiring the telemetry so
    the campaign publishes to them, and emits the end-of-run artifacts.
    Everything here observes the campaign; nothing feeds back into it.
-   [fleet_board] adds a /fleet route serving the coordinator's live
-   per-worker supervision snapshot; [plane] (fleet mode) folds worker
-   telemetry into every surface — [worker="N"] label groups on /metrics,
-   per-worker health on /status and /fleet, and merged end-of-run
+   [plane] (fleet mode) folds the fleet into every surface — a /fleet
+   route and a "fleet" block on /status serving one row per worker slot,
+   [worker="N"] label groups on /metrics, and merged end-of-run
    profile/trace artifacts covering coordinator and workers.
    [events_ring], when given, serves /events (the fleet coordinator
    pre-wires it into the plane so worker lifecycle lines land there,
    slot-labelled, without ever touching the campaign's own event
    stream). *)
-let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
+let with_obs ?plane ?events_ring obs telemetry k =
   let profiling =
     obs.ob_profile || obs.ob_profile_json <> None || obs.ob_trace_out <> None
   in
@@ -217,13 +216,6 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
             Campaign.t_events = events;
             t_board = Some board }
         in
-        let with_fleet_health key j =
-          match (plane, j) with
-          | Some p, Dvz_obs.Json.Obj fields ->
-              Dvz_obs.Json.Obj
-                (fields @ [ (key, Dvz_fleet.Telemetry.health_json p) ])
-          | _ -> j
-        in
         let routes =
           [ ( "/healthz",
               fun _ ->
@@ -248,7 +240,13 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
                       Dvz_obs.Json.Obj
                         [ ("phase", Dvz_obs.Json.Str "starting") ]
                 in
-                Dvz_obs.Server.json (with_fleet_health "fleet" base) );
+                Dvz_obs.Server.json
+                  (match (plane, base) with
+                  | Some p, Dvz_obs.Json.Obj fields ->
+                      Dvz_obs.Json.Obj
+                        (fields
+                        @ [ ("fleet", Dvz_fleet.Telemetry.fleet_json p) ])
+                  | _ -> base) );
             ( "/metrics",
               fun _ ->
                 { Dvz_obs.Server.status = 200;
@@ -285,20 +283,12 @@ let with_obs ?fleet_board ?plane ?events_ring obs telemetry k =
                         | [] -> ""
                         | _ -> String.concat "\n" lines ^ "\n") } ) ]
           @
-          match fleet_board with
+          match plane with
           | None -> []
-          | Some fb ->
+          | Some p ->
               [ ( "/fleet",
                   fun _ ->
-                    let base =
-                      match Dvz_fleet.Coordinator.board_read fb with
-                      | Some s -> Dvz_fleet.Coordinator.snapshot_json s
-                      | None ->
-                          Dvz_obs.Json.Obj
-                            [ ("phase", Dvz_obs.Json.Str "starting") ]
-                    in
-                    Dvz_obs.Server.json (with_fleet_health "telemetry" base)
-                ) ]
+                    Dvz_obs.Server.json (Dvz_fleet.Telemetry.fleet_json p) ) ]
         in
         (match Dvz_obs.Server.start ~port ~routes () with
         | Error e ->
@@ -474,27 +464,13 @@ let handle_faults k =
       Printf.eprintf "dejavuzz: %s\n" msg;
       exit 1
 
-let fuzz_cmd =
-  let run cfg iterations rng_seed random_training no_coverage telemetry_file
-      progress progress_every metrics resilience explain_dir jobs batch obs =
-    handle_faults (fun () ->
-        let options =
-          { Campaign.default_options with
-            Campaign.iterations; rng_seed; batch;
-            style = (if random_training then `Random else `Derived);
-            coverage_guided = not no_coverage }
-        in
-        let stats =
-          with_telemetry ?explain_dir telemetry_file progress progress_every
-            (fun telemetry ->
-              with_obs obs telemetry (fun telemetry ->
-                  Campaign.run ~telemetry ~resilience ~jobs cfg options))
-        in
-        print_string (Dejavuzz.Report.summary stats);
-        print_string
-          (Dejavuzz.Report.table5 ~core_name:cfg.Cfg.name
-             stats.Campaign.s_findings);
-        dump_metrics metrics)
+(* The campaign options [fuzz] and [fleet] share. *)
+let campaign_options_t =
+  let build iterations rng_seed random_training no_coverage batch =
+    { Campaign.default_options with
+      Campaign.iterations; rng_seed; batch;
+      style = (if random_training then `Random else `Derived);
+      coverage_guided = not no_coverage }
   in
   let random_training =
     Arg.(value & flag
@@ -506,12 +482,32 @@ let fuzz_cmd =
          & info [ "no-coverage" ]
              ~doc:"DejaVuzz- ablation: disable taint-coverage feedback.")
   in
+  Term.(const build $ iterations_t 500 $ seed_t $ random_training
+        $ no_coverage $ batch_t)
+
+let print_report cfg stats =
+  print_string (Dejavuzz.Report.summary stats);
+  print_string
+    (Dejavuzz.Report.table5 ~core_name:cfg.Cfg.name stats.Campaign.s_findings)
+
+let fuzz_cmd =
+  let run cfg options telemetry_file progress progress_every metrics
+      resilience explain_dir jobs obs =
+    handle_faults (fun () ->
+        let stats =
+          with_telemetry ?explain_dir telemetry_file progress progress_every
+            (fun telemetry ->
+              with_obs obs telemetry (fun telemetry ->
+                  Campaign.run ~telemetry ~resilience ~jobs cfg options))
+        in
+        print_report cfg stats;
+        dump_metrics metrics)
+  in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a DejaVuzz fuzzing campaign.")
-    Term.(const run $ core_t $ iterations_t 500 $ seed_t $ random_training
-          $ no_coverage $ telemetry_t $ progress_t $ progress_every_t
-          $ metrics_t $ resilience_t $ explain_dir_t $ jobs_t $ batch_t
-          $ obs_t)
+    Term.(const run $ core_t $ campaign_options_t $ telemetry_t $ progress_t
+          $ progress_every_t $ metrics_t $ resilience_t $ explain_dir_t
+          $ jobs_t $ obs_t)
 
 (* --- fleet mode ------------------------------------------------------------ *)
 
@@ -532,13 +528,16 @@ let worker_jobs_t =
 let heartbeat_t =
   Arg.(value & opt float 1.0
        & info [ "heartbeat-s" ] ~docv:"S"
-           ~doc:"Worker heartbeat interval in seconds.")
+           ~doc:"Worker heartbeat interval in seconds: each worker flushes \
+                 its telemetry this often, and that flush is its \
+                 heartbeat (0 flushes only at shutdown).")
 
 let deadline_t =
   Arg.(value & opt float 10.0
        & info [ "heartbeat-deadline-s" ] ~docv:"S"
-           ~doc:"Declare a worker dead after S seconds of silence (it is \
-                 killed and respawned with capped exponential backoff).")
+           ~doc:"Declare a worker dead after S seconds without a frame \
+                 (it is killed and respawned with capped exponential \
+                 backoff).")
 
 let max_respawns_t =
   Arg.(value & opt int 5
@@ -566,17 +565,10 @@ let chaos_kill_t =
                  gates the supervision path.")
 
 let fleet_cmd =
-  let run cfg iterations rng_seed random_training no_coverage telemetry_file
-      progress progress_every metrics resilience explain_dir
-      batch obs workers worker_jobs heartbeat_s deadline_s max_respawns chaos =
+  let run cfg options telemetry_file progress progress_every metrics
+      resilience explain_dir obs workers worker_jobs heartbeat_s deadline_s
+      max_respawns chaos =
     handle_faults (fun () ->
-        let options =
-          { Campaign.default_options with
-            Campaign.iterations; rng_seed; batch;
-            style = (if random_training then `Random else `Derived);
-            coverage_guided = not no_coverage }
-        in
-        let fleet_board = Dvz_fleet.Coordinator.new_board () in
         (* Worker lifecycle events land in this ring (slot-labelled by
            the plane) for /events — never in the campaign's own event
            stream, which must stay byte-identical to --jobs 1. *)
@@ -600,15 +592,11 @@ let fleet_cmd =
         let stats, fstats =
           with_telemetry ?explain_dir telemetry_file progress progress_every
             (fun telemetry ->
-              with_obs ~fleet_board ~plane ~events_ring obs telemetry
-                (fun telemetry ->
-                  Dvz_fleet.Coordinator.run ~telemetry ~resilience
-                    ~board:fleet_board ~plane opts cfg options))
+              with_obs ~plane ~events_ring obs telemetry (fun telemetry ->
+                  Dvz_fleet.Coordinator.run ~telemetry ~resilience ~plane
+                    opts cfg options))
         in
-        print_string (Dejavuzz.Report.summary stats);
-        print_string
-          (Dejavuzz.Report.table5 ~core_name:cfg.Cfg.name
-             stats.Campaign.s_findings);
+        print_report cfg stats;
         (* Supervision summary on stderr: stdout stays byte-identical to
            the single-process run (the determinism contract CI diffs). *)
         Printf.eprintf
@@ -621,16 +609,6 @@ let fleet_cmd =
           fstats.Dvz_fleet.Coordinator.fs_heartbeats_missed
           fstats.Dvz_fleet.Coordinator.fs_inline_plans;
         dump_metrics ~plane metrics)
-  in
-  let random_training =
-    Arg.(value & flag
-         & info [ "random-training" ]
-             ~doc:"DejaVuzz* ablation: random training packets.")
-  in
-  let no_coverage =
-    Arg.(value & flag
-         & info [ "no-coverage" ]
-             ~doc:"DejaVuzz- ablation: disable taint-coverage feedback.")
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -647,10 +625,9 @@ let fleet_cmd =
                streams are byte-identical to $(b,dejavuzz fuzz --jobs 1) \
                with the same flags.  Use $(b,--batch) of at least the \
                worker count to keep every worker busy." ])
-    Term.(const run $ core_t $ iterations_t 500 $ seed_t $ random_training
-          $ no_coverage $ telemetry_t $ progress_t $ progress_every_t
-          $ metrics_t $ resilience_t $ explain_dir_t $ batch_t $ obs_t
-          $ workers_t $ worker_jobs_t $ heartbeat_t $ deadline_t
+    Term.(const run $ core_t $ campaign_options_t $ telemetry_t $ progress_t
+          $ progress_every_t $ metrics_t $ resilience_t $ explain_dir_t
+          $ obs_t $ workers_t $ worker_jobs_t $ heartbeat_t $ deadline_t
           $ max_respawns_t $ chaos_kill_t)
 
 (* The hidden child entrypoint: the coordinator re-execs this binary as

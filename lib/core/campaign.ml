@@ -113,6 +113,15 @@ let label tel ~prefix context =
     t_events = Events.with_context tel.t_events context;
     t_progress = (fun line -> tel.t_progress (prefix ^ " " ^ line)) }
 
+let map_nested tel f xs =
+  let tasks = List.map (fun x -> (Events.defer tel.t_events, x)) xs in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun ((_, commit), _) -> commit ()) tasks)
+    (fun () ->
+      Dvz_util.Parallel.map
+        (fun ((events, _), x) -> f { tel with t_events = events } x)
+        tasks)
+
 type crash = Executor.crash = {
   cr_iteration : int;
   cr_seed : Seed.t option;

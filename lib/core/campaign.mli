@@ -126,6 +126,16 @@ val label :
     fields ({!Dvz_obs.Events.with_context}) and every progress line the
     prefix [prefix ^ " "]. *)
 
+val map_nested : telemetry -> (telemetry -> 'a -> 'b) -> 'a list -> 'b list
+(** [map_nested tel f xs] runs [f tel'] on each of [xs] on parallel
+    domains ({!Dvz_util.Parallel.map}), for campaigns that share [tel]:
+    each task's [tel'] writes its events into its own deferred copy of
+    [tel]'s sink ({!Dvz_obs.Events.defer}), and when the map returns or
+    raises the copies are appended to the shared sink in list order.
+    The shared log therefore reads as if the tasks ran one after
+    another, whatever the domain count; progress lines and the board
+    stay live. *)
+
 type crash = Executor.crash = {
   cr_iteration : int;
   cr_seed : Seed.t option;  (** the input being processed, when known *)

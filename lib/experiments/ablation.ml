@@ -26,9 +26,10 @@ let mean_taint cfg mode =
 
 let run ?(telemetry = Campaign.quiet) ?(iterations = 400) ?(rng_seed = 17)
     ?jobs ?(batch = 1) cfg =
-  let campaign mode =
+  let campaign telemetry mode =
     (* Both mode campaigns share the sink/board; events and progress
-       lines are labelled so the streams stay separable. *)
+       lines are labelled so the streams stay separable, and the event
+       lines reach the sink diffIFT first, then CellIFT. *)
     let name = Dvz_ift.Policy.mode_name mode in
     let telemetry =
       Campaign.label telemetry ~prefix:name
@@ -39,8 +40,8 @@ let run ?(telemetry = Campaign.quiet) ?(iterations = 400) ?(rng_seed = 17)
         Campaign.iterations; rng_seed; taint_mode = mode; batch }
   in
   let results =
-    Dvz_util.Parallel.map
-      (fun mode -> (campaign mode, mean_taint cfg mode))
+    Campaign.map_nested telemetry
+      (fun telemetry mode -> (campaign telemetry mode, mean_taint cfg mode))
       [ Dvz_ift.Policy.Diffift; Dvz_ift.Policy.Cellift ]
   in
   match results with

@@ -27,55 +27,45 @@ let aggregate name trials_curves =
   done;
   { cv_fuzzer = name; cv_mean = mean; cv_ci = ci }
 
-(* Trials run on parallel domains into one shared sink: label every
-   event and progress line with its origin. *)
-let telemetry_for telemetry ~fuzzer ~trial =
-  Option.map
-    (fun tel ->
-      Campaign.label tel
-        ~prefix:(Printf.sprintf "%s/trial%d" fuzzer trial)
-        [ ("fuzzer", Dvz_obs.Json.Str fuzzer);
-          ("trial", Dvz_obs.Json.Int trial) ])
-    telemetry
-
-let run ?(iterations = 1000) ?(trials = 5) ?(rng_seed = 7) ?telemetry
-    ?resilience ?jobs ?(batch = 1) cfg =
+let run ?(iterations = 1000) ?(trials = 5) ?(rng_seed = 7)
+    ?(telemetry = Campaign.quiet) ?resilience ?jobs ?(batch = 1) cfg =
   (* Trials are independent deterministic computations: run them on
      parallel domains, as the paper's multi-threaded fuzzing manager runs
      its RTL simulation instances. *)
-  let trial_list f =
-    Dvz_util.Parallel.map f (List.init trials (fun t -> (t, rng_seed + (100 * t))))
-  in
-  let resilience_for ~fuzzer ~trial =
-    (* One checkpoint file per campaign, derived from the shared flag.
-       SpecDoctor trials below have no campaign loop and don't checkpoint. *)
-    Option.map
-      (fun rz ->
-        Campaign.with_suffix rz (Printf.sprintf "%s.trial%d" fuzzer trial))
-      resilience
-  in
-  let with_batch o = { o with Campaign.batch } in
-  let dejavuzz =
-    trial_list (fun (t, s) ->
-        (Campaign.run
-           ?telemetry:(telemetry_for telemetry ~fuzzer:"DejaVuzz" ~trial:t)
-           ?resilience:(resilience_for ~fuzzer:"DejaVuzz" ~trial:t)
-           ?jobs cfg
-           (with_batch (Variants.full_options ~iterations ~rng_seed:s)))
+  let trial_seeds = List.init trials (fun t -> (t, rng_seed + (100 * t))) in
+  (* One campaign per trial, sharing [telemetry]: every event and
+     progress line is labelled with its origin, and the trials' event
+     lines reach the shared sink in trial order. *)
+  let campaigns fuzzer options =
+    Campaign.map_nested telemetry
+      (fun telemetry (t, s) ->
+        let telemetry =
+          Campaign.label telemetry
+            ~prefix:(Printf.sprintf "%s/trial%d" fuzzer t)
+            [ ("fuzzer", Dvz_obs.Json.Str fuzzer);
+              ("trial", Dvz_obs.Json.Int t) ]
+        in
+        (* One checkpoint file per campaign, derived from the shared flag.
+           SpecDoctor trials below have no campaign loop and don't
+           checkpoint. *)
+        let resilience =
+          Option.map
+            (fun rz ->
+              Campaign.with_suffix rz (Printf.sprintf "%s.trial%d" fuzzer t))
+            resilience
+        in
+        (Campaign.run ~telemetry ?resilience ?jobs cfg
+           { (options ~iterations ~rng_seed:s) with Campaign.batch })
           .Campaign.s_coverage_curve)
+      trial_seeds
   in
-  let minus =
-    trial_list (fun (t, s) ->
-        (Campaign.run
-           ?telemetry:(telemetry_for telemetry ~fuzzer:"DejaVuzz-" ~trial:t)
-           ?resilience:(resilience_for ~fuzzer:"DejaVuzz-" ~trial:t)
-           ?jobs cfg
-           (with_batch (Variants.minus_options ~iterations ~rng_seed:s)))
-          .Campaign.s_coverage_curve)
-  in
+  let dejavuzz = campaigns "DejaVuzz" Variants.full_options in
+  let minus = campaigns "DejaVuzz-" Variants.minus_options in
   let specdoctor =
-    trial_list (fun (_, s) ->
+    Dvz_util.Parallel.map
+      (fun (_, s) ->
         (Sd.campaign ~rng_seed:s ~iterations cfg).Sd.sd_coverage_curve)
+      trial_seeds
   in
   let curves =
     [ aggregate "DejaVuzz" dejavuzz;

@@ -29,9 +29,11 @@ val run : ?iterations:int -> ?trials:int -> ?rng_seed:int ->
 (** [telemetry] is shared by all DejaVuzz/DejaVuzz⁻ campaigns; each
     trial's events gain [fuzzer]/[trial] context fields and its progress
     lines a ["<fuzzer>/trial<N> "] prefix (trials run on parallel
-    domains, so lines from different trials interleave).  [resilience]
-    checkpoint/resume paths gain a [".<fuzzer>.trialN"] suffix per
-    campaign; SpecDoctor trials don't checkpoint.  [jobs]/[batch]
+    domains, so progress lines from different trials interleave; event
+    lines reach the sink per campaign, DejaVuzz trials then DejaVuzz⁻
+    trials, each in trial order — {!Dejavuzz.Campaign.map_nested}).
+    [resilience] checkpoint/resume paths gain a [".<fuzzer>.trialN"]
+    suffix per campaign; SpecDoctor trials don't checkpoint.  [jobs]/[batch]
     (defaults 1/1) feed each DejaVuzz/DejaVuzz⁻ campaign's in-campaign
     parallelism (trials × in-campaign [jobs]); [jobs] never changes
     results. *)

@@ -38,8 +38,8 @@ let run ?(iterations = 1200) ?(rng_seed = 13) ?telemetry ?resilience ?jobs
     Option.map (fun rz -> Campaign.with_suffix rz cfg.Cfg.name) resilience
   in
   let telemetry =
-    (* run_many puts each core on its own domain sharing one sink:
-       label events and progress lines with the core. *)
+    (* run_many puts each core on its own domain sharing one sink and
+       progress printer: label events and progress lines with the core. *)
     Option.map
       (fun tel ->
         Campaign.label tel ~prefix:cfg.Cfg.name
@@ -53,11 +53,13 @@ let run ?(iterations = 1200) ?(rng_seed = 13) ?telemetry ?resilience ?jobs
   { core = cfg.Cfg.name; stats;
     specdoctor_components = specdoctor_reach cfg ~rng_seed }
 
-let run_many ?iterations ?rng_seed ?telemetry ?resilience ?jobs ?batch cfgs =
+let run_many ?iterations ?rng_seed ?(telemetry = Campaign.quiet) ?resilience
+    ?jobs ?batch cfgs =
   (* Per-core campaigns are independent: one domain each; [jobs] worker
      domains additionally fan out inside each campaign's batches. *)
-  Dvz_util.Parallel.map
-    (fun cfg -> run ?iterations ?rng_seed ?telemetry ?resilience ?jobs ?batch cfg)
+  Campaign.map_nested telemetry
+    (fun telemetry cfg ->
+      run ?iterations ?rng_seed ~telemetry ?resilience ?jobs ?batch cfg)
     cfgs
 
 let render results =

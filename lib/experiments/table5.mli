@@ -29,6 +29,8 @@ val run_many :
   ?jobs:int -> ?batch:int ->
   Dvz_uarch.Config.t list -> result list
 (** Runs one campaign per core on parallel domains (cores × in-campaign
-    [jobs]). *)
+    [jobs]) through {!Dejavuzz.Campaign.map_nested}: the shared event
+    log holds each core's lines in list order, exactly as each core's
+    {!run} alone would write them. *)
 
 val render : result list -> string

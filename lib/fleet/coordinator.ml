@@ -16,8 +16,9 @@
    Failure model, in escalating order:
    - pipe EOF / EPIPE / protocol corruption → worker declared dead
      immediately;
-   - heartbeat silence past the deadline (SIGSTOP, livelock, scheduler
-     starvation) → SIGKILL, then declared dead;
+   - silence past the deadline (no frame at all: the periodic telemetry
+     flush is the heartbeat; SIGSTOP, livelock, scheduler starvation) →
+     SIGKILL, then declared dead;
    - each death returns the worker's outstanding plans to the unassigned
      pool and schedules a respawn after capped exponential backoff;
    - a slot exceeding its respawn budget is retired — the fleet shrinks
@@ -29,7 +30,6 @@ module Campaign = Dejavuzz.Campaign
 module Scheduler = Dejavuzz.Scheduler
 module Executor = Dejavuzz.Executor
 module Metrics = Dvz_obs.Metrics
-module Json = Dvz_obs.Json
 
 let m_restarts =
   Metrics.counter Metrics.default
@@ -81,51 +81,6 @@ type fleet_stats = {
   fs_inline_plans : int;
 }
 
-(* --- live fleet board ------------------------------------------------------ *)
-
-type worker_row = {
-  fw_slot : int;
-  fw_pid : int;
-  fw_state : string;  (* "live" | "backoff" | "retired" *)
-  fw_restarts : int;
-  fw_done : int;  (* outcomes produced over all incarnations *)
-  fw_last_rx_age_s : float;
-}
-
-type snapshot = {
-  fb_epoch : int;
-  fb_workers : worker_row list;
-  fb_restarts : int;
-  fb_retired : int;
-  fb_heartbeats_missed : int;
-  fb_inline_plans : int;
-}
-
-type board = snapshot option Atomic.t
-
-let new_board () : board = Atomic.make None
-let board_read (b : board) = Atomic.get b
-
-let snapshot_json s =
-  Json.Obj
-    [ ("epoch", Json.Int s.fb_epoch);
-      ( "workers",
-        Json.Arr
-          (List.map
-             (fun w ->
-               Json.Obj
-                 [ ("slot", Json.Int w.fw_slot);
-                   ("pid", Json.Int w.fw_pid);
-                   ("state", Json.Str w.fw_state);
-                   ("restarts", Json.Int w.fw_restarts);
-                   ("outcomes", Json.Int w.fw_done);
-                   ("last_rx_age_s", Json.Float w.fw_last_rx_age_s) ])
-             s.fb_workers) );
-      ("restarts", Json.Int s.fb_restarts);
-      ("retired", Json.Int s.fb_retired);
-      ("heartbeats_missed", Json.Int s.fb_heartbeats_missed);
-      ("inline_plans", Json.Int s.fb_inline_plans) ]
-
 (* --- internal state -------------------------------------------------------- *)
 
 type wstate =
@@ -141,17 +96,16 @@ type worker = {
   mutable w_in : Unix.file_descr;  (* coordinator → worker *)
   mutable w_out : Unix.file_descr;  (* worker → coordinator *)
   mutable w_reader : Proto.reader;
-  mutable w_last_rx : float;
-  mutable w_restarts : int;  (* spawns beyond the first *)
-  mutable w_done : int;
+  mutable w_last_rx : float;  (* arrival of the last frame *)
+  mutable w_restarts : int;  (* deaths; the next spawn's incarnation *)
+  mutable w_done : int;  (* Outcome frames recorded, all incarnations *)
   mutable w_assigned : Scheduler.plan list;  (* outstanding, plan order *)
 }
 
 type st = {
   st_opts : opts;
   st_workers : worker array;
-  st_board : board;
-  st_plane : Telemetry.t option;
+  st_plane : Telemetry.t;
   mutable st_epoch : int;
   mutable st_config : Proto.msg option;  (* sent to every spawned worker *)
   mutable st_spawns : int;
@@ -159,8 +113,6 @@ type st = {
   mutable st_hb_missed : int;
   mutable st_inline : int;
 }
-
-let with_plane st f = match st.st_plane with Some p -> f p | None -> ()
 
 let now () = Unix.gettimeofday ()
 
@@ -171,33 +123,42 @@ let retired st =
     (fun n w -> if w.w_state = Retired then n + 1 else n)
     0 st.st_workers
 
+let stats_of st =
+  { fs_workers = Array.length st.st_workers;
+    fs_spawns = st.st_spawns;
+    fs_restarts = st.st_restarts;
+    fs_retired = retired st;
+    fs_heartbeats_missed = st.st_hb_missed;
+    fs_inline_plans = st.st_inline }
+
+(* The supervision snapshot behind /fleet: one row per slot from the
+   worker records, and the fleet totals. *)
 let publish st =
   let t = now () in
-  let rows =
-    Array.to_list st.st_workers
-    |> List.map (fun w ->
-           { fw_slot = w.w_slot;
-             fw_pid = (match w.w_state with Live -> w.w_pid | _ -> 0);
-             fw_state =
-               (match w.w_state with
-               | Live -> "live"
-               | Down -> "backoff"
-               | Retired -> "retired");
-             fw_restarts = w.w_restarts;
-             fw_done = w.w_done;
-             fw_last_rx_age_s =
-               (match w.w_state with
-               | Live -> Float.max 0.0 (t -. w.w_last_rx)
-               | _ -> 0.0) })
-  in
-  Atomic.set st.st_board
-    (Some
-       { fb_epoch = st.st_epoch;
-         fb_workers = rows;
-         fb_restarts = st.st_restarts;
-         fb_retired = retired st;
-         fb_heartbeats_missed = st.st_hb_missed;
-         fb_inline_plans = st.st_inline })
+  let fs = stats_of st in
+  Telemetry.publish st.st_plane
+    { Telemetry.sv_epoch = st.st_epoch;
+      sv_workers =
+        Array.to_list st.st_workers
+        |> List.map (fun w ->
+               let live = w.w_state = Live in
+               { Telemetry.wr_slot = w.w_slot;
+                 wr_pid = (if live then w.w_pid else 0);
+                 wr_state =
+                   (match w.w_state with
+                   | Live -> "live"
+                   | Down -> "backoff"
+                   | Retired -> "retired");
+                 wr_deaths = w.w_restarts;
+                 wr_outcomes = w.w_done;
+                 wr_last_frame_age_s =
+                   (if live then Float.max 0.0 (t -. w.w_last_rx) else 0.0) });
+      sv_counters =
+        [ ("spawns", fs.fs_spawns);
+          ("restarts", fs.fs_restarts);
+          ("retired", fs.fs_retired);
+          ("heartbeats_missed", fs.fs_heartbeats_missed);
+          ("inline_plans", fs.fs_inline_plans) ] }
 
 (* --- process plumbing ------------------------------------------------------ *)
 
@@ -253,9 +214,9 @@ let declare_dead st w ~reason =
   w.w_restarts <- w.w_restarts + 1;
   (* The dead incarnation's final telemetry batch is folded into the
      slot's retired aggregates; anything of its still in flight is now
-     stale by incarnation and will be dropped at ingest. *)
-  with_plane st (fun p ->
-      Telemetry.record_restart p ~slot:w.w_slot ~reason);
+     stale by incarnation (the death count moved on) and will be
+     dropped at ingest. *)
+  Telemetry.record_restart st.st_plane ~slot:w.w_slot ~reason;
   if w.w_restarts > st.st_opts.fl_max_respawns then begin
     w.w_state <- Retired;
     logf st
@@ -387,30 +348,26 @@ let record_outcome ep w ~iteration payload =
             w.w_assigned;
         Ok ()
 
-(* Telemetry/Hello/Heartbeat bookkeeping shared by the dispatch loop
-   and the shutdown drain.  Observation only: ingest failures never
-   condemn a worker, and nothing here feeds the campaign fold. *)
+(* Hello/Telemetry bookkeeping shared by the dispatch loop and the
+   shutdown drain.  Observation only: ingest failures never condemn a
+   worker, and nothing here feeds the campaign fold. *)
 let observe_msg st w msg =
   match msg with
-  | Proto.Hello { h_pid; h_clock_us } ->
-      with_plane st (fun p ->
-          Telemetry.hello p ~slot:w.w_slot ~incarnation:w.w_restarts
-            ~pid:h_pid ~clock_us:h_clock_us)
-  | Proto.Heartbeat { b_done } ->
-      with_plane st (fun p ->
-          Telemetry.heartbeat p ~slot:w.w_slot ~done_count:b_done)
-  | Proto.Telemetry { t_incarnation; t_payload } ->
-      with_plane st (fun p ->
-          match Wire.telemetry_of_string t_payload with
-          | Ok batch ->
-              ignore
-                (Telemetry.ingest p ~slot:w.w_slot
-                   ~incarnation:t_incarnation batch)
-          | Error e ->
-              logf st "worker %d sent an undecodable telemetry payload (%s)"
-                w.w_slot e)
-  | _ -> with_plane st (fun p -> Telemetry.seen p ~slot:w.w_slot)
+  | Proto.Hello { h_clock_us; _ } ->
+      Telemetry.hello st.st_plane ~slot:w.w_slot ~clock_us:h_clock_us
+  | Proto.Telemetry { t_incarnation; t_payload } -> (
+      match Wire.telemetry_of_string t_payload with
+      | Ok batch ->
+          ignore
+            (Telemetry.ingest st.st_plane ~slot:w.w_slot ~deaths:w.w_restarts
+               ~incarnation:t_incarnation batch)
+      | Error e ->
+          logf st "worker %d sent an undecodable telemetry payload (%s)"
+            w.w_slot e)
+  | _ -> ()
 
+(* Any frame proves the worker alive, so the deadline clock restarts
+   before the frame is looked at. *)
 let handle_msg st ep w msg =
   w.w_last_rx <- now ();
   observe_msg st w msg;
@@ -419,9 +376,6 @@ let handle_msg st ep w msg =
       if h_pid <> w.w_pid && w.w_pid > 0 then
         logf st "worker %d reports pid %d (spawned as %d)" w.w_slot h_pid
           w.w_pid;
-      Ok ()
-  | Proto.Heartbeat { b_done } ->
-      w.w_done <- max w.w_done b_done;
       Ok ()
   | Proto.Telemetry _ -> Ok ()
   | Proto.Outcome { o_iteration; o_payload } ->
@@ -534,9 +488,9 @@ let dispatch_batch st (ctx : Executor.ctx) plans =
     publish st;
     while ep.ep_filled < count do
       let t = now () in
-      (* Heartbeat deadlines: a live worker silent past the deadline is
-         killed and declared dead — catches SIGSTOP and livelock, which
-         produce no EOF. *)
+      (* Heartbeat deadlines: a live worker that sent no frame for
+         longer than the deadline is killed and declared dead — catches
+         SIGSTOP and livelock, which produce no EOF. *)
       Array.iter
         (fun w ->
           if
@@ -653,31 +607,20 @@ let shutdown st =
     (fun w ->
       if w.w_state = Live then begin
         close_quietly w.w_in;
-        (match st.st_plane with
-        | Some _ -> ( try drain_final st w with _ -> ())
-        | None -> ());
+        (try drain_final st w with _ -> ());
         reap ~grace:1.0 w;
         close_quietly w.w_out;
         w.w_state <- Down
       end)
     st.st_workers
 
-let stats_of st =
-  { fs_workers = Array.length st.st_workers;
-    fs_spawns = st.st_spawns;
-    fs_restarts = st.st_restarts;
-    fs_retired = retired st;
-    fs_heartbeats_missed = st.st_hb_missed;
-    fs_inline_plans = st.st_inline }
-
 let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
-    ?board ?plane opts cfg options =
+    ~plane opts cfg options =
   if opts.fl_workers < 0 then
     invalid_arg "Coordinator.run: fl_workers must be >= 0";
   (* A worker dying mid-write must surface as EPIPE, not kill us. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let board = match board with Some b -> b | None -> new_board () in
   let st =
     { st_opts = opts;
       st_workers =
@@ -693,7 +636,6 @@ let run ?(telemetry = Campaign.quiet) ?(resilience = Campaign.no_resilience)
               w_restarts = 0;  (* deaths, not spawns: first spawn is free *)
               w_done = 0;
               w_assigned = [] });
-      st_board = board;
       st_plane = plane;
       st_epoch = 0;
       st_config = None;

@@ -12,19 +12,27 @@
     which makes fleet output byte-identical to a single-process
     [--jobs 1] run regardless of worker deaths: the determinism
     contract CI gates on.  Workers send back only what the fold reads —
-    one [Outcome] per plan, plus [Hello], [Heartbeat] and [Telemetry]
-    for supervision and observation — and never see a checkpoint.
+    one [Outcome] per plan, plus [Hello] and the periodic [Telemetry]
+    flush (the heartbeat) for supervision and observation — and never
+    see a checkpoint.
 
     Failure detection is layered: pipe EOF / [EPIPE] / protocol
-    corruption condemn a worker immediately; a heartbeat silence past
-    [fl_deadline_s] (SIGSTOP, livelock) draws a SIGKILL first.  Every
-    death returns the worker's outstanding plans to the pool and counts
-    toward [dvz_fleet_worker_restarts_total]. *)
+    corruption condemn a worker immediately; silence (no frame of any
+    kind) past [fl_deadline_s] (SIGSTOP, livelock) draws a SIGKILL
+    first.  Every death returns the worker's outstanding plans to the
+    pool and counts toward [dvz_fleet_worker_restarts_total].
+
+    The coordinator's worker record is the fleet's only supervision
+    record — pid, state, deaths (the incarnation), outcomes recorded and
+    the time of the last frame; it is published into the
+    {!Telemetry} plane, which serves it as one row per slot. *)
 
 type opts = {
   fl_workers : int;  (** fleet size; 0 = coordinator executes everything *)
   fl_worker_jobs : int;  (** domains each worker spends on its shard *)
-  fl_heartbeat_s : float;  (** worker heartbeat send interval *)
+  fl_heartbeat_s : float;
+      (** worker telemetry flush (heartbeat) interval; [0.] flushes only
+          at shutdown *)
   fl_deadline_s : float;
       (** declare a live worker dead after this much silence; [0.] never *)
   fl_max_respawns : int;  (** deaths allowed per slot before retirement *)
@@ -63,52 +71,25 @@ type fleet_stats = {
   fs_inline_plans : int;  (** plans the coordinator executed itself *)
 }
 
-(** {2 Live fleet board} — the [/fleet] endpoint's snapshot feed,
-    mirroring {!Dejavuzz.Campaign.board}. *)
-
-type worker_row = {
-  fw_slot : int;
-  fw_pid : int;  (** 0 unless live *)
-  fw_state : string;  (** ["live"] / ["backoff"] / ["retired"] *)
-  fw_restarts : int;
-  fw_done : int;  (** outcomes produced across all incarnations *)
-  fw_last_rx_age_s : float;  (** seconds since the last frame, if live *)
-}
-
-type snapshot = {
-  fb_epoch : int;
-  fb_workers : worker_row list;
-  fb_restarts : int;
-  fb_retired : int;
-  fb_heartbeats_missed : int;
-  fb_inline_plans : int;
-}
-
-type board
-
-val new_board : unit -> board
-val board_read : board -> snapshot option
-val snapshot_json : snapshot -> Dvz_obs.Json.t
-
 val run :
   ?telemetry:Dejavuzz.Campaign.telemetry ->
   ?resilience:Dejavuzz.Campaign.resilience ->
-  ?board:board ->
-  ?plane:Telemetry.t ->
+  plane:Telemetry.t ->
   opts ->
   Dvz_uarch.Config.t ->
   Dejavuzz.Campaign.options ->
   Dejavuzz.Campaign.stats * fleet_stats
-(** Runs the campaign on a supervised fleet.  [plane], when given,
-    receives every worker's telemetry: Hello handshakes (clock
-    alignment), heartbeats, and [Telemetry] frame ingestion, including
-    a final drain of each pipe after Shutdown so the workers' last
-    flushes land before the fds close.  Telemetry is observation-only
-    and never feeds the campaign fold, so output stays byte-identical
-    to [--jobs 1] with or without it.  Workers rebuild
-    [resilience.rz_budget] from its {!Dvz_uarch.Dualcore.budget_limits}.
-    Forces [rz_checkpoint_keep] on, and when [rz_resume] names
-    a checkpoint that fails validation ({!Dejavuzz.Campaign.Bad_checkpoint})
-    but a [.prev] rotation exists, falls back to it once.  Ignores
-    [SIGPIPE].  Workers are always shut down (Shutdown frame, then
-    SIGKILL after a grace period) on any exit, including exceptions. *)
+(** Runs the campaign on a supervised fleet.  [plane] receives every
+    worker's telemetry — [Hello] handshakes (clock alignment) and
+    [Telemetry] frame ingestion, including a final drain of each pipe
+    after Shutdown so the workers' last flushes land before the fds
+    close — and the supervision snapshot after every change, which it
+    serves as [/fleet].  Telemetry is observation-only and never feeds
+    the campaign fold, so output stays byte-identical to [--jobs 1].
+    Workers rebuild [resilience.rz_budget] from its
+    {!Dvz_uarch.Dualcore.budget_limits}.  Forces [rz_checkpoint_keep]
+    on, and when [rz_resume] names a checkpoint that fails validation
+    ({!Dejavuzz.Campaign.Bad_checkpoint}) but a [.prev] rotation exists,
+    falls back to it once.  Ignores [SIGPIPE].  Workers are always shut
+    down (Shutdown frame, then SIGKILL after a grace period) on any
+    exit, including exceptions. *)

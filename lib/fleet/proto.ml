@@ -18,7 +18,7 @@
    kill and respawn the peer, never to guess). *)
 
 let magic = "DVZF"
-let version = 2
+let version = 3
 let header_len = 14
 
 (* Big enough for any real assignment (plans are a few KB each), small
@@ -35,7 +35,6 @@ type msg =
   | Hello of { h_pid : int; h_clock_us : int }
   | Config of { c_payload : string }
   | Assign of { a_epoch : int; a_payload : string }
-  | Heartbeat of { b_done : int }
   | Outcome of { o_iteration : int; o_payload : string }
   | Shutdown
   | Telemetry of { t_incarnation : int; t_payload : string }
@@ -44,15 +43,13 @@ let kind_tag = function
   | Hello _ -> 1
   | Config _ -> 2
   | Assign _ -> 3
-  | Heartbeat _ -> 4
-  | Outcome _ -> 5
-  | Shutdown -> 6
-  | Telemetry _ -> 7
+  | Outcome _ -> 4
+  | Shutdown -> 5
+  | Telemetry _ -> 6
 
 (* Indexed by tag; [next] accepts exactly the tags 1 .. [max_tag]. *)
 let kind_names =
-  [| ""; "hello"; "config"; "assign"; "heartbeat"; "outcome"; "shutdown";
-     "telemetry" |]
+  [| ""; "hello"; "config"; "assign"; "outcome"; "shutdown"; "telemetry" |]
 
 let max_tag = Array.length kind_names - 1
 let kind_name msg = kind_names.(kind_tag msg)
@@ -117,7 +114,6 @@ let payload_of_msg msg =
   | Assign { a_epoch; a_payload } ->
       put_int buf a_epoch;
       put_str buf a_payload
-  | Heartbeat { b_done } -> put_int buf b_done
   | Outcome { o_iteration; o_payload } ->
       put_int buf o_iteration;
       put_str buf o_payload
@@ -173,13 +169,12 @@ let msg_of_payload tag payload =
         let a_epoch = take_int c in
         let a_payload = take_str c in
         Assign { a_epoch; a_payload }
-    | 4 -> Heartbeat { b_done = take_int c }
-    | 5 ->
+    | 4 ->
         let o_iteration = take_int c in
         let o_payload = take_str c in
         Outcome { o_iteration; o_payload }
-    | 6 -> Shutdown
-    | 7 ->
+    | 5 -> Shutdown
+    | 6 ->
         let t_incarnation = take_int c in
         let t_payload = take_str c in
         Telemetry { t_incarnation; t_payload }

@@ -26,10 +26,12 @@ val version : int
 val header_len : int
 val max_payload : int
 
-(** The seven message kinds, each carrying only what its receiver reads:
+(** The six message kinds, each carrying only what its receiver reads:
     campaign decisions (dedup, coverage, checkpoints) are made in the
     coordinator's fold, so no finding or checkpoint traffic crosses the
-    pipe, and no frame names its sender — the pipe it arrives on does. *)
+    pipe, and no frame names its sender — the pipe it arrives on does.
+    There is no heartbeat kind: the periodic [Telemetry] flush is the
+    heartbeat, and any frame proves the worker alive. *)
 type msg =
   | Hello of { h_pid : int; h_clock_us : int }
       (** first frame a worker sends: its OS pid and its wall clock in
@@ -43,8 +45,6 @@ type msg =
       (** coordinator → worker: {!Wire.plans_to_string} of a shard of
           one batch's plans; the worker logs [a_epoch] in its [assign]
           event line *)
-  | Heartbeat of { b_done : int }
-      (** worker → coordinator, periodic: total outcomes produced *)
   | Outcome of { o_iteration : int; o_payload : string }
       (** worker → coordinator: {!Wire.outcome_to_string} of one
           executed plan — the corpus-delta stream the fold consumes.
@@ -52,13 +52,13 @@ type msg =
           is collecting. *)
   | Shutdown  (** coordinator → worker: drain and exit cleanly *)
   | Telemetry of { t_incarnation : int; t_payload : string }
-      (** worker → coordinator, on the heartbeat cadence and at
+      (** worker → coordinator, every heartbeat interval and at
           shutdown: {!Wire.telemetry_to_string} of the worker's
           cumulative metrics snapshot, profiler aggregates, trace-event
           delta and buffered event lines.  [t_incarnation] is the spawn
-          generation the coordinator launched this worker under; frames
-          from a stale incarnation (a respawned slot's predecessor) are
-          ignored at ingest. *)
+          generation the coordinator launched this worker under; a frame
+          whose incarnation is not the slot's death count (a respawned
+          slot's predecessor) is ignored at ingest. *)
 
 val kind_name : msg -> string
 

@@ -1,21 +1,29 @@
 (* The coordinator's half of the fleet telemetry plane.
 
-   Workers flush [Telemetry] frames on their heartbeat cadence; this
-   module turns them into a per-slot aggregate the observers read:
-   worker-labelled metrics groups for /metrics and the JSON exporter,
-   merged profiles for --profile, clock-aligned trace events for the
-   merged Chrome trace, per-slot health (heartbeat-interval histogram,
-   restart timeline, last-seen, iterations) for /fleet and /status.
+   Workers flush [Telemetry] frames every heartbeat interval (the flush
+   is the heartbeat); this module turns them into a per-slot aggregate
+   the observers read: worker-labelled metrics groups for /metrics and
+   the JSON exporter, merged profiles for --profile, clock-aligned trace
+   events for the merged Chrome trace, and the per-slot rows of /fleet
+   and /status.
+
+   The plane keeps only what Telemetry frames and the Hello clock carry,
+   plus each slot's restart log.  Supervision facts — pid, state,
+   deaths, outcomes, last-frame age — live in the coordinator's worker
+   record alone; the coordinator publishes them here as one snapshot,
+   and [fleet_json] joins that snapshot with each slot's telemetry
+   stats, so every fact appears once.
 
    Incarnations make respawns safe: each slot's spawn generation is
    stamped into every frame its worker sends, and a frame whose
-   incarnation is not the slot's current one is counted and dropped —
-   a SIGKILLed predecessor whose last flush was still in the pipe
-   cannot pollute its successor's aggregates.  Within an incarnation
-   the metrics/profile payloads are cumulative, so ingest is last-wins;
-   across incarnations the retired generations' final batches are
-   summed (via {!Dvz_obs.Metrics.merge}/{!Dvz_obs.Profile.merge}) so a
-   slot's series reflect everything its workers ever did.
+   incarnation is not the slot's death count (which the coordinator
+   passes to [ingest]) is counted and dropped — a SIGKILLed predecessor
+   whose last flush was still in the pipe cannot pollute its
+   successor's aggregates.  Within an incarnation the metrics/profile
+   payloads are cumulative, so ingest is last-wins; across incarnations
+   the retired generations' final batches are summed (via
+   {!Dvz_obs.Metrics.merge}/{!Dvz_obs.Profile.merge}) so a slot's series
+   reflect everything its workers ever did.
 
    Everything here is observation: nothing the campaign folds into
    results ever reads this state, which is what keeps fleet output
@@ -27,27 +35,43 @@ module Events = Dvz_obs.Events
 module Clock = Dvz_obs.Clock
 module Json = Dvz_obs.Json
 
+(* Per-slot retained trace events; overflow is counted, not grown. *)
+let trace_cap = 262_144
+
 type slot_state = {
   ss_slot : int;
   ss_reg : Metrics.t;
-      (* coordinator-side per-slot series (heartbeat intervals, batch
+      (* coordinator-side per-slot series (flush intervals, batch
          counts, ...) — merged into the slot's label group *)
   ss_hb_interval : Metrics.histogram;
   ss_batches : Metrics.counter;
   ss_stale : Metrics.counter;
-  mutable ss_incarnation : int;
-  mutable ss_pid : int;
   mutable ss_clock_offset_s : float;  (* coordinator now - worker clock *)
-  mutable ss_last_seen : float;       (* coordinator clock, any frame *)
-  mutable ss_hb_last : float;         (* arrival of the last heartbeat *)
-  mutable ss_done : int;              (* iterations per last heartbeat *)
+  mutable ss_hb_last : float;  (* arrival of the last flush; nan after Hello *)
   mutable ss_current : Wire.telemetry_batch option;  (* this incarnation *)
   mutable ss_retired_metrics : Metrics.snapshot;  (* Σ dead incarnations *)
   mutable ss_retired_profile : Profile.entry list;
   mutable ss_trace : Profile.event list;  (* shifted, newest first *)
   mutable ss_trace_len : int;
-  mutable ss_trace_dropped : int;     (* coordinator-side cap overflow *)
+  mutable ss_trace_dropped : int;
+      (* coordinator-side cap overflow + dead incarnations' own drops *)
+  mutable ss_events_dropped : int;    (* Σ worker-side event overflow *)
   mutable ss_restarts : (float * string) list;  (* newest first *)
+}
+
+type worker_row = {
+  wr_slot : int;
+  wr_pid : int;
+  wr_state : string;
+  wr_deaths : int;
+  wr_outcomes : int;
+  wr_last_frame_age_s : float;
+}
+
+type supervision = {
+  sv_epoch : int;
+  sv_workers : worker_row list;
+  sv_counters : (string * int) list;
 }
 
 type t = {
@@ -55,91 +79,70 @@ type t = {
   p_mutex : Mutex.t;
   p_slots : (int, slot_state) Hashtbl.t;
   p_events : Events.sink;
-  p_trace_cap : int;  (* per-slot retained trace events *)
   p_started : float;
-  mutable p_stale_total : int;
+  mutable p_supervision : supervision option;
 }
 
-let create ?(clock = Clock.real) ?(events = Events.null)
-    ?(trace_cap = 262_144) () =
+let create ?(clock = Clock.real) ?(events = Events.null) () =
   { p_clock = clock;
     p_mutex = Mutex.create ();
     p_slots = Hashtbl.create 8;
     p_events = events;
-    p_trace_cap = trace_cap;
     p_started = Clock.now clock;
-    p_stale_total = 0 }
+    p_supervision = None }
 
 let locked t f =
   Mutex.lock t.p_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.p_mutex) f
 
+let new_slot_state t slot =
+  let reg = Metrics.create ~clock:t.p_clock () in
+  { ss_slot = slot;
+    ss_reg = reg;
+    ss_hb_interval =
+      Metrics.histogram reg
+        ~help:"Seconds between telemetry flushes (heartbeats) from this worker"
+        "dvz_fleet_heartbeat_interval_seconds";
+    ss_batches =
+      Metrics.counter reg
+        ~help:"Telemetry batches ingested from this worker slot"
+        "dvz_fleet_telemetry_batches_total";
+    ss_stale =
+      Metrics.counter reg
+        ~help:
+          "Telemetry frames dropped because they carried a stale incarnation"
+        "dvz_fleet_telemetry_stale_total";
+    ss_clock_offset_s = 0.0;
+    ss_hb_last = nan;
+    ss_current = None;
+    ss_retired_metrics = Metrics.empty_snapshot;
+    ss_retired_profile = [];
+    ss_trace = [];
+    ss_trace_len = 0;
+    ss_trace_dropped = 0;
+    ss_events_dropped = 0;
+    ss_restarts = [] }
+
 let slot_state t slot =
   match Hashtbl.find_opt t.p_slots slot with
   | Some ss -> ss
   | None ->
-      let reg = Metrics.create ~clock:t.p_clock () in
-      let ss =
-        { ss_slot = slot;
-          ss_reg = reg;
-          ss_hb_interval =
-            Metrics.histogram reg
-              ~help:"Seconds between heartbeat arrivals from this worker"
-              "dvz_fleet_heartbeat_interval_seconds";
-          ss_batches =
-            Metrics.counter reg
-              ~help:"Telemetry batches ingested from this worker slot"
-              "dvz_fleet_telemetry_batches_total";
-          ss_stale =
-            Metrics.counter reg
-              ~help:
-                "Telemetry frames dropped because they carried a stale \
-                 incarnation"
-              "dvz_fleet_telemetry_stale_total";
-          ss_incarnation = 0;
-          ss_pid = 0;
-          ss_clock_offset_s = 0.0;
-          ss_last_seen = Clock.now t.p_clock;
-          ss_hb_last = nan;
-          ss_done = 0;
-          ss_current = None;
-          ss_retired_metrics = Metrics.empty_snapshot;
-          ss_retired_profile = [];
-          ss_trace = [];
-          ss_trace_len = 0;
-          ss_trace_dropped = 0;
-          ss_restarts = [] }
-      in
+      let ss = new_slot_state t slot in
       Hashtbl.replace t.p_slots slot ss;
       ss
 
-let seen t ~slot =
-  locked t (fun () ->
-      (slot_state t slot).ss_last_seen <- Clock.now t.p_clock)
-
-let hello t ~slot ~incarnation ~pid ~clock_us =
+let hello t ~slot ~clock_us =
   locked t (fun () ->
       let ss = slot_state t slot in
-      let now = Clock.now t.p_clock in
-      ss.ss_incarnation <- incarnation;
-      ss.ss_pid <- pid;
-      ss.ss_clock_offset_s <- now -. (float_of_int clock_us /. 1e6);
-      ss.ss_last_seen <- now;
+      ss.ss_clock_offset_s <-
+        Clock.now t.p_clock -. (float_of_int clock_us /. 1e6);
       ss.ss_hb_last <- nan)
 
-let heartbeat t ~slot ~done_count =
-  locked t (fun () ->
-      let ss = slot_state t slot in
-      let now = Clock.now t.p_clock in
-      if not (Float.is_nan ss.ss_hb_last) then
-        Metrics.observe ss.ss_hb_interval (now -. ss.ss_hb_last);
-      ss.ss_hb_last <- now;
-      ss.ss_last_seen <- now;
-      ss.ss_done <- done_count)
-
 (* The slot's worker died: its current incarnation will never flush
-   again, so fold its final cumulative batch into the retired sums and
-   log the restart.  The successor's frames carry a new incarnation. *)
+   again, so fold its final cumulative batch (aggregates and trace-drop
+   count) into the retired sums and log the restart.  The coordinator's
+   death count, against which [ingest] checks incarnations, has already
+   moved on. *)
 let record_restart t ~slot ~reason =
   locked t (fun () ->
       let ss = slot_state t slot in
@@ -150,33 +153,33 @@ let record_restart t ~slot ~reason =
             Metrics.merge ss.ss_retired_metrics b.Wire.tb_metrics;
           ss.ss_retired_profile <-
             Profile.merge ss.ss_retired_profile b.Wire.tb_profile;
+          ss.ss_trace_dropped <- ss.ss_trace_dropped + b.Wire.tb_trace_dropped;
           ss.ss_current <- None);
-      (* Match the coordinator's restart counter so any frame of the dead
-         generation still in flight is stale from this point on, even
-         before the successor's Hello re-announces the slot. *)
-      ss.ss_incarnation <- ss.ss_incarnation + 1;
       ss.ss_restarts <-
         (Clock.now t.p_clock -. t.p_started, reason) :: ss.ss_restarts)
 
-let ingest t ~slot ~incarnation (batch : Wire.telemetry_batch) =
+let ingest t ~slot ~deaths ~incarnation (batch : Wire.telemetry_batch) =
   let replay =
     locked t (fun () ->
         let ss = slot_state t slot in
-        let now = Clock.now t.p_clock in
-        ss.ss_last_seen <- now;
-        if incarnation <> ss.ss_incarnation then begin
+        if incarnation <> deaths then begin
           Metrics.incr ss.ss_stale;
-          t.p_stale_total <- t.p_stale_total + 1;
           None
         end
         else begin
+          let now = Clock.now t.p_clock in
+          if not (Float.is_nan ss.ss_hb_last) then
+            Metrics.observe ss.ss_hb_interval (now -. ss.ss_hb_last);
+          ss.ss_hb_last <- now;
           Metrics.incr ss.ss_batches;
           ss.ss_current <- Some batch;
+          ss.ss_events_dropped <-
+            ss.ss_events_dropped + batch.Wire.tb_events_dropped;
           (* Trace deltas append, shifted onto the coordinator's clock
              and capped per slot. *)
           List.iter
             (fun ev ->
-              if ss.ss_trace_len >= t.p_trace_cap then
+              if ss.ss_trace_len >= trace_cap then
                 ss.ss_trace_dropped <- ss.ss_trace_dropped + 1
               else begin
                 ss.ss_trace <-
@@ -201,7 +204,11 @@ let ingest t ~slot ~incarnation (batch : Wire.telemetry_batch) =
       List.iter (Events.emit_rendered sink) batch.Wire.tb_events;
       true
 
-let stale_frames t = locked t (fun () -> t.p_stale_total)
+let stale_frames t =
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun _ ss n -> n + Metrics.counter_value ss.ss_stale)
+        t.p_slots 0)
 
 let merged_slot_metrics ss =
   let base =
@@ -253,20 +260,24 @@ let trace_groups t =
                   ss.ss_trace ))
         (sorted_slots t))
 
-let slot_json t ss =
-  let now = Clock.now t.p_clock in
-  let hb = Metrics.histogram_count ss.ss_hb_interval in
-  let hb_mean =
-    if hb = 0 then 0.0 else Metrics.histogram_sum ss.ss_hb_interval /. float_of_int hb
+let publish t sv = locked t (fun () -> t.p_supervision <- Some sv)
+
+(* One slot's row: the coordinator's supervision facts, then the
+   plane's own per-slot stats (zeros for a slot that has not said Hello
+   yet, without registering it). *)
+let row_json t w =
+  let ss =
+    match Hashtbl.find_opt t.p_slots w.wr_slot with
+    | Some ss -> ss
+    | None -> new_slot_state t w.wr_slot
   in
   Json.Obj
-    [ ("slot", Json.Int ss.ss_slot);
-      ("incarnation", Json.Int ss.ss_incarnation);
-      ("pid", Json.Int ss.ss_pid);
-      ("iterations", Json.Int ss.ss_done);
-      ("last_seen_s", Json.Float (now -. ss.ss_last_seen));
-      ("heartbeats", Json.Int hb);
-      ("heartbeat_mean_s", Json.Float hb_mean);
+    [ ("slot", Json.Int w.wr_slot);
+      ("pid", Json.Int w.wr_pid);
+      ("state", Json.Str w.wr_state);
+      ("incarnation", Json.Int w.wr_deaths);
+      ("outcomes", Json.Int w.wr_outcomes);
+      ("last_frame_age_s", Json.Float w.wr_last_frame_age_s);
       ( "telemetry_batches",
         Json.Int (Metrics.counter_value ss.ss_batches) );
       ("stale_frames", Json.Int (Metrics.counter_value ss.ss_stale));
@@ -277,7 +288,8 @@ let slot_json t ss =
           + match ss.ss_current with
             | Some b -> b.Wire.tb_trace_dropped
             | None -> 0) );
-      ( "restarts",
+      ("events_dropped", Json.Int ss.ss_events_dropped);
+      ( "restart_log",
         Json.Arr
           (List.rev_map
              (fun (at, reason) ->
@@ -285,8 +297,12 @@ let slot_json t ss =
                  [ ("at_s", Json.Float at); ("reason", Json.Str reason) ])
              ss.ss_restarts) ) ]
 
-let health_json t =
+let fleet_json t =
   locked t (fun () ->
-      Json.Obj
-        [ ("stale_frames", Json.Int t.p_stale_total);
-          ("workers", Json.Arr (List.map (slot_json t) (sorted_slots t))) ])
+      match t.p_supervision with
+      | None -> Json.Obj [ ("phase", Json.Str "starting") ]
+      | Some sv ->
+          Json.Obj
+            (("epoch", Json.Int sv.sv_epoch)
+            :: ("workers", Json.Arr (List.map (row_json t) sv.sv_workers))
+            :: List.map (fun (k, v) -> (k, Json.Int v)) sv.sv_counters))

@@ -82,7 +82,6 @@ let outcome_of_string s : (Executor.outcome, string) result =
    coordinator appends them, and a flush lost with its process loses
    only that window's events. *)
 type telemetry_batch = {
-  tb_seq : int;
   tb_metrics : Dvz_obs.Metrics.snapshot;
   tb_profile : Dvz_obs.Profile.entry list;
   tb_trace : Dvz_obs.Profile.event list;

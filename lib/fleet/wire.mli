@@ -21,7 +21,9 @@ type spec = {
   w_max_slots : int option;
   w_max_wall_s : float option;
   w_jobs : int;  (** domains each worker uses for its shard *)
-  w_heartbeat_s : float;  (** heartbeat send interval *)
+  w_heartbeat_s : float;
+      (** telemetry flush interval — the flush is the heartbeat; [0.]
+          flushes only at shutdown *)
   w_profile : bool;  (** arm the worker's self-profiler *)
   w_trace : bool;  (** additionally record trace events for the merged
                        Chrome trace *)
@@ -43,11 +45,10 @@ val outcome_of_string : string -> (Dejavuzz.Executor.outcome, string) result
     [tb_metrics] and [tb_profile] are cumulative since process start
     (ingest keeps the latest batch per incarnation — last-wins, so a
     lost flush never double counts); [tb_trace] and [tb_events] are
-    deltas since the previous flush (ingest appends).  [tb_seq] counts
-    flushes; the [_dropped] fields report worker-side overflow of the
-    bounded trace buffer / event queue. *)
+    deltas since the previous flush (ingest appends).  The [_dropped]
+    fields report worker-side overflow of the bounded trace buffer /
+    event queue; [/fleet] shows both. *)
 type telemetry_batch = {
-  tb_seq : int;
   tb_metrics : Dvz_obs.Metrics.snapshot;
   tb_profile : Dvz_obs.Profile.entry list;
   tb_trace : Dvz_obs.Profile.event list;

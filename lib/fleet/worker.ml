@@ -10,12 +10,13 @@
    any instant loses nothing but wall-clock time, and why nothing but
    outcomes flows back.
 
-   Telemetry rides the same pipe: on each heartbeat tick, and once more
-   at shutdown, the worker flushes a [Telemetry] frame — its cumulative
-   metrics snapshot and profiler aggregates, plus the trace-event and
-   event-line deltas since the last flush.  Telemetry is observation
-   only; nothing the coordinator folds into campaign results ever comes
-   from it. *)
+   Telemetry rides the same pipe: every heartbeat interval, and once
+   more at shutdown, the worker flushes a [Telemetry] frame — its
+   cumulative metrics snapshot and profiler aggregates, plus the
+   trace-event and event-line deltas since the last flush.  That flush
+   is the heartbeat: it is the only periodic frame, and any frame
+   proves the worker alive.  Telemetry is observation only; nothing the
+   coordinator folds into campaign results ever comes from it. *)
 
 module Executor = Dejavuzz.Executor
 module Metrics = Dvz_obs.Metrics
@@ -34,9 +35,8 @@ type t = {
   k_reader : Proto.reader;
   k_write_mutex : Mutex.t;  (* heartbeat thread vs main loop *)
   k_flush_mutex : Mutex.t;  (* telemetry flush: heartbeat vs shutdown *)
-  k_done : int Atomic.t;
   k_events : Events.sink;  (* bounded queue drained into each flush *)
-  mutable k_seq : int;          (* flushes sent; under k_flush_mutex *)
+  mutable k_done : int;  (* outcomes sent; main loop only *)
   mutable k_trace_cursor : int; (* trace delta cursor; under k_flush_mutex *)
   mutable k_ctx : (Wire.spec * Executor.ctx) option;
   mutable k_heartbeat : Thread.t option;
@@ -68,15 +68,13 @@ let flush_telemetry t =
       let trace, cursor = Profile.events_from t.k_trace_cursor in
       let lines, dropped = Events.drain t.k_events in
       let batch =
-        { Wire.tb_seq = t.k_seq;
-          tb_metrics = Metrics.snapshot Metrics.default;
+        { Wire.tb_metrics = Metrics.snapshot Metrics.default;
           tb_profile = Profile.snapshot ();
           tb_trace = trace;
           tb_trace_dropped = Profile.events_dropped ();
           tb_events = lines;
           tb_events_dropped = dropped }
       in
-      t.k_seq <- t.k_seq + 1;
       t.k_trace_cursor <- cursor;
       send t
         (Proto.Telemetry
@@ -95,7 +93,6 @@ let start_heartbeat t (spec : Wire.spec) =
              try
                while true do
                  Unix.sleepf spec.Wire.w_heartbeat_s;
-                 send t (Proto.Heartbeat { b_done = Atomic.get t.k_done });
                  flush_telemetry t
                done
              with _ -> ())
@@ -123,7 +120,7 @@ let build_ctx (spec : Wire.spec) =
             (Printf.sprintf "dvz_campaign_iterations_domain_%d" i)) }
 
 let send_outcome t (o : Executor.outcome) =
-  Atomic.incr t.k_done;
+  t.k_done <- t.k_done + 1;
   send t
     (Proto.Outcome
        { o_iteration = o.Executor.oc_iteration;
@@ -177,11 +174,10 @@ let handle t msg =
   | Proto.Shutdown ->
       (* The final flush: whatever accumulated since the last heartbeat
          still reaches the coordinator before the pipe closes. *)
-      emit_event t "shutdown" [ ("done", Json.Int (Atomic.get t.k_done)) ];
+      emit_event t "shutdown" [ ("done", Json.Int t.k_done) ];
       (try flush_telemetry t with Hangup -> ());
       raise Hangup
-  | Proto.Hello _ | Proto.Heartbeat _ | Proto.Outcome _ | Proto.Telemetry _
-    ->
+  | Proto.Hello _ | Proto.Outcome _ | Proto.Telemetry _ ->
       failwith
         (Printf.sprintf "fleet worker: unexpected %s frame from coordinator"
            (Proto.kind_name msg))
@@ -203,9 +199,8 @@ let main ?(log = ignore) ?(incarnation = 0) ~in_fd ~out_fd () =
       k_reader = Proto.reader ();
       k_write_mutex = Mutex.create ();
       k_flush_mutex = Mutex.create ();
-      k_done = Atomic.make 0;
       k_events = Events.batch ();
-      k_seq = 0;
+      k_done = 0;
       k_trace_cursor = 0;
       k_ctx = None;
       k_heartbeat = None }

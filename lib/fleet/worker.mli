@@ -4,12 +4,12 @@
     [Hello], builds its executor context from the one [Config] frame,
     then executes each [Assign]ed shard of plans, streaming one
     [Outcome] frame per plan (in plan order), while a background thread
-    emits periodic [Heartbeat]s — each followed by a [Telemetry] flush
-    (metrics snapshot, profiler aggregates, trace/event deltas), with
-    one final flush on [Shutdown].  All campaign state — corpus,
-    coverage, dedup, checkpoints — lives in the coordinator, so a worker
-    killed at any instant costs only the re-execution of its outstanding
-    plans, never a result. *)
+    sends a [Telemetry] flush (metrics snapshot, profiler aggregates,
+    trace/event deltas) every heartbeat interval — the flush is the
+    heartbeat — with one final flush on [Shutdown].  All campaign state
+    — corpus, coverage, dedup, checkpoints — lives in the coordinator,
+    so a worker killed at any instant costs only the re-execution of
+    its outstanding plans, never a result. *)
 
 val main :
   ?log:(string -> unit) ->

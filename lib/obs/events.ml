@@ -81,6 +81,22 @@ let rec write_line sink line =
               else Queue.add line b.bt_lines
           | Null | Tee _ -> ())
 
+(* Held lines are rendered JSON, which never contains a raw newline, so
+   the buffer splits back into exactly the lines emitted. *)
+let defer sink =
+  if is_null sink then (null, ignore)
+  else begin
+    let held = Buffer.create 4096 in
+    let commit () =
+      let lines = Buffer.contents held in
+      Buffer.clear held;
+      List.iter
+        (fun line -> if line <> "" then write_line sink line)
+        (String.split_on_char '\n' lines)
+    in
+    ({ (to_buffer held) with context = sink.context }, commit)
+  end
+
 let emit sink fields =
   if not (is_null sink) then
     write_line sink (Json.to_string (Json.Obj (fields @ sink.context)))

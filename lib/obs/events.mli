@@ -37,6 +37,15 @@ val with_context : sink -> (string * Json.t) list -> sink
     [("fuzzer", Str "DejaVuzz"); ("trial", Int 3)]).  The underlying
     target and lock are shared with the parent. *)
 
+val defer : sink -> sink * (unit -> unit)
+(** [defer sink] is a sink that renders each line exactly as [sink]
+    would (same context fields) but holds it in memory, paired with a
+    [commit] that appends the held lines to [sink] in emission order
+    and empties the hold.  Parallel campaigns sharing one sink each run
+    into their own deferred sink and commit in a fixed order, so the
+    shared log's line order does not depend on scheduling.  On a null
+    [sink], the null sink and a no-op commit. *)
+
 val is_null : sink -> bool
 (** True when emission would be a no-op — guard record construction on
     this in hot paths. *)

@@ -85,11 +85,14 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let arm ?(clock = Clock.real) ?(trace = false) ?(trace_cap = 262_144) () =
+(* Trace events a process retains; allocated on the first traced arm. *)
+let trace_cap = 262_144
+
+let arm ?(clock = Clock.real) ?(trace = false) () =
   locked (fun () ->
       clock_ref := clock;
       if trace then begin
-        if Array.length !trace_slots <> trace_cap then
+        if Array.length !trace_slots = 0 then
           trace_slots := Array.make trace_cap None;
         Atomic.set trace_next 0;
         Atomic.set trace_dropped 0;

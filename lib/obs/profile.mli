@@ -27,9 +27,10 @@ type event = {
   ev_dur : float;
 }
 
-val arm : ?clock:Clock.t -> ?trace:bool -> ?trace_cap:int -> unit -> unit
+val arm : ?clock:Clock.t -> ?trace:bool -> unit -> unit
 (** Enable recording.  [trace] additionally records individual region
-    events (up to [trace_cap]; overflow is dropped and counted). *)
+    events (up to 262144 per process; overflow is dropped and
+    counted). *)
 
 val disarm : unit -> unit
 val armed : unit -> bool

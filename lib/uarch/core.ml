@@ -644,8 +644,6 @@ let areg_srcs rs = List.map (fun r -> Elem.Areg (Reg.to_int r)) rs
 
 let step_committed t =
   let pc = Golden.pc t.arch in
-  if t.cfg.Config.fetch_contention_bug then
-    t.cycles <- max t.cycles t.fetch_busy_until;
   (* [events] accumulates newest-first ([List.rev] at the end) so each
      [emit] is O(|es|) instead of copying the whole tail. *)
   let events = ref [] and cost = ref 0 in
@@ -907,9 +905,10 @@ let fetch_watched t =
 (* Derived training pads every packet with nops up to the trigger address,
    so most committed slots are the canonical nop.  Its [step_committed]
    slot is the fetch alone: one icache access, the golden pc + 4, a clean
-   RoB write, cost 1 plus the refill latency on a miss (after the B4 stall
-   on [fetch_busy_until], which a committed fetch never raises); no
-   predictor, queue, TLB or dcache effect.  So a run of them advances in
+   RoB write, cost 1 plus the refill latency on a miss; no predictor,
+   queue, TLB or dcache effect.  (The B4 stall cannot reach it: only a
+   transient fetch raises [fetch_busy_until], and [close_window] lifts
+   [cycles] past it at every squash.)  So a run of them advances in
    closed form.  [Taintstate.committed_nop] mirrors the slot's events. *)
 
 let nop_word = Encode.encode Insn.nop
@@ -960,8 +959,6 @@ let nop_run_pair a b limit =
 
 let skip_nops ?each t n =
   let pc0 = Golden.pc t.arch and slot0 = t.slot in
-  if t.cfg.Config.fetch_contention_bug then
-    t.cycles <- max t.cycles t.fetch_busy_until;
   let misses = ref 0 and k = ref 0 in
   while !k < n do
     let pc = pc0 + (4 * !k) in

@@ -154,6 +154,54 @@ let test_table5_shape () =
     | None -> false);
   ignore (E.Table5.render [ r ])
 
+(* An event log with the wall-clock fields removed, one string a line. *)
+let strip_timing log =
+  match Dvz_obs.Json.of_lines log with
+  | Error e -> Alcotest.failf "unparseable event log: %s" e
+  | Ok events ->
+      List.map
+        (function
+          | Dvz_obs.Json.Obj fields ->
+              Dvz_obs.Json.to_string
+                (Dvz_obs.Json.Obj
+                   (List.filter
+                      (fun (k, _) ->
+                        not
+                          (List.mem k
+                             [ "phase1_s"; "phase2_s"; "phase3_s";
+                               "elapsed_s" ]))
+                      fields))
+          | ev -> Dvz_obs.Json.to_string ev)
+        events
+
+(* The per-core campaigns of [run_many] share one sink on parallel
+   domains, yet its log is each core's log in list order — exactly what
+   [Table5.run] writes for each core alone — whatever the domain count. *)
+let test_table5_nested_log () =
+  let log run =
+    let buf = Buffer.create 65536 in
+    run
+      { Dejavuzz.Campaign.quiet with
+        Dejavuzz.Campaign.t_events = Dvz_obs.Events.to_buffer buf };
+    strip_timing (Buffer.contents buf)
+  in
+  let many =
+    log (fun telemetry ->
+        ignore
+          (E.Table5.run_many ~iterations:30 ~rng_seed:5 ~telemetry
+             [ boom; xs ]))
+  in
+  let alone =
+    List.concat_map
+      (fun cfg ->
+        log (fun telemetry ->
+            ignore (E.Table5.run ~iterations:30 ~rng_seed:5 ~telemetry cfg)))
+      [ boom; xs ]
+  in
+  Alcotest.(check bool) "both cores logged" true (List.length alone > 60);
+  Alcotest.(check (list string)) "run_many log = the cores' logs in order"
+    alone many
+
 let test_liveness_shape () =
   let r = E.Liveness_eval.run ~iterations:50 ~rng_seed:9 boom in
   Alcotest.(check bool) "candidates found" true (r.E.Liveness_eval.candidates > 0);
@@ -228,7 +276,10 @@ let () =
       ( "table3", [ Alcotest.test_case "shape" `Slow test_table3_shape ] );
       ( "table4", [ Alcotest.test_case "shape" `Quick test_table4_shape ] );
       ( "fig7", [ Alcotest.test_case "shape" `Slow test_fig7_shape ] );
-      ( "table5", [ Alcotest.test_case "shape" `Slow test_table5_shape ] );
+      ( "table5",
+        [ Alcotest.test_case "shape" `Slow test_table5_shape;
+          Alcotest.test_case "nested log is per-core, in order" `Quick
+            test_table5_nested_log ] );
       ( "liveness", [ Alcotest.test_case "shape" `Quick test_liveness_shape ] );
       ( "ablation", [ Alcotest.test_case "shape" `Slow test_ablation_shape ] );
       ( "bugcheck",

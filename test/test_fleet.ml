@@ -42,7 +42,6 @@ let arb_msg =
         Gen.map (fun s -> Proto.Config { c_payload = s }) (gen blob);
         Gen.map2 (fun e s -> Proto.Assign { a_epoch = e; a_payload = s })
           (gen nat) (gen blob);
-        Gen.map (fun d -> Proto.Heartbeat { b_done = d }) (gen nat);
         Gen.map2
           (fun i s -> Proto.Outcome { o_iteration = i; o_payload = s })
           (gen nat) (gen blob);
@@ -62,7 +61,6 @@ let sample_msgs =
   [ Proto.Hello { h_pid = 4242; h_clock_us = 1_700_000_000 };
     Proto.Config { c_payload = "spec-bytes \x00\xff" };
     Proto.Assign { a_epoch = 7; a_payload = String.make 100 'p' };
-    Proto.Heartbeat { b_done = 99 };
     Proto.Outcome { o_iteration = 17; o_payload = "out" };
     Proto.Shutdown;
     Proto.Telemetry { t_incarnation = 2; t_payload = "batch" } ]
@@ -128,7 +126,7 @@ let test_crc_mismatch_rejected () =
   expect_error "flipped payload byte" Proto.Crc_mismatch r
 
 let test_bad_version_and_kind_rejected () =
-  let frame = Proto.encode (Proto.Heartbeat { b_done = 1 }) in
+  let frame = Proto.encode Proto.Shutdown in
   let r = Proto.reader () in
   Proto.feed_string r (patch_byte frame 4 (fun v -> v + 1));
   expect_error "future version" (Proto.Bad_version (Proto.version + 1)) r;
@@ -167,8 +165,8 @@ let test_oversized_rejected () =
 let test_trailing_payload_bytes_rejected () =
   (* A structurally valid frame whose payload has extra bytes after the
      last field is a framing bug, not data to ignore. *)
-  let frame = Proto.encode (Proto.Heartbeat { b_done = 5 }) in
-  let payload = String.sub frame Proto.header_len 8 ^ "extra" in
+  let frame = Proto.encode (Proto.Hello { h_pid = 5; h_clock_us = 6 }) in
+  let payload = String.sub frame Proto.header_len 16 ^ "extra" in
   let b = Bytes.make Proto.header_len '\000' in
   Bytes.blit_string "DVZF" 0 b 0 4;
   Bytes.set b 4 (Char.chr Proto.version);
@@ -178,7 +176,7 @@ let test_trailing_payload_bytes_rejected () =
     (Int32.of_int (Dvz_resilience.Snapshot.crc32 payload));
   let r = Proto.reader () in
   Proto.feed_string r (Bytes.to_string b ^ payload);
-  expect_error "trailing bytes" (Proto.Bad_payload "heartbeat") r
+  expect_error "trailing bytes" (Proto.Bad_payload "hello") r
 
 (* --- supervision --------------------------------------------------------- *)
 
@@ -223,13 +221,13 @@ let baseline_events ?resilience options =
   let stats = Campaign.run ~telemetry ?resilience ~jobs:1 boom options in
   (stats, Buffer.contents buf)
 
-let fleet_events ?resilience opts options =
+let fleet_events ?resilience ?(plane = Telemetry.create ()) opts options =
   let buf = Buffer.create 4096 in
   let telemetry =
     { Campaign.quiet with Campaign.t_events = Dvz_obs.Events.to_buffer buf }
   in
   let stats, fstats =
-    Coordinator.run ~telemetry ?resilience opts boom options
+    Coordinator.run ~telemetry ?resilience ~plane opts boom options
   in
   (stats, fstats, Buffer.contents buf)
 
@@ -280,16 +278,49 @@ let test_fleet_honours_watchdog () =
   in
   check_matches_baseline "watchdog" base (stats, events)
 
+(* The /fleet rows of a finished run, by slot. *)
+let fleet_rows plane =
+  let j = Telemetry.fleet_json plane in
+  match Dvz_obs.Json.member "workers" j with
+  | Some ws -> Dvz_obs.Json.to_list ws
+  | None -> Alcotest.failf "no workers in %s" (Dvz_obs.Json.to_string j)
+
+let row_int row key =
+  match Option.bind (Dvz_obs.Json.member key row) Dvz_obs.Json.to_int with
+  | Some v -> v
+  | None -> Alcotest.failf "row lacks %s: %s" key (Dvz_obs.Json.to_string row)
+
 let test_fleet_survives_sigkill () =
   let base = baseline_events options in
   let opts =
     { (quiet_opts ~workers:2) with
       Coordinator.fl_chaos = [ (1, 1, Sys.sigkill) ] }
   in
-  let stats, fstats, events = fleet_events opts options in
+  let plane = Telemetry.create () in
+  let stats, fstats, events = fleet_events ~plane opts options in
   check_matches_baseline "kill+respawn" base (stats, events);
   Alcotest.(check bool) "death was observed and respawn scheduled" true
-    (fstats.Coordinator.fs_restarts >= 1)
+    (fstats.Coordinator.fs_restarts >= 1);
+  (* The killed slot's row: its death count is the incarnation, and its
+     restart log holds the one death with the reason. *)
+  match fleet_rows plane with
+  | [ r0; r1 ] ->
+      Alcotest.(check int) "survivor's incarnation" 0
+        (row_int r0 "incarnation");
+      Alcotest.(check int) "killed slot's incarnation" 1
+        (row_int r1 "incarnation");
+      let log =
+        Option.fold ~none:[] ~some:Dvz_obs.Json.to_list
+          (Dvz_obs.Json.member "restart_log" r1)
+      in
+      Alcotest.(check int) "one restart-log entry" 1 (List.length log);
+      let reason =
+        Option.bind (Dvz_obs.Json.member "reason" (List.hd log))
+          Dvz_obs.Json.to_str
+      in
+      Alcotest.(check bool) "the entry carries the reason" true
+        (match reason with Some r -> r <> "" | None -> false)
+  | rows -> Alcotest.failf "%d rows for 2 slots" (List.length rows)
 
 let test_fleet_degrades_to_inline () =
   (* Kill both workers with no respawn budget: every slot retires and
@@ -365,42 +396,83 @@ let counter_value snap name =
   | Some (_, _, v) -> v
   | None -> 0
 
-(* The wire carries nothing the coordinator does not act on.  With
-   heartbeats off, a run without respawns decodes exactly one Hello per
-   worker and one Outcome per plan, plus each worker's final Telemetry
-   flush when a plane is attached (only then is it drained); each worker
+let sum_slots plane name =
+  List.fold_left
+    (fun n (_, snap) -> n + counter_value snap name)
+    0 (Telemetry.worker_metrics plane)
+
+(* The wire carries nothing the coordinator does not act on.  A run
+   without respawns decodes exactly one Hello per worker, one Outcome
+   per plan and the Telemetry flushes — with heartbeats off, just each
+   worker's final flush; with them on, every flush, which is the
+   heartbeat (no other frame is sent for liveness).  Each worker
    decodes its Config, one Assign per batch and the Shutdown. *)
 let test_fleet_frames_exact () =
   let frames = Metrics.counter Metrics.default "dvz_fleet_frames_total" in
-  let opts = { (quiet_opts ~workers:2) with Coordinator.fl_heartbeat_s = 0.0 } in
   let batches = options.Campaign.iterations / options.Campaign.batch in
   List.iter
-    (fun with_plane ->
-      let plane = if with_plane then Some (Telemetry.create ()) else None in
+    (fun heartbeat_s ->
+      let opts =
+        { (quiet_opts ~workers:2) with
+          Coordinator.fl_heartbeat_s = heartbeat_s }
+      in
+      let plane = Telemetry.create () in
       let before = Metrics.counter_value frames in
-      let _, fstats = Coordinator.run ?plane opts boom options in
+      let _, fstats = Coordinator.run ~plane opts boom options in
+      let decoded = Metrics.counter_value frames - before in
       Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts;
+      let flushes =
+        sum_slots plane "dvz_fleet_telemetry_batches_total"
+        + Telemetry.stale_frames plane
+      in
+      if heartbeat_s = 0.0 then
+        Alcotest.(check int) "one final flush per worker" 2 flushes;
       Alcotest.(check int)
-        (Printf.sprintf "coordinator frames (plane attached: %b)" with_plane)
-        (2 + options.Campaign.iterations + if with_plane then 2 else 0)
-        (Metrics.counter_value frames - before);
-      Option.iter
-        (fun plane ->
-          List.iter
-            (fun (slot, snap) ->
-              Alcotest.(check int)
-                (Printf.sprintf "worker %d frames" slot)
-                (1 + batches + 1)
-                (counter_value snap "dvz_fleet_frames_total"))
-            (Telemetry.worker_metrics plane))
-        plane)
-    [ false; true ]
+        (Printf.sprintf "coordinator frames (heartbeat %gs)" heartbeat_s)
+        (2 + options.Campaign.iterations + flushes)
+        decoded;
+      List.iter
+        (fun (slot, snap) ->
+          Alcotest.(check int)
+            (Printf.sprintf "worker %d frames" slot)
+            (1 + batches + 1)
+            (counter_value snap "dvz_fleet_frames_total"))
+        (Telemetry.worker_metrics plane))
+    [ 0.0; 0.001 ]
+
+(* /fleet serves one row per slot, each fact once: the outcome counts
+   are the Outcome frames the coordinator recorded, so they sum to the
+   iteration count exactly however often the workers flush. *)
+let test_fleet_rows_one_per_slot () =
+  let options = { options with Campaign.iterations = 600; batch = 8 } in
+  let opts =
+    { (quiet_opts ~workers:2) with Coordinator.fl_heartbeat_s = 0.001 }
+  in
+  let plane = Telemetry.create () in
+  let _, fstats = Coordinator.run ~plane opts boom options in
+  Alcotest.(check int) "no restarts" 0 fstats.Coordinator.fs_restarts;
+  let rows = fleet_rows plane in
+  Alcotest.(check (list int)) "one row per slot" [ 0; 1 ]
+    (List.map (fun r -> row_int r "slot") rows);
+  Alcotest.(check int) "outcomes sum to the iteration count"
+    options.Campaign.iterations
+    (List.fold_left (fun n r -> n + row_int r "outcomes") 0 rows);
+  List.iter
+    (fun r ->
+      let slot = row_int r "slot" in
+      Alcotest.(check bool)
+        (Printf.sprintf "slot %d shipped telemetry" slot)
+        true
+        (row_int r "telemetry_batches" >= 1);
+      Alcotest.(check int)
+        (Printf.sprintf "slot %d incarnation" slot)
+        0 (row_int r "incarnation"))
+    rows
 
 (* --- telemetry plane ----------------------------------------------------- *)
 
-let sample_batch ?(seq = 1) ?(counter = ("dvz_test_iters_total", "", 7)) () =
-  { Wire.tb_seq = seq;
-    tb_metrics =
+let sample_batch ?(counter = ("dvz_test_iters_total", "", 7)) () =
+  { Wire.tb_metrics =
       { Metrics.empty_snapshot with Metrics.sn_counters = [ counter ] };
     tb_profile =
       [ { Profile.pf_path = "campaign/iteration";
@@ -456,10 +528,10 @@ let test_partial_flush_rejected () =
 let test_lost_flush_keeps_aggregates_consistent () =
   let clock = Dvz_obs.Clock.fake () in
   let plane = Telemetry.create ~clock () in
-  Telemetry.hello plane ~slot:0 ~incarnation:0 ~pid:100 ~clock_us:0;
-  let b1 = sample_batch ~seq:1 ~counter:("dvz_test_iters_total", "", 7) () in
+  Telemetry.hello plane ~slot:0 ~clock_us:0;
+  let b1 = sample_batch ~counter:("dvz_test_iters_total", "", 7) () in
   Alcotest.(check bool) "first flush ingested" true
-    (Telemetry.ingest plane ~slot:0 ~incarnation:0 b1);
+    (Telemetry.ingest plane ~slot:0 ~deaths:0 ~incarnation:0 b1);
   (* The second (cumulative) flush dies mid-write: the coordinator only
      ever sees the CRC-rejected prefix, then declares the worker dead. *)
   Telemetry.record_restart plane ~slot:0 ~reason:"sigkill mid-flush";
@@ -467,28 +539,66 @@ let test_lost_flush_keeps_aggregates_consistent () =
   Alcotest.(check int) "retired aggregate keeps the last acked flush" 7
     (counter_value snap_after_death "dvz_test_iters_total");
   (* The respawned incarnation reports afresh; sums, no double count. *)
-  Telemetry.hello plane ~slot:0 ~incarnation:1 ~pid:101 ~clock_us:0;
-  let b2 = sample_batch ~seq:1 ~counter:("dvz_test_iters_total", "", 5) () in
+  Telemetry.hello plane ~slot:0 ~clock_us:0;
+  let b2 = sample_batch ~counter:("dvz_test_iters_total", "", 5) () in
   Alcotest.(check bool) "successor flush ingested" true
-    (Telemetry.ingest plane ~slot:0 ~incarnation:1 b2);
+    (Telemetry.ingest plane ~slot:0 ~deaths:1 ~incarnation:1 b2);
   let snap = List.assoc 0 (Telemetry.worker_metrics plane) in
   Alcotest.(check int) "retired + live incarnations sum" 12
     (counter_value snap "dvz_test_iters_total")
 
+(* The row's loss counts cover every incarnation: the worker-side trace
+   drops are cumulative per process, so a dead incarnation's count is
+   folded in at its restart, and the event drops (per-flush deltas) are
+   summed. *)
+let test_loss_counts_survive_restart () =
+  let plane = Telemetry.create ~clock:(Dvz_obs.Clock.fake ()) () in
+  let batch ~trace ~events =
+    { (sample_batch ()) with
+      Wire.tb_trace_dropped = trace;
+      tb_events_dropped = events }
+  in
+  Telemetry.hello plane ~slot:0 ~clock_us:0;
+  ignore
+    (Telemetry.ingest plane ~slot:0 ~deaths:0 ~incarnation:0
+       (batch ~trace:5 ~events:2));
+  Telemetry.record_restart plane ~slot:0 ~reason:"chaos";
+  Telemetry.hello plane ~slot:0 ~clock_us:0;
+  ignore
+    (Telemetry.ingest plane ~slot:0 ~deaths:1 ~incarnation:1
+       (batch ~trace:1 ~events:3));
+  Telemetry.publish plane
+    { Telemetry.sv_epoch = 0;
+      sv_workers =
+        [ { Telemetry.wr_slot = 0; wr_pid = 0; wr_state = "live";
+            wr_deaths = 1; wr_outcomes = 0; wr_last_frame_age_s = 0.0 } ];
+      sv_counters = [] };
+  match fleet_rows plane with
+  | [ row ] ->
+      Alcotest.(check int) "trace drops of both incarnations" 6
+        (row_int row "trace_dropped");
+      Alcotest.(check int) "event drops of both flushes" 5
+        (row_int row "events_dropped")
+  | rows -> Alcotest.failf "%d rows for 1 slot" (List.length rows)
+
 let test_stale_incarnation_ignored () =
   let clock = Dvz_obs.Clock.fake () in
   let plane = Telemetry.create ~clock () in
-  Telemetry.hello plane ~slot:1 ~incarnation:0 ~pid:100 ~clock_us:0;
+  Telemetry.hello plane ~slot:1 ~clock_us:0;
   Alcotest.(check bool) "current incarnation accepted" true
-    (Telemetry.ingest plane ~slot:1 ~incarnation:0 (sample_batch ()));
+    (Telemetry.ingest plane ~slot:1 ~deaths:0 ~incarnation:0
+       (sample_batch ()));
+  (* The coordinator counts the death, then tells the plane. *)
   Telemetry.record_restart plane ~slot:1 ~reason:"chaos";
   (* The dead generation's last flush was still in the pipe. *)
   Alcotest.(check bool) "stale incarnation dropped" false
-    (Telemetry.ingest plane ~slot:1 ~incarnation:0 (sample_batch ~seq:2 ()));
+    (Telemetry.ingest plane ~slot:1 ~deaths:1 ~incarnation:0
+       (sample_batch ()));
   Alcotest.(check int) "stale frame counted" 1 (Telemetry.stale_frames plane);
-  Telemetry.hello plane ~slot:1 ~incarnation:1 ~pid:101 ~clock_us:0;
+  Telemetry.hello plane ~slot:1 ~clock_us:0;
   Alcotest.(check bool) "successor accepted" true
-    (Telemetry.ingest plane ~slot:1 ~incarnation:1 (sample_batch ()));
+    (Telemetry.ingest plane ~slot:1 ~deaths:1 ~incarnation:1
+       (sample_batch ()));
   Alcotest.(check int) "no further stale frames" 1
     (Telemetry.stale_frames plane)
 
@@ -555,7 +665,9 @@ let () =
           Alcotest.test_case "checkpoint bytes identical" `Quick
             test_fleet_checkpoint_bytes_match;
           Alcotest.test_case "one frame per outcome, nothing extra" `Quick
-            test_fleet_frames_exact ] );
+            test_fleet_frames_exact;
+          Alcotest.test_case "one /fleet row per slot, each fact once" `Quick
+            test_fleet_rows_one_per_slot ] );
       ( "telemetry",
         [ Alcotest.test_case "batch codec roundtrips" `Quick
             test_telemetry_batch_roundtrip;
@@ -565,5 +677,7 @@ let () =
             test_lost_flush_keeps_aggregates_consistent;
           Alcotest.test_case "stale incarnation ignored" `Quick
             test_stale_incarnation_ignored;
+          Alcotest.test_case "loss counts survive a restart" `Quick
+            test_loss_counts_survive_restart;
           Alcotest.test_case "fleet run aggregates worker telemetry" `Quick
             test_fleet_telemetry_end_to_end ] ) ]
