@@ -676,7 +676,8 @@ let table2_cmd =
 
 let table3_cmd =
   let run samples rng_seed =
-    print_string (E.Table3.render (E.Table3.run ~samples ~rng_seed ()))
+    handle_faults (fun () ->
+        print_string (E.Table3.render (E.Table3.run ~samples ~rng_seed ())))
   in
   let samples =
     Arg.(value & opt int 40
@@ -688,11 +689,12 @@ let table3_cmd =
 
 let table4_cmd =
   let run reps =
-    let results =
-      [ E.Table4.run ~reps Cfg.boom_small;
-        E.Table4.run ~reps Cfg.xiangshan_minimal ]
-    in
-    print_string (E.Table4.render results)
+    handle_faults (fun () ->
+        let results =
+          [ E.Table4.run ~reps Cfg.boom_small;
+            E.Table4.run ~reps Cfg.xiangshan_minimal ]
+        in
+        print_string (E.Table4.render results))
   in
   let reps =
     Arg.(value & opt int 30

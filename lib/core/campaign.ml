@@ -335,6 +335,8 @@ let finding_event f =
    else. *)
 let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
     ?dispatch cfg options =
+  if options.iterations < 0 then
+    invalid_arg "Campaign.run: options.iterations must not be negative";
   if options.batch < 1 then
     invalid_arg "Campaign.run: options.batch must be at least 1";
   if options.corpus_cap < 1 then

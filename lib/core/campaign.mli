@@ -236,7 +236,8 @@ val run :
     learns about them.
 
     Raises {!Bad_checkpoint} on a corrupt or incompatible [rz_resume]
-    file, [Invalid_argument] on an options/core mismatch or non-positive
+    file, [Invalid_argument] on an options/core mismatch, a negative
+    [options.iterations] or a non-positive
     [jobs]/[options.batch]/[options.corpus_cap]; injected
     {!Dvz_resilience.Fault.Killed} faults propagate to the caller. *)
 

@@ -29,6 +29,8 @@ let aggregate name trials_curves =
 
 let run ?(iterations = 1000) ?(trials = 5) ?(rng_seed = 7)
     ?(telemetry = Campaign.quiet) ?resilience ?jobs ?(batch = 1) cfg =
+  if iterations < 1 then invalid_arg "Fig7.run: iterations must be at least 1";
+  if trials < 1 then invalid_arg "Fig7.run: trials must be at least 1";
   (* Trials are independent deterministic computations: run them on
      parallel domains, as the paper's multi-threaded fuzzing manager runs
      its RTL simulation instances. *)

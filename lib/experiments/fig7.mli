@@ -36,6 +36,7 @@ val run : ?iterations:int -> ?trials:int -> ?rng_seed:int ->
     suffix per campaign; SpecDoctor trials don't checkpoint.  [jobs]/[batch]
     (defaults 1/1) feed each DejaVuzz/DejaVuzz⁻ campaign's in-campaign
     parallelism (trials × in-campaign [jobs]); [jobs] never changes
-    results. *)
+    results.  Raises [Invalid_argument] if [iterations] or [trials] is
+    below 1. *)
 
 val render : result -> string

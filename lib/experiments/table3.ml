@@ -58,6 +58,7 @@ let specdoctor_cell ~samples rng cfg kind =
   end
 
 let run ?(samples = 40) ?(rng_seed = 2025) () =
+  if samples < 1 then invalid_arg "Table3.run: samples must be at least 1";
   let rng = Rng.create rng_seed in
   let cell_row core fuzzer f =
     { r_core = core; r_fuzzer = fuzzer;

@@ -21,6 +21,7 @@ type row = {
 
 val run : ?samples:int -> ?rng_seed:int -> unit -> row list
 (** Collects the full matrix (both cores; SpecDoctor only on BOOM, as in
-    the paper — its DUT patching only supports BOOM). *)
+    the paper — its DUT patching only supports BOOM).  [samples] defaults
+    to 40; raises [Invalid_argument] if it is below 1. *)
 
 val render : row list -> string

@@ -70,6 +70,7 @@ let run_mode cfg stim mode reps =
       ignore (Dualcore.run (Simpool.acquire ~mode cfg stim)))
 
 let run ?(reps = 30) cfg =
+  if reps < 1 then invalid_arg "Table4.run: reps must be at least 1";
   let compile = compile_times cfg in
   let sims =
     List.map

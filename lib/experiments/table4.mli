@@ -27,5 +27,6 @@ type result = {
 }
 
 val run : ?reps:int -> Dvz_uarch.Config.t -> result
+(** [reps] defaults to 30; raises [Invalid_argument] if it is below 1. *)
 
 val render : result list -> string

@@ -3,217 +3,52 @@ module N = Netlist
 
 type engine = Sim.engine
 
-(* Compiled evaluation program over the dual instances plus the shadow
-   taint plane.  Same lowering idea as {!Dvz_ir.Sim}: the topo order is
-   flattened once at [create] into parallel int arrays (opcode,
-   pre-resolved operand indices, per-cell width and mask, memory backing
-   arrays), so the steady-state cycle does no variant dispatch, no width
-   lookups, no Hashtbl finds and no allocation — the {!Policy} calls it
-   makes are all int-in/int-out.  Opcode numbering matches [Sim]'s. *)
-type prog = {
-  p_op : int array;
-  p_dst : int array;
-  p_a : int array;
-  p_b : int array;
-  p_c : int array;
-  p_w : int array;
-  p_mask : int array;
-  p_arr_a : int array array;
-  p_arr_b : int array array;
-  p_arr_t : int array array;
-}
-
-(* Register-latch plan with three staging planes (value A, value B, taint)
-   so feedback between registers latches atomically, like the interpretive
-   two-phase step.  [l_en] holds the enable signal index or -1. *)
-type latch_plan = {
-  l_q : int array;
-  l_d : int array;
-  l_en : int array;
-  l_w : int array;
+(* One co-simulator runs the program {!Sim.lower} builds over three
+   planes: values A and B and the taint plane.  Each memory has one store
+   per plane, attached per read cell and per write port; the latch plan's
+   staging has one array per plane, so feedback between registers latches
+   atomically, like the interpretive two-phase step.  The compiled cycle
+   does no variant dispatch, no width lookups and no allocation — the
+   {!Policy} calls it makes are all int-in/int-out. *)
+type t = {
+  mode : Policy.mode;
+  engine : engine;
+  nl : N.t;
+  prog : Sim.program;
+  va : int array;
+  vb : int array;
+  ta : int array;
+  mem_a : int array array;
+  mem_b : int array array;
+  mem_t : int array array;
+  rd_a : int array array;
+  rd_b : int array array;
+  rd_t : int array array;
+  wr_a : int array array;
+  wr_b : int array array;
+  wr_t : int array array;
   l_na : int array;
   l_nb : int array;
   l_nt : int array;
 }
 
-(* Memory-commit plan: one entry per write port in declaration order. *)
-type commit_plan = {
-  c_wen : int array;
-  c_addr : int array;
-  c_data : int array;
-  c_w : int array;
-  c_mask : int array;
-  c_arr_a : int array array;
-  c_arr_b : int array array;
-  c_arr_t : int array array;
-}
-
-type t = {
-  mode : Policy.mode;
-  engine : engine;
-  nl : N.t;
-  va : int array;
-  vb : int array;
-  ta : int array;
-  mem_a : (string, int array) Hashtbl.t;
-  mem_b : (string, int array) Hashtbl.t;
-  mem_t : (string, int array) Hashtbl.t;
-  order : N.signal array;
-  prog : prog;
-  latch : latch_plan;
-  commit : commit_plan;
-}
-
 let idx (s : N.signal) = (s :> int)
 
-let no_arr : int array = [||]
-
-let compile_prog nl (order : N.signal array) arr_a arr_b arr_t =
-  let n = Array.length order in
-  let p =
-    { p_op = Array.make n 0;
-      p_dst = Array.make n 0;
-      p_a = Array.make n 0;
-      p_b = Array.make n 0;
-      p_c = Array.make n 0;
-      p_w = Array.make n 0;
-      p_mask = Array.make n 0;
-      p_arr_a = Array.make n no_arr;
-      p_arr_b = Array.make n no_arr;
-      p_arr_t = Array.make n no_arr }
-  in
-  Array.iteri
-    (fun i (s : N.signal) ->
-      let set op a b c =
-        p.p_op.(i) <- op;
-        p.p_a.(i) <- a;
-        p.p_b.(i) <- b;
-        p.p_c.(i) <- c
-      in
-      p.p_dst.(i) <- idx s;
-      p.p_w.(i) <- N.width_of nl s;
-      p.p_mask.(i) <- Bits.mask (N.width_of nl s);
-      match N.cell_of nl s with
-      | N.Input | N.Const _ | N.Reg _ -> assert false
-      | N.Not a -> set 0 (idx a) 0 0
-      | N.And (a, b) -> set 1 (idx a) (idx b) 0
-      | N.Or (a, b) -> set 2 (idx a) (idx b) 0
-      | N.Xor (a, b) -> set 3 (idx a) (idx b) 0
-      | N.Add (a, b) -> set 4 (idx a) (idx b) 0
-      | N.Sub (a, b) -> set 5 (idx a) (idx b) 0
-      | N.Eq (a, b) -> set 6 (idx a) (idx b) 0
-      | N.Lt (a, b) -> set 7 (idx a) (idx b) 0
-      | N.Shl (a, k) -> set 8 (idx a) k 0
-      | N.Shr (a, k) | N.Slice (a, k) -> set 9 (idx a) k 0
-      | N.Concat (hi, lo) -> set 10 (idx hi) (N.width_of nl lo) (idx lo)
-      | N.Mux (sel, a, b) -> set 11 (idx sel) (idx a) (idx b)
-      | N.Mem_read (m, addr) ->
-          set 12 (idx addr) 0 0;
-          p.p_arr_a.(i) <- arr_a m;
-          p.p_arr_b.(i) <- arr_b m;
-          p.p_arr_t.(i) <- arr_t m)
-    order;
-  p
-
-let compile_latch nl =
-  let regs =
-    List.filter_map
-      (fun q ->
-        match N.cell_of nl q with
-        | N.Reg { N.d = Some d; en; _ } ->
-            Some
-              ( idx q, idx d,
-                (match en with None -> -1 | Some e -> idx e),
-                N.width_of nl q )
-        | _ -> None)
-      (N.registers nl)
-  in
-  let n = List.length regs in
-  let l =
-    { l_q = Array.make n 0;
-      l_d = Array.make n 0;
-      l_en = Array.make n (-1);
-      l_w = Array.make n 0;
-      l_na = Array.make n 0;
-      l_nb = Array.make n 0;
-      l_nt = Array.make n 0 }
-  in
-  List.iteri
-    (fun i (q, d, en, w) ->
-      l.l_q.(i) <- q;
-      l.l_d.(i) <- d;
-      l.l_en.(i) <- en;
-      l.l_w.(i) <- w)
-    regs;
-  l
-
-let compile_commit nl arr_a arr_b arr_t =
-  let ports =
-    List.concat_map
-      (fun m ->
-        List.map
-          (fun ((wen : N.signal), (addr : N.signal), (data : N.signal)) ->
-            (idx wen, idx addr, idx data, N.mem_width m,
-             arr_a m, arr_b m, arr_t m))
-          (N.mem_writes m))
-      (N.mems nl)
-  in
-  let n = List.length ports in
-  let c =
-    { c_wen = Array.make n 0;
-      c_addr = Array.make n 0;
-      c_data = Array.make n 0;
-      c_w = Array.make n 0;
-      c_mask = Array.make n 0;
-      c_arr_a = Array.make n no_arr;
-      c_arr_b = Array.make n no_arr;
-      c_arr_t = Array.make n no_arr }
-  in
-  List.iteri
-    (fun i (wen, addr, data, w, aa, ab, at) ->
-      c.c_wen.(i) <- wen;
-      c.c_addr.(i) <- addr;
-      c.c_data.(i) <- data;
-      c.c_w.(i) <- w;
-      c.c_mask.(i) <- Bits.mask w;
-      c.c_arr_a.(i) <- aa;
-      c.c_arr_b.(i) <- ab;
-      c.c_arr_t.(i) <- at)
-    ports;
-  c
-
 let create ?(engine : engine = `Compiled) mode nl =
-  N.validate nl;
-  let order = N.topo_order nl in
-  let n = N.num_signals nl in
-  let va = Array.make n 0 and vb = Array.make n 0 and ta = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let s = N.signal_of_int nl i in
-    match N.cell_of nl s with
-    | N.Reg r ->
-        va.(i) <- r.N.init;
-        vb.(i) <- r.N.init
-    | N.Const v ->
-        va.(i) <- v;
-        vb.(i) <- v
-    | _ -> ()
-  done;
-  let mk () = Hashtbl.create 8 in
-  let mem_a = mk () and mem_b = mk () and mem_t = mk () in
-  List.iter
-    (fun m ->
-      let d = N.mem_depth m in
-      Hashtbl.replace mem_a (N.mem_name m) (Array.make d 0);
-      Hashtbl.replace mem_b (N.mem_name m) (Array.make d 0);
-      Hashtbl.replace mem_t (N.mem_name m) (Array.make d 0))
-    (N.mems nl);
-  let arr_a m = Hashtbl.find mem_a (N.mem_name m) in
-  let arr_b m = Hashtbl.find mem_b (N.mem_name m) in
-  let arr_t m = Hashtbl.find mem_t (N.mem_name m) in
-  { mode; engine; nl; va; vb; ta; mem_a; mem_b; mem_t; order;
-    prog = compile_prog nl order arr_a arr_b arr_t;
-    latch = compile_latch nl;
-    commit = compile_commit nl arr_a arr_b arr_t }
+  let prog = Sim.lower nl in
+  let stores () =
+    Array.map (fun m -> Array.make (N.mem_depth m) 0) prog.Sim.mems
+  in
+  let mem_a = stores () and mem_b = stores () and mem_t = stores () in
+  let rd_a, wr_a = Sim.attach prog mem_a in
+  let rd_b, wr_b = Sim.attach prog mem_b in
+  let rd_t, wr_t = Sim.attach prog mem_t in
+  let staging () = Array.make (Array.length prog.Sim.l_q) 0 in
+  { mode; engine; nl; prog;
+    va = Array.copy prog.Sim.init; vb = Array.copy prog.Sim.init;
+    ta = Array.make (N.num_signals nl) 0;
+    mem_a; mem_b; mem_t; rd_a; rd_b; rd_t; wr_a; wr_b; wr_t;
+    l_na = staging (); l_nb = staging (); l_nt = staging () }
 
 let engine t = t.engine
 
@@ -237,15 +72,15 @@ let peek_a t s = t.va.(idx s)
 let peek_b t s = t.vb.(idx s)
 let taint_of t s = t.ta.(idx s)
 
-let marr tbl m = Hashtbl.find tbl (N.mem_name m)
+let marr t plane m = plane.(Sim.mem_index t.prog m)
 
 let poke_mem_pair t m i va vb =
   let w = N.mem_width m in
-  (marr t.mem_a m).(i) <- Bits.trunc w va;
-  (marr t.mem_b m).(i) <- Bits.trunc w vb;
-  (marr t.mem_t m).(i) <- (if va <> vb then Bits.mask w else 0)
+  (marr t t.mem_a m).(i) <- Bits.trunc w va;
+  (marr t t.mem_b m).(i) <- Bits.trunc w vb;
+  (marr t t.mem_t m).(i) <- (if va <> vb then Bits.mask w else 0)
 
-let mem_taint t m i = (marr t.mem_t m).(i)
+let mem_taint t m i = (marr t t.mem_t m).(i)
 
 (* --- interpretive engine (reference semantics) ------------------------- *)
 
@@ -319,8 +154,8 @@ let eval_cell t s =
         ((t_of hi lsl wlo) lor t_of lo)
   | N.Mem_read (m, addr) ->
       let aa = a_of addr and ab = b_of addr in
-      let arr_a = marr t.mem_a m and arr_b = marr t.mem_b m in
-      let arr_t = marr t.mem_t m in
+      let arr_a = marr t t.mem_a m and arr_b = marr t t.mem_b m in
+      let arr_t = marr t t.mem_t m in
       let rd arr i = if i < Array.length arr then arr.(i) else 0 in
       let data_taint = rd arr_t aa lor rd arr_t ab in
       let ctrl =
@@ -329,7 +164,7 @@ let eval_cell t s =
       in
       set (rd arr_a aa) (rd arr_b ab) (data_taint lor ctrl)
 
-let eval_interp t = Array.iter (fun s -> eval_cell t s) t.order
+let eval_interp t = Array.iter (fun s -> eval_cell t s) t.prog.Sim.order
 
 let step_interp t =
   let nl = t.nl in
@@ -369,8 +204,8 @@ let step_interp t =
   List.iter
     (fun m ->
       let w = N.mem_width m in
-      let arr_a = marr t.mem_a m and arr_b = marr t.mem_b m in
-      let arr_t = marr t.mem_t m in
+      let arr_a = marr t t.mem_a m and arr_b = marr t t.mem_b m in
+      let arr_t = marr t t.mem_t m in
       List.iter
         (fun ((wen : N.signal), (addr : N.signal), (data : N.signal)) ->
           let wen_a = t.va.(idx wen) <> 0 and wen_b = t.vb.(idx wen) <> 0 in
@@ -397,7 +232,9 @@ let step_interp t =
 
 (* --- compiled engine ---------------------------------------------------- *)
 
-let exec_prog mode p va vb ta =
+let exec_prog t =
+  let mode = t.mode and p = t.prog in
+  let va = t.va and vb = t.vb and ta = t.ta in
   let n = Array.length p.p_op in
   for i = 0 to n - 1 do
     let a = Array.unsafe_get p.p_a i in
@@ -487,9 +324,9 @@ let exec_prog mode p va vb ta =
              ~s_diff:(sa <> sb) ~a:xa ~b:ya ~st:(Array.unsafe_get ta a)
              ~at:(Array.unsafe_get ta b) ~bt:(Array.unsafe_get ta y) ~ab_xor)
     | _ ->
-        let arr_a = Array.unsafe_get p.p_arr_a i in
-        let arr_b = Array.unsafe_get p.p_arr_b i in
-        let arr_t = Array.unsafe_get p.p_arr_t i in
+        let arr_a = Array.unsafe_get t.rd_a i in
+        let arr_b = Array.unsafe_get t.rd_b i in
+        let arr_t = Array.unsafe_get t.rd_t i in
         let aa = Array.unsafe_get va a and ab = Array.unsafe_get vb a in
         let len = Array.length arr_a in
         let da = if aa < len then Array.unsafe_get arr_a aa else 0 in
@@ -507,12 +344,12 @@ let exec_prog mode p va vb ta =
 
 let step_compiled t =
   let va = t.va and vb = t.vb and ta = t.ta in
-  let l = t.latch in
-  let n = Array.length l.l_q in
+  let p = t.prog in
+  let n = Array.length p.l_q in
   for i = 0 to n - 1 do
-    let q = Array.unsafe_get l.l_q i in
-    let d = Array.unsafe_get l.l_d i in
-    let en = Array.unsafe_get l.l_en i in
+    let q = Array.unsafe_get p.l_q i in
+    let d = Array.unsafe_get p.l_d i in
+    let en = Array.unsafe_get p.l_en i in
     let en_a, en_b, ent =
       if en < 0 then (true, true, 0)
       else
@@ -522,44 +359,43 @@ let step_compiled t =
     in
     let da = Array.unsafe_get va d and qa = Array.unsafe_get va q in
     let db = Array.unsafe_get vb d and qb = Array.unsafe_get vb q in
-    Array.unsafe_set l.l_na i (if en_a then da else qa);
-    Array.unsafe_set l.l_nb i (if en_b then db else qb);
+    Array.unsafe_set t.l_na i (if en_a then da else qa);
+    Array.unsafe_set t.l_nb i (if en_b then db else qb);
     let dq_xor = da lxor qa lor (db lxor qb) in
-    Array.unsafe_set l.l_nt i
-      (Policy.reg_en_taint t.mode ~width:(Array.unsafe_get l.l_w i) ~en:en_a
+    Array.unsafe_set t.l_nt i
+      (Policy.reg_en_taint t.mode ~width:(Array.unsafe_get p.l_w i) ~en:en_a
          ~en_diff:(en_a <> en_b) ~ent ~dt:(Array.unsafe_get ta d)
          ~qt:(Array.unsafe_get ta q) ~dq_xor)
   done;
   for i = 0 to n - 1 do
-    let q = Array.unsafe_get l.l_q i in
-    Array.unsafe_set va q (Array.unsafe_get l.l_na i);
-    Array.unsafe_set vb q (Array.unsafe_get l.l_nb i);
-    Array.unsafe_set ta q (Array.unsafe_get l.l_nt i)
+    let q = Array.unsafe_get p.l_q i in
+    Array.unsafe_set va q (Array.unsafe_get t.l_na i);
+    Array.unsafe_set vb q (Array.unsafe_get t.l_nb i);
+    Array.unsafe_set ta q (Array.unsafe_get t.l_nt i)
   done;
-  let c = t.commit in
-  let m = Array.length c.c_wen in
+  let m = Array.length p.c_wen in
   for i = 0 to m - 1 do
-    let wen = Array.unsafe_get c.c_wen i in
+    let wen = Array.unsafe_get p.c_wen i in
     let wen_a = Array.unsafe_get va wen <> 0 in
     let wen_b = Array.unsafe_get vb wen <> 0 in
-    let addr = Array.unsafe_get c.c_addr i in
+    let addr = Array.unsafe_get p.c_addr i in
     let aa = Array.unsafe_get va addr and ab = Array.unsafe_get vb addr in
     let ctrl =
-      Policy.mem_write_ctrl t.mode ~width:(Array.unsafe_get c.c_w i)
+      Policy.mem_write_ctrl t.mode ~width:(Array.unsafe_get p.c_w i)
         ~wen:(wen_a || wen_b) ~went:(Array.unsafe_get ta wen)
         ~wen_diff:(wen_a <> wen_b) ~addrt:(Array.unsafe_get ta addr)
         ~addr_diff:(aa <> ab)
     in
-    let arr_a = Array.unsafe_get c.c_arr_a i in
-    let arr_b = Array.unsafe_get c.c_arr_b i in
-    let arr_t = Array.unsafe_get c.c_arr_t i in
+    let arr_a = Array.unsafe_get t.wr_a i in
+    let arr_b = Array.unsafe_get t.wr_b i in
+    let arr_t = Array.unsafe_get t.wr_t i in
     let len = Array.length arr_t in
     if ctrl <> 0 then begin
       if aa < len then Array.unsafe_set arr_t aa (Array.unsafe_get arr_t aa lor ctrl);
       if ab < len then Array.unsafe_set arr_t ab (Array.unsafe_get arr_t ab lor ctrl)
     end;
-    let data = Array.unsafe_get c.c_data i in
-    let mask = Array.unsafe_get c.c_mask i in
+    let data = Array.unsafe_get p.c_data i in
+    let mask = Array.unsafe_get p.c_mask i in
     if wen_a && aa < len then begin
       Array.unsafe_set arr_a aa (Array.unsafe_get va data land mask);
       Array.unsafe_set arr_t aa
@@ -574,7 +410,7 @@ let step_compiled t =
 
 let eval_impl t =
   match t.engine with
-  | `Compiled -> exec_prog t.mode t.prog t.va t.vb t.ta
+  | `Compiled -> exec_prog t
   | `Interp -> eval_interp t
 
 (* Armed-guarded like Sim.eval: disarmed shadow cycles stay
@@ -607,10 +443,9 @@ let taint_bit_sum t =
       (N.registers t.nl)
   in
   let mems =
-    List.fold_left
-      (fun acc m ->
-        Array.fold_left (fun a x -> a + Bits.popcount x) acc (marr t.mem_t m))
-      0 (N.mems t.nl)
+    Array.fold_left
+      (Array.fold_left (fun a x -> a + Bits.popcount x))
+      0 t.mem_t
   in
   regs + mems
 
@@ -625,19 +460,15 @@ let tainted_by_module t =
       if t.ta.(idx q) <> 0 then bump (N.module_of t.nl q) 1
       else bump (N.module_of t.nl q) 0)
     (N.registers t.nl);
-  List.iter
-    (fun m ->
+  Array.iteri
+    (fun k m ->
       let tainted_words =
-        Array.fold_left (fun a x -> if x <> 0 then a + 1 else a) 0 (marr t.mem_t m)
+        Array.fold_left (fun a x -> if x <> 0 then a + 1 else a) 0 t.mem_t.(k)
       in
       bump (N.mem_name m) tainted_words)
-    (N.mems t.nl);
+    t.prog.Sim.mems;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let clear_taints t =
   Array.fill t.ta 0 (Array.length t.ta) 0;
-  List.iter
-    (fun m ->
-      let arr = marr t.mem_t m in
-      Array.fill arr 0 (Array.length arr) 0)
-    (N.mems t.nl)
+  Array.iter (fun arr -> Array.fill arr 0 (Array.length arr) 0) t.mem_t

@@ -7,6 +7,10 @@
     mode.  The paper's diffIFT^FN variant (worst-case false negatives) is
     obtained simply by driving both instances with the same secret.
 
+    There is one lowering, {!Dvz_ir.Sim.lower}: this co-simulator runs the
+    program the plain simulator runs, on two value planes (A and B) and a
+    taint plane, with one store per memory and plane.
+
     The campaign's taint engine is element-level ([Dvz_uarch.Taintstate],
     which applies the same {!Policy} rows to 1-bit element taints); this
     cell-level engine runs Table 4's netlist measurements, and its
@@ -16,17 +20,19 @@
 type t
 
 type engine = Dvz_ir.Sim.engine
-(** Evaluation strategy, same as the plain simulator's: the default
-    [`Compiled] engine lowers the netlist once at {!create} into flat
-    int-array programs covering both value instances and the taint plane
+(** Evaluation strategy, as for the plain simulator: the default
+    [`Compiled] engine executes the lowered program over all three planes
     (steady-state cycles allocate nothing); [`Interp] walks the cells
     directly and is the reference the compiled engine is differentially
     tested against. *)
 
 val create : ?engine:engine -> Policy.mode -> Dvz_ir.Netlist.t -> t
-(** Builds a shadow co-simulator with all taints clear.  [engine] defaults
-    to [`Compiled].  Raises {!Dvz_ir.Netlist.Width_error} if a mux
-    selector, register enable or memory write enable is not 1 bit wide. *)
+(** Builds a shadow co-simulator with all taints clear; registers take
+    their [init] values and memories are zero-filled in both instances.
+    [engine] defaults to [`Compiled].  Raises as {!Dvz_ir.Sim.lower}
+    does: [Failure] on a combinational cycle or an unconnected register,
+    {!Dvz_ir.Netlist.Width_error} on a mux selector, register enable or
+    memory write enable that is not 1 bit wide. *)
 
 val engine : t -> engine
 (** The engine this co-simulator was created with. *)

@@ -2,223 +2,185 @@ module N = Netlist
 
 type engine = [ `Interp | `Compiled ]
 
-(* --- compiled evaluation program -----------------------------------------
+(* --- the lowering ---------------------------------------------------------
 
-   The interpretive walker re-dispatched on [Netlist.cell_of], re-looked-up
-   widths, and hit a memory Hashtbl on every cell of every cycle.  The
-   compiled engine lowers the topo order once, at [create], into parallel
-   int arrays: an opcode stream with pre-resolved operand indices and a
-   precomputed result mask per cell.  The steady-state cycle then touches
-   only int arrays — no variant dispatch, no width lookups, no allocation.
+   The interpretive walker re-dispatches on [Netlist.cell_of], re-looks-up
+   widths and finds memories on every cell of every cycle.  [lower] does
+   that work once: it flattens the topo order into parallel int arrays (the
+   opcode table is in sim.mli), resolves the register-latch and write-port
+   plans, and leaves memory storage to the executor, which attaches one
+   store per memory and value plane.  A compiled cycle then touches only
+   int arrays — no variant dispatch, no width lookups, no allocation.
+   [Shadow] runs the same program over its A, B and taint planes. *)
 
-   Opcode encoding (kept in sync with [exec_prog]'s match):
-     0 Not    a                      7 Lt     a b
-     1 And    a b                    8 Shl    a, b = shift amount
-     2 Or     a b                    9 Shr    a, b = shift amount (and Slice)
-     3 Xor    a b                   10 Concat a = hi, c = lo, b = lo width
-     4 Add    a b                   11 Mux    a = sel, b = sel=0 arm, c = other
-     5 Sub    a b                   12 Mem_read a = addr, arr = backing store
-     6 Eq     a b *)
-
-type prog = {
+type program = {
+  order : N.signal array;
+  mems : N.mem array;
   p_op : int array;
   p_dst : int array;
   p_a : int array;
   p_b : int array;
   p_c : int array;
+  p_w : int array;
   p_mask : int array;
-  p_arr : int array array;  (* Mem_read backing store; shared [||] elsewhere *)
-}
-
-(* Register-latch plan: parallel arrays of q/d/en indices resolved once.
-   [l_next] stages the new values so register-to-register feedback (e.g. a
-   swap) latches atomically, exactly like the interpretive two-phase step.
-
-   Staging is only needed for registers whose D or enable is itself another
-   register's Q: combinational values never change during [step], so a
-   register fed purely by combinational signals can be written in place.
-   [compile_latch] orders such "direct" registers first and records the
-   split point in [l_direct]; [step_compiled] stages only the [l_direct ..]
-   tail (reading old Q values before anything is overwritten), then write
-   the direct prefix in place, then write the staged tail back. *)
-type latch_plan = {
+  p_mem : int array;
   l_q : int array;
   l_d : int array;
-  l_en : int array;   (* enable signal index, or -1 for always-enabled *)
-  l_direct : int;     (* first l_direct entries have no reg-to-reg feedback *)
-  l_next : int array;
-}
-
-(* Memory-commit plan: one entry per write port, in declaration order
-   (later-declared ports win on address conflicts, as before), with the
-   backing [int array] resolved once instead of a Hashtbl find per cycle. *)
-type commit_plan = {
+  l_en : int array;
+  l_w : int array;
+  l_direct : int;
   c_wen : int array;
   c_addr : int array;
   c_data : int array;
+  c_w : int array;
   c_mask : int array;
-  c_arr : int array array;
+  c_mem : int array;
+  init : int array;
 }
+
+let find_mem mems m =
+  let rec go k = if mems.(k) == m then k else go (k + 1) in
+  go 0
+
+let mem_index p m = find_mem p.mems m
+
+(* [who] names the entry point in the unconnected-register failure.  Every
+   column is a typed int array filled in place, not mapped from tuples:
+   [Array.map]'s generic stores pay a write barrier per element, and an
+   array of young tuples longer than a minor-heap block forces a minor
+   collection, either of which makes [create] markedly slower. *)
+let lower_as who nl =
+  N.validate nl;
+  let order = N.topo_order nl in
+  let mems = Array.of_list (N.mems nl) in
+  let ix (s : N.signal) = (s :> int) in
+  let n = Array.length order in
+  let op = Array.make n 0 and a = Array.make n 0 and b = Array.make n 0 in
+  let c = Array.make n 0 and dst = Array.make n 0 and w = Array.make n 0 in
+  let mask = Array.make n 0 and mem = Array.make n (-1) in
+  Array.iteri
+    (fun i s ->
+      let set o x y z =
+        op.(i) <- o;
+        a.(i) <- x;
+        b.(i) <- y;
+        c.(i) <- z
+      in
+      dst.(i) <- ix s;
+      w.(i) <- N.width_of nl s;
+      mask.(i) <- Bits.mask w.(i);
+      match N.cell_of nl s with
+      | N.Input | N.Const _ | N.Reg _ ->
+          (* never in the combinational topo order *)
+          assert false
+      | N.Not x -> set 0 (ix x) 0 0
+      | N.And (x, y) -> set 1 (ix x) (ix y) 0
+      | N.Or (x, y) -> set 2 (ix x) (ix y) 0
+      | N.Xor (x, y) -> set 3 (ix x) (ix y) 0
+      | N.Add (x, y) -> set 4 (ix x) (ix y) 0
+      | N.Sub (x, y) -> set 5 (ix x) (ix y) 0
+      | N.Eq (x, y) -> set 6 (ix x) (ix y) 0
+      | N.Lt (x, y) -> set 7 (ix x) (ix y) 0
+      | N.Shl (x, k) -> set 8 (ix x) k 0
+      | N.Shr (x, k) | N.Slice (x, k) -> set 9 (ix x) k 0
+      | N.Concat (hi, lo) -> set 10 (ix hi) (N.width_of nl lo) (ix lo)
+      | N.Mux (sel, x, y) -> set 11 (ix sel) (ix x) (ix y)
+      | N.Mem_read (m, addr) ->
+          set 12 (ix addr) 0 0;
+          mem.(i) <- find_mem mems m)
+    order;
+  let regs =
+    List.map
+      (fun q ->
+        match N.cell_of nl q with
+        | N.Reg { N.d = Some d; en; _ } ->
+            ( ix q, ix d,
+              (match en with None -> -1 | Some e -> ix e),
+              N.width_of nl q )
+        | _ -> failwith (who ^ ": unconnected register " ^ N.name_of nl q))
+      (N.registers nl)
+  in
+  (* Registers whose D and enable are combinational go first: those
+     signals are frozen during [step], so such a register may latch in
+     place; only the tail must be staged. *)
+  let is_reg i =
+    i >= 0
+    && match N.cell_of nl (N.signal_of_int nl i) with
+       | N.Reg _ -> true
+       | _ -> false
+  in
+  let direct, staged =
+    List.partition (fun (_, d, en, _) -> not (is_reg d || is_reg en)) regs
+  in
+  let latch = direct @ staged in
+  let ports =
+    List.concat
+      (List.mapi
+         (fun k m ->
+           List.map
+             (fun (wen, addr, data) -> (ix wen, ix addr, ix data, k))
+             (N.mem_writes m))
+         (N.mems nl))
+  in
+  let col f l =
+    let r = Array.make (List.length l) 0 in
+    List.iteri (fun i x -> r.(i) <- f x) l;
+    r
+  in
+  let port_w (_, _, _, k) = N.mem_width mems.(k) in
+  let init = Array.make (N.num_signals nl) 0 in
+  for i = 0 to N.num_signals nl - 1 do
+    match N.cell_of nl (N.signal_of_int nl i) with
+    | N.Reg r -> init.(i) <- r.N.init
+    | N.Const v -> init.(i) <- v
+    | _ -> ()
+  done;
+  { order; mems;
+    p_op = op; p_dst = dst; p_a = a; p_b = b; p_c = c; p_w = w;
+    p_mask = mask; p_mem = mem;
+    l_q = col (fun (q, _, _, _) -> q) latch;
+    l_d = col (fun (_, d, _, _) -> d) latch;
+    l_en = col (fun (_, _, en, _) -> en) latch;
+    l_w = col (fun (_, _, _, w) -> w) latch;
+    l_direct = List.length direct;
+    c_wen = col (fun (wen, _, _, _) -> wen) ports;
+    c_addr = col (fun (_, addr, _, _) -> addr) ports;
+    c_data = col (fun (_, _, data, _) -> data) ports;
+    c_w = col port_w ports;
+    c_mask = col (fun p -> Bits.mask (port_w p)) ports;
+    c_mem = col (fun (_, _, _, k) -> k) ports;
+    init }
+
+let lower nl = lower_as "Sim.lower" nl
+
+let attach p stores =
+  let rd = Array.make (Array.length p.p_mem) [||] in
+  Array.iteri (fun i k -> if k >= 0 then rd.(i) <- stores.(k)) p.p_mem;
+  (rd, Array.map (fun k -> stores.(k)) p.c_mem)
+
+(* --- the simulator -------------------------------------------------------- *)
 
 type t = {
   nl : N.t;
   engine : engine;
+  prog : program;
   values : int array;
-  mem_data : (string, int array) Hashtbl.t;
-  order : N.signal array;
-  prog : prog;
-  latch : latch_plan;
-  commit : commit_plan;
+  mem : int array array;     (* one store per memory, indexed like [prog.mems] *)
+  rd_mem : int array array;  (* per cell: the store a Mem_read reads *)
+  wr_mem : int array array;  (* per write port: the store it writes *)
+  l_next : int array;        (* staging for the latch plan's reg-to-reg tail *)
   mutable ticks : int;
   mutable hooks_rev : (int -> unit) list;
   mutable hook_arr : (int -> unit) array;
 }
 
-let mem_key m = N.mem_name m
-
-let no_arr : int array = [||]
-
-let compile_prog nl (order : N.signal array) mem_arr =
-  let n = Array.length order in
-  let p =
-    { p_op = Array.make n 0;
-      p_dst = Array.make n 0;
-      p_a = Array.make n 0;
-      p_b = Array.make n 0;
-      p_c = Array.make n 0;
-      p_mask = Array.make n 0;
-      p_arr = Array.make n no_arr }
-  in
-  Array.iteri
-    (fun i (s : N.signal) ->
-      let set op a b c =
-        p.p_op.(i) <- op;
-        p.p_a.(i) <- a;
-        p.p_b.(i) <- b;
-        p.p_c.(i) <- c
-      in
-      p.p_dst.(i) <- (s :> int);
-      p.p_mask.(i) <- Bits.mask (N.width_of nl s);
-      match N.cell_of nl s with
-      | N.Input | N.Const _ | N.Reg _ ->
-          (* never in the combinational topo order *)
-          assert false
-      | N.Not a -> set 0 (a :> int) 0 0
-      | N.And (a, b) -> set 1 (a :> int) (b :> int) 0
-      | N.Or (a, b) -> set 2 (a :> int) (b :> int) 0
-      | N.Xor (a, b) -> set 3 (a :> int) (b :> int) 0
-      | N.Add (a, b) -> set 4 (a :> int) (b :> int) 0
-      | N.Sub (a, b) -> set 5 (a :> int) (b :> int) 0
-      | N.Eq (a, b) -> set 6 (a :> int) (b :> int) 0
-      | N.Lt (a, b) -> set 7 (a :> int) (b :> int) 0
-      | N.Shl (a, k) -> set 8 (a :> int) k 0
-      | N.Shr (a, k) | N.Slice (a, k) -> set 9 (a :> int) k 0
-      | N.Concat (hi, lo) ->
-          set 10 (hi :> int) (N.width_of nl lo) (lo :> int)
-      | N.Mux (sel, a, b) -> set 11 (sel :> int) (a :> int) (b :> int)
-      | N.Mem_read (m, addr) ->
-          set 12 (addr :> int) 0 0;
-          p.p_arr.(i) <- mem_arr m)
-    order;
-  p
-
-let compile_latch nl =
-  let regs =
-    List.filter_map
-      (fun q ->
-        match N.cell_of nl q with
-        | N.Reg { N.d = Some d; en; _ } ->
-            Some
-              ( (q :> int),
-                (d :> int),
-                match en with None -> -1 | Some e -> (e :> int) )
-        | _ -> None)
-      (N.registers nl)
-  in
-  let is_reg i =
-    match N.cell_of nl (N.signal_of_int nl i) with
-    | N.Reg _ -> true
-    | _ -> false
-  in
-  let direct, staged =
-    List.partition
-      (fun (_, d, en) -> not (is_reg d || (en >= 0 && is_reg en)))
-      regs
-  in
-  let regs = direct @ staged in
-  let n = List.length regs in
-  let l =
-    { l_q = Array.make n 0;
-      l_d = Array.make n 0;
-      l_en = Array.make n (-1);
-      l_direct = List.length direct;
-      l_next = Array.make n 0 }
-  in
-  List.iteri
-    (fun i (q, d, en) ->
-      l.l_q.(i) <- q;
-      l.l_d.(i) <- d;
-      l.l_en.(i) <- en)
-    regs;
-  l
-
-let compile_commit nl mem_arr =
-  let ports =
-    List.concat_map
-      (fun m ->
-        List.map
-          (fun ((wen : N.signal), (addr : N.signal), (data : N.signal)) ->
-            ((wen :> int), (addr :> int), (data :> int),
-             Bits.mask (N.mem_width m), mem_arr m))
-          (N.mem_writes m))
-      (N.mems nl)
-  in
-  let n = List.length ports in
-  let c =
-    { c_wen = Array.make n 0;
-      c_addr = Array.make n 0;
-      c_data = Array.make n 0;
-      c_mask = Array.make n 0;
-      c_arr = Array.make n no_arr }
-  in
-  List.iteri
-    (fun i (wen, addr, data, mask, arr) ->
-      c.c_wen.(i) <- wen;
-      c.c_addr.(i) <- addr;
-      c.c_data.(i) <- data;
-      c.c_mask.(i) <- mask;
-      c.c_arr.(i) <- arr)
-    ports;
-  c
-
 let create ?(engine : engine = `Compiled) nl =
-  N.validate nl;
-  let order = N.topo_order nl in
-  List.iter
-    (fun q ->
-      match N.cell_of nl q with
-      | N.Reg { d = None; _ } ->
-          failwith ("Sim.create: unconnected register " ^ N.name_of nl q)
-      | _ -> ())
-    (N.registers nl);
-  let values = Array.make (N.num_signals nl) 0 in
-  (* Registers start at their init value; constants are fixed. *)
-  for i = 0 to N.num_signals nl - 1 do
-    let s = N.signal_of_int nl i in
-    match N.cell_of nl s with
-    | N.Reg r -> values.(i) <- r.N.init
-    | N.Const v -> values.(i) <- v
-    | _ -> ()
-  done;
-  let mem_data = Hashtbl.create 8 in
-  List.iter
-    (fun m -> Hashtbl.replace mem_data (mem_key m) (Array.make (N.mem_depth m) 0))
-    (N.mems nl);
-  let mem_arr m = Hashtbl.find mem_data (mem_key m) in
-  { nl; engine; values; mem_data; order;
-    prog = compile_prog nl order mem_arr;
-    latch = compile_latch nl;
-    commit = compile_commit nl mem_arr;
+  let prog = lower_as "Sim.create" nl in
+  (* Registers start at their init value, memories zero-filled. *)
+  let mem = Array.map (fun m -> Array.make (N.mem_depth m) 0) prog.mems in
+  let rd_mem, wr_mem = attach prog mem in
+  { nl; engine; prog; values = Array.copy prog.init; mem; rd_mem; wr_mem;
+    l_next = Array.make (Array.length prog.l_q) 0;
     ticks = 0; hooks_rev = []; hook_arr = [||] }
 
 let engine t = t.engine
@@ -241,7 +203,7 @@ let set_input t s v =
 
 let peek t (s : N.signal) = t.values.((s :> int))
 
-let mem_array t m = Hashtbl.find t.mem_data (mem_key m)
+let mem_array t m = t.mem.(mem_index t.prog m)
 
 let peek_mem t m i = (mem_array t m).(i)
 
@@ -286,7 +248,7 @@ let eval_cell t s =
   in
   v.((s :> int)) <- Bits.trunc w r
 
-let eval_interp t = Array.iter (fun s -> eval_cell t s) t.order
+let eval_interp t = Array.iter (fun s -> eval_cell t s) t.prog.order
 
 let step_interp t =
   (* Latch all registers from their (already evaluated) D inputs. *)
@@ -319,7 +281,7 @@ let step_interp t =
 
 (* --- compiled engine ---------------------------------------------------- *)
 
-let exec_prog p v =
+let exec_prog p rd v =
   let n = Array.length p.p_op in
   for i = 0 to n - 1 do
     let a = Array.unsafe_get p.p_a i in
@@ -344,7 +306,7 @@ let exec_prog p v =
             Array.unsafe_get v (Array.unsafe_get p.p_c i)
           else Array.unsafe_get v b
       | _ ->
-          let arr = Array.unsafe_get p.p_arr i in
+          let arr = Array.unsafe_get rd i in
           let ad = Array.unsafe_get v a in
           if ad < Array.length arr then Array.unsafe_get arr ad else 0
     in
@@ -355,44 +317,44 @@ let exec_prog p v =
 
 let step_compiled t =
   let v = t.values in
-  let l = t.latch in
-  let n = Array.length l.l_q in
+  let p = t.prog in
+  let next = t.l_next in
+  let n = Array.length p.l_q in
   (* stage the reg-to-reg tail first, while every Q is still old *)
-  for i = l.l_direct to n - 1 do
-    let en = Array.unsafe_get l.l_en i in
+  for i = p.l_direct to n - 1 do
+    let en = Array.unsafe_get p.l_en i in
     let src =
-      if en < 0 || Array.unsafe_get v en <> 0 then Array.unsafe_get l.l_d i
-      else Array.unsafe_get l.l_q i
+      if en < 0 || Array.unsafe_get v en <> 0 then Array.unsafe_get p.l_d i
+      else Array.unsafe_get p.l_q i
     in
-    Array.unsafe_set l.l_next i (Array.unsafe_get v src)
+    Array.unsafe_set next i (Array.unsafe_get v src)
   done;
   (* direct registers read only combinational signals: write in place *)
-  for i = 0 to l.l_direct - 1 do
-    let en = Array.unsafe_get l.l_en i in
+  for i = 0 to p.l_direct - 1 do
+    let en = Array.unsafe_get p.l_en i in
     if en < 0 || Array.unsafe_get v en <> 0 then
       Array.unsafe_set v
-        (Array.unsafe_get l.l_q i)
-        (Array.unsafe_get v (Array.unsafe_get l.l_d i))
+        (Array.unsafe_get p.l_q i)
+        (Array.unsafe_get v (Array.unsafe_get p.l_d i))
   done;
-  for i = l.l_direct to n - 1 do
-    Array.unsafe_set v (Array.unsafe_get l.l_q i) (Array.unsafe_get l.l_next i)
+  for i = p.l_direct to n - 1 do
+    Array.unsafe_set v (Array.unsafe_get p.l_q i) (Array.unsafe_get next i)
   done;
-  let c = t.commit in
-  let m = Array.length c.c_wen in
+  let m = Array.length p.c_wen in
   for i = 0 to m - 1 do
-    if Array.unsafe_get v (Array.unsafe_get c.c_wen i) <> 0 then begin
-      let arr = Array.unsafe_get c.c_arr i in
-      let a = Array.unsafe_get v (Array.unsafe_get c.c_addr i) in
+    if Array.unsafe_get v (Array.unsafe_get p.c_wen i) <> 0 then begin
+      let arr = Array.unsafe_get t.wr_mem i in
+      let a = Array.unsafe_get v (Array.unsafe_get p.c_addr i) in
       if a < Array.length arr then
         Array.unsafe_set arr a
-          (Array.unsafe_get v (Array.unsafe_get c.c_data i)
-          land Array.unsafe_get c.c_mask i)
+          (Array.unsafe_get v (Array.unsafe_get p.c_data i)
+          land Array.unsafe_get p.c_mask i)
     end
   done
 
 let eval_impl t =
   match t.engine with
-  | `Compiled -> exec_prog t.prog t.values
+  | `Compiled -> exec_prog t.prog t.rd_mem t.values
   | `Interp -> eval_interp t
 
 (* Armed-guarded: the disarmed compiled cycle must stay allocation-free

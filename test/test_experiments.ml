@@ -254,6 +254,28 @@ let test_ablation_shape () =
   Alcotest.(check bool) "renders" true
     (String.length (E.Ablation.render r) > 0)
 
+(* Counts below 1 are refused by name where they enter the library,
+   instead of failing deep inside with an array error or printing a table
+   of empty cells. *)
+let check_refused what msg f =
+  Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+
+let test_fig7_refuses_zero_iterations () =
+  check_refused "iterations" "Fig7.run: iterations must be at least 1"
+    (fun () -> E.Fig7.run ~iterations:0 ~trials:1 boom)
+
+let test_fig7_refuses_zero_trials () =
+  check_refused "trials" "Fig7.run: trials must be at least 1" (fun () ->
+      E.Fig7.run ~iterations:10 ~trials:0 boom)
+
+let test_table4_refuses_zero_reps () =
+  check_refused "reps" "Table4.run: reps must be at least 1" (fun () ->
+      E.Table4.run ~reps:0 boom)
+
+let test_table3_refuses_zero_samples () =
+  check_refused "samples" "Table3.run: samples must be at least 1" (fun () ->
+      E.Table3.run ~samples:0 ())
+
 let test_table2_renders () =
   let s = E.Table2.render () in
   let contains sub =
@@ -273,9 +295,20 @@ let () =
           Alcotest.test_case "meltdown privileged" `Quick
             test_meltdown_is_privileged ] );
       ( "fig6", [ Alcotest.test_case "shape" `Quick test_fig6_shape ] );
-      ( "table3", [ Alcotest.test_case "shape" `Slow test_table3_shape ] );
-      ( "table4", [ Alcotest.test_case "shape" `Quick test_table4_shape ] );
-      ( "fig7", [ Alcotest.test_case "shape" `Slow test_fig7_shape ] );
+      ( "table3",
+        [ Alcotest.test_case "shape" `Slow test_table3_shape;
+          Alcotest.test_case "zero samples refused" `Quick
+            test_table3_refuses_zero_samples ] );
+      ( "table4",
+        [ Alcotest.test_case "shape" `Quick test_table4_shape;
+          Alcotest.test_case "zero reps refused" `Quick
+            test_table4_refuses_zero_reps ] );
+      ( "fig7",
+        [ Alcotest.test_case "shape" `Slow test_fig7_shape;
+          Alcotest.test_case "zero iterations refused" `Quick
+            test_fig7_refuses_zero_iterations;
+          Alcotest.test_case "zero trials refused" `Quick
+            test_fig7_refuses_zero_trials ] );
       ( "table5",
         [ Alcotest.test_case "shape" `Slow test_table5_shape;
           Alcotest.test_case "nested log is per-core, in order" `Quick

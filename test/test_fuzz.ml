@@ -639,6 +639,20 @@ let test_campaign_engine_validation () =
     (Invalid_argument "Campaign.run: jobs must be at least 1") (fun () ->
       ignore (Campaign.run ~jobs:0 boom options))
 
+(* A negative count is refused by name; zero iterations is an empty run. *)
+let test_campaign_negative_iterations () =
+  Alcotest.check_raises "iterations >= 0"
+    (Invalid_argument "Campaign.run: options.iterations must not be negative")
+    (fun () ->
+      ignore
+        (Campaign.run boom
+           { Campaign.default_options with Campaign.iterations = -1 }));
+  let stats =
+    Campaign.run boom { Campaign.default_options with Campaign.iterations = 0 }
+  in
+  Alcotest.(check int) "zero iterations run nothing" 0
+    (Array.length stats.Campaign.s_coverage_curve)
+
 let test_campaign_dedup () =
   let options =
     { Campaign.default_options with Campaign.iterations = 60; rng_seed = 5 }
@@ -1673,6 +1687,8 @@ let () =
             test_campaign_tight_corpus_cap;
           Alcotest.test_case "engine validation" `Quick
             test_campaign_engine_validation;
+          Alcotest.test_case "negative iterations refused" `Quick
+            test_campaign_negative_iterations;
           Alcotest.test_case "dedup" `Quick test_campaign_dedup;
           Alcotest.test_case "report" `Quick test_report_rendering;
           Alcotest.test_case "window groups" `Quick test_window_group ] );

@@ -500,6 +500,108 @@ let shadow_engine_differential mode () =
       (Shadow.tainted_registers i) (Shadow.tainted_registers c)
   done
 
+(* Shadow runs the program Sim lowers: fed the same inputs, both of
+   Shadow's value planes read what Sim reads on every signal, every cycle,
+   and nothing is tainted.  Both engines of each, both modes. *)
+let prop_shadow_values_match_sim =
+  QCheck.Test.make ~name:"shadow value planes equal Sim on equal inputs"
+    ~count:100 QCheck.small_int (fun seed ->
+      let nl, inputs8, sel_in, m = Netlist_gen.random_seq_netlist seed in
+      let engines = [ `Compiled; `Interp ] in
+      let sims = List.map (fun engine -> Sim.create ~engine nl) engines in
+      let shadows =
+        List.concat_map
+          (fun engine ->
+            List.map
+              (fun mode -> Shadow.create ~engine mode nl)
+              [ Policy.Cellift; Policy.Diffift ])
+          engines
+      in
+      let rng = Dvz_util.Rng.create (seed + 2000) in
+      let drive s v =
+        List.iter (fun sim -> Sim.set_input sim s v) sims;
+        List.iter (fun sh -> Shadow.set_input sh s v) shadows
+      in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        Array.iter (fun s -> drive s (Dvz_util.Rng.int rng 256)) inputs8;
+        drive sel_in (Dvz_util.Rng.int rng 2);
+        List.iter Sim.cycle sims;
+        List.iter Shadow.cycle shadows;
+        for k = 0 to N.num_signals nl - 1 do
+          let s = N.signal_of_int nl k in
+          let v = Sim.peek (List.hd sims) s in
+          List.iter (fun sim -> if Sim.peek sim s <> v then ok := false) sims;
+          List.iter
+            (fun sh ->
+              if
+                Shadow.peek_a sh s <> v
+                || Shadow.peek_b sh s <> v
+                || Shadow.taint_of sh s <> 0
+              then ok := false)
+            shadows
+        done;
+        for w = 0 to N.mem_depth m - 1 do
+          List.iter
+            (fun sh -> if Shadow.mem_taint sh m w <> 0 then ok := false)
+            shadows
+        done
+      done;
+      !ok)
+
+(* The engine differential on random netlists: with one input driven as a
+   differing pair, compiled and interpretive shadows agree on both value
+   planes, every taint and every memory word's taint, in both modes. *)
+let prop_shadow_engines_equivalent =
+  QCheck.Test.make
+    ~name:"shadow compiled engine is bit-identical to interpreter"
+    ~count:100 QCheck.small_int (fun seed ->
+      let nl, inputs8, sel_in, m = Netlist_gen.random_seq_netlist seed in
+      let secret = inputs8.(seed mod Array.length inputs8) in
+      let rng = Dvz_util.Rng.create (seed + 3000) in
+      List.for_all
+        (fun mode ->
+          let c = Shadow.create mode nl in
+          let i = Shadow.create ~engine:`Interp mode nl in
+          let both f = f c; f i in
+          let ok = ref true in
+          for _ = 1 to 30 do
+            Array.iter
+              (fun s ->
+                let va = Dvz_util.Rng.int rng 256 in
+                if s = secret then begin
+                  let vb = Dvz_util.Rng.int rng 256 in
+                  both (fun sh -> Shadow.set_input_pair sh s va vb)
+                end
+                else both (fun sh -> Shadow.set_input sh s va))
+              inputs8;
+            let sv = Dvz_util.Rng.int rng 2 in
+            both (fun sh -> Shadow.set_input sh sel_in sv);
+            both Shadow.cycle;
+            for k = 0 to N.num_signals nl - 1 do
+              let s = N.signal_of_int nl k in
+              if
+                Shadow.peek_a c s <> Shadow.peek_a i s
+                || Shadow.peek_b c s <> Shadow.peek_b i s
+                || Shadow.taint_of c s <> Shadow.taint_of i s
+              then ok := false
+            done;
+            for w = 0 to N.mem_depth m - 1 do
+              if Shadow.mem_taint c m w <> Shadow.mem_taint i m w then
+                ok := false
+            done
+          done;
+          !ok)
+        [ Policy.Cellift; Policy.Diffift ])
+
+(* One lowering, one set of checks: Shadow refuses what Sim refuses. *)
+let test_shadow_rejects_unconnected_register () =
+  let nl = N.create () in
+  let _q = N.reg nl ~name:"r" 4 in
+  Alcotest.check_raises "unconnected"
+    (Failure "Sim.lower: unconnected register r") (fun () ->
+      ignore (Shadow.create Policy.Diffift nl))
+
 (* The compiled shadow cycle is allocation-free too: all Policy calls are
    int-in/int-out. *)
 let test_shadow_compiled_cycle_allocation_free () =
@@ -634,6 +736,10 @@ let () =
             (shadow_engine_differential Policy.Cellift);
           Alcotest.test_case "diffift differential" `Quick
             (shadow_engine_differential Policy.Diffift);
+          QCheck_alcotest.to_alcotest prop_shadow_engines_equivalent;
+          QCheck_alcotest.to_alcotest prop_shadow_values_match_sim;
+          Alcotest.test_case "Shadow.create rejects an unconnected register"
+            `Quick test_shadow_rejects_unconnected_register;
           Alcotest.test_case "compiled cycle allocation-free" `Quick
             test_shadow_compiled_cycle_allocation_free ] );
       ( "liveness",

@@ -130,6 +130,28 @@ let test_unconnected_register_rejected () =
     (Failure "Sim.create: unconnected register ") (fun () ->
       ignore (Sim.create nl))
 
+(* Each memory has its own store, even when two share a name. *)
+let test_same_named_memories_separate () =
+  let nl = N.create () in
+  let m1 = N.mem nl ~name:"m" ~width:8 ~depth:4 () in
+  let m2 = N.mem nl ~name:"m" ~width:8 ~depth:4 () in
+  let wen = N.input nl 1 and addr = N.input nl 2 and data = N.input nl 8 in
+  N.mem_write nl m1 ~wen ~addr ~data;
+  let r2 = N.mem_read nl m2 addr in
+  List.iter
+    (fun engine ->
+      let sim = Sim.create ~engine nl in
+      Sim.set_input sim wen 1;
+      Sim.set_input sim addr 2;
+      Sim.set_input sim data 0x5A;
+      Sim.cycle sim;
+      Sim.eval sim;
+      Alcotest.(check int) "written memory" 0x5A (Sim.peek_mem sim m1 2);
+      Alcotest.(check int) "same-named memory untouched" 0
+        (Sim.peek_mem sim m2 2);
+      Alcotest.(check int) "read port of the other memory" 0 (Sim.peek sim r2))
+    [ `Compiled; `Interp ]
+
 let test_width_mismatch_rejected () =
   let nl = N.create () in
   let a = N.input nl 4 and b = N.input nl 8 in
@@ -337,60 +359,12 @@ let prop_xor_self_zero =
 
 (* --- compiled vs interpretive engine -------------------------------------- *)
 
-(* A random sequential circuit exercising every opcode of the compiled
-   engine: the full combinational repertoire plus enabled registers and a
-   memory with out-of-range addresses (8-bit addresses into a depth-8
-   array, so the bounds paths run too). *)
-let random_seq_netlist seed =
-  let rng = Dvz_util.Rng.create seed in
-  let nl = N.create () in
-  let inputs8 = Array.init 3 (fun i -> N.input nl ~name:(Printf.sprintf "in%d" i) 8) in
-  let sel_in = N.input nl ~name:"sel" 1 in
-  let regs =
-    Array.init 3 (fun i -> N.reg nl ~name:(Printf.sprintf "r%d" i) ~init:i 8)
-  in
-  let pool8 = ref (Array.to_list inputs8 @ Array.to_list regs) in
-  let pool1 = ref [ sel_in ] in
-  let pick8 () = Dvz_util.Rng.choose_list rng !pool8 in
-  let pick1 () = Dvz_util.Rng.choose_list rng !pool1 in
-  let m = N.mem nl ~name:"m" ~width:8 ~depth:8 () in
-  for _ = 1 to 30 do
-    let a = pick8 () and b = pick8 () in
-    match Dvz_util.Rng.int rng 12 with
-    | 0 -> pool8 := N.and_ nl a b :: !pool8
-    | 1 -> pool8 := N.or_ nl a b :: !pool8
-    | 2 -> pool8 := N.xor_ nl a b :: !pool8
-    | 3 -> pool8 := N.add nl a b :: !pool8
-    | 4 -> pool8 := N.sub nl a b :: !pool8
-    | 5 -> pool8 := N.not_ nl a :: !pool8
-    | 6 -> pool8 := N.mux nl (pick1 ()) a b :: !pool8
-    | 7 -> pool1 := N.eq nl a b :: !pool1
-    | 8 -> pool1 := N.lt nl a b :: !pool1
-    | 9 ->
-        pool8 := N.shl nl a (1 + Dvz_util.Rng.int rng 3) :: !pool8;
-        pool8 := N.shr nl b (1 + Dvz_util.Rng.int rng 3) :: !pool8
-    | 10 ->
-        pool8 :=
-          N.concat nl
-            (N.slice nl a ~lo:0 ~width:4)
-            (N.slice nl b ~lo:4 ~width:4)
-          :: !pool8
-    | _ -> pool8 := N.mem_read nl m a :: !pool8
-  done;
-  N.mem_write nl m ~wen:(pick1 ()) ~addr:(pick8 ()) ~data:(pick8 ());
-  Array.iter
-    (fun q ->
-      let en = if Dvz_util.Rng.int rng 2 = 0 then Some (pick1 ()) else None in
-      N.reg_connect nl q ~d:(pick8 ()) ?en ())
-    regs;
-  (nl, inputs8, sel_in, m)
-
 (* The tentpole invariant: the compiled engine is bit-identical to the
    interpreter — every signal, every memory word, every tick. *)
 let prop_engines_equivalent =
   QCheck.Test.make ~name:"compiled engine is bit-identical to interpreter"
     ~count:25 QCheck.small_int (fun seed ->
-      let nl, inputs8, sel_in, m = random_seq_netlist seed in
+      let nl, inputs8, sel_in, m = Netlist_gen.random_seq_netlist seed in
       let c = Sim.create nl in
       let i = Sim.create ~engine:`Interp nl in
       let rng = Dvz_util.Rng.create (seed + 1000) in
@@ -528,6 +502,8 @@ let () =
           Alcotest.test_case "memory" `Quick test_sim_memory;
           Alcotest.test_case "unconnected register" `Quick
             test_unconnected_register_rejected;
+          Alcotest.test_case "same-named memories stay separate" `Quick
+            test_same_named_memories_separate;
           Alcotest.test_case "width mismatch" `Quick test_width_mismatch_rejected;
           Alcotest.test_case "multi-bit mux select" `Quick
             test_multibit_mux_select_rejected;
