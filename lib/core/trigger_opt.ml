@@ -5,8 +5,8 @@ let eval_secret = Array.make Dvz_soc.Layout.secret_dwords 0x5A
 
 (* Reduction re-evaluates once per training packet, so this is the hottest
    construction site in phase 1 — draw the testbench from the per-domain
-   pool and re-arm it instead of rebuilding, and keep no slot of the run:
-   only the windows are inspected. *)
+   pool and re-arm it instead of rebuilding, and step it with
+   [Core.finish], which builds no slot: only the windows are inspected. *)
 let fires cfg tc stim =
   let core = Simpool.acquire_core cfg stim in
   Core.finish core;

@@ -37,9 +37,13 @@ type verdict = {
   v_attack : [ `Meltdown | `Spectre ] option;
 }
 
+val poc : Dvz_uarch.Config.t -> bug -> Dejavuzz.Packet.testcase
+(** The bug's PoC test case on the given core: the first trigger entropy
+    (1 to 64) whose test case triggers there, with the bug's payload
+    spliced into the transient packet.  Raises [Failure] if none does. *)
+
 val check : Dvz_uarch.Config.t -> bug -> verdict
-(** Builds the bug's PoC test case on the given core and runs the full
-    Phase 3 analysis. *)
+(** Runs the full Phase 3 analysis on {!poc}. *)
 
 val expected_component : bug -> Dejavuzz.Oracle.component
 (** The Table 5 component the detection must attribute ("dcache" for B1's

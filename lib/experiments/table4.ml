@@ -40,26 +40,24 @@ let compile_netlist cfg =
       done);
   nl
 
-let compile_times cfg =
-  let nl = compile_netlist cfg in
-  let base, _ = time (fun () -> Sim.create nl) in
-  let cellift, _ =
-    time (fun () ->
-        (* Cell-level instrumentation requires flattened memories. *)
-        let flat = Flatten.flatten nl in
-        Dvz_ift.Shadow.create Dvz_ift.Policy.Cellift flat)
-  in
-  let diffift, _ =
-    time (fun () -> Dvz_ift.Shadow.create Dvz_ift.Policy.Diffift nl)
-  in
-  { base; cellift; diffift }
-
 (* The fastest of [reps] single runs: a scheduling hiccup inflates one
-   run, not the cell.  Runs draw from [Simpool], as the campaign's do, so
-   every run after a cell's first times the simulation, not the build. *)
+   run, not the cell. *)
 let fastest reps f =
   List.fold_left Float.min infinity (List.init reps (fun _ -> fst (time f)))
 
+let compile_times cfg reps =
+  let nl = compile_netlist cfg in
+  { base = fastest reps (fun () -> Sim.create nl);
+    cellift =
+      fastest reps (fun () ->
+          (* Cell-level instrumentation requires flattened memories. *)
+          Dvz_ift.Shadow.create Dvz_ift.Policy.Cellift (Flatten.flatten nl));
+    diffift =
+      fastest reps (fun () -> Dvz_ift.Shadow.create Dvz_ift.Policy.Diffift nl) }
+
+(* Simulation runs draw from [Simpool], as the campaign's do, so every run
+   after a cell's first times the simulation, not the build.  Base is two
+   bare cores: [Core.finish] builds no effect events. *)
 let run_base cfg stim reps =
   fastest reps (fun () ->
       Core.finish (Simpool.acquire_core cfg stim);
@@ -71,7 +69,7 @@ let run_mode cfg stim mode reps =
 
 let run ?(reps = 30) cfg =
   if reps < 1 then invalid_arg "Table4.run: reps must be at least 1";
-  let compile = compile_times cfg in
+  let compile = compile_times cfg reps in
   let sims =
     List.map
       (fun name ->
@@ -98,7 +96,7 @@ let render results =
             Printf.sprintf "%.1fx" (t.diffift /. t.base) ]
       in
       let us s = Printf.sprintf "%.1fus" (s *. 1e6) in
-      row "Compile (instrumentation)" (Printf.sprintf "%.4fs") r.compile;
+      row "Compile (instrumentation)" us r.compile;
       List.iter (fun (name, t) -> row ("Simulate " ^ name) us t) r.sims;
       Tablefmt.add_sep tbl)
     results;

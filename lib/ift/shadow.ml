@@ -52,19 +52,37 @@ let create ?(engine : engine = `Compiled) mode nl =
 
 let engine t = t.engine
 
+(* Only a primary input may be driven, as in {!Sim.set_input}: driving a
+   register or a computed cell would overwrite its value and its taint. *)
+let check_input fn t s =
+  match N.cell_of t.nl s with
+  | N.Input -> ()
+  | c ->
+      invalid_arg
+        (Printf.sprintf "Shadow.%s: signal %s is not an input (it is %s)" fn
+           (N.name_of t.nl s)
+           (match c with
+           | N.Const _ -> "a constant"
+           | N.Reg _ -> "a register"
+           | N.Mem_read _ -> "a memory read port"
+           | _ -> "a combinational cell"))
+
 let set_input t s v =
+  check_input "set_input" t s;
   let v = Bits.trunc (N.width_of t.nl s) v in
   t.va.(idx s) <- v;
   t.vb.(idx s) <- v;
   t.ta.(idx s) <- 0
 
 let set_input_pair t s va vb =
+  check_input "set_input_pair" t s;
   let w = N.width_of t.nl s in
   t.va.(idx s) <- Bits.trunc w va;
   t.vb.(idx s) <- Bits.trunc w vb;
   t.ta.(idx s) <- Bits.mask w
 
 let set_input_taint t s m =
+  check_input "set_input_taint" t s;
   let m = Bits.trunc (N.width_of t.nl s) m in
   t.ta.(idx s) <- m
 

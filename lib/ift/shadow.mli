@@ -38,7 +38,9 @@ val engine : t -> engine
 (** The engine this co-simulator was created with. *)
 
 val set_input : t -> Dvz_ir.Netlist.signal -> int -> unit
-(** Drives both instances with the same value; input taint is cleared. *)
+(** Drives both instances with the same value; input taint is cleared.
+    Like the two below, raises [Invalid_argument] if [s] is not a primary
+    input, as {!Dvz_ir.Sim.set_input} does. *)
 
 val set_input_pair : t -> Dvz_ir.Netlist.signal -> int -> int -> unit
 (** [set_input_pair t s va vb] drives the instances with different values

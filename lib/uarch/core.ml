@@ -80,7 +80,51 @@ type t = {
   mutable windows : window_record list;
   mutable done_ : bool;
   mutable secret_tightened : bool;
+  elems : elems;
 }
+
+(* The elements events name that depend only on the structure sizes. *)
+and elems = {
+  rob_elems : Elem.t array;     (** [Elem.Rob i] at [i] *)
+  queue_elems : Elem.t list;    (** STQ then LDQ entries *)
+  window_elems : Elem.t list;
+      (** RAS entries, then [queue_elems]: what a window checkpoints, and
+          what a full squash recovery restores *)
+  flush_elems : Elem.t list;
+      (** every RoB entry, the speculative registers and the pc *)
+}
+
+(* Built once per set of sizes and shared by every core and every event
+   that names them.  A set per core measurably raised the campaign's peak
+   RSS: each pooled core kept its own scattered long-lived blocks. *)
+let elems_memo : ((int * int * int * int) * elems) list Atomic.t =
+  Atomic.make []
+
+let rec elems_of cfg =
+  let key =
+    Config.(cfg.rob_entries, cfg.ras_entries, cfg.stq_entries,
+            cfg.ldq_entries)
+  in
+  let memo = Atomic.get elems_memo in
+  match List.assoc_opt key memo with
+  | Some e -> e
+  | None ->
+      let rob_elems = Array.init cfg.Config.rob_entries (fun i -> Elem.Rob i) in
+      let queue_elems =
+        List.init cfg.Config.stq_entries (fun i -> Elem.Stq i)
+        @ List.init cfg.Config.ldq_entries (fun i -> Elem.Ldq i)
+      in
+      let e =
+        { rob_elems; queue_elems;
+          window_elems =
+            List.init cfg.Config.ras_entries (fun i -> Elem.Ras i) @ queue_elems;
+          flush_elems =
+            Array.to_list rob_elems
+            @ List.init 32 (fun i -> Elem.Sreg i)
+            @ [ Elem.Pc ] }
+      in
+      if Atomic.compare_and_set elems_memo memo ((key, e) :: memo) then e
+      else elems_of cfg
 
 let swap_in t =
   match Swapmem.load_next t.stim.st_swapmem t.mem with
@@ -130,7 +174,8 @@ let alloc cfg stim =
     cycles = 0; slot = 0; committed = 0;
     fetch_busy_until = 0; fdiv_busy_until = 0; load_wb_busy_until = 0;
     lsu_busy_until = 0;
-    window = None; windows = []; done_ = false; secret_tightened = false }
+    window = None; windows = []; done_ = false; secret_tightened = false;
+    elems = elems_of cfg }
 
 (* Re-arm an existing core for a new stimulus without reallocating any of
    its state.  Must leave [t] bit-identical (under [state_hash] and every
@@ -257,57 +302,71 @@ let committed t = t.committed
 let slot_count t = t.slot
 let windows t = List.rev t.windows
 
-let rob_elem t = Elem.Rob (t.slot mod t.cfg.Config.rob_entries)
+let rob_elem t = t.elems.rob_elems.(t.slot mod t.cfg.Config.rob_entries)
 
 let secret_page addr =
   addr >= Layout.secret_base && addr < Layout.secret_base + Layout.secret_size
 
-(* --- microarchitectural access helpers; each returns (events, cost) --- *)
+(* --- microarchitectural access helpers ------------------------------------ *)
 
-let fetch_access t ~transient pc =
-  let events = ref [] and cost = ref 1 in
+(* [fx] says whether the slot's effect events have a reader: [step] passes
+   [true], [finish] [false].  A quiet slot makes every state transition a
+   loud one makes, but builds no event, element list or slot record.  [ev]
+   accumulates the slot's events newest-first, so each [emit] is O(|es|);
+   the access helpers return their cycle cost. *)
+let emit ev es = ev := List.rev_append es !ev
+
+let mem_srcs ~fx addr = if fx then [ Elem.Mem (addr / 8) ] else []
+
+let fetch_access ~fx t ~transient ev pc =
   (* The hit/miss decision reads the line's tag state as well as the pc, so
      both appear as control sources; the value encodes index and outcome. *)
-  (match Cache.access t.icache ~addr:pc with
+  match Cache.access t.icache ~addr:pc with
   | `Hit i ->
-      events := [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * i;
+      if fx then
+        emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * i;
                                 srcs = [ Elem.Pc; Elem.Icache i ];
-                                touched = [ Elem.Icache i ] } ]
+                                touched = [ Elem.Icache i ] } ];
+      1
   | `Miss i ->
-      cost := !cost + t.cfg.Config.miss_latency;
+      let cost = 1 + t.cfg.Config.miss_latency in
       if transient && t.cfg.Config.fetch_contention_bug then
         (* B4: the transient refill occupies the fetch port past the squash. *)
         t.fetch_busy_until <-
-          max t.fetch_busy_until (t.cycles + !cost + t.cfg.Config.miss_latency);
-      events := [ Effect.Write (Elem.Icache i, []);
+          max t.fetch_busy_until (t.cycles + cost + t.cfg.Config.miss_latency);
+      if fx then
+        emit ev [ Effect.Write (Elem.Icache i, []);
                   Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
                                 srcs = [ Elem.Pc; Elem.Icache i ];
-                                touched = [ Elem.Icache i ] } ]);
-  (!events, !cost)
+                                touched = [ Elem.Icache i ] } ];
+      cost
 
 (* A data-memory access: dcache + TLB (+ L2 TLB on a TLB miss) + LFB on a
    dcache miss.  [addr_srcs] are the elements the effective address derives
    from; [data_srcs] what the accessed memory word's taint derives from. *)
-let data_access t ~transient ~is_store ~addr ~addr_srcs ~data_srcs =
-  let events = ref [] and cost = ref 0 in
-  let emit e = events := e :: !events in
+let data_access ~fx t ~transient ev ~is_store ~addr ~addr_srcs ~data_srcs =
+  let cost = ref 0 in
   (match Tlb.access t.tlb ~addr with
   | `Disabled -> ()
   | `Hit i ->
-      emit (Effect.Ctrl { kind = Effect.C_addr; value = i; srcs = addr_srcs;
-                          touched = [ Elem.Tlb i ] })
+      if fx then
+        emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = i;
+                                srcs = addr_srcs; touched = [ Elem.Tlb i ] } ]
   | `Miss i ->
       cost := !cost + 3;
-      emit (Effect.Write (Elem.Tlb i, []));
-      emit (Effect.Ctrl { kind = Effect.C_addr; value = i; srcs = addr_srcs;
-                          touched = [ Elem.Tlb i ] });
+      if fx then
+        emit ev [ Effect.Write (Elem.Tlb i, []);
+                  Effect.Ctrl { kind = Effect.C_addr; value = i;
+                                srcs = addr_srcs; touched = [ Elem.Tlb i ] } ];
       (match Tlb.access t.l2tlb ~addr with
       | `Disabled | `Hit _ -> ()
       | `Miss j ->
           cost := !cost + 6;
-          emit (Effect.Write (Elem.L2tlb j, []));
-          emit (Effect.Ctrl { kind = Effect.C_addr; value = j; srcs = addr_srcs;
-                              touched = [ Elem.L2tlb j ] })));
+          if fx then
+            emit ev [ Effect.Write (Elem.L2tlb j, []);
+                      Effect.Ctrl { kind = Effect.C_addr; value = j;
+                                    srcs = addr_srcs;
+                                    touched = [ Elem.L2tlb j ] } ]));
   (match Cache.access t.dcache ~addr with
   | `Hit i ->
       cost := !cost + 1;
@@ -317,9 +376,10 @@ let data_access t ~transient ~is_store ~addr ~addr_srcs ~data_srcs =
         (* B5: the load pipeline and the load queue contend on the load
            write-back port while a miss refill is in flight. *)
         cost := !cost + 2;
-      emit (Effect.Ctrl { kind = Effect.C_addr; value = 2 * i;
-                          srcs = Elem.Dcache i :: addr_srcs;
-                          touched = [ Elem.Dcache i ] })
+      if fx then
+        emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * i;
+                                srcs = Elem.Dcache i :: addr_srcs;
+                                touched = [ Elem.Dcache i ] } ]
   | `Miss i ->
       cost := !cost + t.cfg.Config.miss_latency;
       t.lsu_busy_until <-
@@ -328,12 +388,14 @@ let data_access t ~transient ~is_store ~addr ~addr_srcs ~data_srcs =
         t.load_wb_busy_until <-
           max t.load_wb_busy_until (t.cycles + !cost + t.cfg.Config.miss_latency);
       let lfb_slot = Cache.Lfb.refill t.lfb ~data:(Phys_mem.read t.mem ~addr ~size:8) in
-      emit (Effect.Write (Elem.Lfb lfb_slot, data_srcs));
-      emit (Effect.Write (Elem.Dcache i, data_srcs));
-      emit (Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
-                          srcs = Elem.Dcache i :: addr_srcs;
-                          touched = [ Elem.Dcache i; Elem.Lfb lfb_slot ] }));
-  (List.rev !events, !cost)
+      if fx then
+        emit ev [ Effect.Write (Elem.Lfb lfb_slot, data_srcs);
+                  Effect.Write (Elem.Dcache i, data_srcs);
+                  Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
+                                srcs = Elem.Dcache i :: addr_srcs;
+                                touched =
+                                  [ Elem.Dcache i; Elem.Lfb lfb_slot ] } ]);
+  !cost
 
 let fdiv_issue t =
   let wait = max 0 (t.fdiv_busy_until - t.cycles) in
@@ -342,41 +404,35 @@ let fdiv_issue t =
 
 (* Forwarded value of a faulting load: the heart of the Meltdown-class
    behaviours.  Returns (value, taint sources, sampled-secret flag). *)
-let transient_fault_forward t ~addr ~size =
+let transient_fault_forward ~fx t ~addr ~size =
   let phys_limit = 1 lsl t.cfg.Config.phys_addr_bits in
   if addr >= phys_limit && t.cfg.Config.addr_truncate_bug then begin
     (* B1: inconsistent wire widths truncate the high bits on the way to
        the load unit; the access samples the aliased physical address. *)
     let eff = addr mod phys_limit in
-    (Phys_mem.read t.mem ~addr:eff ~size, [ Elem.Mem (eff / 8) ],
-     secret_page eff)
+    (Phys_mem.read t.mem ~addr:eff ~size, mem_srcs ~fx eff, secret_page eff)
   end
   else if t.cfg.Config.meltdown_forward then
-    (Phys_mem.read t.mem ~addr ~size, [ Elem.Mem (addr / 8) ],
-     secret_page addr)
+    (Phys_mem.read t.mem ~addr ~size, mem_srcs ~fx addr, secret_page addr)
   else (0, [], false)
 
 (* --- window (transient) execution ------------------------------------- *)
 
-let close_window t w =
+let close_window ~fx t w =
   (* Squash: restore checkpointed structures.  The RAS restore policy is
      where B2 lives. *)
-  let restore_ras_elems =
+  let restored =
     if t.cfg.Config.ras_restore_below_tos_bug then begin
       P.Ras.restore_top_only t.ras w.w_ras_snap;
-      [ Elem.Ras (P.Ras.tos t.ras) ]
+      if fx then Elem.Ras (P.Ras.tos t.ras) :: t.elems.queue_elems else []
     end
     else begin
       P.Ras.restore_full t.ras w.w_ras_snap;
-      List.init t.cfg.Config.ras_entries (fun i -> Elem.Ras i)
+      t.elems.window_elems
     end
   in
   Lsu.Stq.restore t.stq w.w_stq_snap;
   Lsu.Ldq.restore t.ldq w.w_ldq_snap;
-  let queue_elems =
-    List.init (Lsu.Stq.entries t.stq) (fun i -> Elem.Stq i)
-    @ List.init (Lsu.Ldq.entries t.ldq) (fun i -> Elem.Ldq i)
-  in
   (* B3: an exception commit racing a mispredicted-jalr correction updates
      the faulting pc's BTB entry with the jalr's corrected target. *)
   let b3_events =
@@ -384,7 +440,7 @@ let close_window t w =
     | Effect.W_exception _, Some (target, srcs)
       when t.cfg.Config.btb_exception_race_bug ->
         let i = P.Btb.update t.btb ~pc:w.w_trigger_pc ~target in
-        [ Effect.Write (Elem.Btb i, srcs) ]
+        if fx then [ Effect.Write (Elem.Btb i, srcs) ] else []
     | _ -> []
   in
   t.cycles <- t.cycles + t.cfg.Config.squash_penalty;
@@ -397,28 +453,6 @@ let close_window t w =
     + (max 0 (t.lsu_busy_until - t.cycles) / 4)
   in
   t.cycles <- t.cycles + lingering;
-  let rob_flush =
-    (* What the rollback's control decision steers: every RoB entry field,
-       the speculative register copies and the redirected pc — the §2.2
-       "all 736 RoB entry field registers are suddenly tainted" blast
-       radius, which the diff gating suppresses unless the two instances
-       actually squash differently. *)
-    List.init t.cfg.Config.rob_entries (fun i -> Elem.Rob i)
-    @ List.init 32 (fun i -> Elem.Sreg i)
-    @ [ Elem.Pc ]
-  in
-  let squash_srcs =
-    (* the rollback index derives from the in-flight (RoB) state *)
-    List.init (min w.w_enqueued t.cfg.Config.rob_entries) (fun i ->
-        Elem.Rob ((w.w_start_slot + i) mod t.cfg.Config.rob_entries))
-  in
-  let events =
-    b3_events
-    @ [ Effect.Restore (restore_ras_elems @ queue_elems);
-        Effect.Ctrl { kind = Effect.C_squash; value = w.w_enqueued;
-                      srcs = squash_srcs; touched = rob_flush };
-        Effect.Write (Elem.Pc, []) ]
-  in
   t.windows <-
     { wr_kind = w.w_kind; wr_trigger_pc = w.w_trigger_pc;
       wr_enqueued = w.w_enqueued;
@@ -433,16 +467,27 @@ let close_window t w =
     :: t.windows;
   t.window <- None;
   (match w.w_after with `Resume -> () | `Swap -> ignore (swap_in t));
-  events
+  if not fx then []
+  else
+    let squash_srcs =
+      (* the rollback index derives from the in-flight (RoB) state *)
+      List.init (min w.w_enqueued t.cfg.Config.rob_entries) (fun i ->
+          Elem.Rob ((w.w_start_slot + i) mod t.cfg.Config.rob_entries))
+    in
+    (* The rollback's control decision steers [flush_elems]: every RoB
+       entry field, the speculative register copies and the redirected pc
+       — the §2.2 "all 736 RoB entry field registers are suddenly tainted"
+       blast radius, which the diff gating suppresses unless the two
+       instances actually squash differently. *)
+    b3_events
+    @ [ Effect.Restore restored;
+        Effect.Ctrl { kind = Effect.C_squash; value = w.w_enqueued;
+                      srcs = squash_srcs; touched = t.elems.flush_elems };
+        Effect.Write (Elem.Pc, []) ]
 
-let open_window t ~kind ~trigger_pc ~after ~spec_pc ~sreg_init =
+let open_window ~fx t ev ~kind ~trigger_pc ~after ~spec_pc ~sreg_init =
   let sregs = Array.init 32 (fun i -> Golden.reg t.arch (Reg.x i)) in
   List.iter (fun (r, v) -> sregs.(Reg.to_int r) <- v) sreg_init;
-  let snap_elems =
-    List.init t.cfg.Config.ras_entries (fun i -> Elem.Ras i)
-    @ List.init (Lsu.Stq.entries t.stq) (fun i -> Elem.Stq i)
-    @ List.init (Lsu.Ldq.entries t.ldq) (fun i -> Elem.Ldq i)
-  in
   t.window <-
     Some
       { w_kind = kind; w_trigger_pc = trigger_pc; w_after = after;
@@ -455,7 +500,8 @@ let open_window t ~kind ~trigger_pc ~after ~spec_pc ~sreg_init =
         w_enqueued = 0; w_start_cycle = t.cycles; w_start_slot = t.slot;
         w_secret_accessed = false; w_secret_fault = false;
         w_last_jalr = None };
-  [ Effect.Copy_regs_to_spec; Effect.Snapshot snap_elems ]
+  if fx then
+    emit ev [ Effect.Copy_regs_to_spec; Effect.Snapshot t.elems.window_elems ]
 
 let sreg w r = if Reg.to_int r = 0 then 0 else w.w_sregs.(Reg.to_int r)
 
@@ -471,26 +517,26 @@ let spec_reg t r =
 (* Execute one transient instruction inside the window.  Windows always
    consume [window_insns] slots; once the speculative frontend stalls the
    remaining slots are bubbles.  This keeps the two differential-testbench
-   instances slot-aligned regardless of secret-dependent divergence. *)
-let step_transient t w =
+   instances slot-aligned regardless of secret-dependent divergence.  The
+   slot's record when [fx], [None] when quiet. *)
+let step_transient ~fx t w =
   if w.w_stalled then begin
     w.w_remaining <- w.w_remaining - 1;
     t.cycles <- t.cycles + 1;
     let closed = w.w_remaining <= 0 in
-    let close_events = if closed then close_window t w else [] in
-    { Effect.sl_pc = w.w_spec_pc; sl_insn = Insn.nop; sl_transient = true;
-      sl_window_opened = None; sl_window_closed = closed;
-      sl_events = close_events; sl_cycles = t.cycles; sl_committed = false;
-      sl_swapped = false }
+    let close_events = if closed then close_window ~fx t w else [] in
+    if not fx then None
+    else
+      Some
+        { Effect.sl_pc = w.w_spec_pc; sl_insn = Insn.nop; sl_transient = true;
+          sl_window_opened = None; sl_window_closed = closed;
+          sl_events = close_events; sl_cycles = t.cycles; sl_committed = false;
+          sl_swapped = false }
   end
   else begin
   let pc = w.w_spec_pc in
-  (* Newest-first accumulator, as in [step_committed]. *)
-  let events = ref [] and cost = ref 0 in
-  let emit es = events := List.rev_append es !events in
-  let fetch_events, fetch_cost = fetch_access t ~transient:true pc in
-  emit fetch_events;
-  cost := !cost + fetch_cost;
+  let ev = ref [] in
+  let cost = ref (fetch_access ~fx t ~transient:true ev pc) in
   let word =
     match Phys_mem.checked_fetch t.mem ~priv:Golden.User ~addr:pc with
     | Ok word -> Some word
@@ -513,15 +559,17 @@ let step_transient t w =
      | Insn.Opi (_, rd, _, _) | Insn.Fdiv (rd, _, _) ->
          ignore (Golden.exec w.w_sregs ~pc insn);
          (match insn with Insn.Fdiv _ -> cost := !cost + fdiv_issue t | _ -> ());
-         let srcs = sreg_srcs (Insn.reads insn) in
-         emit [ Effect.Write (sreg_elem rd, srcs); Effect.Write (rob, srcs) ]
+         if fx then begin
+           let srcs = sreg_srcs (Insn.reads insn) in
+           emit ev [ Effect.Write (sreg_elem rd, srcs); Effect.Write (rob, srcs) ]
+         end
      | Insn.Load (width, unsigned, rd, rs1, imm) -> (
          let addr = sreg w rs1 + imm in
          let size = Insn.bytes width in
-         let addr_srcs = sreg_srcs (Insn.reads insn) in
+         let addr_srcs = if fx then sreg_srcs (Insn.reads insn) else [] in
          if secret_page addr then w.w_secret_accessed <- true;
          let ldq_slot = Lsu.Ldq.alloc t.ldq ~addr in
-         emit [ Effect.Write (Elem.Ldq ldq_slot, addr_srcs) ];
+         if fx then emit ev [ Effect.Write (Elem.Ldq ldq_slot, addr_srcs) ];
          let aligned = addr mod size = 0 in
          let ok =
            if not aligned then Error Trap.Load_misalign
@@ -534,123 +582,132 @@ let step_transient t w =
              | Some (slot', data) ->
                  set_sreg w rd (Golden.load_value width unsigned data);
                  cost := !cost + 1;
-                 emit [ Effect.Write (sreg_elem rd, [ Elem.Stq slot' ]);
-                        Effect.Write (rob, [ Elem.Stq slot' ]) ]
+                 if fx then
+                   emit ev [ Effect.Write (sreg_elem rd, [ Elem.Stq slot' ]);
+                             Effect.Write (rob, [ Elem.Stq slot' ]) ]
              | None ->
                  set_sreg w rd (Golden.load_value width unsigned raw);
-                 let data_srcs = [ Elem.Mem (addr / 8) ] in
-                 let es, c =
-                   data_access t ~transient:true ~is_store:false ~addr
-                     ~addr_srcs ~data_srcs
-                 in
-                 emit es;
-                 cost := !cost + c;
-                 emit [ Effect.Write (sreg_elem rd, data_srcs);
-                        Effect.Write (rob, data_srcs) ])
+                 let data_srcs = mem_srcs ~fx addr in
+                 cost :=
+                   !cost
+                   + data_access ~fx t ~transient:true ev ~is_store:false ~addr
+                       ~addr_srcs ~data_srcs;
+                 if fx then
+                   emit ev [ Effect.Write (sreg_elem rd, data_srcs);
+                             Effect.Write (rob, data_srcs) ])
          | Error _ ->
              (* No nested window: the fault squashes with the outer window;
                but the load unit forwards data meanwhile. *)
              if secret_page addr then w.w_secret_fault <- true;
-             let v, data_srcs, sampled = transient_fault_forward t ~addr ~size in
+             let v, data_srcs, sampled =
+               transient_fault_forward ~fx t ~addr ~size
+             in
              if sampled then begin
                w.w_secret_accessed <- true;
                w.w_secret_fault <- true
              end;
              set_sreg w rd v;
-             emit [ Effect.Write (sreg_elem rd, data_srcs);
-                    Effect.Write (rob, data_srcs) ])
+             if fx then
+               emit ev [ Effect.Write (sreg_elem rd, data_srcs);
+                         Effect.Write (rob, data_srcs) ])
      | Insn.Store (width, rs2, rs1, imm) ->
          let addr = sreg w rs1 + imm in
          let size = Insn.bytes width in
-         let addr_srcs = sreg_srcs [ rs1 ] in
          if secret_page addr then w.w_secret_accessed <- true;
          let slot' =
            Lsu.Stq.alloc t.stq ~addr ~size ~data:(sreg w rs2)
              ~old_data:(Phys_mem.read t.mem ~addr ~size)
              ~resolve_at:(t.slot + t.cfg.Config.store_resolve_delay) ()
          in
-         let srcs = sreg_srcs (Insn.reads insn) in
-         emit [ Effect.Write (Elem.Stq slot', srcs); Effect.Write (rob, srcs) ];
-         let es, c =
-           data_access t ~transient:true ~is_store:true ~addr ~addr_srcs
-             ~data_srcs:(sreg_srcs [ rs2 ])
-         in
-         emit es;
-         cost := !cost + c
+         if fx then begin
+           let srcs = sreg_srcs (Insn.reads insn) in
+           emit ev [ Effect.Write (Elem.Stq slot', srcs);
+                     Effect.Write (rob, srcs) ]
+         end;
+         cost :=
+           !cost
+           + data_access ~fx t ~transient:true ev ~is_store:true ~addr
+               ~addr_srcs:(if fx then sreg_srcs [ rs1 ] else [])
+               ~data_srcs:(if fx then sreg_srcs [ rs2 ] else [])
      | Insn.Branch (cond, rs1, rs2, off) ->
          let taken = Golden.cond_holds cond (sreg w rs1) (sreg w rs2) in
-         let srcs = sreg_srcs (Insn.reads insn) in
+         let srcs = if fx then sreg_srcs (Insn.reads insn) else [] in
          next_pc := (if taken then pc + off else pc + 4);
-         emit [ Effect.Ctrl { kind = Effect.C_branch;
-                              value = (if taken then 1 else 0);
-                              srcs; touched = [ Elem.Pc ] };
-                Effect.Write (Elem.Pc, srcs);
-                Effect.Write (rob, srcs) ];
+         if fx then
+           emit ev [ Effect.Ctrl { kind = Effect.C_branch;
+                                   value = (if taken then 1 else 0);
+                                   srcs; touched = [ Elem.Pc ] };
+                     Effect.Write (Elem.Pc, srcs);
+                     Effect.Write (rob, srcs) ];
          if t.cfg.Config.spec_update_loop then (
            match P.Loop.update t.loop ~pc ~taken with
-           | Some i -> emit [ Effect.Write (Elem.Loop i, srcs) ]
+           | Some i -> if fx then emit ev [ Effect.Write (Elem.Loop i, srcs) ]
            | None -> ());
          w.w_last_jalr <- None
      | Insn.Jal (rd, _) ->
          next_pc := Golden.exec w.w_sregs ~pc insn;
          if Insn.is_call insn then begin
            let slot' = P.Ras.push t.ras (pc + 4) in
-           emit [ Effect.Write (Elem.Ras slot', []) ]
+           if fx then emit ev [ Effect.Write (Elem.Ras slot', []) ]
          end;
-         emit [ Effect.Write (sreg_elem rd, []); Effect.Write (rob, []) ]
+         if fx then
+           emit ev [ Effect.Write (sreg_elem rd, []); Effect.Write (rob, []) ]
      | Insn.Jalr (rd, rs1, _) ->
          let target = Golden.exec w.w_sregs ~pc insn in
-         let srcs = sreg_srcs [ rs1 ] in
+         let srcs = if fx then sreg_srcs [ rs1 ] else [] in
          next_pc := target;
          if Insn.is_return insn then (
            match P.Ras.pop t.ras with
            | Some (_, slot') ->
-               emit [ Effect.Write (Elem.Pc, Elem.Ras slot' :: srcs) ]
-           | None -> emit [ Effect.Write (Elem.Pc, srcs) ])
+               if fx then
+                 emit ev [ Effect.Write (Elem.Pc, Elem.Ras slot' :: srcs) ]
+           | None -> if fx then emit ev [ Effect.Write (Elem.Pc, srcs) ])
          else if Insn.is_call insn then begin
            (* B2's vehicle: transient calls overwrite RAS entries. *)
            let slot' = P.Ras.push t.ras (pc + 4) in
-           emit [ Effect.Ctrl { kind = Effect.C_target; value = target; srcs;
-                                touched = [ Elem.Ras slot' ] };
-                  Effect.Write (Elem.Ras slot', []) ]
+           if fx then
+             emit ev [ Effect.Ctrl { kind = Effect.C_target; value = target; srcs;
+                                     touched = [ Elem.Ras slot' ] };
+                       Effect.Write (Elem.Ras slot', []) ]
          end;
-         emit [ Effect.Ctrl { kind = Effect.C_target; value = target; srcs;
-                              touched = [ Elem.Pc ] };
-                Effect.Write (Elem.Pc, srcs);
-                Effect.Write (sreg_elem rd, []); Effect.Write (rob, srcs) ];
+         if fx then
+           emit ev [ Effect.Ctrl { kind = Effect.C_target; value = target; srcs;
+                                   touched = [ Elem.Pc ] };
+                     Effect.Write (Elem.Pc, srcs);
+                     Effect.Write (sreg_elem rd, []); Effect.Write (rob, srcs) ];
+         (* Recorded quiet or loud: B3's squash keys on the jalr itself;
+            only its event reads [srcs]. *)
          w.w_last_jalr <- Some (target, srcs)
      | Insn.Fence_i | Insn.Ecall | Insn.Ebreak | Insn.Mret | Insn.Csr _ ->
          (* System instructions (including CSR accesses) are serializing:
             the frontend stalls on them, ending useful transient
             execution. *)
          close_now := true;
-         emit [ Effect.Write (rob, []) ]
-     | Insn.Illegal _ -> emit [ Effect.Write (rob, []) ]);
+         if fx then emit ev [ Effect.Write (rob, []) ]
+     | Insn.Illegal _ -> if fx then emit ev [ Effect.Write (rob, []) ]);
   w.w_spec_pc <- !next_pc;
   w.w_remaining <- w.w_remaining - 1;
   if !close_now then w.w_stalled <- true;
   t.cycles <- t.cycles + !cost;
   let closed = w.w_remaining <= 0 in
-  let close_events = if closed then close_window t w else [] in
-  { Effect.sl_pc = pc; sl_insn = insn; sl_transient = true;
-    sl_window_opened = None; sl_window_closed = closed;
-    sl_events = List.rev_append !events close_events;
-    sl_cycles = t.cycles; sl_committed = false; sl_swapped = false }
+  let close_events = if closed then close_window ~fx t w else [] in
+  if not fx then None
+  else
+    Some
+      { Effect.sl_pc = pc; sl_insn = insn; sl_transient = true;
+        sl_window_opened = None; sl_window_closed = closed;
+        sl_events = List.rev_append !ev close_events;
+        sl_cycles = t.cycles; sl_committed = false; sl_swapped = false }
   end
 
 (* --- committed execution ----------------------------------------------- *)
 
 let areg_srcs rs = List.map (fun r -> Elem.Areg (Reg.to_int r)) rs
 
-let step_committed t =
+let step_committed ~fx t =
   let pc = Golden.pc t.arch in
-  (* [events] accumulates newest-first ([List.rev] at the end) so each
-     [emit] is O(|es|) instead of copying the whole tail. *)
-  let events = ref [] and cost = ref 0 in
-  let emit es = events := List.rev_append es !events in
-  let fetch_events, fetch_cost = fetch_access t ~transient:false pc in
-  emit fetch_events;
-  cost := !cost + fetch_cost;
+  let ev = ref [] in
+  let cost = ref (fetch_access ~fx t ~transient:false ev pc) in
   (* Fetch-stage prediction state, consulted before architectural
      execution resolves the truth.  One fetch+decode feeds both the
      prediction lookups and the golden model ([Golden.step_decoded]
@@ -679,7 +736,7 @@ let step_committed t =
   (match prefetch with
   | Some i when Insn.is_call i ->
       let slot' = P.Ras.push t.ras (pc + 4) in
-      emit [ Effect.Write (Elem.Ras slot', []) ]
+      if fx then emit ev [ Effect.Write (Elem.Ras slot', []) ]
   | _ -> ());
   let btb_prediction =
     match prefetch with
@@ -717,41 +774,44 @@ let step_committed t =
   in
   let s = Golden.step_decoded t.arch ~fetched in
   let insn = s.Golden.s_insn in
-  let rob = rob_elem t in
   t.committed <- t.committed + 1;
   let srcs =
     (* Data sources: a load's result derives from the memory word, not
        from its address register. *)
-    match (insn, s.Golden.s_mem_addr, s.Golden.s_trap) with
-    | Insn.Load _, Some addr, None -> [ Elem.Mem (addr / 8) ]
-    | _ -> areg_srcs (Insn.reads insn)
+    if not fx then []
+    else
+      match (insn, s.Golden.s_mem_addr, s.Golden.s_trap) with
+      | Insn.Load _, Some addr, None -> [ Elem.Mem (addr / 8) ]
+      | _ -> areg_srcs (Insn.reads insn)
   in
-  emit [ Effect.Write (rob, srcs) ];
-  (match Insn.writes insn with
-  | Some rd -> emit [ Effect.Write (Elem.Areg (Reg.to_int rd), srcs) ]
-  | None -> ());
+  if fx then begin
+    emit ev [ Effect.Write (rob_elem t, srcs) ];
+    match Insn.writes insn with
+    | Some rd -> emit ev [ Effect.Write (Elem.Areg (Reg.to_int rd), srcs) ]
+    | None -> ()
+  end;
   (* Committed micro-updates. *)
   (match s.Golden.s_mem_addr with
   | Some addr when s.Golden.s_trap = None ->
       let addr_srcs =
         match insn with
-        | Insn.Load (_, _, _, rs1, _) | Insn.Store (_, _, rs1, _) ->
+        | (Insn.Load (_, _, _, rs1, _) | Insn.Store (_, _, rs1, _)) when fx ->
             areg_srcs [ rs1 ]
         | _ -> []
       in
       let is_store = Insn.is_store insn in
       let data_srcs =
-        if is_store then
+        if not fx then []
+        else if is_store then
           match insn with
           | Insn.Store (_, rs2, _, _) -> areg_srcs [ rs2 ]
           | _ -> []
         else [ Elem.Mem (addr / 8) ]
       in
-      let es, c =
-        data_access t ~transient:false ~is_store ~addr ~addr_srcs ~data_srcs
-      in
-      emit es;
-      cost := !cost + c;
+      cost :=
+        !cost
+        + data_access ~fx t ~transient:false ev ~is_store ~addr ~addr_srcs
+            ~data_srcs;
       if is_store then begin
         match insn with
         | Insn.Store (width, rs2, _, _) ->
@@ -760,34 +820,32 @@ let step_committed t =
                 ~data:(Golden.reg t.arch rs2) ~old_data:store_old_data
                 ~resolve_at:(t.slot + t.cfg.Config.store_resolve_delay) ()
             in
-            emit [ Effect.Write (Elem.Stq stq_slot, srcs);
-                   Effect.Write (Elem.Mem (addr / 8), areg_srcs [ rs2 ]) ]
+            if fx then
+              emit ev [ Effect.Write (Elem.Stq stq_slot, srcs);
+                        Effect.Write (Elem.Mem (addr / 8), areg_srcs [ rs2 ]) ]
         | _ -> ()
       end
       else begin
         let ldq_slot = Lsu.Ldq.alloc t.ldq ~addr in
-        emit [ Effect.Write (Elem.Ldq ldq_slot, addr_srcs) ]
+        if fx then emit ev [ Effect.Write (Elem.Ldq ldq_slot, addr_srcs) ]
       end
   | _ -> ());
   (match insn with
   | Insn.Fdiv _ -> cost := !cost + fdiv_issue t
   | Insn.Fence_i -> Cache.invalidate_all t.icache
   | _ -> ());
-  (* Branch resolution: predictor updates and misprediction windows. *)
-  let window_opened = ref None in
-  let open_w kind ~after ~spec_pc ~sreg_init =
-    window_opened := Some kind;
-    emit (open_window t ~kind ~trigger_pc:pc ~after ~spec_pc ~sreg_init)
-  in
+  (* Branch resolution: predictor updates and misprediction windows.  At
+     most one window opens per committed slot. *)
   (match s.Golden.s_taken with
   | Some taken ->
       let i = P.Bht.update t.bht ~pc ~taken in
-      emit [ Effect.Write (Elem.Bht i, srcs);
-             Effect.Ctrl { kind = Effect.C_branch;
-                           value = (if taken then 1 else 0); srcs;
-                           touched = [ Elem.Pc ] } ];
+      if fx then
+        emit ev [ Effect.Write (Elem.Bht i, srcs);
+                  Effect.Ctrl { kind = Effect.C_branch;
+                                value = (if taken then 1 else 0); srcs;
+                                touched = [ Elem.Pc ] } ];
       (match P.Loop.update t.loop ~pc ~taken with
-      | Some li -> emit [ Effect.Write (Elem.Loop li, srcs) ]
+      | Some li -> if fx then emit ev [ Effect.Write (Elem.Loop li, srcs) ]
       | None -> ());
       (match predicted_taken with
       | Some p when p <> taken ->
@@ -799,36 +857,39 @@ let step_committed t =
               | Insn.Branch (_, _, _, off) -> pc + off
               | _ -> pc + 4
           in
-          open_w Effect.W_branch_mispred ~after:`Resume ~spec_pc:wrong_path
-            ~sreg_init:[]
+          open_window ~fx t ev ~kind:Effect.W_branch_mispred ~trigger_pc:pc
+            ~after:`Resume ~spec_pc:wrong_path ~sreg_init:[]
       | _ -> ())
   | None -> ());
   (match (insn, s.Golden.s_target) with
   | Insn.Jalr _, Some actual when Insn.is_return insn -> (
-      emit [ Effect.Ctrl { kind = Effect.C_target; value = actual;
-                           srcs = areg_srcs [ Reg.ra ]; touched = [ Elem.Pc ] } ];
+      if fx then
+        emit ev [ Effect.Ctrl { kind = Effect.C_target; value = actual;
+                                srcs = areg_srcs [ Reg.ra ];
+                                touched = [ Elem.Pc ] } ];
       match ras_prediction with
       | Some (predicted, _) when predicted <> actual ->
-          open_w Effect.W_return_mispred ~after:`Resume ~spec_pc:predicted
-            ~sreg_init:[]
+          open_window ~fx t ev ~kind:Effect.W_return_mispred ~trigger_pc:pc
+            ~after:`Resume ~spec_pc:predicted ~sreg_init:[]
       | _ -> ())
   | Insn.Jalr _, Some actual -> (
       let i = P.Btb.update ~word:(Encode.encode insn) t.btb ~pc ~target:actual in
-      emit [ Effect.Write (Elem.Btb i, srcs);
-             Effect.Ctrl { kind = Effect.C_target; value = actual; srcs;
-                           touched = [ Elem.Pc ] } ];
+      if fx then
+        emit ev [ Effect.Write (Elem.Btb i, srcs);
+                  Effect.Ctrl { kind = Effect.C_target; value = actual; srcs;
+                                touched = [ Elem.Pc ] } ];
       match btb_prediction with
       | Some predicted when predicted <> actual ->
-          open_w Effect.W_jump_mispred ~after:`Resume ~spec_pc:predicted
-            ~sreg_init:[]
+          open_window ~fx t ev ~kind:Effect.W_jump_mispred ~trigger_pc:pc
+            ~after:`Resume ~spec_pc:predicted ~sreg_init:[]
       | _ -> ())
   | _ -> ());
   (* Memory-disambiguation window. *)
   (match disamb with
   | Some (rd, stale, _stq_slot) when s.Golden.s_trap = None ->
       ignore (P.Mdp.train_alias t.mdp ~pc);
-      open_w Effect.W_mem_disamb ~after:`Resume ~spec_pc:s.Golden.s_next_pc
-        ~sreg_init:[ (rd, stale) ]
+      open_window ~fx t ev ~kind:Effect.W_mem_disamb ~trigger_pc:pc
+        ~after:`Resume ~spec_pc:s.Golden.s_next_pc ~sreg_init:[ (rd, stale) ]
   | _ -> ());
   (* Exceptions: transient window on the sequential successors, then the
      trap commits — which, under swapMem, hands control to the scheduler. *)
@@ -852,16 +913,19 @@ let step_committed t =
                taint and secret bookkeeping follow it. *)
             let addr = Golden.reg t.arch rs1 + imm in
             let v, fsrcs, sampled =
-              transient_fault_forward t ~addr ~size:(Insn.bytes width)
+              transient_fault_forward ~fx t ~addr ~size:(Insn.bytes width)
             in
-            open_w kind ~after:`Swap ~spec_pc:(pc + 4) ~sreg_init:[ (rd, v) ];
+            open_window ~fx t ev ~kind ~trigger_pc:pc ~after:`Swap
+              ~spec_pc:(pc + 4) ~sreg_init:[ (rd, v) ];
             (match t.window with
             | Some w when secret_page addr || sampled ->
                 w.w_secret_accessed <- true;
                 w.w_secret_fault <- true
             | _ -> ());
-            emit [ Effect.Write (sreg_elem rd, fsrcs) ]
-        | _ -> open_w kind ~after:`Swap ~spec_pc:(pc + 4) ~sreg_init:[]
+            if fx then emit ev [ Effect.Write (sreg_elem rd, fsrcs) ]
+        | _ ->
+            open_window ~fx t ev ~kind ~trigger_pc:pc ~after:`Swap
+              ~spec_pc:(pc + 4) ~sreg_init:[]
       end
       else begin
         swapped := true;
@@ -869,26 +933,41 @@ let step_committed t =
       end
   | None -> ());
   t.cycles <- t.cycles + !cost;
-  { Effect.sl_pc = pc; sl_insn = insn; sl_transient = false;
-    sl_window_opened = !window_opened; sl_window_closed = false;
-    sl_events = List.rev !events; sl_cycles = t.cycles; sl_committed = true;
-    sl_swapped = !swapped }
+  if not fx then None
+  else
+    Some
+      { Effect.sl_pc = pc; sl_insn = insn; sl_transient = false;
+        (* the slot started outside a window: an open one opened here *)
+        sl_window_opened = Option.map (fun w -> w.w_kind) t.window;
+        sl_window_closed = false; sl_events = List.rev !ev;
+        sl_cycles = t.cycles; sl_committed = true; sl_swapped = !swapped }
+
+let over t = t.done_ || t.slot >= t.stim.st_max_slots
+
+(* The end of the run: an open window squashes, quietly — no reader sees
+   that squash's events. *)
+let stop t =
+  (match t.window with
+  | Some w -> ignore (close_window ~fx:false t w)
+  | None -> ());
+  t.done_ <- true
+
+(* One slot, [over] being false. *)
+let exec ~fx t =
+  let slot_info =
+    match t.window with
+    | Some w -> step_transient ~fx t w
+    | None -> step_committed ~fx t
+  in
+  t.slot <- t.slot + 1;
+  slot_info
 
 let step t =
-  if t.done_ || t.slot >= t.stim.st_max_slots then begin
-    (match t.window with Some w -> ignore (close_window t w) | None -> ());
-    t.done_ <- true;
+  if over t then begin
+    stop t;
     None
   end
-  else begin
-    let slot_info =
-      match t.window with
-      | Some w -> step_transient t w
-      | None -> step_committed t
-    in
-    t.slot <- t.slot + 1;
-    Some slot_info
-  end
+  else exec ~fx:true t
 
 (* The word [step] fetches next, if any: the commit pc outside a window,
    the speculative pc inside one until its frontend stalls. *)
@@ -1003,7 +1082,11 @@ let run t =
 let rec finish t =
   let n = nop_run t max_int in
   if n > 0 then skip_nops t n;
-  match step t with None -> () | Some _ -> finish t
+  if over t then stop t
+  else begin
+    ignore (exec ~fx:false t);
+    finish t
+  end
 
 let state_hash t =
   let h = ref 0 in

@@ -17,10 +17,12 @@
     store-queue forwarding, the values faulting loads forward, transient
     accesses at user privilege, and the effect and taint events.
 
-    Every slot reports its microarchitectural effects as an {!Effect.slot},
-    which the dual-instance taint engine consumes; timing is modelled by a
-    per-slot cycle cost (cache misses, divider and port contention), which
-    is what the constant-time oracle compares across instances. *)
+    Every {!step} reports its slot's microarchitectural effects as an
+    {!Effect.slot}, which the dual-instance taint engine consumes; {!finish},
+    for callers that read only the end state, builds none.  Timing is
+    modelled by a per-slot cycle cost (cache misses, divider and port
+    contention), which is what the constant-time oracle compares across
+    instances. *)
 
 type stimulus = {
   st_swapmem : Dvz_soc.Swapmem.t;
@@ -120,12 +122,14 @@ val run : t -> Effect.slot list
 (** Steps to completion, returning all slots. *)
 
 val finish : t -> unit
-(** Steps to completion like {!run} but keeps no slot: each
-    {!Effect.slot} dies in the minor heap instead of living until the run
-    ends, and each run of committed canonical nops advances in one
-    closed-form {!skip_nops}.  The final state (windows, cycles, slot and
-    commit counts, registers, state hash) is {!run}'s.  For callers that
-    only look at the state afterwards. *)
+(** Steps to completion like {!run}, but quietly: each slot makes every
+    state transition {!step} makes (caches, TLBs, LFB, predictors, queues,
+    port timers, the planted bugs, window records, cycles and counters)
+    and builds no {!Effect.slot}, effect event or element list, and each
+    run of committed canonical nops advances in one closed-form
+    {!skip_nops}.  The final state (windows, cycles, slot and commit
+    counts, registers, state hash) is {!run}'s.  For callers that only
+    look at the state afterwards; {!step} and {!run} are unchanged. *)
 
 (** {2 Committed nop runs}
 

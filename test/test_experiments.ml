@@ -128,7 +128,7 @@ let test_table4_shape () =
   List.iter
     (fun (name, t) ->
       Alcotest.(check bool) (name ^ ": diffift costs more than base") true
-        (t.E.Table4.diffift > 0.0 && t.E.Table4.base > 0.0);
+        (t.E.Table4.base > 0.0 && t.E.Table4.diffift > t.E.Table4.base);
       Alcotest.(check bool) (name ^ ": cellift at least as heavy as diffift")
         true
         (t.E.Table4.cellift >= 0.5 *. t.E.Table4.diffift))
@@ -247,6 +247,46 @@ let test_bugcheck_b1_is_meltdown () =
   Alcotest.(check bool) "privilege-crossing" true
     (v.E.Bugcheck.v_attack = Some `Meltdown)
 
+(* [Core.finish] builds no effect event, but it must make every state
+   transition [Core.run] makes.  Each PoC drives one planted mechanism:
+   B1's sampling forward, B2's top-only RAS recovery, B3's BTB update on
+   an exception squash after a transient jalr, B4's fetch-port stall and
+   B5's write-back port contention. *)
+let test_bugcheck_finish_matches_run () =
+  let secret = Array.make Dvz_soc.Layout.secret_dwords 0xB16B00B5 in
+  List.iter
+    (fun bug ->
+      List.iter
+        (fun cfg ->
+          let stim () = Packet.stimulus ~secret (E.Bugcheck.poc cfg bug) in
+          let loud = Core.create cfg (stim ()) in
+          let slots = Core.run loud in
+          let quiet = Core.create cfg (stim ()) in
+          Core.finish quiet;
+          let label what =
+            Printf.sprintf "%s on %s: %s" (E.Bugcheck.name bug) cfg.Cfg.name
+              what
+          in
+          let same what f =
+            Alcotest.(check int) (label what) (f loud) (f quiet)
+          in
+          same "state hash" Core.state_hash;
+          same "cycles" Core.cycles;
+          same "committed" Core.committed;
+          same "slots" Core.slot_count;
+          Alcotest.(check int) (label "slots run") (List.length slots)
+            (Core.slot_count quiet);
+          Alcotest.(check bool) (label "windows") true
+            (Core.windows loud = Core.windows quiet);
+          for r = 0 to 31 do
+            same
+              (Printf.sprintf "x%d" r)
+              (fun c -> Core.arch_reg c (Dvz_isa.Reg.x r))
+          done)
+        (E.Bugcheck.vulnerable_core bug
+        :: Option.to_list (E.Bugcheck.immune_core bug)))
+    E.Bugcheck.all
+
 let test_ablation_shape () =
   let r = E.Ablation.run ~iterations:60 ~rng_seed:3 boom in
   Alcotest.(check bool) "cellift population explodes" true
@@ -318,5 +358,7 @@ let () =
       ( "bugcheck",
         [ Alcotest.test_case "all five detected" `Quick test_bugcheck_all_detected;
           Alcotest.test_case "controls clean" `Quick test_bugcheck_controls_clean;
-          Alcotest.test_case "B1 is Meltdown" `Quick test_bugcheck_b1_is_meltdown ] );
+          Alcotest.test_case "B1 is Meltdown" `Quick test_bugcheck_b1_is_meltdown;
+          Alcotest.test_case "finish matches run on every PoC" `Quick
+            test_bugcheck_finish_matches_run ] );
       ( "table2", [ Alcotest.test_case "render" `Quick test_table2_renders ] ) ]

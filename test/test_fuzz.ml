@@ -1115,22 +1115,27 @@ let prop_core_finish_equals_run =
       Core.finish (Simpool.acquire_core cfg (stim (e + 500)));
       let pooled = Simpool.acquire_core cfg (stim e) in
       Core.finish pooled;
+      let regs c = List.init 32 (fun i -> Core.arch_reg c (Dvz_isa.Reg.x i)) in
       Core.state_hash pooled = Core.state_hash ran
       && Core.windows pooled = Core.windows ran
       && Core.slot_count pooled = Core.slot_count ran
       && Core.slot_count ran = List.length slots
-      && Core.cycles pooled = Core.cycles ran)
+      && Core.cycles pooled = Core.cycles ran
+      && Core.committed pooled = Core.committed ran
+      && regs pooled = regs ran)
+
+(* The random-training test cases both phase-1 bounds run on. *)
+let random_training_cases cfg =
+  let rng = Rng.create 7 in
+  List.init 200 (fun _ ->
+      Trigger_gen.generate ~style:`Random cfg (Seed.random rng))
 
 (* Phase-1 evaluation must keep nothing of a run alive but the core's own
    state: holding the run's slot list until the run ended promoted about
    34,000 words to the major heap per evaluation of these random-training
-   test cases (about 740 without it). *)
+   test cases (about 150 without it). *)
 let test_evaluate_promotion_bound () =
-  let rng = Rng.create 7 in
-  let cases =
-    List.init 200 (fun _ ->
-        Trigger_gen.generate ~style:`Random boom (Seed.random rng))
-  in
+  let cases = random_training_cases boom in
   (* Warm up the pooled core and any one-time setup. *)
   List.iteri
     (fun i tc -> if i < 10 then ignore (Trigger_opt.evaluate boom tc))
@@ -1145,6 +1150,37 @@ let test_evaluate_promotion_bound () =
     (Printf.sprintf "evaluate promotes < 5000 words per call (got %.0f)"
        per_call)
     true (per_call < 5000.0)
+
+(* Phase 1 reads only the windows a run leaves, so [Core.finish] builds no
+   effect event, element list or slot record (about 30 words per slot are
+   left).  Building the events the way [Core.run] does cost about 133
+   words per slot on these cases (141 on XiangShan). *)
+let test_evaluate_allocation_bound () =
+  List.iter
+    (fun cfg ->
+      let cases = random_training_cases cfg in
+      List.iteri
+        (fun i tc -> if i < 10 then ignore (Trigger_opt.evaluate cfg tc))
+        cases;
+      let slots =
+        List.fold_left
+          (fun n tc ->
+            let c =
+              Core.create cfg
+                (Packet.stimulus ~secret:Trigger_opt.eval_secret tc)
+            in
+            Core.finish c;
+            n + Core.slot_count c)
+          0 cases
+      in
+      let before = Gc.minor_words () in
+      List.iter (fun tc -> ignore (Trigger_opt.evaluate cfg tc)) cases;
+      let per_slot = (Gc.minor_words () -. before) /. float_of_int slots in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: evaluate allocates < 60 words per slot (got %.1f)"
+           cfg.Cfg.name per_slot)
+        true (per_slot < 60.0))
+    [ boom; xs ]
 
 (* --- state copy and the forked sanitize run ---------------------------- *)
 
@@ -1629,7 +1665,9 @@ let () =
             test_reduce_matches_reference_exercised;
           QCheck_alcotest.to_alcotest prop_core_finish_equals_run;
           Alcotest.test_case "evaluate promotion bound" `Quick
-            test_evaluate_promotion_bound ] );
+            test_evaluate_promotion_bound;
+          Alcotest.test_case "evaluate allocation bound" `Quick
+            test_evaluate_allocation_bound ] );
       ( "phase2",
         [ Alcotest.test_case "completion replaces nops" `Quick
             test_window_completion_replaces_nops;

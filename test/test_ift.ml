@@ -602,6 +602,22 @@ let test_shadow_rejects_unconnected_register () =
     (Failure "Sim.lower: unconnected register r") (fun () ->
       ignore (Shadow.create Policy.Diffift nl))
 
+(* A register is state, not a testbench input: each Shadow setter refuses
+   one by name, in [Sim.set_input]'s words, instead of overwriting its
+   value and dropping its taint. *)
+let shadow_refuses_register fn drive () =
+  let nl = N.create () in
+  let d = N.input nl ~name:"d" 4 in
+  let q = N.reg nl ~name:"q" 4 in
+  N.reg_connect nl q ~d ();
+  let msg who =
+    Printf.sprintf "%s: signal q is not an input (it is a register)" who
+  in
+  Alcotest.check_raises "Sim" (Invalid_argument (msg "Sim.set_input"))
+    (fun () -> Sim.set_input (Sim.create nl) q 1);
+  Alcotest.check_raises "Shadow" (Invalid_argument (msg ("Shadow." ^ fn)))
+    (fun () -> drive (Shadow.create Policy.Diffift nl) q)
+
 (* The compiled shadow cycle is allocation-free too: all Policy calls are
    int-in/int-out. *)
 let test_shadow_compiled_cycle_allocation_free () =
@@ -740,6 +756,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_shadow_values_match_sim;
           Alcotest.test_case "Shadow.create rejects an unconnected register"
             `Quick test_shadow_rejects_unconnected_register;
+          Alcotest.test_case "Shadow.set_input refuses a register" `Quick
+            (shadow_refuses_register "set_input" (fun sh q ->
+                 Shadow.set_input sh q 1));
+          Alcotest.test_case "Shadow.set_input_pair refuses a register" `Quick
+            (shadow_refuses_register "set_input_pair" (fun sh q ->
+                 Shadow.set_input_pair sh q 1 2));
+          Alcotest.test_case "Shadow.set_input_taint refuses a register" `Quick
+            (shadow_refuses_register "set_input_taint" (fun sh q ->
+                 Shadow.set_input_taint sh q 0xF));
           Alcotest.test_case "compiled cycle allocation-free" `Quick
             test_shadow_compiled_cycle_allocation_free ] );
       ( "liveness",
