@@ -197,6 +197,9 @@ module Simbench = struct
       [ ("table4/dualcore-diffift-e2e", Dvz_ift.Policy.Diffift);
         ("fig6/dualcore-cellift-e2e", Dvz_ift.Policy.Cellift) ]
 
+  (* Each [campaign] entry comes with the summary line [write_json] echoes
+     for it, printed from the values it was built from. *)
+
   (* Batched-campaign throughput: the same deterministic campaign run on 1
      and 4 jobs.  Records the wall-clock scaling CI gates (only when the
      machine actually has the cores — [domains_available] says so) plus a
@@ -211,18 +214,23 @@ module Simbench = struct
     (* campaigns are long, so blocks of one run suffice *)
     let jobs1_ns, jobs4_ns = min_of_interleaved ~blocks:3 (run 1) (run 4) in
     let deterministic = C.run ~jobs:1 boom options = C.run ~jobs:4 boom options in
-    Dvz_obs.Json.Obj
-      [ ("name", Dvz_obs.Json.Str "campaign/batch-throughput");
-        ("iterations", Dvz_obs.Json.Int options.C.iterations);
-        ("batch", Dvz_obs.Json.Int options.C.batch);
-        ("jobs1_ns", Dvz_obs.Json.Float jobs1_ns);
-        ("jobs4_ns", Dvz_obs.Json.Float jobs4_ns);
-        ("scaling", Dvz_obs.Json.Float (jobs1_ns /. Float.max 1.0 jobs4_ns));
-        ("jobs_requested", Dvz_obs.Json.Int 4);
-        ("jobs_effective",
-         Dvz_obs.Json.Int (Dvz_util.Parallel.effective_lanes 4));
-        ("domains_available", Dvz_obs.Json.Int (Dvz_util.Parallel.available ()));
-        ("deterministic", Dvz_obs.Json.Bool deterministic) ]
+    let name = "campaign/batch-throughput" in
+    let scaling = jobs1_ns /. Float.max 1.0 jobs4_ns in
+    let domains = Dvz_util.Parallel.available () in
+    ( Dvz_obs.Json.Obj
+        [ ("name", Dvz_obs.Json.Str name);
+          ("iterations", Dvz_obs.Json.Int options.C.iterations);
+          ("batch", Dvz_obs.Json.Int options.C.batch);
+          ("jobs1_ns", Dvz_obs.Json.Float jobs1_ns);
+          ("jobs4_ns", Dvz_obs.Json.Float jobs4_ns);
+          ("scaling", Dvz_obs.Json.Float scaling);
+          ("jobs_requested", Dvz_obs.Json.Int 4);
+          ("jobs_effective",
+           Dvz_obs.Json.Int (Dvz_util.Parallel.effective_lanes 4));
+          ("domains_available", Dvz_obs.Json.Int domains);
+          ("deterministic", Dvz_obs.Json.Bool deterministic) ],
+      Printf.sprintf "%-32s %.2fx scaling at 4 jobs (%d domains available)"
+        name scaling domains )
 
   (* What the layered engine costs when there is nothing to parallelise:
      the same 64-iteration campaign run once through the batching
@@ -238,14 +246,19 @@ module Simbench = struct
     in
     let run batch () = ignore (C.run ~jobs:1 boom (options batch)) in
     let engine_ns, direct_ns = min_of_interleaved ~blocks:3 (run 8) (run 1) in
-    Dvz_obs.Json.Obj
-      [ ("name", Dvz_obs.Json.Str "campaign/parallel-overhead");
-        ("iterations", Dvz_obs.Json.Int 64);
-        ("engine_batch", Dvz_obs.Json.Int 8);
-        ("engine_ns", Dvz_obs.Json.Float engine_ns);
-        ("direct_ns", Dvz_obs.Json.Float direct_ns);
-        ("overhead", Dvz_obs.Json.Float (engine_ns /. Float.max 1.0 direct_ns));
-        ("domains_available", Dvz_obs.Json.Int (Dvz_util.Parallel.available ())) ]
+    let name = "campaign/parallel-overhead" in
+    let overhead = engine_ns /. Float.max 1.0 direct_ns in
+    ( Dvz_obs.Json.Obj
+        [ ("name", Dvz_obs.Json.Str name);
+          ("iterations", Dvz_obs.Json.Int 64);
+          ("engine_batch", Dvz_obs.Json.Int 8);
+          ("engine_ns", Dvz_obs.Json.Float engine_ns);
+          ("direct_ns", Dvz_obs.Json.Float direct_ns);
+          ("overhead", Dvz_obs.Json.Float overhead);
+          ("domains_available",
+           Dvz_obs.Json.Int (Dvz_util.Parallel.available ())) ],
+      Printf.sprintf "%-32s %.2fx engine over direct fold at 1 job" name
+        overhead )
 
   (* What the per-domain instance pool buys: one dual-DUT Meltdown run
      through a freshly constructed testbench vs through the pooled one
@@ -267,11 +280,14 @@ module Simbench = struct
     let fresh_ns = min_of_blocks ~blocks:4 ~per_block:100 fresh in
     for _ = 1 to 30 do pooled () done;
     let pooled_ns = min_of_blocks ~blocks:4 ~per_block:100 pooled in
-    Dvz_obs.Json.Obj
-      [ ("name", Dvz_obs.Json.Str "campaign/pooled-vs-fresh");
-        ("fresh_ns", Dvz_obs.Json.Float fresh_ns);
-        ("pooled_ns", Dvz_obs.Json.Float pooled_ns);
-        ("speedup", Dvz_obs.Json.Float (fresh_ns /. Float.max 1.0 pooled_ns)) ]
+    let name = "campaign/pooled-vs-fresh" in
+    let speedup = fresh_ns /. Float.max 1.0 pooled_ns in
+    ( Dvz_obs.Json.Obj
+        [ ("name", Dvz_obs.Json.Str name);
+          ("fresh_ns", Dvz_obs.Json.Float fresh_ns);
+          ("pooled_ns", Dvz_obs.Json.Float pooled_ns);
+          ("speedup", Dvz_obs.Json.Float speedup) ],
+      Printf.sprintf "%-32s %.2fx pooled over fresh construction" name speedup )
 
   (* What one telemetry flush costs the plane: encoding a realistic
      worker batch for the wire, decoding it coordinator-side, and
@@ -338,6 +354,7 @@ module Simbench = struct
         ("codec_roundtrip_ns", Dvz_obs.Json.Float codec_ns);
         ("metrics_merge_ns", Dvz_obs.Json.Float merge_ns) ]
 
+  (* The report and its summary lines. *)
   let json_report () =
     let ws = workloads () in
     let measured = List.map (fun w -> (w, measure_ns w)) ws in
@@ -363,86 +380,42 @@ module Simbench = struct
           match (find base "compiled", find base "interp") with
           | Some (_, c), Some (_, i) when c > 0.0 ->
               Some
-                (Dvz_obs.Json.Obj
-                   [ ("name", Dvz_obs.Json.Str base);
-                     ("interp_ns_per_cycle", Dvz_obs.Json.Float i);
-                     ("compiled_ns_per_cycle", Dvz_obs.Json.Float c);
-                     ("speedup", Dvz_obs.Json.Float (i /. c)) ])
+                ( Dvz_obs.Json.Obj
+                    [ ("name", Dvz_obs.Json.Str base);
+                      ("interp_ns_per_cycle", Dvz_obs.Json.Float i);
+                      ("compiled_ns_per_cycle", Dvz_obs.Json.Float c);
+                      ("speedup", Dvz_obs.Json.Float (i /. c)) ],
+                  Printf.sprintf "%-32s %.1fx compiled over interp" base
+                    (i /. c) )
           | _ -> None)
         [ "fig6/cellift-simulation"; "table4/diffift-simulation";
           "ir/sim-cycle" ]
     in
-    Dvz_obs.Json.Obj
-      [ ("schema", Dvz_obs.Json.Str "dvz-bench-sim/7");
-        ("benches", Dvz_obs.Json.Arr bench_objs);
-        ("speedups", Dvz_obs.Json.Arr speedups);
-        ("e2e", Dvz_obs.Json.Arr (e2e_report ()));
-        ("campaign",
-         Dvz_obs.Json.Arr
-           [ campaign_report (); parallel_overhead_report ();
-             pooled_vs_fresh_report () ]);
-        ("fleet", Dvz_obs.Json.Arr [ telemetry_report () ]) ]
+    (* Measured in the order the report has always been taken in: the
+       later sections first, the dual-DUT runs last. *)
+    let fleet = telemetry_report () in
+    let pooled = pooled_vs_fresh_report () in
+    let overhead = parallel_overhead_report () in
+    let batch = campaign_report () in
+    let e2e = e2e_report () in
+    let campaign = [ batch; overhead; pooled ] in
+    ( Dvz_obs.Json.Obj
+        [ ("schema", Dvz_obs.Json.Str "dvz-bench-sim/7");
+          ("benches", Dvz_obs.Json.Arr bench_objs);
+          ("speedups", Dvz_obs.Json.Arr (List.map fst speedups));
+          ("e2e", Dvz_obs.Json.Arr e2e);
+          ("campaign", Dvz_obs.Json.Arr (List.map fst campaign));
+          ("fleet", Dvz_obs.Json.Arr [ fleet ]) ],
+      List.map snd speedups @ List.map snd campaign )
 
   let write_json path =
-    let json = json_report () in
+    let json, summary = json_report () in
     let oc = open_out path in
     output_string oc (Dvz_obs.Json.to_string json);
     output_char oc '\n';
     close_out oc;
-    (* Echo the speedups so CI logs show the headline numbers. *)
-    (match json with
-    | Dvz_obs.Json.Obj fields -> (
-        match List.assoc_opt "speedups" fields with
-        | Some (Dvz_obs.Json.Arr sps) ->
-            List.iter
-              (fun sp ->
-                match sp with
-                | Dvz_obs.Json.Obj f -> (
-                    match
-                      (List.assoc_opt "name" f, List.assoc_opt "speedup" f)
-                    with
-                    | Some (Dvz_obs.Json.Str n), Some (Dvz_obs.Json.Float s) ->
-                        Printf.printf "%-32s %.1fx compiled over interp\n" n s
-                    | _ -> ())
-                | _ -> ())
-              sps
-        | _ -> ());
-        (match List.assoc_opt "campaign" fields with
-        | Some (Dvz_obs.Json.Arr cs) ->
-            List.iter
-              (fun c ->
-                match c with
-                | Dvz_obs.Json.Obj f -> (
-                    match
-                      ( List.assoc_opt "name" f,
-                        List.assoc_opt "scaling" f,
-                        List.assoc_opt "overhead" f,
-                        List.assoc_opt "domains_available" f )
-                    with
-                    | ( Some (Dvz_obs.Json.Str n),
-                        Some (Dvz_obs.Json.Float s),
-                        _,
-                        Some (Dvz_obs.Json.Int d) ) ->
-                        Printf.printf
-                          "%-32s %.2fx scaling at 4 jobs (%d domains available)\n"
-                          n s d
-                    | ( Some (Dvz_obs.Json.Str n),
-                        None,
-                        Some (Dvz_obs.Json.Float o),
-                        _ ) ->
-                        Printf.printf
-                          "%-32s %.2fx engine over direct fold at 1 job\n" n o
-                    | Some (Dvz_obs.Json.Str n), None, None, None -> (
-                        match List.assoc_opt "speedup" f with
-                        | Some (Dvz_obs.Json.Float s) ->
-                            Printf.printf
-                              "%-32s %.2fx pooled over fresh construction\n" n s
-                        | _ -> ())
-                    | _ -> ())
-                | _ -> ())
-              cs
-        | _ -> ())
-    | _ -> ());
+    (* Echo the headline numbers so CI logs show them. *)
+    List.iter print_endline summary;
     Printf.printf "wrote %s\n" path
 end
 

@@ -23,17 +23,6 @@ let create ?(pc = 0) ?(priv = Machine) ?(mtvec = 0) mem =
   { mem; regs = Array.make 32 0; pc; priv; mepc = 0; mcause = 0; mtval = 0;
     mtvec; mscratch = 0; mpp = User }
 
-let reset ?(pc = 0) ?(priv = Machine) ?(mtvec = 0) t =
-  Array.fill t.regs 0 32 0;
-  t.pc <- pc;
-  t.priv <- priv;
-  t.mepc <- 0;
-  t.mcause <- 0;
-  t.mtval <- 0;
-  t.mtvec <- mtvec;
-  t.mscratch <- 0;
-  t.mpp <- User
-
 (* Register-file access on any 32-entry file: x0 reads as 0 and is never
    written. *)
 let get regs r = if Reg.to_int r = 0 then 0 else regs.(Reg.to_int r)

@@ -28,11 +28,6 @@ type t
 
 val create : ?pc:int -> ?priv:priv -> ?mtvec:int -> memory -> t
 
-val reset : ?pc:int -> ?priv:priv -> ?mtvec:int -> t -> unit
-(** Return [t] to the state [create] with the same arguments would build
-    (zero registers and CSRs, [mpp = User]) while keeping its memory
-    closures.  Used to re-arm a pooled core for a new stimulus. *)
-
 val pc : t -> int
 val priv : t -> priv
 val reg : t -> Reg.t -> int

@@ -34,11 +34,6 @@ let blit ~src ~dst =
   Array.blit src.perms 0 dst.perms 0 (Array.length src.perms);
   unwatch dst
 
-let clear t =
-  Bytes.fill t.data 0 (Bytes.length t.data) '\000';
-  Array.fill t.perms 0 (Array.length t.perms) Perm.rwx;
-  unwatch t
-
 let watch_words = Layout.swap_size / 4
 
 let watch_bitmap words =

@@ -19,11 +19,6 @@ val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies [src]'s bytes and page permissions into
     [dst] in place; [dst] is left unwatched. *)
 
-val clear : t -> unit
-(** Return the memory to its {!create} state in place: all bytes zero, all
-    pages [Perm.rwx].  Used by the executor instance pool to re-arm a core
-    without reallocating the backing store. *)
-
 val set_perm : t -> int -> Perm.t -> unit
 (** [set_perm t addr p] sets the permission of the page containing [addr]. *)
 
@@ -57,8 +52,8 @@ val arm_watch : t -> unit
 (** Starts watching (no-op without an installed bitmap). *)
 
 val unwatch : t -> unit
-(** Stops watching and forgets the bitmap and the latch.  {!clear} and
-    {!blit} (on its destination) do the same. *)
+(** Stops watching and forgets the bitmap and the latch.  {!blit} (on
+    its destination) does the same. *)
 
 val watch_hit : t -> bool
 (** Whether an armed watch has seen a read of a watched word. *)

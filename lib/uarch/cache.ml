@@ -35,20 +35,12 @@ let fill t ~addr =
 
 let invalidate_all t = Array.iter (fun l -> l.valid <- false) t.lines
 
-let reset t =
-  Array.iter
-    (fun l ->
-      l.valid <- false;
-      l.tag <- 0)
-    t.lines
-
 let blit ~src ~dst =
-  Array.iteri
-    (fun i l ->
-      let s = src.lines.(i) in
-      l.valid <- s.valid;
-      l.tag <- s.tag)
-    dst.lines
+  for i = 0 to Array.length dst.lines - 1 do
+    let s = src.lines.(i) and d = dst.lines.(i) in
+    d.valid <- s.valid;
+    d.tag <- s.tag
+  done
 
 let valid t i = t.lines.(i).valid
 
@@ -63,21 +55,12 @@ module Lfb = struct
     { slots = Array.init entries (fun _ -> { data = 0; mshr_valid = false });
       next = 0 }
 
-  let reset t =
-    Array.iter
-      (fun s ->
-        s.data <- 0;
-        s.mshr_valid <- false)
-      t.slots;
-    t.next <- 0
-
   let blit ~src ~dst =
-    Array.iteri
-      (fun i d ->
-        let s = src.slots.(i) in
-        d.data <- s.data;
-        d.mshr_valid <- s.mshr_valid)
-      dst.slots;
+    for i = 0 to Array.length dst.slots - 1 do
+      let s = src.slots.(i) and d = dst.slots.(i) in
+      d.data <- s.data;
+      d.mshr_valid <- s.mshr_valid
+    done;
     dst.next <- src.next
 
   let refill t ~data =
@@ -92,6 +75,4 @@ module Lfb = struct
 
   let data t i = t.slots.(i).data
   let valid t i = t.slots.(i).mshr_valid
-  let entries t = Array.length t.slots
-  let set_valid t i v = t.slots.(i).mshr_valid <- v
 end

@@ -30,11 +30,6 @@ val fill : t -> addr:int -> bool
 val invalidate_all : t -> unit
 (** Flush (fence.i / swap-time icache flush). *)
 
-val reset : t -> unit
-(** Back to the [create] state: every line invalid {e and} its tag zeroed
-    (unlike [invalidate_all], which leaves stale tags — invisible to
-    lookups but hashed by [Core.state_hash]). *)
-
 val blit : src:t -> dst:t -> unit
 (** Copies [src]'s state into [dst] (same geometry). *)
 
@@ -49,10 +44,6 @@ module Lfb : sig
 
   val create : entries:int -> t
 
-  val reset : t -> unit
-  (** Back to the [create] state: data zeroed (it is hashed even in dead
-      slots), MSHR valid bits clear, allocation cursor at slot 0. *)
-
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
 
@@ -63,6 +54,4 @@ module Lfb : sig
 
   val data : t -> int -> int
   val valid : t -> int -> bool
-  val entries : t -> int
-  val set_valid : t -> int -> bool -> unit
 end

@@ -39,9 +39,11 @@ type window = {
           are bubbles, keeping the two testbench instances slot-aligned *)
   w_sregs : int array;
   mutable w_spec_pc : int;
-  w_ras_snap : P.Ras.snapshot;
-  w_stq_snap : Lsu.Stq.snapshot;
-  w_ldq_snap : Lsu.Ldq.snapshot;
+  w_ras : P.Ras.t;
+  w_stq : Lsu.Stq.t;
+  w_ldq : Lsu.Ldq.t;
+      (** copies of the three structures at window open, which squash
+          copies back; never mutated, so [blit] shares them *)
   mutable w_enqueued : int;
   w_start_cycle : int;
   w_start_slot : int;
@@ -94,37 +96,41 @@ and elems = {
       (** every RoB entry, the speculative registers and the pc *)
 }
 
+(* The value [build] makes for [key], built once and shared by every
+   domain: [memo] holds one per key, [eq] compares keys. *)
+let rec memoised memo ~eq key build =
+  let m = Atomic.get memo in
+  match List.find_opt (fun (k, _) -> eq k key) m with
+  | Some (_, v) -> v
+  | None ->
+      let v = build () in
+      if Atomic.compare_and_set memo m ((key, v) :: m) then v
+      else memoised memo ~eq key build
+
 (* Built once per set of sizes and shared by every core and every event
    that names them.  A set per core measurably raised the campaign's peak
    RSS: each pooled core kept its own scattered long-lived blocks. *)
 let elems_memo : ((int * int * int * int) * elems) list Atomic.t =
   Atomic.make []
 
-let rec elems_of cfg =
+let elems_of cfg =
   let key =
     Config.(cfg.rob_entries, cfg.ras_entries, cfg.stq_entries,
             cfg.ldq_entries)
   in
-  let memo = Atomic.get elems_memo in
-  match List.assoc_opt key memo with
-  | Some e -> e
-  | None ->
+  memoised elems_memo ~eq:( = ) key (fun () ->
       let rob_elems = Array.init cfg.Config.rob_entries (fun i -> Elem.Rob i) in
       let queue_elems =
         List.init cfg.Config.stq_entries (fun i -> Elem.Stq i)
         @ List.init cfg.Config.ldq_entries (fun i -> Elem.Ldq i)
       in
-      let e =
-        { rob_elems; queue_elems;
-          window_elems =
-            List.init cfg.Config.ras_entries (fun i -> Elem.Ras i) @ queue_elems;
-          flush_elems =
-            Array.to_list rob_elems
-            @ List.init 32 (fun i -> Elem.Sreg i)
-            @ [ Elem.Pc ] }
-      in
-      if Atomic.compare_and_set elems_memo memo ((key, e) :: memo) then e
-      else elems_of cfg
+      { rob_elems; queue_elems;
+        window_elems =
+          List.init cfg.Config.ras_entries (fun i -> Elem.Ras i) @ queue_elems;
+        flush_elems =
+          Array.to_list rob_elems
+          @ List.init 32 (fun i -> Elem.Sreg i)
+          @ [ Elem.Pc ] })
 
 let swap_in t =
   match Swapmem.load_next t.stim.st_swapmem t.mem with
@@ -146,15 +152,21 @@ let swap_in t =
       Golden.set_priv t.arch Golden.User;
       true
 
+(* What a core holds before [load] arms it. *)
+let no_stim =
+  { st_swapmem = Swapmem.create ~blobs:[] ~schedule:[];
+    st_tighten_secret = false; st_secret = [||]; st_data = []; st_perms = [];
+    st_max_slots = 0 }
+
 (* Every stateful layer allocated in its zero state, nothing loaded:
-   [create] arms the result with [reset], [copy] with [blit]. *)
-let alloc cfg stim =
+   [create] arms the result with [load], [copy] with [blit]. *)
+let alloc cfg =
   let mem = Phys_mem.create () in
   let arch =
     Golden.create ~pc:Layout.swap_entry ~priv:Golden.User ~mtvec:Layout.mtvec
       (Phys_mem.golden_memory mem)
   in
-  { cfg; stim; mem; arch;
+  { cfg; stim = no_stim; mem; arch;
     bht = P.Bht.create ~entries:cfg.Config.bht_entries;
     btb = P.Btb.create ~tagged:cfg.Config.btb_tagged ~entries:cfg.Config.btb_entries ();
     ras = P.Ras.create ~entries:cfg.Config.ras_entries;
@@ -177,12 +189,9 @@ let alloc cfg stim =
     window = None; windows = []; done_ = false; secret_tightened = false;
     elems = elems_of cfg }
 
-(* Re-arm an existing core for a new stimulus without reallocating any of
-   its state.  Must leave [t] bit-identical (under [state_hash] and every
-   observable) to [create t.cfg stim]: zeroed memory and predictor tags, not
-   just cleared valid bits, because dead state is still hashed. *)
-let reset t stim =
-  Phys_mem.clear t.mem;
+(* Arm a core in its zero state with [stim]: the secret, the operand data
+   and the permission overrides written, the first blob loaded. *)
+let load t stim =
   Swapmem.reset stim.st_swapmem;
   Array.iteri
     (fun i v ->
@@ -192,37 +201,12 @@ let reset t stim =
     (fun (addr, v) -> Phys_mem.write t.mem ~addr ~size:8 v)
     stim.st_data;
   List.iter (fun (addr, p) -> Phys_mem.set_perm t.mem addr p) stim.st_perms;
-  Golden.reset ~pc:Layout.swap_entry ~priv:Golden.User ~mtvec:Layout.mtvec
-    t.arch;
-  P.Bht.reset t.bht;
-  P.Btb.reset t.btb;
-  P.Ras.reset t.ras;
-  P.Loop.reset t.loop;
-  P.Mdp.reset t.mdp;
-  Cache.reset t.icache;
-  Cache.reset t.dcache;
-  Cache.Lfb.reset t.lfb;
-  Tlb.reset t.tlb;
-  Tlb.reset t.l2tlb;
-  Lsu.Stq.reset t.stq;
-  Lsu.Ldq.reset t.ldq;
   t.stim <- stim;
-  t.cycles <- 0;
-  t.slot <- 0;
-  t.committed <- 0;
-  t.fetch_busy_until <- 0;
-  t.fdiv_busy_until <- 0;
-  t.load_wb_busy_until <- 0;
-  t.lsu_busy_until <- 0;
-  t.window <- None;
-  t.windows <- [];
-  t.done_ <- false;
-  t.secret_tightened <- false;
   ignore (swap_in t)
 
 let create cfg stim =
-  let t = alloc cfg stim in
-  reset t stim;
+  let t = alloc cfg in
+  load t stim;
   t
 
 (* Copy every stateful layer in place.  The stimulus gets its own swap
@@ -261,9 +245,25 @@ let blit ~src ~dst =
   dst.secret_tightened <- src.secret_tightened
 
 let copy t =
-  let dst = alloc t.cfg t.stim in
+  let dst = alloc t.cfg in
   blit ~src:t ~dst;
   dst
+
+(* One never-stepped core per configuration, shared read-only by every
+   core and domain like [elems_memo]: [reset] copies it. *)
+let zero_memo : (Config.t * t) list Atomic.t = Atomic.make []
+
+let zero_of cfg =
+  memoised zero_memo ~eq:(fun c cfg -> c == cfg || c = cfg) cfg (fun () ->
+      alloc cfg)
+
+(* Re-arm in place: [create]'s zero state copied over every layer (dead
+   state included, since [state_hash] reads it), then [create]'s load.
+   The stimulus copy [blit] makes is the zero core's empty one, which
+   [load] replaces. *)
+let reset t stim =
+  blit ~src:(zero_of t.cfg) ~dst:t;
+  load t stim
 
 let transient_loaded t =
   match Swapmem.current t.stim.st_swapmem with
@@ -423,16 +423,16 @@ let close_window ~fx t w =
      where B2 lives. *)
   let restored =
     if t.cfg.Config.ras_restore_below_tos_bug then begin
-      P.Ras.restore_top_only t.ras w.w_ras_snap;
+      P.Ras.restore_top_only ~src:w.w_ras ~dst:t.ras;
       if fx then Elem.Ras (P.Ras.tos t.ras) :: t.elems.queue_elems else []
     end
     else begin
-      P.Ras.restore_full t.ras w.w_ras_snap;
+      P.Ras.blit ~src:w.w_ras ~dst:t.ras;
       t.elems.window_elems
     end
   in
-  Lsu.Stq.restore t.stq w.w_stq_snap;
-  Lsu.Ldq.restore t.ldq w.w_ldq_snap;
+  Lsu.Stq.blit ~src:w.w_stq ~dst:t.stq;
+  Lsu.Ldq.blit ~src:w.w_ldq ~dst:t.ldq;
   (* B3: an exception commit racing a mispredicted-jalr correction updates
      the faulting pc's BTB entry with the jalr's corrected target. *)
   let b3_events =
@@ -488,15 +488,21 @@ let close_window ~fx t w =
 let open_window ~fx t ev ~kind ~trigger_pc ~after ~spec_pc ~sreg_init =
   let sregs = Array.init 32 (fun i -> Golden.reg t.arch (Reg.x i)) in
   List.iter (fun (r, v) -> sregs.(Reg.to_int r) <- v) sreg_init;
+  (* The checkpoints: copies of the RAS and both queues. *)
+  let cfg = t.cfg in
+  let ras = P.Ras.create ~entries:cfg.Config.ras_entries
+  and stq = Lsu.Stq.create ~entries:cfg.Config.stq_entries
+  and ldq = Lsu.Ldq.create ~entries:cfg.Config.ldq_entries in
+  P.Ras.blit ~src:t.ras ~dst:ras;
+  Lsu.Stq.blit ~src:t.stq ~dst:stq;
+  Lsu.Ldq.blit ~src:t.ldq ~dst:ldq;
   t.window <-
     Some
       { w_kind = kind; w_trigger_pc = trigger_pc; w_after = after;
-        w_remaining = t.cfg.Config.window_insns;
+        w_remaining = cfg.Config.window_insns;
         w_stalled = false;
         w_sregs = sregs; w_spec_pc = spec_pc;
-        w_ras_snap = P.Ras.snapshot t.ras;
-        w_stq_snap = Lsu.Stq.snapshot t.stq;
-        w_ldq_snap = Lsu.Ldq.snapshot t.ldq;
+        w_ras = ras; w_stq = stq; w_ldq = ldq;
         w_enqueued = 0; w_start_cycle = t.cycles; w_start_slot = t.slot;
         w_secret_accessed = false; w_secret_fault = false;
         w_last_jalr = None };
@@ -530,8 +536,7 @@ let step_transient ~fx t w =
       Some
         { Effect.sl_pc = w.w_spec_pc; sl_insn = Insn.nop; sl_transient = true;
           sl_window_opened = None; sl_window_closed = closed;
-          sl_events = close_events; sl_cycles = t.cycles; sl_committed = false;
-          sl_swapped = false }
+          sl_events = close_events; sl_cycles = t.cycles; sl_swapped = false }
   end
   else begin
   let pc = w.w_spec_pc in
@@ -697,7 +702,7 @@ let step_transient ~fx t w =
       { Effect.sl_pc = pc; sl_insn = insn; sl_transient = true;
         sl_window_opened = None; sl_window_closed = closed;
         sl_events = List.rev_append !ev close_events;
-        sl_cycles = t.cycles; sl_committed = false; sl_swapped = false }
+        sl_cycles = t.cycles; sl_swapped = false }
   end
 
 (* --- committed execution ----------------------------------------------- *)
@@ -940,7 +945,7 @@ let step_committed ~fx t =
         (* the slot started outside a window: an open one opened here *)
         sl_window_opened = Option.map (fun w -> w.w_kind) t.window;
         sl_window_closed = false; sl_events = List.rev !ev;
-        sl_cycles = t.cycles; sl_committed = true; sl_swapped = !swapped }
+        sl_cycles = t.cycles; sl_swapped = !swapped }
 
 let over t = t.done_ || t.slot >= t.stim.st_max_slots
 

@@ -56,10 +56,14 @@ val create : Config.t -> stimulus -> t
     loads the first scheduled blob and points fetch at its entry. *)
 
 val reset : t -> stimulus -> unit
-(** Re-arms an existing core for a new stimulus without reallocating:
-    after [reset t stim] the core is bit-identical (state hash, windows,
-    cycle counts, every observable) to [create cfg stim], [cfg] being the
-    configuration [t] was built with.  The pooling fast path behind
+(** Re-arms an existing core for a new stimulus without reallocating, from
+    any point of any run (finished, mid-run, inside an open window):
+    [reset t stim] {!blit}s a never-stepped core of [t]'s configuration
+    (one per configuration, built once and shared by every domain) into
+    [t], then loads [stim] as {!create} does.  Afterwards the core is
+    bit-identical (state hash, windows, cycle counts, every observable) to
+    [create cfg stim], [cfg] being the configuration [t] was built with,
+    as long as {!blit} copies every layer.  The pooling fast path behind
     {!Dejavuzz.Simpool}. *)
 
 val blit : src:t -> dst:t -> unit

@@ -40,6 +40,5 @@ type slot = {
   sl_window_closed : bool;
   sl_events : event list;
   sl_cycles : int;
-  sl_committed : bool;
   sl_swapped : bool;
 }

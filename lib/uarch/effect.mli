@@ -49,11 +49,10 @@ val window_kind_name : window_kind -> string
 type slot = {
   sl_pc : int;
   sl_insn : Dvz_isa.Insn.t;
-  sl_transient : bool;
+  sl_transient : bool;      (** ran in a window; otherwise committed *)
   sl_window_opened : window_kind option;
   sl_window_closed : bool;
   sl_events : event list;
   sl_cycles : int;          (** core cycle counter after this slot *)
-  sl_committed : bool;
   sl_swapped : bool;        (** a sequence boundary was crossed *)
 }

@@ -13,8 +13,6 @@ module Stq = struct
 
   type t = { slots : entry array; mutable next : int; mutable seq : int }
 
-  type snapshot = { s_slots : entry array; s_next : int; s_seq : int }
-
   let mk_entry () =
     { valid = false; addr = 0; size = 0; data = 0; old_data = 0;
       resolve_at = 0; seq = 0 }
@@ -22,32 +20,17 @@ module Stq = struct
   let create ~entries =
     { slots = Array.init entries (fun _ -> mk_entry ()); next = 0; seq = 0 }
 
-  let reset t =
-    Array.iter
-      (fun e ->
-        e.valid <- false;
-        e.addr <- 0;
-        e.size <- 0;
-        e.data <- 0;
-        e.old_data <- 0;
-        e.resolve_at <- 0;
-        e.seq <- 0)
-      t.slots;
-    t.next <- 0;
-    t.seq <- 0
-
   let blit ~src ~dst =
-    Array.iteri
-      (fun i e ->
-        let s = src.slots.(i) in
-        e.valid <- s.valid;
-        e.addr <- s.addr;
-        e.size <- s.size;
-        e.data <- s.data;
-        e.old_data <- s.old_data;
-        e.resolve_at <- s.resolve_at;
-        e.seq <- s.seq)
-      dst.slots;
+    for i = 0 to Array.length dst.slots - 1 do
+      let s = src.slots.(i) and d = dst.slots.(i) in
+      d.valid <- s.valid;
+      d.addr <- s.addr;
+      d.size <- s.size;
+      d.data <- s.data;
+      d.old_data <- s.old_data;
+      d.resolve_at <- s.resolve_at;
+      d.seq <- s.seq
+    done;
     dst.next <- src.next;
     dst.seq <- src.seq
 
@@ -85,28 +68,6 @@ module Stq = struct
 
   let forward t ~now ~addr ~size =
     scan t (fun e -> e.resolve_at <= now && e.addr = addr && e.size = size)
-
-  let valid t i = t.slots.(i).valid
-  let entries t = Array.length t.slots
-
-  let snapshot t =
-    { s_slots = Array.map (fun e -> { e with valid = e.valid }) t.slots;
-      s_next = t.next; s_seq = t.seq }
-
-  let restore t s =
-    Array.iteri
-      (fun i e ->
-        let src = s.s_slots.(i) in
-        e.valid <- src.valid;
-        e.addr <- src.addr;
-        e.size <- src.size;
-        e.data <- src.data;
-        e.old_data <- src.old_data;
-        e.resolve_at <- src.resolve_at;
-        e.seq <- src.seq)
-      t.slots;
-    t.next <- s.s_next;
-    t.seq <- s.s_seq
 end
 
 module Ldq = struct
@@ -114,27 +75,16 @@ module Ldq = struct
 
   type t = { slots : entry array; mutable next : int }
 
-  type snapshot = { s_slots : (bool * int) array; s_next : int }
-
   let create ~entries =
     { slots = Array.init entries (fun _ -> { valid = false; addr = 0 });
       next = 0 }
 
-  let reset t =
-    Array.iter
-      (fun e ->
-        e.valid <- false;
-        e.addr <- 0)
-      t.slots;
-    t.next <- 0
-
   let blit ~src ~dst =
-    Array.iteri
-      (fun i e ->
-        let s = src.slots.(i) in
-        e.valid <- s.valid;
-        e.addr <- s.addr)
-      dst.slots;
+    for i = 0 to Array.length dst.slots - 1 do
+      let s = src.slots.(i) and d = dst.slots.(i) in
+      d.valid <- s.valid;
+      d.addr <- s.addr
+    done;
     dst.next <- src.next
 
   let alloc t ~addr =
@@ -146,16 +96,4 @@ module Ldq = struct
     i
 
   let valid t i = t.slots.(i).valid
-  let entries t = Array.length t.slots
-
-  let snapshot t =
-    { s_slots = Array.map (fun e -> (e.valid, e.addr)) t.slots; s_next = t.next }
-
-  let restore t s =
-    Array.iteri
-      (fun i (v, a) ->
-        t.slots.(i).valid <- v;
-        t.slots.(i).addr <- a)
-      s.s_slots;
-    t.next <- s.s_next
 end

@@ -7,19 +7,14 @@
     predicts independence — speculatively consumes the stale memory value
     and must later be squashed.
 
-    Both queues are snapshot/restore-able so transient allocations can be
-    rolled back at squash time; entries are {!Elem.t}-addressable state. *)
+    A transient window checkpoints both queues as [blit] copies made at
+    window open, and squash [blit]s them back, rolling back transient
+    allocations; entries are {!Elem.t}-addressable state. *)
 
 module Stq : sig
   type t
 
-  type snapshot
-
   val create : entries:int -> t
-
-  val reset : t -> unit
-  (** Back to the [create] state: all slots invalid and zeroed, allocation
-      and sequence cursors at 0. *)
 
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
@@ -43,29 +38,16 @@ module Stq : sig
   (** [(slot, data)] of the youngest {e resolved} store covering the access
       exactly — ordinary store-to-load forwarding.  [data] holds the stored
       bytes zero-extended, as a memory read of them would return. *)
-
-  val valid : t -> int -> bool
-  val entries : t -> int
-  val snapshot : t -> snapshot
-  val restore : t -> snapshot -> unit
 end
 
 module Ldq : sig
   type t
 
-  type snapshot
-
   val create : entries:int -> t
-
-  val reset : t -> unit
-  (** Back to the [create] state: all slots invalid and zeroed, cursor 0. *)
 
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
 
   val alloc : t -> addr:int -> int
   val valid : t -> int -> bool
-  val entries : t -> int
-  val snapshot : t -> snapshot
-  val restore : t -> snapshot -> unit
 end

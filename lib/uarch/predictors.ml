@@ -3,8 +3,6 @@ module Bht = struct
 
   let create ~entries = { counters = Array.make entries 1 }
 
-  let reset t = Array.fill t.counters 0 (Array.length t.counters) 1
-
   let blit ~src ~dst =
     Array.blit src.counters 0 dst.counters 0 (Array.length src.counters)
 
@@ -37,24 +35,14 @@ module Btb = struct
             { valid = false; tag = 0; word = 0; target = 0 });
       tagged }
 
-  let reset t =
-    Array.iter
-      (fun e ->
-        e.valid <- false;
-        e.tag <- 0;
-        e.word <- 0;
-        e.target <- 0)
-      t.entries
-
   let blit ~src ~dst =
-    Array.iteri
-      (fun i e ->
-        let s = src.entries.(i) in
-        e.valid <- s.valid;
-        e.tag <- s.tag;
-        e.word <- s.word;
-        e.target <- s.target)
-      dst.entries
+    for i = 0 to Array.length dst.entries - 1 do
+      let s = src.entries.(i) and d = dst.entries.(i) in
+      d.valid <- s.valid;
+      d.tag <- s.tag;
+      d.word <- s.word;
+      d.target <- s.target
+    done
 
   let index t ~pc = (pc lsr 2) land (Array.length t.entries - 1)
 
@@ -83,14 +71,7 @@ end
 module Ras = struct
   type t = { stack : int array; mutable tos : int; mutable depth : int }
 
-  type snapshot = { s_stack : int array; s_tos : int; s_depth : int }
-
   let create ~entries = { stack = Array.make entries 0; tos = 0; depth = 0 }
-
-  let reset t =
-    Array.fill t.stack 0 (Array.length t.stack) 0;
-    t.tos <- 0;
-    t.depth <- 0
 
   let blit ~src ~dst =
     Array.blit src.stack 0 dst.stack 0 (Array.length src.stack);
@@ -121,19 +102,12 @@ module Ras = struct
   let tos t = t.tos
   let entry t i = t.stack.(i)
 
-  let snapshot t = { s_stack = Array.copy t.stack; s_tos = t.tos; s_depth = t.depth }
-
-  let restore_full t s =
-    Array.blit s.s_stack 0 t.stack 0 (size t);
-    t.tos <- s.s_tos;
-    t.depth <- s.s_depth
-
-  let restore_top_only t s =
-    t.tos <- s.s_tos;
-    t.depth <- s.s_depth;
+  let restore_top_only ~src ~dst =
+    dst.tos <- src.tos;
+    dst.depth <- src.depth;
     (* Only the entry at the restored TOS is repaired (BOOM's mitigation);
        entries below keep transiently written values — bug B2. *)
-    t.stack.(s.s_tos) <- s.s_stack.(s.s_tos)
+    dst.stack.(src.tos) <- src.stack.(src.tos)
 
   let live t i =
     if t.depth = 0 then false
@@ -151,22 +125,13 @@ module Loop = struct
   let create ~entries =
     { entries = Array.init entries (fun _ -> { valid = false; tag = 0; streak = 0 }) }
 
-  let reset t =
-    Array.iter
-      (fun e ->
-        e.valid <- false;
-        e.tag <- 0;
-        e.streak <- 0)
-      t.entries
-
   let blit ~src ~dst =
-    Array.iteri
-      (fun i e ->
-        let s = src.entries.(i) in
-        e.valid <- s.valid;
-        e.tag <- s.tag;
-        e.streak <- s.streak)
-      dst.entries
+    for i = 0 to Array.length dst.entries - 1 do
+      let s = src.entries.(i) and d = dst.entries.(i) in
+      d.valid <- s.valid;
+      d.tag <- s.tag;
+      d.streak <- s.streak
+    done
 
   let enabled t = Array.length t.entries > 0
 
@@ -196,8 +161,6 @@ module Mdp = struct
   type t = { alias : bool array }
 
   let create ~entries = { alias = Array.make entries false }
-
-  let reset t = Array.fill t.alias 0 (Array.length t.alias) false
 
   let blit ~src ~dst = Array.blit src.alias 0 dst.alias 0 (Array.length src.alias)
 

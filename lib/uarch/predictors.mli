@@ -4,23 +4,22 @@
     shared taint shadow can attribute state changes, and liveness predicates
     so the oracle can tell pending entries from dead ones.
 
-    The RAS supports the two squash-restore policies relevant to bug B2
-    (Phantom-RSB): the correct policy restores the full stack from a
-    checkpoint; the buggy BOOM policy restores only the TOS pointer and the
-    top entry, leaving transient overwrites of deeper entries in place. *)
+    A transient window checkpoints the RAS as a {!Ras.blit} copy made at
+    window open.  The two squash-restore policies relevant to bug B2
+    (Phantom-RSB) read that copy: the correct policy {!Ras.blit}s the whole
+    stack back; the buggy BOOM policy ({!Ras.restore_top_only}) restores
+    only the TOS pointer and the top entry, leaving transient overwrites of
+    deeper entries in place. *)
 
 (* Branch history table: 2-bit saturating counters. *)
 module Bht : sig
   type t
 
   val create : entries:int -> t
-  val reset : t -> unit
-  (** All counters back to the weakly-not-taken [create] state. *)
 
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
 
-  val index : t -> pc:int -> int
   val predict_taken : t -> pc:int -> bool
   val update : t -> pc:int -> taken:bool -> int
   (** Returns the updated entry index. *)
@@ -36,13 +35,8 @@ module Btb : sig
   (** [tagged] (default true): whether lookups require an exact pc-tag
       match; untagged BTBs hit on index aliasing. *)
 
-  val reset : t -> unit
-  (** Invalidate and zero every entry (back to the [create] state). *)
-
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
-
-  val index : t -> pc:int -> int
 
   val lookup : ?word:int -> t -> pc:int -> int option
   (** [word] is the encoding of the looking-up instruction; a tagged BTB
@@ -59,15 +53,12 @@ end
 module Ras : sig
   type t
 
-  type snapshot
-
   val create : entries:int -> t
 
-  val reset : t -> unit
-  (** Empty the stack and zero every slot (back to the [create] state). *)
-
   val blit : src:t -> dst:t -> unit
-  (** Copies [src]'s state into [dst] (same geometry). *)
+  (** Copies [src]'s state into [dst] (same geometry): every entry, TOS
+      and depth.  Also the correct squash recovery, from the window's
+      checkpoint copy. *)
 
   val push : t -> int -> int
   (** Pushes a return address; returns the written slot. *)
@@ -80,13 +71,10 @@ module Ras : sig
   val tos : t -> int
   val entry : t -> int -> int
 
-  val snapshot : t -> snapshot
-  val restore_full : t -> snapshot -> unit
-  (** Correct squash recovery: every entry, TOS and depth restored. *)
-
-  val restore_top_only : t -> snapshot -> unit
-  (** BOOM's buggy recovery (B2): restores TOS, depth and the top entry;
-      deeper entries keep whatever transient execution wrote. *)
+  val restore_top_only : src:t -> dst:t -> unit
+  (** BOOM's buggy recovery (B2) from the checkpoint copy [src]: restores
+      [dst]'s TOS, depth and top entry; deeper entries keep whatever
+      transient execution wrote. *)
 
   val live : t -> int -> bool
   (** Whether slot [i] holds a pending (poppable) return address. *)
@@ -99,14 +87,10 @@ module Loop : sig
   val create : entries:int -> t
   (** [entries = 0] builds a disabled predictor (XiangShan MinimalConfig). *)
 
-  val reset : t -> unit
-  (** Invalidate and zero every entry (back to the [create] state). *)
-
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
 
   val enabled : t -> bool
-  val index : t -> pc:int -> int option
   val update : t -> pc:int -> taken:bool -> int option
   (** Returns the updated entry index, if the predictor is enabled. *)
 
@@ -119,13 +103,10 @@ module Mdp : sig
   type t
 
   val create : entries:int -> t
-  val reset : t -> unit
-  (** Forget every trained alias (back to the [create] state). *)
 
   val blit : src:t -> dst:t -> unit
   (** Copies [src]'s state into [dst] (same geometry). *)
 
-  val index : t -> pc:int -> int
   val predicts_alias : t -> pc:int -> bool
   (** Optimistic default: loads are predicted independent of older stores. *)
 

@@ -24,17 +24,9 @@ let access t ~addr =
 
 let valid t i = t.entries.(i).valid
 
-let reset t =
-  Array.iter
-    (fun e ->
-      e.valid <- false;
-      e.tag <- 0)
-    t.entries
-
 let blit ~src ~dst =
-  Array.iteri
-    (fun i e ->
-      let s = src.entries.(i) in
-      e.valid <- s.valid;
-      e.tag <- s.tag)
-    dst.entries
+  for i = 0 to Array.length dst.entries - 1 do
+    let s = src.entries.(i) and d = dst.entries.(i) in
+    d.valid <- s.valid;
+    d.tag <- s.tag
+  done

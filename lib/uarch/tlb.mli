@@ -12,8 +12,5 @@ val access : t -> addr:int -> [ `Hit of int | `Miss of int | `Disabled ]
 
 val valid : t -> int -> bool
 
-val reset : t -> unit
-(** Back to the [create] state: entries invalid and tags zeroed. *)
-
 val blit : src:t -> dst:t -> unit
 (** Copies [src]'s state into [dst] (same geometry). *)

@@ -1,9 +1,5 @@
 let slot_line (s : Effect.slot) =
-  let marker =
-    if s.Effect.sl_transient then "T"
-    else if s.Effect.sl_committed then "C"
-    else "-"
-  in
+  let marker = if s.Effect.sl_transient then "T" else "C" in
   let annot =
     String.concat ""
       [ (match s.Effect.sl_window_opened with

@@ -1124,6 +1124,65 @@ let prop_core_finish_equals_run =
       && Core.committed pooled = Core.committed ran
       && regs pooled = regs ran)
 
+(* [Core.reset] copies a never-stepped core over every layer, so re-arming
+   must not depend on where the run it interrupts stands.  Step a core [k]
+   slots into a completed test case, and with [into_window] on to the next
+   open window (live RAS and queue checkpoints, busy port timers), then
+   re-arm it with a second stimulus and run both it and a fresh core.
+   Returns whether the core was re-armed inside a window. *)
+let rearmed_matches_fresh cfg ~style ~k ~into_window e =
+  let stim k =
+    Packet.stimulus ~secret (phase1_tc ~style ~complete:true cfg k)
+  in
+  let core = Core.create cfg (stim (e + 500)) in
+  let in_window () = Core.spec_reg core Dvz_isa.Reg.zero <> None in
+  let rec go i =
+    if i < k || (into_window && not (in_window ())) then
+      match Core.step core with Some _ -> go (i + 1) | None -> ()
+  in
+  go 0;
+  let inside = in_window () in
+  Core.reset core (stim e);
+  let fresh = Core.create cfg (stim e) in
+  let slots = Core.run fresh in
+  let regs c = List.init 32 (fun i -> Core.arch_reg c (Dvz_isa.Reg.x i)) in
+  ( inside,
+    Core.run core = slots
+    && Core.state_hash core = Core.state_hash fresh
+    && Core.windows core = Core.windows fresh
+    && Core.cycles core = Core.cycles fresh
+    && Core.committed core = Core.committed fresh
+    && Core.slot_count core = Core.slot_count fresh
+    && regs core = regs fresh )
+
+let prop_rearm_anywhere_equals_fresh =
+  QCheck.Test.make ~name:"a core re-armed at any slot runs like a fresh one"
+    ~count:80
+    QCheck.(quad small_int bool bool (pair (int_bound 600) bool))
+    (fun (e, xiangshan, random_style, (k, into_window)) ->
+      let cfg = if xiangshan then xs else boom in
+      let style = if random_style then `Random else `Derived in
+      snd (rearmed_matches_fresh cfg ~style ~k ~into_window e))
+
+(* The property above on fixed seeds, checking that its interesting case
+   occurs on both presets and both training styles: a re-arm inside an
+   open window. *)
+let test_rearm_inside_window_exercised () =
+  List.iter
+    (fun (cfg, style) ->
+      let inside = ref 0 in
+      for e = 0 to 19 do
+        let w, ok =
+          rearmed_matches_fresh cfg ~style ~k:(7 * e) ~into_window:true e
+        in
+        Alcotest.(check bool) (Printf.sprintf "seed %d matches" e) true ok;
+        if w then incr inside
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: some re-arms inside a window" cfg.Cfg.name)
+        true (!inside > 0))
+    [ (boom, `Derived); (boom, `Random); (xs, `Derived); (xs, `Random) ]
+
 (* The random-training test cases both phase-1 bounds run on. *)
 let random_training_cases cfg =
   let rng = Rng.create 7 in
@@ -1736,6 +1795,9 @@ let () =
           Alcotest.test_case "reset allocation bound" `Quick
             test_dualcore_reset_alloc_bound;
           QCheck_alcotest.to_alcotest prop_pooled_reset_equals_fresh;
+          QCheck_alcotest.to_alcotest prop_rearm_anywhere_equals_fresh;
+          Alcotest.test_case "re-arm inside a window" `Quick
+            test_rearm_inside_window_exercised;
           QCheck_alcotest.to_alcotest prop_pooled_oracle_analysis_stable ] );
       ( "fork",
         [ QCheck_alcotest.to_alcotest prop_core_blit_equivalent;

@@ -75,7 +75,7 @@ let test_trace_slot_content () =
   let slot =
     { Eff.sl_pc = 0x1234; sl_insn = Dvz_isa.Insn.Ebreak; sl_transient = true;
       sl_window_opened = Some Eff.W_mem_disamb; sl_window_closed = true;
-      sl_events = []; sl_cycles = 42; sl_committed = false; sl_swapped = false }
+      sl_events = []; sl_cycles = 42; sl_swapped = false }
   in
   let line = Dvz_uarch.Trace.slot_line slot in
   Alcotest.(check bool) "pc" true (contains line "0x1234");

@@ -65,15 +65,22 @@ let test_ras_push_pop () =
   | None -> Alcotest.fail "expected entry");
   Alcotest.(check bool) "peek" true (P.Ras.peek ras = Some 0x100)
 
+(* A window checkpoints the RAS as a blitted copy; a correct squash blits
+   it back. *)
+let ras_checkpoint ras =
+  let snap = P.Ras.create ~entries:4 in
+  P.Ras.blit ~src:ras ~dst:snap;
+  snap
+
 let test_ras_restore_full () =
   let ras = P.Ras.create ~entries:4 in
   ignore (P.Ras.push ras 0x100);
   ignore (P.Ras.push ras 0x200);
-  let snap = P.Ras.snapshot ras in
+  let snap = ras_checkpoint ras in
   ignore (P.Ras.pop ras);
   ignore (P.Ras.push ras 0xBAD);
   ignore (P.Ras.push ras 0xBAD2);
-  P.Ras.restore_full ras snap;
+  P.Ras.blit ~src:snap ~dst:ras;
   Alcotest.(check bool) "top restored" true (P.Ras.peek ras = Some 0x200);
   (match P.Ras.pop ras with
   | Some _ -> ()
@@ -85,13 +92,13 @@ let test_ras_restore_top_only_bug () =
   let ras = P.Ras.create ~entries:4 in
   ignore (P.Ras.push ras 0x100);
   ignore (P.Ras.push ras 0x200);
-  let snap = P.Ras.snapshot ras in
+  let snap = ras_checkpoint ras in
   (* transient execution: pop twice (down to empty), push two corruptions *)
   ignore (P.Ras.pop ras);
   ignore (P.Ras.pop ras);
   ignore (P.Ras.push ras 0xBAD1);
   ignore (P.Ras.push ras 0xBAD2);
-  P.Ras.restore_top_only ras snap;
+  P.Ras.restore_top_only ~src:snap ~dst:ras;
   Alcotest.(check bool) "top entry repaired" true (P.Ras.peek ras = Some 0x200);
   ignore (P.Ras.pop ras);
   (* the deeper entry was overwritten transiently and never repaired *)
@@ -209,9 +216,10 @@ let test_stq_youngest_wins () =
 let test_stq_snapshot_restore () =
   let stq = Lsu.Stq.create ~entries:4 in
   ignore (Lsu.Stq.alloc stq ~addr:0x100 ~size:8 ~data:1 ~resolve_at:0 ());
-  let snap = Lsu.Stq.snapshot stq in
+  let snap = Lsu.Stq.create ~entries:4 in
+  Lsu.Stq.blit ~src:stq ~dst:snap;
   ignore (Lsu.Stq.alloc stq ~addr:0x200 ~size:8 ~data:2 ~resolve_at:0 ());
-  Lsu.Stq.restore stq snap;
+  Lsu.Stq.blit ~src:snap ~dst:stq;
   Alcotest.(check bool) "speculative entry dropped" true
     (Lsu.Stq.forward stq ~now:5 ~addr:0x200 ~size:8 = None);
   Alcotest.(check bool) "committed entry kept" true
@@ -221,9 +229,10 @@ let test_ldq_basic () =
   let ldq = Lsu.Ldq.create ~entries:4 in
   let s = Lsu.Ldq.alloc ldq ~addr:0x100 in
   Alcotest.(check bool) "valid" true (Lsu.Ldq.valid ldq s);
-  let snap = Lsu.Ldq.snapshot ldq in
+  let snap = Lsu.Ldq.create ~entries:4 in
+  Lsu.Ldq.blit ~src:ldq ~dst:snap;
   let s2 = Lsu.Ldq.alloc ldq ~addr:0x200 in
-  Lsu.Ldq.restore ldq snap;
+  Lsu.Ldq.blit ~src:snap ~dst:ldq;
   Alcotest.(check bool) "restored" false (s2 <> s && Lsu.Ldq.valid ldq s2 && s2 > s)
 
 (* --- core: stimulus helpers ---------------------------------------------- *)
@@ -445,7 +454,7 @@ let test_core_state_hash_secret_sensitivity () =
 let slot ?(pc = 0) events =
   { Eff.sl_pc = pc; sl_insn = Insn.nop; sl_transient = false;
     sl_window_opened = None; sl_window_closed = false; sl_events = events;
-    sl_cycles = 0; sl_committed = true; sl_swapped = false }
+    sl_cycles = 0; sl_swapped = false }
 
 let test_taint_write_propagation () =
   let t = Taintstate.create Dvz_ift.Policy.Diffift in
@@ -979,7 +988,7 @@ let prop_committed_nop_matches_pair =
   in
   let nop_slots =
     List.filter
-      (fun s -> s.Eff.sl_committed && s.Eff.sl_insn = Insn.nop)
+      (fun s -> (not s.Eff.sl_transient) && s.Eff.sl_insn = Insn.nop)
       (Core.run core)
   in
   let summary s =
