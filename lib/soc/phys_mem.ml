@@ -1,11 +1,17 @@
 open Dvz_isa
 
-(* The read watch: a bitmap over the swappable region's words (bit [i]
+(* [dirty] has bit [p] set for every page [p] a writer may have touched
+   since [create]; a clean page holds only zero bytes, so [blit] copies
+   the dirty pages alone.  Every writer of [data] marks the pages it
+   touches before it returns.
+
+   The read watch: a bitmap over the swappable region's words (bit [i]
    is the word at [Layout.swap_base + 4 * i]).  While [watching], any
    read overlapping a set word latches [watch_hit]. *)
 type t = {
   data : Bytes.t;
   perms : Perm.t array;
+  mutable dirty : int;
   mutable watch : Bytes.t;
   mutable watching : bool;
   mutable watch_hit : bool;
@@ -13,11 +19,19 @@ type t = {
 
 let no_watch = Bytes.empty
 
+let pages = Layout.mem_size / Layout.page_size
+
 let page_of addr = addr / Layout.page_size
+
+(* Mark the pages of the in-range part of [[addr, addr + size)]. *)
+let mark t ~addr ~size =
+  let lo = Int.max addr 0 and hi = Int.min (addr + size) Layout.mem_size in
+  if lo < hi then
+    t.dirty <- t.dirty lor ((1 lsl (page_of (hi - 1) + 1)) - (1 lsl page_of lo))
 
 let create () =
   { data = Bytes.make Layout.mem_size '\000';
-    perms = Array.make (Layout.mem_size / Layout.page_size) Perm.rwx;
+    perms = Array.make pages Perm.rwx; dirty = 0;
     watch = no_watch; watching = false; watch_hit = false }
 
 let unwatch t =
@@ -26,12 +40,20 @@ let unwatch t =
   t.watch_hit <- false
 
 let copy t =
-  { data = Bytes.copy t.data; perms = Array.copy t.perms;
+  { data = Bytes.copy t.data; perms = Array.copy t.perms; dirty = t.dirty;
     watch = no_watch; watching = false; watch_hit = false }
 
+(* A page clean on both sides is zero on both; one dirty on either side
+   is copied (zeros, when it is [src] that is clean). *)
 let blit ~src ~dst =
-  Bytes.blit src.data 0 dst.data 0 (Bytes.length src.data);
-  Array.blit src.perms 0 dst.perms 0 (Array.length src.perms);
+  let copied = src.dirty lor dst.dirty in
+  for p = 0 to pages - 1 do
+    if copied land (1 lsl p) <> 0 then
+      Bytes.blit src.data (p * Layout.page_size) dst.data
+        (p * Layout.page_size) Layout.page_size
+  done;
+  dst.dirty <- src.dirty;
+  Array.blit src.perms 0 dst.perms 0 pages;
   unwatch dst
 
 let watch_words = Layout.swap_size / 4
@@ -81,7 +103,10 @@ let read_byte t addr =
   if in_range t addr then Char.code (Bytes.get t.data addr) else 0
 
 let write_byte t addr v =
-  if in_range t addr then Bytes.set t.data addr (Char.chr (v land 0xFF))
+  if in_range t addr then begin
+    t.dirty <- t.dirty lor (1 lsl page_of addr);
+    Bytes.set t.data addr (Char.chr (v land 0xFF))
+  end
 
 (* The byte loops below are the semantic reference: out-of-range bytes
    read as zero / drop silently, and int values are (de)composed through
@@ -114,7 +139,11 @@ let write_slow t ~addr ~size v =
   done
 
 let write t ~addr ~size v =
-  if addr >= 0 && size > 0 && addr + size <= Bytes.length t.data then
+  if addr >= 0 && size > 0 && addr + size <= Bytes.length t.data then begin
+    (* the first and last byte's pages: all of them for sizes up to a
+       page, and [write_slow]'s bytes mark their own *)
+    t.dirty <-
+      t.dirty lor (1 lsl page_of addr) lor (1 lsl page_of (addr + size - 1));
     match size with
     | 8 ->
         (* byte 7's top bit is always written as 0: [v lsr 56] of a 63-bit
@@ -125,12 +154,21 @@ let write t ~addr ~size v =
     | 2 -> Bytes.set_uint16_le t.data addr (v land 0xFFFF)
     | 1 -> Bytes.set_uint8 t.data addr (v land 0xFF)
     | _ -> write_slow t ~addr ~size v
+  end
   else write_slow t ~addr ~size v
 
 let write_words t addr ws =
-  Array.iteri (fun i w -> write t ~addr:(addr + (4 * i)) ~size:4 w) ws
+  mark t ~addr ~size:(4 * Array.length ws);
+  for i = 0 to Array.length ws - 1 do
+    let a = addr + (4 * i) in
+    if a >= 0 && a + 4 <= Bytes.length t.data then
+      Bytes.set_int32_le t.data a (Int32.of_int ws.(i))
+    else write_slow t ~addr:a ~size:4 ws.(i)
+  done
 
-let blit_bytes t ~addr src ~off ~len = Bytes.blit src off t.data addr len
+let blit_bytes t ~addr src ~off ~len =
+  Bytes.blit src off t.data addr len;
+  mark t ~addr ~size:len
 
 let check t ~priv ~addr ~size ~(kind : [ `Load | `Store | `Fetch ]) =
   let fault =

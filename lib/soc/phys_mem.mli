@@ -13,11 +13,18 @@ val create : unit -> t
 (** A zeroed memory of {!Layout.mem_size} bytes, all pages [Perm.rwx]. *)
 
 val copy : t -> t
-(** An independent copy of the bytes and page permissions (unwatched). *)
+(** An independent copy of the bytes, the page permissions and the
+    dirty-page mark (unwatched). *)
 
 val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies [src]'s bytes and page permissions into
-    [dst] in place; [dst] is left unwatched. *)
+    [dst] in place; [dst] is left unwatched.  Every writer below marks
+    the pages it touches, and a page no writer has touched since
+    {!create} holds only zero bytes, so [blit] copies only the pages
+    marked in [src] or [dst] (a page marked in [dst] alone gets [src]'s
+    zeros) and [dst] takes [src]'s marks; the permissions are copied
+    whole.  Blitting a fresh memory re-zeroes [dst] at the cost of the
+    pages it wrote. *)
 
 val set_perm : t -> int -> Perm.t -> unit
 (** [set_perm t addr p] sets the permission of the page containing [addr]. *)

@@ -63,8 +63,10 @@ val reset : t -> stimulus -> unit
     [t], then loads [stim] as {!create} does.  Afterwards the core is
     bit-identical (state hash, windows, cycle counts, every observable) to
     [create cfg stim], [cfg] being the configuration [t] was built with,
-    as long as {!blit} copies every layer.  The pooling fast path behind
-    {!Dejavuzz.Simpool}. *)
+    as long as {!blit} copies every layer.  The memory copy moves only
+    the pages [t]'s run wrote ({!Dvz_soc.Phys_mem.blit}: the zero core's
+    pages are all clean), typically 2 to 4 of 16.  The pooling fast path
+    behind {!Dejavuzz.Simpool}. *)
 
 val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies every stateful layer of [src] into [dst] (same

@@ -93,6 +93,99 @@ let test_mem_copy_isolated () =
   Alcotest.(check int) "original" 1 (Phys_mem.read_byte a 0x10);
   Alcotest.(check int) "copy" 2 (Phys_mem.read_byte b 0x10)
 
+(* Every writer, at addresses biased to page boundaries and to both ends
+   of memory, so that ranges straddle pages or run off memory. *)
+type mem_op =
+  | Write of int * int * int
+  | Write_byte of int * int
+  | Write_words of int * int array
+  | Blit_bytes of int * string * int
+  | Checked_store of Golden.priv * int * int * int
+  | Set_perm of int * Perm.t
+
+let show_mem_op = function
+  | Write (a, n, v) -> Printf.sprintf "write 0x%x %d 0x%x" a n v
+  | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%x 0x%x" a v
+  | Write_words (a, ws) ->
+      Printf.sprintf "write_words 0x%x [%s]" a
+        (String.concat ";" (Array.to_list (Array.map string_of_int ws)))
+  | Blit_bytes (a, s, off) ->
+      Printf.sprintf "blit_bytes 0x%x %S off %d" a s off
+  | Checked_store (priv, a, n, v) ->
+      Printf.sprintf "checked_store %s 0x%x %d 0x%x"
+        (if priv = Golden.User then "U" else "M") a n v
+  | Set_perm (page, p) ->
+      Printf.sprintf "set_perm %d present=%b user=%b write=%b" page
+        p.Perm.present p.Perm.user p.Perm.write
+
+let apply_mem_op m = function
+  | Write (addr, size, v) -> Phys_mem.write m ~addr ~size v
+  | Write_byte (addr, v) -> Phys_mem.write_byte m addr v
+  | Write_words (addr, ws) -> Phys_mem.write_words m addr ws
+  | Blit_bytes (addr, s, off) -> (
+      try
+        Phys_mem.blit_bytes m ~addr (Bytes.of_string s) ~off
+          ~len:(String.length s - off)
+      with Invalid_argument _ -> ())
+  | Checked_store (priv, addr, size, value) ->
+      ignore (Phys_mem.checked_store m ~priv ~addr ~size ~value)
+  | Set_perm (page, p) -> Phys_mem.set_perm m (page * Layout.page_size) p
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let pages = Layout.mem_size / Layout.page_size in
+  let addr =
+    frequency
+      [ (3, map2 (fun p d -> (p * Layout.page_size) + d)
+              (int_range 0 pages) (int_range (-9) 9));
+        (1, int_range (-16) (Layout.mem_size + 16)) ]
+  in
+  frequency
+    [ (4, map3 (fun a n v -> Write (a, n, v)) addr (int_range 0 8) int);
+      (1, map2 (fun a v -> Write_byte (a, v)) addr int);
+      (1, map2 (fun a ws -> Write_words (a, ws)) addr
+            (array_size (int_range 0 6) int));
+      (1, addr >>= fun a ->
+          string_size (int_range 0 40) >>= fun s ->
+          map (fun off -> Blit_bytes (a, s, off))
+            (int_range 0 (String.length s)));
+      (1, map3
+            (fun priv (a, n) v -> Checked_store (priv, a, n, v))
+            (oneofl [ Golden.User; Golden.Machine ])
+            (pair addr (oneofl [ 1; 2; 4; 8 ])) int);
+      (1, map2 (fun page p -> Set_perm (page, p)) (int_range 0 (pages - 1))
+            (oneofl [ Perm.rwx; Perm.rw; Perm.rx; Perm.none; Perm.absent;
+                      Perm.priv_only Perm.rw ])) ]
+
+let same_bytes a b =
+  let rec go i =
+    i = Layout.mem_size
+    || (Phys_mem.read_byte a i = Phys_mem.read_byte b i && go (i + 1))
+  in
+  go 0
+
+(* [blit] copies only the pages dirty on either side, so a writer that
+   forgets to mark a page it wrote shows up as a byte [blit] left behind. *)
+let prop_blit_copies_every_write =
+  let ops = QCheck.Gen.(list_size (int_range 0 30) gen_mem_op) in
+  QCheck.Test.make ~name:"blit copies every write"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (xs, ys) ->
+         let show l = String.concat "\n  " (List.map show_mem_op l) in
+         Printf.sprintf "src:\n  %s\ndst:\n  %s" (show xs) (show ys))
+       (QCheck.Gen.pair ops ops))
+    (fun (ops_src, ops_dst) ->
+      let src = Phys_mem.create () and dst = Phys_mem.create () in
+      List.iter (apply_mem_op src) ops_src;
+      List.iter (apply_mem_op dst) ops_dst;
+      let zero = Phys_mem.create () and copy = Phys_mem.copy src in
+      same_bytes copy src
+      && (Phys_mem.blit ~src ~dst; same_bytes dst src)
+      && (Phys_mem.blit ~src:zero ~dst; same_bytes dst zero)
+      && (Phys_mem.blit ~src:zero ~dst:src; same_bytes src zero)
+      && (Phys_mem.blit ~src:copy ~dst; same_bytes dst copy))
+
 (* --- swapmem ------------------------------------------------------------- *)
 
 let blob name words is_transient =
@@ -227,7 +320,8 @@ let () =
           Alcotest.test_case "privilege" `Quick test_checked_privilege;
           Alcotest.test_case "fetch exec bit" `Quick test_checked_fetch_exec;
           Alcotest.test_case "out-of-range checked" `Quick test_checked_oob;
-          Alcotest.test_case "copy isolation" `Quick test_mem_copy_isolated ] );
+          Alcotest.test_case "copy isolation" `Quick test_mem_copy_isolated;
+          QCheck_alcotest.to_alcotest prop_blit_copies_every_write ] );
       ( "swapmem",
         [ Alcotest.test_case "schedule order" `Quick test_swap_schedule_order;
           Alcotest.test_case "loads words" `Quick test_swap_loads_words;
