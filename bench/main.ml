@@ -168,9 +168,14 @@ module Simbench = struct
     done;
     (!best_a, !best_b)
 
-  let measure_ns w =
-    for _ = 1 to 2_000 do w.w_cycle 0 done;
-    min_of_blocks ~blocks:5 ~per_block:8_000 (fun () -> w.w_cycle 0)
+  (* A compiled workload and its interpretive twin: the fastest of five
+     8,000-cycle blocks each, timed in turn, so that a slow stretch of a
+     noisy host lands on both sides of the speedup. *)
+  let measure_pair_ns c i =
+    let per_block = 8_000 in
+    let block w () = for _ = 1 to per_block do w.w_cycle 0 done in
+    let c_ns, i_ns = min_of_interleaved ~blocks:5 (block c) (block i) in
+    (c_ns /. float_of_int per_block, i_ns /. float_of_int per_block)
 
   (* End-to-end dual-DUT runs through the abstract core model, one entry
      per IFT mode.  These are the workloads the provenance option must not
@@ -211,8 +216,10 @@ module Simbench = struct
       { C.default_options with C.iterations = 64; rng_seed = 11; batch = 8 }
     in
     let run jobs () = ignore (C.run ~jobs boom options) in
-    (* campaigns are long, so blocks of one run suffice *)
-    let jobs1_ns, jobs4_ns = min_of_interleaved ~blocks:3 (run 1) (run 4) in
+    (* Blocks of one run each.  A run takes under 10 ms, so one slow
+       stretch of a noisy host can cover a whole run: the best of 15 per
+       side, not of 3, keeps both ratios steady. *)
+    let jobs1_ns, jobs4_ns = min_of_interleaved ~blocks:15 (run 1) (run 4) in
     let deterministic = C.run ~jobs:1 boom options = C.run ~jobs:4 boom options in
     let name = "campaign/batch-throughput" in
     let scaling = jobs1_ns /. Float.max 1.0 jobs4_ns in
@@ -245,7 +252,7 @@ module Simbench = struct
       { C.default_options with C.iterations = 64; rng_seed = 11; batch }
     in
     let run batch () = ignore (C.run ~jobs:1 boom (options batch)) in
-    let engine_ns, direct_ns = min_of_interleaved ~blocks:3 (run 8) (run 1) in
+    let engine_ns, direct_ns = min_of_interleaved ~blocks:15 (run 8) (run 1) in
     let name = "campaign/parallel-overhead" in
     let overhead = engine_ns /. Float.max 1.0 direct_ns in
     ( Dvz_obs.Json.Obj
@@ -356,8 +363,14 @@ module Simbench = struct
 
   (* The report and its summary lines. *)
   let json_report () =
-    let ws = workloads () in
-    let measured = List.map (fun w -> (w, measure_ns w)) ws in
+    (* [workloads] lists each compiled workload just before its twin. *)
+    let rec measure = function
+      | c :: i :: rest ->
+          let c_ns, i_ns = measure_pair_ns c i in
+          (c, c_ns) :: (i, i_ns) :: measure rest
+      | _ -> []
+    in
+    let measured = measure (workloads ()) in
     let find name engine =
       List.find_opt
         (fun (w, _) ->

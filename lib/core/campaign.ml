@@ -234,13 +234,23 @@ let load_checkpoint ~path : (checkpoint, string * string) result =
              to completion there, or delete the file to start fresh" )
       else (
         match (Marshal.from_string payload 0 : checkpoint) with
-        | cp -> Ok cp
         | exception _ ->
             Error
               ( "checkpoint payload does not unmarshal",
                 "the payload bytes are damaged despite a valid header — \
                  restore the .prev rotation if one exists, or delete the \
-                 file to start fresh" ))
+                 file to start fresh" )
+        | cp -> (
+            (* A coverage point of a module this build does not have is an
+               incompatible layout, not a campaign to half-restore. *)
+            match Coverage.of_list cp.cp_coverage with
+            | _ -> Ok cp
+            | exception Invalid_argument reason ->
+                Error
+                  ( reason,
+                    "the checkpoint was written by a build with other \
+                     module tags — rerun it to completion there, or delete \
+                     the file to start fresh" )))
 
 (* Alongside the human-readable [seed] string (which truncates the
    entropies), record everything [Explain.explain_crash] needs to rebuild

@@ -123,10 +123,10 @@ let execute cx (plan : Scheduler.plan) =
           + a.Oracle.a_result.Dvz_uarch.Dualcore.r_cycles_b;
         if a.Oracle.a_timed_out then status := `Timeout
         else begin
-          (* Coverage is hashed into a private per-iteration shard; the
+          (* Coverage is observed into a private per-iteration shard; the
              orchestrator folds shards into the campaign matrix in plan
              order, so the fresh-point accounting is identical to the
-             sequential loop's while the hashing itself parallelises. *)
+             sequential loop's while the observing itself parallelises. *)
           let cov = Coverage.create () in
           ignore (Coverage.observe_result cov a.Oracle.a_result);
           shard := Some cov

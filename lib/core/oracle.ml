@@ -56,14 +56,11 @@ type analysis = {
   a_timed_out : bool;
 }
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let component_of_module m =
-  if starts_with "lsu.dcache" m then Some "dcache"
-  else if starts_with "frontend.icache" m then Some "icache"
-  else if starts_with "lsu.tlb" m || m = "lsu.l2tlb" then Some "(l2)tlb"
+  let starts_with prefix = String.starts_with ~prefix m in
+  if starts_with "lsu.dcache" then Some "dcache"
+  else if starts_with "frontend.icache" then Some "icache"
+  else if starts_with "lsu.tlb" || m = "lsu.l2tlb" then Some "(l2)tlb"
   else
     match m with
     | "frontend.btb" -> Some "(fau)btb"
@@ -76,9 +73,12 @@ let component_of_module m =
     | "rob" -> Some "rob"
     | _ -> None
 
+(* [component_of_module] of every module, by {!Elem.module_index}. *)
+let components = Array.of_list (List.map component_of_module Elem.all_modules)
+
 let sink_components sinks =
   List.sort_uniq compare
-    (List.filter_map (fun e -> component_of_module (Elem.module_of e)) sinks)
+    (List.filter_map (fun e -> components.(Elem.module_index e)) sinks)
 
 (* Timing-leak attribution: which contended unit the window payload used. *)
 let timing_components tc =
@@ -94,10 +94,22 @@ let timing_components tc =
   in
   match List.sort_uniq compare comps with [] -> [ "lsu" ] | l -> l
 
-let microarch_sink e =
-  match Elem.module_of e with
-  | "core.arf" | "mem" | "frontend.pc" -> false
+let microarch_sink = function
+  | Elem.Areg _ | Elem.Mem _ | Elem.Pc -> false
   | _ -> true
+
+(* [xs] without the elements of [ys]; both sorted by {!Elem.compare}
+   without duplicates, as [Taintstate.tainted_elems] and its filters
+   are. *)
+let rec sorted_diff xs ys =
+  match (xs, ys) with
+  | [], _ -> []
+  | _, [] -> xs
+  | x :: xs', y :: ys' ->
+      let c = Elem.compare x y in
+      if c < 0 then x :: sorted_diff xs' ys
+      else if c > 0 then sorted_diff xs ys'
+      else sorted_diff xs' ys'
 
 let attack_of_result result =
   let windows =
@@ -119,34 +131,35 @@ type sanitized = {
   s_dut : Dualcore.t option;
 }
 
-(* Indices of the transient-packet words the two test cases disagree on,
-   or [None] when they differ in length. *)
+(* Indices of the transient-blob words the two stimuli disagree on, or
+   [None] when the blobs differ in length. *)
 let differing_words a b =
-  let rec go i acc xs ys =
-    match (xs, ys) with
-    | [], [] -> Some (List.rev acc)
-    | x :: xs, y :: ys ->
-        let acc =
-          if x == y || Dvz_isa.Encode.encode x = Dvz_isa.Encode.encode y then acc
-          else i :: acc
-        in
-        go (i + 1) acc xs ys
-    | _ -> None
-  in
-  go 0 [] a.Packet.transient.Packet.insns b.Packet.transient.Packet.insns
+  let wa = Packet.transient_words a and wb = Packet.transient_words b in
+  if Array.length wa <> Array.length wb then None
+  else begin
+    let acc = ref [] in
+    for i = Array.length wa - 1 downto 0 do
+      if wa.(i) <> wb.(i) then acc := i :: !acc
+    done;
+    Some !acc
+  end
 
 let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
     tc =
   (* Both testbenches come from the per-domain pool: construction costs a
      fifth to a third of a run and leaves major-heap garbage, and
      collected results never alias pooled state.  The sanitized test case
-     differs from [tc] only in some words of the transient packet, so the
-     main run is watched for them. *)
-  let clean = Window_gen.sanitize cfg tc in
-  let main = Simpool.acquire ?log_bound ~mode cfg (Packet.stimulus ~secret tc) in
+     differs from [tc] only in some words of the transient packet, so its
+     stimulus re-encodes that packet alone, and the main run is watched
+     for those words. *)
+  let stim = Packet.stimulus ~secret tc in
+  let clean =
+    Packet.with_transient stim (Window_gen.sanitize cfg tc).Packet.transient
+  in
+  let main = Simpool.acquire ?log_bound ~mode cfg stim in
   let words =
     (* [Fault.tick] must see every slot of both runs. *)
-    if Dvz_resilience.Fault.armed () then None else differing_words tc clean
+    if Dvz_resilience.Fault.armed () then None else differing_words stim clean
   in
   let forked = ref None in
   let result =
@@ -164,7 +177,7 @@ let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
            each stands in its schedule. *)
         Metrics.incr m_resumed;
         Metrics.incr ~by:(Dualcore.slots copy) m_shared_slots;
-        Dualcore.rebase copy (Packet.stimulus ~secret clean).Core.st_swapmem;
+        Dualcore.rebase copy clean.Core.st_swapmem;
         { s_result = Dualcore.run ?budget copy; s_path = Resumed;
           s_dut = Some copy }
     | None when reused ->
@@ -176,9 +189,7 @@ let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
         { s_result = result; s_path = Reused; s_dut = None }
     | None ->
         Metrics.incr m_replayed;
-        let t =
-          Simpool.acquire ?log_bound ~mode cfg (Packet.stimulus ~secret clean)
-        in
+        let t = Simpool.acquire ?log_bound ~mode cfg clean in
         { s_result = Dualcore.run ?budget t; s_path = Replayed; s_dut = Some t }
   in
   (result, sanitized)
@@ -223,11 +234,7 @@ let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
              List.filter microarch_sink sanitized.Dualcore.r_live_tainted
            else List.filter microarch_sink sanitized.Dualcore.r_final_tainted
          in
-         let encoded =
-           List.filter
-             (fun e -> not (List.exists (Elem.equal e) baseline))
-             candidates
-         in
+         let encoded = sorted_diff candidates baseline in
          if encoded <> [] then
            leaks :=
              !leaks

@@ -50,6 +50,24 @@ let stimulus ~secret tc =
     st_perms = tc.perms;
     st_max_slots = max_slots }
 
+let with_transient stim p =
+  let swap = stim.Dvz_uarch.Core.st_swapmem in
+  let blob = to_blob p in
+  let blobs =
+    List.map
+      (fun b -> if b.Swapmem.is_transient then blob else b)
+      (Swapmem.blobs swap)
+  in
+  { stim with
+    Dvz_uarch.Core.st_swapmem =
+      Swapmem.create ~blobs ~schedule:(Swapmem.schedule swap) }
+
+let transient_words stim =
+  (List.find
+     (fun b -> b.Swapmem.is_transient)
+     (Swapmem.blobs stim.Dvz_uarch.Core.st_swapmem))
+    .Swapmem.words
+
 let training_overhead tc =
   List.fold_left
     (fun (total, eff) p -> (total + p.training_total, eff + p.training_effective))

@@ -43,6 +43,16 @@ val stimulus : secret:int array -> testcase -> Dvz_uarch.Core.stimulus
     trainings, then the transient packet (§4.2.1), stopping after 3,000
     slots. *)
 
+val with_transient : Dvz_uarch.Core.stimulus -> t -> Dvz_uarch.Core.stimulus
+(** [with_transient stim p] is [stim] with its transient blob replaced by
+    [p]'s encoding, on a fresh swap cursor: what {!stimulus} builds for a
+    test case that differs from [stim]'s only in its transient packet,
+    but only [p] is encoded and the other blobs are shared (blobs are
+    immutable). *)
+
+val transient_words : Dvz_uarch.Core.stimulus -> int array
+(** The encoded words of a stimulus's transient blob. *)
+
 val training_overhead : testcase -> int * int
 (** [(total, effective)] training-instruction counts over all training
     packets — the TO/ETO columns of Table 3. *)

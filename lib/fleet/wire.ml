@@ -47,10 +47,10 @@ let spec_of_string s : (spec, string) result = unpack "spec" s
 let plans_to_string (ps : Scheduler.plan list) = pack "plans" ps
 let plans_of_string s : (Scheduler.plan list, string) result = unpack "plans" s
 
-(* The taint log, window counts and window records of a dual-DUT run
+(* The taint log, window points and window records of a dual-DUT run
    dominate an outcome's size and are only consumed executor-side (the
    oracle has already distilled them into [a_leaks]/[a_attack], and the
-   coverage shard [oc_coverage] holds the window counts' points); the
+   coverage shard [oc_coverage] holds the set of the window points); the
    coordinator's fold reads [r_slots] and the scalar counters.  Strip them
    before the wire so an assignment's worth of outcomes stays in the tens
    of kilobytes. *)

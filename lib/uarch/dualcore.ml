@@ -32,7 +32,7 @@ type result = {
   r_windows_a : Core.window_record list;
   r_windows_b : Core.window_record list;
   r_log : log_entry list;
-  r_window_counts : (string * int) list list;
+  r_window_counts : int list list;
   r_slots : int;
   r_cycles_a : int;
   r_cycles_b : int;
@@ -69,7 +69,7 @@ type t = {
   log_bound : Dvz_ift.Taintlog.bound;
   mutable log : log_entry list;
   mutable log_len : int;
-  mutable window_counts : (string * int) list list;  (** newest first *)
+  mutable window_counts : int list list;  (** newest first *)
   mutable slots : int;
   mutable taint_hwm : int;
   mutable hung : bool;
@@ -214,7 +214,7 @@ let push_log t e =
    list stays the same until a taint transition, so a repeat is one
    pointer compare.  Not log-bounded: at most one vector per slot. *)
 let record_window_counts t =
-  match Taintstate.tainted_by_module t.taint with
+  match Taintstate.tainted_points t.taint with
   | [] -> ()
   | v -> (
       match t.window_counts with

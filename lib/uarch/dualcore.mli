@@ -22,12 +22,13 @@ type result = {
   r_windows_a : Core.window_record list;
   r_windows_b : Core.window_record list;
   r_log : log_entry list;            (** chronological *)
-  r_window_counts : (string * int) list list;
-      (** chronological: {!Taintstate.tainted_by_module} after each slot
-          in which instance A is inside a transient window, the taint
-          coverage matrix's input (§4.2.2).  A vector equal to the
-          previous one with no taint transition between them is recorded
-          once, and an empty one not at all. *)
+  r_window_counts : int list list;
+      (** chronological: {!Taintstate.tainted_points} after each slot in
+          which instance A is inside a transient window, the taint
+          coverage matrix's input (§4.2.2), one packed [(module, count)]
+          point per non-zero module.  A vector equal to the previous one
+          with no taint transition between them is recorded once, and an
+          empty one not at all. *)
   r_slots : int;
   r_cycles_a : int;
   r_cycles_b : int;

@@ -63,6 +63,14 @@ let elem_of n =
 
 let module_names = Array.of_list Elem.all_modules
 
+(* A coverage point packs a module and its tainted count as
+   [count * point_stride + module index]. *)
+let point_stride = Array.length module_names
+
+(* The plane in whole 64-bit words, so [tainted_elems] can skip a clean
+   word with one test. *)
+let plane_words = (dense_size + 63) / 64
+
 type t = {
   mode : Policy.mode;
   bits : Bytes.t;  (** one taint bit per dense number *)
@@ -72,8 +80,8 @@ type t = {
       (** tainted elements per {!Elem.module_index}, maintained on every
           transition *)
   saved : (Elem.t, bool) Hashtbl.t;  (** window-open checkpoint *)
-  mutable bymod_cache : (string * int) list option;
-      (** memoised [tainted_by_module] result, dropped on any taint
+  mutable points_memo : int list option;
+      (** memoised [tainted_points] result, dropped on any taint
           transition: most window slots see no transition, so they share
           one list instead of rebuilding it per slot, and [Dualcore]
           drops a repeat with one pointer compare *)
@@ -81,10 +89,10 @@ type t = {
 }
 
 let create ?provenance mode =
-  { mode; bits = Bytes.make ((dense_size + 7) / 8) '\000';
+  { mode; bits = Bytes.make (8 * plane_words) '\000';
     side = Hashtbl.create 8; count = 0;
-    by_module = Array.make (Array.length module_names) 0;
-    saved = Hashtbl.create 64; bymod_cache = None; prov = provenance }
+    by_module = Array.make point_stride 0;
+    saved = Hashtbl.create 64; points_memo = None; prov = provenance }
 
 let mode t = t.mode
 
@@ -94,7 +102,7 @@ let reset t =
   t.count <- 0;
   Array.fill t.by_module 0 (Array.length t.by_module) 0;
   Hashtbl.reset t.saved;
-  t.bymod_cache <- None
+  t.points_memo <- None
 
 let copy_into src dst =
   Hashtbl.clear dst;
@@ -107,7 +115,7 @@ let blit ~src ~dst =
   dst.count <- src.count;
   Array.blit src.by_module 0 dst.by_module 0 (Array.length src.by_module);
   copy_into src.saved dst.saved;
-  dst.bymod_cache <- src.bymod_cache
+  dst.points_memo <- src.points_memo
 
 let dense_tainted t n =
   Bytes.get_uint8 t.bits (n lsr 3) land (1 lsl (n land 7)) <> 0
@@ -126,7 +134,7 @@ let count t m ~now =
   let d = if now then 1 else -1 in
   t.by_module.(m) <- t.by_module.(m) + d;
   t.count <- t.count + d;
-  t.bymod_cache <- None
+  t.points_memo <- None
 
 (* Flip [e]'s taint, which the caller has established is [not now]. *)
 let transition t n e ~now =
@@ -349,12 +357,15 @@ let tainted_count t = t.count
 
 let tainted_elems t =
   let acc = ref [] in
-  for byte = Bytes.length t.bits - 1 downto 0 do
-    let b = Bytes.get_uint8 t.bits byte in
-    if b <> 0 then
-      for j = 7 downto 0 do
-        if b land (1 lsl j) <> 0 then
-          acc := elem_of ((byte lsl 3) lor j) :: !acc
+  for w = plane_words - 1 downto 0 do
+    if Bytes.get_int64_le t.bits (w lsl 3) <> 0L then
+      for byte = (w lsl 3) + 7 downto w lsl 3 do
+        let b = Bytes.get_uint8 t.bits byte in
+        if b <> 0 then
+          for j = 7 downto 0 do
+            if b land (1 lsl j) <> 0 then
+              acc := elem_of ((byte lsl 3) lor j) :: !acc
+          done
       done
   done;
   if Hashtbl.length t.side = 0 then !acc
@@ -363,14 +374,26 @@ let tainted_elems t =
       (List.sort Elem.compare (Hashtbl.fold (fun e () l -> e :: l) t.side []))
       !acc
 
-let tainted_by_module t =
-  match t.bymod_cache with
+let tainted_points t =
+  match t.points_memo with
   | Some l -> l
   | None ->
       let l = ref [] in
-      for m = Array.length t.by_module - 1 downto 0 do
+      for m = point_stride - 1 downto 0 do
         let c = t.by_module.(m) in
-        if c > 0 then l := (module_names.(m), c) :: !l
+        if c > 0 then l := ((c * point_stride) + m) :: !l
       done;
-      t.bymod_cache <- Some !l;
+      t.points_memo <- Some !l;
       !l
+
+let tag_of_point p = (module_names.(p mod point_stride), p / point_stride)
+
+let point_of_tag (tag, count) =
+  let rec find m =
+    if m = point_stride then None
+    else if module_names.(m) = tag then Some ((count * point_stride) + m)
+    else find (m + 1)
+  in
+  if count < 1 then None else find 0
+
+let tainted_by_module t = List.map tag_of_point (tainted_points t)

@@ -45,16 +45,17 @@
     {!Elem.compare} order — [Pc] first, then each constructor in
     declaration order over a fixed index range (32 per register file,
     every physical-memory dword, 512 per cache, buffer, predictor and
-    queue table) — and its taint is one bit of a bitset.  Beside the bits
-    sit the population count and one counter per {!Elem.module_index}, so
-    [tainted_count] is a field read and [tainted_by_module] a walk over
-    the module counters.  An element outside its range (say, the [Mem]
-    index of a transiently forwarded address outside physical memory)
-    lives in a small side table with the same semantics.  Order invariant:
-    [tainted_elems] walks the bits in number order, which is
-    {!Elem.compare} order, and merges in the side table's elements only
-    when it is non-empty.  The window checkpoint stays a hash table, filled
-    once per window. *)
+    queue table) — and its taint is one bit of a bitset, rounded up to
+    whole 64-bit words.  Beside the bits sit the population count and one
+    counter per {!Elem.module_index}, so [tainted_count] is a field read
+    and [tainted_points] a walk over the module counters.  An element
+    outside its range (say, the [Mem] index of a transiently forwarded
+    address outside physical memory) lives in a small side table with the
+    same semantics.  Order invariant: [tainted_elems] walks the bits in
+    number order, which is {!Elem.compare} order, skipping a clean word
+    with one test, and merges in the side table's elements only when it
+    is non-empty.  The window checkpoint stays a hash table, filled once
+    per window. *)
 
 type t
 
@@ -76,7 +77,7 @@ val reset : t -> unit
 
 val blit : src:t -> dst:t -> unit
 (** Copies [src]'s taints (bitset and side table), saved checkpoint,
-    counts and memoised {!tainted_by_module} list into [dst] (same policy
+    counts and memoised {!tainted_points} list into [dst] (same policy
     mode; neither provenance recorder is touched). *)
 
 val set_tainted : t -> Elem.t -> unit
@@ -105,7 +106,23 @@ val tainted_count : t -> int
 val tainted_elems : t -> Elem.t list
 (** Sorted by {!Elem.compare}, without duplicates. *)
 
+val tainted_points : t -> int list
+(** The taint coverage matrix's points of the current state (§4.2.2): one
+    [(module, count)] per module with a non-zero tainted count, packed
+    into one non-negative int, in increasing {!Elem.module_index}, which
+    is tag order.  The same (physically equal) list until the next taint
+    transition, so a caller can tell a repeat with [==].  The packing is
+    [count * List.length Elem.all_modules + Elem.module_index e]; only
+    this module reads it. *)
+
+val tag_of_point : int -> string * int
+(** A packed point as [(tag, count)]. *)
+
+val point_of_tag : string * int -> int option
+(** The packed point of [(tag, count)]; [None] unless [tag] is in
+    {!Elem.all_modules} and [count] is at least 1. *)
+
 val tainted_by_module : t -> (string * int) list
-(** Tainted element count per module tag (only non-zero entries), sorted;
-    the same (physically equal) list until the next taint transition, so
-    a caller can tell a repeat with [==]. *)
+(** [List.map tag_of_point (tainted_points t)]: the tainted element count
+    per module tag (only non-zero entries), sorted.  A fresh list on
+    every call; the campaign reads the packed points. *)

@@ -18,6 +18,7 @@ module Coverage = Dejavuzz.Coverage
 module Corpus = Dejavuzz.Corpus
 module Oracle = Dejavuzz.Oracle
 module Campaign = Dejavuzz.Campaign
+module Simpool = Dejavuzz.Simpool
 
 let boom = Cfg.boom_small
 let xs = Cfg.xiangshan_minimal
@@ -275,12 +276,28 @@ let test_coverage_accumulates () =
 let test_coverage_position_insensitive () =
   let cov = Coverage.create () in
   (* two window slots with the same per-module counts are the same point *)
-  ignore (Coverage.observe cov [ [ ("lsu.dcache", 2) ] ]);
+  ignore (Coverage.observe cov [ [ ("lsu.dcache.bank0", 2) ] ]);
   Alcotest.(check int) "one point" 1 (Coverage.points cov);
-  ignore (Coverage.observe cov [ [ ("lsu.dcache", 2) ] ]);
+  ignore (Coverage.observe cov [ [ ("lsu.dcache.bank0", 2) ] ]);
   Alcotest.(check int) "still one" 1 (Coverage.points cov);
-  ignore (Coverage.observe cov [ [ ("lsu.dcache", 3) ] ]);
+  ignore (Coverage.observe cov [ [ ("lsu.dcache.bank0", 3) ] ]);
   Alcotest.(check int) "new count = new point" 2 (Coverage.points cov)
+
+(* A tag no element has is refused by name, not folded into some other
+   module's row. *)
+let test_coverage_unknown_tag () =
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf "Coverage.%s: unknown module tag \"lsu.dcache\"" name))
+      (fun () -> ignore (f ()))
+  in
+  refused "observe" (fun () ->
+      Coverage.observe (Coverage.create ()) [ [ ("lsu.dcache", 2) ] ]);
+  refused "of_list" (fun () -> Coverage.of_list [ ("lsu.dcache", 2) ]);
+  Alcotest.check_raises "count below 1"
+    (Invalid_argument "Coverage.of_list: count 0 of rob is not positive")
+    (fun () -> ignore (Coverage.of_list [ ("rob", 0) ]))
 
 let test_coverage_merge_equals_sequential () =
   let result e =
@@ -311,12 +328,12 @@ let random_tc ?(style = `Derived) cfg e =
 let mode_of diffift =
   if diffift then Dvz_ift.Policy.Diffift else Dvz_ift.Policy.Cellift
 
-(* §4.2.2's point set derived by hand on a fresh testbench, stepped the
+(* §4.2.2's point set derived by hand on a pooled testbench, stepped the
    way [Dualcore.step] does it: both cores, then the taint pair, and after
    every slot in which instance A's slot is transient, each non-zero
-   per-module count is a point. *)
+   per-module count is a point, keyed by its tag. *)
 let window_points_by_hand ~mode cfg tc =
-  let dc = Dualcore.create ~mode cfg (Packet.stimulus ~secret tc) in
+  let dc = Simpool.acquire ~mode cfg (Packet.stimulus ~secret tc) in
   let a = Dualcore.core_a dc and b = Dualcore.core_b dc in
   let taint = Dualcore.taint dc in
   let points = ref [] in
@@ -333,23 +350,50 @@ let window_points_by_hand ~mode cfg tc =
   done;
   List.sort_uniq compare !points
 
+(* The packed points of [Coverage] against that (tag, count) definition,
+   on two random completed test cases of either preset, mode and training
+   style: one run observed alone, both observed in sequence, both as
+   merged per-run shards, and the [to_list]/[of_list] roundtrip. *)
 let prop_coverage_points_by_hand =
   QCheck.Test.make
     ~name:"observed points equal the window slots' per-module counts"
     ~count:40
-    QCheck.(triple small_int bool bool)
-    (fun (e, xiangshan, diffift) ->
+    QCheck.(pair (quad small_int bool bool bool) small_int)
+    (fun ((e1, xiangshan, diffift, random), e2) ->
       let cfg = if xiangshan then xs else boom in
       let mode = mode_of diffift in
-      let tc = random_tc cfg e in
-      let cov = Coverage.create () in
-      let fresh =
-        Coverage.observe_result cov
-          (Dualcore.run
-             (Dualcore.create ~mode cfg (Packet.stimulus ~secret tc)))
+      let style = if random then `Random else `Derived in
+      let case e =
+        let tc = random_tc ~style cfg e in
+        let expected = window_points_by_hand ~mode cfg tc in
+        ( expected,
+          Dualcore.run (Simpool.acquire ~mode cfg (Packet.stimulus ~secret tc))
+        )
       in
-      let expected = window_points_by_hand ~mode cfg tc in
-      Coverage.to_list cov = expected && fresh = List.length expected)
+      let expected1, r1 = case e1 and expected2, r2 = case e2 in
+      let both = List.sort_uniq compare (expected1 @ expected2) in
+      let seq = Coverage.create () in
+      let fresh1 = Coverage.observe_result seq r1 in
+      let fresh2 = Coverage.observe_result seq r2 in
+      let shard r =
+        let c = Coverage.create () in
+        ignore (Coverage.observe_result c r);
+        c
+      in
+      let s1 = shard r1 in
+      let merged = Coverage.create () in
+      let merged1 = Coverage.merge merged s1 in
+      let merged2 = Coverage.merge merged (shard r2) in
+      let restored = Coverage.of_list (Coverage.to_list seq) in
+      Coverage.to_list s1 = expected1
+      && fresh1 = List.length expected1
+      && Coverage.to_list seq = both
+      && fresh1 + fresh2 = List.length both
+      && (merged1, merged2) = (fresh1, fresh2)
+      && Coverage.to_list merged = both
+      && Coverage.points restored = Coverage.points seq
+      && Coverage.merge restored seq = 0
+      && Coverage.to_list restored = both)
 
 (* --- corpus -------------------------------------------------------------- *)
 
@@ -897,8 +941,6 @@ let prop_stimulus_buildable =
       stim.Core.st_max_slots > 0)
 
 (* --- instance pool (pooled-vs-fresh bit-identity) ------------------------- *)
-
-module Simpool = Dejavuzz.Simpool
 
 (* Structural equality over the whole [Dualcore.result] is the strongest
    cheap check: window records, the bounded taint log, slot/cycle/commit
@@ -1740,6 +1782,8 @@ let () =
         [ Alcotest.test_case "accumulates" `Quick test_coverage_accumulates;
           Alcotest.test_case "position insensitive" `Quick
             test_coverage_position_insensitive;
+          Alcotest.test_case "unknown tag refused" `Quick
+            test_coverage_unknown_tag;
           Alcotest.test_case "shard merge = sequential" `Quick
             test_coverage_merge_equals_sequential;
           QCheck_alcotest.to_alcotest prop_coverage_points_by_hand ] );

@@ -353,7 +353,7 @@ let test_rng_state_roundtrip () =
 
 let test_coverage_list_roundtrip () =
   let cov = Coverage.create () in
-  ignore (Coverage.observe cov [ [ ("rob", 2); ("lsu.dcache", 1) ] ]);
+  ignore (Coverage.observe cov [ [ ("rob", 2); ("lsu.dcache.bank1", 1) ] ]);
   let restored = Coverage.of_list (Coverage.to_list cov) in
   Alcotest.(check int) "points survive" (Coverage.points cov)
     (Coverage.points restored);
@@ -693,6 +693,66 @@ let test_campaign_bad_checkpoint_classified () =
            "cannot resume"));
   Sys.remove ck
 
+(* A coverage point of a module this build does not have is an
+   incompatible layout: [Bad_checkpoint], naming the tag, not a crash. *)
+let test_campaign_unknown_tag_checkpoint () =
+  let ck = temp_path "dvz_badtag" in
+  let options = base_options 10 5 in
+  let rz =
+    { Campaign.no_resilience with
+      Campaign.rz_checkpoint = Some ck;
+      rz_checkpoint_every = 5 }
+  in
+  ignore (Campaign.run ~resilience:rz boom options);
+  let magic = "dejavuzz-campaign" in
+  let version, payload =
+    match Snapshot.load_checked ~path:ck ~magic with
+    | Ok vp -> vp
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" (Snapshot.describe e)
+  in
+  (* Rename the dcache bank tags in place: same length, so the marshalled
+     strings stay well-formed and only the tags change. *)
+  let tag = "lsu.dcache.bank" and bogus = "lsu.dcache.bunk" in
+  Alcotest.(check bool) "checkpoint covers a dcache bank" true
+    (contains payload tag);
+  let renamed = Bytes.of_string payload in
+  let n = String.length tag in
+  for i = 0 to String.length payload - n do
+    if String.sub payload i n = tag then Bytes.blit_string bogus 0 renamed i n
+  done;
+  Snapshot.save ~path:ck ~magic ~version (Bytes.to_string renamed);
+  let resume_rz = { Campaign.no_resilience with Campaign.rz_resume = Some ck } in
+  (match Campaign.run ~resilience:resume_rz boom options with
+  | _ -> Alcotest.fail "unknown coverage tag accepted"
+  | exception Campaign.Bad_checkpoint { bc_reason; _ } ->
+      Alcotest.(check bool) "names the tag" true
+        (contains bc_reason "unknown module tag \"lsu.dcache.bunk"));
+  Sys.remove ck
+
+(* The checkpoint bytes of
+   [fuzz -n 40 --seed 5 --batch 8 --checkpoint-every 10] (the CLI's
+   default core and 50,000-slot watchdog), run in-process.  In-build
+   comparisons (fleet against --jobs 1, kill and resume) cannot see a
+   change every build makes alike, such as the order of the coverage
+   list; this digest can.  A deliberate change of the checkpoint's
+   contents re-records it. *)
+let test_checkpoint_bytes_golden () =
+  let ck = temp_path "dvz_golden" in
+  let rz =
+    { Campaign.no_resilience with
+      Campaign.rz_budget = Some (Dualcore.budget ~max_slots:50_000 ());
+      rz_checkpoint = Some ck;
+      rz_checkpoint_every = 10 }
+  in
+  ignore
+    (Campaign.run ~resilience:rz boom
+       { Campaign.default_options with
+         Campaign.iterations = 40; rng_seed = 5; batch = 8 });
+  Alcotest.(check string) "checkpoint digest"
+    "65d6160ebb76ad5a4695b30db8f72caa"
+    (Digest.to_hex (Digest.file ck));
+  Sys.remove ck
+
 let test_campaign_crash_artifact_written () =
   let options = base_options 25 3 in
   let _, events = run_with_events options in
@@ -787,6 +847,10 @@ let () =
             test_campaign_resume_missing_file_starts_fresh;
           Alcotest.test_case "resume rejects mismatch" `Quick
             test_campaign_resume_rejects_mismatch;
+          Alcotest.test_case "unknown coverage tag" `Quick
+            test_campaign_unknown_tag_checkpoint;
+          Alcotest.test_case "checkpoint bytes golden" `Quick
+            test_checkpoint_bytes_golden;
           Alcotest.test_case "bad checkpoint classified" `Quick
             test_campaign_bad_checkpoint_classified;
           Alcotest.test_case "crash artifact" `Quick

@@ -977,6 +977,72 @@ let prop_plane_reads_agree =
           followed && consistent && plane_reads d = plane_reads t)
         steps)
 
+(* The dense plane in number order, as [Taintstate]'s interface lays it
+   out: [Pc], 32 registers per file, every memory dword, then 512 entries
+   of each table in constructor order. *)
+let dense_plane =
+  let range k n = List.init n k in
+  Array.of_list
+    (List.concat
+       ([ [ Elem.Pc ];
+          range (fun i -> Elem.Areg i) 32;
+          range (fun i -> Elem.Sreg i) 32;
+          range (fun i -> Elem.Mem i) mem_dwords ]
+       @ List.map
+           (fun k -> range k 512)
+           [ (fun i -> Elem.Dcache i); (fun i -> Elem.Icache i);
+             (fun i -> Elem.Lfb i); (fun i -> Elem.Btb i);
+             (fun i -> Elem.Bht i); (fun i -> Elem.Ras i);
+             (fun i -> Elem.Loop i); (fun i -> Elem.Tlb i);
+             (fun i -> Elem.L2tlb i); (fun i -> Elem.Rob i);
+             (fun i -> Elem.Ldq i); (fun i -> Elem.Stq i) ]))
+
+(* Elements just outside the plane's ranges: the side table. *)
+let side_elems =
+  [ Elem.Mem mem_dwords; Elem.Mem (-1); Elem.Areg 32; Elem.Sreg (-1);
+    Elem.Dcache 512; Elem.Rob (-1); Elem.Stq 512; Elem.Tlb max_int ]
+
+let plane_universe =
+  List.sort Elem.compare (Array.to_list dense_plane @ side_elems)
+
+(* Random taints and clears, drawn mostly at the edges of the plane's
+   64-bit words — both bits either side of a word boundary, and every bit
+   of the last (partial) word — plus side-table elements. *)
+let gen_set_clear =
+  let open QCheck.Gen in
+  let n = Array.length dense_plane in
+  let words = (n + 63) / 64 in
+  let at i = dense_plane.(min i (n - 1)) in
+  let elem =
+    frequency
+      [ ( 4,
+          map2
+            (fun w off -> at ((64 * w) + off))
+            (int_bound (words - 1))
+            (oneofl [ 0; 1; 62; 63 ]) );
+        (2, map (fun i -> at ((64 * (words - 1)) + i)) (int_bound 63));
+        (1, map at (int_bound (n - 1)));
+        (1, oneofl side_elems) ]
+  in
+  list_size (int_range 1 40) (pair bool elem)
+
+let prop_tainted_elems_walk =
+  QCheck.Test.make ~name:"tainted_elems equals an is_tainted walk" ~count:100
+    (QCheck.make gen_set_clear)
+    (fun ops ->
+      let t = Taintstate.create Policy.Diffift in
+      List.for_all
+        (fun (taint, e) ->
+          (if taint then Taintstate.set_tainted t e
+           else
+             (* Under diffIFT an aligned write of clean data clears. *)
+             let s = slot [ Eff.Write (e, []) ] in
+             Taintstate.apply_pair t (Some s) (Some s));
+          Taintstate.is_tainted t e = taint
+          && Taintstate.tainted_elems t
+             = List.filter (Taintstate.is_tainted t) plane_universe)
+        ops)
+
 (* [Taintstate.committed_nop] against [apply_pair] on the slot [Core.step]
    emits for a committed nop, paired with itself, from every taint of the
    elements the slot reads and writes: the refill and the hit shape, in
@@ -1540,6 +1606,7 @@ let () =
             test_taint_abstraction_diverged_equal_decisions;
           QCheck_alcotest.to_alcotest prop_dense_side_agree;
           QCheck_alcotest.to_alcotest prop_plane_reads_agree;
+          QCheck_alcotest.to_alcotest prop_tainted_elems_walk;
           QCheck_alcotest.to_alcotest prop_committed_nop_matches_pair ] );
       ( "timing",
         [ Alcotest.test_case "fpu contention" `Quick test_fpu_contention_timing;
