@@ -16,7 +16,10 @@ let m_misses =
 (* One instance per domain, keyed on everything that is baked in at
    [Dualcore.create] and untouched by [Dualcore.reset].  [Config.t] is a
    plain data record and the other two are simple variants, so structural
-   equality is the right key comparison.
+   equality is the right key comparison.  Each part is compared physically
+   first, as [Core.zero_of] does: a campaign passes the same configuration
+   on every acquire, so the structural compare of a 31-field record (its
+   name string included) runs only on a mismatch.
 
    Domain-local (same discipline as [Fault.arm]): worker domains never
    share instances, so acquisition needs no locking and the sequential
@@ -27,6 +30,11 @@ type key = Config.t * Dvz_ift.Policy.mode * Dvz_ift.Taintlog.bound
 
 type slot = { mutable entry : (key * Dualcore.t) option }
 
+let same_cfg (c : Config.t) c' = c == c' || c = c'
+
+let same_key ((c, m, b) : key) (c', m', b') =
+  same_cfg c c' && m = m' && (b == b' || b = b')
+
 let slot_key = Domain.DLS.new_key (fun () -> { entry = None })
 
 let acquire ?(log_bound = Dvz_ift.Taintlog.Unbounded)
@@ -34,7 +42,7 @@ let acquire ?(log_bound = Dvz_ift.Taintlog.Unbounded)
   let slot = Domain.DLS.get slot_key in
   let key = (cfg, mode, log_bound) in
   match slot.entry with
-  | Some (k, t) when k = key ->
+  | Some (k, t) when same_key k key ->
       Dualcore.reset t stim;
       Metrics.incr m_hits;
       t
@@ -65,7 +73,7 @@ let fork ?(log_bound = Dvz_ift.Taintlog.Unbounded)
   let slot = Domain.DLS.get fork_slot_key in
   let key = (cfg, mode, log_bound) in
   match slot.entry with
-  | Some (k, t) when k = key ->
+  | Some (k, t) when same_key k key ->
       Dualcore.blit ~src ~dst:t;
       Metrics.incr m_fork_hits;
       t
@@ -97,7 +105,7 @@ let core_slot_key = Domain.DLS.new_key (fun () -> { core_entry = None })
 let acquire_core cfg stim =
   let slot = Domain.DLS.get core_slot_key in
   match slot.core_entry with
-  | Some (k, t) when k = cfg ->
+  | Some (k, t) when same_cfg k cfg ->
       Core.reset t stim;
       Metrics.incr m_core_hits;
       t

@@ -39,8 +39,13 @@ let mcause t = t.mcause
 
 let copy t = { t with regs = Array.copy t.regs }
 
+(* A typed loop, not [Array.blit]: on a long-lived (major-heap) [dst] the
+   runtime's blit runs the write barrier on every element, not knowing
+   they are ints. *)
 let blit ~src ~dst =
-  Array.blit src.regs 0 dst.regs 0 32;
+  for i = 0 to 31 do
+    dst.regs.(i) <- src.regs.(i)
+  done;
   dst.pc <- src.pc;
   dst.priv <- src.priv;
   dst.mepc <- src.mepc;

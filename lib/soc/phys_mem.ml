@@ -86,8 +86,8 @@ let rec any_watched t w last =
      || any_watched t (w + 1) last)
 
 let overlaps_watch t ~addr ~size =
-  let lo = max addr Layout.swap_base
-  and hi = min (addr + size) (Layout.swap_base + Layout.swap_size) in
+  let lo = Int.max addr Layout.swap_base
+  and hi = Int.min (addr + size) (Layout.swap_base + Layout.swap_size) in
   lo < hi
   && any_watched t ((lo - Layout.swap_base) / 4) ((hi - 1 - Layout.swap_base) / 4)
 

@@ -1,50 +1,63 @@
-type line = { mutable valid : bool; mutable tag : int }
+(* One int per line: the tag of the block the line holds, or [invalid].
+   A tag is an address divided by the line size, so for lines of two bytes
+   or more it is never [min_int].  (-1 would not do: a transient fetch or
+   store may reach a negative address, whose tag can be -1.)  A flat int
+   array is copied and flushed by typed loops, with no write barrier and
+   no closure. *)
+let invalid = min_int
 
-type t = { lines : line array; line_bytes : int }
+type t = { tags : int array; line_bytes : int }
 
 let create ~lines ~line_bytes =
-  { lines = Array.init lines (fun _ -> { valid = false; tag = 0 });
-    line_bytes }
+  if line_bytes < 2 then invalid_arg "Cache.create: line_bytes below 2";
+  { tags = Array.make lines invalid; line_bytes }
 
-let line_index t ~addr = addr / t.line_bytes land (Array.length t.lines - 1)
+(* The line a block of tag [tag] maps to. *)
+let index t tag = tag land (Array.length t.tags - 1)
 
-let tag_of t addr = addr / t.line_bytes
-
-let holds t l addr = l.valid && l.tag = tag_of t addr
+let line_index t ~addr = index t (addr / t.line_bytes)
 
 let access t ~addr =
-  let i = line_index t ~addr in
-  let l = t.lines.(i) in
-  if holds t l addr then `Hit i
+  let tag = addr / t.line_bytes in
+  let i = index t tag in
+  if t.tags.(i) = tag then `Hit i
   else begin
-    l.valid <- true;
-    l.tag <- tag_of t addr;
+    t.tags.(i) <- tag;
     `Miss i
   end
 
-let hits t ~addr = holds t t.lines.(line_index t ~addr) addr
+let hits t ~addr =
+  let tag = addr / t.line_bytes in
+  t.tags.(index t tag) = tag
 
 let fill t ~addr =
-  let l = t.lines.(line_index t ~addr) in
-  (not (holds t l addr))
+  let tag = addr / t.line_bytes in
+  let i = index t tag in
+  t.tags.(i) <> tag
   && begin
-    l.valid <- true;
-    l.tag <- tag_of t addr;
+    t.tags.(i) <- tag;
     true
   end
 
-let invalidate_all t = Array.iter (fun l -> l.valid <- false) t.lines
-
-let blit ~src ~dst =
-  for i = 0 to Array.length dst.lines - 1 do
-    let s = src.lines.(i) and d = dst.lines.(i) in
-    d.valid <- s.valid;
-    d.tag <- s.tag
+let invalidate_all t =
+  let d = t.tags in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i invalid
   done
 
-let valid t i = t.lines.(i).valid
+(* Re-arms and forks copy every line of both caches: the arrays are read
+   into locals and indexed without bounds checks, the lengths checked
+   once. *)
+let blit ~src ~dst =
+  let s = src.tags and d = dst.tags in
+  if Array.length s <> Array.length d then invalid_arg "Cache.blit: geometry";
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (Array.unsafe_get s i)
+  done
 
-let line_addr t i = t.lines.(i).tag * t.line_bytes
+let valid t i = t.tags.(i) <> invalid
+
+let line_addr t i = t.tags.(i) * t.line_bytes
 
 module Lfb = struct
   type slot = { mutable data : int; mutable mshr_valid : bool }

@@ -1,8 +1,12 @@
 (** Direct-mapped caches and the line-fill buffer.
 
-    The cache tracks tags/valid bits only (data lives in {!Dvz_soc.Phys_mem});
+    The cache tracks tags only (data lives in {!Dvz_soc.Phys_mem});
     what the fuzzer observes is presence — which lines exist — plus the taint
-    the shared shadow attaches to line and LFB elements.
+    the shared shadow attaches to line and LFB elements.  A cache is one
+    [int array], each line holding its block's tag ([addr / line_bytes])
+    or a sentinel no tag equals when invalid, so {!blit} and
+    {!invalidate_all} are typed int loops: no record per line, no write
+    barrier, no closure.
 
     The LFB models the §3.1 C2-2 decoy: a refill deposits (possibly secret)
     data in a slot, and completion clears the MSHR valid bit {e without}
@@ -12,6 +16,8 @@
 type t
 
 val create : lines:int -> line_bytes:int -> t
+(** [lines] is a power of two.  Raises [Invalid_argument] when
+    [line_bytes] is below 2 (the invalid-line sentinel relies on it). *)
 
 val access : t -> addr:int -> [ `Hit of int | `Miss of int ]
 (** Accesses the line containing [addr], filling it on a miss; returns the
@@ -28,7 +34,7 @@ val fill : t -> addr:int -> bool
     says whether it missed. *)
 
 val invalidate_all : t -> unit
-(** Flush (fence.i / swap-time icache flush). *)
+(** Flush (fence.i / swap-time icache flush): every line invalid. *)
 
 val blit : src:t -> dst:t -> unit
 (** Copies [src]'s state into [dst] (same geometry). *)

@@ -333,7 +333,7 @@ let fetch_access ~fx t ~transient ev pc =
       if transient && t.cfg.Config.fetch_contention_bug then
         (* B4: the transient refill occupies the fetch port past the squash. *)
         t.fetch_busy_until <-
-          max t.fetch_busy_until (t.cycles + cost + t.cfg.Config.miss_latency);
+          Int.max t.fetch_busy_until (t.cycles + cost + t.cfg.Config.miss_latency);
       if fx then
         emit ev [ Effect.Write (Elem.Icache i, []);
                   Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
@@ -383,10 +383,12 @@ let data_access ~fx t ~transient ev ~is_store ~addr ~addr_srcs ~data_srcs =
   | `Miss i ->
       cost := !cost + t.cfg.Config.miss_latency;
       t.lsu_busy_until <-
-        max t.lsu_busy_until (t.cycles + !cost + (t.cfg.Config.miss_latency / 2));
+        Int.max t.lsu_busy_until
+          (t.cycles + !cost + (t.cfg.Config.miss_latency / 2));
       if t.cfg.Config.load_wb_contention_bug && not is_store then
         t.load_wb_busy_until <-
-          max t.load_wb_busy_until (t.cycles + !cost + t.cfg.Config.miss_latency);
+          Int.max t.load_wb_busy_until
+            (t.cycles + !cost + t.cfg.Config.miss_latency);
       let lfb_slot = Cache.Lfb.refill t.lfb ~data:(Phys_mem.read t.mem ~addr ~size:8) in
       if fx then
         emit ev [ Effect.Write (Elem.Lfb lfb_slot, data_srcs);
@@ -398,7 +400,7 @@ let data_access ~fx t ~transient ev ~is_store ~addr ~addr_srcs ~data_srcs =
   !cost
 
 let fdiv_issue t =
-  let wait = max 0 (t.fdiv_busy_until - t.cycles) in
+  let wait = Int.max 0 (t.fdiv_busy_until - t.cycles) in
   t.fdiv_busy_until <- t.cycles + wait + t.cfg.Config.fdiv_latency;
   2 + wait
 
@@ -447,10 +449,10 @@ let close_window ~fx t w =
   (* Post-squash stalls: outstanding transient refills and divides delay
      the first instructions after the window (B4, Spectre-Rewind). *)
   if t.cfg.Config.fetch_contention_bug then
-    t.cycles <- max t.cycles t.fetch_busy_until;
+    t.cycles <- Int.max t.cycles t.fetch_busy_until;
   let lingering =
-    max 0 (t.fdiv_busy_until - t.cycles) / 4
-    + (max 0 (t.lsu_busy_until - t.cycles) / 4)
+    Int.max 0 (t.fdiv_busy_until - t.cycles) / 4
+    + (Int.max 0 (t.lsu_busy_until - t.cycles) / 4)
   in
   t.cycles <- t.cycles + lingering;
   t.windows <-
@@ -471,7 +473,7 @@ let close_window ~fx t w =
   else
     let squash_srcs =
       (* the rollback index derives from the in-flight (RoB) state *)
-      List.init (min w.w_enqueued t.cfg.Config.rob_entries) (fun i ->
+      List.init (Int.min w.w_enqueued t.cfg.Config.rob_entries) (fun i ->
           Elem.Rob ((w.w_start_slot + i) mod t.cfg.Config.rob_entries))
     in
     (* The rollback's control decision steers [flush_elems]: every RoB
@@ -796,8 +798,8 @@ let step_committed ~fx t =
     | None -> ()
   end;
   (* Committed micro-updates. *)
-  (match s.Golden.s_mem_addr with
-  | Some addr when s.Golden.s_trap = None ->
+  (match (s.Golden.s_mem_addr, s.Golden.s_trap) with
+  | Some addr, None ->
       let addr_srcs =
         match insn with
         | (Insn.Load (_, _, _, rs1, _) | Insn.Store (_, _, rs1, _)) when fx ->
@@ -890,8 +892,8 @@ let step_committed ~fx t =
       | _ -> ())
   | _ -> ());
   (* Memory-disambiguation window. *)
-  (match disamb with
-  | Some (rd, stale, _stq_slot) when s.Golden.s_trap = None ->
+  (match (disamb, s.Golden.s_trap) with
+  | Some (rd, stale, _stq_slot), None ->
       ignore (P.Mdp.train_alias t.mdp ~pc);
       open_window ~fx t ev ~kind:Effect.W_mem_disamb ~trigger_pc:pc
         ~after:`Resume ~spec_pc:s.Golden.s_next_pc ~sreg_init:[ (rd, stale) ]
@@ -910,7 +912,7 @@ let step_committed ~fx t =
         | Trap.Breakpoint | Trap.Ecall_from_user | Trap.Ecall_from_machine
         | Trap.Fetch_access_fault -> false
       in
-      if window_worthy && t.window = None then begin
+      if window_worthy && Option.is_none t.window then begin
         let kind = Effect.W_exception cause in
         match insn with
         | Insn.Load (width, _, rd, rs1, imm) when Trap.is_memory cause ->
@@ -1005,7 +1007,7 @@ let slots_on_line t pc =
 let nop_run t limit =
   if t.done_ || Option.is_some t.window then 0
   else begin
-    let limit = min limit (t.stim.st_max_slots - t.slot) in
+    let limit = Int.min limit (t.stim.st_max_slots - t.slot) in
     let pc0 = Golden.pc t.arch and priv = Golden.priv t.arch in
     let lb = t.cfg.Config.line_bytes in
     (* One icache's worth of lines at most, so that no line of the run
@@ -1048,7 +1050,7 @@ let skip_nops ?each t n =
     let pc = pc0 + (4 * !k) in
     let refill = Cache.fill t.icache ~addr:pc in
     if refill then incr misses;
-    let on_line = min (n - !k) (slots_on_line t pc) in
+    let on_line = Int.min (n - !k) (slots_on_line t pc) in
     (match each with
     | None -> ()
     | Some f ->

@@ -157,7 +157,7 @@ let reset t stim =
 let blit ~src ~dst =
   if src.prov <> None || dst.prov <> None then
     invalid_arg "Dualcore.blit: provenance-armed testbenches are not copied";
-  if src.log_bound <> dst.log_bound then
+  if src.log_bound != dst.log_bound && src.log_bound <> dst.log_bound then
     invalid_arg "Dualcore.blit: log bound mismatch";
   Core.blit ~src:src.core_a ~dst:dst.core_a;
   Core.blit ~src:src.core_b ~dst:dst.core_b;
@@ -352,7 +352,7 @@ let skip_limit budget t =
   | Some b -> (
       let n = match b.b_max_slots with Some m -> m - t.slots | None -> max_int in
       match b.b_max_wall_s with
-      | Some _ -> min n (64 - (t.slots land 63))
+      | Some _ -> Int.min n (64 - (t.slots land 63))
       | None -> n)
 
 let run ?budget ?fork t =

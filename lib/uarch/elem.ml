@@ -64,7 +64,7 @@ let tags (tag, banks) =
 
 let names =
   Array.of_list
-    (List.sort compare (List.concat_map tags (Array.to_list kinds)))
+    (List.sort String.compare (List.concat_map tags (Array.to_list kinds)))
 
 let all_modules = Array.to_list names
 
@@ -84,5 +84,20 @@ let module_of e = names.(module_index e)
 
 let to_string e = Printf.sprintf "%s[%d]" (module_of e) (index e)
 
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
+(* [Stdlib.compare]'s order without its runtime call: [Pc], an immediate,
+   sorts below every block; blocks sort by constructor, in declaration
+   order, then by index as a signed int. *)
+let compare a b =
+  match (a, b) with
+  | Pc, Pc -> 0
+  | Pc, _ -> -1
+  | _, Pc -> 1
+  | _ ->
+      let c = Int.compare (kind a) (kind b) in
+      if c <> 0 then c else Int.compare (index a) (index b)
+
+let equal a b =
+  match (a, b) with
+  | Pc, Pc -> true
+  | Pc, _ | _, Pc -> false
+  | _ -> kind a = kind b && index a = index b

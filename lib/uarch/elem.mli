@@ -40,7 +40,16 @@ val module_index : t -> int
 val to_string : t -> string
 
 val compare : t -> t -> int
+(** The element order: [Pc] first, then by constructor in declaration
+    order, then by index as a signed int.  This is exactly
+    [Stdlib.compare]'s order (an immediate sorts below every block), so
+    sorted element lists, checkpoint bytes and the dense numbering of
+    {!Taintstate} are the same whichever of the two sorted them; a
+    property in [test_uarch.ml] holds the two together on random pairs.
+    Typed, so no runtime call. *)
+
 val equal : t -> t -> bool
+(** Structural equality, typed like {!compare}. *)
 
 val all_modules : string list
 (** Every module tag, sorted — the row space of the coverage matrix. *)

@@ -3,8 +3,17 @@ module Bht = struct
 
   let create ~entries = { counters = Array.make entries 1 }
 
+  (* The int and bool tables below are copied by typed loops: on a pooled
+     (major-heap) core [Array.blit] runs the write barrier on every
+     element.  The two largest, these counters and the MDP's bits, are
+     read into locals and indexed without bounds checks, the lengths
+     checked once. *)
   let blit ~src ~dst =
-    Array.blit src.counters 0 dst.counters 0 (Array.length src.counters)
+    let s = src.counters and d = dst.counters in
+    if Array.length s <> Array.length d then invalid_arg "Bht.blit: geometry";
+    for i = 0 to Array.length d - 1 do
+      Array.unsafe_set d i (Array.unsafe_get s i)
+    done
 
   let index t ~pc = (pc lsr 2) land (Array.length t.counters - 1)
 
@@ -13,7 +22,7 @@ module Bht = struct
   let update t ~pc ~taken =
     let i = index t ~pc in
     let c = t.counters.(i) in
-    t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+    t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
     i
 
   let counter t i = t.counters.(i)
@@ -74,7 +83,9 @@ module Ras = struct
   let create ~entries = { stack = Array.make entries 0; tos = 0; depth = 0 }
 
   let blit ~src ~dst =
-    Array.blit src.stack 0 dst.stack 0 (Array.length src.stack);
+    for i = 0 to Array.length dst.stack - 1 do
+      dst.stack.(i) <- src.stack.(i)
+    done;
     dst.tos <- src.tos;
     dst.depth <- src.depth
 
@@ -83,7 +94,7 @@ module Ras = struct
   let push t addr =
     t.tos <- (t.tos + 1) mod size t;
     t.stack.(t.tos) <- addr;
-    t.depth <- min (size t) (t.depth + 1);
+    t.depth <- Int.min (size t) (t.depth + 1);
     t.tos
 
   let pop t =
@@ -162,7 +173,12 @@ module Mdp = struct
 
   let create ~entries = { alias = Array.make entries false }
 
-  let blit ~src ~dst = Array.blit src.alias 0 dst.alias 0 (Array.length src.alias)
+  let blit ~src ~dst =
+    let s = src.alias and d = dst.alias in
+    if Array.length s <> Array.length d then invalid_arg "Mdp.blit: geometry";
+    for i = 0 to Array.length d - 1 do
+      Array.unsafe_set d i (Array.unsafe_get s i)
+    done
 
   let index t ~pc = (pc lsr 2) land (Array.length t.alias - 1)
 

@@ -78,8 +78,20 @@ type t = {
   mutable count : int;  (** tainted elements, dense and side *)
   by_module : int array;
       (** tainted elements per {!Elem.module_index}, maintained on every
-          transition *)
-  saved : (Elem.t, bool) Hashtbl.t;  (** window-open checkpoint *)
+          transition; reset and copied by typed loops, since
+          [Array.fill]/[Array.blit] on a pooled (major-heap) array run the
+          write barrier per element *)
+  saved : Bytes.t;
+      (** window-open checkpoint, one bit per dense number: set for each
+          element of the last snapshot *)
+  saved_taint : Bytes.t;
+      (** each saved element's taint at the snapshot (bits [saved] does
+          not set are stale) *)
+  mutable snapped : Elem.t list;
+      (** the last snapshot's elements, whose [saved] bits the next
+          snapshot clears *)
+  saved_side : (Elem.t, bool) Hashtbl.t;
+      (** the checkpoint of snapshotted elements numbering -1 *)
   mutable points_memo : int list option;
       (** memoised [tainted_points] result, dropped on any taint
           transition: most window slots see no transition, so they share
@@ -92,17 +104,18 @@ let create ?provenance mode =
   { mode; bits = Bytes.make (8 * plane_words) '\000';
     side = Hashtbl.create 8; count = 0;
     by_module = Array.make point_stride 0;
-    saved = Hashtbl.create 64; points_memo = None; prov = provenance }
+    saved = Bytes.make (8 * plane_words) '\000';
+    saved_taint = Bytes.make (8 * plane_words) '\000'; snapped = [];
+    saved_side = Hashtbl.create 8; points_memo = None; prov = provenance }
 
 let mode t = t.mode
 
-let reset t =
-  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
-  Hashtbl.reset t.side;
-  t.count <- 0;
-  Array.fill t.by_module 0 (Array.length t.by_module) 0;
-  Hashtbl.reset t.saved;
-  t.points_memo <- None
+let get_bit b n = Bytes.get_uint8 b (n lsr 3) land (1 lsl (n land 7)) <> 0
+
+let put_bit b n v =
+  let byte = n lsr 3 and mask = 1 lsl (n land 7) in
+  let old = Bytes.get_uint8 b byte in
+  Bytes.set_uint8 b byte (if v then old lor mask else old land lnot mask)
 
 let copy_into src dst =
   Hashtbl.clear dst;
@@ -113,12 +126,16 @@ let blit ~src ~dst =
   Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits);
   copy_into src.side dst.side;
   dst.count <- src.count;
-  Array.blit src.by_module 0 dst.by_module 0 (Array.length src.by_module);
-  copy_into src.saved dst.saved;
+  for m = 0 to point_stride - 1 do
+    dst.by_module.(m) <- src.by_module.(m)
+  done;
+  Bytes.blit src.saved 0 dst.saved 0 (Bytes.length src.saved);
+  Bytes.blit src.saved_taint 0 dst.saved_taint 0 (Bytes.length src.saved_taint);
+  dst.snapped <- src.snapped;
+  copy_into src.saved_side dst.saved_side;
   dst.points_memo <- src.points_memo
 
-let dense_tainted t n =
-  Bytes.get_uint8 t.bits (n lsr 3) land (1 lsl (n land 7)) <> 0
+let dense_tainted t n = get_bit t.bits n
 
 (* [n] is [number e] throughout: callers number an element once. *)
 let tainted_at t n e =
@@ -134,7 +151,9 @@ let count t m ~now =
   let d = if now then 1 else -1 in
   t.by_module.(m) <- t.by_module.(m) + d;
   t.count <- t.count + d;
-  t.points_memo <- None
+  (* Stored only when set: storing to a pointer field runs the write
+     barrier, even for [None]. *)
+  match t.points_memo with Some _ -> t.points_memo <- None | None -> ()
 
 (* Flip [e]'s taint, which the caller has established is [not now]. *)
 let transition t n e ~now =
@@ -164,7 +183,7 @@ let rec taint_all t = function
 (* Provenance labels for tainted predecessors, deduplicated so paired
    slots ([sa @ sb]) don't yield doubled source lists. *)
 let tainted_src_labels t srcs =
-  List.sort_uniq compare
+  List.sort_uniq String.compare
     (List.filter_map
        (fun e -> if is_tainted t e then Some (Elem.to_string e) else None)
        srcs)
@@ -249,24 +268,62 @@ let copy_regs_to_spec t =
     end
   done
 
+(* The window checkpoint: the previous snapshot's saved bits cleared (no
+   other bit of [saved] is set), then [elems]'s saved. *)
 let snapshot t elems =
-  Hashtbl.reset t.saved;
-  List.iter (fun e -> Hashtbl.replace t.saved e (is_tainted t e)) elems
+  List.iter
+    (fun e ->
+      let n = number e in
+      if n >= 0 then put_bit t.saved n false)
+    t.snapped;
+  if Hashtbl.length t.saved_side > 0 then Hashtbl.reset t.saved_side;
+  List.iter
+    (fun e ->
+      let n = number e in
+      if n >= 0 then begin
+        put_bit t.saved n true;
+        put_bit t.saved_taint n (dense_tainted t n)
+      end
+      else Hashtbl.replace t.saved_side e (tainted_at t n e))
+    elems;
+  t.snapped <- elems
+
+let reset t =
+  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
+  Hashtbl.reset t.side;
+  t.count <- 0;
+  for m = 0 to point_stride - 1 do
+    t.by_module.(m) <- 0
+  done;
+  (* an empty snapshot drops the checkpoint *)
+  snapshot t [];
+  t.points_memo <- None
+
+(* Put [e] (numbered [n]) back to its checkpointed taint [v]. *)
+let restore_to t n e v =
+  let was = tainted_at t n e in
+  if was <> v then begin
+    (match t.prov with
+    | Some p when v ->
+        (* A squash re-establishing taint from the checkpoint: the element
+           is its own predecessor, one taint epoch earlier. *)
+        Provenance.record p ~dst:(Elem.to_string e) ~srcs:[ Elem.to_string e ]
+          Provenance.Restore
+    | _ -> ());
+    transition t n e ~now:v
+  end
 
 let restore t elems =
   List.iter
     (fun e ->
-      match Hashtbl.find_opt t.saved e with
-      | Some v ->
-          (match t.prov with
-          | Some p when v && not (is_tainted t e) ->
-              (* A squash re-establishing taint from the checkpoint: the
-                 element is its own predecessor, one taint epoch earlier. *)
-              Provenance.record p ~dst:(Elem.to_string e)
-                ~srcs:[ Elem.to_string e ] Provenance.Restore
-          | _ -> ());
-          set t e v
-      | None -> ())
+      let n = number e in
+      if n >= 0 then begin
+        if get_bit t.saved n then restore_to t n e (get_bit t.saved_taint n)
+      end
+      else
+        match Hashtbl.find_opt t.saved_side e with
+        | Some v -> restore_to t n e v
+        | None -> ())
     elems
 
 (* An event present in one instance but not the other (e.g. a cache fill on

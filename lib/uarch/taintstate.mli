@@ -52,10 +52,14 @@
     outside its range (say, the [Mem] index of a transiently forwarded
     address outside physical memory) lives in a small side table with the
     same semantics.  Order invariant: [tainted_elems] walks the bits in
-    number order, which is {!Elem.compare} order, skipping a clean word
-    with one test, and merges in the side table's elements only when it
-    is non-empty.  The window checkpoint stays a hash table, filled once
-    per window. *)
+    number order, which is {!Elem.compare} order (the order {!Elem}
+    defines and its tests pin), skipping a clean word with one test, and
+    merges in the side table's elements only when it is non-empty.  The
+    window checkpoint is two more bitsets over the same numbering — which
+    elements the last [Snapshot] saved, and their taint then — beside that
+    snapshot's element list, by which the next snapshot and [reset] clear
+    the saved bits; a side-table element's checkpoint sits in a small
+    table. *)
 
 type t
 
@@ -73,7 +77,8 @@ val mode : t -> Dvz_ift.Policy.mode
 val reset : t -> unit
 (** Drop every taint, saved checkpoint and per-module count — back to the
     [create] state (the provenance recorder, if any, is kept as-is): a
-    fill of the bitset and the counters. *)
+    fill of the bitset and the counters, and the last snapshot's saved
+    bits cleared. *)
 
 val blit : src:t -> dst:t -> unit
 (** Copies [src]'s taints (bitset and side table), saved checkpoint,

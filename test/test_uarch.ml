@@ -184,6 +184,163 @@ let test_tlb () =
   let disabled = Tlb.create ~entries:0 ~page_bytes:4096 in
   Alcotest.(check bool) "disabled" true (Tlb.access disabled ~addr:0 = `Disabled)
 
+(* The record-per-line cache and TLB the flat int arrays replaced, kept as
+   the model: a line or entry is a valid bit beside a tag, and a flush
+   clears the valid bits only. *)
+module Line_model = struct
+  type line = { mutable valid : bool; mutable tag : int }
+  type t = { lines : line array; bytes : int }
+
+  let create ~lines ~bytes =
+    { lines = Array.init lines (fun _ -> { valid = false; tag = 0 }); bytes }
+
+  let index t addr = addr / t.bytes land (Array.length t.lines - 1)
+  let holds t l addr = l.valid && l.tag = addr / t.bytes
+
+  let access t ~addr =
+    let i = index t addr in
+    let l = t.lines.(i) in
+    if holds t l addr then `Hit i
+    else begin
+      l.valid <- true;
+      l.tag <- addr / t.bytes;
+      `Miss i
+    end
+
+  let hits t ~addr = holds t t.lines.(index t addr) addr
+  let fill t ~addr = match access t ~addr with `Hit _ -> false | `Miss _ -> true
+  let invalidate_all t = Array.iter (fun l -> l.valid <- false) t.lines
+
+  let blit ~src ~dst =
+    Array.iteri
+      (fun i s ->
+        dst.lines.(i).valid <- s.valid;
+        dst.lines.(i).tag <- s.tag)
+      src.lines
+
+  let valid t i = t.lines.(i).valid
+  let line_addr t i = t.lines.(i).tag * t.bytes
+
+  (* [Tlb.access]: a direct-mapped page table, disabled when empty. *)
+  let tlb_access t ~addr =
+    if Array.length t.lines = 0 then `Disabled
+    else match access t ~addr with `Hit i -> `Hit i | `Miss i -> `Miss i
+end
+
+type line_op =
+  | L_access of int
+  | L_fill of int
+  | L_hits of int
+  | L_flush
+  | L_blit  (** copy into the other instance and carry on there *)
+
+let line_op_to_string = function
+  | L_access a -> Printf.sprintf "access %d" a
+  | L_fill a -> Printf.sprintf "fill %d" a
+  | L_hits a -> Printf.sprintf "hits %d" a
+  | L_flush -> "flush"
+  | L_blit -> "blit"
+
+(* Addresses a few blocks either side of zero, so tags collide across
+   lines and include -1 (a transient fetch or store may reach a negative
+   address), plus the extremes. *)
+let gen_line_ops ~block =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (8, map2 (fun b off -> (b * block) + off) (int_range (-20) 20)
+              (int_bound (block - 1)));
+        (1, oneofl [ min_int; max_int; -1; -block; -block - 1 ]) ]
+  in
+  list_size (int_range 1 60)
+    (frequency
+       [ (6, map (fun a -> L_access a) addr); (3, map (fun a -> L_fill a) addr);
+         (2, map (fun a -> L_hits a) addr); (1, return L_flush);
+         (1, return L_blit) ])
+
+let print_line_case (n, b, ops) =
+  Printf.sprintf "size=%d block=%d [%s]" n b
+    (String.concat "; " (List.map line_op_to_string ops))
+
+let swap a b =
+  let x = !a in
+  a := !b;
+  b := x
+
+(* Both instances of each side start from the same state; [L_blit] copies
+   the current one into the other (dirty from earlier steps) and goes on
+   in the copy. *)
+let prop_cache_matches_model =
+  QCheck.Test.make ~name:"flat cache matches a record model" ~count:500
+    (QCheck.make ~print:print_line_case
+       QCheck.Gen.(
+         let* lines = oneofl [ 1; 2; 8 ] and* block = oneofl [ 2; 8; 64 ] in
+         let* ops = gen_line_ops ~block in
+         return (lines, block, ops)))
+    (fun (lines, block, ops) ->
+      let c = ref (Cache.create ~lines ~line_bytes:block)
+      and c' = ref (Cache.create ~lines ~line_bytes:block)
+      and m = ref (Line_model.create ~lines ~bytes:block)
+      and m' = ref (Line_model.create ~lines ~bytes:block) in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | L_access addr -> Cache.access !c ~addr = Line_model.access !m ~addr
+            | L_fill addr -> Cache.fill !c ~addr = Line_model.fill !m ~addr
+            | L_hits addr -> Cache.hits !c ~addr = Line_model.hits !m ~addr
+            | L_flush ->
+                Cache.invalidate_all !c;
+                Line_model.invalidate_all !m;
+                true
+            | L_blit ->
+                Cache.blit ~src:!c ~dst:!c';
+                Line_model.blit ~src:!m ~dst:!m';
+                swap c c';
+                swap m m';
+                true
+          in
+          agree
+          && List.for_all
+               (fun i ->
+                 Cache.valid !c i = Line_model.valid !m i
+                 && ((not (Cache.valid !c i))
+                    || Cache.line_addr !c i = Line_model.line_addr !m i))
+               (List.init lines Fun.id))
+        ops)
+
+let prop_tlb_matches_model =
+  QCheck.Test.make ~name:"flat tlb matches a record model" ~count:500
+    (QCheck.make ~print:print_line_case
+       QCheck.Gen.(
+         let* entries = oneofl [ 0; 1; 4 ] and* page = oneofl [ 2; 4096 ] in
+         let* ops = gen_line_ops ~block:page in
+         return (entries, page, ops)))
+    (fun (entries, page, ops) ->
+      let t = ref (Tlb.create ~entries ~page_bytes:page)
+      and t' = ref (Tlb.create ~entries ~page_bytes:page)
+      and m = ref (Line_model.create ~lines:entries ~bytes:page)
+      and m' = ref (Line_model.create ~lines:entries ~bytes:page) in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | L_access addr | L_fill addr | L_hits addr ->
+                Tlb.access !t ~addr = Line_model.tlb_access !m ~addr
+            | L_flush -> true
+            | L_blit ->
+                Tlb.blit ~src:!t ~dst:!t';
+                Line_model.blit ~src:!m ~dst:!m';
+                swap t t';
+                swap m m';
+                true
+          in
+          agree
+          && List.for_all
+               (fun i -> Tlb.valid !t i = Line_model.valid !m i)
+               (List.init entries Fun.id))
+        ops)
+
 (* --- LSU queues ---------------------------------------------------------- *)
 
 let test_stq_forwarding () =
@@ -1043,6 +1200,172 @@ let prop_tainted_elems_walk =
              = List.filter (Taintstate.is_tainted t) plane_universe)
         ops)
 
+(* --- element order and the window checkpoint ------------------------------ *)
+
+let elem_ctors =
+  [| (fun i -> Elem.Areg i); (fun i -> Elem.Sreg i); (fun i -> Elem.Mem i);
+     (fun i -> Elem.Dcache i); (fun i -> Elem.Icache i); (fun i -> Elem.Lfb i);
+     (fun i -> Elem.Btb i); (fun i -> Elem.Bht i); (fun i -> Elem.Ras i);
+     (fun i -> Elem.Loop i); (fun i -> Elem.Tlb i); (fun i -> Elem.L2tlb i);
+     (fun i -> Elem.Rob i); (fun i -> Elem.Ldq i); (fun i -> Elem.Stq i) |]
+
+(* A constructor (15 means [Pc]) and an index: small, negative, at and
+   past the dense plane's 512-entry tables, or anywhere. *)
+let gen_elem_key =
+  let open QCheck.Gen in
+  pair (int_bound 15)
+    (frequency
+       [ (4, int_range (-3) 600);
+         (1, oneofl [ min_int; max_int; -1; 0; 511; 512; mem_dwords ]);
+         (1, int) ])
+
+let elem_of_key (k, i) = if k = 15 then Elem.Pc else elem_ctors.(k) i
+
+(* Pairs of random elements, and of an element and a near neighbour (the
+   same constructor one index away, or itself), so that equal constructors
+   and equal elements come up often. *)
+let prop_elem_order =
+  QCheck.Test.make ~name:"typed Elem.compare is Stdlib.compare" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Elem.to_string a ^ " vs " ^ Elem.to_string b)
+       QCheck.Gen.(
+         let* ((k, i) as a) = gen_elem_key in
+         let* b =
+           frequency
+             [ (2, gen_elem_key);
+               (1, map (fun d -> (k, i + d)) (int_range (-1) 1));
+               (1, map (fun k' -> (k', i)) (int_bound 15)) ]
+         in
+         return (elem_of_key a, elem_of_key b)))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Elem.compare a b) = sign (Stdlib.compare a b)
+      && Elem.equal a b = (a = b))
+
+(* [Taintstate]'s window checkpoint as it was before it became a pair of
+   bitsets, over a model taint set: the model the property below holds the
+   bitsets to. *)
+module Checkpoint_model = struct
+  type t = { taint : (Elem.t, unit) Hashtbl.t; saved : (Elem.t, bool) Hashtbl.t }
+
+  let create () = { taint = Hashtbl.create 16; saved = Hashtbl.create 64 }
+  let is_tainted m e = Hashtbl.mem m.taint e
+
+  let set m e v =
+    if v then Hashtbl.replace m.taint e () else Hashtbl.remove m.taint e
+
+  let snapshot m elems =
+    Hashtbl.reset m.saved;
+    List.iter (fun e -> Hashtbl.replace m.saved e (is_tainted m e)) elems
+
+  let restore m elems =
+    List.iter
+      (fun e ->
+        match Hashtbl.find_opt m.saved e with
+        | Some v -> set m e v
+        | None -> ())
+      elems
+
+  let reset m =
+    Hashtbl.reset m.taint;
+    Hashtbl.reset m.saved
+end
+
+type ck_op =
+  | Ck_set of Elem.t * bool
+  | Ck_snapshot of Elem.t list
+  | Ck_restore of Elem.t list
+  | Ck_blit  (** copy into the other instance and carry on there *)
+  | Ck_reset
+
+let ck_op_to_string =
+  let elems es = String.concat "," (List.map Elem.to_string es) in
+  function
+  | Ck_set (e, v) -> Printf.sprintf "set %s %b" (Elem.to_string e) v
+  | Ck_snapshot es -> Printf.sprintf "snapshot [%s]" (elems es)
+  | Ck_restore es -> Printf.sprintf "restore [%s]" (elems es)
+  | Ck_blit -> "blit"
+  | Ck_reset -> "reset"
+
+(* What a BOOM window checkpoints: [Core]'s [window_elems]. *)
+let ck_window =
+  List.init 8 (fun i -> Elem.Ras i)
+  @ List.init 8 (fun i -> Elem.Stq i)
+  @ List.init 8 (fun i -> Elem.Ldq i)
+
+(* Beside it, side-table elements and elements no window names. *)
+let ck_pool =
+  ck_window
+  @ [ Elem.Ras 512; Elem.Stq (-1); Elem.Mem mem_dwords; Elem.Pc; Elem.Areg 3 ]
+
+let gen_ck_ops =
+  let open QCheck.Gen in
+  let elem = oneofl ck_pool in
+  let elems =
+    frequency
+      [ (2, return ck_window);
+        (* B2's partial restore list: the restored top of stack, then both
+           queues *)
+        ( 2,
+          map
+            (fun tos ->
+              Elem.Ras tos :: List.filteri (fun i _ -> i >= 8) ck_window)
+            (int_bound 7) );
+        (* random lists, duplicates included *)
+        (3, list_size (int_bound 6) elem) ]
+  in
+  list_size (int_range 1 60)
+    (frequency
+       [ (6, map2 (fun e v -> Ck_set (e, v)) elem bool);
+         (2, map (fun es -> Ck_snapshot es) elems);
+         (3, map (fun es -> Ck_restore es) elems);
+         (1, return Ck_blit); (1, return Ck_reset) ])
+
+(* Random sequences of taints and clears, snapshots, restores, blits into
+   a dirty instance and resets: after every step the count and each pool
+   element's taint are the model's.  Snapshots and restores go through
+   [apply_pair], as a window's events do; a clear is diffIFT's aligned
+   clean write. *)
+let prop_checkpoint_matches_model =
+  QCheck.Test.make ~name:"bitset checkpoint matches a hash-table model"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map ck_op_to_string ops))
+       gen_ck_ops)
+    (fun ops ->
+      let t = ref (Taintstate.create Policy.Diffift)
+      and other = ref (Taintstate.create Policy.Diffift)
+      and m = ref (Checkpoint_model.create ()) in
+      let apply ev = Taintstate.apply_pair !t (Some (slot [ ev ])) None in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ck_set (e, true) ->
+              Taintstate.set_tainted !t e;
+              Checkpoint_model.set !m e true
+          | Ck_set (e, false) ->
+              let s = slot [ Eff.Write (e, []) ] in
+              Taintstate.apply_pair !t (Some s) (Some s);
+              Checkpoint_model.set !m e false
+          | Ck_snapshot es ->
+              apply (Eff.Snapshot es);
+              Checkpoint_model.snapshot !m es
+          | Ck_restore es ->
+              apply (Eff.Restore es);
+              Checkpoint_model.restore !m es
+          | Ck_blit ->
+              Taintstate.blit ~src:!t ~dst:!other;
+              swap t other
+          | Ck_reset ->
+              Taintstate.reset !t;
+              Checkpoint_model.reset !m);
+          Taintstate.tainted_count !t = Hashtbl.length !m.Checkpoint_model.taint
+          && List.for_all
+               (fun e ->
+                 Taintstate.is_tainted !t e = Checkpoint_model.is_tainted !m e)
+               ck_pool)
+        ops)
+
 (* [Taintstate.committed_nop] against [apply_pair] on the slot [Core.step]
    emits for a committed nop, paired with itself, from every taint of the
    elements the slot reads and writes: the refill and the hit shape, in
@@ -1549,7 +1872,9 @@ let () =
           Alcotest.test_case "conflict" `Quick test_cache_conflict;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "lfb decoy" `Quick test_lfb_decoy;
-          Alcotest.test_case "tlb" `Quick test_tlb ] );
+          Alcotest.test_case "tlb" `Quick test_tlb;
+          QCheck_alcotest.to_alcotest prop_cache_matches_model;
+          QCheck_alcotest.to_alcotest prop_tlb_matches_model ] );
       ( "lsu",
         [ Alcotest.test_case "forwarding" `Quick test_stq_forwarding;
           Alcotest.test_case "pending alias" `Quick test_stq_pending_alias;
@@ -1607,6 +1932,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_dense_side_agree;
           QCheck_alcotest.to_alcotest prop_plane_reads_agree;
           QCheck_alcotest.to_alcotest prop_tainted_elems_walk;
+          QCheck_alcotest.to_alcotest prop_elem_order;
+          QCheck_alcotest.to_alcotest prop_checkpoint_matches_model;
           QCheck_alcotest.to_alcotest prop_committed_nop_matches_pair ] );
       ( "timing",
         [ Alcotest.test_case "fpu contention" `Quick test_fpu_contention_timing;
