@@ -252,6 +252,16 @@ let load_checkpoint ~path : (checkpoint, string * string) result =
                      module tags — rerun it to completion there, or delete \
                      the file to start fresh" )))
 
+let attack_name = function `Meltdown -> "meltdown" | `Spectre -> "spectre"
+
+let attack_of_name s =
+  List.find_opt (fun a -> attack_name a = s) [ `Meltdown; `Spectre ]
+
+let leak_kind_name = function `Timing -> "timing" | `Encode -> "encode"
+
+let leak_kind_of_name s =
+  List.find_opt (fun k -> leak_kind_name k = s) [ `Timing; `Encode ]
+
 (* Alongside the human-readable [seed] string (which truncates the
    entropies), record everything [Explain.explain_crash] needs to rebuild
    the testcase: the structured seed, the core, the secret and the
@@ -281,10 +291,7 @@ let write_crash_artifact ~core ~options ~secret dir (c : crash) =
           Json.Arr (Array.to_list (Array.map (fun v -> Json.Int v) secret)) );
         ( "taint_mode",
           Json.Str (Dvz_ift.Policy.mode_name options.taint_mode) );
-        ( "style",
-          Json.Str
-            (match options.style with `Derived -> "derived" | `Random -> "random")
-        );
+        ("style", Json.Str (Trigger_gen.style_name options.style));
         ("exn", Json.Str c.cr_exn);
         ("backtrace", Json.Str c.cr_backtrace) ]
   in
@@ -294,10 +301,10 @@ let write_crash_artifact ~core ~options ~secret dir (c : crash) =
 
 let dedup_key f =
   Printf.sprintf "%s/%s/%s/%s"
-    (match f.fd_attack with `Meltdown -> "meltdown" | `Spectre -> "spectre")
+    (attack_name f.fd_attack)
     (Seed.kind_name f.fd_window)
     (String.concat "," f.fd_components)
-    (match f.fd_kind with `Timing -> "timing" | `Encode -> "encode")
+    (leak_kind_name f.fd_kind)
 
 let findings_of_analysis ~iteration seed (a : Oracle.analysis) =
   match a.Oracle.a_attack with
@@ -315,12 +322,6 @@ let findings_of_analysis ~iteration seed (a : Oracle.analysis) =
                 fd_components = components; fd_kind = `Encode;
                 fd_iteration = iteration; fd_source = None })
         a.Oracle.a_leaks
-
-let attack_name = function `Meltdown -> "meltdown" | `Spectre -> "spectre"
-let leak_kind_name = function `Timing -> "timing" | `Encode -> "encode"
-let style_name = function `Derived -> "derived" | `Random -> "random"
-
-let taint_mode_name = Dvz_ift.Policy.mode_name
 
 let finding_event f =
   [ ("type", Json.Str "finding");
@@ -526,9 +527,10 @@ let run ?(telemetry = quiet) ?(resilience = no_resilience) ?(jobs = 1)
         ("iterations", Json.Int options.iterations);
         ("rng_seed", Json.Int options.rng_seed);
         ("coverage_guided", Json.Bool options.coverage_guided);
-        ("style", Json.Str (style_name options.style));
+        ("style", Json.Str (Trigger_gen.style_name options.style));
         ("fresh_seed_prob", Json.Float options.fresh_seed_prob);
-        ("taint_mode", Json.Str (taint_mode_name options.taint_mode)) ];
+        ( "taint_mode",
+          Json.Str (Dvz_ift.Policy.mode_name options.taint_mode) ) ];
     match (resumed, rz.rz_resume) with
     | Some _, Some path ->
         Events.emit tel.t_events

@@ -243,3 +243,17 @@ val run :
 
 val dedup_key : finding -> string
 (** Two findings with the same key are the same bug class. *)
+
+val attack_name : [ `Meltdown | `Spectre ] -> string
+(** ["meltdown"] or ["spectre"], as event lines and dedup keys spell a
+    finding's attack. *)
+
+val attack_of_name : string -> [ `Meltdown | `Spectre ] option
+(** The inverse of {!attack_name}. *)
+
+val leak_kind_name : [ `Timing | `Encode ] -> string
+(** ["timing"] or ["encode"], as event lines, dedup keys and the report
+    spell a finding's kind. *)
+
+val leak_kind_of_name : string -> [ `Timing | `Encode ] option
+(** The inverse of {!leak_kind_name}. *)

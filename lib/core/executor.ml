@@ -109,12 +109,8 @@ let execute cx (plan : Scheduler.plan) =
         let t2 = Clock.now clk in
         let a =
           Profile.wrap "executor/phase3" (fun () ->
-              (* Keep_last 8192 never truncates a real run (stimuli cap
-                 at 3000 slots); it only bounds the logs of pathological
-                 or hung simulations over a long campaign. *)
-              Oracle.analyze ~mode:cx.cx_taint_mode
-                ~log_bound:(Dvz_ift.Taintlog.Keep_last 8192)
-                ?budget:cx.cx_budget cx.cx_cfg ~secret:cx.cx_secret comp)
+              Oracle.analyze ~mode:cx.cx_taint_mode ?budget:cx.cx_budget
+                cx.cx_cfg ~secret:cx.cx_secret comp)
         in
         analysis := Some a;
         p3 := Clock.now clk -. t2;

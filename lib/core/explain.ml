@@ -219,11 +219,6 @@ let config_of_name name =
   let known = [ Config.boom_small; Config.xiangshan_minimal ] in
   List.find_opt (fun c -> c.Config.name = name) known
 
-let mode_of_name s =
-  if s = Policy.mode_name Policy.Cellift then Some Policy.Cellift
-  else if s = Policy.mode_name Policy.Diffift then Some Policy.Diffift
-  else None
-
 let ( let* ) = Result.bind
 
 let field name conv j =
@@ -285,7 +280,7 @@ let replay_artifact ?budget j =
   in
   let* mode_s = field "mode" Json.to_str j in
   let* mode =
-    match mode_of_name mode_s with
+    match Policy.mode_of_name mode_s with
     | Some m -> Ok m
     | None -> Error (Printf.sprintf "unknown taint mode %S" mode_s)
   in
@@ -313,14 +308,7 @@ let explain_crash ?budget ?core j =
   let* spec = field "seed_spec" Option.some j in
   let* kind_name = field "kind" Json.to_str spec in
   let* kind =
-    match
-      Array.fold_left
-        (fun acc k ->
-          match acc with
-          | Some _ -> acc
-          | None -> if Seed.kind_name k = kind_name then Some k else None)
-        None Seed.all_kinds
-    with
+    match Seed.kind_of_name kind_name with
     | Some k -> Ok k
     | None -> Error (Printf.sprintf "unknown trigger kind %S" kind_name)
   in
@@ -331,20 +319,12 @@ let explain_crash ?budget ?core j =
   let seed =
     { Seed.kind; trigger_entropy; window_entropy; tighten; mask_high }
   in
-  let style =
-    match Option.bind (Json.member "style" j) Json.to_str with
-    | Some "random" -> `Random
-    | _ -> `Derived
+  let named key of_name ~default =
+    Option.value ~default
+      (Option.bind (Option.bind (Json.member key j) Json.to_str) of_name)
   in
-  let mode =
-    match
-      Option.bind
-        (Option.bind (Json.member "taint_mode" j) Json.to_str)
-        mode_of_name
-    with
-    | Some m -> m
-    | None -> Policy.Diffift
-  in
+  let style = named "style" Trigger_gen.style_of_name ~default:`Derived in
+  let mode = named "taint_mode" Policy.mode_of_name ~default:Policy.Diffift in
   let* secret =
     match Json.member "secret" j with
     | Some arr -> Ok (Array.of_list (int_list arr))

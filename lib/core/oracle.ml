@@ -144,8 +144,7 @@ let differing_words a b =
     Some !acc
   end
 
-let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
-    tc =
+let simulate ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret tc =
   (* Both testbenches come from the per-domain pool: construction costs a
      fifth to a third of a run and leaves major-heap garbage, and
      collected results never alias pooled state.  The sanitized test case
@@ -156,7 +155,7 @@ let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
   let clean =
     Packet.with_transient stim (Window_gen.sanitize cfg tc).Packet.transient
   in
-  let main = Simpool.acquire ?log_bound ~mode cfg stim in
+  let main = Simpool.acquire ~mode cfg stim in
   let words =
     (* [Fault.tick] must see every slot of both runs. *)
     if Dvz_resilience.Fault.armed () then None else differing_words stim clean
@@ -165,7 +164,7 @@ let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
   let result =
     match words with
     | Some (_ :: _ as ws) ->
-        let on_fork t = forked := Some (Simpool.fork ?log_bound ~mode cfg t) in
+        let on_fork t = forked := Some (Simpool.fork ~mode cfg t) in
         Dualcore.run ?budget ~fork:(ws, on_fork) main
     | Some [] | None -> Dualcore.run ?budget main
   in
@@ -189,14 +188,15 @@ let simulate ?log_bound ?(mode = Dvz_ift.Policy.Diffift) ?budget cfg ~secret
         { s_result = result; s_path = Reused; s_dut = None }
     | None ->
         Metrics.incr m_replayed;
-        let t = Simpool.acquire ?log_bound ~mode cfg clean in
+        let t = Simpool.acquire ~mode cfg clean in
         { s_result = Dualcore.run ?budget t; s_path = Replayed; s_dut = Some t }
   in
   (result, sanitized)
 
-let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
-    ?budget cfg ~secret tc =
-  let result, sanitized_run = simulate ?log_bound ~mode ?budget cfg ~secret tc in
+(* [log_bound] is ignored; it stays for [bench/e2e]'s replay. *)
+let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift)
+    ?log_bound:_ ?budget cfg ~secret tc =
+  let result, sanitized_run = simulate ~mode ?budget cfg ~secret tc in
   if result.Dualcore.r_timed_out then begin
     (* Watchdog verdict: the run was aborted mid-flight, so none of the
        partial evidence is trustworthy — report a clean timeout. *)
@@ -258,8 +258,7 @@ let analyze ?(use_liveness = true) ?(mode = Dvz_ift.Policy.Diffift) ?log_bound
 
 let is_leak a = a.a_leaks <> []
 
-let analyze_with_retries ?use_liveness ?(retries = 3) ?log_bound ?budget cfg
-    ~secret tc =
+let analyze_with_retries ?use_liveness ?(retries = 3) ?budget cfg ~secret tc =
   (* Deterministic secret-pair variations: rotate and perturb the original
      so consecutive attempts disagree on different bit positions. *)
   let variant k =
@@ -267,7 +266,7 @@ let analyze_with_retries ?use_liveness ?(retries = 3) ?log_bound ?budget cfg
   in
   let rec go k =
     let s = if k = 0 then secret else variant k in
-    let a = analyze ?use_liveness ?log_bound ?budget cfg ~secret:s tc in
+    let a = analyze ?use_liveness ?budget cfg ~secret:s tc in
     if is_leak a || a.a_timed_out || k + 1 >= max 1 retries then a
     else go (k + 1)
   in

@@ -64,7 +64,6 @@ type sanitized = {
 }
 
 val simulate :
-  ?log_bound:Dvz_ift.Taintlog.bound ->
   ?mode:Dvz_ift.Policy.mode ->
   ?budget:Dvz_uarch.Dualcore.budget ->
   Dvz_uarch.Config.t ->
@@ -93,15 +92,16 @@ val analyze :
     evaluation (residual PRF/RoB taints become false positives); [mode]
     selects the IFT policy driving the testbench ([Diffift] by default —
     [Cellift] shows how control-flow over-tainting floods the oracle).
-    [log_bound] bounds the per-slot taint log of each testbench run (long
-    campaigns otherwise accumulate unbounded logs); [budget] arms a
-    watchdog on each run: a run that exceeds it yields
-    [a_timed_out = true] instead of hanging. *)
+    [budget] arms a watchdog on each run: a run that exceeds it yields
+    [a_timed_out = true] instead of hanging.
+
+    [log_bound] is accepted and ignored: no testbench keeps a taint log.
+    It stays only because [bench/e2e]'s replay passes it, until that
+    replay ([resim.ml], [traced.ml]) is retired. *)
 
 val analyze_with_retries :
   ?use_liveness:bool ->
   ?retries:int ->
-  ?log_bound:Dvz_ift.Taintlog.bound ->
   ?budget:Dvz_uarch.Dualcore.budget ->
   Dvz_uarch.Config.t ->
   secret:int array ->

@@ -37,12 +37,22 @@ type testcase = {
    watchdog's 50,000-slot default. *)
 let max_slots = 3000
 
+(* The blobs of [stimulus] are the window trainings, then the trigger
+   trainings, then the transient packet; [schedule] indexes them. *)
+let schedule ~keep tc =
+  let nw = List.length tc.window_trainings in
+  List.init nw Fun.id
+  @ List.map (fun k -> nw + k) keep
+  @ [ nw + List.length tc.trigger_trainings ]
+
 let stimulus ~secret tc =
   let packets =
     tc.window_trainings @ tc.trigger_trainings @ [ tc.transient ]
   in
   let blobs = List.map to_blob packets in
-  let schedule = List.mapi (fun i _ -> i) blobs in
+  let schedule =
+    schedule ~keep:(List.init (List.length tc.trigger_trainings) Fun.id) tc
+  in
   { Dvz_uarch.Core.st_swapmem = Swapmem.create ~blobs ~schedule;
     st_tighten_secret = tc.tighten;
     st_secret = secret;

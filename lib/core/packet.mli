@@ -43,6 +43,13 @@ val stimulus : secret:int array -> testcase -> Dvz_uarch.Core.stimulus
     trainings, then the transient packet (§4.2.1), stopping after 3,000
     slots. *)
 
+val schedule : keep:int list -> testcase -> int list
+(** [schedule ~keep tc] is the swap schedule, over the blobs of
+    [stimulus ~secret tc], of [tc] keeping only the trigger trainings at
+    the ascending indices [keep] (into [tc.trigger_trainings]): what
+    {!stimulus} schedules for that test case, without re-encoding a
+    packet.  {!stimulus} schedules [tc] itself with every index kept. *)
+
 val with_transient : Dvz_uarch.Core.stimulus -> t -> Dvz_uarch.Core.stimulus
 (** [with_transient stim p] is [stim] with its transient blob replaced by
     [p]'s encoding, on a fresh swap cursor: what {!stimulus} builds for a

@@ -1,28 +1,15 @@
 module Json = Dvz_obs.Json
 
-let kind_of_name name =
-  Array.fold_left
-    (fun acc k -> if Seed.kind_name k = name then Some k else acc)
-    None Seed.all_kinds
-
 let finding_of_event ev =
   let str key = Option.bind (Json.member key ev) Json.to_str in
   let int key = Option.bind (Json.member key ev) Json.to_int in
   match (int "iteration", str "attack", str "window", str "kind") with
   | Some iteration, Some attack, Some window, Some kind ->
-      let attack =
-        match attack with
-        | "meltdown" -> Some `Meltdown
-        | "spectre" -> Some `Spectre
-        | _ -> None
-      in
-      let leak_kind =
-        match kind with
-        | "timing" -> Some `Timing
-        | "encode" -> Some `Encode
-        | _ -> None
-      in
-      (match (attack, leak_kind, kind_of_name window) with
+      (match
+         ( Campaign.attack_of_name attack,
+           Campaign.leak_kind_of_name kind,
+           Seed.kind_of_name window )
+       with
       | Some fd_attack, Some fd_kind, Some fd_window ->
           Ok
             { Campaign.fd_attack; fd_window; fd_kind;

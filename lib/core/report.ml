@@ -1,13 +1,14 @@
 module Tablefmt = Dvz_util.Tablefmt
 
+(* "Meltdown" or "Spectre": the attack's event name, capitalised. *)
+let attack_label a = String.capitalize_ascii (Campaign.attack_name a)
+
 let finding_to_string f =
   Printf.sprintf "[iter %4d] %-8s %-22s via %-6s -> {%s}%s"
     f.Campaign.fd_iteration
-    (match f.Campaign.fd_attack with
-    | `Meltdown -> "Meltdown"
-    | `Spectre -> "Spectre")
+    (attack_label f.Campaign.fd_attack)
     (Seed.kind_name f.Campaign.fd_window)
-    (match f.Campaign.fd_kind with `Timing -> "timing" | `Encode -> "encode")
+    (Campaign.leak_kind_name f.Campaign.fd_kind)
     (String.concat ", " f.Campaign.fd_components)
     (match f.Campaign.fd_source with
     | None -> ""
@@ -21,9 +22,8 @@ let window_group = function
 
 let table5 ~core_name findings =
   let tbl = Tablefmt.create [ "Attack"; "Transient Window"; "Encoded Timing Component" ] in
-  let attacks = [ (`Meltdown, "Meltdown"); (`Spectre, "Spectre") ] in
   List.iter
-    (fun (attack, label) ->
+    (fun attack ->
       let fs =
         List.filter (fun f -> f.Campaign.fd_attack = attack) findings
       in
@@ -37,9 +37,10 @@ let table5 ~core_name findings =
             (List.concat_map (fun f -> f.Campaign.fd_components) fs)
         in
         Tablefmt.add_row tbl
-          [ label; String.concat ", " windows; String.concat ", " comps ]
+          [ attack_label attack; String.concat ", " windows;
+            String.concat ", " comps ]
       end)
-    attacks;
+    [ `Meltdown; `Spectre ];
   Printf.sprintf "%s\n%s" core_name (Tablefmt.render tbl)
 
 let render_summary ~iterations ~triggered ~coverage ~first_bug ~crashes

@@ -24,6 +24,8 @@ let kind_name = function
   | T_jump -> "indirect-jump-mispred"
   | T_return -> "return-mispred"
 
+let kind_of_name s = Array.find_opt (fun k -> kind_name k = s) all_kinds
+
 let is_exception = function
   | T_access_fault | T_page_fault | T_misalign | T_illegal -> true
   | T_mem_disamb | T_branch | T_jump | T_return -> false

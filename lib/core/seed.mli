@@ -19,6 +19,10 @@ type trigger_kind =
 val all_kinds : trigger_kind array
 val kind_name : trigger_kind -> string
 
+val kind_of_name : string -> trigger_kind option
+(** The inverse of {!kind_name}: what event logs and crash artifacts are
+    parsed with. *)
+
 val is_exception : trigger_kind -> bool
 (** True for the four architectural-exception classes. *)
 

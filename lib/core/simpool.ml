@@ -15,39 +15,38 @@ let m_misses =
 
 (* One instance per domain, keyed on everything that is baked in at
    [Dualcore.create] and untouched by [Dualcore.reset].  [Config.t] is a
-   plain data record and the other two are simple variants, so structural
-   equality is the right key comparison.  Each part is compared physically
-   first, as [Core.zero_of] does: a campaign passes the same configuration
-   on every acquire, so the structural compare of a 31-field record (its
-   name string included) runs only on a mismatch.
+   plain data record and the mode a constant variant, so structural
+   equality is the right key comparison.  The configuration is compared
+   physically first, as [Core.zero_of] does: a campaign passes the same
+   configuration on every acquire, so the structural compare of a
+   31-field record (its name string included) runs only on a mismatch.
 
    Domain-local (same discipline as [Fault.arm]): worker domains never
    share instances, so acquisition needs no locking and the sequential
    fold's determinism argument is untouched — pooling only changes *which
    arrays* a simulation writes, never what it computes, and collected
    results never alias pooled mutable state. *)
-type key = Config.t * Dvz_ift.Policy.mode * Dvz_ift.Taintlog.bound
+type key = Config.t * Dvz_ift.Policy.mode
 
 type slot = { mutable entry : (key * Dualcore.t) option }
 
 let same_cfg (c : Config.t) c' = c == c' || c = c'
 
-let same_key ((c, m, b) : key) (c', m', b') =
-  same_cfg c c' && m = m' && (b == b' || b = b')
+let same_key ((c, m) : key) (c', m') = same_cfg c c' && m = m'
 
 let slot_key = Domain.DLS.new_key (fun () -> { entry = None })
 
-let acquire ?(log_bound = Dvz_ift.Taintlog.Unbounded)
-    ?(mode = Dvz_ift.Policy.Diffift) cfg stim =
+(* [log_bound] is ignored; it stays for [bench/e2e]'s replay. *)
+let acquire ?log_bound:_ ?(mode = Dvz_ift.Policy.Diffift) cfg stim =
   let slot = Domain.DLS.get slot_key in
-  let key = (cfg, mode, log_bound) in
+  let key = (cfg, mode) in
   match slot.entry with
   | Some (k, t) when same_key k key ->
       Dualcore.reset t stim;
       Metrics.incr m_hits;
       t
   | _ ->
-      let t = Dualcore.create ~log_bound ~mode cfg stim in
+      let t = Dualcore.create ~mode cfg stim in
       slot.entry <- Some (key, t);
       Metrics.incr m_misses;
       t
@@ -68,10 +67,9 @@ let m_fork_misses =
 
 let fork_slot_key = Domain.DLS.new_key (fun () -> { entry = None })
 
-let fork ?(log_bound = Dvz_ift.Taintlog.Unbounded)
-    ?(mode = Dvz_ift.Policy.Diffift) cfg src =
+let fork ?(mode = Dvz_ift.Policy.Diffift) cfg src =
   let slot = Domain.DLS.get fork_slot_key in
-  let key = (cfg, mode, log_bound) in
+  let key = (cfg, mode) in
   match slot.entry with
   | Some (k, t) when same_key k key ->
       Dualcore.blit ~src ~dst:t;
@@ -120,7 +118,4 @@ let clear () =
   (Domain.DLS.get fork_slot_key).entry <- None;
   (Domain.DLS.get core_slot_key).core_entry <- None
 
-let cached () =
-  match (Domain.DLS.get slot_key).entry with
-  | Some ((cfg, mode, bound), _) -> Some (cfg, mode, bound)
-  | None -> None
+let cached () = Option.map fst (Domain.DLS.get slot_key).entry

@@ -8,7 +8,7 @@
     garbage behind, so the oracle re-arms a cached instance with
     {!Dvz_uarch.Dualcore.reset} instead of re-creating it per iteration.
     The cache is a single slot per domain, keyed on everything baked in at
-    create time — [(cfg, mode, log_bound)] — and held in [Domain.DLS]
+    create time — [(cfg, mode)] — and held in [Domain.DLS]
     (the same domain-local discipline as {!Dvz_resilience.Fault}), so
     worker domains never contend and never share mutable simulator state.
 
@@ -22,24 +22,26 @@ val acquire :
   Dvz_uarch.Config.t ->
   Dvz_uarch.Core.stimulus ->
   Dvz_uarch.Dualcore.t
-(** [acquire ~log_bound ~mode cfg stim] returns a testbench armed with
-    [stim], behaviourally identical to
-    [Dualcore.create ~log_bound ~mode cfg stim]: the calling domain's
-    cached instance re-armed when its key matches, a freshly built (and
-    cached) one otherwise.  Defaults match [Dualcore.create].  The
-    returned instance is valid until the calling domain's next [acquire];
-    collected {!Dvz_uarch.Dualcore.result} values stay valid forever (they
-    never alias pooled state). *)
+(** [acquire ~mode cfg stim] returns a testbench armed with [stim],
+    behaviourally identical to [Dualcore.create ~mode cfg stim]: the
+    calling domain's cached instance re-armed when its key matches, a
+    freshly built (and cached) one otherwise.  Defaults match
+    [Dualcore.create].  The returned instance is valid until the calling
+    domain's next [acquire]; collected {!Dvz_uarch.Dualcore.result}
+    values stay valid forever (they never alias pooled state).
+
+    [log_bound] is accepted and ignored: the testbench keeps no taint
+    log.  It stays only because [bench/e2e]'s replay passes it, until
+    that replay ([resim.ml], [traced.ml]) is retired. *)
 
 val fork :
-  ?log_bound:Dvz_ift.Taintlog.bound ->
   ?mode:Dvz_ift.Policy.mode ->
   Dvz_uarch.Config.t ->
   Dvz_uarch.Dualcore.t ->
   Dvz_uarch.Dualcore.t
-(** [fork ~log_bound ~mode cfg src] copies [src] (an instance built with
-    that key) into the calling domain's second pooled instance and
-    returns it: {!Dvz_uarch.Dualcore.blit} on a hit, a fresh
+(** [fork ~mode cfg src] copies [src] (an instance built with that key)
+    into the calling domain's second pooled instance and returns it:
+    {!Dvz_uarch.Dualcore.blit} on a hit, a fresh
     {!Dvz_uarch.Dualcore.copy} on a miss.  It is a separate slot from
     {!acquire}'s, so [src] can keep running beside its copy.  Valid until
     the calling domain's next [fork]. *)
@@ -56,7 +58,5 @@ val clear : unit -> unit
 (** Drop the calling domain's cached instances, fork target included
     (tests, memory pressure). *)
 
-val cached :
-  unit ->
-  (Dvz_uarch.Config.t * Dvz_ift.Policy.mode * Dvz_ift.Taintlog.bound) option
+val cached : unit -> (Dvz_uarch.Config.t * Dvz_ift.Policy.mode) option
 (** The calling domain's cached key, if any (introspection for tests). *)

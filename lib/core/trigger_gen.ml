@@ -286,6 +286,11 @@ let random_trainings rng =
 
 (* --- entry points -------------------------------------------------------- *)
 
+let style_name = function `Derived -> "derived" | `Random -> "random"
+
+let style_of_name s =
+  List.find_opt (fun st -> style_name st = s) [ `Derived; `Random ]
+
 let generate ?(style = `Derived) ?(force_training = false) cfg seed =
   ignore cfg;
   let rng = Rng.create seed.Seed.trigger_entropy in

@@ -14,6 +14,13 @@
     kept but training packets are plain random instruction sequences with
     no alignment or control-flow matching. *)
 
+val style_name : [ `Derived | `Random ] -> string
+(** ["derived"] or ["random"], as campaign events and crash artifacts
+    spell a training style. *)
+
+val style_of_name : string -> [ `Derived | `Random ] option
+(** The inverse of {!style_name}. *)
+
 val generate :
   ?style:[ `Derived | `Random ] ->
   ?force_training:bool ->

@@ -18,27 +18,24 @@ let reduce cfg tc =
   (* Walk the trigger training packets in schedule order; drop each whose
      removal leaves the window triggering.  [tc] itself is known to
      trigger: every caller has just evaluated it.  The packets are encoded
-     once; a candidate only reschedules them.  Blob indices follow
-     [Packet.stimulus]: window trainings, trigger trainings, transient. *)
+     once; a candidate only reschedules them ([Packet.schedule]). *)
   let base = Packet.stimulus ~secret:eval_secret tc in
-  let nw = List.length tc.Packet.window_trainings in
-  let transient = nw + List.length tc.Packet.trigger_trainings in
-  let window_trainings = List.init nw Fun.id in
-  (* [kept] holds (blob index, packet) pairs, newest first; [i] is the
-     index of the packet the candidate drops. *)
+  let n = List.length tc.Packet.trigger_trainings in
+  (* [kept] holds (index, packet) pairs, newest first; [i] is the index
+     of the packet the candidate drops. *)
   let rec go kept removed i = function
     | [] -> (List.rev_map snd kept, removed)
     | p :: rest ->
-        let sched =
-          window_trainings
-          @ List.rev_map fst kept
-          @ List.init (transient - i) (fun k -> i + 1 + k)
+        let keep =
+          List.rev_map fst kept @ List.init (n - i - 1) (fun k -> i + 1 + k)
         in
-        let swap = Swapmem.with_schedule base.Core.st_swapmem sched in
+        let swap =
+          Swapmem.with_schedule base.Core.st_swapmem (Packet.schedule ~keep tc)
+        in
         if fires cfg tc { base with Core.st_swapmem = swap } then
           go kept (removed + 1) (i + 1) rest
         else go ((i, p) :: kept) removed (i + 1) rest
   in
-  match go [] 0 nw tc.Packet.trigger_trainings with
+  match go [] 0 0 tc.Packet.trigger_trainings with
   | _, 0 -> (tc, 0)
   | kept, removed -> (Packet.with_trigger_trainings tc kept, removed)

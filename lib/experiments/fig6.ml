@@ -1,5 +1,7 @@
 module Cfg = Dvz_uarch.Config
+module Core = Dvz_uarch.Core
 module Dualcore = Dvz_uarch.Dualcore
+module Taintstate = Dvz_uarch.Taintstate
 module Packet = Dejavuzz.Packet
 
 type series = {
@@ -9,36 +11,48 @@ type series = {
   s_window : (int * int) option;
 }
 
-let window_range log =
+let population dc =
+  let a = Dualcore.core_a dc and taint = Dualcore.taint dc in
+  let rec go acc =
+    let slot = Dualcore.slots dc and in_window = Core.in_window a in
+    let more = Dualcore.step dc in
+    let acc =
+      if Dualcore.slots dc > slot then
+        (Taintstate.tainted_count taint, in_window) :: acc
+      else acc
+    in
+    if more then go acc else Array.of_list (List.rev acc)
+  in
+  go []
+
+let window_range slots =
   let first = ref None and last = ref None in
-  List.iter
-    (fun e ->
-      if e.Dualcore.le_in_window then begin
-        if !first = None then first := Some e.Dualcore.le_slot;
-        last := Some e.Dualcore.le_slot
+  Array.iteri
+    (fun i (_, in_window) ->
+      if in_window then begin
+        if !first = None then first := Some i;
+        last := Some i
       end)
-    log;
+    slots;
   match (!first, !last) with Some a, Some b -> Some (a, b) | _ -> None
 
-let one_series cfg name mode mode_name ~fn =
+let one_series cfg name mode ~fn =
   let tc = Attacks.build cfg name in
   let stim = Packet.stimulus ~secret:Attacks.secret tc in
   let secret_b = if fn then Some Attacks.secret else None in
-  let dc = Dualcore.create ~mode ?secret_b cfg stim in
-  let result = Dualcore.run dc in
+  let slots = population (Dualcore.create ~mode ?secret_b cfg stim) in
   { s_case = Attacks.to_string name;
-    s_mode = mode_name;
-    s_totals =
-      Array.of_list (List.map (fun e -> e.Dualcore.le_total) result.Dualcore.r_log);
-    s_window = window_range result.Dualcore.r_log }
+    s_mode = Dvz_ift.Policy.mode_name mode ^ (if fn then "-FN" else "");
+    s_totals = Array.map fst slots;
+    s_window = window_range slots }
 
 let run () =
   let cfg = Cfg.boom_small in
   List.concat_map
     (fun name ->
-      [ one_series cfg name Dvz_ift.Policy.Cellift "CellIFT" ~fn:false;
-        one_series cfg name Dvz_ift.Policy.Diffift "diffIFT" ~fn:false;
-        one_series cfg name Dvz_ift.Policy.Diffift "diffIFT-FN" ~fn:true ])
+      [ one_series cfg name Dvz_ift.Policy.Cellift ~fn:false;
+        one_series cfg name Dvz_ift.Policy.Diffift ~fn:false;
+        one_series cfg name Dvz_ift.Policy.Diffift ~fn:true ])
     Attacks.all
 
 let sample totals buckets =

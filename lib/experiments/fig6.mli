@@ -15,6 +15,14 @@ type series = {
   s_window : (int * int) option;  (** transient window slot range *)
 }
 
+val population : Dvz_uarch.Dualcore.t -> (int * bool) array
+(** [population dc] steps [dc] to its end with {!Dvz_uarch.Dualcore.step}
+    and returns one pair per slot, in slot order: the tainted-element
+    count after the slot, and whether instance A's window was open when
+    the slot started ({!Dvz_uarch.Core.in_window}).  The testbench keeps
+    no such series itself; this is what Figure 6 plots and what the
+    quickstart sums into its taint growth inside windows. *)
+
 val run : unit -> series list
 (** The fifteen series (five attacks × three modes) on [boom_small]. *)
 

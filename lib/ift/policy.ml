@@ -4,6 +4,9 @@ type mode = Cellift | Diffift
 
 let mode_name = function Cellift -> "CellIFT" | Diffift -> "diffIFT"
 
+let mode_of_name s =
+  List.find_opt (fun m -> mode_name m = s) [ Cellift; Diffift ]
+
 let and_taint ~a ~b ~at ~bt = (a land bt) lor (b land at) lor (at land bt)
 
 let or_taint ~a ~b ~at ~bt =

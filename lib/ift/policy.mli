@@ -15,6 +15,9 @@ type mode = Cellift | Diffift
 
 val mode_name : mode -> string
 
+val mode_of_name : string -> mode option
+(** The inverse of {!mode_name}. *)
+
 val and_taint : a:int -> b:int -> at:int -> bt:int -> int
 (** Policy 1: [ (A & Bt) | (B & At) | (At & Bt) ]. *)
 

@@ -1,12 +1,12 @@
-(** Taint-log memory policy.
+(** A taint-log bound with no reader.
 
-    The campaign's per-slot taint log (its total-taint series is the
-    paper's Figure 6 y-axis, its per-module counts feed the taint coverage
-    matrix of §4.2.2) is kept by the dual-core testbench; this module only
-    names how much of it to retain. *)
+    The dual-core testbench keeps no per-slot taint log any more (Figure 6
+    steps its own testbench).  This type stays only because [bench/e2e]'s
+    replay names it and passes it to the two functions that still accept
+    and ignore a [?log_bound], [Dejavuzz.Simpool.acquire] and
+    [Dejavuzz.Oracle.analyze].  All three go when that replay
+    ([resim.ml], [traced.ml]) is retired. *)
 
 type bound =
   | Unbounded
-  | Keep_last of int  (** keep a sliding window of the last [n] entries *)
-(** Memory policy for long campaigns: the log otherwise grows without
-    bound, one entry per simulated slot. *)
+  | Keep_last of int

@@ -976,6 +976,8 @@ let step t =
   end
   else exec ~fx:true t
 
+let in_window t = Option.is_some t.window && not (over t)
+
 (* The word [step] fetches next, if any: the commit pc outside a window,
    the speculative pc inside one until its frontend stalls. *)
 let fetch_watched t =

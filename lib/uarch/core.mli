@@ -111,6 +111,10 @@ val step : t -> Effect.slot option
 
 val is_done : t -> bool
 
+val in_window : t -> bool
+(** Whether the next {!step} runs a slot inside an open transient window
+    (that slot's [sl_transient]); false once the stimulus has finished. *)
+
 val cycles : t -> int
 val committed : t -> int
 val slot_count : t -> int

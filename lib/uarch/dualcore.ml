@@ -22,16 +22,9 @@ let m_timeouts =
     ~help:"Simulations aborted by a watchdog budget"
     "dvz_watchdog_timeouts_total"
 
-type log_entry = {
-  le_slot : int;
-  le_total : int;
-  le_in_window : bool;
-}
-
 type result = {
   r_windows_a : Core.window_record list;
   r_windows_b : Core.window_record list;
-  r_log : log_entry list;
   r_window_counts : int list list;
   r_slots : int;
   r_cycles_a : int;
@@ -66,9 +59,6 @@ type t = {
   core_b : Core.t;
   taint : Taintstate.t;
   prov : Dvz_ift.Provenance.t option;
-  log_bound : Dvz_ift.Taintlog.bound;
-  mutable log : log_entry list;
-  mutable log_len : int;
   mutable window_counts : int list list;  (** newest first *)
   mutable slots : int;
   mutable taint_hwm : int;
@@ -111,12 +101,7 @@ let stamp_secret_origins taint prov stim =
       Taintstate.set_tainted taint e)
     stim.Core.st_secret
 
-let create ?provenance ?(log_bound = Dvz_ift.Taintlog.Unbounded)
-    ?(mode = Dvz_ift.Policy.Diffift) ?secret_b cfg stim =
-  (match log_bound with
-  | Dvz_ift.Taintlog.Unbounded -> ()
-  | Keep_last n ->
-      if n <= 0 then invalid_arg "Dualcore.create: log_bound must be positive");
+let create ?provenance ?(mode = Dvz_ift.Policy.Diffift) ?secret_b cfg stim =
   (match secret_b with
   | Some s when Array.length s <> Array.length stim.Core.st_secret ->
       invalid_arg
@@ -131,22 +116,19 @@ let create ?provenance ?(log_bound = Dvz_ift.Taintlog.Unbounded)
   let core_b = Core.create cfg stim_b in
   let taint = Taintstate.create ?provenance mode in
   stamp_secret_origins taint provenance stim;
-  { core_a; core_b; taint; prov = provenance; log_bound; log = [];
-    log_len = 0; window_counts = []; slots = 0; taint_hwm = 0;
-    hung = false; corrupted = false; timed_out = false }
+  { core_a; core_b; taint; prov = provenance; window_counts = []; slots = 0;
+    taint_hwm = 0; hung = false; corrupted = false; timed_out = false }
 
 (* Re-arm a built instance with a new stimulus: [create]'s setup, but
    reusing both cores' state (via [Core.reset]) and the taint tables, so no
-   netlist-sized allocation happens.  [mode] and [log_bound] stay what they
-   were at [create]; the pool keys on them. *)
+   netlist-sized allocation happens.  [mode] stays what it was at
+   [create]; the pool keys on it. *)
 let reset t stim =
   let stim_b = make_stim_b stim in
   Core.reset t.core_a stim;
   Core.reset t.core_b stim_b;
   Taintstate.reset t.taint;
   stamp_secret_origins t.taint t.prov stim;
-  t.log <- [];
-  t.log_len <- 0;
   t.window_counts <- [];
   t.slots <- 0;
   t.taint_hwm <- 0;
@@ -157,13 +139,9 @@ let reset t stim =
 let blit ~src ~dst =
   if src.prov <> None || dst.prov <> None then
     invalid_arg "Dualcore.blit: provenance-armed testbenches are not copied";
-  if src.log_bound != dst.log_bound && src.log_bound <> dst.log_bound then
-    invalid_arg "Dualcore.blit: log bound mismatch";
   Core.blit ~src:src.core_a ~dst:dst.core_a;
   Core.blit ~src:src.core_b ~dst:dst.core_b;
   Taintstate.blit ~src:src.taint ~dst:dst.taint;
-  dst.log <- src.log;
-  dst.log_len <- src.log_len;
   dst.window_counts <- src.window_counts;
   dst.slots <- src.slots;
   dst.taint_hwm <- src.taint_hwm;
@@ -198,21 +176,9 @@ let unwatch t =
 
 let watch_hit t = Core.watch_hit t.core_a || Core.watch_hit t.core_b
 
-(* Per-slot log push under the configured bound.  [t.log] is newest-first;
-   [Keep_last] trims amortised (only once the list doubles) so the hot
-   path stays O(1) per slot. *)
-let push_log t e =
-  t.log <- e :: t.log;
-  t.log_len <- t.log_len + 1;
-  match t.log_bound with
-  | Dvz_ift.Taintlog.Keep_last n when t.log_len >= 2 * n ->
-      t.log <- List.filteri (fun i _ -> i < n) t.log;
-      t.log_len <- n
-  | _ -> ()
-
 (* Coverage's input (§4.2.2), after a transient-window slot.  The memoised
    list stays the same until a taint transition, so a repeat is one
-   pointer compare.  Not log-bounded: at most one vector per slot. *)
+   pointer compare.  At most one vector per slot. *)
 let record_window_counts t =
   match Taintstate.tainted_points t.taint with
   | [] -> ()
@@ -249,9 +215,7 @@ let step_impl t =
         Taintstate.apply_pair t.taint sa sb;
         let total = Taintstate.tainted_count t.taint in
         if total > t.taint_hwm then t.taint_hwm <- total;
-        if in_window then record_window_counts t;
-        push_log t
-          { le_slot = t.slots; le_total = total; le_in_window = in_window });
+        if in_window then record_window_counts t);
     t.slots <- t.slots + 1;
     not (Core.is_done t.core_a && Core.is_done t.core_b)
   end
@@ -265,13 +229,12 @@ let step t =
 (* --- committed nop runs ------------------------------------------------- *)
 
 (* One slot of a fast-forward: [step_impl]'s taint decisions, high-water
-   mark, log entry and slot count for a slot in which both instances
-   commit the canonical nop alike. *)
+   mark and slot count for a slot in which both instances commit the
+   canonical nop alike. *)
 let nop_slot t ~line ~refill ~rob =
   Taintstate.committed_nop t.taint ~line ~refill ~rob;
   let total = Taintstate.tainted_count t.taint in
   if total > t.taint_hwm then t.taint_hwm <- total;
-  push_log t { le_slot = t.slots; le_total = total; le_in_window = false };
   t.slots <- t.slots + 1
 
 let skip_nops t n each =
@@ -315,15 +278,8 @@ let collect t =
         Core.cycles t.core_b + 7 )
     else (windows_b, Core.cycles t.core_b)
   in
-  let rev_log =
-    match t.log_bound with
-    | Dvz_ift.Taintlog.Keep_last n when t.log_len > n ->
-        List.filteri (fun i _ -> i < n) t.log
-    | _ -> t.log
-  in
   { r_windows_a = Core.windows t.core_a;
     r_windows_b = windows_b;
-    r_log = List.rev rev_log;
     r_window_counts = List.rev t.window_counts;
     r_slots = t.slots;
     r_cycles_a = Core.cycles t.core_a;
@@ -415,16 +371,3 @@ let window_timing_diffs result =
     | [], [] -> List.rev acc
   in
   go 0 result.r_windows_a result.r_windows_b []
-
-let taints_in_windows result =
-  let rec go prev growth = function
-    | [] -> growth
-    | e :: rest ->
-        let growth =
-          if e.le_in_window && e.le_total > prev then
-            growth + (e.le_total - prev)
-          else growth
-        in
-        go e.le_total growth rest
-  in
-  go 0 0 result.r_log

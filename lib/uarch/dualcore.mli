@@ -9,19 +9,13 @@
     per-module taint counts of the transient-window slots (coverage,
     Phase 2), window timing of both instances (constant-time analysis,
     Phase 3) and the final tainted elements partitioned by liveness
-    (tainted-sink analysis, Phase 3).  The per-slot taint log keeps only
-    the population and the window flag (Figure 6, {!taints_in_windows}). *)
-
-type log_entry = {
-  le_slot : int;
-  le_total : int;                    (** tainted elements *)
-  le_in_window : bool;               (** instance A inside a window *)
-}
+    (tainted-sink analysis, Phase 3).  It keeps no per-slot series:
+    Figure 6 reads the taint population slot by slot off a testbench it
+    steps with {!step}. *)
 
 type result = {
   r_windows_a : Core.window_record list;
   r_windows_b : Core.window_record list;
-  r_log : log_entry list;            (** chronological *)
   r_window_counts : int list list;
       (** chronological: {!Taintstate.tainted_points} after each slot in
           which instance A is inside a transient window, the taint
@@ -61,7 +55,6 @@ type t
 
 val create :
   ?provenance:Dvz_ift.Provenance.t ->
-  ?log_bound:Dvz_ift.Taintlog.bound ->
   ?mode:Dvz_ift.Policy.mode ->
   ?secret_b:int array ->
   Config.t ->
@@ -76,28 +69,24 @@ val create :
     [provenance] arms element-granularity taint tracing for a replay
     pass: the planted secret words are recorded as sources (at time -1)
     and every taint transition appends an edge stamped with the current
-    slot and window context; the simulation itself is unaffected.
-
-    [log_bound] (default [Unbounded]) bounds the per-slot taint log kept
-    in [r_log] for long campaigns; the taint state, [r_window_counts],
-    metrics and high-water mark are unaffected by discarded entries. *)
+    slot and window context; the simulation itself is unaffected. *)
 
 val reset : t -> Core.stimulus -> unit
 (** [reset t stim] re-arms a built testbench for a new stimulus without
     reallocating either core or the taint tables: afterwards [t] behaves
-    bit-identically to [create ~mode ~log_bound cfg stim] with the [mode]
-    and [log_bound] it was created with (instance B gets [create]'s
-    default, bit-flipped secret).  This is the pooling fast path used by
+    bit-identically to [create ~mode cfg stim] with the [mode] it was
+    created with (instance B gets [create]'s default, bit-flipped
+    secret).  This is the pooling fast path used by
     {!Dejavuzz.Simpool}; the pooled-vs-fresh property tests in
     [test_fuzz.ml] pin the equivalence. *)
 
 val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies [src]'s whole state into [dst]: both cores
-    ({!Core.blit}), the taint tables and saved checkpoint, the taint log
-    and window counts, the slot count, the taint high-water mark and the
-    hung / corrupted / timed-out flags.  [dst] must have been built with
-    the same configuration, mode and log bound; neither may carry a
-    provenance recorder.  Stepping [dst] afterwards is bit-identical to
+    ({!Core.blit}), the taint tables and saved checkpoint, the window
+    counts, the slot count, the taint high-water mark and the hung /
+    corrupted / timed-out flags.  [dst] must have been built with the
+    same configuration and mode; neither may carry a provenance
+    recorder.  Stepping [dst] afterwards is bit-identical to
     stepping [src]. *)
 
 val copy : t -> t
@@ -137,11 +126,11 @@ val run : ?budget:budget -> ?fork:int list * (t -> unit) -> t -> result
     outside a window, an untainted pc, the same icache outcome on every
     line, no fault plan armed and no provenance recorder.  Each such
     slot still gets its taint decisions ({!Taintstate.committed_nop}),
-    high-water mark, taint-log entry and slot count, so the result and
-    both cores' states are {!step}'s to the bit.  A fast-forward ends at
-    the budget's slot limit and, under a wall-clock limit, at the next
-    slot count the clock is polled at, so the budget is checked at the
-    same slots as when stepping.
+    high-water mark and slot count, so the result and both cores' states
+    are {!step}'s to the bit.  A fast-forward ends at the budget's slot
+    limit and, under a wall-clock limit, at the next slot count the clock
+    is polled at, so the budget is checked at the same slots as when
+    stepping.
 
     [fork = (words, f)] watches the swap-region words [words] (indices
     from {!Dvz_soc.Layout.swap_base}, 4 bytes each) in each instance from
@@ -162,7 +151,3 @@ val window_timing_diffs : result -> (int * int * int) list
 (** Per paired window: [(index, cycles_a, cycles_b)] where the two
     instances' durations differ — the transient-window constant-time
     violations of §4.3.1. *)
-
-val taints_in_windows : result -> int
-(** Taint growth observed while inside transient windows (the Phase 2
-    "sensitive data successfully propagated" signal). *)

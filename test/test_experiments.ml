@@ -75,6 +75,51 @@ let test_fig6_shape () =
         (s.E.Fig6.s_window <> None))
     series
 
+(* The population checks of the retired taint log's tests, on every
+   Figure 6 series ([Fig6.population]): one value per slot of
+   [Dualcore.run] on the same stimulus, every value counting the planted
+   secret words, the last value the run's final taint, and the window
+   range inside the run. *)
+let test_fig6_population () =
+  let series = E.Fig6.run () in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (mode, fn) ->
+          let case = E.Attacks.to_string name in
+          let mode_name =
+            Dvz_ift.Policy.mode_name mode ^ (if fn then "-FN" else "")
+          in
+          let label = case ^ " " ^ mode_name ^ ": " in
+          let s =
+            List.find
+              (fun s -> s.E.Fig6.s_case = case && s.E.Fig6.s_mode = mode_name)
+              series
+          in
+          let stim =
+            Packet.stimulus ~secret:E.Attacks.secret (E.Attacks.build boom name)
+          in
+          let secret_b = if fn then Some E.Attacks.secret else None in
+          let r = Dualcore.run (Dualcore.create ~mode ?secret_b boom stim) in
+          let n = r.Dualcore.r_slots and totals = s.E.Fig6.s_totals in
+          Alcotest.(check int) (label ^ "one value per slot") n
+            (Array.length totals);
+          Alcotest.(check bool) (label ^ "secret words tainted throughout")
+            true
+            (Array.for_all (fun v -> v >= Dvz_soc.Layout.secret_dwords) totals);
+          Alcotest.(check int) (label ^ "last value is the final taint")
+            (List.length r.Dualcore.r_final_tainted)
+            totals.(n - 1);
+          match s.E.Fig6.s_window with
+          | Some (first, last) ->
+              Alcotest.(check bool) (label ^ "window inside the run") true
+                (0 <= first && first <= last && last < n)
+          | None -> Alcotest.fail (label ^ "no window"))
+        [ (Dvz_ift.Policy.Cellift, false);
+          (Dvz_ift.Policy.Diffift, false);
+          (Dvz_ift.Policy.Diffift, true) ])
+    E.Attacks.all
+
 let test_table3_shape () =
   let rows = E.Table3.run ~samples:8 ~rng_seed:99 () in
   Alcotest.(check int) "five rows" 5 (List.length rows);
@@ -334,7 +379,10 @@ let () =
           Alcotest.test_case "secret reached" `Quick test_attacks_access_secret;
           Alcotest.test_case "meltdown privileged" `Quick
             test_meltdown_is_privileged ] );
-      ( "fig6", [ Alcotest.test_case "shape" `Quick test_fig6_shape ] );
+      ( "fig6",
+        [ Alcotest.test_case "shape" `Quick test_fig6_shape;
+          Alcotest.test_case "population per slot" `Quick
+            test_fig6_population ] );
       ( "table3",
         [ Alcotest.test_case "shape" `Slow test_table3_shape;
           Alcotest.test_case "zero samples refused" `Quick

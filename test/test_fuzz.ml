@@ -943,8 +943,8 @@ let prop_stimulus_buildable =
 (* --- instance pool (pooled-vs-fresh bit-identity) ------------------------- *)
 
 (* Structural equality over the whole [Dualcore.result] is the strongest
-   cheap check: window records, the bounded taint log, slot/cycle/commit
-   counts and all three sink partitions are plain data.  The final core
+   cheap check: window records, window points, slot/cycle/commit counts
+   and all three sink partitions are plain data.  The final core
    state hashes close the loop on state the result doesn't carry. *)
 let run_result dc =
   let r = Dualcore.run dc in
@@ -1012,7 +1012,7 @@ let test_simpool_identity_and_keys () =
   let d3 = Simpool.acquire ~mode:Dvz_ift.Policy.Cellift boom (stim ()) in
   Alcotest.(check bool) "mode is part of the key" true (not (d1 == d3));
   (match Simpool.cached () with
-  | Some (cfg, mode, _) ->
+  | Some (cfg, mode) ->
       Alcotest.(check string) "caches latest cfg" boom.Cfg.name cfg.Cfg.name;
       Alcotest.(check bool) "caches latest mode" true
         (mode = Dvz_ift.Policy.Cellift)
@@ -1319,21 +1319,21 @@ let prop_dualcore_blit_equivalent =
     (fun (e, xiangshan, diffift, k) ->
       let cfg = if xiangshan then xs else boom in
       let mode = mode_of diffift in
-      let log_bound = Dvz_ift.Taintlog.Keep_last 64 in
       let src =
-        Dualcore.create ~mode ~log_bound cfg
+        Dualcore.create ~mode cfg
           (Packet.stimulus ~secret (random_tc cfg e))
       in
       let rec go i = i < k && Dualcore.step src && go (i + 1) in
       ignore (go 0);
       let dst =
-        Dualcore.create ~mode ~log_bound cfg
+        Dualcore.create ~mode cfg
           (Packet.stimulus ~secret (random_tc cfg (e + 500)))
       in
       ignore (Dualcore.run dst);
       Dualcore.blit ~src ~dst;
       let fresh = Dualcore.copy src in
-      (* [run_result] covers the log, the windows and the tainted set. *)
+      (* [run_result] covers the windows, the window points and the
+         tainted set. *)
       let a = run_result src in
       a = run_result dst && a = run_result fresh)
 

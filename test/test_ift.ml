@@ -1,12 +1,12 @@
 (* Tests for Dvz_ift: propagation policies, dual-DUT shadow co-simulation,
-   the diffIFT/CellIFT distinction, liveness annotations, and taint logs. *)
+   the diffIFT/CellIFT distinction, liveness annotations, and taint
+   provenance. *)
 
 open Dvz_ir
 module N = Netlist
 module Policy = Dvz_ift.Policy
 module Shadow = Dvz_ift.Shadow
 module Liveness = Dvz_ift.Liveness
-module Taintlog = Dvz_ift.Taintlog
 module Core = Dvz_uarch.Core
 module Dualcore = Dvz_uarch.Dualcore
 module Provenance = Dvz_ift.Provenance
@@ -359,80 +359,6 @@ let test_provenance_kind_names () =
   Alcotest.(check bool) "unknown name" true
     (Provenance.kind_of_name "bogus" = None)
 
-(* --- taint log bounds ------------------------------------------------------ *)
-
-(* The taint log is [Dualcore]'s [r_log]: one entry per slot, thinned by
-   the bound.  The program loads a secret dword (so the log carries taint)
-   and then runs a straight line of dependent adds, long enough for
-   [Keep_last 2] to trim several times. *)
-let log_stim () =
-  let open Dvz_isa in
-  let insns =
-    [ Insn.Lui (Reg.t0, Dvz_soc.Layout.secret_base lsr 12);
-      Insn.Load (Insn.D, false, Reg.t1, Reg.t0, 0) ]
-    @ List.init 10 (fun _ -> Insn.Op (Insn.Add, Reg.t1, Reg.t1, Reg.t1))
-    @ [ Insn.Ebreak ]
-  in
-  let blob =
-    { Dvz_soc.Swapmem.name = "log";
-      words = Array.of_list (List.map Encode.encode insns);
-      is_transient = true }
-  in
-  { Core.st_swapmem = Dvz_soc.Swapmem.create ~blobs:[ blob ] ~schedule:[ 0 ];
-    st_tighten_secret = false;
-    st_secret = Array.make Dvz_soc.Layout.secret_dwords 0x7E57;
-    st_data = []; st_perms = []; st_max_slots = 200 }
-
-let run_log bound =
-  Dualcore.run
-    (Dualcore.create ~log_bound:bound Dvz_uarch.Config.boom_small (log_stim ()))
-
-let slots_of r = List.map (fun e -> e.Dualcore.le_slot) r.Dualcore.r_log
-
-(* A bounded log keeps the unbounded log's entries at the slots it keeps. *)
-let check_subsequence r =
-  let full = run_log Taintlog.Unbounded in
-  List.iter
-    (fun e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "slot %d as unbounded" e.Dualcore.le_slot)
-        true
-        (List.mem e full.Dualcore.r_log))
-    r.Dualcore.r_log
-
-let test_taintlog () =
-  let r = run_log Taintlog.Unbounded in
-  let n = r.Dualcore.r_slots in
-  Alcotest.(check (list int)) "one entry per slot" (List.init n Fun.id)
-    (slots_of r);
-  Alcotest.(check bool) "secret words tainted from slot 0" true
-    (List.for_all
-       (fun e -> e.Dualcore.le_total >= Dvz_soc.Layout.secret_dwords)
-       r.Dualcore.r_log);
-  match List.rev r.Dualcore.r_log with
-  | last :: _ ->
-      Alcotest.(check int) "final entry counts the final taint"
-        (List.length r.Dualcore.r_final_tainted)
-        last.Dualcore.le_total;
-      Alcotest.(check bool) "the load spread taint" true
-        (last.Dualcore.le_total > Dvz_soc.Layout.secret_dwords)
-  | [] -> Alcotest.fail "empty log"
-
-let test_taintlog_keep_last () =
-  let r = run_log (Taintlog.Keep_last 2) in
-  let n = r.Dualcore.r_slots in
-  Alcotest.(check bool) "trimmed more than once" true (n > 6);
-  Alcotest.(check (list int)) "last two" [ n - 2; n - 1 ] (slots_of r);
-  check_subsequence r
-
-let test_taintlog_bound_validation () =
-  List.iter
-    (fun bound ->
-      Alcotest.check_raises "non-positive bound"
-        (Invalid_argument "Dualcore.create: log_bound must be positive")
-        (fun () -> ignore (run_log bound)))
-    [ Taintlog.Keep_last 0; Taintlog.Keep_last (-1) ]
-
 (* --- compiled vs interpretive engine -------------------------------------- *)
 
 (* The compiled shadow engine must be bit-identical to the interpreter in
@@ -770,11 +696,6 @@ let () =
       ( "liveness",
         [ Alcotest.test_case "lfb decoy" `Quick test_liveness_lfb;
           Alcotest.test_case "arity check" `Quick test_liveness_arity_check ] );
-      ( "taintlog",
-        [ Alcotest.test_case "record" `Quick test_taintlog;
-          Alcotest.test_case "keep-last bound" `Quick test_taintlog_keep_last;
-          Alcotest.test_case "bound validation" `Quick
-            test_taintlog_bound_validation ] );
       ( "provenance",
         [ Alcotest.test_case "record and slice" `Quick
             test_provenance_record_and_slice;
