@@ -14,10 +14,18 @@ type t = {
 let make ~name ~role ?(training_total = 0) ?(training_effective = 0) insns =
   { name; role; insns; training_total; training_effective }
 
+(* Encoded in one typed pass: [int array] stores are plain moves, where
+   [Array.of_list] stores through [caml_modify]. *)
 let to_blob p =
-  { Swapmem.name = p.name;
-    words = Array.of_list (List.map Encode.encode p.insns);
-    is_transient = (p.role = Transient) }
+  let words = Array.make (List.length p.insns) 0 in
+  let rec encode i = function
+    | [] -> ()
+    | insn :: rest ->
+        words.(i) <- Encode.encode insn;
+        encode (i + 1) rest
+  in
+  encode 0 p.insns;
+  { Swapmem.name = p.name; words; is_transient = (p.role = Transient) }
 
 type testcase = {
   seed : Seed.t;

@@ -136,13 +136,25 @@ let build_window ~encode cfg tc =
   in
   (Genlib.pad_to body tc.Packet.window_words, tags_used)
 
+(* [insns] with its elements from index [i] on replaced, in order, by
+   [window]'s; the tail after the window is shared. *)
+let rec overwrite i insns window =
+  match (window, insns) with
+  | [], _ -> insns
+  | _ :: _, [] ->
+      invalid_arg "Window_gen.splice_window: window past the packet"
+  | _, insn :: rest when i > 0 -> insn :: overwrite (i - 1) rest window
+  | w :: ws, _ :: rest -> w :: overwrite 0 rest ws
+
 let splice_window tc window_insns =
   let idx = (tc.Packet.window_addr - Layout.swap_base) / 4 in
-  let arr = Array.of_list tc.Packet.transient.Packet.insns in
-  List.iteri (fun i insn -> arr.(idx + i) <- insn) window_insns;
+  if idx < 0 then
+    invalid_arg "Window_gen.splice_window: window before the packet";
+  let transient = tc.Packet.transient in
   { tc with
     Packet.transient =
-      { tc.Packet.transient with Packet.insns = Array.to_list arr } }
+      { transient with
+        Packet.insns = overwrite idx transient.Packet.insns window_insns } }
 
 let window_trainings seed =
   let rng = Rng.create (seed.Seed.window_entropy lxor 0x5eed) in

@@ -24,10 +24,13 @@ let create ?(pc = 0) ?(priv = Machine) ?(mtvec = 0) mem =
     mtvec; mscratch = 0; mpp = User }
 
 (* Register-file access on any 32-entry file: x0 reads as 0 and is never
-   written. *)
-let get regs r = if Reg.to_int r = 0 then 0 else regs.(Reg.to_int r)
+   written.  Typed on [int array], so a store is a plain move: a
+   polymorphic [set] would store through [caml_modify]. *)
+let get (regs : int array) r =
+  if Reg.to_int r = 0 then 0 else regs.(Reg.to_int r)
 
-let set regs r v = if Reg.to_int r <> 0 then regs.(Reg.to_int r) <- v
+let set (regs : int array) r v =
+  if Reg.to_int r <> 0 then regs.(Reg.to_int r) <- v
 
 let pc t = t.pc
 let priv t = t.priv
@@ -179,7 +182,7 @@ let step_decoded t ~fetched =
       | Insn.Load (w, u, rd, rs1, imm) -> (
           let addr = reg t rs1 + imm in
           let size = Insn.bytes w in
-          if addr mod size <> 0 then
+          if addr land (size - 1) <> 0 then
             finish ~trap:(Trap.Load_misalign, addr) ~mem_addr:addr insn
           else
             match t.mem.load ~priv:t.priv ~addr ~size with
@@ -191,7 +194,7 @@ let step_decoded t ~fetched =
       | Insn.Store (w, rs2, rs1, imm) -> (
           let addr = reg t rs1 + imm in
           let size = Insn.bytes w in
-          if addr mod size <> 0 then
+          if addr land (size - 1) <> 0 then
             finish ~trap:(Trap.Store_misalign, addr) ~mem_addr:addr insn
           else
             match

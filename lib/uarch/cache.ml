@@ -6,38 +6,39 @@
    no closure. *)
 let invalid = min_int
 
-type t = { tags : int array; line_bytes : int }
+type t = { tags : int array; line_bytes : int; shift : int }
 
 let create ~lines ~line_bytes =
-  if line_bytes < 2 then invalid_arg "Cache.create: line_bytes below 2";
-  { tags = Array.make lines invalid; line_bytes }
+  if line_bytes < 2 || line_bytes land (line_bytes - 1) <> 0 then
+    invalid_arg "Cache.create: line_bytes not a power of two above 1";
+  let rec bits k = if 1 lsl k = line_bytes then k else bits (k + 1) in
+  { tags = Array.make lines invalid; line_bytes; shift = bits 1 }
+
+(* [addr / line_bytes], a shift on the non-negative addresses every
+   committed access uses.  The division stays for negative ones, which
+   transient fetches and stores reach: [asr] rounds them down, [/] toward
+   zero. *)
+let tag t addr = if addr >= 0 then addr lsr t.shift else addr / t.line_bytes
 
 (* The line a block of tag [tag] maps to. *)
 let index t tag = tag land (Array.length t.tags - 1)
 
-let line_index t ~addr = index t (addr / t.line_bytes)
+let line_index t ~addr = index t (tag t addr)
 
 let access t ~addr =
-  let tag = addr / t.line_bytes in
+  let tag = tag t addr in
   let i = index t tag in
-  if t.tags.(i) = tag then `Hit i
+  if t.tags.(i) = tag then i
   else begin
     t.tags.(i) <- tag;
-    `Miss i
+    lnot i
   end
 
 let hits t ~addr =
-  let tag = addr / t.line_bytes in
+  let tag = tag t addr in
   t.tags.(index t tag) = tag
 
-let fill t ~addr =
-  let tag = addr / t.line_bytes in
-  let i = index t tag in
-  t.tags.(i) <> tag
-  && begin
-    t.tags.(i) <- tag;
-    true
-  end
+let fill t ~addr = access t ~addr < 0
 
 let invalidate_all t =
   let d = t.tags in
@@ -78,7 +79,7 @@ module Lfb = struct
 
   let refill t ~data =
     let i = t.next in
-    t.next <- (t.next + 1) mod Array.length t.slots;
+    t.next <- (if i + 1 = Array.length t.slots then 0 else i + 1);
     let s = t.slots.(i) in
     s.data <- data;
     (* The refill has completed by the time anyone can look: the MSHR has

@@ -6,7 +6,10 @@
     [int array], each line holding its block's tag ([addr / line_bytes])
     or a sentinel no tag equals when invalid, so {!blit} and
     {!invalidate_all} are typed int loops: no record per line, no write
-    barrier, no closure.
+    barrier, no closure.  The tag of a non-negative address is a shift
+    precomputed at {!create}; a negative one (transient fetches and
+    stores reach them) keeps the division, which rounds toward zero where
+    an arithmetic shift would round down.
 
     The LFB models the §3.1 C2-2 decoy: a refill deposits (possibly secret)
     data in a slot, and completion clears the MSHR valid bit {e without}
@@ -16,12 +19,14 @@
 type t
 
 val create : lines:int -> line_bytes:int -> t
-(** [lines] is a power of two.  Raises [Invalid_argument] when
-    [line_bytes] is below 2 (the invalid-line sentinel relies on it). *)
+(** [lines] is a power of two.  Raises [Invalid_argument] unless
+    [line_bytes] is a power of two of at least 2 (the invalid-line
+    sentinel relies on the 2, the tag shift on the power). *)
 
-val access : t -> addr:int -> [ `Hit of int | `Miss of int ]
-(** Accesses the line containing [addr], filling it on a miss; returns the
-    line index either way. *)
+val access : t -> addr:int -> int
+(** Accesses the line containing [addr], filling it on a miss.  Returns
+    the line index [i] on a hit and [lnot i] (negative) on a miss: an int,
+    so a per-slot access allocates nothing. *)
 
 val line_index : t -> addr:int -> int
 (** The index of the line [addr] maps to. *)

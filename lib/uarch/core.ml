@@ -321,82 +321,91 @@ let mem_srcs ~fx addr = if fx then [ Elem.Mem (addr / 8) ] else []
 let fetch_access ~fx t ~transient ev pc =
   (* The hit/miss decision reads the line's tag state as well as the pc, so
      both appear as control sources; the value encodes index and outcome. *)
-  match Cache.access t.icache ~addr:pc with
-  | `Hit i ->
-      if fx then
-        emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * i;
-                                srcs = [ Elem.Pc; Elem.Icache i ];
-                                touched = [ Elem.Icache i ] } ];
-      1
-  | `Miss i ->
-      let cost = 1 + t.cfg.Config.miss_latency in
-      if transient && t.cfg.Config.fetch_contention_bug then
-        (* B4: the transient refill occupies the fetch port past the squash. *)
-        t.fetch_busy_until <-
-          Int.max t.fetch_busy_until (t.cycles + cost + t.cfg.Config.miss_latency);
-      if fx then
-        emit ev [ Effect.Write (Elem.Icache i, []);
-                  Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
-                                srcs = [ Elem.Pc; Elem.Icache i ];
-                                touched = [ Elem.Icache i ] } ];
-      cost
+  let r = Cache.access t.icache ~addr:pc in
+  if r >= 0 then begin
+    if fx then
+      emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * r;
+                              srcs = [ Elem.Pc; Elem.Icache r ];
+                              touched = [ Elem.Icache r ] } ];
+    1
+  end
+  else begin
+    let i = lnot r in
+    let cost = 1 + t.cfg.Config.miss_latency in
+    if transient && t.cfg.Config.fetch_contention_bug then
+      (* B4: the transient refill occupies the fetch port past the squash. *)
+      t.fetch_busy_until <-
+        Int.max t.fetch_busy_until (t.cycles + cost + t.cfg.Config.miss_latency);
+    if fx then
+      emit ev [ Effect.Write (Elem.Icache i, []);
+                Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
+                              srcs = [ Elem.Pc; Elem.Icache i ];
+                              touched = [ Elem.Icache i ] } ];
+    cost
+  end
 
 (* A data-memory access: dcache + TLB (+ L2 TLB on a TLB miss) + LFB on a
    dcache miss.  [addr_srcs] are the elements the effective address derives
    from; [data_srcs] what the accessed memory word's taint derives from. *)
 let data_access ~fx t ~transient ev ~is_store ~addr ~addr_srcs ~data_srcs =
   let cost = ref 0 in
-  (match Tlb.access t.tlb ~addr with
-  | `Disabled -> ()
-  | `Hit i ->
+  let r = Tlb.access t.tlb ~addr in
+  if r >= 0 then begin
+    if fx then
+      emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = r;
+                              srcs = addr_srcs; touched = [ Elem.Tlb r ] } ]
+  end
+  else if r <> Tlb.disabled then begin
+    let i = lnot r in
+    cost := !cost + 3;
+    if fx then
+      emit ev [ Effect.Write (Elem.Tlb i, []);
+                Effect.Ctrl { kind = Effect.C_addr; value = i;
+                              srcs = addr_srcs; touched = [ Elem.Tlb i ] } ];
+    let r = Tlb.access t.l2tlb ~addr in
+    if r < 0 && r <> Tlb.disabled then begin
+      let j = lnot r in
+      cost := !cost + 6;
       if fx then
-        emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = i;
-                                srcs = addr_srcs; touched = [ Elem.Tlb i ] } ]
-  | `Miss i ->
-      cost := !cost + 3;
-      if fx then
-        emit ev [ Effect.Write (Elem.Tlb i, []);
-                  Effect.Ctrl { kind = Effect.C_addr; value = i;
-                                srcs = addr_srcs; touched = [ Elem.Tlb i ] } ];
-      (match Tlb.access t.l2tlb ~addr with
-      | `Disabled | `Hit _ -> ()
-      | `Miss j ->
-          cost := !cost + 6;
-          if fx then
-            emit ev [ Effect.Write (Elem.L2tlb j, []);
-                      Effect.Ctrl { kind = Effect.C_addr; value = j;
-                                    srcs = addr_srcs;
-                                    touched = [ Elem.L2tlb j ] } ]));
-  (match Cache.access t.dcache ~addr with
-  | `Hit i ->
-      cost := !cost + 1;
-      if transient && not is_store && t.cfg.Config.load_wb_contention_bug
-         && t.load_wb_busy_until > t.cycles
-      then
-        (* B5: the load pipeline and the load queue contend on the load
-           write-back port while a miss refill is in flight. *)
-        cost := !cost + 2;
-      if fx then
-        emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * i;
-                                srcs = Elem.Dcache i :: addr_srcs;
-                                touched = [ Elem.Dcache i ] } ]
-  | `Miss i ->
-      cost := !cost + t.cfg.Config.miss_latency;
-      t.lsu_busy_until <-
-        Int.max t.lsu_busy_until
-          (t.cycles + !cost + (t.cfg.Config.miss_latency / 2));
-      if t.cfg.Config.load_wb_contention_bug && not is_store then
-        t.load_wb_busy_until <-
-          Int.max t.load_wb_busy_until
-            (t.cycles + !cost + t.cfg.Config.miss_latency);
-      let lfb_slot = Cache.Lfb.refill t.lfb ~data:(Phys_mem.read t.mem ~addr ~size:8) in
-      if fx then
-        emit ev [ Effect.Write (Elem.Lfb lfb_slot, data_srcs);
-                  Effect.Write (Elem.Dcache i, data_srcs);
-                  Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
-                                srcs = Elem.Dcache i :: addr_srcs;
-                                touched =
-                                  [ Elem.Dcache i; Elem.Lfb lfb_slot ] } ]);
+        emit ev [ Effect.Write (Elem.L2tlb j, []);
+                  Effect.Ctrl { kind = Effect.C_addr; value = j;
+                                srcs = addr_srcs;
+                                touched = [ Elem.L2tlb j ] } ]
+    end
+  end;
+  let r = Cache.access t.dcache ~addr in
+  if r >= 0 then begin
+    cost := !cost + 1;
+    if transient && not is_store && t.cfg.Config.load_wb_contention_bug
+       && t.load_wb_busy_until > t.cycles
+    then
+      (* B5: the load pipeline and the load queue contend on the load
+         write-back port while a miss refill is in flight. *)
+      cost := !cost + 2;
+    if fx then
+      emit ev [ Effect.Ctrl { kind = Effect.C_addr; value = 2 * r;
+                              srcs = Elem.Dcache r :: addr_srcs;
+                              touched = [ Elem.Dcache r ] } ]
+  end
+  else begin
+    let i = lnot r in
+    cost := !cost + t.cfg.Config.miss_latency;
+    t.lsu_busy_until <-
+      Int.max t.lsu_busy_until
+        (t.cycles + !cost + (t.cfg.Config.miss_latency / 2));
+    if t.cfg.Config.load_wb_contention_bug && not is_store then
+      t.load_wb_busy_until <-
+        Int.max t.load_wb_busy_until
+          (t.cycles + !cost + t.cfg.Config.miss_latency);
+    let lfb_slot = Cache.Lfb.refill t.lfb ~data:(Phys_mem.read t.mem ~addr ~size:8) in
+    if fx then
+      emit ev [ Effect.Write (Elem.Lfb lfb_slot, data_srcs);
+                Effect.Write (Elem.Dcache i, data_srcs);
+                Effect.Ctrl { kind = Effect.C_addr; value = (2 * i) + 1;
+                              srcs = Elem.Dcache i :: addr_srcs;
+                              touched =
+                                [ Elem.Dcache i; Elem.Lfb lfb_slot ] } ]
+  end;
   !cost
 
 let fdiv_issue t =
@@ -411,7 +420,7 @@ let transient_fault_forward ~fx t ~addr ~size =
   if addr >= phys_limit && t.cfg.Config.addr_truncate_bug then begin
     (* B1: inconsistent wire widths truncate the high bits on the way to
        the load unit; the access samples the aliased physical address. *)
-    let eff = addr mod phys_limit in
+    let eff = addr land (phys_limit - 1) in
     (Phys_mem.read t.mem ~addr:eff ~size, mem_srcs ~fx eff, secret_page eff)
   end
   else if t.cfg.Config.meltdown_forward then
@@ -488,7 +497,11 @@ let close_window ~fx t w =
         Effect.Write (Elem.Pc, []) ]
 
 let open_window ~fx t ev ~kind ~trigger_pc ~after ~spec_pc ~sreg_init =
-  let sregs = Array.init 32 (fun i -> Golden.reg t.arch (Reg.x i)) in
+  (* A typed loop: [Array.init]'s generic stores call [caml_modify]. *)
+  let sregs = Array.make 32 0 in
+  for i = 1 to 31 do
+    sregs.(i) <- Golden.reg t.arch (Reg.x i)
+  done;
   List.iter (fun (r, v) -> sregs.(Reg.to_int r) <- v) sreg_init;
   (* The checkpoints: copies of the RAS and both queues. *)
   let cfg = t.cfg in
@@ -544,20 +557,16 @@ let step_transient ~fx t w =
   let pc = w.w_spec_pc in
   let ev = ref [] in
   let cost = ref (fetch_access ~fx t ~transient:true ev pc) in
-  let word =
-    match Phys_mem.checked_fetch t.mem ~priv:Golden.User ~addr:pc with
-    | Ok word -> Some word
-    | Error _ -> None
-  in
   let close_now = ref false in
   let insn =
-    match word with
-    | None ->
+    match Phys_mem.checked_fetch t.mem ~priv:Golden.User ~addr:pc with
+    | Ok word -> Decode.decode word
+    | Error _ ->
         close_now := true;
         Insn.Illegal 0
-    | Some word -> Decode.decode word
   in
-  let rob = rob_elem t in
+  (* Read by loud slots only: a quiet one skips the division. *)
+  let rob = if fx then rob_elem t else Elem.Pc in
   w.w_enqueued <- w.w_enqueued + 1;
   let next_pc = ref (pc + 4) in
   (if not !close_now then
@@ -577,7 +586,7 @@ let step_transient ~fx t w =
          if secret_page addr then w.w_secret_accessed <- true;
          let ldq_slot = Lsu.Ldq.alloc t.ldq ~addr in
          if fx then emit ev [ Effect.Write (Elem.Ldq ldq_slot, addr_srcs) ];
-         let aligned = addr mod size = 0 in
+         let aligned = addr land (size - 1) = 0 in
          let ok =
            if not aligned then Error Trap.Load_misalign
            else Phys_mem.checked_load t.mem ~priv:Golden.User ~addr ~size
@@ -724,39 +733,32 @@ let step_committed ~fx t =
     | Error cause -> Error cause
     | Ok word -> Ok (word, Decode.decode word)
   in
+  (* On a fetch fault, a word no lookup below matches. *)
   let prefetch =
-    match fetched with Error _ -> None | Ok (_, i) -> Some i
+    match fetched with Error _ -> Insn.Illegal 0 | Ok (_, i) -> i
   in
+  (* The BHT's guess, which only a branch resolves against. *)
   let predicted_taken =
-    match prefetch with
-    | Some i when Insn.is_branch i -> Some (P.Bht.predict_taken t.bht ~pc)
-    | _ -> None
+    Insn.is_branch prefetch && P.Bht.predict_taken t.bht ~pc
   in
   let ras_prediction =
-    match prefetch with
-    | Some i when Insn.is_return i -> (
-        match P.Ras.pop t.ras with
-        | Some (addr, slot') -> Some (addr, slot')
-        | None -> None)
-    | _ -> None
+    if Insn.is_return prefetch then P.Ras.pop t.ras else None
   in
-  (match prefetch with
-  | Some i when Insn.is_call i ->
-      let slot' = P.Ras.push t.ras (pc + 4) in
-      if fx then emit ev [ Effect.Write (Elem.Ras slot', []) ]
-  | _ -> ());
+  if Insn.is_call prefetch then begin
+    let slot' = P.Ras.push t.ras (pc + 4) in
+    if fx then emit ev [ Effect.Write (Elem.Ras slot', []) ]
+  end;
   let btb_prediction =
-    match prefetch with
-    | Some i when Insn.is_indirect i && not (Insn.is_return i) ->
-        P.Btb.lookup ~word:(Encode.encode i) t.btb ~pc
-    | _ -> None
+    if Insn.is_indirect prefetch && not (Insn.is_return prefetch) then
+      P.Btb.lookup ~word:(Encode.encode prefetch) t.btb ~pc
+    else None
   in
   (* Stores overwrite memory when the golden model steps; capture the old
      content first so the store-queue entry can expose it to
      disambiguation-mispredicted loads. *)
   let store_old_data =
     match prefetch with
-    | Some (Insn.Store (width, _, rs1, imm)) ->
+    | Insn.Store (width, _, rs1, imm) ->
         let addr = Golden.reg t.arch rs1 + imm in
         Phys_mem.read t.mem ~addr ~size:(Insn.bytes width)
     | _ -> 0
@@ -765,10 +767,10 @@ let step_committed ~fx t =
      capture the stale value a mispredicted load would consume. *)
   let disamb =
     match prefetch with
-    | Some (Insn.Load (width, unsigned, rd, rs1, imm)) ->
+    | Insn.Load (width, unsigned, rd, rs1, imm) ->
         let addr = Golden.reg t.arch rs1 + imm in
         let size = Insn.bytes width in
-        if addr mod size <> 0 then None
+        if addr land (size - 1) <> 0 then None
         else (
           match Lsu.Stq.pending_alias t.stq ~now:t.slot ~addr ~size with
           | Some (stq_slot, old_raw) when not (P.Mdp.predicts_alias t.mdp ~pc) ->
@@ -854,19 +856,18 @@ let step_committed ~fx t =
       (match P.Loop.update t.loop ~pc ~taken with
       | Some li -> if fx then emit ev [ Effect.Write (Elem.Loop li, srcs) ]
       | None -> ());
-      (match predicted_taken with
-      | Some p when p <> taken ->
-          (* Mispredicted branch: the wrong path runs transiently. *)
-          let wrong_path =
-            if taken then pc + 4
-            else
-              match insn with
-              | Insn.Branch (_, _, _, off) -> pc + off
-              | _ -> pc + 4
-          in
-          open_window ~fx t ev ~kind:Effect.W_branch_mispred ~trigger_pc:pc
-            ~after:`Resume ~spec_pc:wrong_path ~sreg_init:[]
-      | _ -> ())
+      if predicted_taken <> taken then begin
+        (* Mispredicted branch: the wrong path runs transiently. *)
+        let wrong_path =
+          if taken then pc + 4
+          else
+            match insn with
+            | Insn.Branch (_, _, _, off) -> pc + off
+            | _ -> pc + 4
+        in
+        open_window ~fx t ev ~kind:Effect.W_branch_mispred ~trigger_pc:pc
+          ~after:`Resume ~spec_pc:wrong_path ~sreg_init:[]
+      end
   | None -> ());
   (match (insn, s.Golden.s_target) with
   | Insn.Jalr _, Some actual when Insn.is_return insn -> (
@@ -1001,31 +1002,46 @@ let fetch_watched t =
 
 let nop_word = Encode.encode Insn.nop
 
-(* Slots of a run, from [pc] on, that fetch from [pc]'s icache line. *)
+(* Slots of a run, from [pc] on, that fetch from [pc]'s icache line.  A
+   run's pcs are fetchable, so non-negative, and a line is a power of two
+   bytes ([Cache.create] checks it). *)
 let slots_on_line t pc =
   let lb = t.cfg.Config.line_bytes in
-  (lb - (pc mod lb) + 3) / 4
+  (lb - (pc land (lb - 1)) + 3) / 4
 
+(* Whether a committed fetch at [pc] reads the canonical nop. *)
+let nop_at t ~priv pc =
+  (* [watched] before the read: reading a watched word latches
+     [watch_hit].  An unwatched read changes nothing, so the word is
+     tested before the permission check. *)
+  (not (Phys_mem.watched t.mem ~addr:pc ~size:4))
+  && Phys_mem.read t.mem ~addr:pc ~size:4 = nop_word
+  && Phys_mem.fetchable t.mem ~priv ~addr:pc
+
+(* [finish] asks at every quiet slot, so the first word is tested before
+   anything else is computed, and the loop is no closure. *)
 let nop_run t limit =
   if t.done_ || Option.is_some t.window then 0
   else begin
     let limit = Int.min limit (t.stim.st_max_slots - t.slot) in
     let pc0 = Golden.pc t.arch and priv = Golden.priv t.arch in
-    let lb = t.cfg.Config.line_bytes in
-    (* One icache's worth of lines at most, so that no line of the run
-       evicts another and only a line's first fetch can miss. *)
-    let stop_pc = ((pc0 / lb) + t.cfg.Config.icache_lines) * lb in
-    let rec go n =
-      let pc = pc0 + (4 * n) in
-      if n >= limit || pc >= stop_pc
-         (* before the read: reading a watched word latches [watch_hit] *)
-         || Phys_mem.watched t.mem ~addr:pc ~size:4
-         || (not (Phys_mem.fetchable t.mem ~priv ~addr:pc))
-         || Phys_mem.read t.mem ~addr:pc ~size:4 <> nop_word
-      then n
-      else go (n + 1)
-    in
-    go 0
+    if limit <= 0 || not (nop_at t ~priv pc0) then 0
+    else begin
+      let lb = t.cfg.Config.line_bytes in
+      (* One icache's worth of lines at most, so that no line of the run
+         evicts another and only a line's first fetch can miss.  [pc0] is
+         below it. *)
+      let stop_pc = ((pc0 / lb) + t.cfg.Config.icache_lines) * lb in
+      let n = ref 1 in
+      while
+        !n < limit
+        && pc0 + (4 * !n) < stop_pc
+        && nop_at t ~priv (pc0 + (4 * !n))
+      do
+        incr n
+      done;
+      !n
+    end
   end
 
 let nop_run_pair a b limit =

@@ -36,7 +36,7 @@ module Stq = struct
 
   let alloc t ~addr ~size ~data ?(old_data = 0) ~resolve_at () =
     let i = t.next in
-    t.next <- (t.next + 1) mod Array.length t.slots;
+    t.next <- (if i + 1 = Array.length t.slots then 0 else i + 1);
     t.seq <- t.seq + 1;
     let e = t.slots.(i) in
     e.valid <- true;
@@ -48,26 +48,34 @@ module Stq = struct
     e.seq <- t.seq;
     i
 
-  let scan t pred =
-    let best = ref None in
-    Array.iteri
-      (fun i e ->
-        if e.valid && pred e then
-          match !best with
-          | Some (_, seq) when seq >= e.seq -> ()
-          | _ -> best := Some (i, e.seq))
-      t.slots;
-    Option.map (fun (i, _) -> (i, t.slots.(i).data)) !best
+  (* The slot of the youngest valid entry that matches (the first on a
+     tie), or -1: a resolved store covering [addr,size) exactly when
+     [resolved], else an unresolved one overlapping it.  A loop over ints:
+     a predicate closure and an option per probe would allocate on every
+     load. *)
+  let youngest t ~resolved ~now ~addr ~size =
+    let best = ref (-1) and best_seq = ref 0 in
+    for i = 0 to Array.length t.slots - 1 do
+      let e = t.slots.(i) in
+      if e.valid
+         && (if resolved then
+               e.resolve_at <= now && e.addr = addr && e.size = size
+             else e.resolve_at > now && overlaps e.addr e.size addr size)
+         && (!best < 0 || e.seq > !best_seq)
+      then begin
+        best := i;
+        best_seq := e.seq
+      end
+    done;
+    !best
 
   let pending_alias t ~now ~addr ~size =
-    match
-      scan t (fun e -> e.resolve_at > now && overlaps e.addr e.size addr size)
-    with
-    | Some (i, _) -> Some (i, t.slots.(i).old_data)
-    | None -> None
+    let i = youngest t ~resolved:false ~now ~addr ~size in
+    if i < 0 then None else Some (i, t.slots.(i).old_data)
 
   let forward t ~now ~addr ~size =
-    scan t (fun e -> e.resolve_at <= now && e.addr = addr && e.size = size)
+    let i = youngest t ~resolved:true ~now ~addr ~size in
+    if i < 0 then None else Some (i, t.slots.(i).data)
 end
 
 module Ldq = struct
@@ -89,7 +97,7 @@ module Ldq = struct
 
   let alloc t ~addr =
     let i = t.next in
-    t.next <- (t.next + 1) mod Array.length t.slots;
+    t.next <- (if i + 1 = Array.length t.slots then 0 else i + 1);
     let e = t.slots.(i) in
     e.valid <- true;
     e.addr <- addr;

@@ -91,8 +91,10 @@ module Ras = struct
 
   let size t = Array.length t.stack
 
+  (* Both ends wrap by comparison, not [mod]: a push or pop is a per-slot
+     operation. *)
   let push t addr =
-    t.tos <- (t.tos + 1) mod size t;
+    t.tos <- (if t.tos + 1 = size t then 0 else t.tos + 1);
     t.stack.(t.tos) <- addr;
     t.depth <- Int.min (size t) (t.depth + 1);
     t.tos
@@ -102,7 +104,7 @@ module Ras = struct
     else begin
       let slot = t.tos in
       let addr = t.stack.(slot) in
-      t.tos <- (t.tos + size t - 1) mod size t;
+      t.tos <- (if slot = 0 then size t - 1 else slot - 1);
       t.depth <- t.depth - 1;
       Some (addr, slot)
     end

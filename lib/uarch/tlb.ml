@@ -3,23 +3,32 @@
    equals.  Copied by a typed loop, like {!Cache}'s lines. *)
 let invalid = min_int
 
-type t = { vpns : int array; page_bytes : int }
+type t = { vpns : int array; page_bytes : int; shift : int }
 
 let create ~entries ~page_bytes =
-  if page_bytes < 2 then invalid_arg "Tlb.create: page_bytes below 2";
-  { vpns = Array.make entries invalid; page_bytes }
+  if page_bytes < 2 || page_bytes land (page_bytes - 1) <> 0 then
+    invalid_arg "Tlb.create: page_bytes not a power of two above 1";
+  let rec bits k = if 1 lsl k = page_bytes then k else bits (k + 1) in
+  { vpns = Array.make entries invalid; page_bytes; shift = bits 1 }
 
 let enabled t = Array.length t.vpns > 0
 
+(* No index is [max_int], so no miss is [lnot max_int]. *)
+let disabled = min_int
+
+(* [addr / page_bytes]: a shift unless [addr] is negative, as in
+   {!Cache}. *)
 let access t ~addr =
-  if not (enabled t) then `Disabled
+  if not (enabled t) then disabled
   else begin
-    let vpn = addr / t.page_bytes in
+    let vpn =
+      if addr >= 0 then addr lsr t.shift else addr / t.page_bytes
+    in
     let i = vpn land (Array.length t.vpns - 1) in
-    if t.vpns.(i) = vpn then `Hit i
+    if t.vpns.(i) = vpn then i
     else begin
       t.vpns.(i) <- vpn;
-      `Miss i
+      lnot i
     end
   end
 

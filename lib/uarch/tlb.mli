@@ -8,9 +8,17 @@ type t
 
 val create : entries:int -> page_bytes:int -> t
 (** [entries = 0] builds a disabled TLB that always hits and never fills.
-    Raises [Invalid_argument] when [page_bytes] is below 2. *)
+    Raises [Invalid_argument] unless [page_bytes] is a power of two of at
+    least 2.  Page numbers are computed as {!Cache} computes tags: a shift
+    for non-negative addresses, the division for negative ones. *)
 
-val access : t -> addr:int -> [ `Hit of int | `Miss of int | `Disabled ]
+val disabled : int
+(** What {!access} returns on a disabled TLB; no hit or miss equals it. *)
+
+val access : t -> addr:int -> int
+(** Accesses the entry of [addr]'s page, filling it on a miss.  Returns
+    the entry index [i] on a hit, [lnot i] (negative) on a miss and
+    {!disabled} when [entries = 0]. *)
 
 val valid : t -> int -> bool
 

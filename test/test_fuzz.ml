@@ -1283,6 +1283,42 @@ let test_evaluate_allocation_bound () =
         true (per_slot < 60.0))
     [ boom; xs ]
 
+(* The quiet slot itself: a pooled core re-armed and run to the end by
+   [Core.finish], on stimuli built beforehand.  What a slot still
+   allocates is its decoded [Insn.t], the golden step record and a few
+   options: 20.3 words on BOOM and 21.4 on XiangShan.  With variant
+   cache results, a polymorphic [Golden.set] and a decoder that computed
+   every field it was 27.3 and 28.3. *)
+let finish_words_per_slot cfg =
+  let stims =
+    List.map
+      (fun tc -> Packet.stimulus ~secret:Trigger_opt.eval_secret tc)
+      (random_training_cases cfg)
+  in
+  let core = Core.create cfg (List.hd stims) in
+  let run () =
+    List.fold_left
+      (fun n stim ->
+        Core.reset core stim;
+        Core.finish core;
+        n + Core.slot_count core)
+      0 stims
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let slots = run () in
+  (Gc.minor_words () -. before) /. float_of_int slots
+
+let test_finish_allocation_bound () =
+  List.iter
+    (fun cfg ->
+      let per_slot = finish_words_per_slot cfg in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a quiet slot allocates < 24 words (got %.1f)"
+           cfg.Cfg.name per_slot)
+        true (per_slot < 24.0))
+    [ boom; xs ]
+
 (* --- state copy and the forked sanitize run ---------------------------- *)
 
 let rec drain_core c acc =
@@ -1768,7 +1804,9 @@ let () =
           Alcotest.test_case "evaluate promotion bound" `Quick
             test_evaluate_promotion_bound;
           Alcotest.test_case "evaluate allocation bound" `Quick
-            test_evaluate_allocation_bound ] );
+            test_evaluate_allocation_bound;
+          Alcotest.test_case "finish allocation bound" `Quick
+            test_finish_allocation_bound ] );
       ( "phase2",
         [ Alcotest.test_case "completion replaces nops" `Quick
             test_window_completion_replaces_nops;

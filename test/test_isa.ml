@@ -135,6 +135,191 @@ let prop_roundtrip =
       let i = random_insn rng in
       roundtrip i = i)
 
+(* The decoder before it extracted fields per format, kept as the model:
+   every immediate, register and the [Illegal] block computed up front,
+   then the opcode matched. *)
+module Decode_model = struct
+  let sign_extend bits v =
+    let shift = Sys.int_size - bits in
+    (v lsl shift) asr shift
+
+  let decode word =
+    let w = word land 0xFFFFFFFF in
+    let opcode = w land 0x7F in
+    let rd = Reg.x ((w lsr 7) land 0x1F) in
+    let funct3 = (w lsr 12) land 0x7 in
+    let rs1 = Reg.x ((w lsr 15) land 0x1F) in
+    let rs2 = Reg.x ((w lsr 20) land 0x1F) in
+    let funct7 = (w lsr 25) land 0x7F in
+    let imm_i = sign_extend 12 ((w lsr 20) land 0xFFF) in
+    let imm_s =
+      sign_extend 12 ((((w lsr 25) land 0x7F) lsl 5) lor ((w lsr 7) land 0x1F))
+    in
+    let imm_b =
+      let b12 = (w lsr 31) land 1
+      and b11 = (w lsr 7) land 1
+      and b10_5 = (w lsr 25) land 0x3F
+      and b4_1 = (w lsr 8) land 0xF in
+      sign_extend 13 ((b12 lsl 12) lor (b11 lsl 11) lor (b10_5 lsl 5) lor (b4_1 lsl 1))
+    in
+    let imm_u = (w lsr 12) land 0xFFFFF in
+    let imm_j =
+      let b20 = (w lsr 31) land 1
+      and b19_12 = (w lsr 12) land 0xFF
+      and b11 = (w lsr 20) land 1
+      and b10_1 = (w lsr 21) land 0x3FF in
+      sign_extend 21
+        ((b20 lsl 20) lor (b19_12 lsl 12) lor (b11 lsl 11) lor (b10_1 lsl 1))
+    in
+    let illegal = Insn.Illegal w in
+    match opcode with
+    | 0b0110111 -> Insn.Lui (rd, imm_u)
+    | 0b0010111 -> Insn.Auipc (rd, imm_u)
+    | 0b0110011 -> (
+        match (funct7, funct3) with
+        | 0b0000000, 0b000 -> Insn.Op (Insn.Add, rd, rs1, rs2)
+        | 0b0100000, 0b000 -> Insn.Op (Insn.Sub, rd, rs1, rs2)
+        | 0b0000000, 0b001 -> Insn.Op (Insn.Sll, rd, rs1, rs2)
+        | 0b0000000, 0b010 -> Insn.Op (Insn.Slt, rd, rs1, rs2)
+        | 0b0000000, 0b011 -> Insn.Op (Insn.Sltu, rd, rs1, rs2)
+        | 0b0000000, 0b100 -> Insn.Op (Insn.Xor, rd, rs1, rs2)
+        | 0b0000000, 0b101 -> Insn.Op (Insn.Srl, rd, rs1, rs2)
+        | 0b0100000, 0b101 -> Insn.Op (Insn.Sra, rd, rs1, rs2)
+        | 0b0000000, 0b110 -> Insn.Op (Insn.Or, rd, rs1, rs2)
+        | 0b0000000, 0b111 -> Insn.Op (Insn.And, rd, rs1, rs2)
+        | 0b0000001, 0b000 -> Insn.Op (Insn.Mul, rd, rs1, rs2)
+        | 0b0000001, 0b100 -> Insn.Op (Insn.Div, rd, rs1, rs2)
+        | _ -> illegal)
+    | 0b0010011 -> (
+        match funct3 with
+        | 0b000 -> Insn.Opi (Insn.Addi, rd, rs1, imm_i)
+        | 0b010 -> Insn.Opi (Insn.Slti, rd, rs1, imm_i)
+        | 0b011 -> Insn.Opi (Insn.Sltiu, rd, rs1, imm_i)
+        | 0b100 -> Insn.Opi (Insn.Xori, rd, rs1, imm_i)
+        | 0b110 -> Insn.Opi (Insn.Ori, rd, rs1, imm_i)
+        | 0b111 -> Insn.Opi (Insn.Andi, rd, rs1, imm_i)
+        | 0b001 ->
+            let shamt = (w lsr 20) land 0x3F in
+            if funct7 lsr 1 = 0 then Insn.Opi (Insn.Slli, rd, rs1, shamt)
+            else illegal
+        | 0b101 ->
+            let shamt = (w lsr 20) land 0x3F in
+            let hi = funct7 lsr 1 in
+            if hi = 0 then Insn.Opi (Insn.Srli, rd, rs1, shamt)
+            else if hi = 0b010000 then Insn.Opi (Insn.Srai, rd, rs1, shamt)
+            else illegal
+        | _ -> illegal)
+    | 0b0000011 -> (
+        match funct3 with
+        | 0b000 -> Insn.Load (Insn.B, false, rd, rs1, imm_i)
+        | 0b001 -> Insn.Load (Insn.H, false, rd, rs1, imm_i)
+        | 0b010 -> Insn.Load (Insn.W, false, rd, rs1, imm_i)
+        | 0b011 -> Insn.Load (Insn.D, false, rd, rs1, imm_i)
+        | 0b100 -> Insn.Load (Insn.B, true, rd, rs1, imm_i)
+        | 0b101 -> Insn.Load (Insn.H, true, rd, rs1, imm_i)
+        | 0b110 -> Insn.Load (Insn.W, true, rd, rs1, imm_i)
+        | _ -> illegal)
+    | 0b0100011 -> (
+        match funct3 with
+        | 0b000 -> Insn.Store (Insn.B, rs2, rs1, imm_s)
+        | 0b001 -> Insn.Store (Insn.H, rs2, rs1, imm_s)
+        | 0b010 -> Insn.Store (Insn.W, rs2, rs1, imm_s)
+        | 0b011 -> Insn.Store (Insn.D, rs2, rs1, imm_s)
+        | _ -> illegal)
+    | 0b1100011 -> (
+        match funct3 with
+        | 0b000 -> Insn.Branch (Insn.Eq, rs1, rs2, imm_b)
+        | 0b001 -> Insn.Branch (Insn.Ne, rs1, rs2, imm_b)
+        | 0b100 -> Insn.Branch (Insn.Lt, rs1, rs2, imm_b)
+        | 0b101 -> Insn.Branch (Insn.Ge, rs1, rs2, imm_b)
+        | 0b110 -> Insn.Branch (Insn.Ltu, rs1, rs2, imm_b)
+        | 0b111 -> Insn.Branch (Insn.Geu, rs1, rs2, imm_b)
+        | _ -> illegal)
+    | 0b1101111 -> Insn.Jal (rd, imm_j)
+    | 0b1100111 -> if funct3 = 0 then Insn.Jalr (rd, rs1, imm_i) else illegal
+    | 0b1010011 ->
+        if funct7 = 0b0001101 && funct3 = 0b111 then Insn.Fdiv (rd, rs1, rs2)
+        else illegal
+    | 0b0001111 -> if funct3 = 0b001 then Insn.Fence_i else illegal
+    | 0b1110011 -> (
+        let sys_imm = (w lsr 20) land 0xFFF in
+        match funct3 with
+        | 0 -> (
+            match sys_imm with
+            | 0b000000000000 -> Insn.Ecall
+            | 0b000000000001 -> Insn.Ebreak
+            | 0b001100000010 -> Insn.Mret
+            | _ -> illegal)
+        | (0b001 | 0b010 | 0b011) as f -> (
+            match Insn.csr_of_addr sys_imm with
+            | Some csr ->
+                let op =
+                  match f with
+                  | 0b001 -> Insn.Csrrw
+                  | 0b010 -> Insn.Csrrs
+                  | _ -> Insn.Csrrc
+                in
+                Insn.Csr (op, rd, csr, rs1)
+            | None -> illegal)
+        | _ -> illegal)
+    | _ -> illegal
+end
+
+(* Words biased to the decoder's cases: every opcode it knows (and
+   random ones), every funct3, the funct7 values it tests plus their
+   sign bit, the system-immediate values (including each CSR address)
+   and sign-bit I-immediates; and bits above the low 32, which [decode]
+   must ignore, up to the int's sign bit. *)
+let gen_word =
+  let open QCheck.Gen in
+  let opcode =
+    frequency
+      [ ( 12,
+          oneofl
+            [ 0b0110111; 0b0010111; 0b0110011; 0b0010011; 0b0000011;
+              0b0100011; 0b1100011; 0b1101111; 0b1100111; 0b1010011;
+              0b0001111; 0b1110011 ] );
+        (1, int_bound 0x7F) ]
+  and funct7 =
+    frequency
+      [ ( 3,
+          oneofl
+            [ 0; 0b0000001; 0b0100000; 0b0100001; 0b0001101; 0b1000000;
+              0b1111111 ] );
+        (1, int_bound 0x7F) ]
+  and upper12 =
+    frequency
+      [ ( 3,
+          oneofl
+            [ 0; 1; 0b001100000010; 0x340; 0x341; 0x342; 0x343; 0x305;
+              0x7FF; 0x800; 0xFFF ] );
+        (1, int_bound 0xFFF) ]
+  and high =
+    frequency
+      [ (4, return 0);
+        (2, map (fun h -> h lsl 32) (int_bound 0x3FFFFFFF));
+        (1, map (fun h -> (h lsl 32) lor min_int) (int_bound 0x3FFFFFFF));
+        (1, return (-1 lxor 0xFFFFFFFF)) ]
+  in
+  let fields =
+    let* op = opcode and* rd = int_bound 31 and* f3 = int_bound 7
+    and* rs1 = int_bound 31 in
+    let low = op lor (rd lsl 7) lor (f3 lsl 12) lor (rs1 lsl 15) in
+    frequency
+      [ ( 2,
+          let* rs2 = int_bound 31 and* f7 = funct7 in
+          return (low lor (rs2 lsl 20) lor (f7 lsl 25)) );
+        (1, map (fun up -> low lor (up lsl 20)) upper12) ]
+  in
+  let* w = frequency [ (8, fields); (1, int_bound 0xFFFFFFFF) ] and* h = high in
+  return (w lor h)
+
+let prop_decode_matches_model =
+  QCheck.Test.make ~name:"decode matches the all-fields reference"
+    ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "0x%x") gen_word)
+    (fun w -> Decode.decode w = Decode_model.decode w)
+
 (* --- assembler ----------------------------------------------------------- *)
 
 let test_asm_forward_label () =
@@ -498,7 +683,8 @@ let () =
           Alcotest.test_case "roundtrip samples" `Quick test_roundtrip_samples;
           Alcotest.test_case "imm range check" `Quick test_encode_rejects_bad_imm;
           Alcotest.test_case "illegal word" `Quick test_decode_illegal;
-          QCheck_alcotest.to_alcotest prop_roundtrip ] );
+          QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decode_matches_model ] );
       ( "asm",
         [ Alcotest.test_case "forward label" `Quick test_asm_forward_label;
           Alcotest.test_case "backward jal" `Quick test_asm_backward_jal;

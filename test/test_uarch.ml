@@ -138,14 +138,18 @@ let test_mdp () =
 
 (* --- caches / TLB -------------------------------------------------------- *)
 
+(* [Cache.access] and [Tlb.access] return an int: the index [i] on a hit,
+   [lnot i] on a miss; [hit_or_miss] reads it back. *)
+let hit_or_miss r = if r >= 0 then `Hit r else `Miss (lnot r)
+
 let test_cache_fill_and_hit () =
   let c = Cache.create ~lines:8 ~line_bytes:64 in
-  (match Cache.access c ~addr:0x1000 with
+  (match hit_or_miss (Cache.access c ~addr:0x1000) with
   | `Miss i ->
       Alcotest.(check bool) "line valid after fill" true (Cache.valid c i);
       Alcotest.(check int) "line addr" 0x1000 (Cache.line_addr c i)
   | `Hit _ -> Alcotest.fail "cold access must miss");
-  match Cache.access c ~addr:0x1008 with
+  match hit_or_miss (Cache.access c ~addr:0x1008) with
   | `Hit _ -> ()
   | `Miss _ -> Alcotest.fail "same line must hit"
 
@@ -153,7 +157,7 @@ let test_cache_conflict () =
   let c = Cache.create ~lines:8 ~line_bytes:64 in
   ignore (Cache.access c ~addr:0x0);
   ignore (Cache.access c ~addr:(8 * 64));
-  match Cache.access c ~addr:0x0 with
+  match hit_or_miss (Cache.access c ~addr:0x0) with
   | `Miss _ -> ()
   | `Hit _ -> Alcotest.fail "conflicting line must have evicted"
 
@@ -161,9 +165,25 @@ let test_cache_flush () =
   let c = Cache.create ~lines:8 ~line_bytes:64 in
   ignore (Cache.access c ~addr:0x1000);
   Cache.invalidate_all c;
-  match Cache.access c ~addr:0x1000 with
+  match hit_or_miss (Cache.access c ~addr:0x1000) with
   | `Miss _ -> ()
   | `Hit _ -> Alcotest.fail "flush must clear"
+
+(* Tags and page numbers are shifts, so a size that is no power of two (or
+   below 2) is refused rather than mistagged. *)
+let test_sizes_refused () =
+  List.iter
+    (fun bytes ->
+      Alcotest.check_raises
+        (Printf.sprintf "cache line of %d bytes" bytes)
+        (Invalid_argument
+           "Cache.create: line_bytes not a power of two above 1")
+        (fun () -> ignore (Cache.create ~lines:8 ~line_bytes:bytes));
+      Alcotest.check_raises
+        (Printf.sprintf "page of %d bytes" bytes)
+        (Invalid_argument "Tlb.create: page_bytes not a power of two above 1")
+        (fun () -> ignore (Tlb.create ~entries:8 ~page_bytes:bytes)))
+    [ 0; 1; 3; 48; 4095; -64 ]
 
 let test_lfb_decoy () =
   let lfb = Cache.Lfb.create ~entries:4 in
@@ -175,18 +195,20 @@ let test_lfb_decoy () =
 
 let test_tlb () =
   let t = Tlb.create ~entries:8 ~page_bytes:4096 in
-  (match Tlb.access t ~addr:0x5000 with
+  (match hit_or_miss (Tlb.access t ~addr:0x5000) with
   | `Miss i -> Alcotest.(check bool) "filled" true (Tlb.valid t i)
   | _ -> Alcotest.fail "cold miss expected");
-  (match Tlb.access t ~addr:0x5800 with
+  (match hit_or_miss (Tlb.access t ~addr:0x5800) with
   | `Hit _ -> ()
   | _ -> Alcotest.fail "same page hits");
   let disabled = Tlb.create ~entries:0 ~page_bytes:4096 in
-  Alcotest.(check bool) "disabled" true (Tlb.access disabled ~addr:0 = `Disabled)
+  Alcotest.(check bool) "disabled" true
+    (Tlb.access disabled ~addr:0 = Tlb.disabled)
 
 (* The record-per-line cache and TLB the flat int arrays replaced, kept as
-   the model: a line or entry is a valid bit beside a tag, and a flush
-   clears the valid bits only. *)
+   the model: a line or entry is a valid bit beside a tag, a tag is
+   [addr / bytes] on every address, and a flush clears the valid bits
+   only.  Accesses answer in the int encoding of [Cache.access]. *)
 module Line_model = struct
   type line = { mutable valid : bool; mutable tag : int }
   type t = { lines : line array; bytes : int }
@@ -200,15 +222,15 @@ module Line_model = struct
   let access t ~addr =
     let i = index t addr in
     let l = t.lines.(i) in
-    if holds t l addr then `Hit i
+    if holds t l addr then i
     else begin
       l.valid <- true;
       l.tag <- addr / t.bytes;
-      `Miss i
+      lnot i
     end
 
   let hits t ~addr = holds t t.lines.(index t addr) addr
-  let fill t ~addr = match access t ~addr with `Hit _ -> false | `Miss _ -> true
+  let fill t ~addr = access t ~addr < 0
   let invalidate_all t = Array.iter (fun l -> l.valid <- false) t.lines
 
   let blit ~src ~dst =
@@ -223,8 +245,7 @@ module Line_model = struct
 
   (* [Tlb.access]: a direct-mapped page table, disabled when empty. *)
   let tlb_access t ~addr =
-    if Array.length t.lines = 0 then `Disabled
-    else match access t ~addr with `Hit i -> `Hit i | `Miss i -> `Miss i
+    if Array.length t.lines = 0 then Tlb.disabled else access t ~addr
 end
 
 type line_op =
@@ -1873,6 +1894,7 @@ let () =
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "lfb decoy" `Quick test_lfb_decoy;
           Alcotest.test_case "tlb" `Quick test_tlb;
+          Alcotest.test_case "sizes refused" `Quick test_sizes_refused;
           QCheck_alcotest.to_alcotest prop_cache_matches_model;
           QCheck_alcotest.to_alcotest prop_tlb_matches_model ] );
       ( "lsu",
